@@ -63,7 +63,8 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="64-bit seed for stochastic steps")
     p.add_argument("--out", default=None, help="output directory")
     p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET,
-                   help="node budget for exhaustive routines")
+                   help="node budget for exhaustive routines; for Lipschitz counts, "
+                        "samplers and enumerations it counts DP transitions")
     p.add_argument("--threads", type=int, default=1, help="worker threads for sampling")
 
 

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 
 class BudgetExceededError(RuntimeError):
-    """Raised when an exhaustive routine exceeds its node budget."""
+    """Raised when an exhaustive routine exceeds its node budget; `where`
+    says how far it got (for the Lipschitz DP: the layer and its width)."""
 
-    def __init__(self, nodes: int, budget: int, what: str = "search"):
+    def __init__(self, nodes: int, budget: int, what: str = "search", where: str | None = None):
         self.nodes = nodes
         self.budget = budget
-        super().__init__(f"{what} exceeded node budget ({nodes} > {budget})")
+        suffix = f" at {where}" if where else ""
+        super().__init__(f"{what} exceeded node budget ({nodes} > {budget}){suffix}")
 
 
 class GenerationError(RuntimeError):

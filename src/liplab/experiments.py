@@ -485,9 +485,9 @@ def run_range_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 def run_tail_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Tail probabilities P(f(probe) > k + tM + 1) against the ball bound.
 
-    With the exact sampler this delegates to the exhaustive enumeration used
-    by the flaw-analysis tooling, so the two agree bit for bit; with the
-    Glauber sampler the tail is empirical.
+    With the exact sampler this delegates to the exact marginal used by the
+    flaw-analysis tooling, so the two agree bit for bit; with the Glauber
+    sampler the tail is empirical.  Both report thresholds k + tM + 1.
     """
     if cfg.mode["kind"] != "ground-state":
         raise ConfigError("tail experiment requires ground-state mode")
@@ -510,6 +510,7 @@ def run_tail_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             budget=cfg.budget,
             c=cfg.constants["c"],
             C=cfg.constants["C"],
+            k=k,
         )
         estimate = "exact"
     else:

@@ -25,9 +25,9 @@ from .graphs import (
 )
 from .lipschitz import (
     LipschitzFn,
-    enumerate_groundstate,
     flaw_allowance_ok,
     flaw_count,
+    marginal_groundstate,
 )
 
 CLUSTER_LINKAGE = 2
@@ -240,32 +240,29 @@ def conditional_tail_profile(
     budget: int = DEFAULT_NODE_BUDGET,
     c: float = 1.0,
     C: float = 1.0,
+    k: int = 0,
 ) -> list[dict]:
     """Exact tail P(f(anchor) > k + tM + 1) for uniform f over the
-    ground-state ensemble at k = 0, for each t, next to the theoretical
-    bound.  The inequality is asserted only when the hypothesis gate holds;
-    otherwise both sides are informational.
+    ground-state ensemble at base k, for each t, next to the theoretical
+    bound.  The counts come from the exact marginal of f(anchor).  The
+    inequality is asserted only when the hypothesis gate holds; otherwise
+    both sides are informational.
     """
     d = g.regular_degree()
-    total = 0
-    exceed = {int(t): 0 for t in t_values}
-    thresholds = {t: t * M + 1 for t in exceed}
-    for f in enumerate_groundstate(g, 0, M, lam, budget=budget):
-        total += 1
-        fv = f.values[anchor]
-        for t, thr in thresholds.items():
-            if fv > thr:
-                exceed[t] += 1
+    marginal = marginal_groundstate(g, k, M, lam, anchor, budget=budget)
+    total = sum(marginal.values())
     rows = []
-    for t in sorted(exceed):
-        prob = exceed[t] / total if total else 0.0
+    for t in sorted({int(t) for t in t_values}):
+        threshold = k + t * M + 1
+        above = sum(members for value, members in marginal.items() if value > threshold)
+        prob = above / total if total else 0.0
         bound = tail_bound(g, anchor, t, M)
         gate = tail_hypotheses(g.n, d, float(lam), M, t=t, c=c, C=C)
         row = {
             "t": t,
-            "threshold": thresholds[t],
+            "threshold": threshold,
             "probability": prob,
-            "count_above": exceed[t],
+            "count_above": above,
             "ensemble_size": total,
             "bound": bound,
             "ball_size": len(ball(g, anchor, max(t - 1, 0))),

@@ -5,6 +5,11 @@ Two ensembles are supported.  The one-point ensemble pins f(v0) = 0.  The
 ground-state ensemble collects every M-Lipschitz function whose values leave
 the window [k, k+M] on at most (2*lam/d)*n vertices; it is finite whenever
 that flaw allowance is below n.
+
+Counting, exact sampling, enumeration and exact marginals share one
+recursion-free frontier DP (`_FrontierDP`).  Their `budget` bounds, and
+`CountResult.nodes_explored` reports, the number of DP transitions: pairs of
+a state and a candidate value that lead to a live state.
 """
 
 from __future__ import annotations
@@ -87,6 +92,9 @@ class EnsembleSpec:
 
 @dataclass(frozen=True)
 class CountResult:
+    """An exact ensemble size.  `nodes_explored` is the number of frontier-DP
+    transitions (state x candidate value) the count took."""
+
     count: int
     nodes_explored: int
     mode: str
@@ -116,7 +124,7 @@ def flaw_cap(n: int, d: int, lam) -> int:
 
 
 # ---------------------------------------------------------------------------
-# DFS enumeration engine
+# Frontier DP engine
 # ---------------------------------------------------------------------------
 
 def _bfs_order(g: Graph, start: int) -> list[int]:
@@ -134,121 +142,189 @@ def _bfs_order(g: Graph, start: int) -> list[int]:
     return order
 
 
-@dataclass
-class _DfsPlan:
-    """Vertex order plus per-position constraint data for the value DFS."""
+class _FrontierDP:
+    """Layered transfer-matrix DP along the breadth-first vertex order from
+    `start`; counting, sampling, enumeration and exact marginals all walk it.
 
-    g: Graph
-    order: list[int]
-    earlier: list[list[int]]  # positions of already-assigned neighbors
-    M: int
-    root_values: Sequence[int]
-    box: tuple[int, int] | None = None
-    window: tuple[int, int] | None = None  # ground-state window
-    cap: int | None = None  # max admissible flaws
+    Layer i holds the states reached once the first i vertices of the order
+    have values.  A vertex is pending when it is unassigned but has an
+    assigned neighbour.  A state key lists, for every pending vertex in order
+    position, the max and the min of its assigned neighbours' values, and
+    ends with the flaw count.  The key is exact: a pending vertex's
+    candidates are [max - M, min + M] clipped to the box, so a successor in
+    which some max - min exceeds 2M is dead and is dropped.  In a breadth-first
+    order vertex i is the first pending vertex of layer i, and the new
+    pending vertices it opens come after all others; the root gets a
+    synthetic pair whose candidates are exactly `root`.
 
-    @classmethod
-    def build(cls, g, start, M, root_values, box=None, window=None, cap=None):
+    Without a box (one-point mode) suffix counts do not change when a whole
+    key is shifted, so keys are shifted to minimum 0 and every successor
+    carries the shift it applied; a state's real values are its key plus the
+    running offset.
+
+    `nodes` counts DP transitions: (state, candidate) pairs that lead to a
+    live state.  It is checked against `budget` after every state expanded.
+    """
+
+    def __init__(self, g: Graph, start: int, M: int, root: tuple[int, int],
+                 budget: int, box=None, window=None, cap=None):
+        if not (0 <= start < g.n):
+            raise ValueError(f"invalid anchor vertex {start}")
         order = _bfs_order(g, start)
+        self.n = len(order)
+        self.M = M
+        self.box = box
+        self.window = window
+        self.cap = cap
+        self.budget = budget
+        self.nodes = 0
         pos = {v: i for i, v in enumerate(order)}
-        earlier = [[pos[u] for u in g.neighbors(v) if pos[u] < i] for i, v in enumerate(order)]
-        return cls(g, order, earlier, M, root_values, box, window, cap)
+        self._place = [pos[v] for v in range(g.n)]  # the graph is connected
+        # per layer: key offsets of the pending pairs that vertex i tightens,
+        # and how many new pending vertices it opens
+        self.tighten: list[tuple[int, ...]] = []
+        self.fresh: list[int] = []
+        pending = [0]
+        for i, v in enumerate(order):
+            later = {pos[u] for u in g.neighbors(v) if pos[u] > i}
+            rest = pending[1:]
+            self.tighten.append(tuple(2 * j for j, p in enumerate(rest) if p in later))
+            opened = sorted(later.difference(rest))
+            self.fresh.append(len(opened))
+            pending = rest + opened
+        lo, hi = root[0] + M, root[1] - M
+        self.offset = 0 if box is not None else min(lo, hi)
+        self.root = (lo - self.offset, hi - self.offset, 0)
 
-    def candidates(self, i: int, vals: list[int]) -> range:
-        lo, hi = None, None
-        for j in self.earlier[i]:
-            w = vals[j]
-            lo = w if lo is None or w > lo else lo
-            hi = w if hi is None or w < hi else hi
-        if lo is None:  # no assigned neighbors: only the root
-            lo0, hi0 = min(self.root_values), max(self.root_values)
-        else:
-            lo0, hi0 = lo - self.M, hi + self.M
-        if self.box is not None:
-            lo0 = max(lo0, self.box[0])
-            hi0 = min(hi0, self.box[1])
-        return range(lo0, hi0 + 1)
+    def successors(self, i: int, key: tuple, shifted: bool = True) -> list[tuple[int, tuple, int]]:
+        """(value, successor key, shift) for each value of vertex i in state
+        `key` that leaves a live state, in increasing value.  The value is in
+        key coordinates; the successor key is shifted down by `shift`, which
+        stays 0 unless `shifted` and there is no box."""
+        M = self.M
+        lo, hi = key[0] - M, key[1] + M
+        box = self.box
+        if box is not None:
+            lo, hi = max(lo, box[0]), min(hi, box[1])
+        rest, flaws = key[2:-1], key[-1]
+        tighten, fresh = self.tighten[i], self.fresh[i]
+        window, cap = self.window, self.cap
+        shifted = shifted and box is None
+        span = 2 * M
+        out = []
+        for c in range(lo, hi + 1):
+            nf = flaws
+            if window is not None and not window[0] <= c <= window[1]:
+                nf += 1
+                if nf > cap:
+                    continue
+            pairs = list(rest)
+            for j in tighten:
+                if c > pairs[j]:
+                    if c - pairs[j + 1] > span:
+                        break
+                    pairs[j] = c
+                elif c < pairs[j + 1]:
+                    if pairs[j] - c > span:
+                        break
+                    pairs[j + 1] = c
+            else:
+                pairs += (c, c) * fresh
+                shift = 0
+                if shifted and pairs:
+                    shift = min(pairs[1::2])
+                    if shift:
+                        pairs = [x - shift for x in pairs]
+                pairs.append(nf)
+                out.append((c, tuple(pairs), shift))
+        return out
 
-    def is_flaw(self, value: int) -> bool:
-        return self.window is not None and not (self.window[0] <= value <= self.window[1])
+    def _charge(self, transitions: int, stage: str, i: int, width: int) -> None:
+        """Add `transitions` to `nodes`; `width` is the number of layer-i
+        states held while layer i is expanded."""
+        self.nodes += transitions
+        if self.nodes > self.budget:
+            raise BudgetExceededError(self.nodes, self.budget, stage,
+                                      where=f"layer {i}/{self.n}, width {width} states")
+
+    def forward(self, stage: str, keep: list | None = None) -> dict:
+        """Walk the layers with multiplicities and return the last one,
+        {key: number of functions reaching it}.  When `keep` is a list, the
+        keys of layers 0..n are appended to it."""
+        layer = {self.root: 1}
+        for i in range(self.n):
+            if keep is not None:
+                keep.append(list(layer))
+            nxt: dict = {}
+            get = nxt.get
+            for key, mult in layer.items():
+                succ = self.successors(i, key)
+                self._charge(len(succ), stage, i, len(layer))
+                for _, child, _ in succ:
+                    nxt[child] = get(child, 0) + mult
+            layer = nxt
+        if keep is not None:
+            keep.append(list(layer))
+        return layer
+
+    def suffix_counts(self, stage: str) -> list[dict]:
+        """Per layer, {key: number of completions} over the states the
+        forward pass reaches; states without completions are dropped."""
+        layers: list = []
+        self.forward(stage, keep=layers)
+        suffix = dict.fromkeys(layers[self.n], 1)
+        out = [suffix]
+        for i in range(self.n - 1, -1, -1):
+            keys, layers[i] = layers[i], None
+            cur = {}
+            for key in keys:
+                succ = self.successors(i, key)
+                self._charge(len(succ), stage, i, len(keys))
+                total = 0
+                for _, child, _ in succ:
+                    total += suffix.get(child, 0)
+                if total:
+                    cur[key] = total
+            suffix = cur
+            out.append(cur)
+        out.reverse()
+        return out
+
+    def stream(self, stage: str) -> Iterator[list[int]]:
+        """Yield every complete assignment (in order positions) in
+        lexicographic order, from an explicit stack of successor lists.
+        Keys are not shifted here: no state is looked up twice."""
+        n, offset = self.n, self.offset
+        vals = [0] * n
+        succ = self.successors(0, self.root, shifted=False)
+        self._charge(len(succ), stage, 0, 1)
+        # each frame: an iterator over a successor list, and that list's
+        # length (the layer-(i + 1) states the walk holds)
+        stack = [(iter(succ), len(succ))]
+        while stack:
+            i = len(stack) - 1
+            states, width = stack[i]
+            for c, child, _ in states:
+                vals[i] = c + offset
+                if i + 1 == n:
+                    yield vals
+                    continue
+                succ = self.successors(i + 1, child, shifted=False)
+                self._charge(len(succ), stage, i + 1, width)
+                stack.append((iter(succ), len(succ)))
+                break
+            else:
+                stack.pop()
 
     def to_vertex_order(self, vals: Sequence[int]) -> tuple[int, ...]:
-        out = [0] * self.g.n
-        for i, v in enumerate(self.order):
-            out[v] = vals[i]
-        return tuple(out)
+        return tuple(map(vals.__getitem__, self._place))
 
 
-def _dfs_stream(plan: _DfsPlan, budget: int) -> Iterator[list[int]]:
-    """Yield complete assignments (in plan order) in lexicographic order."""
-    n = len(plan.order)
-    vals = [0] * n
-    nodes = 0
-
-    def rec(i: int, flaws: int) -> Iterator[list[int]]:
-        nonlocal nodes
-        if i == n:
-            yield vals
-            return
-        for c in (plan.root_values if i == 0 else plan.candidates(i, vals)):
-            nodes += 1
-            if nodes > budget:
-                raise BudgetExceededError(nodes, budget, "function enumeration")
-            nf = flaws + (1 if plan.is_flaw(c) else 0)
-            if plan.cap is not None and nf > plan.cap:
-                continue
-            vals[i] = c
-            yield from rec(i + 1, nf)
-
-    yield from rec(0, 0)
+def _onepoint_dp(g: Graph, v0: int, M: int, budget: int) -> _FrontierDP:
+    return _FrontierDP(g, v0, M, root=(0, 0), budget=budget)
 
 
-def _dfs_count(plan: _DfsPlan, budget: int) -> tuple[int, int]:
-    n = len(plan.order)
-    vals = [0] * n
-    nodes = 0
-
-    def rec(i: int, flaws: int) -> int:
-        nonlocal nodes
-        if i == n:
-            return 1
-        total = 0
-        for c in (plan.root_values if i == 0 else plan.candidates(i, vals)):
-            nodes += 1
-            if nodes > budget:
-                raise BudgetExceededError(nodes, budget, "function counting")
-            nf = flaws + (1 if plan.is_flaw(c) else 0)
-            if plan.cap is not None and nf > plan.cap:
-                continue
-            vals[i] = c
-            total += rec(i + 1, nf)
-        return total
-
-    total = rec(0, 0)
-    return total, nodes
-
-
-def _onepoint_plan(g: Graph, v0: int, M: int) -> _DfsPlan:
-    if not (0 <= v0 < g.n):
-        raise ValueError(f"invalid anchor vertex {v0}")
-    return _DfsPlan.build(g, v0, M, root_values=(0,))
-
-
-def enumerate_onepoint(g: Graph, v0: int, M: int, budget: int = DEFAULT_NODE_BUDGET) -> Iterator[LipschitzFn]:
-    """Every f with f(v0) = 0, each exactly once, in lexicographic order
-    along a breadth-first vertex order from v0."""
-    plan = _onepoint_plan(g, v0, M)
-    for vals in _dfs_stream(plan, budget):
-        yield LipschitzFn(plan.to_vertex_order(vals), M)
-
-
-def count_onepoint(g: Graph, v0: int, M: int, budget: int = DEFAULT_NODE_BUDGET) -> CountResult:
-    plan = _onepoint_plan(g, v0, M)
-    total, nodes = _dfs_count(plan, budget)
-    return CountResult(count=total, nodes_explored=nodes, mode="one-point", M=M, anchor=v0)
-
-
-def _groundstate_plan(g: Graph, k: int, M: int, lam) -> _DfsPlan:
+def _groundstate_dp(g: Graph, k: int, M: int, lam, budget: int, start: int = 0) -> _FrontierDP:
     d = g.regular_degree()
     cap = flaw_cap(g.n, d, lam)
     if cap >= g.n:
@@ -256,24 +332,46 @@ def _groundstate_plan(g: Graph, k: int, M: int, lam) -> _DfsPlan:
             f"flaw allowance {cap} admits every function (n={g.n}); the ensemble is infinite"
         )
     box = (k - g.n * M, k + M + g.n * M)
-    return _DfsPlan.build(g, 0, M, root_values=range(box[0], box[1] + 1),
-                          box=box, window=(k, k + M), cap=cap)
+    return _FrontierDP(g, start, M, root=box, budget=budget, box=box, window=(k, k + M), cap=cap)
+
+
+def enumerate_onepoint(g: Graph, v0: int, M: int, budget: int = DEFAULT_NODE_BUDGET) -> Iterator[LipschitzFn]:
+    """Every f with f(v0) = 0, each exactly once, in lexicographic order
+    along a breadth-first vertex order from v0."""
+    dp = _onepoint_dp(g, v0, M, budget)
+    for vals in dp.stream("enumeration"):
+        yield LipschitzFn(dp.to_vertex_order(vals), M)
+
+
+def count_onepoint(g: Graph, v0: int, M: int, budget: int = DEFAULT_NODE_BUDGET) -> CountResult:
+    dp = _onepoint_dp(g, v0, M, budget)
+    total = sum(dp.forward("count").values())
+    return CountResult(count=total, nodes_explored=dp.nodes, mode="one-point", M=M, anchor=v0)
 
 
 def enumerate_groundstate(g: Graph, k: int, M: int, lam, budget: int = DEFAULT_NODE_BUDGET) -> Iterator[LipschitzFn]:
     """Every M-Lipschitz f whose flaw count for the window [k, k+M] is within
     the allowance (2*lam/d)*n.  Values are confined to [k - n*M, k + M + n*M],
     which is exhaustive because some vertex must sit inside the window."""
-    plan = _groundstate_plan(g, k, M, lam)
-    for vals in _dfs_stream(plan, budget):
-        yield LipschitzFn(plan.to_vertex_order(vals), M)
+    dp = _groundstate_dp(g, k, M, lam, budget)
+    for vals in dp.stream("enumeration"):
+        yield LipschitzFn(dp.to_vertex_order(vals), M)
 
 
 def count_groundstate(g: Graph, k: int, M: int, lam, budget: int = DEFAULT_NODE_BUDGET) -> CountResult:
-    plan = _groundstate_plan(g, k, M, lam)
-    total, nodes = _dfs_count(plan, budget)
-    return CountResult(count=total, nodes_explored=nodes, mode="ground-state", M=M,
-                       base=k, flaw_cap=plan.cap, box=plan.box)
+    dp = _groundstate_dp(g, k, M, lam, budget)
+    total = sum(dp.forward("count").values())
+    return CountResult(count=total, nodes_explored=dp.nodes, mode="ground-state", M=M,
+                       base=k, flaw_cap=dp.cap, box=dp.box)
+
+
+def marginal_groundstate(g: Graph, k: int, M: int, lam, v: int,
+                         budget: int = DEFAULT_NODE_BUDGET) -> dict[int, int]:
+    """Exact marginal of f(v) over the ground-state ensemble at base k:
+    {value: number of members taking it}, read from the DP rooted at v."""
+    dp = _groundstate_dp(g, k, M, lam, budget, start=v)
+    after_root = dp.suffix_counts("marginal")[1]
+    return {c: after_root[child] for c, child, _ in dp.successors(0, dp.root) if child in after_root}
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +399,8 @@ class ExactSampler:
     """Sequentially exact sampler: each vertex value is drawn proportional to
     the exact number of completions, so draws are uniform over the ensemble.
 
-    Suffix counts are memoized on the frontier (assigned vertices that still
-    have unassigned neighbors), which makes repeated draws cheap.
+    The suffix counts of every DP layer are computed once at construction,
+    which makes repeated draws cheap.
     """
 
     def __init__(self, g: Graph, spec: EnsembleSpec, budget: int = DEFAULT_NODE_BUDGET):
@@ -310,73 +408,29 @@ class ExactSampler:
         self.spec = spec
         self.budget = budget
         if spec.mode == "one-point":
-            self.plan = _onepoint_plan(g, spec.v0, spec.M)
+            self._dp = _onepoint_dp(g, spec.v0, spec.M, budget)
         else:
-            self.plan = _groundstate_plan(g, spec.k, spec.M, spec.lam)
-        n = len(self.plan.order)
-        pos = {v: i for i, v in enumerate(self.plan.order)}
-        # frontier[i]: positions < i still adjacent to the suffix
-        self.frontier: list[tuple[int, ...]] = []
-        for i in range(n + 1):
-            live = []
-            for j in range(i):
-                w = self.plan.order[j]
-                if any(pos[u] >= i for u in g.neighbors(w)):
-                    live.append(j)
-            self.frontier.append(tuple(live))
-        self._memo: dict = {}
-        self._nodes = 0
-        self.total = self._suffix_count(0, [0] * n, 0)
+            self._dp = _groundstate_dp(g, spec.k, spec.M, spec.lam, budget)
+        self._suffix = self._dp.suffix_counts("sampler")
+        self.total = self._suffix[0].get(self._dp.root, 0)
         if self.total == 0:
             raise ValueError("ensemble is empty")
 
-    def _suffix_count(self, i: int, vals: list[int], flaws: int) -> int:
-        plan = self.plan
-        n = len(plan.order)
-        if i == n:
-            return 1
-        key = (i, tuple(vals[j] for j in self.frontier[i]), flaws)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        total = 0
-        for c in (plan.root_values if i == 0 else plan.candidates(i, vals)):
-            self._nodes += 1
-            if self._nodes > self.budget:
-                raise BudgetExceededError(self._nodes, self.budget, "sampler counting")
-            nf = flaws + (1 if plan.is_flaw(c) else 0)
-            if plan.cap is not None and nf > plan.cap:
-                continue
-            vals[i] = c
-            total += self._suffix_count(i + 1, vals, nf)
-        self._memo[key] = total
-        return total
-
     def draw(self, rng: np.random.Generator) -> LipschitzFn:
-        plan = self.plan
-        n = len(plan.order)
-        vals = [0] * n
-        flaws = 0
-        for i in range(n):
-            weights = []
-            cands = list(plan.root_values if i == 0 else plan.candidates(i, vals))
-            for c in cands:
-                nf = flaws + (1 if plan.is_flaw(c) else 0)
-                if plan.cap is not None and nf > plan.cap:
-                    weights.append(0)
-                    continue
-                vals[i] = c
-                weights.append(self._suffix_count(i + 1, vals, nf))
-            total = sum(weights)
-            pick = _randbelow(rng, total)
-            acc = 0
-            for c, w in zip(cands, weights):
-                acc += w
-                if pick < acc:
-                    vals[i] = c
-                    flaws += 1 if plan.is_flaw(c) else 0
+        dp = self._dp
+        vals = [0] * dp.n
+        key, offset = dp.root, dp.offset
+        for i in range(dp.n):
+            # the state's suffix count is the sum of its successors' counts
+            pick = _randbelow(rng, self._suffix[i][key])
+            completions = self._suffix[i + 1]
+            for c, child, shift in dp.successors(i, key):
+                pick -= completions.get(child, 0)
+                if pick < 0:
+                    vals[i] = c + offset
+                    key, offset = child, offset + shift
                     break
-        return LipschitzFn(plan.to_vertex_order(vals), plan.M)
+        return LipschitzFn(dp.to_vertex_order(vals), dp.M)
 
 
 def sample_exact(g: Graph, spec: EnsembleSpec, seed: int, count: int = 1,

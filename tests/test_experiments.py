@@ -247,6 +247,20 @@ def test_tail_empirical_mode():
     assert all(not r["asserted"] for r in res.aggregates["rows"])
 
 
+def test_tail_exact_thresholds_follow_base():
+    mode = {"kind": "ground-state", "k": 2}
+    exact = run_tail_experiment(tail_config(mode=mode)).aggregates["rows"]
+    glauber = run_tail_experiment(tail_config(
+        mode=mode, sampler={"kind": "glauber", "burn_in": 200, "thinning": 5}, samples=50,
+    )).aggregates["rows"]
+    assert [r["threshold"] for r in exact] == [r["threshold"] for r in glauber] == [4, 5, 6, 7]
+    base0 = run_tail_experiment(tail_config()).aggregates["rows"]
+    assert [r["threshold"] for r in base0] == [2, 3, 4, 5]
+    # shifting the base shifts the ensemble and the thresholds together
+    for key in ("count_above", "ensemble_size", "probability"):
+        assert [r[key] for r in exact] == [r[key] for r in base0]
+
+
 # ---------------------------------------------------------------------------
 # Covering check
 # ---------------------------------------------------------------------------
@@ -346,6 +360,13 @@ def test_cli_budget_exit():
     code = main(["count", "--graph", '{"family":"hypercube","dim":3}', "--M", "2",
                  "--budget", "10"])
     assert code == 3
+
+
+def test_cli_budget_message_names_stage_and_layer(capsys):
+    code = main(["count", "--graph", '{"family":"cycle","n":14}', "--M", "1", "--budget", "10"])
+    assert code == 3
+    err = capsys.readouterr().err.strip()
+    assert err == "error: count exceeded node budget (13 > 10) at layer 2/14, width 3 states"
 
 
 def test_cli_experiment_and_exit_codes(tmp_path, capsys):

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 from collections import Counter
 from fractions import Fraction
 
@@ -7,7 +9,15 @@ import pytest
 from scipy import stats
 
 from liplab.errors import BudgetExceededError
-from liplab.graphs import bfs_distances, complete_graph, cycle_graph, random_regular_graph
+from liplab.graphs import (
+    Graph,
+    bfs_distances,
+    complete_graph,
+    cycle_graph,
+    hypercube_graph,
+    random_regular_graph,
+    torus_graph,
+)
 from liplab.lipschitz import (
     CountResult,
     EnsembleSpec,
@@ -24,6 +34,7 @@ from liplab.lipschitz import (
     glauber_site_interval,
     ground_states,
     load_function,
+    marginal_groundstate,
     min_ground_state,
     sample_exact,
     save_function,
@@ -370,3 +381,130 @@ def test_function_file_roundtrip(tmp_path):
     path = tmp_path / "f.json"
     save_function(f, path)
     assert load_function(path) == f
+
+
+# ---------------------------------------------------------------------------
+# Frontier DP: fixed-seed draws, brute-force oracles, sizes and budgets
+# ---------------------------------------------------------------------------
+
+def _draws_sha256(draws):
+    return hashlib.sha256(json.dumps([list(f.values) for f in draws]).encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "builder,spec,seed,count,digest",
+    [
+        (lambda: hypercube_graph(3), EnsembleSpec("one-point", M=1, v0=0), 5, 200,
+         "8fef1ec78bf4b624f43e71d53c9280c9fa0d611e75a96ea6b18f2b3b5c07ff86"),
+        (lambda: complete_graph(6), EnsembleSpec("ground-state", M=1, k=0, lam=1.0), 17, 200,
+         "7582b8fa90565a9e4bc92e97591e1448396f69d3332caa93aec3296c10183309"),
+        (lambda: torus_graph([3, 4]), EnsembleSpec("one-point", M=1, v0=0), 3, 100,
+         "9a13e07f81b51fb5a06842c8aa632170970d8b8c307007034f4c1ad4f0d80a67"),
+    ],
+)
+def test_sample_exact_golden_draws(builder, spec, seed, count, digest):
+    # digests recorded with the depth-first sampler the DP replaced
+    assert _draws_sha256(sample_exact(builder(), spec, seed=seed, count=count)) == digest
+
+
+def random_connected_graph(n, seed, p=0.5):
+    """A random spanning tree plus each remaining pair with probability p."""
+    rng = np.random.default_rng(seed)
+    edges = {(int(rng.integers(0, v)), v) for v in range(1, n)}
+    edges |= {(u, v) for u, v in itertools.combinations(range(n), 2) if rng.random() < p}
+    return Graph.from_edges(n, sorted(edges), name=f"G{n}s{seed}")
+
+
+def brute_groundstate(g, k, M, cap):
+    """Oracle: with at most cap < n flaws, every flawed vertex lies within
+    distance cap of a window vertex, so values stay in [k - cap*M, k + M + cap*M]."""
+    box = range(k - cap * M, k + M + cap * M + 1)
+    count = 0
+    for vals in itertools.product(box, repeat=g.n):
+        if sum(1 for x in vals if not k <= x <= k + M) <= cap and all(
+            abs(vals[u] - vals[v]) <= M for u, v in g.edges()
+        ):
+            count += 1
+    return count
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_dp_onepoint_matches_bruteforce_random_graphs(seed):
+    rng = np.random.default_rng(1000 + seed)
+    n = int(rng.integers(3, 8))
+    g = random_connected_graph(n, seed)
+    v0 = int(rng.integers(0, n))
+    for M in (0, 1, 2):
+        assert count_onepoint(g, v0, M).count == len(brute_onepoint(g, v0, M)), (g.name, v0, M)
+
+
+@pytest.mark.parametrize(
+    "g,M,cap",
+    [
+        (complete_graph(4), 2, 0),
+        (complete_graph(4), 2, 2),
+        (complete_graph(5), 2, 1),
+        (complete_graph(5), 1, 3),
+        (cycle_graph(5), 2, 1),
+        (cycle_graph(6), 1, 2),
+        (cycle_graph(7), 1, 1),
+        (random_regular_graph(6, 3, seed=2), 2, 1),
+        (random_regular_graph(6, 3, seed=3), 1, 3),
+    ],
+    ids=lambda x: getattr(x, "name", str(x)),
+)
+def test_dp_groundstate_matches_bruteforce(g, M, cap):
+    d = g.regular_degree()
+    lam = Fraction(cap * d, 2 * g.n)  # exactly cap admissible flaws
+    res = count_groundstate(g, 1, M, lam)
+    assert res.flaw_cap == cap
+    assert res.count == brute_groundstate(g, 1, M, cap)
+
+
+def test_sample_exact_q3_chisquare(q3):
+    support = [f.values for f in enumerate_onepoint(q3, 0, 1)]
+    assert len(support) == 495
+    spec = EnsembleSpec("one-point", M=1, v0=0)
+    for seed in (11, 12):
+        counts = Counter(f.values for f in sample_exact(q3, spec, seed=seed, count=20_000))
+        assert set(counts) <= set(support)
+        _, p = stats.chisquare([counts.get(s, 0) for s in support])
+        assert p > 0.001, (seed, p)
+
+
+def test_marginal_groundstate_matches_enumeration(petersen):
+    members = list(enumerate_groundstate(petersen, 0, 1, 1.0))
+    for v in (0, 7):
+        assert marginal_groundstate(petersen, 0, 1, 1.0, v) == Counter(f.values[v] for f in members)
+
+
+def test_long_cycle_m0_has_no_recursion_limit():
+    g = cycle_graph(1500)
+    assert count_onepoint(g, 0, 0).count == 1
+    assert [f.values for f in enumerate_onepoint(g, 0, 0)] == [(0,) * 1500]
+    (f,) = sample_exact(g, EnsembleSpec("one-point", M=0, v0=0), seed=1)
+    assert f.values == (0,) * 1500
+
+
+def test_c16_central_trinomial():
+    # a cycle step of 1-Lipschitz values is -1, 0 or 1, with zero total
+    assert count_onepoint(cycle_graph(16), 0, 1).count == 5_196_627
+
+
+def test_torus_count_anchor_invariant():
+    g = torus_graph([4, 5])
+    assert count_onepoint(g, 0, 1).count == count_onepoint(g, 7, 1).count == 4_641_119
+
+
+@pytest.mark.parametrize(
+    "run,stage",
+    [
+        (lambda g: count_onepoint(g, 0, 2, budget=40), "count"),
+        (lambda g: ExactSampler(g, EnsembleSpec("one-point", M=2, v0=0), budget=40), "sampler"),
+        (lambda g: list(enumerate_onepoint(g, 0, 2, budget=40)), "enumeration"),
+    ],
+)
+def test_budget_error_names_stage_and_layer(q3, run, stage):
+    with pytest.raises(BudgetExceededError, match=rf"^{stage} exceeded node budget \(\d+ > 40\) "
+                                                  r"at layer \d/8, width \d+ states$"):
+        run(q3)
