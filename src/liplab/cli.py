@@ -1,8 +1,10 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 check failure, 2 usage or config error, 3 budget
-exceeded.  Graph arguments accept either inline JSON (``{"family": "cycle",
-"n": 8}``) or a path to an edge-list file.
+exceeded, 4 internal error (an unexpected exception, reported on one line of
+stderr as ``internal error: <Type>: <message>``).  Graph arguments accept
+either inline JSON (``{"family": "cycle", "n": 8}``) or a path to an
+edge-list file.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 
 def _graph_from_arg(arg: str) -> Graph:
@@ -400,6 +403,9 @@ def main(argv=None) -> int:
     except (ConfigError, GenerationError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:  # any other fault is a bug, not a failed check
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

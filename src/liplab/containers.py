@@ -111,11 +111,13 @@ def build_mutual_cover(
     bound = cover_size_bound(d, lam, len(q))
 
     best: frozenset | None = None
-    streams = np.random.SeedSequence(seed).spawn(retry_cap)
+    # One child stream per attempt, spawned only when needed: the i-th
+    # spawn(1) equals spawn(retry_cap)[i], at a fraction of the cost.
+    root = np.random.SeedSequence(seed)
     attempts = 0
-    for stream in streams:
+    while attempts < retry_cap:
         attempts += 1
-        rng = np.random.default_rng(stream)
+        rng = np.random.default_rng(root.spawn(1)[0])
         if pool and p > 0:
             keep = rng.random(len(pool)) < p
             y = set(u for u, take in zip(pool, keep) if take)

@@ -3,6 +3,11 @@
 Implements marginal and conditional Shannon entropy over named coordinates,
 the standard toolbox of entropy inequalities, and the fractional-cover
 subadditivity inequality with conditioning along a partial order.
+
+A `JointPmf` keeps its probabilities as a dense float64 table with one axis
+per coordinate.  Marginals are axis sums, cached per pmf together with the
+conditional entropies computed from them; derived variables given as
+callables are coded to integers and summed with `np.bincount`.
 """
 
 from __future__ import annotations
@@ -10,36 +15,72 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 _NORM_TOL = 1e-12
 ENTROPY_TOL = 1e-10
+MAX_TABLE_CELLS = 1 << 24  # 128 MB of float64
 
 
 @dataclass(frozen=True)
 class JointPmf:
-    """Finitely supported joint distribution over named discrete coordinates."""
+    """Finitely supported joint distribution over named discrete coordinates.
+
+    `table[i_0, ..., i_{n-1}]` is the probability of the outcome whose
+    coordinate k is `supports[k][i_k]`; cells with probability <= 0 hold 0.
+    The table is built once at construction and is read-only, so `probs`
+    must not be changed afterwards.
+    """
 
     supports: tuple[tuple, ...]
     probs: dict
+    table: np.ndarray = field(init=False, repr=False, compare=False)
+    _outcomes: tuple = field(init=False, repr=False, compare=False)
+    _weights: np.ndarray = field(init=False, repr=False, compare=False)
+    _marginals: dict = field(init=False, repr=False, compare=False)
+    _conditionals: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.supports)
+        shape = tuple(len(s) for s in self.supports)
+        if math.prod(shape) > MAX_TABLE_CELLS:
+            raise ValueError(
+                f"support sizes {shape} give {math.prod(shape)} table cells, over {MAX_TABLE_CELLS}"
+            )
+        index = [{} for _ in range(n)]
+        for i, support in enumerate(self.supports):
+            for j, val in enumerate(support):
+                index[i].setdefault(val, j)
+        table = np.zeros(shape)
+        outcomes, weights = [], []
         total = 0.0
         for outcome, p in self.probs.items():
             if len(outcome) != n:
                 raise ValueError(f"outcome {outcome} has arity {len(outcome)}, want {n}")
+            cell = []
             for i, val in enumerate(outcome):
-                if val not in self.supports[i]:
+                j = index[i].get(val)
+                if j is None:
                     raise ValueError(f"value {val!r} outside support of coordinate {i}")
+                cell.append(j)
             if p < -_NORM_TOL:
                 raise ValueError(f"negative probability {p} at {outcome}")
             total += p
+            if p > 0.0:
+                table[tuple(cell)] = p
+                outcomes.append(outcome)
+                weights.append(p)
         if abs(total - 1.0) > _NORM_TOL * max(1, len(self.probs)):
             raise ValueError(f"probabilities sum to {total!r}, not 1")
+        table.flags.writeable = False
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "_outcomes", tuple(outcomes))
+        object.__setattr__(self, "_weights", np.array(weights, dtype=float))
+        object.__setattr__(self, "_marginals", {})
+        object.__setattr__(self, "_conditionals", {})
 
     @property
     def n_coords(self) -> int:
@@ -72,82 +113,133 @@ class JointPmf:
         return cls(supports, {cell: float(w) for cell, w in zip(cells, weights)})
 
 
-def _grouped(p: JointPmf, key: Callable) -> dict:
-    out: dict = {}
-    for outcome, prob in p.probs.items():
-        if prob <= 0.0:
-            continue
-        k = key(outcome)
-        out[k] = out.get(k, 0.0) + prob
-    return out
+def _sorted_coords(p: JointPmf, coords, what: str) -> tuple:
+    coords = tuple(sorted(set(coords)))
+    if any(i < 0 or i >= p.n_coords for i in coords):
+        raise ValueError(f"{what} {coords} out of range for {p.n_coords} coordinates")
+    return coords
 
 
-def _entropy_of_grouping(p: JointPmf, key: Callable) -> float:
-    total = 0.0
-    for prob in _grouped(p, key).values():
-        if prob > 0.0:
-            total -= prob * math.log2(prob)
-    return total
+def _marginal(p: JointPmf, coords: tuple) -> np.ndarray:
+    """Marginal table over sorted `coords`, one axis per coordinate (cached)."""
+    table = p._marginals.get(coords)
+    if table is None:
+        drop = tuple(i for i in range(p.n_coords) if i not in coords)
+        table = p.table.sum(axis=drop) if drop else p.table
+        p._marginals[coords] = table
+    return table
 
 
-def _projection(coords: Sequence[int]) -> Callable:
-    coords = tuple(coords)
-    return lambda outcome: tuple(outcome[i] for i in coords)
+def _block(p: JointPmf, rows: tuple, cols: tuple) -> np.ndarray:
+    """Joint table of two disjoint sorted coordinate blocks as a matrix: the
+    row index runs over the cells of `rows`, the column index over `cols`."""
+    union = tuple(sorted(rows + cols))
+    table = _marginal(p, union).transpose([union.index(i) for i in rows + cols])
+    return table.reshape(math.prod(p.table.shape[i] for i in rows), -1)
+
+
+def _entropy_of_table(table: np.ndarray) -> float:
+    q = table[table > 0.0]
+    return float(-np.sum(q * np.log2(q)))
+
+
+def _conditional_terms(joint: np.ndarray, given: np.ndarray) -> np.ndarray:
+    """Cell terms -p(x,y) log2(p(x,y)/p(y)) of H(X|Y), 0 where p(x,y) = 0;
+    `given` holds p(y) and broadcasts against `joint`."""
+    ratio = np.divide(joint, given, out=np.ones(joint.shape), where=joint > 0.0)
+    return -joint * np.log2(ratio)
 
 
 def entropy(p: JointPmf, coords) -> float:
     """Marginal entropy H(X_coords) in bits (0 log 1/0 = 0)."""
-    coords = tuple(sorted(set(coords)))
+    coords = _sorted_coords(p, coords, "coords")
     if not coords:
         raise ValueError("coords must be nonempty")
-    if any(i < 0 or i >= p.n_coords for i in coords):
-        raise ValueError(f"coords {coords} out of range for {p.n_coords} coordinates")
-    return _entropy_of_grouping(p, _projection(coords))
+    key = (coords, ())
+    h = p._conditionals.get(key)
+    if h is None:
+        h = p._conditionals[key] = _entropy_of_table(_marginal(p, coords))
+    return h
+
+
+def _codes(p: JointPmf, fn: Callable) -> tuple[np.ndarray, int]:
+    """fn evaluated once per positive outcome, factorised to codes 0..k-1."""
+    index: dict = {}
+    codes = np.fromiter(
+        (index.setdefault(fn(outcome), len(index)) for outcome in p._outcomes),
+        dtype=np.intp,
+        count=len(p._outcomes),
+    )
+    return codes, len(index)
 
 
 def entropy_of_map(p: JointPmf, fn: Callable) -> float:
     """Entropy of an arbitrary derived variable fn(outcome)."""
-    return _entropy_of_grouping(p, fn)
+    codes, k = _codes(p, fn)
+    return _entropy_of_table(np.bincount(codes, weights=p._weights, minlength=k))
 
 
 def conditional_entropy_maps(p: JointPmf, target_fn: Callable, given_fn: Callable) -> float:
     """H(target | given) for derived variables: average over the conditioning
     cells of the entropy of the target within each cell."""
-    cells = _grouped(p, given_fn)
-    total = 0.0
-    joint: dict = {}
-    for outcome, prob in p.probs.items():
-        if prob <= 0.0:
-            continue
-        k = (given_fn(outcome), target_fn(outcome))
-        joint[k] = joint.get(k, 0.0) + prob
-    for (gval, _tval), prob in joint.items():
-        total -= prob * math.log2(prob / cells[gval])
-    return total
+    target, n_target = _codes(p, target_fn)
+    given, _ = _codes(p, given_fn)
+    pairs, pair_codes = np.unique(given * n_target + target, return_inverse=True)
+    joint = np.bincount(pair_codes, weights=p._weights)
+    cells = np.bincount(given, weights=p._weights)
+    return float(_conditional_terms(joint, cells[pairs // n_target]).sum())
 
 
 def conditional_entropy(p: JointPmf, target, given) -> float:
-    """H(X_target | X_given); an empty `given` reduces to the marginal entropy."""
-    target = tuple(sorted(set(target)))
-    given = tuple(sorted(set(given)))
+    """H(X_target | X_given); an empty `given` reduces to the marginal entropy.
+
+    Computed cell by cell on the joint table over target and given, as
+    -sum p(x,y) log2(p(x,y)/p(y)), not as a difference of entropies."""
+    target = _sorted_coords(p, target, "target")
+    given = _sorted_coords(p, given, "given")
     if not target:
         raise ValueError("target must be nonempty")
     if not given:
         return entropy(p, target)
-    return conditional_entropy_maps(p, _projection(target), _projection(given))
+    key = (target, given)
+    h = p._conditionals.get(key)
+    if h is None:
+        rows = tuple(i for i in target if i not in given)
+        joint = _block(p, rows, given)
+        h = p._conditionals[key] = float(_conditional_terms(joint, joint.sum(axis=0)).sum())
+    return h
 
 
 # ---------------------------------------------------------------------------
 # Property suite
 # ---------------------------------------------------------------------------
 
-def _image_size(p: JointPmf, coords) -> int:
-    return len(_grouped(p, _projection(coords)))
+def _cells_by_value(p: JointPmf, coords: tuple) -> list[int]:
+    """Flat indices of the positive cells of the marginal over `coords`,
+    ordered by their value tuples."""
+    values = list(itertools.product(*(p.supports[i] for i in coords)))
+    positive = np.flatnonzero(_marginal(p, coords)).tolist()
+    return sorted(positive, key=values.__getitem__)
 
 
-def _random_map(rng: np.random.Generator, values: list, codomain: int) -> Callable:
-    table = {v: int(rng.integers(0, codomain)) for v in values}
-    return lambda x: table[x]
+def _random_codes(rng: np.random.Generator, cells: list[int], size: int, codomain: int) -> np.ndarray:
+    """Random table over `cells`: one draw per cell, in the order given."""
+    codes = np.zeros(size, dtype=np.intp)
+    for cell in cells:
+        codes[cell] = rng.integers(0, codomain)
+    return codes
+
+
+def _one_hot(maps: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Indicator matrices of lookup arrays (cell -> code), side by side, and
+    the first column of each map's block."""
+    widths = [int(codes.max()) + 1 for codes in maps]
+    starts = np.cumsum([0] + widths[:-1])
+    cells = np.arange(len(maps[0]))
+    onehot = np.zeros((len(cells), sum(widths)))
+    for codes, start in zip(maps, starts):
+        onehot[cells, start + codes] = 1.0
+    return onehot, starts
 
 
 def check_entropy_properties(p: JointPmf, trials: int = 3, seed: int = 0,
@@ -159,13 +251,17 @@ def check_entropy_properties(p: JointPmf, trials: int = 3, seed: int = 0,
     side information, (5) coarser conditioning increases conditional entropy
     (determined maps), (6) functions of the target add nothing, (7) triangle
     inequality.  Deterministic maps for (5)/(6) are coordinate projections,
-    constants, and `trials` random seeded tables.
+    constants, and `trials` random seeded tables; each is a lookup array over
+    the cells of the block it maps.  All coarsenings of Y for one (X, Y)
+    pair are applied to the joint table of X and Y by one indicator-matrix
+    product, and all targets (X, f(X)) by one more.
     """
     n = p.n_coords
     if n > 4:
         raise ValueError("property sweep is exhaustive over subsets; use <= 4 coordinates")
     idx = list(range(n))
     nonempty = [tuple(c) for r in range(1, n + 1) for c in itertools.combinations(idx, r)]
+    pairs = [(xs, ys) for xs, ys in itertools.permutations(nonempty, 2) if not set(xs) & set(ys)]
     failures = []
     checked = {k: 0 for k in ("image", "cond_reduces", "chain", "subadd", "coarsen", "function", "triangle")}
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -176,11 +272,10 @@ def check_entropy_properties(p: JointPmf, trials: int = 3, seed: int = 0,
             failures.append({"property": prop, "witness": witness})
 
     for xs in nonempty:
-        record("image", entropy(p, xs) <= math.log2(max(1, _image_size(p, xs))) + tol, {"X": xs})
+        image = np.count_nonzero(_marginal(p, xs))
+        record("image", entropy(p, xs) <= math.log2(max(1, image)) + tol, {"X": xs})
 
-    for xs, ys in itertools.permutations(nonempty, 2):
-        if set(xs) & set(ys):
-            continue
+    for xs, ys in pairs:
         record("cond_reduces", conditional_entropy(p, xs, ys) <= entropy(p, xs) + tol, {"X": xs, "Y": ys})
         joint = entropy(p, xs + ys)
         record(
@@ -192,31 +287,33 @@ def check_entropy_properties(p: JointPmf, trials: int = 3, seed: int = 0,
             bound = sum(conditional_entropy(p, (i,), ys) for i in xs)
             record("subadd", conditional_entropy(p, xs, ys) <= bound + tol, {"X": xs, "Y": ys})
 
-        # (5)/(6) with explicit deterministic maps of the conditioning block
-    for xs, ys in itertools.permutations(nonempty, 2):
-        if set(xs) & set(ys):
-            continue
-        proj_y = _projection(ys)
-        y_values = sorted(_grouped(p, proj_y))
-        maps = [lambda yv: 0]  # constant coarsening
+    # (5)/(6) with explicit deterministic maps of the conditioning block.  The
+    # random tables draw once per positive value, in sorted value order.
+    for xs, ys in pairs:
+        joint = _block(p, xs, ys)
+        n_x, n_y = joint.shape
+        h = conditional_entropy(p, xs, ys)
+        y_shape = tuple(len(p.supports[i]) for i in ys)
+        y_axes = np.indices(y_shape).reshape(len(ys), n_y)
+        maps = [np.zeros(n_y, dtype=np.intp)]  # constant coarsening
         for sub in itertools.combinations(range(len(ys)), max(1, len(ys) - 1)):
-            maps.append(lambda yv, sub=sub: tuple(yv[i] for i in sub))
+            maps.append(np.ravel_multi_index(tuple(y_axes[list(sub)]), tuple(y_shape[i] for i in sub)))
+        y_cells = _cells_by_value(p, ys)
         for _ in range(trials):
-            maps.append(_random_map(rng, y_values, codomain=2))
-        for fn in maps:
-            z_fn = lambda outcome, fn=fn: fn(proj_y(outcome))
-            lhs = conditional_entropy(p, xs, ys)
-            rhs = conditional_entropy_maps(p, _projection(xs), z_fn)
-            record("coarsen", lhs <= rhs + tol, {"X": xs, "Y": ys})
+            maps.append(_random_codes(rng, y_cells, n_y, codomain=2))
+        onehot, starts = _one_hot(maps)
+        coarse = joint @ onehot  # p(x, f(y)) for every map f, side by side
+        per_column = _conditional_terms(coarse, coarse.sum(axis=0)).sum(axis=0)
+        for rhs in np.add.reduceat(per_column, starts):
+            record("coarsen", h <= rhs + tol, {"X": xs, "Y": ys})
 
-        proj_x = _projection(xs)
-        x_values = sorted(_grouped(p, proj_x))
-        fns = [lambda xv: 0, _random_map(rng, x_values, codomain=3)]
-        for fn in fns:
-            joint_fn = lambda outcome, fn=fn: (proj_x(outcome), fn(proj_x(outcome)))
-            lhs = conditional_entropy_maps(p, joint_fn, proj_y)
-            rhs = conditional_entropy(p, xs, ys)
-            record("function", abs(lhs - rhs) <= tol, {"X": xs, "Y": ys})
+        fns = [np.zeros(n_x, dtype=np.intp), _random_codes(rng, _cells_by_value(p, xs), n_x, codomain=3)]
+        # the target (x, f(x)) is coded as x * width(f) + f(x)
+        onehot, starts = _one_hot([np.arange(n_x) * (int(f.max()) + 1) + f for f in fns])
+        extended = onehot.T @ joint  # p((x, f(x)), y) for every map f, stacked
+        per_row = _conditional_terms(extended, joint.sum(axis=0)).sum(axis=1)
+        for lhs in np.add.reduceat(per_row, starts):
+            record("function", abs(lhs - h) <= tol, {"X": xs, "Y": ys})
 
     for xs, ys, zs in itertools.permutations(nonempty, 3):
         if set(xs) & set(ys) or set(xs) & set(zs) or set(ys) & set(zs):

@@ -884,11 +884,15 @@ def run_verify_suite(graphs: list[Graph] | None = None, seed: int = 0,
                 )
             )
 
-    # entropy rows (graph independent)
+    # entropy rows (graph independent); `pmfs` and `checks` count the work
+    # done, under names apart from the `cases`/`instances` fuzz counters
     ent_fail = None
+    ent_pmfs = ent_checks = 0
     for s in range(150 * fuzz_scale):
         p = JointPmf.random([(0, 1), (0, 1, 2), (0, 1)], seed=seed * 100_000 + s)
         report = check_entropy_properties(p, trials=2, seed=s)
+        ent_pmfs += 1
+        ent_checks += sum(report["checked"].values())
         if not report["ok"]:
             ent_fail = {"seed": s, "failures": report["failures"][:1]}
             break
@@ -896,17 +900,30 @@ def run_verify_suite(graphs: list[Graph] | None = None, seed: int = 0,
         if ent_fail:
             break
         report = check_entropy_properties(p, trials=2, seed=seed)
+        ent_pmfs += 1
+        ent_checks += sum(report["checked"].values())
         if not report["ok"]:
             ent_fail = {"pmf": "hand-constructed", "failures": report["failures"][:1]}
-    rows.append(_row("entropy-properties", "-", "pass" if ent_fail is None else "fail", witness=ent_fail))
+    rows.append(
+        _row(
+            "entropy-properties",
+            "-",
+            "pass" if ent_fail is None else "fail",
+            witness=ent_fail,
+            pmfs=ent_pmfs,
+            checks=ent_checks,
+        )
+    )
 
     cw = CoverWeights(
         (frozenset({0, 1}), frozenset({0, 2}), frozenset({1, 2})), (0.5, 0.5, 0.5), frozenset()
     )
     sh_fail = None
+    sh_pmfs = 0
     for s in range(150 * fuzz_scale):
         p = JointPmf.random([(0, 1), (0, 1), (0, 1)], seed=seed * 100_000 + s)
         verdict = shearer_check(p, cw)
+        sh_pmfs += 1
         if not verdict["pass"]:
             sh_fail = {"seed": s, "lhs": verdict["lhs"], "rhs": verdict["rhs"]}
             break
@@ -915,9 +932,12 @@ def run_verify_suite(graphs: list[Graph] | None = None, seed: int = 0,
             JointPmf.xor_triple(),
             CoverWeights((frozenset({0, 1}), frozenset({2})), (1.0, 1.0), frozenset()),
         )
+        sh_pmfs += 1
         if not verdict["pass"]:
             sh_fail = {"pmf": "xor", "lhs": verdict["lhs"], "rhs": verdict["rhs"]}
-    rows.append(_row("cover-inequality", "-", "pass" if sh_fail is None else "fail", witness=sh_fail))
+    rows.append(
+        _row("cover-inequality", "-", "pass" if sh_fail is None else "fail", witness=sh_fail, pmfs=sh_pmfs)
+    )
 
     # exact Glauber kernel symmetry on C4
     c4 = cycle_graph(4)

@@ -17,7 +17,7 @@ from liplab.containers import (
     validate_approx_pair,
 )
 from liplab.errors import BudgetExceededError
-from liplab.expanders import exhaustive_lambda, spectral_lambda
+from liplab.expanders import asserted_profile, exhaustive_lambda, spectral_lambda
 from liplab.graphs import (
     complete_graph,
     cycle_graph,
@@ -115,6 +115,62 @@ def test_cover_deterministic(petersen):
     a = build_mutual_cover(petersen, {0, 1, 5}, prof, seed=7)
     b = build_mutual_cover(petersen, {0, 1, 5}, prof, seed=7)
     assert a.members == b.members and a.attempts == b.attempts
+
+
+def eager_stream_cover(g, x, profile, seed, retry_cap):
+    """Oracle: the cover construction with all retry_cap seed streams spawned
+    up front by SeedSequence(seed).spawn(retry_cap)."""
+    d, lam = profile.d, profile.lam
+    q = neighborhood(g, x)
+    nbr = g.neighbor_sets
+    ell = (4.0 * lam / np.sqrt(d)) ** 4
+    pool = sorted(u for u in q if len(nbr[u] & x) < ell)
+    p = min(1.0, max(0.0, np.log(ell) / d)) if ell > 1.0 else 0.0
+    bound = cover_size_bound(d, lam, len(q))
+    best, attempts = None, 0
+    for stream in np.random.SeedSequence(seed).spawn(retry_cap):
+        attempts += 1
+        rng = np.random.default_rng(stream)
+        y = set()
+        if pool and p > 0:
+            keep = rng.random(len(pool)) < p
+            y = set(u for u, take in zip(pool, keep) if take)
+        covered = set(y)
+        for u in y:
+            covered.update(nbr[u])
+        cover = set(y)
+        for u in sorted(x):
+            if u not in covered:
+                w = min(nbr[u])
+                cover.add(w)
+                covered.add(w)
+                covered.update(nbr[w])
+        if best is None or len(cover) < len(best):
+            best = frozenset(cover)
+        if len(cover) <= bound + 1e-9:
+            best = frozenset(cover)
+            break
+    return best, attempts
+
+
+def test_cover_retry_streams_match_eager_spawn():
+    # An asserted lam with 4*lam/sqrt(d) = 1.1 samples the boundary at rate
+    # ~0.13 against a bound of ~0.32 |N(X)|, so most attempts miss the bound.
+    g = random_regular_graph(18, 3, seed=1)
+    prof = asserted_profile(g, 1.1 * np.sqrt(3) / 4)
+    multi = 0
+    for xs in ({0, 1}, {0, 2, 5}, {1, 3, 7, 9}):
+        for seed in range(4):
+            for cap in (5, 64):
+                res = build_mutual_cover(g, xs, prof, seed=seed, retry_cap=cap)
+                assert (res.members, res.attempts) == eager_stream_cover(g, frozenset(xs), prof, seed, cap)
+                multi += res.attempts > 1
+    assert multi >= 12
+    # covers chosen when every stream was spawned up front
+    picks = [sorted(build_mutual_cover(g, {0, 1}, prof, seed=s).members) for s in range(3)]
+    assert picks == [[5, 8], [2, 11], [2, 5]]
+    res = build_mutual_cover(g, {1, 3, 7, 9}, prof, seed=2)
+    assert (sorted(res.members), res.attempts, res.met_bound) == ([0, 5, 15], 2, True)
 
 
 # ---------------------------------------------------------------------------

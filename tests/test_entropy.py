@@ -4,11 +4,13 @@ import math
 import numpy as np
 import pytest
 
+import liplab.entropy as entropy_module
 from liplab.entropy import (
     CoverWeights,
     JointPmf,
     check_entropy_properties,
     conditional_entropy,
+    conditional_entropy_maps,
     entropy,
     entropy_of_map,
     load_pmf,
@@ -127,6 +129,137 @@ def test_properties_random_fuzz():
 def test_properties_coordinate_cap():
     with pytest.raises(ValueError, match="4"):
         check_entropy_properties(JointPmf.independent_uniform_bits(5))
+
+
+def test_properties_checked_counts_pinned():
+    report = check_entropy_properties(JointPmf.xor_triple(), trials=2, seed=0)
+    assert report["checked"] == {
+        "image": 7, "cond_reduces": 12, "chain": 12, "subadd": 3,
+        "coarsen": 51, "function": 24, "triangle": 6,
+    }
+
+
+def test_properties_verify_set_total():
+    # the 152 pmfs of `liplab verify --fuzz-scale 1` at seed 0
+    pmfs = [(JointPmf.random([(0, 1), (0, 1, 2), (0, 1)], seed=s), s) for s in range(150)]
+    pmfs += [(JointPmf.xor_triple(), 0), (JointPmf.independent_uniform_bits(3), 0)]
+    total = 0
+    for p, seed in pmfs:
+        report = check_entropy_properties(p, trials=2, seed=seed)
+        assert report["ok"]
+        total += sum(report["checked"].values())
+    assert total == 17_480
+
+
+def test_chain_check_is_not_vacuous(monkeypatch):
+    # conditional entropy is computed cell by cell, not as H(X,Y) - H(Y), so
+    # a fault in its kernel must show up as chain-rule failures
+    kernel = entropy_module._conditional_terms
+    monkeypatch.setattr(entropy_module, "_conditional_terms", lambda joint, given: kernel(joint, given) + 1e-6)
+    p = JointPmf.random([(0, 1), (0, 1, 2), (0, 1)], seed=3)
+    report = check_entropy_properties(p, trials=2, seed=0)
+    assert not report["ok"]
+    assert any(f["property"] == "chain" for f in report["failures"])
+
+
+# ---------------------------------------------------------------------------
+# Dense table against a dict-grouping oracle
+# ---------------------------------------------------------------------------
+
+def oracle_grouped(p, key):
+    out = {}
+    for outcome, prob in p.probs.items():
+        if prob <= 0.0:
+            continue
+        k = key(outcome)
+        out[k] = out.get(k, 0.0) + prob
+    return out
+
+
+def oracle_projection(coords):
+    coords = tuple(sorted(set(coords)))
+    return lambda outcome: tuple(outcome[i] for i in coords)
+
+
+def oracle_entropy_of_map(p, fn):
+    return sum(-q * math.log2(q) for q in oracle_grouped(p, fn).values() if q > 0.0)
+
+
+def oracle_conditional_maps(p, target_fn, given_fn):
+    cells = oracle_grouped(p, given_fn)
+    joint = oracle_grouped(p, lambda o: (given_fn(o), target_fn(o)))
+    return sum(-q * math.log2(q / cells[g]) for (g, _), q in joint.items())
+
+
+def oracle_conditional(p, target, given):
+    if not given:
+        return oracle_entropy_of_map(p, oracle_projection(target))
+    return oracle_conditional_maps(p, oracle_projection(target), oracle_projection(given))
+
+
+def sparse_pmf(supports, seed):
+    """Random pmf with about half the cells listed at probability 0 and a
+    quarter left out of `probs` altogether."""
+    rng = np.random.default_rng(seed)
+    cells = list(itertools.product(*supports))
+    weights = rng.dirichlet([1.0] * len(cells))
+    weights[rng.random(len(cells)) < 0.5] = 0.0
+    weights[0] += 0.1
+    weights /= weights.sum()
+    listed = rng.random(len(cells)) < 0.75
+    probs = {c: float(w) for c, w, keep in zip(cells, weights, listed) if keep or w > 0}
+    return JointPmf(tuple(map(tuple, supports)), probs)
+
+
+ORACLE_PMFS = {
+    "random-2x3x2": lambda: JointPmf.random([(0, 1), (0, 1, 2), (0, 1)], seed=7),
+    "random-2x2x2x2": lambda: JointPmf.random([(0, 1)] * 4, seed=8),
+    "xor-triple": JointPmf.xor_triple,
+    "strings-unsorted": lambda: JointPmf.random([("b", "a"), ("z", "x", "y"), (1, 0)], seed=9),
+    "zero-cells": lambda: sparse_pmf([(0, 1), (2, 0, 1), ("u", "v")], seed=10),
+    "zero-cells-4": lambda: sparse_pmf([(0, 1, 2), (0, 1), (0, 1), (1, 0)], seed=11),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_PMFS))
+def test_dense_engine_matches_oracle(name):
+    p = ORACLE_PMFS[name]()
+    n = p.n_coords
+    subsets = [c for r in range(n + 1) for c in itertools.combinations(range(n), r)]
+    for target in subsets[1:]:
+        assert entropy(p, target) == pytest.approx(oracle_conditional(p, target, ()), abs=1e-12)
+        for given in subsets:  # disjoint, overlapping and containing the target
+            got = conditional_entropy(p, target, given)
+            assert got == pytest.approx(oracle_conditional(p, target, given), abs=1e-12), (target, given)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_PMFS))
+def test_derived_maps_match_oracle(name):
+    p = ORACLE_PMFS[name]()
+    maps = [
+        lambda o: 0,
+        lambda o: o[0],
+        lambda o: str(o[-1]) + str(o[1]),
+        lambda o: len(repr(o)) % 3,
+        lambda o: (o[0], o[1]),
+        lambda o: o,
+    ]
+    for fn in maps:
+        assert entropy_of_map(p, fn) == pytest.approx(oracle_entropy_of_map(p, fn), abs=1e-12)
+        for given_fn in maps:
+            got = conditional_entropy_maps(p, fn, given_fn)
+            assert got == pytest.approx(oracle_conditional_maps(p, fn, given_fn), abs=1e-12)
+
+
+def test_table_layout():
+    p = JointPmf(((1, 0), ("a", "b")), {(0, "a"): 0.5, (1, "b"): 0.5, (0, "b"): 0.0})
+    assert p.table.tolist() == [[0.0, 0.5], [0.5, 0.0]]
+    assert not p.table.flags.writeable
+
+
+def test_table_cell_limit():
+    with pytest.raises(ValueError, match="table cells"):
+        JointPmf(tuple((0, 1) for _ in range(25)), {(0,) * 25: 1.0})
 
 
 # ---------------------------------------------------------------------------

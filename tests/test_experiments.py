@@ -385,3 +385,28 @@ def test_cli_verify_small(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "0 fail" in out
+
+
+def test_cli_internal_error_exit_code(monkeypatch, capsys):
+    import liplab.cli as cli
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("engine fault")
+
+    monkeypatch.setattr(cli, "count_onepoint", broken)
+    code = main(["count", "--graph", '{"family":"complete","n":6}', "--M", "1"])
+    assert code == cli.EXIT_INTERNAL == 4
+    err = capsys.readouterr().err
+    assert err == "internal error: RuntimeError: engine fault\n"
+
+
+def test_verify_entropy_rows_report_work():
+    suite = run_verify_suite(seed=0)
+    rows = {r["check"]: r for r in suite["rows"] if r["graph"] == "-"}
+    assert rows["entropy-properties"]["pmfs"] == 152
+    assert rows["entropy-properties"]["checks"] == 17_480
+    assert rows["cover-inequality"]["pmfs"] == 151
+    assert len(suite["rows"]) == 57
+    # the fuzz counters sum `cases` and `instances` over rows; the new fields stay apart
+    assert sum(r.get("cases", 0) for r in suite["rows"]) == 1_022
+    assert sum(r.get("instances", 0) for r in suite["rows"]) == 3_870
