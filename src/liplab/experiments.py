@@ -168,7 +168,7 @@ def parse_config(data: dict) -> ExperimentConfig:
     sampler = data.get("sampler", {"kind": "exact"})
     if not isinstance(sampler, dict) or sampler.get("kind") not in ("exact", "glauber"):
         raise ConfigError("sampler.kind must be 'exact' or 'glauber'")
-    allowed = {"kind"} if sampler["kind"] == "exact" else {"kind", "steps", "burn_in", "thinning"}
+    allowed = {"kind"} if sampler["kind"] == "exact" else {"kind", "burn_in", "thinning"}
     if set(sampler) - allowed:
         raise ConfigError(f"unknown sampler keys: {sorted(set(sampler) - allowed)}")
 
@@ -272,6 +272,14 @@ def _ensemble_spec(cfg: ExperimentConfig, profile: ExpanderProfile | None) -> En
     return EnsembleSpec("ground-state", M=cfg.M, k=cfg.mode["k"], lam=profile.lam)
 
 
+def glauber_schedule(g: Graph, cfg: ExperimentConfig) -> dict:
+    """The Glauber run a config resolves to: burn-in (default 100*n*M),
+    thinning (default n) and the total chain steps."""
+    burn_in = cfg.sampler.get("burn_in", 100 * g.n * max(1, cfg.M))
+    thinning = cfg.sampler.get("thinning", g.n)
+    return {"burn_in": burn_in, "thinning": thinning, "chain_steps": burn_in + cfg.samples * thinning}
+
+
 def draw_samples(g: Graph, cfg: ExperimentConfig, profile: ExpanderProfile | None) -> list[LipschitzFn]:
     spec = _ensemble_spec(cfg, profile)
     if cfg.sampler["kind"] == "exact":
@@ -286,8 +294,8 @@ def draw_samples(g: Graph, cfg: ExperimentConfig, profile: ExpanderProfile | Non
                 return list(pool.map(one, child_seeds))
         return [one(child) for child in child_seeds]
 
-    burn_in = cfg.sampler.get("burn_in", 100 * g.n * max(1, cfg.M))
-    thinning = cfg.sampler.get("steps", cfg.sampler.get("thinning", g.n))
+    schedule = glauber_schedule(g, cfg)
+    burn_in, thinning = schedule["burn_in"], schedule["thinning"]
     out: list[LipschitzFn] = []
     state = glauber_chain(g, spec, seed=cfg.seed, steps=burn_in)
     # continue the chain from the burn-in state on a derived stream per block
@@ -445,6 +453,8 @@ def run_range_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         },
         "constants": cfg.constants,
     }
+    if cfg.sampler["kind"] == "glauber":
+        aggregates["sampler"] = glauber_schedule(g, cfg)
 
     extra = None
     if cfg.dump_flaws:
@@ -563,6 +573,8 @@ def run_tail_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         ),
         "asserted_violations": violations,
     }
+    if cfg.sampler["kind"] == "glauber":
+        aggregates["sampler"] = glauber_schedule(g, cfg)
     gates = {"lam": profile.lam, "lambda_method": profile.method}
     return ExperimentResult(
         kind="tail",

@@ -8,9 +8,10 @@ brute-force oracles.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -29,7 +30,7 @@ class Graph:
     dense ids, and connectivity.
     """
 
-    __slots__ = ("n", "name", "_adj", "_nbr_sets", "_degrees", "_matrix")
+    __slots__ = ("n", "name", "_adj", "_nbr_sets", "_degrees", "_matrix", "_nbr_getters", "_edge_index")
 
     def __init__(self, adjacency: Sequence[Iterable[int]], name: str = ""):
         n = len(adjacency)
@@ -55,6 +56,8 @@ class Graph:
         self._nbr_sets = None
         self._degrees = None
         self._matrix = None
+        self._nbr_getters = None
+        self._edge_index = None
         if not self._connected():
             raise ValueError("graph is not connected")
 
@@ -99,6 +102,24 @@ class Graph:
             self._nbr_sets = tuple(frozenset(nbrs) for nbrs in self._adj)
         return self._nbr_sets
 
+    @property
+    def neighbor_getters(self) -> tuple[Callable[[Sequence], tuple], ...]:
+        """Per vertex, a callable mapping a value array to the tuple of its
+        neighbours' values, in adjacency order, in one C-level call."""
+        if self._nbr_getters is None:
+            self._nbr_getters = tuple(_values_getter(nbrs) for nbrs in self._adj)
+        return self._nbr_getters
+
+    @property
+    def edge_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only index arrays of the lower and the upper endpoint of every
+        edge, in `edges()` order."""
+        if self._edge_index is None:
+            ends = np.array(list(self.edges()), dtype=np.intp).reshape(-1, 2).T.copy()
+            ends.flags.writeable = False
+            self._edge_index = (ends[0], ends[1])
+        return self._edge_index
+
     def degree(self, v: int) -> int:
         return len(self._adj[v])
 
@@ -138,6 +159,17 @@ class Graph:
     def __repr__(self) -> str:
         label = f" {self.name!r}" if self.name else ""
         return f"Graph(n={self.n}, m={self.m}{label})"
+
+
+def _values_getter(idx: tuple[int, ...]) -> Callable[[Sequence], tuple]:
+    """`operator.itemgetter(*idx)`, wrapped so that one index still gives a
+    1-tuple (a bare itemgetter returns the scalar)."""
+    if len(idx) == 1:
+        (i,) = idx
+        return lambda values: (values[i],)
+    if not idx:
+        return lambda values: ()
+    return operator.itemgetter(*idx)
 
 
 # ---------------------------------------------------------------------------

@@ -52,13 +52,13 @@ def validate(g: Graph, f: LipschitzFn) -> bool:
     """True iff |f(u) - f(v)| <= M across every edge."""
     if len(f.values) != g.n:
         raise ValueError(f"value array has length {len(f.values)}, graph has {g.n} vertices")
-    vals = f.values
-    for v in range(g.n):
-        fv = vals[v]
-        for u in g.neighbors(v):
-            if u > v and abs(fv - vals[u]) > f.M:
-                return False
-    return True
+    lower, upper = g.edge_index
+    vals = np.array(f.values)
+    if vals.dtype != np.int64 or int(vals.max()) - int(vals.min()) >= 1 << 63:
+        # values past int64 come out as float64, uint64 or object, and an int64
+        # difference could wrap: compare the Python numbers themselves
+        vals = np.array(f.values, dtype=object)
+    return bool((np.abs(vals[lower] - vals[upper]) <= f.M).all())
 
 
 def fn_range(f: LipschitzFn) -> int:
@@ -445,6 +445,10 @@ def sample_exact(g: Graph, spec: EnsembleSpec, seed: int, count: int = 1,
 # Glauber dynamics
 # ---------------------------------------------------------------------------
 
+_GLAUBER_CHUNK = 1 << 16  # draws per rng.integers / rng.random call
+_GLAUBER_SLICE = 1 << 12  # draws converted to Python scalars at a time
+
+
 def glauber_site_interval(values: Sequence[int], nbrs: Sequence[int], M: int) -> tuple[int, int]:
     """Heat-bath interval at a site: [max_nbr - M, min_nbr + M]."""
     lo = max(values[u] for u in nbrs) - M
@@ -467,60 +471,68 @@ def glauber_chain(
     rejects proposals that would exceed the flaw allowance, which preserves
     uniformity because the proposal kernel is symmetric.  `on_step` sees the
     state after every step.
+
+    Each step reads the site's neighbour values with one call of its
+    `Graph.neighbor_getters` entry; `glauber_site_interval` is the reference
+    for the interval.  A fixed seed always gives the same chain.
     """
     M = spec.M
-    if spec.mode == "one-point":
-        sites = [v for v in range(g.n) if v != spec.v0]
-        values = [0] * g.n
-        window = None
-        cap = None
-    else:
+    ground = spec.mode == "ground-state"
+    if ground:
         d = g.regular_degree()
         cap = flaw_cap(g.n, d, spec.lam)
         if cap >= g.n:
             raise ValueError("flaw allowance admits every function; the ensemble is infinite")
         sites = list(range(g.n))
         values = [spec.k] * g.n
-        window = (spec.k, spec.k + M)
+        w_lo, w_hi = spec.k, spec.k + M
+    else:
+        sites = [v for v in range(g.n) if v != spec.v0]
+        values = [0] * g.n
     if initial is not None:
         if len(initial.values) != g.n or initial.M != M:
             raise ValueError("initial state does not match graph or M")
         if not validate(g, initial):
             raise ValueError("initial state is not Lipschitz")
-        if spec.mode == "one-point" and initial.values[spec.v0] != 0:
+        if not ground and initial.values[spec.v0] != 0:
             raise ValueError("initial state must anchor v0 at 0")
         values = list(initial.values)
-    flaws = 0
-    if window is not None:
-        flaws = sum(1 for v in values if not (window[0] <= v <= window[1]))
+    if ground:
+        flaws = sum(1 for v in values if not w_lo <= v <= w_hi)
         if flaws > cap:
             raise ValueError("initial state violates the flaw allowance")
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    nbrs = g.adjacency
+    nbr_values = g.neighbor_getters
     n_sites = len(sites)
-    chunk = 1 << 16
     done = 0
     while done < steps:
-        take = min(chunk, steps - done)
+        # the draws alternate per chunk, so the chunk size is part of the stream
+        take = min(_GLAUBER_CHUNK, steps - done)
         site_idx = rng.integers(0, n_sites, size=take)
         coins = rng.random(size=take)
-        for t in range(take):
-            v = sites[site_idx[t]]
-            lo, hi = glauber_site_interval(values, nbrs[v], M)
-            c = lo + int(coins[t] * (hi - lo + 1))
-            if window is not None:
-                old_in = window[0] <= values[v] <= window[1]
-                new_in = window[0] <= c <= window[1]
-                nf = flaws + (old_in and not new_in) - (not old_in and new_in)
-                if nf > cap:
-                    if on_step is not None:
-                        on_step(done + t, values)
-                    continue
-                flaws = nf
-            values[v] = c
-            if on_step is not None:
-                on_step(done + t, values)
+        for start in range(0, take, _GLAUBER_SLICE):
+            stop = start + _GLAUBER_SLICE
+            t = done + start
+            # heat bath: c is uniform on [max nbr - M, min nbr + M]
+            for i, u in zip(site_idx[start:stop].tolist(), coins[start:stop].tolist()):
+                v = sites[i]
+                nv = nbr_values[v](values)
+                lo = max(nv) - M
+                c = lo + int(u * (min(nv) + M - lo + 1))
+                if ground:
+                    old_in = w_lo <= values[v] <= w_hi
+                    if old_in != (w_lo <= c <= w_hi):
+                        if not old_in:
+                            flaws -= 1
+                        elif flaws < cap:
+                            flaws += 1
+                        else:
+                            c = values[v]  # rejected: one more flaw than allowed
+                values[v] = c
+                if on_step is not None:
+                    on_step(t, values)
+                t += 1
         done += take
     return LipschitzFn(tuple(values), M)
 

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 
@@ -9,6 +10,7 @@ from liplab.cli import main
 from liplab.errors import ConfigError
 from liplab.experiments import (
     build_graph,
+    draw_samples,
     load_config,
     parse_config,
     range_threshold,
@@ -57,6 +59,14 @@ def test_config_rejects_unknown_keys():
         parse_config(base_config(graph={"family": "cycle", "n": 4, "d": 3}))
     with pytest.raises(ConfigError, match="sampler"):
         parse_config(base_config(sampler={"kind": "exact", "steps": 5}))
+
+
+def test_config_rejects_steps_alias():
+    # `steps` was an undocumented alias of `thinning`; configs must say `thinning`
+    with pytest.raises(ConfigError, match=r"unknown sampler keys: \['steps'\]"):
+        parse_config(base_config(sampler={"kind": "glauber", "steps": 5}))
+    with pytest.raises(ConfigError, match=r"unknown sampler keys: \['steps'\]"):
+        parse_config(base_config(sampler={"kind": "glauber", "steps": 5, "thinning": 5}))
 
 
 def test_config_requires_schema():
@@ -151,6 +161,71 @@ def test_range_glauber_reproducible():
         )
     )
     assert run_range_experiment(cfg).csv_text() == run_range_experiment(cfg).csv_text()
+
+
+def _draws_sha256(data):
+    cfg = parse_config(data)
+    g = build_graph(cfg.graph_source)
+    draws = draw_samples(g, cfg, resolve_profile(g, cfg.lambda_source))
+    return hashlib.sha256(json.dumps([list(f.values) for f in draws]).encode()).hexdigest()
+
+
+def test_glauber_draw_samples_golden():
+    # digests recorded with the per-step glauber_site_interval loop the kernel replaced
+    range_cfg = base_config(
+        graph={"family": "random-regular", "n": 30, "d": 3, "seed": 2},
+        M=2,
+        sampler={"kind": "glauber", "burn_in": 3000, "thinning": 40},
+        samples=50,
+        seed=0,
+        probes=[],
+    )
+    assert _draws_sha256(range_cfg) == "f8eb719de0dfe25e10f0dfac2adf264ed0a0fbf5f4f904875dbacbe6eeeca2c0"
+    tail_cfg = base_config(
+        graph={"family": "random-regular", "n": 20, "d": 3, "seed": 1},
+        mode={"kind": "ground-state", "k": 0},
+        lambda_source={"asserted": 0.3},
+        sampler={"kind": "glauber", "burn_in": 2000, "thinning": 30},
+        samples=50,
+        seed=0,
+        probes=[],
+    )
+    assert _draws_sha256(tail_cfg) == "fe2d323b29d2e6d03cbca70cab73888f30550f9f49b0d45a8c2dfa49326697c3"
+    default_cfg = base_config(graph={"family": "cycle", "n": 6}, sampler={"kind": "glauber"},
+                              samples=20, seed=0, probes=[])
+    assert _draws_sha256(default_cfg) == "b59ee009dfd1d980bd16050e0ee38174e113c8c46c9c414e4e23a3907e49a3c2"
+
+
+def test_glauber_summary_reports_schedule():
+    explicit = run_range_experiment(parse_config(base_config(
+        graph={"family": "cycle", "n": 6},
+        sampler={"kind": "glauber", "burn_in": 300, "thinning": 7},
+        samples=11,
+    )))
+    assert explicit.aggregates["sampler"] == {"burn_in": 300, "thinning": 7, "chain_steps": 300 + 11 * 7}
+    # defaults: burn-in 100*n*M, thinning n
+    defaulted = run_range_experiment(parse_config(base_config(
+        graph={"family": "cycle", "n": 6}, M=2, sampler={"kind": "glauber"}, samples=5,
+    )))
+    assert defaulted.aggregates["sampler"] == {"burn_in": 1200, "thinning": 6, "chain_steps": 1230}
+    tail = run_tail_experiment(tail_config(sampler={"kind": "glauber", "burn_in": 200, "thinning": 5},
+                                           samples=40))
+    assert tail.aggregates["sampler"] == {"burn_in": 200, "thinning": 5, "chain_steps": 400}
+    tail_default = run_tail_experiment(tail_config(sampler={"kind": "glauber"}, samples=3))
+    assert tail_default.aggregates["sampler"] == {"burn_in": 600, "thinning": 6, "chain_steps": 618}
+    # exact runs report no sampler block
+    assert "sampler" not in run_range_experiment(parse_config(base_config())).aggregates
+    assert "sampler" not in run_tail_experiment(tail_config()).aggregates
+
+
+def test_glauber_schedule_keeps_csv(tmp_path):
+    cfg = parse_config(base_config(sampler={"kind": "glauber", "burn_in": 100, "thinning": 4}, samples=10))
+    paths = run_range_experiment(cfg).write(tmp_path)
+    with open(paths["summary"]) as fh:
+        summary = json.load(fh)
+    assert summary["aggregates"]["sampler"]["chain_steps"] == 140
+    with open(tmp_path / "results.csv") as fh:
+        assert fh.readline().strip() == "sample_id,range,min,max,probe_2"
 
 
 def test_range_threads_match_serial():

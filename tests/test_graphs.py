@@ -54,6 +54,24 @@ def test_rejects_asymmetric_adjacency():
 
 
 @pytest.mark.parametrize(
+    "g",
+    [path_graph(5), complete_graph(2), cycle_graph(6), random_regular_graph(12, 3, seed=3), Graph([[]])],
+    ids=lambda g: g.name or "K1",
+)
+def test_neighbor_getters_and_edge_index(g):
+    values = [10 * v + 7 for v in range(g.n)]
+    getters = g.neighbor_getters
+    assert getters is g.neighbor_getters  # cached
+    for v in range(g.n):
+        got = getters[v](values)
+        assert isinstance(got, tuple)  # also for degree-1 and isolated vertices
+        assert got == tuple(values[u] for u in g.neighbors(v))
+    lower, upper = g.edge_index
+    assert list(zip(lower.tolist(), upper.tolist())) == list(g.edges())
+    assert lower.dtype == np.intp and not lower.flags.writeable
+
+
+@pytest.mark.parametrize(
     "g_builder",
     [
         lambda: cycle_graph(7),

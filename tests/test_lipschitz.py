@@ -76,6 +76,70 @@ def test_validate_length_mismatch(c4):
         validate(c4, LipschitzFn((0, 1), 1))
 
 
+def validate_by_adjacency(g, f):
+    """Oracle: the per-adjacency loop validate used to run."""
+    if len(f.values) != g.n:
+        raise ValueError(f"value array has length {len(f.values)}, graph has {g.n} vertices")
+    vals = f.values
+    for v in range(g.n):
+        fv = vals[v]
+        for u in g.neighbors(v):
+            if u > v and abs(fv - vals[u]) > f.M:
+                return False
+    return True
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_validate_matches_adjacency_oracle(seed):
+    rng = np.random.default_rng(500 + seed)
+    n = int(rng.integers(2, 9))
+    g = random_connected_graph(n, seed, p=float(rng.random()))
+    offsets = (0, 2**62, -(2**62), 2**63 - 3, 2**63, -(2**63) - 7, 2**70)
+    outcomes = set()
+    for trial in range(40):
+        M = int(rng.integers(0, 4))
+        if trial % 2:
+            # a Lipschitz function: M times the distance from a random vertex, plus a shift
+            vals = [M * d for d in bfs_distances(g, int(rng.integers(0, n)))]
+        else:
+            vals = [int(x) for x in rng.integers(-M - 2, M + 3, size=n)]
+        shift = offsets[trial % len(offsets)]
+        f = LipschitzFn(tuple(x + shift for x in vals), M)
+        expected = validate_by_adjacency(g, f)
+        assert validate(g, f) is expected, (g.name, f)
+        outcomes.add(expected)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize(
+    "values,M",
+    [
+        ((2**63, 2**63 - 1), 1),
+        ((2**63 - 1, -(2**63)), 2**64),
+        ((2**62, -(2**62)), 2**63 - 1),
+        ((-(2**62), 2**62), 2**63),
+        ((2**70, 2**70 + 1), 1),
+        ((2**70, 2**70 + 2), 1),
+        ((2**70, 2**70 + 2**64), 2**64),
+        ((0, 2), 2**70),
+        ((-(2**63), 2**63 - 1), 0),
+        ((2**63, -1), 2**63),
+        ((2**63, -1), 2**63 + 1),
+        ((0, 1.5), 1),
+        ((0.25, 1.25), 1),
+    ],
+)
+def test_validate_exact_past_int64(k2, values, M):
+    f = LipschitzFn(values, M)
+    assert validate(k2, f) is validate_by_adjacency(k2, f) is (abs(values[0] - values[1]) <= M)
+
+
+def test_validate_single_vertex():
+    assert validate(Graph([[]]), LipschitzFn((2**80,), 0))
+    with pytest.raises(ValueError, match="length"):
+        validate(Graph([[]]), LipschitzFn((0, 0), 0))
+
+
 def test_range():
     assert fn_range(LipschitzFn((5, 5, 5), 2)) == 1
     assert fn_range(LipschitzFn((0, 1), 1)) == 2
@@ -361,6 +425,102 @@ def test_glauber_initial_state_validation(c4):
         glauber_chain(c4, spec, seed=0, steps=1, initial=LipschitzFn((1, 1, 1, 1), 1))
     with pytest.raises(ValueError, match="Lipschitz"):
         glauber_chain(c4, spec, seed=0, steps=1, initial=LipschitzFn((0, 3, 0, 0), 1))
+
+
+def _trajectory_sha256(g, spec, seed, steps):
+    """sha256 of every (step, state) the chain reports, and of its final state."""
+    h = hashlib.sha256()
+    ticks = []
+
+    def on_step(t, vals):
+        ticks.append(t)
+        h.update(f"{t}:{','.join(map(str, vals))}\n".encode())
+
+    f = glauber_chain(g, spec, seed=seed, steps=steps, on_step=on_step)
+    assert ticks == list(range(steps))
+    return h.hexdigest(), hashlib.sha256(json.dumps(list(f.values)).encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "builder,spec,seed,steps,digests",
+    [
+        (lambda: cycle_graph(4), EnsembleSpec("one-point", M=1, v0=0), 3, 2000,
+         ("e482b0c94aa98e83a49b56fc657c9efe47cd1b0d913421c3dc5f038d5da89f72",
+          "a8dae580bc3ba6afe3f4cc99b029f6648ed19a9c21b7b0467430897a9c494c02")),
+        (lambda: cycle_graph(4), EnsembleSpec("one-point", M=2, v0=0), 4, 2000,
+         ("152b5febdba2b3a29eb9fcea75d4e04fb4d53591986974d0ab6ac4b35f90744d",
+          "9f343f83c68ee74c7911ad1e1af56dff029ac7088e4aaad41dbaaa423439d976")),
+        (lambda: hypercube_graph(3), EnsembleSpec("one-point", M=1, v0=0), 5, 3000,
+         ("788cb5b27a816160fd1b291826d6f950b3353b62b9e54d6fc01918ea7858cf7b",
+          "43b8d8871b1220ff49b6bee9d58bda5356a3295a37b9f704ad47479268b422c3")),
+        (lambda: hypercube_graph(3), EnsembleSpec("one-point", M=2, v0=5), 6, 3000,
+         ("84a6bdc6e77f06ffe423d8c583dd762192c318b7550ddf9378dd26e9559265fe",
+          "1b66fe1ded97a86c293f4e5a83e9565c01aeb5d799736c0b726ffb2ae19166d0")),
+        (lambda: path_graph(7), EnsembleSpec("one-point", M=1, v0=3), 7, 3000,
+         ("40136549ee231c895c2f5b7a9b96c1dadcbd92e27b66a426a57290adf4d201c4",
+          "f576f5d3205da2625aa7e8a196a14d50f4dafbf672d7988ce98d73fa2423623c")),
+        (lambda: complete_graph(6), EnsembleSpec("ground-state", M=1, k=0, lam=1.0), 8, 3000,
+         ("6a3d0217e5918af605eda8abf7ff4826ede859c40ed9a4b8f4424f1a38659206",
+          "f374340b09f26f5f466e5100242a498e5a644885210171fa76c0ef0897132cbd")),
+        # 70,000 steps cross the 65,536-draw chunk and 4,096-draw slice boundaries
+        (lambda: random_regular_graph(20, 3, seed=1), EnsembleSpec("one-point", M=2, v0=0), 9, 70_000,
+         ("21b78ab868282383b257a3b7159a4f7979a4d50c7903c1ac7ce30a0897ff5314",
+          "e761c5f0961fab1e9e986e4797a83e8ac432a292c5387f904d394c0e6b2b9d51")),
+    ],
+    ids=["C4-M1", "C4-M2", "Q3-M1", "Q3-M2", "P7-M1", "K6-ground", "RR20-70k"],
+)
+def test_glauber_golden_trajectories(builder, spec, seed, steps, digests):
+    # digests recorded with the per-step glauber_site_interval loop the kernel replaced
+    assert _trajectory_sha256(builder(), spec, seed, steps) == digests
+
+
+def test_glauber_ground_state_rejects_moves(k6):
+    # the K6 golden trajectory above exercises rejections, not just accepted moves
+    spec = EnsembleSpec("ground-state", M=1, k=0, lam=1.0)
+    cap = flaw_cap(6, 5, 1.0)
+    states = []
+    glauber_chain(k6, spec, seed=8, steps=3000, on_step=lambda t, vals: states.append(tuple(vals)))
+    rejected = 0
+    for prev, cur in zip(states, states[1:]):
+        assert sum(1 for x in cur if not 0 <= x <= 1) <= cap
+        if prev == cur and sum(1 for x in prev if not 0 <= x <= 1) == cap:
+            rejected += 1
+    assert rejected > 0
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_glauber_moves_stay_in_reference_interval(seed):
+    rng = np.random.default_rng(2000 + seed)
+    n = int(rng.integers(2, 9))
+    g = random_connected_graph(n, 100 + seed, p=0.3)
+    v0 = int(rng.integers(0, n))
+    for M in (0, 1, 2):
+        prev = [0] * n
+        moved = 0
+
+        def on_step(t, vals):
+            nonlocal prev, moved
+            changed = [v for v in range(n) if vals[v] != prev[v]]
+            assert len(changed) <= 1, (g.name, M, t)
+            for v in changed:
+                lo, hi = glauber_site_interval(prev, g.neighbors(v), M)
+                assert v != v0 and lo <= vals[v] <= hi, (g.name, M, t, v)
+            moved += len(changed)
+            prev = list(vals)
+
+        glauber_chain(g, EnsembleSpec("one-point", M=M, v0=v0), seed=seed, steps=3000, on_step=on_step)
+        assert (moved > 0) == (M > 0)
+
+
+def test_glauber_chain_does_not_call_site_interval(c4, monkeypatch):
+    import liplab.lipschitz as lipschitz
+
+    def fail(*args):
+        raise AssertionError("per-step interval helper called")
+
+    monkeypatch.setattr(lipschitz, "glauber_site_interval", fail)
+    spec = EnsembleSpec("one-point", M=1, v0=0)
+    assert validate(c4, glauber_chain(c4, spec, seed=0, steps=1000))
 
 
 # ---------------------------------------------------------------------------
