@@ -10,6 +10,7 @@ edge-list file.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -40,9 +41,7 @@ from .lipschitz import (
     count_onepoint,
     enumerate_groundstate,
     enumerate_onepoint,
-    fn_range,
     load_function,
-    sample_exact,
 )
 
 EXIT_OK = 0
@@ -52,23 +51,30 @@ EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
 
 
-def _graph_from_arg(arg: str) -> Graph:
+def _graph_source(arg: str) -> dict:
+    """The graph source dict behind a ``--graph`` argument: inline JSON or
+    ``{"path": arg}`` for an edge-list file."""
     if arg.strip().startswith("{"):
         try:
-            source = json.loads(arg)
+            return json.loads(arg)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"bad graph JSON: {exc}") from exc
-        return build_graph(source)
-    return build_graph({"path": arg})
+    return {"path": arg}
 
 
-def _common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0, help="64-bit seed for stochastic steps")
-    p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET,
+_FLAGS = {
+    "seed": dict(type=int, default=0, help="64-bit seed for stochastic steps"),
+    "out": dict(default=None, help="output directory"),
+    "budget": dict(type=int, default=DEFAULT_NODE_BUDGET,
                    help="node budget for exhaustive routines; for Lipschitz counts, "
-                        "samplers and enumerations it counts DP transitions")
-    p.add_argument("--threads", type=int, default=1, help="worker threads for sampling")
+                        "samplers and enumerations it counts DP transitions"),
+}
+
+
+def _add_flags(p: argparse.ArgumentParser, *names: str) -> None:
+    """Add the shared flags a subcommand reads, and only those."""
+    for name in names:
+        p.add_argument(f"--{name}", **_FLAGS[name])
 
 
 def _emit(obj, out_dir, filename) -> None:
@@ -84,19 +90,23 @@ def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="liplab",
                                      description="Exact and Monte-Carlo study of integer "
                                                  "Lipschitz functions on finite graphs")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # exact flag names only: with abbreviations a dropped flag could still
+    # resolve to another one (`gen-graph --out` to `--out-file`)
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        parser_class=functools.partial(argparse.ArgumentParser, allow_abbrev=False),
+    )
 
     p = sub.add_parser("gen-graph", help="generate a graph and save its edge list")
     p.add_argument("--graph", required=True, help="generator JSON")
     p.add_argument("--out-file", required=True)
-    _common_flags(p)
 
     p = sub.add_parser("spectrum", help="adjacency spectrum and expansion certificates")
     p.add_argument("--graph", required=True)
     p.add_argument("--exhaustive", action="store_true",
                    help=f"also run the subset sweep (n <= {EXHAUSTIVE_CAP})")
     p.add_argument("--props", action="store_true", help="verify structural consequences")
-    _common_flags(p)
+    _add_flags(p, "seed", "out")
 
     p = sub.add_parser("count", help="count an ensemble exactly")
     p.add_argument("--graph", required=True)
@@ -106,7 +116,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=0)
     p.add_argument("--lambda-source", default="spectral",
                    help="spectral | exhaustive | a number to assert")
-    _common_flags(p)
+    _add_flags(p, "budget", "out")
 
     p = sub.add_parser("enumerate", help="stream ensemble members as JSON lines")
     p.add_argument("--graph", required=True)
@@ -116,9 +126,9 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=0)
     p.add_argument("--lambda-source", default="spectral")
     p.add_argument("--limit", type=int, default=None, help="stop after this many members")
-    _common_flags(p)
+    _add_flags(p, "budget")
 
-    p = sub.add_parser("sample", help="draw samples and emit per-sample statistics CSV")
+    p = sub.add_parser("sample", help="run the range experiment on these flags and print its CSV")
     p.add_argument("--graph", required=True)
     p.add_argument("--M", type=int, required=True)
     p.add_argument("--mode", choices=["one-point", "ground-state"], default="one-point")
@@ -128,14 +138,14 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--sampler", choices=["exact", "glauber"], default="exact")
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--probes", type=int, nargs="*", default=[0])
-    _common_flags(p)
+    _add_flags(p, "seed", "budget", "out")
 
     p = sub.add_parser("flaws", help="cluster/core decomposition of a stored function")
     p.add_argument("--graph", required=True)
     p.add_argument("--function", required=True, help="path to {'M':..,'values':..} JSON")
     p.add_argument("--anchor", type=int, required=True)
     p.add_argument("--base", type=int, default=0)
-    _common_flags(p)
+    _add_flags(p, "out")
 
     p = sub.add_parser("containers", help="build an approximating-pair family")
     p.add_argument("--graph", required=True)
@@ -144,18 +154,18 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--linkage", type=int, default=4)
     p.add_argument("--psi", type=float, default=1.0)
     p.add_argument("--lambda-source", default="spectral")
-    _common_flags(p)
+    _add_flags(p, "seed", "budget", "out")
 
     p = sub.add_parser("experiment", help="run a configured experiment")
     p.add_argument("kind", choices=["range", "tail", "covering"])
     p.add_argument("--config", required=True)
-    _common_flags(p)
+    _add_flags(p, "out")
 
     p = sub.add_parser("verify", help="run the consolidated verification suite")
     p.add_argument("--graph", action="append", default=None,
                    help="extra graph (JSON or path); repeatable, replaces the default set")
     p.add_argument("--fuzz-scale", type=int, default=1)
-    _common_flags(p)
+    _add_flags(p, "seed", "budget", "out")
 
     return parser
 
@@ -179,14 +189,14 @@ def _spec_from_args(args, g: Graph) -> EnsembleSpec:
 
 
 def _cmd_gen_graph(args) -> int:
-    g = _graph_from_arg(args.graph)
+    g = build_graph(_graph_source(args.graph))
     save_edge_list(g, args.out_file)
     print(json.dumps({"name": g.name, "n": g.n, "m": g.m, "file": args.out_file}))
     return EXIT_OK
 
 
 def _cmd_spectrum(args) -> int:
-    g = _graph_from_arg(args.graph)
+    g = build_graph(_graph_source(args.graph))
     out = {"name": g.name, "n": g.n, "regular": g.is_regular()}
     if g.is_regular():
         out["d"] = g.regular_degree()
@@ -194,11 +204,10 @@ def _cmd_spectrum(args) -> int:
         prof = spectral_lambda(g)
         out["lam_spectral"] = prof.lam
         if args.exhaustive:
-            out["lam_exhaustive"] = exhaustive_lambda(g).lam
+            prof = exhaustive_lambda(g)
+            out["lam_exhaustive"] = prof.lam
         if args.props:
-            chosen = exhaustive_lambda(g) if args.exhaustive else prof
-            report = verify_expander_props(g, chosen, seed=args.seed)
-            out["props"] = report
+            out["props"] = verify_expander_props(g, prof, seed=args.seed)
     _emit(out, args.out, "spectrum.json")
     if args.props and not out.get("props", {}).get("all_ok", True):
         return EXIT_CHECK_FAILED
@@ -206,7 +215,7 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    g = _graph_from_arg(args.graph)
+    g = build_graph(_graph_source(args.graph))
     if args.mode == "one-point":
         res = count_onepoint(g, args.v0, args.M, budget=args.budget)
     else:
@@ -217,7 +226,7 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    g = _graph_from_arg(args.graph)
+    g = build_graph(_graph_source(args.graph))
     if args.mode == "one-point":
         stream = enumerate_onepoint(g, args.v0, args.M, budget=args.budget)
     else:
@@ -233,37 +242,22 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    g = _graph_from_arg(args.graph)
-    spec = _spec_from_args(args, g)
-    for v in args.probes:
-        if not (0 <= v < g.n):
-            raise ConfigError(f"probe vertex {v} out of range")
-    if args.sampler == "exact":
-        fns = sample_exact(g, spec, seed=args.seed, count=args.samples, budget=args.budget)
-    else:
-        from .experiments import draw_samples
-
-        cfg = parse_config(
-            {
-                "schema": 1,
-                "graph": {"path": "-"},
-                "M": args.M,
-                "mode": {"kind": args.mode, **({"v0": args.v0} if args.mode == "one-point" else {"k": args.k})},
-                "sampler": {"kind": "glauber"},
-                "samples": args.samples,
-                "seed": args.seed,
-                "probes": list(args.probes),
-                "threads": args.threads,
-            }
-        )
-        profile = resolve_profile(g, _resolve_lambda_arg(args.lambda_source))
-        fns = draw_samples(g, cfg, profile)
-    header = ["sample_id", "range", "min", "max"] + [f"probe_{v}" for v in args.probes]
-    lines = [",".join(header)]
-    for i, f in enumerate(fns):
-        row = [i, fn_range(f), min(f.values), max(f.values)] + [f.values[v] for v in args.probes]
-        lines.append(",".join(str(x) for x in row))
-    text = "\n".join(lines) + "\n"
+    mode = {"kind": args.mode, **({"v0": args.v0} if args.mode == "one-point" else {"k": args.k})}
+    cfg = parse_config(
+        {
+            "schema": 1,
+            "graph": _graph_source(args.graph),
+            "M": args.M,
+            "mode": mode,
+            "lambda_source": _resolve_lambda_arg(args.lambda_source),
+            "sampler": {"kind": args.sampler},
+            "samples": args.samples,
+            "seed": args.seed,
+            "probes": list(args.probes),
+            "budget": args.budget,
+        }
+    )
+    text = run_range_experiment(cfg).csv_text()
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, "samples.csv"), "w") as fh:
@@ -273,7 +267,7 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_flaws(args) -> int:
-    g = _graph_from_arg(args.graph)
+    g = build_graph(_graph_source(args.graph))
     f = load_function(args.function)
     dec = flaw_decomposition(g, f, args.anchor, args.base)
     out = {
@@ -299,7 +293,7 @@ def _cmd_containers(args) -> int:
         linked_set_count_report,
     )
 
-    g = _graph_from_arg(args.graph)
+    g = build_graph(_graph_source(args.graph))
     profile = resolve_profile(g, _resolve_lambda_arg(args.lambda_source))
     if profile is None:
         raise ConfigError("container pipeline requires a regular graph")
@@ -359,7 +353,7 @@ def _cmd_experiment(args) -> int:
 def _cmd_verify(args) -> int:
     graphs = None
     if args.graph:
-        graphs = [_graph_from_arg(spec) for spec in args.graph]
+        graphs = [build_graph(_graph_source(spec)) for spec in args.graph]
     suite = run_verify_suite(graphs=graphs, seed=args.seed, budget=args.budget,
                              fuzz_scale=args.fuzz_scale)
     if args.out:

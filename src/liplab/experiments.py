@@ -13,7 +13,7 @@ import hashlib
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
@@ -36,6 +36,7 @@ from .flaws import (
     core_within_cluster_interior,
     flaw_decomposition,
     tail_hypotheses,
+    tail_rows,
     verify_ground_state_lemma,
 )
 from .graphs import (
@@ -63,6 +64,7 @@ from .lipschitz import (
     fn_range,
     glauber_chain,
     glauber_site_interval,
+    min_ground_state,
 )
 
 CONFIG_SCHEMA = 1
@@ -92,7 +94,6 @@ _TOP_KEYS = {
     "constants",
     "budget",
     "t_values",
-    "threads",
     "dump_flaws",
 }
 
@@ -112,7 +113,6 @@ class ExperimentConfig:
     constants: dict
     budget: int
     t_values: tuple[int, ...]
-    threads: int
     dump_flaws: bool
 
     def config_hash(self) -> str:
@@ -171,6 +171,10 @@ def parse_config(data: dict) -> ExperimentConfig:
     allowed = {"kind"} if sampler["kind"] == "exact" else {"kind", "burn_in", "thinning"}
     if set(sampler) - allowed:
         raise ConfigError(f"unknown sampler keys: {sorted(set(sampler) - allowed)}")
+    for key, low in (("burn_in", 0), ("thinning", 1)):
+        value = sampler.get(key, low)
+        if not isinstance(value, int) or value < low:
+            raise ConfigError(f"sampler.{key} must be an integer >= {low}")
 
     samples = data.get("samples", 0)
     if not isinstance(samples, int) or samples < 0:
@@ -197,10 +201,6 @@ def parse_config(data: dict) -> ExperimentConfig:
     if not isinstance(t_values, list) or not all(isinstance(t, int) and t >= 0 for t in t_values):
         raise ConfigError("t_values must be a list of nonnegative integers")
 
-    threads = data.get("threads", 1)
-    if not isinstance(threads, int) or threads < 1:
-        raise ConfigError("threads must be a positive integer")
-
     out = data.get("out")
     if out is not None and not isinstance(out, str):
         raise ConfigError("out must be a string path")
@@ -223,7 +223,6 @@ def parse_config(data: dict) -> ExperimentConfig:
         constants=constants,
         budget=budget,
         t_values=tuple(t_values),
-        threads=threads,
         dump_flaws=dump_flaws,
     )
 
@@ -285,14 +284,7 @@ def draw_samples(g: Graph, cfg: ExperimentConfig, profile: ExpanderProfile | Non
     if cfg.sampler["kind"] == "exact":
         sampler = ExactSampler(g, spec, budget=cfg.budget)
         child_seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.samples)
-
-        def one(child):
-            return sampler.draw(np.random.default_rng(child))
-
-        if cfg.threads > 1:
-            with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-                return list(pool.map(one, child_seeds))
-        return [one(child) for child in child_seeds]
+        return [sampler.draw(np.random.default_rng(child)) for child in child_seeds]
 
     schedule = glauber_schedule(g, cfg)
     burn_in, thinning = schedule["burn_in"], schedule["thinning"]
@@ -460,14 +452,11 @@ def run_range_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     if cfg.dump_flaws:
         if profile is None:
             raise ConfigError("dump_flaws requires a regular graph")
-        from .flaws import flaw_decomposition as _decompose
-        from .lipschitz import min_ground_state
-
         lines = []
         for i, f in enumerate(samples):
             anchor = max(range(g.n), key=lambda v: f.values[v])
             base = min_ground_state(g, f, profile.lam)
-            dec = _decompose(g, f, anchor, base)
+            dec = flaw_decomposition(g, f, anchor, base)
             lines.append(
                 json.dumps(
                     {
@@ -525,32 +514,11 @@ def run_tail_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         estimate = "exact"
     else:
         samples = draw_samples(g, cfg, profile)
-        rows = []
-        from .flaws import tail_bound
-
-        for t in sorted(set(cfg.t_values)):
-            thr = k + t * cfg.M + 1
-            count = sum(1 for f in samples if f.values[probe] > thr)
-            gate = tail_hypotheses(
-                g.n, profile.d, profile.lam, cfg.M, t=t, c=cfg.constants["c"], C=cfg.constants["C"]
-            )
-            prob = count / len(samples) if samples else 0.0
-            bound = tail_bound(g, probe, t, cfg.M)
-            rows.append(
-                {
-                    "t": t,
-                    "threshold": thr,
-                    "probability": prob,
-                    "count_above": count,
-                    "ensemble_size": len(samples),
-                    "bound": bound,
-                    "ball_size": None,
-                    "hypotheses_hold": gate["all_hold"],
-                    "hypotheses": gate["clauses"],
-                    "asserted": False,  # empirical tails are never asserted
-                    "holds": prob <= bound + 1e-12,
-                }
-            )
+        marginal = Counter(f.values[probe] for f in samples)
+        rows = tail_rows(g, cfg.M, profile.lam, probe, cfg.t_values, marginal, k,
+                         cfg.constants["c"], cfg.constants["C"])
+        for row in rows:
+            row["asserted"] = False  # empirical tails are never asserted
         estimate = "empirical"
 
     records = [
@@ -761,34 +729,28 @@ def run_verify_suite(graphs: list[Graph] | None = None, seed: int = 0,
                 )
             )
 
-        # covering inequality
-        gate = spec_profile.lam <= d / 5.0 + 1e-12
+        # covering inequality, asserted only under lam <= d/5
         if cap >= g.n:
             rows.append(
                 _row("covering-inequality", name, "skipped",
                      reason=f"flaw allowance {cap} >= n: ensemble infinite")
             )
-        elif not gate:
-            lhs = count_groundstate(g, 0, 1, spec_profile.lam, budget=budget).count
-            rhs = 2 * count_onepoint(g, 0, 1, budget=budget).count
-            rows.append(
-                _row("covering-inequality", name, "skipped",
-                     reason=f"hypothesis lam <= d/5 fails (lam={spec_profile.lam:.4g})",
-                     lhs=lhs, bound=rhs, holds=lhs <= rhs)
-            )
         else:
-            lhs = count_groundstate(g, 0, 1, spec_profile.lam, budget=budget).count
-            rhs = 2 * count_onepoint(g, 0, 1, budget=budget).count
-            rows.append(
-                _row(
-                    "covering-inequality",
-                    name,
-                    "pass" if lhs <= rhs else "fail",
-                    witness=None if lhs <= rhs else {"lhs": lhs, "bound": rhs},
-                    lhs=lhs,
-                    bound=rhs,
+            m_cov = 1
+            lhs = count_groundstate(g, 0, m_cov, spec_profile.lam, budget=budget).count
+            rhs = (m_cov + 1) * count_onepoint(g, 0, m_cov, budget=budget).count
+            holds = lhs <= rhs
+            if spec_profile.lam <= d / 5.0 + 1e-12:
+                rows.append(
+                    _row("covering-inequality", name, "pass" if holds else "fail",
+                         witness=None if holds else {"lhs": lhs, "bound": rhs}, lhs=lhs, bound=rhs)
                 )
-            )
+            else:
+                rows.append(
+                    _row("covering-inequality", name, "skipped",
+                         reason=f"hypothesis lam <= d/5 fails (lam={spec_profile.lam:.4g})",
+                         lhs=lhs, bound=rhs, holds=holds)
+                )
 
         # exact tail rows (only for finite ensembles)
         if cap < g.n:

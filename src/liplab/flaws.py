@@ -231,25 +231,14 @@ def tail_bound(g: Graph, anchor: int, t: int, M: int) -> float:
     return 2.0 ** (-len(ball(g, anchor, radius)) / (5.0 * M))
 
 
-def conditional_tail_profile(
-    g: Graph,
-    M: int,
-    lam,
-    anchor: int,
-    t_values,
-    budget: int = DEFAULT_NODE_BUDGET,
-    c: float = 1.0,
-    C: float = 1.0,
-    k: int = 0,
-) -> list[dict]:
-    """Exact tail P(f(anchor) > k + tM + 1) for uniform f over the
-    ground-state ensemble at base k, for each t, next to the theoretical
-    bound.  The counts come from the exact marginal of f(anchor).  The
-    inequality is asserted only when the hypothesis gate holds; otherwise
-    both sides are informational.
+def tail_rows(g: Graph, M: int, lam, anchor: int, t_values, marginal, k: int,
+              c: float, C: float) -> list[dict]:
+    """Tail P(f(anchor) > k + tM + 1) for each t, read off `marginal` (the
+    number of functions per value of f(anchor)), next to the theoretical
+    bound.  A row is asserted when the hypothesis gate holds; otherwise both
+    sides are informational.
     """
     d = g.regular_degree()
-    marginal = marginal_groundstate(g, k, M, lam, anchor, budget=budget)
     total = sum(marginal.values())
     rows = []
     for t in sorted({int(t) for t in t_values}):
@@ -273,6 +262,24 @@ def conditional_tail_profile(
         }
         rows.append(row)
     return rows
+
+
+def conditional_tail_profile(
+    g: Graph,
+    M: int,
+    lam,
+    anchor: int,
+    t_values,
+    budget: int = DEFAULT_NODE_BUDGET,
+    c: float = 1.0,
+    C: float = 1.0,
+    k: int = 0,
+) -> list[dict]:
+    """Exact tail rows (see `tail_rows`) for uniform f over the ground-state
+    ensemble at base k.  The counts come from the exact marginal of
+    f(anchor)."""
+    marginal = marginal_groundstate(g, k, M, lam, anchor, budget=budget)
+    return tail_rows(g, M, lam, anchor, t_values, marginal, k, c, C)
 
 
 def conditional_tail_exact(g, M, lam, anchor, t, budget=DEFAULT_NODE_BUDGET, c=1.0, C=1.0) -> dict:

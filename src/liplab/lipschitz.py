@@ -68,20 +68,17 @@ def fn_range(f: LipschitzFn) -> int:
 
 @dataclass(frozen=True)
 class EnsembleSpec:
-    """Which ensemble to draw from and with which sampling oracle."""
+    """Which ensemble to draw from."""
 
     mode: str  # "one-point" | "ground-state"
     M: int
     v0: int | None = None
     k: int | None = None
     lam: float | None = None
-    oracle: str = "exact-enumeration"  # or "glauber"
 
     def __post_init__(self):
         if self.mode not in ("one-point", "ground-state"):
             raise ValueError(f"unknown ensemble mode {self.mode!r}")
-        if self.oracle not in ("exact-enumeration", "glauber"):
-            raise ValueError(f"unknown oracle {self.oracle!r}")
         if self.M < 0:
             raise ValueError("M must be nonnegative")
         if self.mode == "one-point" and self.v0 is None:

@@ -228,13 +228,6 @@ def test_glauber_schedule_keeps_csv(tmp_path):
         assert fh.readline().strip() == "sample_id,range,min,max,probe_2"
 
 
-def test_range_threads_match_serial():
-    cfg1 = parse_config(base_config(samples=150, threads=1))
-    cfg4 = parse_config(base_config(samples=150, threads=4))
-    # thread count is not part of the sampled stream
-    assert run_range_experiment(cfg1).csv_text() == run_range_experiment(cfg4).csv_text()
-
-
 def test_range_gates_on_k6():
     cfg = parse_config(base_config(graph={"family": "complete", "n": 6}, samples=5))
     res = run_range_experiment(cfg)
@@ -485,3 +478,231 @@ def test_verify_entropy_rows_report_work():
     # the fuzz counters sum `cases` and `instances` over rows; the new fields stay apart
     assert sum(r.get("cases", 0) for r in suite["rows"]) == 1_022
     assert sum(r.get("instances", 0) for r in suite["rows"]) == 3_870
+
+
+# ---------------------------------------------------------------------------
+# One front end per job: config keys, CLI flags, `sample`, tail rows
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("sampler", [
+    {"kind": "glauber", "thinning": 0},
+    {"kind": "glauber", "burn_in": -10},
+    {"kind": "glauber", "thinning": 2.5},
+    {"kind": "glauber", "burn_in": "x"},
+])
+def test_config_rejects_bad_glauber_schedule(sampler):
+    with pytest.raises(ConfigError, match=r"sampler\.(burn_in|thinning) must be an integer >= [01]"):
+        parse_config(base_config(sampler=sampler))
+
+
+def test_config_accepts_schedule_edges():
+    cfg = parse_config(base_config(sampler={"kind": "glauber", "burn_in": 0, "thinning": 1}, samples=3))
+    assert run_range_experiment(cfg).aggregates["sampler"] == {"burn_in": 0, "thinning": 1, "chain_steps": 3}
+
+
+def test_cli_bad_glauber_schedule_exits_2(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(base_config(sampler={"kind": "glauber", "thinning": 2.5})))
+    assert main(["experiment", "range", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == "error: sampler.thinning must be an integer >= 1\n"
+
+
+def test_config_rejects_threads():
+    with pytest.raises(ConfigError, match=r"unknown config keys: \['threads'\]"):
+        parse_config(base_config(threads=1))
+
+
+def test_ensemble_spec_has_no_oracle():
+    from dataclasses import fields
+
+    from liplab.lipschitz import EnsembleSpec
+
+    assert [f.name for f in fields(EnsembleSpec)] == ["mode", "M", "v0", "k", "lam"]
+    with pytest.raises(TypeError):
+        EnsembleSpec("one-point", M=1, v0=0, oracle="glauber")
+
+
+# the shared flags each subcommand reads; argparse rejects the rest
+SUBCOMMAND_FLAGS = {
+    "gen-graph": set(),
+    "spectrum": {"--seed", "--out"},
+    "count": {"--budget", "--out"},
+    "enumerate": {"--budget"},
+    "sample": {"--seed", "--budget", "--out"},
+    "flaws": {"--out"},
+    "containers": {"--seed", "--budget", "--out"},
+    "experiment": {"--out"},
+    "verify": {"--seed", "--budget", "--out"},
+}
+SHARED_FLAGS = {"--seed", "--out", "--budget", "--threads"}
+VALID_ARGV = {
+    "gen-graph": ["--graph", "{}", "--out-file", "g.edges"],
+    "spectrum": ["--graph", "{}"],
+    "count": ["--graph", "{}", "--M", "1"],
+    "enumerate": ["--graph", "{}", "--M", "1"],
+    "sample": ["--graph", "{}", "--M", "1", "--samples", "1"],
+    "flaws": ["--graph", "{}", "--function", "f.json", "--anchor", "0"],
+    "containers": ["--graph", "{}", "--boundary-size", "3"],
+    "experiment": ["range", "--config", "cfg.json"],
+    "verify": [],
+}
+
+
+def test_each_subcommand_has_only_the_flags_it_reads():
+    from liplab.cli import make_parser
+
+    parser = make_parser()
+    (sub,) = [a for a in parser._actions if a.dest == "command"]
+    assert set(sub.choices) == set(SUBCOMMAND_FLAGS)
+    settable = 0
+    for name, p in sub.choices.items():
+        flags = {s for a in p._actions for s in a.option_strings} & SHARED_FLAGS
+        assert flags == SUBCOMMAND_FLAGS[name], name
+        settable += len(flags)
+    assert settable == 16
+
+
+@pytest.mark.parametrize("command,flag", sorted(
+    (command, flag) for command, flags in SUBCOMMAND_FLAGS.items() for flag in SHARED_FLAGS - flags
+))
+def test_dropped_flags_are_rejected_by_the_parser(command, flag):
+    from liplab.cli import make_parser
+
+    parser = make_parser()
+    parser.parse_args([command, *VALID_ARGV[command]])
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args([command, *VALID_ARGV[command], flag, "1"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["experiment", "range", "--config", "cfg.json", "--seed", "999"],
+    ["gen-graph", "--graph", '{"family":"cycle","n":4}', "--out-file", "g.edges", "--budget", "1"],
+    ["enumerate", "--graph", '{"family":"cycle","n":4}', "--M", "1", "--out", "out"],
+    ["sample", "--graph", '{"family":"cycle","n":4}', "--M", "1", "--samples", "2", "--threads", "2"],
+])
+def test_cli_dropped_flags_exit_2(argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps(base_config(samples=2)))
+    assert main(argv) == 2
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]  # nothing ran
+
+
+def _sample_cli(capsys, *argv):
+    capsys.readouterr()
+    assert main(["sample", *argv]) == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("sampler", ["exact", "glauber"])
+@pytest.mark.parametrize("graph,mode,lam", [
+    ({"family": "hypercube", "dim": 3}, {"kind": "one-point", "v0": 5}, "spectral"),
+    ({"family": "complete", "n": 6}, {"kind": "ground-state", "k": 1}, {"asserted": 1.0}),
+])
+def test_sample_cli_equals_experiment_range(sampler, graph, mode, lam, tmp_path, capsys):
+    argv = ["--graph", json.dumps(graph), "--M", "1", "--mode", mode["kind"],
+            "--sampler", sampler, "--samples", "25", "--seed", "17", "--probes", "0", "3",
+            "--out", str(tmp_path / "s")]
+    argv += ["--v0", str(mode["v0"])] if "v0" in mode else ["--k", str(mode["k"])]
+    if isinstance(lam, dict):
+        argv += ["--lambda-source", str(lam["asserted"])]
+    text = _sample_cli(capsys, *argv)
+    cfg = parse_config(base_config(graph=graph, mode=mode, lambda_source=lam, sampler={"kind": sampler},
+                                   samples=25, seed=17, probes=[0, 3]))
+    expected = run_range_experiment(cfg).csv_text()
+    assert text == expected
+    assert len(text.splitlines()) == 26
+    assert (tmp_path / "s" / "samples.csv").read_text() == expected
+
+
+def test_sample_cli_glauber_output_unchanged(capsys):
+    # sha256 of the output recorded before `sample` ran through the range experiment
+    text = _sample_cli(capsys, "--graph", '{"family":"cycle","n":6}', "--M", "1", "--samples", "20",
+                       "--seed", "3", "--sampler", "glauber", "--probes", "0", "2")
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "924ef6ac029630873ddae45fcb315d74a484bf4412c518085b0bfe0fe1adcde5")
+    text = _sample_cli(capsys, "--graph", '{"family":"complete","n":6}', "--M", "1",
+                       "--mode", "ground-state", "--k", "0", "--lambda-source", "1.0",
+                       "--samples", "15", "--seed", "11", "--sampler", "glauber", "--probes", "0", "3")
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "68586ae876e9c2c2e5578b8670cd5d0f427637ef9db512c6aba537d05316a109")
+
+
+def test_sample_cli_rejects_seed_past_64_bits(capsys):
+    code = main(["sample", "--graph", '{"family":"cycle","n":6}', "--M", "1", "--samples", "2",
+                 "--seed", str(2**64)])
+    assert code == 2
+    assert "seed must be an unsigned 64-bit integer" in capsys.readouterr().err
+
+
+# Petersen, M=1, asserted lam=1.0, probe 3, t = 0, 1, 2: the rows the tail
+# experiment reported before its two branches shared `tail_rows`
+_PETERSEN_GATE = {"M <= (log n)^C": True, "M <= c*d^1.5/(lam*log d)": True, "d/5 <= c*n": True,
+                  "lam <= d/5": False}
+_PETERSEN_TAIL = {
+    "glauber": [(0, 1, 4, 60, 0.06666666666666667), (1, 2, 0, 60, 0.0), (2, 3, 0, 60, 0.0)],
+    "exact": [(0, 1, 854, 6368, 0.13410804020100503), (1, 2, 25, 6368, 0.003925879396984924),
+              (2, 3, 0, 6368, 0.0)],
+}
+_PETERSEN_BOUNDS = [0.8705505632961241, 0.8705505632961241, 0.5743491774985174]
+
+
+@pytest.mark.parametrize("sampler", ["glauber", "exact"])
+def test_tail_rows_match_the_old_branches(sampler):
+    sampler_cfg = {"kind": "glauber", "burn_in": 500, "thinning": 10} if sampler == "glauber" else {"kind": "exact"}
+    cfg = parse_config(base_config(graph={"family": "petersen"}, mode={"kind": "ground-state", "k": 0},
+                                   lambda_source={"asserted": 1.0}, sampler=sampler_cfg,
+                                   samples=60 if sampler == "glauber" else 0, seed=5, probes=[3],
+                                   t_values=[2, 0, 1]))
+    res = run_tail_experiment(cfg)
+    expected = []
+    for (t, thr, above, size, prob), bound in zip(_PETERSEN_TAIL[sampler], _PETERSEN_BOUNDS):
+        expected.append({"t": t, "threshold": thr, "probability": prob, "count_above": above,
+                         "ensemble_size": size, "bound": bound, "hypotheses_hold": False,
+                         "hypotheses": {**_PETERSEN_GATE, "t >= 2": t >= 2}, "asserted": False,
+                         "holds": True})
+    rows = res.aggregates["rows"]
+    # the Glauber rows now carry the real ball size (None before)
+    assert [r.pop("ball_size") for r in rows] == [1, 1, 4]
+    assert rows == expected
+    assert res.csv_text() == "t,threshold,count_above,ensemble_size,probability,bound\n" + "".join(
+        f"{t},{thr},{above},{size},{prob!r},{bound!r}\n"
+        for (t, thr, above, size, prob), bound in zip(_PETERSEN_TAIL[sampler], _PETERSEN_BOUNDS))
+
+
+def test_tail_rows_from_a_sample_marginal(petersen):
+    from collections import Counter
+
+    from liplab.flaws import tail_rows
+
+    marginal = Counter({-1: 3, 0: 40, 1: 13, 2: 4})
+    rows = tail_rows(petersen, 1, 1.0, 3, [2, 0, 1, 0], marginal, 0, 1.0, 1.0)
+    assert [(r["t"], r["threshold"], r["count_above"], r["ensemble_size"]) for r in rows] == [
+        (0, 1, 4, 60), (1, 2, 0, 60), (2, 3, 0, 60)]
+    assert [r["ball_size"] for r in rows] == [1, 1, 4]
+    assert rows[0]["probability"] == 4 / 60
+    assert tail_rows(petersen, 1, 1.0, 3, [1], Counter(), 0, 1.0, 1.0)[0]["probability"] == 0.0
+
+
+def test_verify_covering_rows_pinned():
+    from liplab.graphs import complete_graph
+
+    suite = run_verify_suite(seed=0)
+    rows = [r for r in suite["rows"] if r["check"] == "covering-inequality"]
+    assert rows == [
+        {"check": "covering-inequality", "graph": "K6", "status": "pass", "lhs": 106, "bound": 126},
+        {"check": "covering-inequality", "graph": "C4", "status": "skipped",
+         "reason": "flaw allowance 8 >= n: ensemble infinite"},
+        {"check": "covering-inequality", "graph": "Q3", "status": "skipped",
+         "reason": "flaw allowance 16 >= n: ensemble infinite"},
+        {"check": "covering-inequality", "graph": "RR10,3#1", "status": "skipped",
+         "reason": "flaw allowance 18 >= n: ensemble infinite"},
+    ]
+    assert len(suite["rows"]) == 57
+    assert sum(r.get("cases", 0) for r in suite["rows"]) == 1_022
+    assert sum(r.get("instances", 0) for r in suite["rows"]) == 3_870
+    # K5 (lam = 1 > d/5) takes the ungated branch: counted, reported, not asserted
+    k5 = run_verify_suite(graphs=[complete_graph(5)], seed=0)
+    (row,) = [r for r in k5["rows"] if r["check"] == "covering-inequality"]
+    assert row == {"check": "covering-inequality", "graph": "K5", "status": "skipped",
+                   "reason": "hypothesis lam <= d/5 fails (lam=1)", "lhs": 62, "bound": 62, "holds": True}
