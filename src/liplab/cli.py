@@ -19,7 +19,6 @@ from .errors import BudgetExceededError, ConfigError, GenerationError
 from .expanders import (
     EXHAUSTIVE_CAP,
     adjacency_spectrum,
-    exhaustive_lambda,
     spectral_lambda,
     verify_expander_props,
 )
@@ -104,7 +103,7 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="adjacency spectrum and expansion certificates")
     p.add_argument("--graph", required=True)
     p.add_argument("--exhaustive", action="store_true",
-                   help=f"also run the subset sweep (n <= {EXHAUSTIVE_CAP})")
+                   help=f"also run the sorted-prefix subset sweep (n <= {EXHAUSTIVE_CAP})")
     p.add_argument("--props", action="store_true", help="verify structural consequences")
     _add_flags(p, "seed", "out")
 
@@ -197,14 +196,16 @@ def _cmd_gen_graph(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     g = build_graph(_graph_source(args.graph))
+    # refuses n > EXHAUSTIVE_CAP with the config error of `lambda_source`
+    exhaustive = resolve_profile(g, "exhaustive") if args.exhaustive else None
     out = {"name": g.name, "n": g.n, "regular": g.is_regular()}
     if g.is_regular():
         out["d"] = g.regular_degree()
         out["eigenvalues"] = [float(v) for v in adjacency_spectrum(g)]
         prof = spectral_lambda(g)
         out["lam_spectral"] = prof.lam
-        if args.exhaustive:
-            prof = exhaustive_lambda(g)
+        if exhaustive:
+            prof = exhaustive
             out["lam_exhaustive"] = prof.lam
         if args.props:
             out["props"] = verify_expander_props(g, prof, seed=args.seed)

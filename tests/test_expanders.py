@@ -1,9 +1,17 @@
+import hashlib
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from liplab.cli import main
+from liplab.errors import ConfigError
 from liplab.expanders import (
+    EXHAUSTIVE_CAP,
     ExpanderProfile,
     adjacency_spectrum,
     asserted_profile,
@@ -13,7 +21,9 @@ from liplab.expanders import (
     spectral_lambda,
     verify_expander_props,
 )
+from liplab.experiments import resolve_profile
 from liplab.graphs import (
+    ball,
     complete_graph,
     cycle_graph,
     hypercube_graph,
@@ -182,3 +192,208 @@ def test_profile_validation():
         ExpanderProfile(n=4, d=2, lam=-1.0, method="spectral")
     with pytest.raises(ValueError):
         ExpanderProfile(n=4, d=2, lam=1.0, method="guessed")
+
+
+# ---------------------------------------------------------------------------
+# The 4^n subset-pair sweeps as oracles for the 2^n row sweeps
+# ---------------------------------------------------------------------------
+
+def _subset_matrix(n):
+    """Rows = indicator vectors of the 2^n - 1 nonempty subsets of [0, n)."""
+    masks = np.arange(1, 1 << n, dtype=np.uint32)
+    bits = (masks[:, None] >> np.arange(n, dtype=np.uint32)[None, :]) & 1
+    return bits.astype(np.float64)
+
+
+def _mask_to_set(mask):
+    return frozenset(i for i in range(32) if (mask >> i) & 1)
+
+
+def pair_sweep_lambda(g, block=128):
+    """The block-matmul sweep over every subset pair (S, T) that computed the
+    exhaustive certificate before the sorted-prefix sweep.  The deviation is
+    symmetric in S and T, so each row block meets only the columns from its
+    own first mask on; that halves the work and leaves the maximum unchanged."""
+    d = g.regular_degree()
+    b = _subset_matrix(g.n)
+    sizes = b.sum(axis=1)
+    cross = g.adjacency_matrix() @ b.T  # column j = A 1_Tj
+    ratio_d_n = d / g.n
+    best = 0.0
+    for lo in range(0, b.shape[0], block):
+        rows = b[lo : lo + block]
+        e = rows @ cross[:, lo:]  # e(S,T), exact integers
+        st = sizes[lo : lo + block, None] * sizes[None, lo:]
+        dev = np.abs(e - ratio_d_n * st) / np.sqrt(st)
+        best = max(best, float(dev.max()))
+    return best
+
+
+def pair_sweep_joining_edge(g, lam, tol=1e-9):
+    """(witness, max_product_without_edge) of the pair sweep that ran the
+    exhaustive joining-edge check before the row sweep."""
+    n, d = g.n, g.regular_degree()
+    b = _subset_matrix(n)
+    sizes = b.sum(axis=1)
+    threshold = (lam * n / d) ** 2
+    cross = g.adjacency_matrix() @ b.T
+    worst = None
+    for lo in range(0, b.shape[0], 1024):
+        rows = b[lo : lo + 1024]
+        e = rows @ cross
+        st = sizes[lo : lo + 1024, None] * sizes[None, :]
+        bad = (e < 0.5) & (st > threshold + tol)
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            witness = {
+                "S": sorted(_mask_to_set(lo + int(i) + 1)),
+                "T": sorted(_mask_to_set(int(j) + 1)),
+                "product": float(st[i, j]),
+                "threshold": threshold,
+            }
+            return witness, worst
+        zero = st[e < 0.5]
+        if zero.size:
+            m = float(zero.max())
+            worst = m if worst is None else max(worst, m)
+    return None, worst
+
+
+def volume_growth_oracle(g, lam, tol=1e-9):
+    """First (v, t), in vertex then radius order, whose ball is below the
+    volume-growth bound, from `ball` and `diameter`."""
+    n, d = g.n, g.regular_degree()
+    growth = d / (2.0 * lam)
+    for v in range(n):
+        for t in range(diameter(g) + 1):
+            size = len(ball(g, v, t))
+            bound = min(n / 2.0, growth ** (2 * t))
+            if size < bound - tol:
+                return {"v": v, "t": t, "ball": size, "bound": bound}
+    return None
+
+
+def _check(report, name):
+    return next(c for c in report["checks"] if c["name"] == name)
+
+
+SMALL_FAMILIES = ([complete_graph(k) for k in range(4, 9)] + [cycle_graph(k) for k in range(5, 10)]
+                  + [hypercube_graph(3), petersen_graph()])
+RANDOM_REGULAR = [random_regular_graph(n, d, seed=s) for n in (10, 12, 14) for d in (3, 4) for s in range(3)]
+BOGUS_LAMBDAS = (0.01, 0.05, 0.1, 0.5, 1.0)
+WITNESS_GRAPHS = SMALL_FAMILIES + [random_regular_graph(12, 3, seed=1)]
+
+
+@pytest.mark.parametrize("g", SMALL_FAMILIES + RANDOM_REGULAR, ids=lambda g: g.name)
+def test_exhaustive_equals_pair_sweep(g):
+    assert exhaustive_lambda(g).lam == pair_sweep_lambda(g)
+
+
+# (n, d) with n <= 8 for which the configuration model finds simple graphs
+REGULAR_SHAPES = [(n, d) for n in range(4, 9) for d in (2, 3, 4) if d < n and n * d % 2 == 0]
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(REGULAR_SHAPES), st.integers(0, 2**32 - 1))
+def test_exhaustive_matches_bruteforce_on_random_regular(shape, seed):
+    g = random_regular_graph(*shape, seed=seed)
+    assert abs(exhaustive_lambda(g).lam - exhaustive_lambda_bruteforce(g)) <= 1e-12
+
+
+@pytest.mark.parametrize("lam", BOGUS_LAMBDAS)
+@pytest.mark.parametrize("g", WITNESS_GRAPHS, ids=lambda g: g.name)
+def test_props_witnesses_match_pair_sweep(g, lam):
+    report = verify_expander_props(g, asserted_profile(g, lam))
+    joining = _check(report, "joining-edge")
+    witness, worst = pair_sweep_joining_edge(g, lam)
+    assert joining["witness"] == witness
+    assert joining["status"] == ("fail" if witness else "pass")
+    if witness is None:
+        assert joining["details"]["max_product_without_edge"] == worst
+    assert _check(report, "volume-growth")["witness"] == volume_growth_oracle(g, lam)
+
+
+def test_bogus_lambdas_mostly_fail_joining_edge():
+    # the witness comparison above is not vacuous: 55 of its 65 cases fail
+    statuses = [_check(verify_expander_props(g, asserted_profile(g, lam)), "joining-edge")["status"]
+                for g in WITNESS_GRAPHS for lam in BOGUS_LAMBDAS]
+    assert len(statuses) == 65
+    assert statuses.count("fail") == 55
+
+
+@pytest.mark.parametrize("g", SMALL_FAMILIES + RANDOM_REGULAR[:12], ids=lambda g: g.name)
+def test_max_product_without_edge_matches_pair_sweep(g):
+    prof = exhaustive_lambda(g)
+    report = verify_expander_props(g, prof)
+    assert report["all_ok"]
+    witness, worst = pair_sweep_joining_edge(g, prof.lam)
+    assert witness is None
+    assert _check(report, "joining-edge")["details"]["max_product_without_edge"] == worst
+
+
+def test_volume_growth_bound_past_float_range(petersen):
+    # (d/2lam)^2 overflows a float: the bound is n/2 and the ball of radius 1 fails it
+    with np.errstate(over="ignore"):  # the vertex-expansion bound (d/lam)^2 is inf
+        report = verify_expander_props(petersen, asserted_profile(petersen, 1e-200))
+    assert _check(report, "volume-growth")["witness"] == {"v": 0, "t": 1, "ball": 4, "bound": 5.0}
+
+
+def test_sampled_rows_meet_every_subset(petersen):
+    # sampled rows A are checked against every B, so a sampled witness is a
+    # genuine edge-free pair above the threshold
+    report = verify_expander_props(petersen, asserted_profile(petersen, 0.5), cap=8, sample_count=50, seed=3)
+    assert report["mode"] == "sampled"
+    witness = _check(report, "joining-edge")["witness"]
+    s, t = set(witness["S"]), set(witness["T"])
+    assert not any(petersen.neighbor_sets[v] & t for v in s)
+    assert len(s) * len(t) == witness["product"] > witness["threshold"]
+    certified = verify_expander_props(petersen, exhaustive_lambda(petersen), cap=8, sample_count=50, seed=3)
+    assert _check(certified, "joining-edge")["status"] == "sampled"
+
+
+def test_exhaustive_n18_memory():
+    g = random_regular_graph(18, 3, seed=1)
+    tracemalloc.start()
+    try:
+        prof = exhaustive_lambda(g)
+        report = verify_expander_props(g, prof)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report["mode"] == "exhaustive" and report["all_ok"]
+    assert prof.lam <= spectral_lambda(g).lam + TOL
+    assert peak < 48 * 2**20
+
+
+# sha256 of `liplab spectrum --exhaustive --props` stdout, recorded with the
+# pair sweeps
+SPECTRUM_DIGESTS = {
+    '{"family": "random-regular", "n": 12, "d": 3, "seed": 1}':
+        "3209048bc7bf69a458acab1f3432e21ec90a7e7c52afae54864383589d459886",
+    '{"family": "petersen"}': "fba723caa069f49b48cb81b456176b1cdd2f521f2b8020228760814c09538c5b",
+    '{"family": "hypercube", "dim": 3}': "80e2d33e6a5a257490b466387c2df98897807a321e6537fb91ffb3948c7ee9c6",
+}
+
+
+@pytest.mark.parametrize("graph", sorted(SPECTRUM_DIGESTS))
+def test_cli_spectrum_props_pinned(graph, capsys):
+    assert main(["spectrum", "--graph", graph, "--exhaustive", "--props"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == SPECTRUM_DIGESTS[graph]
+
+
+def test_exhaustive_refused_above_cap(tmp_path, capsys):
+    graph = {"family": "random-regular", "n": EXHAUSTIVE_CAP + 1, "d": 4, "seed": 1}
+    message = f"exhaustive lambda needs n <= {EXHAUSTIVE_CAP}, got n={EXHAUSTIVE_CAP + 1}"
+    with pytest.raises(ConfigError) as exc:
+        resolve_profile(random_regular_graph(EXHAUSTIVE_CAP + 1, 4, seed=1), "exhaustive")
+    assert str(exc.value) == message
+    assert main(["spectrum", "--graph", json.dumps(graph), "--exhaustive"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"schema": 1, "graph": graph, "M": 1, "mode": {"kind": "one-point", "v0": 0},
+                                  "lambda_source": "exhaustive", "sampler": {"kind": "exact"}, "samples": 1,
+                                  "seed": 0}))
+    assert main(["experiment", "range", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
