@@ -9,16 +9,20 @@ that flaw allowance is below n.
 Counting, exact sampling, enumeration and exact marginals share one
 recursion-free frontier DP (`_FrontierDP`).  Their `budget` bounds, and
 `CountResult.nodes_explored` reports, the number of DP transitions: pairs of
-a state and a candidate value that lead to a live state.
+a state and a candidate value that lead to a live state, each charged once;
+sampling and marginals walk flat integer rows compiled in one sweep.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from array import array
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, pairwise
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -154,13 +158,16 @@ class _FrontierDP:
     pending vertices it opens come after all others; the root gets a
     synthetic pair whose candidates are exactly `root`.
 
-    Without a box (one-point mode) suffix counts do not change when a whole
-    key is shifted, so keys are shifted to minimum 0 and every successor
-    carries the shift it applied; a state's real values are its key plus the
-    running offset.
+    Without a box (one-point mode) completion counts do not change when a
+    whole key is shifted, so keys are shifted to minimum 0 and every
+    successor carries the shift it applied; a state's real values are its
+    key plus the running offset.
 
-    `nodes` counts DP transitions: (state, candidate) pairs that lead to a
-    live state.  It is checked against `budget` after every state expanded.
+    `forward` counts, `stream` enumerates, and `compile` turns the layers
+    into flat integer rows for sampling and marginals; each calls
+    `successors` once per state it reaches.  `nodes` counts DP transitions:
+    (state, candidate) pairs that lead to a live state.  It is checked
+    against `budget` after every state expanded.
     """
 
     def __init__(self, g: Graph, start: int, M: int, root: tuple[int, int],
@@ -244,14 +251,11 @@ class _FrontierDP:
             raise BudgetExceededError(self.nodes, self.budget, stage,
                                       where=f"layer {i}/{self.n}, width {width} states")
 
-    def forward(self, stage: str, keep: list | None = None) -> dict:
+    def forward(self, stage: str) -> dict:
         """Walk the layers with multiplicities and return the last one,
-        {key: number of functions reaching it}.  When `keep` is a list, the
-        keys of layers 0..n are appended to it."""
+        {key: number of functions reaching it}."""
         layer = {self.root: 1}
         for i in range(self.n):
-            if keep is not None:
-                keep.append(list(layer))
             nxt: dict = {}
             get = nxt.get
             for key, mult in layer.items():
@@ -260,32 +264,49 @@ class _FrontierDP:
                 for _, child, _ in succ:
                     nxt[child] = get(child, 0) + mult
             layer = nxt
-        if keep is not None:
-            keep.append(list(layer))
         return layer
 
-    def suffix_counts(self, stage: str) -> list[dict]:
-        """Per layer, {key: number of completions} over the states the
-        forward pass reaches; states without completions are dropped."""
-        layers: list = []
-        self.forward(stage, keep=layers)
-        suffix = dict.fromkeys(layers[self.n], 1)
-        out = [suffix]
-        for i in range(self.n - 1, -1, -1):
-            keys, layers[i] = layers[i], None
-            cur = {}
+    def compile(self, stage: str) -> list[tuple]:
+        """Per layer, flat rows (start, values, kids, shifts, cum).  States
+        are numbered as the forward pass finds them, the root as 0; state s
+        of layer i owns entries start[s]:start[s + 1], one per successor with
+        completions: its value and shift (as in `successors`), its number in
+        layer i + 1, and the running total of completions through it.  Keys
+        live only while the next layer is built; the backward pass that
+        fills `cum` and drops dead children walks integer rows alone."""
+        rows = []
+        keys = {self.root: 0}
+        for i in range(self.n):
+            nxt: dict = {}
+            number = nxt.setdefault
+            start = array("q", [0])
+            values, kids, shifts = [], [], []
             for key in keys:
                 succ = self.successors(i, key)
                 self._charge(len(succ), stage, i, len(keys))
+                for c, child, shift in succ:
+                    values.append(c)
+                    kids.append(number(child, len(nxt)))
+                    shifts.append(shift)
+                start.append(len(values))
+            rows.append((start, values, kids, shifts))
+            keys = nxt
+        counts = [1] * len(keys)
+        for i in range(self.n - 1, -1, -1):
+            start, values, kids, shifts = rows[i]
+            got = list(map(counts.__getitem__, kids))
+            live = array("q", [0])
+            cum, counts = [], []
+            for a, b in pairwise(start):
                 total = 0
-                for _, child, _ in succ:
-                    total += suffix.get(child, 0)
-                if total:
-                    cur[key] = total
-            suffix = cur
-            out.append(cur)
-        out.reverse()
-        return out
+                for m in got[a:b]:
+                    if m:
+                        total += m
+                        cum.append(total)
+                live.append(len(cum))
+                counts.append(total)
+            rows[i] = (live, *(list(compress(x, got)) for x in (values, kids, shifts)), cum)
+        return rows
 
     def stream(self, stage: str) -> Iterator[list[int]]:
         """Yield every complete assignment (in order positions) in
@@ -366,9 +387,8 @@ def marginal_groundstate(g: Graph, k: int, M: int, lam, v: int,
                          budget: int = DEFAULT_NODE_BUDGET) -> dict[int, int]:
     """Exact marginal of f(v) over the ground-state ensemble at base k:
     {value: number of members taking it}, read from the DP rooted at v."""
-    dp = _groundstate_dp(g, k, M, lam, budget, start=v)
-    after_root = dp.suffix_counts("marginal")[1]
-    return {c: after_root[child] for c, child, _ in dp.successors(0, dp.root) if child in after_root}
+    _, values, _, _, cum = _groundstate_dp(g, k, M, lam, budget, start=v).compile("marginal")[0]
+    return {c: b - a for c, a, b in zip(values, [0] + cum, cum)}
 
 
 # ---------------------------------------------------------------------------
@@ -396,8 +416,9 @@ class ExactSampler:
     """Sequentially exact sampler: each vertex value is drawn proportional to
     the exact number of completions, so draws are uniform over the ensemble.
 
-    The suffix counts of every DP layer are computed once at construction,
-    which makes repeated draws cheap.
+    The DP is compiled once at construction into flat rows of successor
+    values and cumulative completion counts (`_FrontierDP.compile`); a draw
+    then makes one bisection per layer and touches no state keys.
     """
 
     def __init__(self, g: Graph, spec: EnsembleSpec, budget: int = DEFAULT_NODE_BUDGET):
@@ -408,25 +429,24 @@ class ExactSampler:
             self._dp = _onepoint_dp(g, spec.v0, spec.M, budget)
         else:
             self._dp = _groundstate_dp(g, spec.k, spec.M, spec.lam, budget)
-        self._suffix = self._dp.suffix_counts("sampler")
-        self.total = self._suffix[0].get(self._dp.root, 0)
+        self._rows = self._dp.compile("sampler")
+        cum = self._rows[0][4]
+        self.total = cum[-1] if cum else 0
         if self.total == 0:
             raise ValueError("ensemble is empty")
 
     def draw(self, rng: np.random.Generator) -> LipschitzFn:
         dp = self._dp
         vals = [0] * dp.n
-        key, offset = dp.root, dp.offset
-        for i in range(dp.n):
-            # the state's suffix count is the sum of its successors' counts
-            pick = _randbelow(rng, self._suffix[i][key])
-            completions = self._suffix[i + 1]
-            for c, child, shift in dp.successors(i, key):
-                pick -= completions.get(child, 0)
-                if pick < 0:
-                    vals[i] = c + offset
-                    key, offset = child, offset + shift
-                    break
+        s, offset = 0, dp.offset
+        for i, (start, values, kids, shifts, cum) in enumerate(self._rows):
+            # the first successor whose running total of completions exceeds
+            # the pick: each is taken in proportion to its completions
+            lo, hi = start[s], start[s + 1]
+            j = bisect_right(cum, _randbelow(rng, cum[hi - 1]), lo, hi)
+            vals[i] = values[j] + offset
+            s = kids[j]
+            offset += shifts[j]
         return LipschitzFn(dp.to_vertex_order(vals), dp.M)
 
 

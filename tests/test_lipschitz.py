@@ -560,6 +560,17 @@ def _draws_sha256(draws):
          "7582b8fa90565a9e4bc92e97591e1448396f69d3332caa93aec3296c10183309"),
         (lambda: torus_graph([3, 4]), EnsembleSpec("one-point", M=1, v0=0), 3, 100,
          "9a13e07f81b51fb5a06842c8aa632170970d8b8c307007034f4c1ad4f0d80a67"),
+        # recorded with the per-draw successor scan that the compiled rows replaced
+        (lambda: hypercube_graph(4), EnsembleSpec("one-point", M=1, v0=0), 0, 200,
+         "5e0378cc20b699435be876ff1641a98b87c142946042c6fcdeb9ab3f47814ce1"),
+        (lambda: torus_graph([4, 5]), EnsembleSpec("one-point", M=1, v0=0), 0, 200,
+         "f0b054e8b1b9b645e28eb9a2fe2511a4b0ed2a0a3f33053308f62d684076109a"),
+        # 313-bit total: multi-word _randbelow picks and big-int bisection
+        (lambda: cycle_graph(200), EnsembleSpec("one-point", M=1, v0=0), 7, 50,
+         "453d0dd01b657c68961b3ad762de94fbc0ef9cd7c6149690335247ceb0d615ea"),
+        # values far past int64
+        (lambda: complete_graph(8), EnsembleSpec("ground-state", M=2, k=10**20, lam=1.0), 3, 50,
+         "f6e7394e89bd74d71c01ca63f1e7443959ebe48c07ebc9091b2207f938550fd6"),
     ],
 )
 def test_sample_exact_golden_draws(builder, spec, seed, count, digest):
@@ -654,6 +665,25 @@ def test_c16_central_trinomial():
 def test_torus_count_anchor_invariant():
     g = torus_graph([4, 5])
     assert count_onepoint(g, 0, 1).count == count_onepoint(g, 7, 1).count == 4_641_119
+
+
+@pytest.mark.parametrize(
+    "g,spec",
+    [
+        (hypercube_graph(3), EnsembleSpec("one-point", M=1, v0=0)),
+        (torus_graph([3, 4]), EnsembleSpec("one-point", M=1, v0=0)),
+        (cycle_graph(14), EnsembleSpec("one-point", M=1, v0=0)),
+        (complete_graph(6), EnsembleSpec("ground-state", M=1, k=0, lam=1.0)),
+    ],
+    ids=["Q3", "T3x4", "C14", "K6-ground"],
+)
+def test_sampler_charges_each_transition_once(g, spec):
+    # the sampler's backward pass walks integer rows and charges nothing
+    if spec.mode == "one-point":
+        counted = count_onepoint(g, spec.v0, spec.M)
+    else:
+        counted = count_groundstate(g, spec.k, spec.M, spec.lam)
+    assert ExactSampler(g, spec)._dp.nodes == counted.nodes_explored
 
 
 @pytest.mark.parametrize(
