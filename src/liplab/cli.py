@@ -26,6 +26,7 @@ from .experiments import (
     build_graph,
     load_config,
     parse_config,
+    require_positive_degree,
     resolve_profile,
     run_covering_check,
     run_range_experiment,
@@ -184,6 +185,7 @@ def _spec_from_args(args, g: Graph) -> EnsembleSpec:
     profile = resolve_profile(g, _resolve_lambda_arg(args.lambda_source))
     if profile is None:
         raise ConfigError("ground-state mode requires a regular graph")
+    require_positive_degree(profile)
     return EnsembleSpec("ground-state", M=args.M, k=args.k, lam=profile.lam)
 
 

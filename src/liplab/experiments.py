@@ -62,7 +62,7 @@ from .lipschitz import (
     enumerate_onepoint,
     flaw_cap,
     fn_range,
-    glauber_chain,
+    glauber_samples,
     glauber_site_interval,
     min_ground_state,
 )
@@ -259,6 +259,13 @@ def resolve_profile(g: Graph, lambda_source) -> ExpanderProfile | None:
     return exhaustive_lambda(g)
 
 
+def require_positive_degree(profile: ExpanderProfile) -> None:
+    """Refuse a ground-state ensemble on a 0-regular graph (one vertex): its
+    flaw allowance (2*lam/d)*n divides by the degree."""
+    if profile.d == 0:
+        raise ConfigError("ground-state mode needs a graph of degree >= 1, got degree 0")
+
+
 # ---------------------------------------------------------------------------
 # Sampling
 # ---------------------------------------------------------------------------
@@ -268,6 +275,7 @@ def _ensemble_spec(cfg: ExperimentConfig, profile: ExpanderProfile | None) -> En
         return EnsembleSpec("one-point", M=cfg.M, v0=cfg.mode["v0"])
     if profile is None:
         raise ConfigError("ground-state mode requires a regular graph with a certificate")
+    require_positive_degree(profile)
     return EnsembleSpec("ground-state", M=cfg.M, k=cfg.mode["k"], lam=profile.lam)
 
 
@@ -287,17 +295,7 @@ def draw_samples(g: Graph, cfg: ExperimentConfig, profile: ExpanderProfile | Non
         return [sampler.draw(np.random.default_rng(child)) for child in child_seeds]
 
     schedule = glauber_schedule(g, cfg)
-    burn_in, thinning = schedule["burn_in"], schedule["thinning"]
-    out: list[LipschitzFn] = []
-    state = glauber_chain(g, spec, seed=cfg.seed, steps=burn_in)
-    # continue the chain from the burn-in state on a derived stream per block
-    child_seeds = np.random.SeedSequence(cfg.seed ^ 0x9E3779B97F4A7C15).spawn(cfg.samples)
-    for child in child_seeds:
-        state = glauber_chain(
-            g, spec, seed=child.generate_state(1)[0].item(), steps=thinning, initial=state
-        )
-        out.append(state)
-    return out
+    return glauber_samples(g, spec, cfg.seed, schedule["burn_in"], schedule["thinning"], cfg.samples)
 
 
 # ---------------------------------------------------------------------------
@@ -494,6 +492,7 @@ def run_tail_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     profile = resolve_profile(g, cfg.lambda_source)
     if profile is None:
         raise ConfigError("tail experiment requires a regular graph")
+    require_positive_degree(profile)
     probe = cfg.probes[0] if cfg.probes else 0
     if not (0 <= probe < g.n):
         raise ConfigError(f"probe vertex {probe} out of range")
@@ -561,6 +560,7 @@ def run_covering_check(cfg: ExperimentConfig) -> dict:
     profile = resolve_profile(g, cfg.lambda_source)
     if profile is None:
         raise ConfigError("covering check requires a regular graph")
+    require_positive_degree(profile)
     k = cfg.mode.get("k", 0) if cfg.mode["kind"] == "ground-state" else 0
     v0 = cfg.mode.get("v0", 0) if cfg.mode["kind"] == "one-point" else 0
     gate = profile.lam <= profile.d / 5.0 + 1e-12

@@ -464,6 +464,7 @@ def sample_exact(g: Graph, spec: EnsembleSpec, seed: int, count: int = 1,
 
 _GLAUBER_CHUNK = 1 << 16  # draws per rng.integers / rng.random call
 _GLAUBER_SLICE = 1 << 12  # draws converted to Python scalars at a time
+_SAMPLE_SALT = 0x9E3779B97F4A7C15  # xor-ed into the seed of the per-sample streams
 
 
 def glauber_site_interval(values: Sequence[int], nbrs: Sequence[int], M: int) -> tuple[int, int]:
@@ -487,24 +488,58 @@ def glauber_chain(
     interval.  Ground-state mode proposes the same move on any site and
     rejects proposals that would exceed the flaw allowance, which preserves
     uniformity because the proposal kernel is symmetric.  `on_step` sees the
-    state after every step.
+    state after every step, rejected moves included.
 
     Each step reads the site's neighbour values with one call of its
     `Graph.neighbor_getters` entry; `glauber_site_interval` is the reference
     for the interval.  A fixed seed always gives the same chain.
     """
+    return _glauber_run(g, spec, [(seed, steps)], initial, on_step)[0]
+
+
+def glauber_samples(g: Graph, spec: EnsembleSpec, seed: int, burn_in: int, thinning: int,
+                    samples: int) -> list[LipschitzFn]:
+    """`samples` states of one Glauber chain, `thinning` steps apart after
+    `burn_in` steps from the all-zero (one-point) or all-k (ground-state)
+    state.
+
+    The burn-in draws on `SeedSequence(seed)`; the block ending at sample i
+    draws on the seed that child i of
+    `SeedSequence(seed ^ 0x9E3779B97F4A7C15).spawn(samples)` generates, so a
+    fixed seed gives fixed samples, and each block is the `glauber_chain` run
+    of that seed from the previous state.
+    """
+    children = np.random.SeedSequence(seed ^ _SAMPLE_SALT).spawn(samples)
+    blocks = [(seed, burn_in)] + [(child.generate_state(1)[0].item(), thinning) for child in children]
+    return _glauber_run(g, spec, blocks)[1:]
+
+
+def _glauber_run(
+    g: Graph,
+    spec: EnsembleSpec,
+    blocks: list[tuple[int, int]],
+    initial: LipschitzFn | None = None,
+    on_step: Callable[[int, list[int]], None] | None = None,
+) -> list[LipschitzFn]:
+    """One chain over `(seed, steps)` blocks, each drawing on a fresh
+    generator of `SeedSequence(seed)`; the state after each block.
+
+    The sites, the flaw count and the neighbour getters are set up once; only
+    a caller's `initial` state is checked.  Step t of the run (counted across
+    blocks) passes `(t, values)` to `on_step`.
+    """
     M = spec.M
     ground = spec.mode == "ground-state"
+    sites = np.arange(g.n)
     if ground:
         d = g.regular_degree()
         cap = flaw_cap(g.n, d, spec.lam)
         if cap >= g.n:
             raise ValueError("flaw allowance admits every function; the ensemble is infinite")
-        sites = list(range(g.n))
         values = [spec.k] * g.n
         w_lo, w_hi = spec.k, spec.k + M
     else:
-        sites = [v for v in range(g.n) if v != spec.v0]
+        sites = sites[sites != spec.v0]
         values = [0] * g.n
     if initial is not None:
         if len(initial.values) != g.n or initial.M != M:
@@ -518,40 +553,50 @@ def glauber_chain(
         flaws = sum(1 for v in values if not w_lo <= v <= w_hi)
         if flaws > cap:
             raise ValueError("initial state violates the flaw allowance")
-
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    nbr_values = g.neighbor_getters
     n_sites = len(sites)
-    done = 0
-    while done < steps:
-        # the draws alternate per chunk, so the chunk size is part of the stream
-        take = min(_GLAUBER_CHUNK, steps - done)
-        site_idx = rng.integers(0, n_sites, size=take)
-        coins = rng.random(size=take)
-        for start in range(0, take, _GLAUBER_SLICE):
-            stop = start + _GLAUBER_SLICE
-            t = done + start
-            # heat bath: c is uniform on [max nbr - M, min nbr + M]
-            for i, u in zip(site_idx[start:stop].tolist(), coins[start:stop].tolist()):
-                v = sites[i]
-                nv = nbr_values[v](values)
-                lo = max(nv) - M
-                c = lo + int(u * (min(nv) + M - lo + 1))
-                if ground:
-                    old_in = w_lo <= values[v] <= w_hi
-                    if old_in != (w_lo <= c <= w_hi):
-                        if not old_in:
-                            flaws -= 1
-                        elif flaws < cap:
-                            flaws += 1
-                        else:
-                            c = values[v]  # rejected: one more flaw than allowed
-                values[v] = c
-                if on_step is not None:
-                    on_step(t, values)
-                t += 1
-        done += take
-    return LipschitzFn(tuple(values), M)
+    if not n_sites:
+        # a lone pinned vertex: every step leaves the state as it is
+        if on_step is not None:
+            for t in range(sum(steps for _, steps in blocks)):
+                on_step(t, values)
+        return [LipschitzFn(tuple(values), M)] * len(blocks)
+
+    getters = np.empty(g.n, dtype=object)
+    getters[:] = g.neighbor_getters
+    site_getters = getters[sites]
+    states = []
+    t = 0
+    for seed, steps in blocks:
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        for done in range(0, steps, _GLAUBER_CHUNK):
+            # the draws alternate per chunk, so the chunk size is part of the stream
+            take = min(_GLAUBER_CHUNK, steps - done)
+            site_idx = rng.integers(0, n_sites, size=take)
+            coins = rng.random(size=take)
+            verts, gets = sites[site_idx], site_getters[site_idx]
+            for start in range(0, take, _GLAUBER_SLICE):
+                stop = start + _GLAUBER_SLICE
+                # heat bath: c is uniform on [max nbr - M, min nbr + M]
+                for v, get, u in zip(verts[start:stop].tolist(), gets[start:stop].tolist(),
+                                     coins[start:stop].tolist()):
+                    nv = get(values)
+                    lo = max(nv) - M
+                    c = lo + int(u * (min(nv) + M - lo + 1))
+                    if ground and c != values[v]:
+                        old_in = w_lo <= values[v] <= w_hi
+                        if old_in != (w_lo <= c <= w_hi):
+                            if not old_in:
+                                flaws -= 1
+                            elif flaws < cap:
+                                flaws += 1
+                            else:
+                                c = values[v]  # rejected: one more flaw than allowed
+                    values[v] = c
+                    if on_step is not None:
+                        on_step(t, values)
+                    t += 1
+        states.append(LipschitzFn(tuple(values), M))
+    return states
 
 
 # ---------------------------------------------------------------------------

@@ -706,3 +706,99 @@ def test_verify_covering_rows_pinned():
     (row,) = [r for r in k5["rows"] if r["check"] == "covering-inequality"]
     assert row == {"check": "covering-inequality", "graph": "K5", "status": "skipped",
                    "reason": "hypothesis lam <= d/5 fails (lam=1)", "lhs": 62, "bound": 62, "holds": True}
+
+
+# ---------------------------------------------------------------------------
+# One Glauber run per experiment
+# ---------------------------------------------------------------------------
+
+def _per_sample_glauber(g, cfg, profile):
+    """The Glauber branch of `draw_samples` before it became one run: one
+    `glauber_chain` call per sample, continuing from the previous state."""
+    from liplab.experiments import _ensemble_spec, glauber_schedule
+    from liplab.lipschitz import glauber_chain
+
+    spec = _ensemble_spec(cfg, profile)
+    schedule = glauber_schedule(g, cfg)
+    state = glauber_chain(g, spec, seed=cfg.seed, steps=schedule["burn_in"])
+    out = []
+    for child in np.random.SeedSequence(cfg.seed ^ 0x9E3779B97F4A7C15).spawn(cfg.samples):
+        state = glauber_chain(g, spec, seed=child.generate_state(1)[0].item(),
+                              steps=schedule["thinning"], initial=state)
+        out.append(state)
+    return out
+
+
+_RR20 = {"family": "random-regular", "n": 20, "d": 3, "seed": 1}
+_GROUND = {"mode": {"kind": "ground-state", "k": 0}, "lambda_source": {"asserted": 0.3}}
+
+
+@pytest.mark.parametrize("overrides", [
+    {"graph": _RR20, "M": 2, "sampler": {"kind": "glauber", "burn_in": 700, "thinning": 13}, "samples": 40},
+    {"graph": _RR20, **_GROUND, "sampler": {"kind": "glauber", "burn_in": 700, "thinning": 13}, "samples": 40},
+    # one 70,000-step block crosses the 65,536-draw chunk
+    {"graph": _RR20, "M": 2, "sampler": {"kind": "glauber", "burn_in": 5, "thinning": 70_000}, "samples": 2},
+    {"graph": _RR20, **_GROUND, "sampler": {"kind": "glauber", "burn_in": 5, "thinning": 70_000}, "samples": 2},
+    {"graph": _RR20, "sampler": {"kind": "glauber", "burn_in": 0, "thinning": 7}, "samples": 9},
+    {"graph": _RR20, **_GROUND, "sampler": {"kind": "glauber", "burn_in": 0, "thinning": 7}, "samples": 9},
+    {"graph": _RR20, "sampler": {"kind": "glauber", "burn_in": 90, "thinning": 7}, "samples": 0},
+    {"graph": _RR20, "sampler": {"kind": "glauber", "burn_in": 90, "thinning": 7}, "samples": 1},
+    {"graph": _RR20, **_GROUND, "sampler": {"kind": "glauber", "burn_in": 90, "thinning": 7}, "samples": 1},
+    {"graph": {"family": "cycle", "n": 6}, "sampler": {"kind": "glauber"}, "samples": 5},
+], ids=["one-point", "ground", "chunk-one-point", "chunk-ground", "no-burn-in", "no-burn-in-ground",
+        "zero-samples", "one-sample", "one-sample-ground", "defaults"])
+def test_glauber_draw_samples_matches_per_sample_chain(overrides):
+    cfg = parse_config(base_config(**{"seed": 4, "probes": [], **overrides}))
+    g = build_graph(cfg.graph_source)
+    profile = resolve_profile(g, cfg.lambda_source)
+    expected = _per_sample_glauber(g, cfg, profile)
+    assert len(expected) == cfg.samples
+    assert draw_samples(g, cfg, profile) == expected
+
+
+def test_glauber_draw_samples_never_validates(monkeypatch):
+    import liplab.lipschitz as lipschitz
+
+    calls = []
+    real = lipschitz.validate
+    monkeypatch.setattr(lipschitz, "validate", lambda g, f: calls.append(f) or real(g, f))
+    for mode in ({}, _GROUND):
+        cfg = parse_config(base_config(graph=_RR20, sampler={"kind": "glauber", "burn_in": 50, "thinning": 5},
+                                       samples=30, **mode))
+        g = build_graph(cfg.graph_source)
+        assert len(draw_samples(g, cfg, resolve_profile(g, cfg.lambda_source))) == 30
+    assert calls == []
+    # the patch is live: a caller's initial state is still checked
+    state = lipschitz.glauber_chain(g, lipschitz.EnsembleSpec("one-point", M=1, v0=0), seed=0, steps=3)
+    lipschitz.glauber_chain(g, lipschitz.EnsembleSpec("one-point", M=1, v0=0), seed=1, steps=3, initial=state)
+    assert len(calls) == 1
+
+
+def test_one_vertex_range_glauber_equals_exact(tmp_path):
+    texts = []
+    for sampler in ({"kind": "exact"}, {"kind": "glauber"}, {"kind": "glauber", "burn_in": 5, "thinning": 3}):
+        cfg = parse_config(base_config(graph={"family": "complete", "n": 1}, sampler=sampler,
+                                       samples=4, probes=[0]))
+        out = tmp_path / str(len(texts))
+        run_range_experiment(cfg).write(out)
+        texts.append((out / "results.csv").read_text())
+    assert texts[0] == texts[1] == texts[2]
+    assert texts[0].splitlines()[1:] == [f"{i},1,0,0,0" for i in range(4)]
+
+
+@pytest.mark.parametrize("kind", ["range", "tail", "covering"])
+@pytest.mark.parametrize("sampler", ["exact", "glauber"])
+def test_cli_ground_state_on_degree_zero_exits_2(kind, sampler, tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(base_config(graph={"family": "complete", "n": 1}, sampler={"kind": sampler},
+                                               mode={"kind": "ground-state", "k": 0}, samples=3,
+                                               probes=[0], out=str(tmp_path / "out"))))
+    assert main(["experiment", kind, "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == "error: ground-state mode needs a graph of degree >= 1, got degree 0\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_count_ground_state_on_degree_zero_exits_2(capsys):
+    assert main(["count", "--graph", '{"family":"complete","n":1}', "--M", "1",
+                 "--mode", "ground-state", "--k", "0"]) == 2
+    assert "got degree 0" in capsys.readouterr().err

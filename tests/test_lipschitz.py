@@ -31,6 +31,7 @@ from liplab.lipschitz import (
     flaw_cap,
     fn_range,
     glauber_chain,
+    glauber_samples,
     glauber_site_interval,
     ground_states,
     load_function,
@@ -521,6 +522,29 @@ def test_glauber_chain_does_not_call_site_interval(c4, monkeypatch):
     monkeypatch.setattr(lipschitz, "glauber_site_interval", fail)
     spec = EnsembleSpec("one-point", M=1, v0=0)
     assert validate(c4, glauber_chain(c4, spec, seed=0, steps=1000))
+
+
+def test_glauber_ground_state_guards(k6):
+    # K6, d = 5: lam = 5 allows floor(2*5/5*6) = 12 >= 6 flaws, so every function qualifies
+    with pytest.raises(ValueError, match="ensemble is infinite"):
+        glauber_chain(k6, EnsembleSpec("ground-state", M=1, k=0, lam=5.0), seed=0, steps=1)
+    # lam = 1 allows 2 flaws; the constant 5 leaves the window [0, 1] at all six vertices
+    spec = EnsembleSpec("ground-state", M=1, k=0, lam=1.0)
+    with pytest.raises(ValueError, match="violates the flaw allowance"):
+        glauber_chain(k6, spec, seed=0, steps=1, initial=LipschitzFn((5,) * 6, 1))
+    # two flaws are within the allowance
+    start = LipschitzFn((2, 2, 1, 1, 1, 1), 1)
+    assert validate(k6, glauber_chain(k6, spec, seed=0, steps=100, initial=start))
+
+
+def test_glauber_lone_pinned_vertex_is_a_no_op():
+    k1 = complete_graph(1)
+    spec = EnsembleSpec("one-point", M=2, v0=0)
+    seen = []
+    f = glauber_chain(k1, spec, seed=0, steps=5, on_step=lambda t, vals: seen.append((t, tuple(vals))))
+    assert f == LipschitzFn((0,), 2)
+    assert seen == [(t, (0,)) for t in range(5)]
+    assert glauber_samples(k1, spec, seed=3, burn_in=10, thinning=4, samples=3) == [LipschitzFn((0,), 2)] * 3
 
 
 # ---------------------------------------------------------------------------
