@@ -5,9 +5,13 @@ the standard toolbox of entropy inequalities, and the fractional-cover
 subadditivity inequality with conditioning along a partial order.
 
 A `JointPmf` keeps its probabilities as a dense float64 table with one axis
-per coordinate.  Marginals are axis sums, cached per pmf together with the
-conditional entropies computed from them; derived variables given as
-callables are coded to integers and summed with `np.bincount`.
+per coordinate.  Entropies are computed on stacks of such tables, one row
+per pmf: marginals are axis sums over the stack, and every entropy, marginal
+or conditional, is a sum of cell terms -p(x,y) log2(p(x,y)/p(y)).  A pmf
+keeps a stack of one row, with its marginals and entropies cached; the
+property suite stacks a whole list of pmfs and checks them in one pass per
+coordinate block.  Derived variables given as callables are coded to
+integers and summed with `np.bincount`.
 """
 
 from __future__ import annotations
@@ -40,8 +44,7 @@ class JointPmf:
     table: np.ndarray = field(init=False, repr=False, compare=False)
     _outcomes: tuple = field(init=False, repr=False, compare=False)
     _weights: np.ndarray = field(init=False, repr=False, compare=False)
-    _marginals: dict = field(init=False, repr=False, compare=False)
-    _conditionals: dict = field(init=False, repr=False, compare=False)
+    _stack: "_Stack" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.supports)
@@ -79,8 +82,7 @@ class JointPmf:
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "_outcomes", tuple(outcomes))
         object.__setattr__(self, "_weights", np.array(weights, dtype=float))
-        object.__setattr__(self, "_marginals", {})
-        object.__setattr__(self, "_conditionals", {})
+        object.__setattr__(self, "_stack", _Stack(table[None], [self.supports]))
 
     @property
     def n_coords(self) -> int:
@@ -120,29 +122,6 @@ def _sorted_coords(p: JointPmf, coords, what: str) -> tuple:
     return coords
 
 
-def _marginal(p: JointPmf, coords: tuple) -> np.ndarray:
-    """Marginal table over sorted `coords`, one axis per coordinate (cached)."""
-    table = p._marginals.get(coords)
-    if table is None:
-        drop = tuple(i for i in range(p.n_coords) if i not in coords)
-        table = p.table.sum(axis=drop) if drop else p.table
-        p._marginals[coords] = table
-    return table
-
-
-def _block(p: JointPmf, rows: tuple, cols: tuple) -> np.ndarray:
-    """Joint table of two disjoint sorted coordinate blocks as a matrix: the
-    row index runs over the cells of `rows`, the column index over `cols`."""
-    union = tuple(sorted(rows + cols))
-    table = _marginal(p, union).transpose([union.index(i) for i in rows + cols])
-    return table.reshape(math.prod(p.table.shape[i] for i in rows), -1)
-
-
-def _entropy_of_table(table: np.ndarray) -> float:
-    q = table[table > 0.0]
-    return float(-np.sum(q * np.log2(q)))
-
-
 def _conditional_terms(joint: np.ndarray, given: np.ndarray) -> np.ndarray:
     """Cell terms -p(x,y) log2(p(x,y)/p(y)) of H(X|Y), 0 where p(x,y) = 0;
     `given` holds p(y) and broadcasts against `joint`."""
@@ -150,16 +129,68 @@ def _conditional_terms(joint: np.ndarray, given: np.ndarray) -> np.ndarray:
     return -joint * np.log2(ratio)
 
 
+class _Stack:
+    """The tables of B pmfs with equal support sizes as one (B, *shape)
+    array, with their supports.  Marginals and conditional entropies are
+    axis sums over all rows at once, cached per coordinate block.  A pmf
+    keeps a stack of one row for its own entropies."""
+
+    def __init__(self, table: np.ndarray, supports: list[tuple]):
+        self.supports = supports
+        self.table = table
+        self.shape = table.shape[1:]
+        self._marginals: dict = {}
+        self._entropies: dict = {}
+
+    def marginal(self, coords: tuple) -> np.ndarray:
+        """Marginal tables over sorted `coords`, shape (B, *sizes of coords)."""
+        table = self._marginals.get(coords)
+        if table is None:
+            drop = tuple(1 + i for i in range(len(self.shape)) if i not in coords)
+            table = self._marginals[coords] = self.table.sum(axis=drop) if drop else self.table
+        return table
+
+    def block(self, rows: tuple, cols: tuple) -> np.ndarray:
+        """Joint tables of two disjoint sorted blocks as matrices, shape
+        (B, cells of `rows`, cells of `cols`)."""
+        union = tuple(sorted(rows + cols))
+        table = self.marginal(union).transpose([0] + [1 + union.index(i) for i in rows + cols])
+        return table.reshape(len(table), math.prod(self.shape[i] for i in rows), -1)
+
+    def entropy(self, target: tuple, given: tuple = ()) -> np.ndarray:
+        """H(X_target | X_given) of each row, cell by cell; with no `given`,
+        the marginal entropy (the conditional entropy given a constant)."""
+        key = (target, given)
+        h = self._entropies.get(key)
+        if h is None:
+            if given:
+                joint = self.block(tuple(i for i in target if i not in given), given)
+                terms = _conditional_terms(joint, joint.sum(axis=1, keepdims=True))
+            else:
+                terms = _conditional_terms(self.marginal(target), 1.0)
+            h = self._entropies[key] = terms.reshape(len(terms), -1).sum(axis=1)
+        return h
+
+    def by_value(self, coords: tuple) -> tuple[np.ndarray, np.ndarray]:
+        """The cells of the marginal over `coords` ordered by their value
+        tuples, and which of them are positive: two (B, cells) arrays.  The
+        order is sorted once per distinct support."""
+        orders: dict = {}
+        for supports in self.supports:
+            if supports not in orders:
+                values = list(itertools.product(*(supports[i] for i in coords)))
+                orders[supports] = sorted(range(len(values)), key=values.__getitem__)
+        order = np.array([orders[supports] for supports in self.supports], dtype=np.intp)
+        marginal = self.marginal(coords).reshape(len(order), -1)
+        return order, np.take_along_axis(marginal, order, axis=1) > 0.0
+
+
 def entropy(p: JointPmf, coords) -> float:
     """Marginal entropy H(X_coords) in bits (0 log 1/0 = 0)."""
     coords = _sorted_coords(p, coords, "coords")
     if not coords:
         raise ValueError("coords must be nonempty")
-    key = (coords, ())
-    h = p._conditionals.get(key)
-    if h is None:
-        h = p._conditionals[key] = _entropy_of_table(_marginal(p, coords))
-    return h
+    return float(p._stack.entropy(coords)[0])
 
 
 def _codes(p: JointPmf, fn: Callable) -> tuple[np.ndarray, int]:
@@ -176,7 +207,7 @@ def _codes(p: JointPmf, fn: Callable) -> tuple[np.ndarray, int]:
 def entropy_of_map(p: JointPmf, fn: Callable) -> float:
     """Entropy of an arbitrary derived variable fn(outcome)."""
     codes, k = _codes(p, fn)
-    return _entropy_of_table(np.bincount(codes, weights=p._weights, minlength=k))
+    return float(_conditional_terms(np.bincount(codes, weights=p._weights, minlength=k), 1.0).sum())
 
 
 def conditional_entropy_maps(p: JointPmf, target_fn: Callable, given_fn: Callable) -> float:
@@ -199,130 +230,186 @@ def conditional_entropy(p: JointPmf, target, given) -> float:
     given = _sorted_coords(p, given, "given")
     if not target:
         raise ValueError("target must be nonempty")
-    if not given:
-        return entropy(p, target)
-    key = (target, given)
-    h = p._conditionals.get(key)
-    if h is None:
-        rows = tuple(i for i in target if i not in given)
-        joint = _block(p, rows, given)
-        h = p._conditionals[key] = float(_conditional_terms(joint, joint.sum(axis=0)).sum())
-    return h
+    return float(p._stack.entropy(target, given)[0])
 
 
 # ---------------------------------------------------------------------------
 # Property suite
 # ---------------------------------------------------------------------------
 
-def _cells_by_value(p: JointPmf, coords: tuple) -> list[int]:
-    """Flat indices of the positive cells of the marginal over `coords`,
-    ordered by their value tuples."""
-    values = list(itertools.product(*(p.supports[i] for i in coords)))
-    positive = np.flatnonzero(_marginal(p, coords)).tolist()
-    return sorted(positive, key=values.__getitem__)
+_PROPERTIES = ("image", "cond_reduces", "chain", "subadd", "coarsen", "function", "triangle")
 
 
-def _random_codes(rng: np.random.Generator, cells: list[int], size: int, codomain: int) -> np.ndarray:
-    """Random table over `cells`: one draw per cell, in the order given."""
-    codes = np.zeros(size, dtype=np.intp)
-    for cell in cells:
-        codes[cell] = rng.integers(0, codomain)
-    return codes
+def _indicator(codes: np.ndarray, width: int) -> np.ndarray:
+    """Indicator rows of integer codes, shape `codes.shape + (width,)`."""
+    out = np.zeros(codes.shape + (width,))
+    np.put_along_axis(out, codes[..., None], 1.0, axis=-1)
+    return out
 
 
-def _one_hot(maps: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Indicator matrices of lookup arrays (cell -> code), side by side, and
-    the first column of each map's block."""
-    widths = [int(codes.max()) + 1 for codes in maps]
-    starts = np.cumsum([0] + widths[:-1])
-    cells = np.arange(len(maps[0]))
-    onehot = np.zeros((len(cells), sum(widths)))
-    for codes, start in zip(maps, starts):
-        onehot[cells, start + codes] = 1.0
-    return onehot, starts
+def _random_tables(rngs: list, tables: list[tuple]) -> list[np.ndarray]:
+    """Random lookup tables for each row of a stack, drawn from the row's
+    generator.  `tables` lists (order, positive, codomain, count) in draw
+    order, with `order`/`positive` from `_Stack.by_value`; each entry gives
+    `count` tables, shape (B, count, cells), with one code in [0, codomain)
+    per positive cell, drawn in value order, and 0 elsewhere.
+
+    A row draws all its tables in one `integers` call with an array of
+    upper bounds.  Bounded int64 draws take the same values from the stream
+    whether they come one per call or many per call, so the tables equal
+    those of one scalar call per cell."""
+    sizes = np.stack([count * positive.sum(axis=1) for _, positive, _, count in tables], axis=1)
+    highs = np.repeat(np.tile([codomain for _, _, codomain, _ in tables], len(rngs)), sizes.ravel())
+    by_row = np.split(highs, np.cumsum(sizes.sum(axis=1))[:-1])
+    draws = np.concatenate([rng.integers(0, row) for rng, row in zip(rngs, by_row)])
+    # regroup the draws by table, keeping the rows in order
+    table_of = np.repeat(np.tile(np.arange(len(tables)), len(rngs)), sizes.ravel())
+    grouped = np.split(draws[np.argsort(table_of, kind="stable")], np.cumsum(sizes.sum(axis=0))[:-1])
+    out = []
+    for (order, positive, _, count), codes in zip(tables, grouped):
+        shape = (len(order), count, order.shape[1])
+        by_value = np.zeros(shape, dtype=np.intp)
+        by_value[np.broadcast_to(positive[:, None, :], shape)] = codes
+        table = np.zeros(shape, dtype=np.intp)
+        np.put_along_axis(table, np.broadcast_to(order[:, None, :], shape), by_value, axis=2)
+        out.append(table)
+    return out
 
 
-def check_entropy_properties(p: JointPmf, trials: int = 3, seed: int = 0,
-                             tol: float = ENTROPY_TOL) -> dict:
-    """Verify the standard entropy toolbox on one pmf.
+def _row_reports(pmfs: list[JointPmf], seeds: list, trials: int, tol: float) -> list[dict]:
+    """The report of each pmf, checked together; see `check_entropy_properties`."""
+    shape = pmfs[0].table.shape
+    n = len(shape)
+    if n > 4:
+        raise ValueError("property sweep is exhaustive over subsets; use <= 4 coordinates")
+    if any(p.table.shape != shape for p in pmfs):
+        sizes = sorted({p.table.shape for p in pmfs})
+        raise ValueError(f"pmfs checked together need equal support sizes, got {sizes}")
+    if len(seeds) != len(pmfs):
+        raise ValueError(f"need one seed per pmf, got {len(seeds)} seeds for {len(pmfs)} pmfs")
+    cells = len(pmfs) * math.prod(shape)
+    if cells > MAX_TABLE_CELLS:
+        raise ValueError(
+            f"{len(pmfs)} pmfs of shape {shape} stack to {cells} table cells, "
+            f"over MAX_TABLE_CELLS = {MAX_TABLE_CELLS}"
+        )
+    stack = _Stack(np.stack([p.table for p in pmfs]), [p.supports for p in pmfs])
+    H = stack.entropy
+    batch = len(pmfs)
+    rngs = [np.random.default_rng(np.random.SeedSequence(s)) for s in seeds]
+    nonempty = [tuple(c) for r in range(1, n + 1) for c in itertools.combinations(range(n), r)]
+    pairs = [(xs, ys) for xs, ys in itertools.permutations(nonempty, 2) if not set(xs) & set(ys)]
+    checks: list[tuple[str, dict]] = []  # (property, witness), the same for every row
+    verdicts: list[np.ndarray] = []  # one bool per row for each check
+
+    def record(prop, ok, witness):
+        checks.append((prop, witness))
+        verdicts.append(ok)
+
+    for xs in nonempty:
+        image = np.count_nonzero(stack.marginal(xs).reshape(batch, -1), axis=1)
+        record("image", H(xs) <= np.log2(np.maximum(1, image)) + tol, {"X": xs})
+
+    for xs, ys in pairs:
+        record("cond_reduces", H(xs, ys) <= H(xs) + tol, {"X": xs, "Y": ys})
+        joint = H(tuple(sorted(xs + ys)))
+        record("chain", np.abs(joint - H(xs) - H(ys, xs)) <= tol, {"X": xs, "Y": ys})
+        if len(xs) > 1:
+            bound = sum(H((i,), ys) for i in xs)
+            record("subadd", H(xs, ys) <= bound + tol, {"X": xs, "Y": ys})
+
+    # (5)/(6) with explicit deterministic maps of the conditioning block.  Per
+    # row, the random tables draw once per positive value, in sorted value
+    # order: `trials` tables of Y, then one of X, pair after pair.
+    by_value = {block: stack.by_value(block) for pair in pairs for block in pair}
+    random = _random_tables(rngs, [
+        spec for xs, ys in pairs for spec in ((*by_value[ys], 2, trials), (*by_value[xs], 3, 1))
+    ])
+    for (xs, ys), y_codes, x_codes in zip(pairs, random[::2], random[1::2]):
+        joint = stack.block(xs, ys)
+        n_x, n_y = joint.shape[1:]
+        h = H(xs, ys)
+
+        y_shape = tuple(stack.shape[i] for i in ys)
+        y_axes = np.indices(y_shape).reshape(len(ys), n_y)
+        maps = [(np.zeros(n_y, dtype=np.intp), 1)]  # constant coarsening
+        for sub in itertools.combinations(range(len(ys)), max(1, len(ys) - 1)):
+            sub_shape = tuple(y_shape[i] for i in sub)
+            maps.append((np.ravel_multi_index(tuple(y_axes[list(sub)]), sub_shape), math.prod(sub_shape)))
+        onehot = [np.broadcast_to(_indicator(codes, width), (batch, n_y, width)) for codes, width in maps]
+        onehot += [_indicator(y_codes[:, t], 2) for t in range(trials)]  # width 2 even if one code is unused
+        widths = [block.shape[2] for block in onehot]
+        coarse = joint @ np.concatenate(onehot, axis=2)  # p(x, f(y)) for every map f, side by side
+        per_column = _conditional_terms(coarse, coarse.sum(axis=1, keepdims=True)).sum(axis=1)
+        for rhs in np.add.reduceat(per_column, np.cumsum([0] + widths[:-1]), axis=1).T:
+            record("coarsen", h <= rhs + tol, {"X": xs, "Y": ys})
+
+        # the target (x, f(x)) is coded as x * width(f) + f(x): width 1 for
+        # the constant map, 3 for the random one
+        constant = np.broadcast_to(np.eye(n_x), (batch, n_x, n_x))
+        targets = np.concatenate([constant, _indicator(3 * np.arange(n_x) + x_codes[:, 0], 3 * n_x)], axis=2)
+        extended = targets.transpose(0, 2, 1) @ joint  # p((x, f(x)), y) for every map f, stacked
+        per_row = _conditional_terms(extended, joint.sum(axis=1, keepdims=True)).sum(axis=2)
+        for lhs in np.add.reduceat(per_row, [0, n_x], axis=1).T:
+            record("function", np.abs(lhs - h) <= tol, {"X": xs, "Y": ys})
+
+    for xs, ys, zs in itertools.permutations(nonempty, 3):
+        if set(xs) & set(ys) or set(xs) & set(zs) or set(ys) & set(zs):
+            continue
+        record("triangle", H(xs, zs) <= H(xs, ys) + H(ys, zs) + tol, {"X": xs, "Y": ys, "Z": zs})
+
+    checked = dict.fromkeys(_PROPERTIES, 0)
+    for prop, _ in checks:
+        checked[prop] += 1
+    reports = []
+    for row in np.stack(verdicts, axis=1):
+        failures = [] if row.all() else [
+            {"property": prop, "witness": dict(witness)} for (prop, witness), ok in zip(checks, row) if not ok
+        ]
+        reports.append({"checked": dict(checked), "failures": failures, "ok": not failures})
+    return reports
+
+
+def check_entropy_properties(pmfs, trials: int = 3, seed=0, tol: float = ENTROPY_TOL) -> dict:
+    """Verify the standard entropy toolbox on one pmf, or on a list of pmfs
+    with equal support sizes checked together.
 
     Properties, over all applicable coordinate subsets: (1) image bound,
     (2) conditioning reduces entropy, (3) chain rule, (4) subadditivity given
     side information, (5) coarser conditioning increases conditional entropy
     (determined maps), (6) functions of the target add nothing, (7) triangle
     inequality.  Deterministic maps for (5)/(6) are coordinate projections,
-    constants, and `trials` random seeded tables; each is a lookup array over
-    the cells of the block it maps.  All coarsenings of Y for one (X, Y)
-    pair are applied to the joint table of X and Y by one indicator-matrix
-    product, and all targets (X, f(X)) by one more.
+    constants, and `trials` random tables drawn from `SeedSequence(seed)`;
+    each is a lookup array over the cells of the block it maps.
+
+    The tables are stacked into one (B, *shape) array, so each marginal and
+    conditional entropy is one axis sum over all pmfs, and all coarsenings
+    of Y for one (X, Y) pair are one batched indicator-matrix product, and
+    all targets (X, f(X)) one more.  Each pmf keeps its own random stream,
+    so its verdicts do not depend on the others in the batch.
+
+    One pmf with an int `seed` gives {"checked", "failures", "ok"}.  A list
+    with one seed per pmf gives the same keys plus "pmfs", and stops at the
+    first pmf that fails: "pmfs" and the "checked" totals count the pmfs up
+    to and including it, and its failures carry its index as "pmf".
+    Raises ValueError when the stack would exceed MAX_TABLE_CELLS.
     """
-    n = p.n_coords
-    if n > 4:
-        raise ValueError("property sweep is exhaustive over subsets; use <= 4 coordinates")
-    idx = list(range(n))
-    nonempty = [tuple(c) for r in range(1, n + 1) for c in itertools.combinations(idx, r)]
-    pairs = [(xs, ys) for xs, ys in itertools.permutations(nonempty, 2) if not set(xs) & set(ys)]
-    failures = []
-    checked = {k: 0 for k in ("image", "cond_reduces", "chain", "subadd", "coarsen", "function", "triangle")}
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-
-    def record(prop, ok, witness):
-        checked[prop] += 1
-        if not ok:
-            failures.append({"property": prop, "witness": witness})
-
-    for xs in nonempty:
-        image = np.count_nonzero(_marginal(p, xs))
-        record("image", entropy(p, xs) <= math.log2(max(1, image)) + tol, {"X": xs})
-
-    for xs, ys in pairs:
-        record("cond_reduces", conditional_entropy(p, xs, ys) <= entropy(p, xs) + tol, {"X": xs, "Y": ys})
-        joint = entropy(p, xs + ys)
-        record(
-            "chain",
-            abs(joint - entropy(p, xs) - conditional_entropy(p, ys, xs)) <= tol,
-            {"X": xs, "Y": ys},
-        )
-        if len(xs) > 1:
-            bound = sum(conditional_entropy(p, (i,), ys) for i in xs)
-            record("subadd", conditional_entropy(p, xs, ys) <= bound + tol, {"X": xs, "Y": ys})
-
-    # (5)/(6) with explicit deterministic maps of the conditioning block.  The
-    # random tables draw once per positive value, in sorted value order.
-    for xs, ys in pairs:
-        joint = _block(p, xs, ys)
-        n_x, n_y = joint.shape
-        h = conditional_entropy(p, xs, ys)
-        y_shape = tuple(len(p.supports[i]) for i in ys)
-        y_axes = np.indices(y_shape).reshape(len(ys), n_y)
-        maps = [np.zeros(n_y, dtype=np.intp)]  # constant coarsening
-        for sub in itertools.combinations(range(len(ys)), max(1, len(ys) - 1)):
-            maps.append(np.ravel_multi_index(tuple(y_axes[list(sub)]), tuple(y_shape[i] for i in sub)))
-        y_cells = _cells_by_value(p, ys)
-        for _ in range(trials):
-            maps.append(_random_codes(rng, y_cells, n_y, codomain=2))
-        onehot, starts = _one_hot(maps)
-        coarse = joint @ onehot  # p(x, f(y)) for every map f, side by side
-        per_column = _conditional_terms(coarse, coarse.sum(axis=0)).sum(axis=0)
-        for rhs in np.add.reduceat(per_column, starts):
-            record("coarsen", h <= rhs + tol, {"X": xs, "Y": ys})
-
-        fns = [np.zeros(n_x, dtype=np.intp), _random_codes(rng, _cells_by_value(p, xs), n_x, codomain=3)]
-        # the target (x, f(x)) is coded as x * width(f) + f(x)
-        onehot, starts = _one_hot([np.arange(n_x) * (int(f.max()) + 1) + f for f in fns])
-        extended = onehot.T @ joint  # p((x, f(x)), y) for every map f, stacked
-        per_row = _conditional_terms(extended, joint.sum(axis=0)).sum(axis=1)
-        for lhs in np.add.reduceat(per_row, starts):
-            record("function", abs(lhs - h) <= tol, {"X": xs, "Y": ys})
-
-    for xs, ys, zs in itertools.permutations(nonempty, 3):
-        if set(xs) & set(ys) or set(xs) & set(zs) or set(ys) & set(zs):
-            continue
-        lhs = conditional_entropy(p, xs, zs)
-        rhs = conditional_entropy(p, xs, ys) + conditional_entropy(p, ys, zs)
-        record("triangle", lhs <= rhs + tol, {"X": xs, "Y": ys, "Z": zs})
-
-    return {"checked": checked, "failures": failures, "ok": not failures}
+    if isinstance(pmfs, JointPmf):
+        return _row_reports([pmfs], [seed], trials, tol)[0]
+    pmfs = list(pmfs)
+    if isinstance(seed, int):
+        raise ValueError("a list of pmfs needs a list of seeds, one per pmf")
+    if not pmfs:
+        return {"checked": dict.fromkeys(_PROPERTIES, 0), "failures": [], "ok": True, "pmfs": 0}
+    reports = _row_reports(pmfs, list(seed), trials, tol)
+    counted = next((k + 1 for k, report in enumerate(reports) if not report["ok"]), len(reports))
+    last = reports[counted - 1]
+    return {
+        "checked": {prop: count * counted for prop, count in last["checked"].items()},
+        "failures": [dict(failure, pmf=counted - 1) for failure in last["failures"]],
+        "ok": last["ok"],
+        "pmfs": counted,
+    }
 
 
 # ---------------------------------------------------------------------------

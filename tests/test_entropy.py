@@ -120,10 +120,11 @@ def test_properties_on_independent_bits():
 
 
 def test_properties_random_fuzz():
-    for seed in range(60):
-        p = JointPmf.random([(0, 1), (0, 1, 2), (0, 1)], seed=seed)
-        report = check_entropy_properties(p, trials=2, seed=seed)
-        assert report["ok"], (seed, report["failures"][:2])
+    seeds = list(range(60))
+    pmfs = [JointPmf.random([(0, 1), (0, 1, 2), (0, 1)], seed=seed) for seed in seeds]
+    report = check_entropy_properties(pmfs, trials=2, seed=seeds)
+    assert report["ok"], report["failures"][:2]
+    assert report["pmfs"] == 60
 
 
 def test_properties_coordinate_cap():
@@ -139,14 +140,20 @@ def test_properties_checked_counts_pinned():
     }
 
 
+def verify_pmfs(seed=0):
+    """The pmfs of `liplab verify --fuzz-scale 1`, with their seeds, as the
+    two batches (one per support shape) that it checks."""
+    seeds = list(range(150))
+    random_pmfs = [JointPmf.random([(0, 1), (0, 1, 2), (0, 1)], seed=seed * 100_000 + s) for s in seeds]
+    return [(random_pmfs, seeds), ([JointPmf.xor_triple(), JointPmf.independent_uniform_bits(3)], [seed, seed])]
+
+
 def test_properties_verify_set_total():
-    # the 152 pmfs of `liplab verify --fuzz-scale 1` at seed 0
-    pmfs = [(JointPmf.random([(0, 1), (0, 1, 2), (0, 1)], seed=s), s) for s in range(150)]
-    pmfs += [(JointPmf.xor_triple(), 0), (JointPmf.independent_uniform_bits(3), 0)]
     total = 0
-    for p, seed in pmfs:
-        report = check_entropy_properties(p, trials=2, seed=seed)
+    for pmfs, seeds in verify_pmfs(seed=0):
+        report = check_entropy_properties(pmfs, trials=2, seed=seeds)
         assert report["ok"]
+        assert report["pmfs"] == len(pmfs)
         total += sum(report["checked"].values())
     assert total == 17_480
 
@@ -160,6 +167,173 @@ def test_chain_check_is_not_vacuous(monkeypatch):
     report = check_entropy_properties(p, trials=2, seed=0)
     assert not report["ok"]
     assert any(f["property"] == "chain" for f in report["failures"])
+
+
+def reference_properties(p, trials, seed, tol=TOL):
+    """The toolbox checked one pmf at a time through the public entropy
+    functions, with one scalar draw per cell of each random table: the
+    reference for the batched check."""
+    n = p.n_coords
+    nonempty = [tuple(c) for r in range(1, n + 1) for c in itertools.combinations(range(n), r)]
+    pairs = [(xs, ys) for xs, ys in itertools.permutations(nonempty, 2) if not set(xs) & set(ys)]
+    failures = []
+    checked = dict.fromkeys(("image", "cond_reduces", "chain", "subadd", "coarsen", "function", "triangle"), 0)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+
+    def record(prop, ok, witness):
+        checked[prop] += 1
+        if not ok:
+            failures.append({"property": prop, "witness": witness})
+
+    def marginal(coords):
+        return p.table.sum(axis=tuple(i for i in range(n) if i not in coords))
+
+    def block(rows, cols):
+        union = tuple(sorted(rows + cols))
+        table = marginal(union).transpose([union.index(i) for i in rows + cols])
+        return table.reshape(math.prod(p.table.shape[i] for i in rows), -1)
+
+    def random_codes(coords, codomain):
+        values = list(itertools.product(*(p.supports[i] for i in coords)))
+        codes = np.zeros(len(values), dtype=np.intp)
+        for cell in sorted(np.flatnonzero(marginal(coords)).tolist(), key=values.__getitem__):
+            codes[cell] = rng.integers(0, codomain)
+        return codes
+
+    def terms_by_map(table, maps, axis):
+        # H(row | column) of `table` after merging its rows (axis 0) or its
+        # columns (axis 1) by each map in turn
+        out = []
+        for codes in maps:
+            merged = np.zeros((codes.max() + 1, table.shape[1]) if axis == 0 else (table.shape[0], codes.max() + 1))
+            for cell, code in enumerate(codes):
+                if axis == 0:
+                    merged[code] += table[cell]
+                else:
+                    merged[:, code] += table[:, cell]
+            given = merged.sum(axis=0)
+            out.append(sum(-q * math.log2(q / g) for row in merged for q, g in zip(row, given) if q > 0))
+        return out
+
+    for xs in nonempty:
+        image = np.count_nonzero(marginal(xs))
+        record("image", entropy(p, xs) <= math.log2(max(1, image)) + tol, {"X": xs})
+    for xs, ys in pairs:
+        record("cond_reduces", conditional_entropy(p, xs, ys) <= entropy(p, xs) + tol, {"X": xs, "Y": ys})
+        chain = entropy(p, xs + ys) - entropy(p, xs) - conditional_entropy(p, ys, xs)
+        record("chain", abs(chain) <= tol, {"X": xs, "Y": ys})
+        if len(xs) > 1:
+            bound = sum(conditional_entropy(p, (i,), ys) for i in xs)
+            record("subadd", conditional_entropy(p, xs, ys) <= bound + tol, {"X": xs, "Y": ys})
+    for xs, ys in pairs:
+        joint = block(xs, ys)
+        n_x, n_y = joint.shape
+        h = conditional_entropy(p, xs, ys)
+        y_shape = tuple(len(p.supports[i]) for i in ys)
+        y_axes = np.indices(y_shape).reshape(len(ys), n_y)
+        maps = [np.zeros(n_y, dtype=np.intp)]
+        for sub in itertools.combinations(range(len(ys)), max(1, len(ys) - 1)):
+            maps.append(np.ravel_multi_index(tuple(y_axes[list(sub)]), tuple(y_shape[i] for i in sub)))
+        maps += [random_codes(ys, 2) for _ in range(trials)]
+        for rhs in terms_by_map(joint, maps, axis=1):
+            record("coarsen", h <= rhs + tol, {"X": xs, "Y": ys})
+        fns = [np.zeros(n_x, dtype=np.intp), random_codes(xs, 3)]
+        targets = [np.arange(n_x) * (f.max() + 1) + f for f in fns]
+        for lhs in terms_by_map(joint, targets, axis=0):
+            record("function", abs(lhs - h) <= tol, {"X": xs, "Y": ys})
+    for xs, ys, zs in itertools.permutations(nonempty, 3):
+        if set(xs) & set(ys) or set(xs) & set(zs) or set(ys) & set(zs):
+            continue
+        rhs = conditional_entropy(p, xs, ys) + conditional_entropy(p, ys, zs)
+        record("triangle", conditional_entropy(p, xs, zs) <= rhs + tol, {"X": xs, "Y": ys, "Z": zs})
+    return {"checked": checked, "failures": failures, "ok": not failures}
+
+
+def mixed_batch():
+    """Four (2,2,2) pmfs whose positive cells differ; the last one's labels
+    sort against its index order."""
+    sparse = {(0, 0, 0): 0.5, (1, 1, 0): 0.3, (0, 1, 1): 0.2}
+    relabelled = {(1, 0, "b"): 0.4, (0, 1, "a"): 0.35, (0, 0, "b"): 0.25}
+    return [
+        JointPmf.xor_triple(),
+        JointPmf.independent_uniform_bits(3),
+        JointPmf(((0, 1), (0, 1), (0, 1)), sparse),
+        JointPmf(((1, 0), (0, 1), ("b", "a")), relabelled),
+    ]
+
+
+# A negative tolerance fails every check that holds with equality for a pmf
+# (and the chain and function checks always), so the reports list failures
+# that depend on each pmf's table and on its random maps.
+@pytest.mark.parametrize("tol", [TOL, -1e-9])
+def test_batch_rows_match_single_checks_on_mixed_batch(tol):
+    pmfs, seeds = mixed_batch(), [5, 6, 7, 8]
+    rows = entropy_module._row_reports(pmfs, seeds, 3, tol)
+    alone = [check_entropy_properties(p, trials=3, seed=s, tol=tol) for p, s in zip(pmfs, seeds)]
+    assert rows == alone == [reference_properties(p, 3, s, tol) for p, s in zip(pmfs, seeds)]
+    if tol < 0:
+        assert len({len(report["failures"]) for report in rows}) == len(rows)
+
+
+def test_batch_rows_match_single_checks_on_verify_pmfs():
+    (pmfs, seeds), _ = verify_pmfs(seed=0)
+    rows = entropy_module._row_reports(pmfs, seeds, 2, -1e-9)
+    alone = [check_entropy_properties(p, trials=2, seed=s, tol=-1e-9) for p, s in zip(pmfs, seeds)]
+    assert rows == alone == [reference_properties(p, 2, s, -1e-9) for p, s in zip(pmfs, seeds)]
+    assert len({len(report["failures"]) for report in rows}) > 1
+
+
+def test_random_tables_equal_scalar_draws():
+    pmfs = mixed_batch()
+    stack = entropy_module._Stack(np.stack([p.table for p in pmfs]), [p.supports for p in pmfs])
+    specs = [(*stack.by_value((0, 2)), 2, 3), (*stack.by_value((1,)), 3, 1), (*stack.by_value((0, 1, 2)), 5, 2)]
+    rngs = [np.random.default_rng(np.random.SeedSequence(s)) for s in range(len(pmfs))]
+    tables = entropy_module._random_tables(rngs, specs)
+    for row, p in enumerate(pmfs):
+        rng = np.random.default_rng(np.random.SeedSequence(row))
+        for (order, positive, codomain, count), table in zip(specs, tables):
+            expected = np.zeros(table.shape[1:], dtype=np.intp)
+            for t in range(count):
+                for cell in order[row][positive[row]]:
+                    expected[t, cell] = rng.integers(0, codomain)
+            assert np.array_equal(table[row], expected)
+
+
+def test_list_report_stops_at_first_failing_pmf(monkeypatch):
+    pmfs, seeds = mixed_batch(), [5, 6, 7, 8]
+    per_pmf = sum(check_entropy_properties(pmfs[0], trials=2, seed=5)["checked"].values())
+    kernel = entropy_module._conditional_terms
+
+    def fault_in_row_2(joint, given):
+        terms = kernel(joint, given)
+        terms[2] += 1e-6
+        return terms
+
+    monkeypatch.setattr(entropy_module, "_conditional_terms", fault_in_row_2)
+    report = check_entropy_properties(pmfs, trials=2, seed=seeds)
+    assert not report["ok"]
+    assert report["pmfs"] == 3
+    assert sum(report["checked"].values()) == 3 * per_pmf
+    assert report["failures"] and all(f["pmf"] == 2 for f in report["failures"])
+    assert set(report["failures"][0]) == {"property", "witness", "pmf"}
+
+
+def test_list_input_validation(monkeypatch):
+    bits = JointPmf.independent_uniform_bits(3)
+    with pytest.raises(ValueError, match="equal support sizes"):
+        check_entropy_properties([bits, JointPmf.independent_uniform_bits(2)], seed=[0, 0])
+    with pytest.raises(ValueError, match="one seed per pmf"):
+        check_entropy_properties([bits, bits], seed=[0])
+    with pytest.raises(ValueError, match="list of seeds"):
+        check_entropy_properties([bits, bits], seed=0)
+    empty = check_entropy_properties([], seed=[])
+    assert empty == {"checked": dict.fromkeys(empty["checked"], 0), "failures": [], "ok": True, "pmfs": 0}
+    assert len(empty["checked"]) == 7
+    # the stack guard: B x cells against the cap, before any table is stacked
+    monkeypatch.setattr(entropy_module, "MAX_TABLE_CELLS", 20)
+    assert check_entropy_properties([bits, bits], trials=1, seed=[0, 1])["ok"]
+    with pytest.raises(ValueError, match="24 table cells, over MAX_TABLE_CELLS = 20"):
+        check_entropy_properties([bits, bits, bits], trials=1, seed=[0, 1, 2])
 
 
 # ---------------------------------------------------------------------------

@@ -480,6 +480,71 @@ def test_verify_entropy_rows_report_work():
     assert sum(r.get("instances", 0) for r in suite["rows"]) == 3_870
 
 
+def test_verify_entropy_row_stops_at_first_failing_pmf(monkeypatch):
+    import liplab.entropy as entropy_module
+    from liplab.entropy import JointPmf, check_entropy_properties
+
+    k = 7
+    expected_checks = sum(
+        sum(check_entropy_properties(
+            JointPmf.random([(0, 1), (0, 1, 2), (0, 1)], seed=s), trials=2, seed=s
+        )["checked"].values())
+        for s in range(k + 1)
+    )
+    kernel = entropy_module._conditional_terms
+
+    def fault_in_pmf_k(joint, given):
+        terms = kernel(joint, given)
+        if len(terms) == 150:  # only the batch of the 150 random pmfs
+            terms[k] += 1e-6
+        return terms
+
+    calls = []
+    checker = entropy_module.check_entropy_properties
+    monkeypatch.setattr(entropy_module, "_conditional_terms", fault_in_pmf_k)
+    monkeypatch.setattr(
+        entropy_module, "check_entropy_properties",
+        lambda pmfs, **kwargs: calls.append(len(pmfs)) or checker(pmfs, **kwargs),
+    )
+    suite = run_verify_suite(graphs=[], seed=0)
+    row = next(r for r in suite["rows"] if r["check"] == "entropy-properties")
+    assert calls == [150]  # the hand-built pmfs are not checked
+    assert row["status"] == "fail"
+    assert row["pmfs"] == k + 1
+    assert row["checks"] == expected_checks
+    assert row["witness"]["seed"] == k
+    assert set(row["witness"]) == {"seed", "failures"}
+    assert [set(f) for f in row["witness"]["failures"]] == [{"property", "witness"}]
+
+
+_BOOLEAN_OR_NULL_CASES = [
+    ({"M": True}, "M must be a nonnegative integer"),
+    ({"mode": {"kind": "one-point", "v0": True}}, "one-point mode needs integer v0"),
+    ({"mode": {"kind": "ground-state", "k": False}}, "ground-state mode needs integer k"),
+    ({"sampler": {"kind": "glauber", "burn_in": True}}, "sampler.burn_in must be an integer >= 0"),
+    ({"sampler": {"kind": "glauber", "thinning": True}}, "sampler.thinning must be an integer >= 1"),
+    ({"samples": True}, "samples must be a nonnegative integer"),
+    ({"seed": True}, "seed must be an unsigned 64-bit integer"),
+    ({"budget": True}, "budget must be a positive integer"),
+    ({"probes": [True]}, "probes must be a list of vertex ids"),
+    ({"t_values": [2, True]}, "t_values must be a list of nonnegative integers"),
+    ({"lambda_source": {"asserted": True}}, "lambda_source object form is {'asserted': number}"),
+    ({"constants": {"c": None}}, "constants.c must be a number, got None"),
+    ({"constants": {"C": "2"}}, "constants.C must be a number, got '2'"),
+    ({"constants": {"c_prime": True}}, "constants.c_prime must be a number, got True"),
+]
+
+
+@pytest.mark.parametrize("override,message", _BOOLEAN_OR_NULL_CASES, ids=lambda v: json.dumps(v))
+def test_cli_config_rejects_booleans_and_nulls_exits_2(override, message, tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(base_config(**override)))
+    out_dir = tmp_path / "res"
+    assert main(["experiment", "range", "--config", str(cfg_path), "--out", str(out_dir)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out_dir.exists()
+
+
 # ---------------------------------------------------------------------------
 # One front end per job: config keys, CLI flags, `sample`, tail rows
 # ---------------------------------------------------------------------------
