@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 import os
+import time
 from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -30,8 +31,8 @@ from .expanders import (
     verify_expander_props,
 )
 from .flaws import (
-    check_boundary_ordering,
     boundary_ordering,
+    check_boundary_ordering as _ordering_verdict,
     conditional_tail_profile,
     core_within_cluster_interior,
     flaw_decomposition,
@@ -204,6 +205,8 @@ def parse_config(data: dict) -> ExperimentConfig:
     for key, value in user_constants.items():
         if not _is_number(value):
             raise ConfigError(f"constants.{key} must be a number, got {value!r}")
+        if not math.isfinite(value):
+            raise ConfigError(f"constants.{key} must be finite, got {value!r}")
         constants[key] = float(value)
 
     budget = data.get("budget", DEFAULT_NODE_BUDGET)
@@ -610,7 +613,7 @@ def run_covering_check(cfg: ExperimentConfig) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Consolidated verification suite
+# Consolidated verification suite: a registry of checks
 # ---------------------------------------------------------------------------
 
 def default_suite_graphs() -> list[Graph]:
@@ -622,349 +625,325 @@ def default_suite_graphs() -> list[Graph]:
     ]
 
 
-def _row(check, graph, status, witness=None, reason=None, repro=None, **extra) -> dict:
+@dataclass
+class VerifyContext:
+    """What every check reads: the suite's seed, node budget and fuzz scale,
+    and the one `SeedSequence(seed)` stream that the fuzz checks consume in
+    registry order."""
+
+    seed: int = 0
+    budget: int = DEFAULT_NODE_BUDGET
+    fuzz_scale: int = 1
+    rng: np.random.Generator | None = None
+
+    def __post_init__(self):
+        if self.rng is None:
+            self.rng = np.random.default_rng(np.random.SeedSequence(self.seed))
+
+
+@dataclass(frozen=True)
+class SuiteGraph:
+    """A regular graph with its certificates, computed once per suite run."""
+
+    g: Graph
+    name: str
+    spectral: ExpanderProfile
+    exhaustive: ExpanderProfile | None
+
+    @property
+    def profile(self) -> ExpanderProfile:
+        """The strongest certificate available."""
+        return self.exhaustive or self.spectral
+
+    @property
+    def cap(self) -> int:
+        return flaw_cap(self.g.n, self.spectral.d, self.spectral.lam)
+
+    @property
+    def finite(self) -> bool:
+        """Whether the ground-state ensemble is finite: flaw allowance below n."""
+        return self.cap < self.g.n
+
+
+def _row(check, graph, status, witness=None, reason=None, **extra) -> dict:
     row = {"check": check, "graph": graph, "status": status}
     if witness is not None:
         row["witness"] = witness
     if reason is not None:
         row["reason"] = reason
-    if status == "fail":
-        row["repro"] = repro or f"liplab verify  # check={check} graph={graph}"
     row.update(extra)
     return row
+
+
+def _verdict(check, graph, ok, witness, **extra) -> dict:
+    """A pass row, or a fail row carrying `witness`."""
+    return _row(check, graph, "pass" if ok else "fail", witness=None if ok else witness, **extra)
+
+
+def _infinite(check, sg: SuiteGraph) -> list[dict]:
+    """The skipped row of a check that needs a finite ground-state ensemble;
+    empty when the ensemble is finite."""
+    if sg.finite:
+        return []
+    return [_row(check, sg.name, "skipped", reason=f"flaw allowance {sg.cap} >= n: ensemble infinite")]
+
+
+def check_expander_certificate(sg: SuiteGraph, ctx: VerifyContext) -> list[dict]:
+    spectral, exhaustive, d = sg.spectral, sg.exhaustive, sg.spectral.d
+    floor = math.sqrt(d) * (1 - d / sg.g.n)
+    ok = spectral.lam >= floor - 1e-9 and (exhaustive is None or exhaustive.lam <= spectral.lam + 1e-9)
+    return [_verdict("expander-certificate", sg.name, ok, {"spectral": spectral.lam, "floor": floor},
+                     lam_spectral=spectral.lam,
+                     lam_exhaustive=None if exhaustive is None else exhaustive.lam)]
+
+
+def check_expander_props(sg: SuiteGraph, ctx: VerifyContext) -> list[dict]:
+    """Structural consequences under the strongest certificate available."""
+    report = verify_expander_props(sg.g, sg.profile, seed=ctx.seed)
+    return [_row(f"expander-{c['name']}", sg.name, c["status"], witness=c["witness"],
+                 reason=c["details"].get("reason")) for c in report["checks"]]
+
+
+def check_ground_state_existence(sg: SuiteGraph, ctx: VerifyContext) -> list[dict]:
+    """Exhaustive at M = 1."""
+    gsl = verify_ground_state_lemma(sg.g, 1, sg.spectral.lam, 0, budget=ctx.budget)
+    return [_verdict("ground-state-existence", sg.name, not gsl["failures"], gsl["failures"][:1],
+                     instances=gsl["instances_checked"], max_flaw_ratio=gsl["stats"]["max_flaw_ratio"])]
+
+
+def check_count_enumeration(sg: SuiteGraph, ctx: VerifyContext) -> list[dict]:
+    n_enum = sum(1 for _ in enumerate_onepoint(sg.g, 0, 1, budget=ctx.budget))
+    n_count = count_onepoint(sg.g, 0, 1, budget=ctx.budget).count
+    return [_verdict("count-enumeration-agreement", sg.name, n_enum == n_count,
+                     {"enumerated": n_enum, "counted": n_count})]
+
+
+def check_translation_bijection(sg: SuiteGraph, ctx: VerifyContext) -> list[dict]:
+    if skip := _infinite("translation-bijection", sg):
+        return skip
+
+    def ensemble(k):
+        return enumerate_groundstate(sg.g, k, 1, sg.spectral.lam, budget=ctx.budget)
+
+    base = sorted(f.values for f in ensemble(0))
+    shifted = sorted(tuple(v - 5 for v in f.values) for f in ensemble(5))
+    reflected = sorted(f.reflect(3).values for f in ensemble(3))
+    return [_verdict("translation-bijection", sg.name, base == shifted == reflected,
+                     {"sizes": [len(base), len(shifted), len(reflected)]})]
+
+
+def check_covering_inequality(sg: SuiteGraph, ctx: VerifyContext) -> list[dict]:
+    """Ground-state count at most (M+1) times the anchored count at M = 1,
+    asserted only under lam <= d/5."""
+    if skip := _infinite("covering-inequality", sg):
+        return skip
+    lam = sg.spectral.lam
+    lhs = count_groundstate(sg.g, 0, 1, lam, budget=ctx.budget).count
+    rhs = 2 * count_onepoint(sg.g, 0, 1, budget=ctx.budget).count
+    if lam <= sg.spectral.d / 5.0 + 1e-12:
+        return [_verdict("covering-inequality", sg.name, lhs <= rhs, {"lhs": lhs, "bound": rhs},
+                         lhs=lhs, bound=rhs)]
+    return [_row("covering-inequality", sg.name, "skipped",
+                 reason=f"hypothesis lam <= d/5 fails (lam={lam:.4g})", lhs=lhs, bound=rhs, holds=lhs <= rhs)]
+
+
+def check_tail_inequality(sg: SuiteGraph, ctx: VerifyContext) -> list[dict]:
+    """Exact tail rows; no row at all when the ensemble is infinite."""
+    if not sg.finite:
+        return []
+    tail = conditional_tail_profile(sg.g, 1, sg.spectral.lam, 0, [2, 3], budget=ctx.budget)
+    bad = [r for r in tail if r["asserted"] and not r["holds"]]
+    mono = all(a["probability"] >= b["probability"] for a, b in zip(tail, tail[1:]))
+    return [_verdict("tail-inequality", sg.name, not bad and mono, bad[:1] or {"rows": tail})]
+
+
+def check_core_closure(sg: SuiteGraph, ctx: VerifyContext) -> list[dict]:
+    """Flaw-structure fuzz: the closure of the core stays inside the cluster."""
+    g, rng, cases = sg.g, ctx.rng, 200 * ctx.fuzz_scale
+    failure = None
+    for _ in range(cases):
+        m = int(rng.integers(1, 4))
+        f = _random_lipschitz(g, m, rng)
+        anchor = int(rng.integers(0, g.n))
+        base = f.values[anchor] - 2 * m - 2
+        if not core_within_cluster_interior(flaw_decomposition(g, f, anchor, base), g):
+            failure = [{"values": list(f.values), "anchor": anchor, "base": base}]
+            break
+    return [_verdict("core-closure", sg.name, failure is None, failure, cases=cases)]
+
+
+def check_boundary_ordering(sg: SuiteGraph, ctx: VerifyContext) -> list[dict]:
+    """Boundary-ordering fuzz over random 4-linked sets that do not close over g."""
+    g, rng = sg.g, ctx.rng
+    checked, failed = 0, None
+    for _ in range(100 * ctx.fuzz_scale):
+        s = {int(rng.integers(0, g.n))}
+        for _ in range(int(rng.integers(0, 3))):
+            cands = [u for u in range(g.n) if u not in s]
+            rng.shuffle(cands)
+            for u in cands:
+                if is_k_linked(g, s | {u}, 4):
+                    s.add(u)
+                    break
+        if len(closure(g, s)) == g.n:
+            continue
+        order = boundary_ordering(g, s)
+        verdict = _ordering_verdict(g, s, order)
+        checked += 1
+        if not verdict["ok"]:
+            failed = {"s": sorted(s), "order": order, "verdict": verdict}
+            break
+    if checked == 0:
+        return [_row("boundary-ordering", sg.name, "skipped",
+                     reason="every sampled set closes over the whole graph")]
+    return [_verdict("boundary-ordering", sg.name, failed is None, failed, cases=checked)]
+
+
+def check_containers(sg: SuiteGraph, ctx: VerifyContext) -> list[dict]:
+    """The container pipeline at desk scale; no rows above n = 10."""
+    if sg.g.n > 10:
+        return []
+    from .containers import build_container_family, check_pair_size_bound
+
+    d = sg.spectral.d
+    pipeline_fail = pair_bound_fail = None
+    for k in (1, 4):
+        fam = build_container_family(sg.g, 0, d, k, 1.0, sg.profile, seed=ctx.seed, budget=ctx.budget)
+        if fam.n_sets and not fam.covers_all:
+            pipeline_fail = {"k": k, "boundary_size": d}
+            break
+        for pair in fam.pairs:
+            if check_pair_size_bound(pair, sg.profile)["status"] == "fail":
+                pair_bound_fail = {"k": k, "pair_s": sorted(pair.s)}
+    return [_verdict("container-covering", sg.name, pipeline_fail is None, pipeline_fail),
+            _verdict("pair-size-bound", sg.name, pair_bound_fail is None, pair_bound_fail)]
+
+
+def check_entropy(ctx: VerifyContext) -> list[dict]:
+    """Entropy properties on random and hand-built pmfs.  One call per support
+    shape, each stopping at its first failing pmf; the hand-built pmfs are
+    checked only if the random ones pass.  `pmfs` and `checks` count the work
+    done, under names apart from the `cases`/`instances` fuzz counters."""
+    from .entropy import JointPmf, check_entropy_properties
+
+    fail, n_pmfs, n_checks = None, 0, 0
+    seeds = list(range(150 * ctx.fuzz_scale))
+    random_pmfs = [JointPmf.random([(0, 1), (0, 1, 2), (0, 1)], seed=ctx.seed * 100_000 + s) for s in seeds]
+    hand_built = [JointPmf.xor_triple(), JointPmf.independent_uniform_bits(3)]
+    for pmfs, pmf_seeds, name in ((random_pmfs, seeds, None),
+                                  (hand_built, [ctx.seed, ctx.seed], "hand-constructed")):
+        report = check_entropy_properties(pmfs, trials=2, seed=pmf_seeds)
+        n_pmfs += report["pmfs"]
+        n_checks += sum(report["checked"].values())
+        if not report["ok"]:
+            first = report["failures"][0]
+            fail = {"seed": pmf_seeds[first["pmf"]]} if name is None else {"pmf": name}
+            fail["failures"] = [{"property": first["property"], "witness": first["witness"]}]
+            break
+    return [_verdict("entropy-properties", "-", fail is None, fail, pmfs=n_pmfs, checks=n_checks)]
+
+
+def check_cover_inequality(ctx: VerifyContext) -> list[dict]:
+    """Shearer's fractional-cover inequality on random pmfs, then on the XOR triple."""
+    from .entropy import CoverWeights, JointPmf, shearer_check
+
+    cw = CoverWeights((frozenset({0, 1}), frozenset({0, 2}), frozenset({1, 2})), (0.5, 0.5, 0.5), frozenset())
+    fail, n_pmfs = None, 0
+    for s in range(150 * ctx.fuzz_scale):
+        verdict = shearer_check(JointPmf.random([(0, 1), (0, 1), (0, 1)], seed=ctx.seed * 100_000 + s), cw)
+        n_pmfs += 1
+        if not verdict["pass"]:
+            fail = {"seed": s, "lhs": verdict["lhs"], "rhs": verdict["rhs"]}
+            break
+    if fail is None:
+        xor_cover = CoverWeights((frozenset({0, 1}), frozenset({2})), (1.0, 1.0), frozenset())
+        verdict = shearer_check(JointPmf.xor_triple(), xor_cover)
+        n_pmfs += 1
+        if not verdict["pass"]:
+            fail = {"pmf": "xor", "lhs": verdict["lhs"], "rhs": verdict["rhs"]}
+    return [_verdict("cover-inequality", "-", fail is None, fail, pmfs=n_pmfs)]
+
+
+def check_detailed_balance(ctx: VerifyContext) -> list[dict]:
+    """Exact single-site balance of the Glauber chain on C4: the proposal
+    kernel over the 19 anchored M = 1 states is symmetric."""
+    from fractions import Fraction
+
+    c4 = cycle_graph(4)
+    states = [f.values for f in enumerate_onepoint(c4, 0, 1, budget=ctx.budget)]
+    index = {s: i for i, s in enumerate(states)}
+    probs: dict[tuple[int, int], Fraction] = {}
+    for s in states:
+        for v in (1, 2, 3):
+            lo, hi = glauber_site_interval(s, c4.neighbors(v), 1)
+            for c in range(lo, hi + 1):
+                t = list(s)
+                t[v] = c
+                key = (index[s], index[tuple(t)])
+                probs[key] = probs.get(key, Fraction(0)) + Fraction(1, 3 * (hi - lo + 1))
+    asym = next(((i, j) for (i, j), p in probs.items() if probs.get((j, i), Fraction(0)) != p), None)
+    return [_verdict("detailed-balance", "C4", asym is None,
+                     asym and {"states": [list(states[i]) for i in asym]})]
+
+
+def check_reproducibility(ctx: VerifyContext) -> list[dict]:
+    """Two runs of one range experiment give byte-identical CSV."""
+    cfg = parse_config({"schema": 1, "graph": {"family": "cycle", "n": 4}, "M": 1,
+                        "mode": {"kind": "one-point", "v0": 0}, "sampler": {"kind": "exact"},
+                        "samples": 50, "seed": ctx.seed + 7, "probes": [2]})
+    first = run_range_experiment(cfg).csv_text()
+    return [_verdict("reproducibility", "C4", first == run_range_experiment(cfg).csv_text(), None)]
+
+
+# Run in this order on every regular graph, then once per suite; the fuzz
+# checks draw on the shared stream, so reordering them changes their data.
+GRAPH_CHECKS = (
+    check_expander_certificate,
+    check_expander_props,
+    check_ground_state_existence,
+    check_count_enumeration,
+    check_translation_bijection,
+    check_covering_inequality,
+    check_tail_inequality,
+    check_core_closure,
+    check_boundary_ordering,
+    check_containers,
+)
+SUITE_CHECKS = (check_entropy, check_cover_inequality, check_detailed_balance, check_reproducibility)
 
 
 def run_verify_suite(graphs: list[Graph] | None = None, seed: int = 0,
                      budget: int = DEFAULT_NODE_BUDGET, fuzz_scale: int = 1) -> dict:
     """One consolidated pass/fail/skipped matrix over every finitely checkable
     claim the library implements.  Every failing row carries a witness and a
-    reproduction command; skipped rows name the violated hypothesis."""
-    from .containers import build_container_family, check_pair_size_bound
-    from .entropy import CoverWeights, JointPmf, check_entropy_properties, shearer_check
-
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    graphs = graphs if graphs is not None else default_suite_graphs()
+    reproduction command; skipped rows name the violated hypothesis.
+    `elapsed_s` sums each registry entry's wall time over the graphs."""
+    if not _is_int(fuzz_scale) or fuzz_scale < 1:
+        raise ConfigError(f"fuzz_scale must be an integer >= 1, got {fuzz_scale!r}")
+    ctx = VerifyContext(seed, budget, fuzz_scale)
     rows: list[dict] = []
+    elapsed = dict.fromkeys((c.__name__ for c in GRAPH_CHECKS + SUITE_CHECKS), 0.0)
 
-    for g in graphs:
+    def run(check, *args):
+        start = time.perf_counter()
+        rows.extend(check(*args, ctx))
+        elapsed[check.__name__] = elapsed.get(check.__name__, 0.0) + time.perf_counter() - start
+
+    for g in default_suite_graphs() if graphs is None else graphs:
         name = g.name or f"graph-{g.n}"
-        spec_profile = spectral_lambda(g) if g.is_regular() else None
-        if spec_profile is None:
+        if not g.is_regular():
             rows.append(_row("expander-certificate", name, "skipped", reason="graph not regular"))
             continue
-        d = spec_profile.d
+        sg = SuiteGraph(g, name, spectral_lambda(g), exhaustive_lambda(g) if g.n <= EXHAUSTIVE_CAP else None)
+        for check in GRAPH_CHECKS:
+            run(check, sg)
+    for check in SUITE_CHECKS:
+        run(check)
 
-        # certificate consistency
-        floor = math.sqrt(d) * (1 - d / g.n)
-        cert_ok = spec_profile.lam >= floor - 1e-9
-        exh_profile = None
-        if g.n <= EXHAUSTIVE_CAP:
-            exh_profile = exhaustive_lambda(g)
-            cert_ok = cert_ok and exh_profile.lam <= spec_profile.lam + 1e-9
-        rows.append(
-            _row(
-                "expander-certificate",
-                name,
-                "pass" if cert_ok else "fail",
-                witness=None if cert_ok else {"spectral": spec_profile.lam, "floor": floor},
-                lam_spectral=spec_profile.lam,
-                lam_exhaustive=None if exh_profile is None else exh_profile.lam,
-            )
-        )
-
-        # structural consequences under the strongest certificate available
-        profile = exh_profile or spec_profile
-        report = verify_expander_props(g, profile, seed=seed)
-        for check in report["checks"]:
-            rows.append(
-                _row(
-                    f"expander-{check['name']}",
-                    name,
-                    check["status"],
-                    witness=check["witness"],
-                    reason=check["details"].get("reason"),
-                )
-            )
-
-        # ground-state existence, exhaustive at M = 1
-        gsl = verify_ground_state_lemma(g, 1, spec_profile.lam, 0, budget=budget)
-        rows.append(
-            _row(
-                "ground-state-existence",
-                name,
-                "pass" if not gsl["failures"] else "fail",
-                witness=gsl["failures"][:1] or None,
-                instances=gsl["instances_checked"],
-                max_flaw_ratio=gsl["stats"]["max_flaw_ratio"],
-            )
-        )
-
-        # enumeration and count agree
-        n_enum = sum(1 for _ in enumerate_onepoint(g, 0, 1, budget=budget))
-        n_count = count_onepoint(g, 0, 1, budget=budget).count
-        rows.append(
-            _row(
-                "count-enumeration-agreement",
-                name,
-                "pass" if n_enum == n_count else "fail",
-                witness=None if n_enum == n_count else {"enumerated": n_enum, "counted": n_count},
-            )
-        )
-
-        # ground-state ensemble checks need a finite ensemble
-        cap = flaw_cap(g.n, d, spec_profile.lam)
-        if cap >= g.n:
-            rows.append(
-                _row(
-                    "translation-bijection",
-                    name,
-                    "skipped",
-                    reason=f"flaw allowance {cap} >= n: ensemble infinite",
-                )
-            )
-        else:
-            lam = spec_profile.lam
-            base = sorted(f.values for f in enumerate_groundstate(g, 0, 1, lam, budget=budget))
-            shifted = sorted(
-                tuple(v - 5 for v in f.values)
-                for f in enumerate_groundstate(g, 5, 1, lam, budget=budget)
-            )
-            reflected = sorted(
-                f.reflect(3).values for f in enumerate_groundstate(g, 3, 1, lam, budget=budget)
-            )
-            ok = base == shifted and base == reflected
-            rows.append(
-                _row(
-                    "translation-bijection",
-                    name,
-                    "pass" if ok else "fail",
-                    witness=None if ok else {"sizes": [len(base), len(shifted), len(reflected)]},
-                )
-            )
-
-        # covering inequality, asserted only under lam <= d/5
-        if cap >= g.n:
-            rows.append(
-                _row("covering-inequality", name, "skipped",
-                     reason=f"flaw allowance {cap} >= n: ensemble infinite")
-            )
-        else:
-            m_cov = 1
-            lhs = count_groundstate(g, 0, m_cov, spec_profile.lam, budget=budget).count
-            rhs = (m_cov + 1) * count_onepoint(g, 0, m_cov, budget=budget).count
-            holds = lhs <= rhs
-            if spec_profile.lam <= d / 5.0 + 1e-12:
-                rows.append(
-                    _row("covering-inequality", name, "pass" if holds else "fail",
-                         witness=None if holds else {"lhs": lhs, "bound": rhs}, lhs=lhs, bound=rhs)
-                )
-            else:
-                rows.append(
-                    _row("covering-inequality", name, "skipped",
-                         reason=f"hypothesis lam <= d/5 fails (lam={spec_profile.lam:.4g})",
-                         lhs=lhs, bound=rhs, holds=holds)
-                )
-
-        # exact tail rows (only for finite ensembles)
-        if cap < g.n:
-            tail_rows = conditional_tail_profile(g, 1, spec_profile.lam, 0, [2, 3], budget=budget)
-            bad = [r for r in tail_rows if r["asserted"] and not r["holds"]]
-            mono = all(
-                tail_rows[i]["probability"] >= tail_rows[i + 1]["probability"]
-                for i in range(len(tail_rows) - 1)
-            )
-            rows.append(
-                _row(
-                    "tail-inequality",
-                    name,
-                    "pass" if not bad and mono else "fail",
-                    witness=bad[:1] or (None if mono else {"rows": tail_rows}),
-                )
-            )
-
-        # flaw-structure fuzz: closure of the core stays inside the cluster
-        failures = []
-        for _ in range(200 * fuzz_scale):
-            m_val = int(rng.integers(1, 4))
-            f = _random_lipschitz(g, m_val, rng)
-            anchor = int(rng.integers(0, g.n))
-            base_k = f.values[anchor] - 2 * m_val - 2
-            dec = flaw_decomposition(g, f, anchor, base_k)
-            if not core_within_cluster_interior(dec, g):
-                failures.append({"values": list(f.values), "anchor": anchor, "base": base_k})
-                break
-        rows.append(
-            _row(
-                "core-closure",
-                name,
-                "pass" if not failures else "fail",
-                witness=failures[:1] or None,
-                cases=200 * fuzz_scale,
-            )
-        )
-
-        # boundary ordering fuzz
-        checked = 0
-        failed = None
-        for _ in range(100 * fuzz_scale):
-            s = {int(rng.integers(0, g.n))}
-            for _ in range(int(rng.integers(0, 3))):
-                cands = [u for u in range(g.n) if u not in s]
-                rng.shuffle(cands)
-                for u in cands:
-                    if is_k_linked(g, s | {u}, 4):
-                        s.add(u)
-                        break
-            if len(closure(g, s)) == g.n:
-                continue
-            order = boundary_ordering(g, s)
-            verdict = check_boundary_ordering(g, s, order)
-            checked += 1
-            if not verdict["ok"]:
-                failed = {"s": sorted(s), "order": order, "verdict": verdict}
-                break
-        if checked == 0:
-            rows.append(
-                _row("boundary-ordering", name, "skipped",
-                     reason="every sampled set closes over the whole graph")
-            )
-        else:
-            rows.append(
-                _row(
-                    "boundary-ordering",
-                    name,
-                    "pass" if failed is None else "fail",
-                    witness=failed,
-                    cases=checked,
-                )
-            )
-
-        # container pipeline at desk scale
-        if g.n <= 10:
-            pipeline_fail = None
-            pair_bound_fail = None
-            for k_link in (1, 4):
-                fam = build_container_family(
-                    g, 0, d, k_link, 1.0, profile, seed=seed, budget=budget
-                )
-                if fam.n_sets and not fam.covers_all:
-                    pipeline_fail = {"k": k_link, "boundary_size": d}
-                    break
-                for pair in fam.pairs:
-                    verdict = check_pair_size_bound(pair, profile)
-                    if verdict["status"] == "fail":
-                        pair_bound_fail = {"k": k_link, "pair_s": sorted(pair.s)}
-            rows.append(
-                _row(
-                    "container-covering",
-                    name,
-                    "pass" if pipeline_fail is None else "fail",
-                    witness=pipeline_fail,
-                )
-            )
-            rows.append(
-                _row(
-                    "pair-size-bound",
-                    name,
-                    "pass" if pair_bound_fail is None else "fail",
-                    witness=pair_bound_fail,
-                )
-            )
-
-    # entropy rows (graph independent); `pmfs` and `checks` count the work
-    # done, under names apart from the `cases`/`instances` fuzz counters.
-    # One call per support shape, each stopping at its first failing pmf; the
-    # hand-built pmfs are checked only if the random ones pass.
-    ent_fail = None
-    ent_pmfs = ent_checks = 0
-    ent_seeds = list(range(150 * fuzz_scale))
-    random_pmfs = [JointPmf.random([(0, 1), (0, 1, 2), (0, 1)], seed=seed * 100_000 + s) for s in ent_seeds]
-    hand_built = [JointPmf.xor_triple(), JointPmf.independent_uniform_bits(3)]
-    for pmfs, seeds, name in ((random_pmfs, ent_seeds, None), (hand_built, [seed, seed], "hand-constructed")):
-        report = check_entropy_properties(pmfs, trials=2, seed=seeds)
-        ent_pmfs += report["pmfs"]
-        ent_checks += sum(report["checked"].values())
-        if not report["ok"]:
-            first = report["failures"][0]
-            ent_fail = {"seed": seeds[first["pmf"]]} if name is None else {"pmf": name}
-            ent_fail["failures"] = [{"property": first["property"], "witness": first["witness"]}]
-            break
-    rows.append(
-        _row(
-            "entropy-properties",
-            "-",
-            "pass" if ent_fail is None else "fail",
-            witness=ent_fail,
-            pmfs=ent_pmfs,
-            checks=ent_checks,
-        )
-    )
-
-    cw = CoverWeights(
-        (frozenset({0, 1}), frozenset({0, 2}), frozenset({1, 2})), (0.5, 0.5, 0.5), frozenset()
-    )
-    sh_fail = None
-    sh_pmfs = 0
-    for s in range(150 * fuzz_scale):
-        p = JointPmf.random([(0, 1), (0, 1), (0, 1)], seed=seed * 100_000 + s)
-        verdict = shearer_check(p, cw)
-        sh_pmfs += 1
-        if not verdict["pass"]:
-            sh_fail = {"seed": s, "lhs": verdict["lhs"], "rhs": verdict["rhs"]}
-            break
-    if sh_fail is None:
-        verdict = shearer_check(
-            JointPmf.xor_triple(),
-            CoverWeights((frozenset({0, 1}), frozenset({2})), (1.0, 1.0), frozenset()),
-        )
-        sh_pmfs += 1
-        if not verdict["pass"]:
-            sh_fail = {"pmf": "xor", "lhs": verdict["lhs"], "rhs": verdict["rhs"]}
-    rows.append(
-        _row("cover-inequality", "-", "pass" if sh_fail is None else "fail", witness=sh_fail, pmfs=sh_pmfs)
-    )
-
-    # exact Glauber kernel symmetry on C4
-    c4 = cycle_graph(4)
-    from fractions import Fraction
-
-    states = [f.values for f in enumerate_onepoint(c4, 0, 1, budget=budget)]
-    index = {s: i for i, s in enumerate(states)}
-    kernel_ok = True
-    probs: dict[tuple[int, int], Fraction] = {}
-    for s in states:
-        for v in (1, 2, 3):
-            lo, hi = glauber_site_interval(s, c4.neighbors(v), 1)
-            for cval in range(lo, hi + 1):
-                t = list(s)
-                t[v] = cval
-                key = (index[s], index[tuple(t)])
-                probs[key] = probs.get(key, Fraction(0)) + Fraction(1, 3 * (hi - lo + 1))
-    for (i, j), pij in probs.items():
-        if probs.get((j, i), Fraction(0)) != pij:
-            kernel_ok = False
-            break
-    rows.append(_row("detailed-balance", "C4", "pass" if kernel_ok else "fail"))
-
-    # reproducibility of the experiment pipeline
-    repro_cfg = parse_config(
-        {
-            "schema": 1,
-            "graph": {"family": "cycle", "n": 4},
-            "M": 1,
-            "mode": {"kind": "one-point", "v0": 0},
-            "sampler": {"kind": "exact"},
-            "samples": 50,
-            "seed": seed + 7,
-            "probes": [2],
-        }
-    )
-    first = run_range_experiment(repro_cfg).csv_text()
-    second = run_range_experiment(repro_cfg).csv_text()
-    rows.append(
-        _row("reproducibility", "C4", "pass" if first == second else "fail")
-    )
-
+    repro = f"liplab verify --seed {seed} --fuzz-scale {fuzz_scale} --budget {budget}"
+    for r in rows:
+        if r["status"] == "fail":
+            r["repro"] = f"{repro}  # check={r['check']} graph={r['graph']}"
     n_fail = sum(1 for r in rows if r["status"] == "fail")
     return {
         "rows": rows,
@@ -972,6 +951,7 @@ def run_verify_suite(graphs: list[Graph] | None = None, seed: int = 0,
         "n_pass": sum(1 for r in rows if r["status"] == "pass"),
         "n_skipped": sum(1 for r in rows if r["status"] in ("skipped", "sampled")),
         "ok": n_fail == 0,
+        "elapsed_s": elapsed,
     }
 
 

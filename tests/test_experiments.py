@@ -9,7 +9,12 @@ import pytest
 from liplab.cli import main
 from liplab.errors import ConfigError
 from liplab.experiments import (
+    GRAPH_CHECKS,
+    SUITE_CHECKS,
+    VerifyContext,
     build_graph,
+    check_detailed_balance,
+    check_entropy,
     draw_samples,
     load_config,
     parse_config,
@@ -373,8 +378,14 @@ def test_covering_infinite_guard():
 # Verify suite
 # ---------------------------------------------------------------------------
 
-def test_verify_suite_default_passes():
-    suite = run_verify_suite()
+@pytest.fixture(scope="module")
+def default_suite():
+    """The default suite at seed 0, run once for the tests that only read it."""
+    return run_verify_suite(seed=0)
+
+
+def test_verify_suite_default_passes(default_suite):
+    suite = default_suite
     assert suite["ok"], [r for r in suite["rows"] if r["status"] == "fail"]
     assert suite["n_fail"] == 0
     skipped = [r for r in suite["rows"] if r["status"] == "skipped"]
@@ -468,8 +479,8 @@ def test_cli_internal_error_exit_code(monkeypatch, capsys):
     assert err == "internal error: RuntimeError: engine fault\n"
 
 
-def test_verify_entropy_rows_report_work():
-    suite = run_verify_suite(seed=0)
+def test_verify_entropy_rows_report_work(default_suite):
+    suite = default_suite
     rows = {r["check"]: r for r in suite["rows"] if r["graph"] == "-"}
     assert rows["entropy-properties"]["pmfs"] == 152
     assert rows["entropy-properties"]["checks"] == 17_480
@@ -506,8 +517,7 @@ def test_verify_entropy_row_stops_at_first_failing_pmf(monkeypatch):
         entropy_module, "check_entropy_properties",
         lambda pmfs, **kwargs: calls.append(len(pmfs)) or checker(pmfs, **kwargs),
     )
-    suite = run_verify_suite(graphs=[], seed=0)
-    row = next(r for r in suite["rows"] if r["check"] == "entropy-properties")
+    (row,) = check_entropy(VerifyContext(seed=0))
     assert calls == [150]  # the hand-built pmfs are not checked
     assert row["status"] == "fail"
     assert row["pmfs"] == k + 1
@@ -749,10 +759,10 @@ def test_tail_rows_from_a_sample_marginal(petersen):
     assert tail_rows(petersen, 1, 1.0, 3, [1], Counter(), 0, 1.0, 1.0)[0]["probability"] == 0.0
 
 
-def test_verify_covering_rows_pinned():
+def test_verify_covering_rows_pinned(default_suite):
     from liplab.graphs import complete_graph
 
-    suite = run_verify_suite(seed=0)
+    suite = default_suite
     rows = [r for r in suite["rows"] if r["check"] == "covering-inequality"]
     assert rows == [
         {"check": "covering-inequality", "graph": "K6", "status": "pass", "lhs": 106, "bound": 126},
@@ -867,3 +877,124 @@ def test_cli_count_ground_state_on_degree_zero_exits_2(capsys):
     assert main(["count", "--graph", '{"family":"complete","n":1}', "--M", "1",
                  "--mode", "ground-state", "--k", "0"]) == 2
     assert "got degree 0" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# The verify registry
+# ---------------------------------------------------------------------------
+
+# sha256 of the sorted-key JSON of `suite["rows"]`, recorded before the suite
+# was split into a registry of checks
+_VERIFY_ROWS_SHA256 = {
+    (0, 1): "546c062ebe3a07b83124d86f480e100f4438df02611ece83f1673e523049f7ea",
+    (0, 2): "c22ed0ec3de559266d043b4bf800b2ada6734e83f57604d814365caf1cb34741",
+    (3, 1): "71f6f71411f19caac532b977dee19cb4fa6b616270cd53c5a790acbe750a9bbc",
+    (3, 2): "67df4dd3be81840e199bbe1bc722269602a19acf915bc3cf4c75ffbc1a42fb6f",
+}
+
+
+def _rows_sha256(suite):
+    return hashlib.sha256(json.dumps(suite["rows"], sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("seed,fuzz_scale", sorted(_VERIFY_ROWS_SHA256))
+def test_verify_rows_golden(seed, fuzz_scale):
+    suite = run_verify_suite(seed=seed, fuzz_scale=fuzz_scale)
+    assert len(suite["rows"]) == 57
+    assert _rows_sha256(suite) == _VERIFY_ROWS_SHA256[seed, fuzz_scale]
+
+
+def test_verify_rows_golden_on_given_graphs():
+    from liplab.graphs import complete_graph, petersen_graph, torus_graph
+    from tests.conftest import path_graph
+
+    suite = run_verify_suite(graphs=[complete_graph(5), petersen_graph(), torus_graph([3, 4]), path_graph(5)],
+                             seed=1)
+    assert suite["rows"][-5] == {"check": "expander-certificate", "graph": "P5", "status": "skipped",
+                                 "reason": "graph not regular"}
+    assert _rows_sha256(suite) == "eb2555851afe2df9266abc00b968f2e6e6f3ed7abb625e86c2209c4a8ec312b7"
+
+
+def test_verify_reports_elapsed_per_registry_entry(default_suite, tmp_path, capsys):
+    names = [c.__name__ for c in GRAPH_CHECKS + SUITE_CHECKS]
+    assert len(set(names)) == len(names)
+    assert list(default_suite["elapsed_s"]) == names
+    assert all(t >= 0 for t in default_suite["elapsed_s"].values())
+    assert main(["verify", "--graph", '{"family":"complete","n":4}', "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "verify_report.json").read_text())
+    assert set(report["elapsed_s"]) == set(names)
+    assert all("elapsed" not in key for r in report["rows"] for key in r)
+
+
+@pytest.mark.parametrize("fuzz_scale", ["0", "-1"])
+def test_cli_verify_fuzz_scale_below_one_exits_2(fuzz_scale, capsys):
+    code = main(["verify", "--graph", '{"family":"complete","n":4}', "--fuzz-scale", fuzz_scale])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: fuzz_scale must be an integer >= 1, got {fuzz_scale}\n"
+
+
+@pytest.mark.parametrize("fuzz_scale", [0, -1, 1.5, True])
+def test_verify_suite_rejects_bad_fuzz_scale(fuzz_scale):
+    with pytest.raises(ConfigError, match="fuzz_scale must be an integer >= 1"):
+        run_verify_suite(graphs=[], fuzz_scale=fuzz_scale)
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_cli_non_finite_constant_exits_2(token, tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(base_config(samples=5))[:-1] + f', "constants": {{"C_prime": {token}}}}}')
+    assert main(["experiment", "range", "--config", str(cfg_path), "--out", str(tmp_path / "res")]) == 2
+    value = float(token)
+    assert capsys.readouterr().err == f"error: constants.C_prime must be finite, got {value!r}\n"
+    assert not (tmp_path / "res").exists()
+
+
+def test_cli_verify_failing_check_exits_1_with_witness_and_repro(monkeypatch, capsys):
+    import liplab.experiments as experiments
+
+    def check_fails(ctx):
+        return [experiments._verdict("detailed-balance", "C4", False, {"states": [[0, 1, 0, 1]]})]
+
+    monkeypatch.setattr(experiments, "SUITE_CHECKS", tuple(
+        check_fails if c is check_detailed_balance else c for c in SUITE_CHECKS))
+    code = main(["verify", "--graph", '{"family":"complete","n":4}', "--seed", "5",
+                 "--fuzz-scale", "2", "--budget", "123456"])
+    assert code == 1
+    lines = capsys.readouterr().out.splitlines()
+    i = next(i for i, line in enumerate(lines) if line.split() == ["detailed-balance", "C4", "fail"])
+    assert lines[i + 1:i + 3] == [
+        "  witness: {'states': [[0, 1, 0, 1]]}",
+        "  repro:   liplab verify --seed 5 --fuzz-scale 2 --budget 123456  # check=detailed-balance graph=C4",
+    ]
+    assert lines[-1].split(", ")[1] == "1 fail"
+
+
+def test_detailed_balance_fails_on_an_asymmetric_kernel(monkeypatch):
+    import liplab.experiments as experiments
+
+    symmetric = experiments.glauber_site_interval
+
+    def lopsided(values, nbrs, M):
+        lo, hi = symmetric(values, nbrs, M)
+        return (lo, hi) if sum(values) >= 0 else (lo, lo)
+
+    (row,) = check_detailed_balance(VerifyContext())
+    assert row == {"check": "detailed-balance", "graph": "C4", "status": "pass"}
+    monkeypatch.setattr(experiments, "glauber_site_interval", lopsided)
+    (row,) = check_detailed_balance(VerifyContext())
+    assert row["status"] == "fail"
+    i, j = row["witness"]["states"]
+    assert len(i) == len(j) == 4 and i != j
+
+
+def test_readme_lists_every_registry_entry():
+    from pathlib import Path
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme[readme.index("| Registry entry |"):]
+    table = table[:table.index("\n\n")]
+    for check in GRAPH_CHECKS + SUITE_CHECKS:
+        assert f"| `{check.__name__}` |" in table, check.__name__
+

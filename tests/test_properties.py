@@ -1,0 +1,51 @@
+"""Property tests of the graph primitives against networkx on random connected
+graphs with at most 12 vertices.  Examples are derandomized, so the suite
+stays deterministic."""
+
+import networkx as nx
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from liplab.expanders import diameter
+from liplab.graphs import Graph, graph_power, k_linked_components
+
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def connected_graphs(draw, max_n=12):
+    """A random spanning tree plus random extra edges, as (liplab, networkx) graphs."""
+    n = draw(st.integers(1, max_n))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    if pairs:
+        edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=n)))
+    edges = sorted(edges)
+    return Graph.from_edges(n, edges), nx.Graph(edges) if edges else nx.empty_graph(1)
+
+
+@PROPERTY_SETTINGS
+@given(connected_graphs(), st.integers(1, 4), st.data())
+def test_k_linked_components_match_the_induced_power(graphs, k, data):
+    g, nxg = graphs
+    ys = data.draw(st.sets(st.integers(0, g.n - 1), max_size=g.n))
+    expected = {frozenset(c) for c in nx.connected_components(nx.power(nxg, k).subgraph(ys))}
+    comps = k_linked_components(g, ys, k)
+    assert set(comps) == expected
+    assert len(comps) == len(expected)
+    assert [min(c) for c in comps] == sorted(min(c) for c in comps)
+
+
+@PROPERTY_SETTINGS
+@given(connected_graphs(), st.integers(1, 4))
+def test_graph_power_matches_networkx(graphs, k):
+    g, nxg = graphs
+    power = nx.power(nxg, k)
+    assert [set(graph_power(g, k).neighbors(v)) for v in range(g.n)] == [set(power[v]) for v in range(g.n)]
+
+
+@PROPERTY_SETTINGS
+@given(connected_graphs())
+def test_diameter_matches_networkx(graphs):
+    g, nxg = graphs
+    assert diameter(g) == nx.diameter(nxg)
