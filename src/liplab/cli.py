@@ -358,7 +358,7 @@ def _cmd_verify(args) -> int:
     if args.graph:
         graphs = [build_graph(_graph_source(spec)) for spec in args.graph]
     suite = run_verify_suite(graphs=graphs, seed=args.seed, budget=args.budget,
-                             fuzz_scale=args.fuzz_scale)
+                             fuzz_scale=args.fuzz_scale, graph_specs=args.graph)
     if args.out:
         _emit(suite, args.out, "verify_report.json")
     width = max(len(r["check"]) for r in suite["rows"]) + 2

@@ -13,9 +13,10 @@ import hashlib
 import json
 import math
 import os
+import shlex
 import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
 import numpy as np
@@ -32,7 +33,7 @@ from .expanders import (
 )
 from .flaws import (
     boundary_ordering,
-    check_boundary_ordering as _ordering_verdict,
+    check_boundary_ordering,
     conditional_tail_profile,
     core_within_cluster_interior,
     flaw_decomposition,
@@ -634,11 +635,10 @@ class VerifyContext:
     seed: int = 0
     budget: int = DEFAULT_NODE_BUDGET
     fuzz_scale: int = 1
-    rng: np.random.Generator | None = None
+    rng: np.random.Generator = field(init=False)
 
     def __post_init__(self):
-        if self.rng is None:
-            self.rng = np.random.default_rng(np.random.SeedSequence(self.seed))
+        self.rng = np.random.default_rng(np.random.SeedSequence(self.seed))
 
 
 @dataclass(frozen=True)
@@ -772,7 +772,7 @@ def check_core_closure(sg: SuiteGraph, ctx: VerifyContext) -> list[dict]:
     return [_verdict("core-closure", sg.name, failure is None, failure, cases=cases)]
 
 
-def check_boundary_ordering(sg: SuiteGraph, ctx: VerifyContext) -> list[dict]:
+def check_boundary_ordering_fuzz(sg: SuiteGraph, ctx: VerifyContext) -> list[dict]:
     """Boundary-ordering fuzz over random 4-linked sets that do not close over g."""
     g, rng = sg.g, ctx.rng
     checked, failed = 0, None
@@ -788,7 +788,7 @@ def check_boundary_ordering(sg: SuiteGraph, ctx: VerifyContext) -> list[dict]:
         if len(closure(g, s)) == g.n:
             continue
         order = boundary_ordering(g, s)
-        verdict = _ordering_verdict(g, s, order)
+        verdict = check_boundary_ordering(g, s, order)
         checked += 1
         if not verdict["ok"]:
             failed = {"s": sorted(s), "order": order, "verdict": verdict}
@@ -906,41 +906,53 @@ GRAPH_CHECKS = (
     check_covering_inequality,
     check_tail_inequality,
     check_core_closure,
-    check_boundary_ordering,
+    check_boundary_ordering_fuzz,
     check_containers,
 )
 SUITE_CHECKS = (check_entropy, check_cover_inequality, check_detailed_balance, check_reproducibility)
 
 
 def run_verify_suite(graphs: list[Graph] | None = None, seed: int = 0,
-                     budget: int = DEFAULT_NODE_BUDGET, fuzz_scale: int = 1) -> dict:
+                     budget: int = DEFAULT_NODE_BUDGET, fuzz_scale: int = 1,
+                     graph_specs: list[str] | None = None) -> dict:
     """One consolidated pass/fail/skipped matrix over every finitely checkable
     claim the library implements.  Every failing row carries a witness and a
     reproduction command; skipped rows name the violated hypothesis.
-    `elapsed_s` sums each registry entry's wall time over the graphs."""
+    `graph_specs` are the `--graph` arguments that `graphs` were built from,
+    in order, for that command; graphs given without them appear in it as
+    `--graph <name>` placeholders.  `elapsed_s` sums each registry entry's
+    wall time over the graphs; building a graph's certificates counts under
+    `check_expander_certificate`, which checks them."""
     if not _is_int(fuzz_scale) or fuzz_scale < 1:
         raise ConfigError(f"fuzz_scale must be an integer >= 1, got {fuzz_scale!r}")
     ctx = VerifyContext(seed, budget, fuzz_scale)
     rows: list[dict] = []
     elapsed = dict.fromkeys((c.__name__ for c in GRAPH_CHECKS + SUITE_CHECKS), 0.0)
 
-    def run(check, *args):
+    def timed(key, fn, *args):
         start = time.perf_counter()
-        rows.extend(check(*args, ctx))
-        elapsed[check.__name__] = elapsed.get(check.__name__, 0.0) + time.perf_counter() - start
+        out = fn(*args)
+        elapsed[key] += time.perf_counter() - start
+        return out
 
+    names = []
     for g in default_suite_graphs() if graphs is None else graphs:
-        name = g.name or f"graph-{g.n}"
+        names.append(g.name or f"graph-{g.n}")
         if not g.is_regular():
-            rows.append(_row("expander-certificate", name, "skipped", reason="graph not regular"))
+            rows.append(_row("expander-certificate", names[-1], "skipped", reason="graph not regular"))
             continue
-        sg = SuiteGraph(g, name, spectral_lambda(g), exhaustive_lambda(g) if g.n <= EXHAUSTIVE_CAP else None)
+        sg = timed("check_expander_certificate", lambda: SuiteGraph(
+            g, names[-1], spectral_lambda(g), exhaustive_lambda(g) if g.n <= EXHAUSTIVE_CAP else None))
         for check in GRAPH_CHECKS:
-            run(check, sg)
+            rows.extend(timed(check.__name__, check, sg, ctx))
     for check in SUITE_CHECKS:
-        run(check)
+        rows.extend(timed(check.__name__, check, ctx))
 
     repro = f"liplab verify --seed {seed} --fuzz-scale {fuzz_scale} --budget {budget}"
+    if graph_specs is not None:
+        repro += "".join(f" --graph {shlex.quote(spec)}" for spec in graph_specs)
+    elif graphs is not None:
+        repro += "".join(f" --graph <{name}>" for name in names)
     for r in rows:
         if r["status"] == "fail":
             r["repro"] = f"{repro}  # check={r['check']} graph={r['graph']}"

@@ -2,6 +2,8 @@ import csv
 import hashlib
 import json
 import math
+import shlex
+import time
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from liplab.experiments import (
     variance_scale,
 )
 from liplab.flaws import conditional_tail_profile
+from liplab.graphs import DEFAULT_NODE_BUDGET, complete_graph
 from liplab.lipschitz import count_onepoint, enumerate_onepoint, fn_range
 
 
@@ -897,7 +900,12 @@ def _rows_sha256(suite):
     return hashlib.sha256(json.dumps(suite["rows"], sort_keys=True).encode()).hexdigest()
 
 
-@pytest.mark.parametrize("seed,fuzz_scale", sorted(_VERIFY_ROWS_SHA256))
+def test_verify_rows_golden_default(default_suite):
+    assert len(default_suite["rows"]) == 57
+    assert _rows_sha256(default_suite) == _VERIFY_ROWS_SHA256[0, 1]
+
+
+@pytest.mark.parametrize("seed,fuzz_scale", sorted(set(_VERIFY_ROWS_SHA256) - {(0, 1)}))
 def test_verify_rows_golden(seed, fuzz_scale):
     suite = run_verify_suite(seed=seed, fuzz_scale=fuzz_scale)
     assert len(suite["rows"]) == 57
@@ -924,6 +932,23 @@ def test_verify_reports_elapsed_per_registry_entry(default_suite, tmp_path, caps
     report = json.loads((tmp_path / "verify_report.json").read_text())
     assert set(report["elapsed_s"]) == set(names)
     assert all("elapsed" not in key for r in report["rows"] for key in r)
+
+
+def test_verify_elapsed_covers_the_certificates(monkeypatch):
+    import liplab.experiments as experiments
+
+    exhaustive = experiments.exhaustive_lambda
+
+    def slow_exhaustive(g):
+        time.sleep(0.3)
+        return exhaustive(g)
+
+    monkeypatch.setattr(experiments, "exhaustive_lambda", slow_exhaustive)
+    start = time.perf_counter()
+    suite = run_verify_suite(graphs=[complete_graph(5)], seed=0)
+    wall = time.perf_counter() - start
+    assert suite["elapsed_s"]["check_expander_certificate"] >= 0.3
+    assert 0.9 * wall <= sum(suite["elapsed_s"].values()) <= wall
 
 
 @pytest.mark.parametrize("fuzz_scale", ["0", "-1"])
@@ -966,9 +991,46 @@ def test_cli_verify_failing_check_exits_1_with_witness_and_repro(monkeypatch, ca
     i = next(i for i, line in enumerate(lines) if line.split() == ["detailed-balance", "C4", "fail"])
     assert lines[i + 1:i + 3] == [
         "  witness: {'states': [[0, 1, 0, 1]]}",
-        "  repro:   liplab verify --seed 5 --fuzz-scale 2 --budget 123456  # check=detailed-balance graph=C4",
+        "  repro:   liplab verify --seed 5 --fuzz-scale 2 --budget 123456 "
+        "--graph '{\"family\":\"complete\",\"n\":4}'  # check=detailed-balance graph=C4",
     ]
     assert lines[-1].split(", ")[1] == "1 fail"
+
+
+def _failure_lines(out):
+    lines = out.splitlines()
+    i = next(i for i, line in enumerate(lines) if line.endswith(" fail"))
+    return lines[i:i + 3]
+
+
+def test_cli_verify_repro_line_replays_a_fuzz_failure_on_given_graphs(monkeypatch, capsys):
+    """The core-closure witness on the second graph depends on the seed, the
+    fuzz scale and the stream the first graph consumed; the printed command
+    must find the same one."""
+    import liplab.experiments as experiments
+
+    interior = experiments.core_within_cluster_interior
+    monkeypatch.setattr(experiments, "core_within_cluster_interior",
+                        lambda dec, g: g.n != 10 and interior(dec, g))
+    argv = ["verify", "--seed", "3", "--graph", '{"family": "complete", "n": 5}',
+            "--graph", '{"family": "petersen"}']
+    assert main(argv) == 1
+    first = _failure_lines(capsys.readouterr().out)
+    assert first[0].split() == ["core-closure", "Petersen", "fail"]
+    command = shlex.split(first[2].removeprefix("  repro:   ").split("  # ")[0])
+    assert command[0] == "liplab"
+    assert main(command[1:]) == 1
+    assert _failure_lines(capsys.readouterr().out) == first
+
+
+def test_verify_repro_names_in_process_graphs_as_placeholders(monkeypatch):
+    import liplab.experiments as experiments
+
+    monkeypatch.setattr(experiments, "core_within_cluster_interior", lambda dec, g: False)
+    suite = run_verify_suite(graphs=[complete_graph(4)], seed=2)
+    (row,) = [r for r in suite["rows"] if r["status"] == "fail"]
+    assert row["repro"] == ("liplab verify --seed 2 --fuzz-scale 1 --budget "
+                            f"{DEFAULT_NODE_BUDGET} --graph <K4>  # check=core-closure graph=K4")
 
 
 def test_detailed_balance_fails_on_an_asymmetric_kernel(monkeypatch):
