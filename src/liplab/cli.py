@@ -62,10 +62,20 @@ def _graph_source(arg: str) -> dict:
     return {"path": arg}
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text}")
+    return value
+
+
 _FLAGS = {
     "seed": dict(type=int, default=0, help="64-bit seed for stochastic steps"),
     "out": dict(default=None, help="output directory"),
-    "budget": dict(type=int, default=DEFAULT_NODE_BUDGET,
+    "budget": dict(type=_positive_int, default=DEFAULT_NODE_BUDGET,
                    help="node budget for exhaustive routines; for Lipschitz counts, "
                         "samplers and enumerations it counts DP transitions"),
 }

@@ -22,7 +22,6 @@ from .graphs import (
     is_mutual_cover,
     iter_rooted_connected_sets,
     neighborhood,
-    power_neighbor_sets,
 )
 
 _TOL = 1e-9
@@ -46,11 +45,9 @@ def enumerate_linked_sets(
     """
     if not (0 <= v < g.n):
         raise ValueError(f"invalid vertex id {v}")
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    nbrs_k = g.power_sets(k)
     if boundary_size > g.n:
         return []
-    nbrs_k = power_neighbor_sets(g, k)
     out = []
     prune = lambda xs: len(neighborhood(g, xs)) > boundary_size
     for xs in iter_rooted_connected_sets(nbrs_k, v, budget=budget, prune=prune):

@@ -10,17 +10,14 @@ per pmf: marginals are axis sums over the stack, and every entropy, marginal
 or conditional, is a sum of cell terms -p(x,y) log2(p(x,y)/p(y)).  A pmf
 keeps a stack of one row, with its marginals and entropies cached; the
 property suite stacks a whole list of pmfs and checks them in one pass per
-coordinate block.  Derived variables given as callables are coded to
-integers and summed with `np.bincount`.
+coordinate block.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -42,8 +39,6 @@ class JointPmf:
     supports: tuple[tuple, ...]
     probs: dict
     table: np.ndarray = field(init=False, repr=False, compare=False)
-    _outcomes: tuple = field(init=False, repr=False, compare=False)
-    _weights: np.ndarray = field(init=False, repr=False, compare=False)
     _stack: "_Stack" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -58,7 +53,6 @@ class JointPmf:
             for j, val in enumerate(support):
                 index[i].setdefault(val, j)
         table = np.zeros(shape)
-        outcomes, weights = [], []
         total = 0.0
         for outcome, p in self.probs.items():
             if len(outcome) != n:
@@ -74,14 +68,10 @@ class JointPmf:
             total += p
             if p > 0.0:
                 table[tuple(cell)] = p
-                outcomes.append(outcome)
-                weights.append(p)
         if abs(total - 1.0) > _NORM_TOL * max(1, len(self.probs)):
             raise ValueError(f"probabilities sum to {total!r}, not 1")
         table.flags.writeable = False
         object.__setattr__(self, "table", table)
-        object.__setattr__(self, "_outcomes", tuple(outcomes))
-        object.__setattr__(self, "_weights", np.array(weights, dtype=float))
         object.__setattr__(self, "_stack", _Stack(table[None], [self.supports]))
 
     @property
@@ -191,34 +181,6 @@ def entropy(p: JointPmf, coords) -> float:
     if not coords:
         raise ValueError("coords must be nonempty")
     return float(p._stack.entropy(coords)[0])
-
-
-def _codes(p: JointPmf, fn: Callable) -> tuple[np.ndarray, int]:
-    """fn evaluated once per positive outcome, factorised to codes 0..k-1."""
-    index: dict = {}
-    codes = np.fromiter(
-        (index.setdefault(fn(outcome), len(index)) for outcome in p._outcomes),
-        dtype=np.intp,
-        count=len(p._outcomes),
-    )
-    return codes, len(index)
-
-
-def entropy_of_map(p: JointPmf, fn: Callable) -> float:
-    """Entropy of an arbitrary derived variable fn(outcome)."""
-    codes, k = _codes(p, fn)
-    return float(_conditional_terms(np.bincount(codes, weights=p._weights, minlength=k), 1.0).sum())
-
-
-def conditional_entropy_maps(p: JointPmf, target_fn: Callable, given_fn: Callable) -> float:
-    """H(target | given) for derived variables: average over the conditioning
-    cells of the entropy of the target within each cell."""
-    target, n_target = _codes(p, target_fn)
-    given, _ = _codes(p, given_fn)
-    pairs, pair_codes = np.unique(given * n_target + target, return_inverse=True)
-    joint = np.bincount(pair_codes, weights=p._weights)
-    cells = np.bincount(given, weights=p._weights)
-    return float(_conditional_terms(joint, cells[pairs // n_target]).sum())
 
 
 def conditional_entropy(p: JointPmf, target, given) -> float:
@@ -471,25 +433,3 @@ def shearer_check(p: JointPmf, cw: CoverWeights, tol: float = ENTROPY_TOL) -> di
         rhs += w * h
         terms.append({"set": sorted(s), "weight": w, "given": pred, "term": h})
     return {"lhs": lhs, "rhs": rhs, "pass": lhs <= rhs + tol, "terms": terms}
-
-
-# ---------------------------------------------------------------------------
-# File format: {"supports": [[...], ...], "probs": [{"outcome": [...], "p": r}, ...]}
-# ---------------------------------------------------------------------------
-
-def save_pmf(p: JointPmf, path) -> None:
-    payload = {
-        "supports": [list(s) for s in p.supports],
-        "probs": [{"outcome": list(o), "p": prob} for o, prob in sorted(p.probs.items())],
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
-
-
-def load_pmf(path) -> JointPmf:
-    with open(path) as fh:
-        data = json.load(fh)
-    supports = tuple(tuple(s) for s in data["supports"])
-    probs = {tuple(row["outcome"]): float(row["p"]) for row in data["probs"]}
-    return JointPmf(supports, probs)

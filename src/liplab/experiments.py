@@ -45,6 +45,7 @@ from .graphs import (
     DEFAULT_NODE_BUDGET,
     GenSpec,
     Graph,
+    bfs_order,
     closure,
     complete_graph,
     cycle_graph,
@@ -174,6 +175,8 @@ def parse_config(data: dict) -> ExperimentConfig:
     if isinstance(lam_src, dict):
         if set(lam_src) != {"asserted"} or not _is_number(lam_src["asserted"]):
             raise ConfigError("lambda_source object form is {'asserted': number}")
+        if not math.isfinite(lam_src["asserted"]):
+            raise ConfigError(f"lambda_source.asserted must be finite, got {lam_src['asserted']!r}")
     elif lam_src not in ("spectral", "exhaustive"):
         raise ConfigError(f"unknown lambda_source {lam_src!r}")
 
@@ -969,9 +972,7 @@ def run_verify_suite(graphs: list[Graph] | None = None, seed: int = 0,
 
 def _random_lipschitz(g: Graph, M: int, rng: np.random.Generator) -> LipschitzFn:
     """Breadth-first random assignment, restarted on dead ends."""
-    from .lipschitz import _bfs_order
-
-    order = _bfs_order(g, int(rng.integers(0, g.n)))
+    order = bfs_order(g, int(rng.integers(0, g.n)))
     while True:
         vals = [0] * g.n
         assigned: set[int] = set()

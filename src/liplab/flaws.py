@@ -17,10 +17,10 @@ from .graphs import (
     DEFAULT_NODE_BUDGET,
     Graph,
     ball,
-    bfs_distances,
     closure,
     is_k_linked,
     linked_component_containing,
+    neighborhood,
     outer_boundary,
 )
 from .lipschitz import (
@@ -146,22 +146,18 @@ def boundary_ordering(g: Graph, s) -> list[int]:
     if not outside:
         raise ValueError("closure of S covers the whole graph; no valid start vertex")
 
-    # distance from each vertex of S to the outside
-    def dist_to_outside(v: int) -> int:
-        dist = bfs_distances(g, v)
-        return min(dist[u] for u in outside)
-
-    start = min(s, key=lambda v: (dist_to_outside(v), v))
+    # breadth-first layers out of the outside, up to the first that meets S
+    reached = layer = outside
+    while layer.isdisjoint(s):
+        layer = neighborhood(g, layer) - reached
+        reached |= layer
+    start = min(layer & s)
+    power = g.power_sets(CORE_LINKAGE)
     ordered = [start]
     seen = {start}
     frontier = [start]
     while frontier:
-        nxt = set()
-        for v in frontier:
-            dist = bfs_distances(g, v, limit=CORE_LINKAGE)
-            for u in s:
-                if u not in seen and 0 <= dist[u] <= CORE_LINKAGE:
-                    nxt.add(u)
+        nxt = set().union(*(power[v] & s for v in frontier)) - seen
         frontier = sorted(nxt)
         ordered.extend(frontier)
         seen.update(nxt)
@@ -178,18 +174,19 @@ def check_boundary_ordering(g: Graph, s, ordering: list[int]) -> dict:
     ok_members = set(ordering) == set(s_plus) and len(ordering) == len(s_plus)
 
     first = ordering[0]
-    dist = bfs_distances(g, first)
-    ok_first = any(dist[u] <= 2 for u in outside)
+    ok_first = first in outside or not g.power_sets(2)[first].isdisjoint(outside)
 
     boundary = s_plus - s
     ok_split = all(pos[v] < pos[w] for v in s for w in boundary) if boundary else True
 
+    power = g.power_sets(CORE_LINKAGE)
+    earlier = {first}
     ok_pred = True
-    for i, v in enumerate(ordering[1:], start=1):
-        dist = bfs_distances(g, v, limit=CORE_LINKAGE)
-        if not any(0 <= dist[u] <= CORE_LINKAGE for u in ordering[:i]):
+    for v in ordering[1:]:
+        if v not in earlier and power[v].isdisjoint(earlier):
             ok_pred = False
             break
+        earlier.add(v)
     return {
         "covers_closure": ok_members,
         "first_near_outside": ok_first,
@@ -280,8 +277,3 @@ def conditional_tail_profile(
     f(anchor)."""
     marginal = marginal_groundstate(g, k, M, lam, anchor, budget=budget)
     return tail_rows(g, M, lam, anchor, t_values, marginal, k, c, C)
-
-
-def conditional_tail_exact(g, M, lam, anchor, t, budget=DEFAULT_NODE_BUDGET, c=1.0, C=1.0) -> dict:
-    (row,) = conditional_tail_profile(g, M, lam, anchor, [t], budget=budget, c=c, C=C)
-    return row

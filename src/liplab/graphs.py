@@ -17,8 +17,6 @@ import numpy as np
 
 from .errors import BudgetExceededError, GenerationError
 
-VertexSet = frozenset
-
 DEFAULT_NODE_BUDGET = 10_000_000
 
 
@@ -30,7 +28,8 @@ class Graph:
     dense ids, and connectivity.
     """
 
-    __slots__ = ("n", "name", "_adj", "_nbr_sets", "_degrees", "_matrix", "_nbr_getters", "_edge_index")
+    __slots__ = ("n", "name", "_adj", "_nbr_sets", "_degrees", "_matrix", "_nbr_getters", "_edge_index",
+                 "_power_sets")
 
     def __init__(self, adjacency: Sequence[Iterable[int]], name: str = ""):
         n = len(adjacency)
@@ -58,7 +57,8 @@ class Graph:
         self._matrix = None
         self._nbr_getters = None
         self._edge_index = None
-        if not self._connected():
+        self._power_sets = {}
+        if len(bfs_order(self, 0)) != n:
             raise ValueError("graph is not connected")
 
     @classmethod
@@ -75,20 +75,6 @@ class Graph:
             adj[v].add(u)
         return cls(adj, name=name)
 
-    def _connected(self) -> bool:
-        seen = bytearray(self.n)
-        seen[0] = 1
-        queue = deque([0])
-        count = 1
-        while queue:
-            v = queue.popleft()
-            for u in self._adj[v]:
-                if not seen[u]:
-                    seen[u] = 1
-                    count += 1
-                    queue.append(u)
-        return count == self.n
-
     @property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         return self._adj
@@ -101,6 +87,20 @@ class Graph:
         if self._nbr_sets is None:
             self._nbr_sets = tuple(frozenset(nbrs) for nbrs in self._adj)
         return self._nbr_sets
+
+    def power_sets(self, k: int) -> tuple[frozenset, ...]:
+        """Per vertex, the other vertices within distance k: the neighbour
+        sets of G^k.  Built once per k from the table for k - 1."""
+        if k < 1:
+            raise ValueError("k must be >= 1")
+        if k == 1:
+            return self.neighbor_sets
+        if k not in self._power_sets:
+            prev = self.power_sets(k - 1)
+            self._power_sets[k] = tuple(
+                nbrs.union(*(prev[u] for u in nbrs)) - {v} for v, nbrs in enumerate(self.neighbor_sets)
+            )
+        return self._power_sets[k]
 
     @property
     def neighbor_getters(self) -> tuple[Callable[[Sequence], tuple], ...]:
@@ -176,6 +176,21 @@ def _values_getter(idx: tuple[int, ...]) -> Callable[[Sequence], tuple]:
 # Metric / boundary primitives
 # ---------------------------------------------------------------------------
 
+def bfs_order(g: Graph, start: int) -> list[int]:
+    """Every vertex reachable from `start`, in breadth-first order."""
+    order = [start]
+    seen = bytearray(g.n)
+    seen[start] = 1
+    queue = deque([start])
+    while queue:
+        for u in g.neighbors(queue.popleft()):
+            if not seen[u]:
+                seen[u] = 1
+                order.append(u)
+                queue.append(u)
+    return order
+
+
 def bfs_distances(g: Graph, source: int, limit: int | None = None) -> list[int]:
     """Distances from `source`; -1 past `limit` when a limit is given."""
     if not (0 <= source < g.n):
@@ -232,24 +247,16 @@ def interior(g: Graph, xs: Iterable[int]) -> frozenset:
     return xs - inner_boundary(g, xs)
 
 
-def boundary_ops(g: Graph, xs: Iterable[int]) -> dict:
-    """All five boundary views of X in one pass."""
-    xs = frozenset(xs)
-    nbhd = neighborhood(g, xs)
-    inner = inner_boundary(g, xs)
-    return {
-        "neighborhood": nbhd,
-        "outer_boundary": nbhd - xs,
-        "inner_boundary": inner,
-        "interior": xs - inner,
-        "closure": xs | nbhd,
-    }
-
-
-def _within_distance(g: Graph, v: int, targets: frozenset, k: int) -> list[int]:
-    """Members of `targets` at distance <= k from v (v excluded)."""
-    dist = bfs_distances(g, v, limit=k)
-    return [u for u in targets if u != v and 0 <= dist[u] <= k]
+def _linked_walk(power: Sequence[frozenset], ys: frozenset, v: int) -> frozenset:
+    """The component of v in the graph on Y whose edges are the pairs of
+    `power` (the neighbour sets of G^k) inside Y."""
+    comp = {v}
+    stack = [v]
+    while stack:
+        fresh = (power[stack.pop()] & ys) - comp
+        comp |= fresh
+        stack.extend(fresh)
+    return frozenset(comp)
 
 
 def k_linked_components(g: Graph, ys: Iterable[int], k: int) -> list[frozenset]:
@@ -258,42 +265,21 @@ def k_linked_components(g: Graph, ys: Iterable[int], k: int) -> list[frozenset]:
     Components are returned sorted by their smallest member; they partition Y
     and any two distinct components are at graph distance > k.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    power = g.power_sets(k)
     ys = frozenset(ys)
-    remaining = set(ys)
-    comps = []
-    while remaining:
-        seed = min(remaining)
-        comp = {seed}
-        queue = deque([seed])
-        remaining.discard(seed)
-        while queue:
-            v = queue.popleft()
-            for u in _within_distance(g, v, ys, k):
-                if u in remaining:
-                    remaining.discard(u)
-                    comp.add(u)
-                    queue.append(u)
-        comps.append(frozenset(comp))
-    comps.sort(key=min)
+    comps: list[frozenset] = []
+    seen: set[int] = set()
+    for v in sorted(ys):
+        if v not in seen:
+            comps.append(_linked_walk(power, ys, v))
+            seen |= comps[-1]
     return comps
 
 
 def linked_component_containing(g: Graph, ys: Iterable[int], k: int, v: int) -> frozenset:
     """The k-linked component of Y containing v (empty set when v not in Y)."""
     ys = frozenset(ys)
-    if v not in ys:
-        return frozenset()
-    comp = {v}
-    queue = deque([v])
-    while queue:
-        w = queue.popleft()
-        for u in _within_distance(g, w, ys, k):
-            if u not in comp:
-                comp.add(u)
-                queue.append(u)
-    return frozenset(comp)
+    return _linked_walk(g.power_sets(k), ys, v) if v in ys else frozenset()
 
 
 def is_k_linked(g: Graph, xs: Iterable[int], k: int) -> bool:
@@ -305,26 +291,8 @@ def is_k_linked(g: Graph, xs: Iterable[int], k: int) -> bool:
 
 def graph_power(g: Graph, k: int) -> Graph:
     """G^k: edge between distinct u, v iff their distance in G is <= k."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if k == 1:
-        return g
-    adj = []
-    for v in range(g.n):
-        dist = bfs_distances(g, v, limit=k)
-        adj.append([u for u, d in enumerate(dist) if u != v and 0 <= d <= k])
-    return Graph(adj, name=f"{g.name}^{k}" if g.name else "")
-
-
-def power_neighbor_sets(g: Graph, k: int) -> tuple[frozenset, ...]:
-    """Neighbor sets of G^k without building the Graph object."""
-    if k == 1:
-        return g.neighbor_sets
-    out = []
-    for v in range(g.n):
-        dist = bfs_distances(g, v, limit=k)
-        out.append(frozenset(u for u, d in enumerate(dist) if u != v and 0 <= d <= k))
-    return tuple(out)
+    power = g.power_sets(k)
+    return g if k == 1 else Graph(power, name=f"{g.name}^{k}" if g.name else "")
 
 
 def is_mutual_cover(g: Graph, xs: Iterable[int], ys: Iterable[int]) -> bool:
@@ -376,23 +344,6 @@ def iter_rooted_connected_sets(
     if prune is not None and prune(start):
         return
     yield from rec(start, frozenset())
-
-
-def count_rooted_connected_sets(g: Graph, root: int, m: int, budget: int = DEFAULT_NODE_BUDGET) -> int:
-    """Exact number of m-vertex connected induced subgraphs containing `root`.
-
-    Exhaustive; intended for small instances.  The count never exceeds
-    (e * maxdeg)^(m-1), which callers may use as a sanity bound.
-    """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if not (0 <= root < g.n):
-        raise ValueError(f"invalid vertex id {root}")
-    count = 0
-    for x in iter_rooted_connected_sets(g.neighbor_sets, root, budget=budget, max_size=m):
-        if len(x) == m:
-            count += 1
-    return count
 
 
 # ---------------------------------------------------------------------------

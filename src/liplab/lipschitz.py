@@ -19,7 +19,6 @@ import json
 import math
 from array import array
 from bisect import bisect_right
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, pairwise
@@ -28,7 +27,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import BudgetExceededError
-from .graphs import DEFAULT_NODE_BUDGET, Graph
+from .graphs import DEFAULT_NODE_BUDGET, Graph, bfs_order
 
 _SLACK = 1e-12
 
@@ -128,21 +127,6 @@ def flaw_cap(n: int, d: int, lam) -> int:
 # Frontier DP engine
 # ---------------------------------------------------------------------------
 
-def _bfs_order(g: Graph, start: int) -> list[int]:
-    order = [start]
-    seen = bytearray(g.n)
-    seen[start] = 1
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for u in g.neighbors(v):
-            if not seen[u]:
-                seen[u] = 1
-                order.append(u)
-                queue.append(u)
-    return order
-
-
 class _FrontierDP:
     """Layered transfer-matrix DP along the breadth-first vertex order from
     `start`; counting, sampling, enumeration and exact marginals all walk it.
@@ -174,7 +158,7 @@ class _FrontierDP:
                  budget: int, box=None, window=None, cap=None):
         if not (0 <= start < g.n):
             raise ValueError(f"invalid anchor vertex {start}")
-        order = _bfs_order(g, start)
+        order = bfs_order(g, start)
         self.n = len(order)
         self.M = M
         self.box = box
@@ -639,12 +623,6 @@ def min_ground_state(g: Graph, f: LipschitzFn, lam) -> int:
 # ---------------------------------------------------------------------------
 # File format: {"M": int, "values": [int; n]}
 # ---------------------------------------------------------------------------
-
-def save_function(f: LipschitzFn, path) -> None:
-    with open(path, "w") as fh:
-        json.dump({"M": f.M, "values": list(f.values)}, fh)
-        fh.write("\n")
-
 
 def load_function(path) -> LipschitzFn:
     with open(path) as fh:

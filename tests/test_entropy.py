@@ -10,11 +10,7 @@ from liplab.entropy import (
     JointPmf,
     check_entropy_properties,
     conditional_entropy,
-    conditional_entropy_maps,
     entropy,
-    entropy_of_map,
-    load_pmf,
-    save_pmf,
     shearer_check,
 )
 
@@ -96,12 +92,6 @@ def test_conditional_chain_identity():
         lhs = conditional_entropy(p, [0], [1, 2])
         rhs = entropy(p, [0, 1, 2]) - entropy(p, [1, 2])
         assert lhs == pytest.approx(rhs, abs=TOL)
-
-
-def test_entropy_of_map():
-    p = JointPmf.independent_uniform_bits(2)
-    assert entropy_of_map(p, lambda o: o[0] ^ o[1]) == pytest.approx(1.0, abs=TOL)
-    assert entropy_of_map(p, lambda o: 0) == pytest.approx(0.0, abs=TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -407,24 +397,6 @@ def test_dense_engine_matches_oracle(name):
             assert got == pytest.approx(oracle_conditional(p, target, given), abs=1e-12), (target, given)
 
 
-@pytest.mark.parametrize("name", sorted(ORACLE_PMFS))
-def test_derived_maps_match_oracle(name):
-    p = ORACLE_PMFS[name]()
-    maps = [
-        lambda o: 0,
-        lambda o: o[0],
-        lambda o: str(o[-1]) + str(o[1]),
-        lambda o: len(repr(o)) % 3,
-        lambda o: (o[0], o[1]),
-        lambda o: o,
-    ]
-    for fn in maps:
-        assert entropy_of_map(p, fn) == pytest.approx(oracle_entropy_of_map(p, fn), abs=1e-12)
-        for given_fn in maps:
-            got = conditional_entropy_maps(p, fn, given_fn)
-            assert got == pytest.approx(oracle_conditional_maps(p, fn, given_fn), abs=1e-12)
-
-
 def test_table_layout():
     p = JointPmf(((1, 0), ("a", "b")), {(0, "a"): 0.5, (1, "b"): 0.5, (0, "b"): 0.0})
     assert p.table.tolist() == [[0.0, 0.5], [0.5, 0.0]]
@@ -489,17 +461,3 @@ def test_cover_weight_validation():
         CoverWeights((frozenset({0}),), (1.0,), frozenset({(0, 0)}))
     with pytest.raises(ValueError, match="transitive"):
         CoverWeights((frozenset({0}),), (1.0,), frozenset({(0, 1), (1, 2)}))
-
-
-# ---------------------------------------------------------------------------
-# IO
-# ---------------------------------------------------------------------------
-
-def test_pmf_roundtrip(tmp_path):
-    p = JointPmf.random([(0, 1), ("a", "b")], seed=9)
-    path = tmp_path / "p.json"
-    save_pmf(p, path)
-    q = load_pmf(path)
-    assert q.supports == ((0, 1), ("a", "b"))
-    for outcome, prob in p.probs.items():
-        assert q.probs[outcome] == pytest.approx(prob, abs=1e-15)

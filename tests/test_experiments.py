@@ -960,19 +960,33 @@ def test_cli_verify_fuzz_scale_below_one_exits_2(fuzz_scale, capsys):
     assert captured.err == f"error: fuzz_scale must be an integer >= 1, got {fuzz_scale}\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["count", "--graph", '{"family":"complete","n":4}', "--M", "1", "--budget", "0"],
+    ["verify", "--graph", '{"family":"complete","n":4}', "--budget", "-5"],
+], ids=["count", "verify"])
+def test_cli_budget_below_one_exits_2(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"error: argument --budget: must be an integer >= 1, got {argv[-1]}\n")
+
+
 @pytest.mark.parametrize("fuzz_scale", [0, -1, 1.5, True])
 def test_verify_suite_rejects_bad_fuzz_scale(fuzz_scale):
     with pytest.raises(ConfigError, match="fuzz_scale must be an integer >= 1"):
         run_verify_suite(graphs=[], fuzz_scale=fuzz_scale)
 
 
-@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
-def test_cli_non_finite_constant_exits_2(token, tmp_path, capsys):
+@pytest.mark.parametrize("key, token", [
+    pytest.param("constants.C_prime", token, id=token) for token in ("NaN", "Infinity", "-Infinity")
+] + [pytest.param("lambda_source.asserted", "NaN", id="asserted-NaN")])
+def test_cli_non_finite_constant_exits_2(key, token, tmp_path, capsys):
+    outer, inner = key.split(".")
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(base_config(samples=5))[:-1] + f', "constants": {{"C_prime": {token}}}}}')
+    cfg_path.write_text(json.dumps(base_config(samples=5))[:-1] + f', "{outer}": {{"{inner}": {token}}}}}')
     assert main(["experiment", "range", "--config", str(cfg_path), "--out", str(tmp_path / "res")]) == 2
     value = float(token)
-    assert capsys.readouterr().err == f"error: constants.C_prime must be finite, got {value!r}\n"
+    assert capsys.readouterr().err == f"error: {key} must be finite, got {value!r}\n"
     assert not (tmp_path / "res").exists()
 
 

@@ -4,7 +4,6 @@ import pytest
 from liplab.flaws import (
     boundary_ordering,
     check_boundary_ordering,
-    conditional_tail_exact,
     conditional_tail_profile,
     core_within_cluster_interior,
     flaw_decomposition,
@@ -14,6 +13,8 @@ from liplab.flaws import (
 )
 from liplab.graphs import (
     ball,
+    bfs_distances,
+    bfs_order,
     closure,
     cycle_graph,
     is_k_linked,
@@ -26,9 +27,7 @@ from tests.conftest import path_graph
 def random_lipschitz(g, M, rng):
     """Cheap Lipschitz function: breadth-first assignment within the allowed
     interval, restarting on dead ends (an assignment may fail to extend)."""
-    from liplab.lipschitz import _bfs_order
-
-    order = _bfs_order(g, int(rng.integers(0, g.n)))
+    order = bfs_order(g, int(rng.integers(0, g.n)))
     while True:
         vals = [0] * g.n
         assigned = set()
@@ -197,12 +196,25 @@ def test_ordering_fuzz():
                     if is_k_linked(g, s | {u}, 4):
                         s.add(u)
                         break
-            if closure(g, s) == frozenset(range(g.n)):
+            outside = frozenset(range(g.n)) - closure(g, s)
+            if not outside:
                 continue
             order = boundary_ordering(g, s)
             assert check_boundary_ordering(g, s, order)["ok"]
+            # the start is the member of S nearest the outside, smallest id first
+            assert order[0] == min(s, key=lambda v: (min(bfs_distances(g, v)[u] for u in outside), v))
             checked += 1
     assert checked >= 200
+
+
+def test_check_boundary_ordering_flags_each_violation():
+    g = cycle_graph(30)
+    report = check_boundary_ordering(g, {0, 1, 2, 3, 4}, [3, 2, 1, 0, 4, 29, 5])  # 3 is 3 steps from the outside
+    assert not report["first_near_outside"] and not report["ok"]
+    assert report["covers_closure"] and report["set_before_boundary"] and report["predecessor_within_4"]
+    report = check_boundary_ordering(g, {0, 4, 8}, [0, 8, 4, 29, 1, 3, 5, 7, 9])  # 8 is 8 steps from 0
+    assert not report["predecessor_within_4"] and not report["ok"]
+    assert report["covers_closure"] and report["first_near_outside"] and report["set_before_boundary"]
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +222,7 @@ def test_ordering_fuzz():
 # ---------------------------------------------------------------------------
 
 def test_tail_k6_zero_above_box(k6):
-    row = conditional_tail_exact(k6, 1, 1.0, 0, t=2)
+    (row,) = conditional_tail_profile(k6, 1, 1.0, 0, [2])
     assert row["ensemble_size"] == 106
     assert row["probability"] == 0.0  # no member exceeds 3 on K6
     assert row["bound"] == pytest.approx(2.0 ** (-6 / 5))
@@ -227,7 +239,7 @@ def test_tail_probability_against_enumeration(k6):
     # recompute the t=1 tail by scanning the ensemble directly
     members = list(enumerate_groundstate(k6, 0, 1, 1.0))
     manual = sum(1 for f in members if f.values[0] > 2) / len(members)
-    row = conditional_tail_exact(k6, 1, 1.0, 0, t=1)
+    (row,) = conditional_tail_profile(k6, 1, 1.0, 0, [1])
     assert row["probability"] == manual
     assert not row["hypotheses"]["t >= 2"]
     assert not row["asserted"]

@@ -9,18 +9,21 @@ from liplab.graphs import (
     GenSpec,
     Graph,
     ball,
-    boundary_ops,
+    closure,
     complete_bipartite_graph,
     complete_graph,
-    count_rooted_connected_sets,
     cycle_graph,
     generate,
     graph_power,
     hypercube_graph,
+    interior,
     is_k_linked,
     is_mutual_cover,
+    iter_rooted_connected_sets,
     k_linked_components,
     load_edge_list,
+    neighborhood,
+    outer_boundary,
     random_regular_graph,
     save_edge_list,
     torus_graph,
@@ -171,25 +174,22 @@ def test_ball_nested(petersen):
 
 
 def test_boundary_singleton(c5):
-    ops = boundary_ops(c5, {0})
-    assert ops["neighborhood"] == frozenset({1, 4})
-    assert ops["outer_boundary"] == frozenset({1, 4})
-    assert ops["interior"] == frozenset()
-    assert ops["closure"] == frozenset({0, 1, 4})
+    assert neighborhood(c5, {0}) == frozenset({1, 4})
+    assert outer_boundary(c5, {0}) == frozenset({1, 4})
+    assert interior(c5, {0}) == frozenset()
+    assert closure(c5, {0}) == frozenset({0, 1, 4})
 
 
 def test_boundary_full_set(c5):
     full = frozenset(range(5))
-    ops = boundary_ops(c5, full)
-    assert ops["outer_boundary"] == frozenset()
-    assert ops["interior"] == full
+    assert outer_boundary(c5, full) == frozenset()
+    assert interior(c5, full) == full
 
 
 def test_boundary_bipartite_side():
     g = complete_bipartite_graph(3, 3)
-    ops = boundary_ops(g, {0, 1, 2})
-    assert ops["neighborhood"] == frozenset({3, 4, 5})
-    assert ops["interior"] == frozenset()
+    assert neighborhood(g, {0, 1, 2}) == frozenset({3, 4, 5})
+    assert interior(g, {0, 1, 2}) == frozenset()
 
 
 def test_interior_identity_random():
@@ -199,8 +199,7 @@ def test_interior_identity_random():
     full = frozenset(range(g.n))
     for _ in range(50):
         xs = frozenset(int(v) for v in rng.choice(g.n, size=rng.integers(0, g.n + 1), replace=False))
-        ops = boundary_ops(g, xs)
-        assert ops["interior"] == full - boundary_ops(g, full - xs)["closure"]
+        assert interior(g, xs) == full - closure(g, full - xs)
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +252,12 @@ def test_graph_power_path():
 # Rooted connected-set counting
 # ---------------------------------------------------------------------------
 
+def rooted_connected_count(g, root, m, **kwargs):
+    """Connected m-vertex sets containing `root`, counted through the enumeration."""
+    sets = iter_rooted_connected_sets(g.neighbor_sets, root, max_size=m, **kwargs)
+    return sum(1 for xs in sets if len(xs) == m)
+
+
 def brute_rooted_connected_count(g, root, m):
     """Oracle: scan all m-subsets containing root, test induced connectivity."""
     count = 0
@@ -265,15 +270,15 @@ def brute_rooted_connected_count(g, root, m):
 
 
 def test_rooted_count_p3_middle():
-    assert count_rooted_connected_sets(path_graph(3), 1, 2) == 2
+    assert rooted_connected_count(path_graph(3), 1, 2) == 2
 
 
 def test_rooted_count_m1(petersen):
-    assert count_rooted_connected_sets(petersen, 4, 1) == 1
+    assert rooted_connected_count(petersen, 4, 1) == 1
 
 
 def test_rooted_count_c5_oracle(c5):
-    assert count_rooted_connected_sets(c5, 0, 3) == 3
+    assert rooted_connected_count(c5, 0, 3) == 3
     assert brute_rooted_connected_count(c5, 0, 3) == 3
 
 
@@ -282,7 +287,7 @@ def test_rooted_count_matches_oracle_and_tree_bound(seed):
     g = random_regular_graph(10, 3, seed=seed)
     maxdeg = max(g.degrees)
     for m in range(1, 5):
-        got = count_rooted_connected_sets(g, 0, m)
+        got = rooted_connected_count(g, 0, m)
         assert got == brute_rooted_connected_count(g, 0, m)
         assert got <= (math.e * maxdeg) ** (m - 1) + 1e-9
 
@@ -290,7 +295,7 @@ def test_rooted_count_matches_oracle_and_tree_bound(seed):
 def test_rooted_count_budget():
     g = complete_graph(9)
     with pytest.raises(BudgetExceededError):
-        count_rooted_connected_sets(g, 0, 9, budget=10)
+        rooted_connected_count(g, 0, 9, budget=10)
 
 
 # ---------------------------------------------------------------------------

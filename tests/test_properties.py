@@ -7,7 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liplab.expanders import diameter
-from liplab.graphs import Graph, graph_power, k_linked_components
+from liplab.graphs import (
+    Graph,
+    closure,
+    graph_power,
+    inner_boundary,
+    interior,
+    is_k_linked,
+    k_linked_components,
+    linked_component_containing,
+    neighborhood,
+    outer_boundary,
+)
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -49,3 +60,38 @@ def test_graph_power_matches_networkx(graphs, k):
 def test_diameter_matches_networkx(graphs):
     g, nxg = graphs
     assert diameter(g) == nx.diameter(nxg)
+
+
+@PROPERTY_SETTINGS
+@given(connected_graphs(), st.integers(1, 4))
+def test_power_sets_match_networkx_balls(graphs, k):
+    g, nxg = graphs
+    expected = [set(nx.single_source_shortest_path_length(nxg, v, cutoff=k)) - {v} for v in range(g.n)]
+    assert [set(s) for s in g.power_sets(k)] == expected
+    assert all(isinstance(s, frozenset) for s in g.power_sets(k))
+
+
+@PROPERTY_SETTINGS
+@given(connected_graphs(), st.integers(1, 4), st.data())
+def test_linked_component_and_is_k_linked_match_the_induced_power(graphs, k, data):
+    g, nxg = graphs
+    ys = data.draw(st.sets(st.integers(0, g.n - 1), max_size=g.n))
+    v = data.draw(st.integers(0, g.n - 1))
+    induced = nx.power(nxg, k).subgraph(ys)
+    expected = frozenset(nx.node_connected_component(induced, v)) if v in ys else frozenset()
+    assert linked_component_containing(g, ys, k, v) == expected
+    assert is_k_linked(g, ys, k) == (not ys or nx.is_connected(induced))
+
+
+@PROPERTY_SETTINGS
+@given(connected_graphs(), st.data())
+def test_boundary_operators_match_their_definitions(graphs, data):
+    g, nxg = graphs
+    xs = data.draw(st.sets(st.integers(0, g.n - 1), max_size=g.n))
+    nbhd = {u for v in xs for u in nxg[v]}
+    inner = {v for v in xs if any(u not in xs for u in nxg[v])}
+    assert neighborhood(g, xs) == nbhd
+    assert closure(g, xs) == nbhd | xs
+    assert outer_boundary(g, xs) == nbhd - xs
+    assert inner_boundary(g, xs) == inner
+    assert interior(g, xs) == xs - inner
