@@ -14,6 +14,7 @@ import functools
 import json
 import os
 import sys
+from itertools import islice
 
 from .errors import BudgetExceededError, ConfigError, GenerationError
 from .expanders import (
@@ -26,7 +27,8 @@ from .experiments import (
     build_graph,
     load_config,
     parse_config,
-    require_positive_degree,
+    parse_ensemble,
+    resolve_ensemble,
     resolve_profile,
     run_covering_check,
     run_range_experiment,
@@ -34,14 +36,14 @@ from .experiments import (
     run_verify_suite,
 )
 from .flaws import core_within_cluster_interior, flaw_decomposition
-from .graphs import DEFAULT_NODE_BUDGET, Graph, save_edge_list
+from .graphs import DEFAULT_NODE_BUDGET, save_edge_list
 from .lipschitz import (
-    EnsembleSpec,
     count_groundstate,
     count_onepoint,
     enumerate_groundstate,
     enumerate_onepoint,
     load_function,
+    validate,
 )
 
 EXIT_OK = 0
@@ -62,23 +64,33 @@ def _graph_source(arg: str) -> dict:
     return {"path": arg}
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text}")
-    return value
+def _int_at_least(low: int):
+    """An argparse type: an integer >= `low`."""
+    def parse(text: str) -> int:
+        try:
+            if int(text) >= low:
+                return int(text)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text}")
+    return parse
 
 
 _FLAGS = {
     "seed": dict(type=int, default=0, help="64-bit seed for stochastic steps"),
     "out": dict(default=None, help="output directory"),
-    "budget": dict(type=_positive_int, default=DEFAULT_NODE_BUDGET,
+    "budget": dict(type=_int_at_least(1), default=DEFAULT_NODE_BUDGET,
                    help="node budget for exhaustive routines; for Lipschitz counts, "
                         "samplers and enumerations it counts DP transitions"),
+    "graph": dict(required=True, help="generator JSON or edge-list path"),
+    "M": dict(type=int, required=True, help="Lipschitz constant"),
+    "mode": dict(choices=["one-point", "ground-state"], default="one-point"),
+    "v0": dict(type=int, default=0, help="anchor vertex of the one-point ensemble"),
+    "k": dict(type=int, default=0, help="window base of the ground-state ensemble"),
+    "lambda-source": dict(default="spectral", help="spectral | exhaustive | a number to assert"),
 }
+# the flags that name an ensemble; checked by the config's ensemble-key checks
+_ENSEMBLE = ("graph", "M", "mode", "v0", "k", "lambda-source")
 
 
 def _add_flags(p: argparse.ArgumentParser, *names: str) -> None:
@@ -108,63 +120,45 @@ def make_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("gen-graph", help="generate a graph and save its edge list")
-    p.add_argument("--graph", required=True, help="generator JSON")
+    _add_flags(p, "graph")
     p.add_argument("--out-file", required=True)
 
     p = sub.add_parser("spectrum", help="adjacency spectrum and expansion certificates")
-    p.add_argument("--graph", required=True)
+    _add_flags(p, "graph")
     p.add_argument("--exhaustive", action="store_true",
                    help=f"also run the sorted-prefix subset sweep (n <= {EXHAUSTIVE_CAP})")
     p.add_argument("--props", action="store_true", help="verify structural consequences")
     _add_flags(p, "seed", "out")
 
     p = sub.add_parser("count", help="count an ensemble exactly")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--M", type=int, required=True)
-    p.add_argument("--mode", choices=["one-point", "ground-state"], default="one-point")
-    p.add_argument("--v0", type=int, default=0)
-    p.add_argument("--k", type=int, default=0)
-    p.add_argument("--lambda-source", default="spectral",
-                   help="spectral | exhaustive | a number to assert")
-    _add_flags(p, "budget", "out")
+    _add_flags(p, *_ENSEMBLE, "budget", "out")
 
     p = sub.add_parser("enumerate", help="stream ensemble members as JSON lines")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--M", type=int, required=True)
-    p.add_argument("--mode", choices=["one-point", "ground-state"], default="one-point")
-    p.add_argument("--v0", type=int, default=0)
-    p.add_argument("--k", type=int, default=0)
-    p.add_argument("--lambda-source", default="spectral")
-    p.add_argument("--limit", type=int, default=None, help="stop after this many members")
+    _add_flags(p, *_ENSEMBLE)
+    p.add_argument("--limit", type=_int_at_least(0), default=None, help="stop after this many members")
     _add_flags(p, "budget")
 
     p = sub.add_parser("sample", help="run the range experiment on these flags and print its CSV")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--M", type=int, required=True)
-    p.add_argument("--mode", choices=["one-point", "ground-state"], default="one-point")
-    p.add_argument("--v0", type=int, default=0)
-    p.add_argument("--k", type=int, default=0)
-    p.add_argument("--lambda-source", default="spectral")
+    _add_flags(p, *_ENSEMBLE)
     p.add_argument("--sampler", choices=["exact", "glauber"], default="exact")
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--probes", type=int, nargs="*", default=[0])
     _add_flags(p, "seed", "budget", "out")
 
     p = sub.add_parser("flaws", help="cluster/core decomposition of a stored function")
-    p.add_argument("--graph", required=True)
+    _add_flags(p, "graph")
     p.add_argument("--function", required=True, help="path to {'M':..,'values':..} JSON")
     p.add_argument("--anchor", type=int, required=True)
     p.add_argument("--base", type=int, default=0)
     _add_flags(p, "out")
 
     p = sub.add_parser("containers", help="build an approximating-pair family")
-    p.add_argument("--graph", required=True)
+    _add_flags(p, "graph")
     p.add_argument("--vertex", type=int, default=0)
     p.add_argument("--boundary-size", type=int, required=True)
     p.add_argument("--linkage", type=int, default=4)
     p.add_argument("--psi", type=float, default=1.0)
-    p.add_argument("--lambda-source", default="spectral")
-    _add_flags(p, "seed", "budget", "out")
+    _add_flags(p, "lambda-source", "seed", "budget", "out")
 
     p = sub.add_parser("experiment", help="run a configured experiment")
     p.add_argument("kind", choices=["range", "tail", "covering"])
@@ -189,14 +183,12 @@ def _resolve_lambda_arg(arg: str):
         raise ConfigError(f"bad --lambda-source {arg!r}") from exc
 
 
-def _spec_from_args(args, g: Graph) -> EnsembleSpec:
-    if args.mode == "one-point":
-        return EnsembleSpec("one-point", M=args.M, v0=args.v0)
-    profile = resolve_profile(g, _resolve_lambda_arg(args.lambda_source))
-    if profile is None:
-        raise ConfigError("ground-state mode requires a regular graph")
-    require_positive_degree(profile)
-    return EnsembleSpec("ground-state", M=args.M, k=args.k, lam=profile.lam)
+def _ensemble_keys(args) -> dict:
+    """The config keys that the ensemble flags stand for; `parse_ensemble`
+    checks them as it checks a config's."""
+    mode = {"kind": args.mode, **({"v0": args.v0} if args.mode == "one-point" else {"k": args.k})}
+    return {"graph": _graph_source(args.graph), "M": args.M, "mode": mode,
+            "lambda_source": _resolve_lambda_arg(args.lambda_source)}
 
 
 def _cmd_gen_graph(args) -> int:
@@ -227,42 +219,34 @@ def _cmd_spectrum(args) -> int:
     return EXIT_OK
 
 
+def _on_ensemble(args, onepoint, groundstate):
+    """`onepoint(g, v0, M)` or `groundstate(g, k, M, lam)`, with the budget
+    flag, on the ensemble the flags name."""
+    ens = resolve_ensemble(parse_ensemble(_ensemble_keys(args)))
+    g, spec = ens.g, ens.spec
+    if spec.mode == "one-point":
+        return onepoint(g, spec.v0, spec.M, budget=args.budget)
+    return groundstate(g, spec.k, spec.M, spec.lam, budget=args.budget)
+
+
 def _cmd_count(args) -> int:
-    g = build_graph(_graph_source(args.graph))
-    if args.mode == "one-point":
-        res = count_onepoint(g, args.v0, args.M, budget=args.budget)
-    else:
-        spec = _spec_from_args(args, g)
-        res = count_groundstate(g, args.k, args.M, spec.lam, budget=args.budget)
+    res = _on_ensemble(args, count_onepoint, count_groundstate)
     _emit(res.__dict__, args.out, "count.json")
     return EXIT_OK
 
 
 def _cmd_enumerate(args) -> int:
-    g = build_graph(_graph_source(args.graph))
-    if args.mode == "one-point":
-        stream = enumerate_onepoint(g, args.v0, args.M, budget=args.budget)
-    else:
-        spec = _spec_from_args(args, g)
-        stream = enumerate_groundstate(g, args.k, args.M, spec.lam, budget=args.budget)
-    emitted = 0
-    for f in stream:
+    stream = _on_ensemble(args, enumerate_onepoint, enumerate_groundstate)
+    for f in islice(stream, args.limit):
         print(json.dumps({"M": f.M, "values": list(f.values)}))
-        emitted += 1
-        if args.limit is not None and emitted >= args.limit:
-            break
     return EXIT_OK
 
 
 def _cmd_sample(args) -> int:
-    mode = {"kind": args.mode, **({"v0": args.v0} if args.mode == "one-point" else {"k": args.k})}
     cfg = parse_config(
         {
             "schema": 1,
-            "graph": _graph_source(args.graph),
-            "M": args.M,
-            "mode": mode,
-            "lambda_source": _resolve_lambda_arg(args.lambda_source),
+            **_ensemble_keys(args),
             "sampler": {"kind": args.sampler},
             "samples": args.samples,
             "seed": args.seed,
@@ -282,6 +266,8 @@ def _cmd_sample(args) -> int:
 def _cmd_flaws(args) -> int:
     g = build_graph(_graph_source(args.graph))
     f = load_function(args.function)
+    if not validate(g, f):  # a length mismatch raises ValueError, also exit 2
+        raise ConfigError(f"{args.function}: values are not {f.M}-Lipschitz on {g.name}")
     dec = flaw_decomposition(g, f, args.anchor, args.base)
     out = {
         "anchor": dec.anchor,

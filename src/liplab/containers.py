@@ -355,14 +355,11 @@ def family_to_json_lines(family: ContainerFamily) -> list[str]:
 # Size bound for S and the count report
 # ---------------------------------------------------------------------------
 
-def check_pair_size_bound(pair: ApproxPair, profile: ExpanderProfile,
-                          fsize_cap: int | None = None) -> dict:
+def check_pair_size_bound(pair: ApproxPair, profile: ExpanderProfile) -> dict:
     """|S| <= (lam / (d(1 - |F|/n) - psi))^2 |F| whenever the denominator is
     positive; otherwise the row is skipped with the failing hypothesis named."""
     n, d, lam = profile.n, profile.d, profile.lam
     fsize = len(pair.f)
-    if fsize_cap is not None and fsize > fsize_cap:
-        return {"status": "skipped", "reason": f"|F|={fsize} exceeds cap {fsize_cap}"}
     denom = d * (1.0 - fsize / n) - pair.psi
     if denom <= 0:
         return {"status": "skipped", "reason": f"denominator {denom:.6g} <= 0",

@@ -79,10 +79,6 @@ class JointPmf:
         return len(self.supports)
 
     @classmethod
-    def from_outcomes(cls, supports, weighted_outcomes) -> "JointPmf":
-        return cls(tuple(tuple(s) for s in supports), dict(weighted_outcomes))
-
-    @classmethod
     def independent_uniform_bits(cls, n: int) -> "JointPmf":
         outcomes = {tuple(bits): 1.0 / 2**n for bits in itertools.product((0, 1), repeat=n)}
         return cls(tuple((0, 1) for _ in range(n)), outcomes)
@@ -96,12 +92,12 @@ class JointPmf:
         return cls(((0, 1), (0, 1), (0, 1)), outcomes)
 
     @classmethod
-    def random(cls, supports, seed: int, concentration: float = 1.0) -> "JointPmf":
-        """Dirichlet-distributed probabilities over the full product support."""
+    def random(cls, supports, seed: int) -> "JointPmf":
+        """Flat-Dirichlet probabilities over the full product support."""
         supports = tuple(tuple(s) for s in supports)
         cells = list(itertools.product(*supports))
         rng = np.random.default_rng(np.random.SeedSequence(seed))
-        weights = rng.dirichlet([concentration] * len(cells))
+        weights = rng.dirichlet([1.0] * len(cells))
         return cls(supports, {cell: float(w) for cell, w in zip(cells, weights)})
 
 

@@ -39,6 +39,7 @@ from .flaws import (
     flaw_decomposition,
     tail_hypotheses,
     tail_rows,
+    tail_verdict,
     verify_ground_state_lemma,
 )
 from .graphs import (
@@ -102,12 +103,18 @@ _TOP_KEYS = {
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
-    raw: dict
+class EnsembleKeys:
+    """The config keys that name an ensemble, as `parse_ensemble` checked them."""
+
     graph_source: dict
     M: int
     mode: dict
     lambda_source: object
+
+
+@dataclass(frozen=True)
+class ExperimentConfig(EnsembleKeys):
+    raw: dict
     sampler: dict
     samples: int
     seed: int
@@ -133,16 +140,10 @@ def _is_number(value) -> bool:
     return _is_int(value) or isinstance(value, float)
 
 
-def parse_config(data: dict) -> ExperimentConfig:
-    """Validate a config dict; unknown keys are rejected outright."""
-    if not isinstance(data, dict):
-        raise ConfigError("config must be a JSON object")
-    unknown = set(data) - _TOP_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    if data.get("schema") != CONFIG_SCHEMA:
-        raise ConfigError(f"config schema must be {CONFIG_SCHEMA}, got {data.get('schema')!r}")
-
+def parse_ensemble(data: dict) -> EnsembleKeys:
+    """Check the keys that name an ensemble: `graph`, `M`, `mode` and
+    `lambda_source`.  `parse_config` runs these checks, and the CLI runs them
+    on its ensemble flags."""
     graph = data.get("graph")
     if not isinstance(graph, dict) or not ({"path"} <= set(graph) or "family" in graph):
         raise ConfigError("graph must be {'path': ...} or {'family': ..., <params>}")
@@ -179,6 +180,20 @@ def parse_config(data: dict) -> ExperimentConfig:
             raise ConfigError(f"lambda_source.asserted must be finite, got {lam_src['asserted']!r}")
     elif lam_src not in ("spectral", "exhaustive"):
         raise ConfigError(f"unknown lambda_source {lam_src!r}")
+
+    return EnsembleKeys(graph, m_value, mode, lam_src)
+
+
+def parse_config(data: dict) -> ExperimentConfig:
+    """Validate a config dict; unknown keys are rejected outright."""
+    if not isinstance(data, dict):
+        raise ConfigError("config must be a JSON object")
+    unknown = set(data) - _TOP_KEYS
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    if data.get("schema") != CONFIG_SCHEMA:
+        raise ConfigError(f"config schema must be {CONFIG_SCHEMA}, got {data.get('schema')!r}")
+    keys = parse_ensemble(data)
 
     sampler = data.get("sampler", {"kind": "exact"})
     if not isinstance(sampler, dict) or sampler.get("kind") not in ("exact", "glauber"):
@@ -230,11 +245,8 @@ def parse_config(data: dict) -> ExperimentConfig:
         raise ConfigError("dump_flaws must be a boolean")
 
     return ExperimentConfig(
+        **vars(keys),
         raw=data,
-        graph_source=graph,
-        M=m_value,
-        mode=mode,
-        lambda_source=lam_src,
         sampler=sampler,
         samples=samples,
         seed=seed,
@@ -263,41 +275,70 @@ def build_graph(source: dict) -> Graph:
     return generate(GenSpec(source["family"], params, source.get("seed")))
 
 
+def _check_lambda_source(g: Graph, lambda_source) -> bool:
+    """Refuse a lambda source that cannot apply to g, without computing a
+    certificate; return whether g is regular."""
+    regular = g.is_regular()
+    if isinstance(lambda_source, dict) and not regular:
+        raise ConfigError("asserted lambda requires a regular graph")
+    if lambda_source == "exhaustive" and regular and g.n > EXHAUSTIVE_CAP:
+        raise ConfigError(f"exhaustive lambda needs n <= {EXHAUSTIVE_CAP}, got n={g.n}")
+    return regular
+
+
 def resolve_profile(g: Graph, lambda_source) -> ExpanderProfile | None:
     """Expansion certificate per the configured source; None when the graph
     is not regular (certificates do not apply)."""
-    if not g.is_regular():
-        if isinstance(lambda_source, dict):
-            raise ConfigError("asserted lambda requires a regular graph")
+    if not _check_lambda_source(g, lambda_source):
         return None
     if isinstance(lambda_source, dict):
         return asserted_profile(g, lambda_source["asserted"])
-    if lambda_source == "spectral":
-        return spectral_lambda(g)
-    if g.n > EXHAUSTIVE_CAP:
-        raise ConfigError(f"exhaustive lambda needs n <= {EXHAUSTIVE_CAP}, got n={g.n}")
-    return exhaustive_lambda(g)
+    return spectral_lambda(g) if lambda_source == "spectral" else exhaustive_lambda(g)
 
 
-def require_positive_degree(profile: ExpanderProfile) -> None:
-    """Refuse a ground-state ensemble on a 0-regular graph (one vertex): its
-    flaw allowance (2*lam/d)*n divides by the degree."""
-    if profile.d == 0:
+@dataclass(frozen=True)
+class Ensemble:
+    """An ensemble request resolved on its graph (see `resolve_ensemble`)."""
+
+    g: Graph
+    profile: ExpanderProfile | None
+    spec: EnsembleSpec
+    probes: tuple[int, ...]
+
+
+def resolve_ensemble(keys: EnsembleKeys, probes=None, ground: bool = False,
+                     gates: bool = False) -> Ensemble:
+    """Build the graph that `keys` name and check the request against it.
+    The ground-state ensemble (the configured mode, or `ground` for a runner
+    that reads it in either mode) needs a regular graph of degree >= 1 and
+    its certificate; `gates` computes the certificate on any regular graph;
+    otherwise none is computed, but the lambda source must fit the graph.
+    `probes` (None when the caller reads none) default to the anchor, v0 or
+    vertex 0, and must be vertices of the graph."""
+    g = build_graph(keys.graph_source)
+    mode = keys.mode
+    ground = ground or mode["kind"] == "ground-state"
+    regular = _check_lambda_source(g, keys.lambda_source)
+    if ground and not regular:
+        raise ConfigError("ground-state mode requires a regular graph")
+    if ground and g.regular_degree() == 0:
+        # the flaw allowance (2*lam/d)*n divides by the degree
         raise ConfigError("ground-state mode needs a graph of degree >= 1, got degree 0")
+    profile = resolve_profile(g, keys.lambda_source) if ground or gates else None
+    # a one-point mode holds v0 and no k, a ground-state mode k and no v0
+    spec = EnsembleSpec(mode["kind"], M=keys.M, v0=mode.get("v0"), k=mode.get("k"),
+                        lam=profile.lam if mode["kind"] == "ground-state" else None)
+    if probes is not None:
+        probes = tuple(probes) or (mode.get("v0", 0),)
+        for v in probes:
+            if not 0 <= v < g.n:
+                raise ConfigError(f"probe vertex {v} out of range")
+    return Ensemble(g, profile, spec, probes or ())
 
 
 # ---------------------------------------------------------------------------
 # Sampling
 # ---------------------------------------------------------------------------
-
-def _ensemble_spec(cfg: ExperimentConfig, profile: ExpanderProfile | None) -> EnsembleSpec:
-    if cfg.mode["kind"] == "one-point":
-        return EnsembleSpec("one-point", M=cfg.M, v0=cfg.mode["v0"])
-    if profile is None:
-        raise ConfigError("ground-state mode requires a regular graph with a certificate")
-    require_positive_degree(profile)
-    return EnsembleSpec("ground-state", M=cfg.M, k=cfg.mode["k"], lam=profile.lam)
-
 
 def glauber_schedule(g: Graph, cfg: ExperimentConfig) -> dict:
     """The Glauber run a config resolves to: burn-in (default 100*n*M),
@@ -307,8 +348,8 @@ def glauber_schedule(g: Graph, cfg: ExperimentConfig) -> dict:
     return {"burn_in": burn_in, "thinning": thinning, "chain_steps": burn_in + cfg.samples * thinning}
 
 
-def draw_samples(g: Graph, cfg: ExperimentConfig, profile: ExpanderProfile | None) -> list[LipschitzFn]:
-    spec = _ensemble_spec(cfg, profile)
+def draw_samples(ens: Ensemble, cfg: ExperimentConfig) -> list[LipschitzFn]:
+    g, spec = ens.g, ens.spec
     if cfg.sampler["kind"] == "exact":
         sampler = ExactSampler(g, spec, budget=cfg.budget)
         child_seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.samples)
@@ -404,13 +445,10 @@ def variance_scale(d: int, lam: float, M: int) -> float | None:
 def run_range_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Sample the ensemble, record ranges and probe values, and display the
     flatness threshold next to the empirical tail (never asserted)."""
-    g = build_graph(cfg.graph_source)
-    profile = resolve_profile(g, cfg.lambda_source)
-    probes = cfg.probes or ((cfg.mode.get("v0", 0),) if cfg.mode["kind"] == "one-point" else (0,))
-    for v in probes:
-        if not (0 <= v < g.n):
-            raise ConfigError(f"probe vertex {v} out of range")
-    samples = draw_samples(g, cfg, profile)
+    # the flaw dump reads each sample's ground states, in either mode
+    ens = resolve_ensemble(cfg, cfg.probes, ground=cfg.dump_flaws, gates=True)
+    g, profile, probes = ens.g, ens.profile, ens.probes
+    samples = draw_samples(ens, cfg)
 
     records = []
     for i, f in enumerate(samples):
@@ -468,8 +506,6 @@ def run_range_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
     extra = None
     if cfg.dump_flaws:
-        if profile is None:
-            raise ConfigError("dump_flaws requires a regular graph")
         lines = []
         for i, f in enumerate(samples):
             anchor = max(range(g.n), key=lambda v: f.values[v])
@@ -508,15 +544,8 @@ def run_tail_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """
     if cfg.mode["kind"] != "ground-state":
         raise ConfigError("tail experiment requires ground-state mode")
-    g = build_graph(cfg.graph_source)
-    profile = resolve_profile(g, cfg.lambda_source)
-    if profile is None:
-        raise ConfigError("tail experiment requires a regular graph")
-    require_positive_degree(profile)
-    probe = cfg.probes[0] if cfg.probes else 0
-    if not (0 <= probe < g.n):
-        raise ConfigError(f"probe vertex {probe} out of range")
-    k = cfg.mode["k"]
+    ens = resolve_ensemble(cfg, cfg.probes)
+    g, profile, probe, k = ens.g, ens.profile, ens.probes[0], ens.spec.k
 
     if cfg.sampler["kind"] == "exact":
         rows = conditional_tail_profile(
@@ -532,7 +561,7 @@ def run_tail_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         )
         estimate = "exact"
     else:
-        samples = draw_samples(g, cfg, profile)
+        samples = draw_samples(ens, cfg)
         marginal = Counter(f.values[probe] for f in samples)
         rows = tail_rows(g, cfg.M, profile.lam, probe, cfg.t_values, marginal, k,
                          cfg.constants["c"], cfg.constants["C"])
@@ -551,15 +580,7 @@ def run_tail_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         }
         for r in rows
     ]
-    violations = [r for r in rows if r["asserted"] and not r["holds"]]
-    aggregates = {
-        "estimate": estimate,
-        "rows": rows,
-        "monotone": all(
-            rows[i]["probability"] >= rows[i + 1]["probability"] for i in range(len(rows) - 1)
-        ),
-        "asserted_violations": violations,
-    }
+    aggregates = {"estimate": estimate, "rows": rows, **tail_verdict(rows)}
     if cfg.sampler["kind"] == "glauber":
         aggregates["sampler"] = glauber_schedule(g, cfg)
     gates = {"lam": profile.lam, "lambda_method": profile.method}
@@ -573,47 +594,33 @@ def run_tail_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     )
 
 
-def run_covering_check(cfg: ExperimentConfig) -> dict:
-    """Exact count comparison: the ground-state ensemble at k is at most
-    (M+1) times the anchored ensemble.  Asserted only under lam <= d/5."""
-    g = build_graph(cfg.graph_source)
-    profile = resolve_profile(g, cfg.lambda_source)
-    if profile is None:
-        raise ConfigError("covering check requires a regular graph")
-    require_positive_degree(profile)
-    k = cfg.mode.get("k", 0) if cfg.mode["kind"] == "ground-state" else 0
-    v0 = cfg.mode.get("v0", 0) if cfg.mode["kind"] == "one-point" else 0
+def covering_inequality(g: Graph, profile: ExpanderProfile, M: int, k: int = 0, v0: int = 0,
+                        budget: int = DEFAULT_NODE_BUDGET) -> dict:
+    """The covering inequality, in the fields of `covering.json`: the
+    ground-state ensemble at base k has at most (M+1) times as many members
+    as the one-point ensemble at v0.  Asserted only under lam <= d/5; skipped
+    when the flaw allowance is >= n (the ground-state ensemble is infinite)."""
     gate = profile.lam <= profile.d / 5.0 + 1e-12
     cap = flaw_cap(g.n, profile.d, profile.lam)
-    report = {
-        "graph": g.name,
-        "M": cfg.M,
-        "k": k,
-        "v0": v0,
-        "lam": profile.lam,
-        "gate_lam_le_d_over_5": gate,
-        "provenance": _provenance(cfg),
-    }
     if cap >= g.n:
-        report.update(
-            {"status": "skipped", "reason": f"flaw allowance {cap} >= n; ensemble infinite"}
-        )
-        return report
-    lhs = count_groundstate(g, k, cfg.M, profile.lam, budget=cfg.budget).count
-    rhs_base = count_onepoint(g, v0, cfg.M, budget=cfg.budget).count
-    rhs = (cfg.M + 1) * rhs_base
-    holds = lhs <= rhs
-    report.update(
-        {
-            "ground_state_count": lhs,
-            "one_point_count": rhs_base,
-            "bound": rhs,
-            "holds": holds,
-            "asserted": gate,
-            "status": ("pass" if holds else "fail") if gate else "report-only",
-        }
-    )
-    return report
+        return {"gate_lam_le_d_over_5": gate, "status": "skipped",
+                "reason": f"flaw allowance {cap} >= n; ensemble infinite"}
+    lhs = count_groundstate(g, k, M, profile.lam, budget=budget).count
+    base = count_onepoint(g, v0, M, budget=budget).count
+    holds = lhs <= (M + 1) * base
+    return {"gate_lam_le_d_over_5": gate, "ground_state_count": lhs, "one_point_count": base,
+            "bound": (M + 1) * base, "holds": holds, "asserted": gate,
+            "status": ("pass" if holds else "fail") if gate else "report-only"}
+
+
+def run_covering_check(cfg: ExperimentConfig) -> dict:
+    """`covering_inequality` under the configured certificate, at the
+    configured base k or anchor v0 (the other one is 0)."""
+    ens = resolve_ensemble(cfg, ground=True)
+    k, v0 = cfg.mode.get("k", 0), cfg.mode.get("v0", 0)
+    return {"graph": ens.g.name, "M": cfg.M, "k": k, "v0": v0, "lam": ens.profile.lam,
+            "provenance": _provenance(cfg),
+            **covering_inequality(ens.g, ens.profile, cfg.M, k, v0, budget=cfg.budget)}
 
 
 # ---------------------------------------------------------------------------
@@ -736,18 +743,17 @@ def check_translation_bijection(sg: SuiteGraph, ctx: VerifyContext) -> list[dict
 
 
 def check_covering_inequality(sg: SuiteGraph, ctx: VerifyContext) -> list[dict]:
-    """Ground-state count at most (M+1) times the anchored count at M = 1,
-    asserted only under lam <= d/5."""
+    """`covering_inequality` at M = 1 under the spectral certificate."""
     if skip := _infinite("covering-inequality", sg):
         return skip
-    lam = sg.spectral.lam
-    lhs = count_groundstate(sg.g, 0, 1, lam, budget=ctx.budget).count
-    rhs = 2 * count_onepoint(sg.g, 0, 1, budget=ctx.budget).count
-    if lam <= sg.spectral.d / 5.0 + 1e-12:
-        return [_verdict("covering-inequality", sg.name, lhs <= rhs, {"lhs": lhs, "bound": rhs},
+    cov = covering_inequality(sg.g, sg.spectral, 1, budget=ctx.budget)
+    lhs, rhs = cov["ground_state_count"], cov["bound"]
+    if cov["asserted"]:
+        return [_verdict("covering-inequality", sg.name, cov["holds"], {"lhs": lhs, "bound": rhs},
                          lhs=lhs, bound=rhs)]
     return [_row("covering-inequality", sg.name, "skipped",
-                 reason=f"hypothesis lam <= d/5 fails (lam={lam:.4g})", lhs=lhs, bound=rhs, holds=lhs <= rhs)]
+                 reason=f"hypothesis lam <= d/5 fails (lam={sg.spectral.lam:.4g})", lhs=lhs, bound=rhs,
+                 holds=cov["holds"])]
 
 
 def check_tail_inequality(sg: SuiteGraph, ctx: VerifyContext) -> list[dict]:
@@ -755,9 +761,9 @@ def check_tail_inequality(sg: SuiteGraph, ctx: VerifyContext) -> list[dict]:
     if not sg.finite:
         return []
     tail = conditional_tail_profile(sg.g, 1, sg.spectral.lam, 0, [2, 3], budget=ctx.budget)
-    bad = [r for r in tail if r["asserted"] and not r["holds"]]
-    mono = all(a["probability"] >= b["probability"] for a, b in zip(tail, tail[1:]))
-    return [_verdict("tail-inequality", sg.name, not bad and mono, bad[:1] or {"rows": tail})]
+    verdict = tail_verdict(tail)
+    bad = verdict["asserted_violations"]
+    return [_verdict("tail-inequality", sg.name, not bad and verdict["monotone"], bad[:1] or {"rows": tail})]
 
 
 def check_core_closure(sg: SuiteGraph, ctx: VerifyContext) -> list[dict]:
@@ -979,11 +985,7 @@ def _random_lipschitz(g: Graph, M: int, rng: np.random.Generator) -> LipschitzFn
         ok = True
         for v in order:
             nbrs = [u for u in g.neighbors(v) if u in assigned]
-            if nbrs:
-                lo = max(vals[u] for u in nbrs) - M
-                hi = min(vals[u] for u in nbrs) + M
-            else:
-                lo, hi = -M, M
+            lo, hi = glauber_site_interval(vals, nbrs, M) if nbrs else (-M, M)
             if lo > hi:
                 ok = False
                 break

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import pairwise
 
 from .graphs import (
     DEFAULT_NODE_BUDGET,
@@ -259,6 +260,15 @@ def tail_rows(g: Graph, M: int, lam, anchor: int, t_values, marginal, k: int,
         }
         rows.append(row)
     return rows
+
+
+def tail_verdict(rows: list[dict]) -> dict:
+    """The asserted rows that fail, and whether the tail does not rise with
+    t; the tail experiment reports both and the verify row reads both."""
+    return {
+        "asserted_violations": [r for r in rows if r["asserted"] and not r["holds"]],
+        "monotone": all(a["probability"] >= b["probability"] for a, b in pairwise(rows)),
+    }
 
 
 def conditional_tail_profile(

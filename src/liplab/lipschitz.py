@@ -26,7 +26,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, ConfigError
 from .graphs import DEFAULT_NODE_BUDGET, Graph, bfs_order
 
 _SLACK = 1e-12
@@ -110,17 +110,16 @@ class CountResult:
 # ---------------------------------------------------------------------------
 
 def flaw_allowance_ok(count: int, n: int, d: int, lam) -> bool:
-    """count <= (2*lam/d)*n, exactly when lam is rational, else with slack."""
-    if isinstance(lam, (int, Fraction)):
-        return Fraction(count) <= Fraction(2 * lam * n, d)
-    return count <= 2.0 * lam / d * n + _SLACK
+    """count <= (2*lam/d)*n; for an integer count, count <= `flaw_cap`."""
+    return count <= flaw_cap(n, d, lam)
 
 
 def flaw_cap(n: int, d: int, lam) -> int:
-    """Largest admissible flaw count: floor of (2*lam/d)*n."""
+    """Largest admissible flaw count: floor of (2*lam/d)*n, exactly when lam
+    is rational, else with slack."""
     if isinstance(lam, (int, Fraction)):
-        return int(Fraction(2 * lam * n, d))
-    return int(math.floor(2.0 * lam / d * n + _SLACK))
+        return math.floor(Fraction(2 * lam * n, d))
+    return math.floor(2.0 * lam / d * n + _SLACK)
 
 
 # ---------------------------------------------------------------------------
@@ -128,8 +127,12 @@ def flaw_cap(n: int, d: int, lam) -> int:
 # ---------------------------------------------------------------------------
 
 class _FrontierDP:
-    """Layered transfer-matrix DP along the breadth-first vertex order from
-    `start`; counting, sampling, enumeration and exact marginals all walk it.
+    """Layered transfer-matrix DP of the ensemble `spec` along the
+    breadth-first vertex order from v0 (one-point mode) or from `start`
+    (ground-state mode); counting, sampling, enumeration and exact marginals
+    all walk it.  In ground-state mode values are confined to the box
+    [k - n*M, k + M + n*M], which is exhaustive because some vertex must sit
+    inside the window [k, k+M].
 
     Layer i holds the states reached once the first i vertices of the order
     have values.  A vertex is pending when it is unassigned but has an
@@ -154,16 +157,19 @@ class _FrontierDP:
     against `budget` after every state expanded.
     """
 
-    def __init__(self, g: Graph, start: int, M: int, root: tuple[int, int],
-                 budget: int, box=None, window=None, cap=None):
-        if not (0 <= start < g.n):
-            raise ValueError(f"invalid anchor vertex {start}")
+    def __init__(self, g: Graph, spec: EnsembleSpec, budget: int, start: int = 0):
+        self.M = M = spec.M
+        self.cap = _check_spec(g, spec)
+        if self.cap is None:
+            start, root, self.box, self.window = spec.v0, (0, 0), None, None
+        else:
+            if not 0 <= start < g.n:
+                raise ValueError(f"invalid anchor vertex {start}")
+            k = spec.k
+            root = self.box = (k - g.n * M, k + M + g.n * M)
+            self.window = (k, k + M)
         order = bfs_order(g, start)
         self.n = len(order)
-        self.M = M
-        self.box = box
-        self.window = window
-        self.cap = cap
         self.budget = budget
         self.nodes = 0
         pos = {v: i for i, v in enumerate(order)}
@@ -181,7 +187,7 @@ class _FrontierDP:
             self.fresh.append(len(opened))
             pending = rest + opened
         lo, hi = root[0] + M, root[1] - M
-        self.offset = 0 if box is not None else min(lo, hi)
+        self.offset = 0 if self.box is not None else min(lo, hi)
         self.root = (lo - self.offset, hi - self.offset, 0)
 
     def successors(self, i: int, key: tuple, shifted: bool = True) -> list[tuple[int, tuple, int]]:
@@ -322,56 +328,61 @@ class _FrontierDP:
         return tuple(map(vals.__getitem__, self._place))
 
 
-def _onepoint_dp(g: Graph, v0: int, M: int, budget: int) -> _FrontierDP:
-    return _FrontierDP(g, v0, M, root=(0, 0), budget=budget)
-
-
-def _groundstate_dp(g: Graph, k: int, M: int, lam, budget: int, start: int = 0) -> _FrontierDP:
-    d = g.regular_degree()
-    cap = flaw_cap(g.n, d, lam)
+def _check_spec(g: Graph, spec: EnsembleSpec) -> int | None:
+    """Check that `spec` names a finite ensemble on g, with its anchor on the
+    graph; return its flaw cap (None in one-point mode)."""
+    if spec.mode == "one-point":
+        if not 0 <= spec.v0 < g.n:
+            raise ValueError(f"invalid anchor vertex {spec.v0}")
+        return None
+    cap = flaw_cap(g.n, g.regular_degree(), spec.lam)
     if cap >= g.n:
         raise ValueError(
             f"flaw allowance {cap} admits every function (n={g.n}); the ensemble is infinite"
         )
-    box = (k - g.n * M, k + M + g.n * M)
-    return _FrontierDP(g, start, M, root=box, budget=budget, box=box, window=(k, k + M), cap=cap)
+    return cap
+
+
+def _count(g: Graph, spec: EnsembleSpec, budget: int) -> CountResult:
+    dp = _FrontierDP(g, spec, budget)
+    total = sum(dp.forward("count").values())
+    return CountResult(count=total, nodes_explored=dp.nodes, mode=spec.mode, M=spec.M,
+                       anchor=spec.v0, base=spec.k, flaw_cap=dp.cap, box=dp.box)
+
+
+def _members(g: Graph, spec: EnsembleSpec, budget: int) -> Iterator[LipschitzFn]:
+    """The ensemble's members in lexicographic order along the DP's vertex
+    order; the spec is checked at the call, the members come lazily."""
+    dp = _FrontierDP(g, spec, budget)
+    return (LipschitzFn(dp.to_vertex_order(vals), spec.M) for vals in dp.stream("enumeration"))
 
 
 def enumerate_onepoint(g: Graph, v0: int, M: int, budget: int = DEFAULT_NODE_BUDGET) -> Iterator[LipschitzFn]:
     """Every f with f(v0) = 0, each exactly once, in lexicographic order
     along a breadth-first vertex order from v0."""
-    dp = _onepoint_dp(g, v0, M, budget)
-    for vals in dp.stream("enumeration"):
-        yield LipschitzFn(dp.to_vertex_order(vals), M)
+    return _members(g, EnsembleSpec("one-point", M=M, v0=v0), budget)
 
 
 def count_onepoint(g: Graph, v0: int, M: int, budget: int = DEFAULT_NODE_BUDGET) -> CountResult:
-    dp = _onepoint_dp(g, v0, M, budget)
-    total = sum(dp.forward("count").values())
-    return CountResult(count=total, nodes_explored=dp.nodes, mode="one-point", M=M, anchor=v0)
+    return _count(g, EnsembleSpec("one-point", M=M, v0=v0), budget)
 
 
 def enumerate_groundstate(g: Graph, k: int, M: int, lam, budget: int = DEFAULT_NODE_BUDGET) -> Iterator[LipschitzFn]:
     """Every M-Lipschitz f whose flaw count for the window [k, k+M] is within
-    the allowance (2*lam/d)*n.  Values are confined to [k - n*M, k + M + n*M],
-    which is exhaustive because some vertex must sit inside the window."""
-    dp = _groundstate_dp(g, k, M, lam, budget)
-    for vals in dp.stream("enumeration"):
-        yield LipschitzFn(dp.to_vertex_order(vals), M)
+    the allowance (2*lam/d)*n."""
+    return _members(g, EnsembleSpec("ground-state", M=M, k=k, lam=lam), budget)
 
 
 def count_groundstate(g: Graph, k: int, M: int, lam, budget: int = DEFAULT_NODE_BUDGET) -> CountResult:
-    dp = _groundstate_dp(g, k, M, lam, budget)
-    total = sum(dp.forward("count").values())
-    return CountResult(count=total, nodes_explored=dp.nodes, mode="ground-state", M=M,
-                       base=k, flaw_cap=dp.cap, box=dp.box)
+    return _count(g, EnsembleSpec("ground-state", M=M, k=k, lam=lam), budget)
 
 
 def marginal_groundstate(g: Graph, k: int, M: int, lam, v: int,
                          budget: int = DEFAULT_NODE_BUDGET) -> dict[int, int]:
     """Exact marginal of f(v) over the ground-state ensemble at base k:
     {value: number of members taking it}, read from the DP rooted at v."""
-    _, values, _, _, cum = _groundstate_dp(g, k, M, lam, budget, start=v).compile("marginal")[0]
+    spec = EnsembleSpec("ground-state", M=M, k=k, lam=lam)
+    _, values, _, _, cum = _FrontierDP(g, spec, budget, start=v).compile("marginal")[0]
     return {c: b - a for c, a, b in zip(values, [0] + cum, cum)}
 
 
@@ -406,13 +417,7 @@ class ExactSampler:
     """
 
     def __init__(self, g: Graph, spec: EnsembleSpec, budget: int = DEFAULT_NODE_BUDGET):
-        self.g = g
-        self.spec = spec
-        self.budget = budget
-        if spec.mode == "one-point":
-            self._dp = _onepoint_dp(g, spec.v0, spec.M, budget)
-        else:
-            self._dp = _groundstate_dp(g, spec.k, spec.M, spec.lam, budget)
+        self._dp = _FrontierDP(g, spec, budget)
         self._rows = self._dp.compile("sampler")
         cum = self._rows[0][4]
         self.total = cum[-1] if cum else 0
@@ -513,13 +518,10 @@ def _glauber_run(
     blocks) passes `(t, values)` to `on_step`.
     """
     M = spec.M
-    ground = spec.mode == "ground-state"
+    cap = _check_spec(g, spec)
+    ground = cap is not None
     sites = np.arange(g.n)
     if ground:
-        d = g.regular_degree()
-        cap = flaw_cap(g.n, d, spec.lam)
-        if cap >= g.n:
-            raise ValueError("flaw allowance admits every function; the ensemble is infinite")
         values = [spec.k] * g.n
         w_lo, w_hi = spec.k, spec.k + M
     else:
@@ -625,6 +627,12 @@ def min_ground_state(g: Graph, f: LipschitzFn, lam) -> int:
 # ---------------------------------------------------------------------------
 
 def load_function(path) -> LipschitzFn:
+    """Read a function file; a missing or non-integer field is a `ConfigError`
+    (and a file that is not JSON a `ValueError`)."""
     with open(path) as fh:
         data = json.load(fh)
-    return LipschitzFn(tuple(int(v) for v in data["values"]), int(data["M"]))
+    M, values = (data.get("M"), data.get("values")) if isinstance(data, dict) else (None, None)
+    # `type(x) is int` leaves out JSON booleans, which subclass int in Python
+    if type(M) is not int or M < 0 or not isinstance(values, list) or any(type(v) is not int for v in values):
+        raise ConfigError(f'{path}: a function file is {{"M": integer >= 0, "values": [integer, ...]}}')
+    return LipschitzFn(tuple(values), M)

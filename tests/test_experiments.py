@@ -21,6 +21,7 @@ from liplab.experiments import (
     load_config,
     parse_config,
     range_threshold,
+    resolve_ensemble,
     resolve_profile,
     run_covering_check,
     run_range_experiment,
@@ -173,8 +174,7 @@ def test_range_glauber_reproducible():
 
 def _draws_sha256(data):
     cfg = parse_config(data)
-    g = build_graph(cfg.graph_source)
-    draws = draw_samples(g, cfg, resolve_profile(g, cfg.lambda_source))
+    draws = draw_samples(resolve_ensemble(cfg), cfg)
     return hashlib.sha256(json.dumps([list(f.values) for f in draws]).encode()).hexdigest()
 
 
@@ -415,11 +415,66 @@ def test_cli_count_groundstate(capsys):
 
 
 def test_cli_enumerate_limit(capsys):
-    code = main(["enumerate", "--graph", '{"family":"cycle","n":4}', "--M", "1", "--limit", "5"])
+    argv = ["enumerate", "--graph", '{"family":"cycle","n":4}', "--M", "1", "--limit"]
+    code = main([*argv, "5"])
     assert code == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 5
     assert json.loads(lines[0])["values"][0] == 0
+    assert main([*argv, "0"]) == 0
+    assert capsys.readouterr().out == ""
+    assert main([*argv, "-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("error: argument --limit: must be an integer >= 0, got -3\n")
+
+
+@pytest.mark.parametrize("command", ["count", "enumerate", "sample"])
+def test_cli_ensemble_flags_are_checked_like_config_keys(command, capsys):
+    argv = [command, "--graph", '{"family":"cycle","n":4}'] + (["--samples", "2"] if command == "sample" else [])
+    for flags, message in ((["--M", "-1"], "M must be a nonnegative integer"),
+                           (["--M", "1", "--lambda-source", "bogus"], "bad --lambda-source 'bogus'")):
+        assert main([*argv, *flags]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("command", ["count", "enumerate"])
+def test_cli_one_point_ensemble_computes_no_certificate(command, monkeypatch, capsys):
+    import liplab.experiments as experiments
+
+    def no_eigensolve(g):
+        raise AssertionError("spectral_lambda called")
+
+    monkeypatch.setattr(experiments, "spectral_lambda", no_eigensolve)
+    assert main([command, "--graph", '{"family":"cycle","n":4}', "--M", "1"]) == 0
+    assert main([command, "--graph", '{"family":"cycle","n":4}', "--M", "1", "--mode", "ground-state"]) == 4
+
+
+def test_glauber_refuses_an_anchor_off_the_graph(capsys):
+    assert main(["sample", "--graph", '{"family":"cycle","n":6}', "--M", "1", "--samples", "3",
+                 "--sampler", "glauber", "--v0", "99"]) == 2
+    assert capsys.readouterr() == ("", "error: invalid anchor vertex 99\n")
+
+
+def test_flaw_dump_on_degree_zero_exits_2(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(base_config(graph={"family": "complete", "n": 1}, probes=[0], samples=2,
+                                               dump_flaws=True)))
+    assert main(["experiment", "range", "--config", str(cfg_path), "--out", str(tmp_path / "res")]) == 2
+    assert capsys.readouterr().err == "error: ground-state mode needs a graph of degree >= 1, got degree 0\n"
+    assert not (tmp_path / "res").exists()
+
+
+@pytest.mark.parametrize("text,message", [
+    ('{"M": 1, "values": [0, 1, 0]}', "value array has length 3, graph has 4 vertices"),
+    ('{"values": [0, 1, 0, 1]}', '{path}: a function file is {{"M": integer >= 0, "values": [integer, ...]}}'),
+    ('{"M": 1, "values": [0, 5, 0, 0]}', "{path}: values are not 1-Lipschitz on C4"),
+], ids=["three-values-on-C4", "no-M", "not-Lipschitz"])
+def test_cli_flaws_rejects_a_bad_function_file(text, message, tmp_path, capsys):
+    path = tmp_path / "f.json"
+    path.write_text(text)
+    assert main(["flaws", "--graph", '{"family":"cycle","n":4}', "--function", str(path), "--anchor", "0"]) == 2
+    assert capsys.readouterr() == ("", f"error: {message.format(path=path)}\n")
 
 
 def test_cli_gen_graph_and_sample(tmp_path, capsys):
@@ -790,13 +845,13 @@ def test_verify_covering_rows_pinned(default_suite):
 # One Glauber run per experiment
 # ---------------------------------------------------------------------------
 
-def _per_sample_glauber(g, cfg, profile):
+def _per_sample_glauber(ens, cfg):
     """The Glauber branch of `draw_samples` before it became one run: one
     `glauber_chain` call per sample, continuing from the previous state."""
-    from liplab.experiments import _ensemble_spec, glauber_schedule
+    from liplab.experiments import glauber_schedule
     from liplab.lipschitz import glauber_chain
 
-    spec = _ensemble_spec(cfg, profile)
+    g, spec = ens.g, ens.spec
     schedule = glauber_schedule(g, cfg)
     state = glauber_chain(g, spec, seed=cfg.seed, steps=schedule["burn_in"])
     out = []
@@ -827,11 +882,10 @@ _GROUND = {"mode": {"kind": "ground-state", "k": 0}, "lambda_source": {"asserted
         "zero-samples", "one-sample", "one-sample-ground", "defaults"])
 def test_glauber_draw_samples_matches_per_sample_chain(overrides):
     cfg = parse_config(base_config(**{"seed": 4, "probes": [], **overrides}))
-    g = build_graph(cfg.graph_source)
-    profile = resolve_profile(g, cfg.lambda_source)
-    expected = _per_sample_glauber(g, cfg, profile)
+    ens = resolve_ensemble(cfg)
+    expected = _per_sample_glauber(ens, cfg)
     assert len(expected) == cfg.samples
-    assert draw_samples(g, cfg, profile) == expected
+    assert draw_samples(ens, cfg) == expected
 
 
 def test_glauber_draw_samples_never_validates(monkeypatch):
@@ -843,8 +897,9 @@ def test_glauber_draw_samples_never_validates(monkeypatch):
     for mode in ({}, _GROUND):
         cfg = parse_config(base_config(graph=_RR20, sampler={"kind": "glauber", "burn_in": 50, "thinning": 5},
                                        samples=30, **mode))
-        g = build_graph(cfg.graph_source)
-        assert len(draw_samples(g, cfg, resolve_profile(g, cfg.lambda_source))) == 30
+        ens = resolve_ensemble(cfg)
+        g = ens.g
+        assert len(draw_samples(ens, cfg)) == 30
     assert calls == []
     # the patch is live: a caller's initial state is still checked
     state = lipschitz.glauber_chain(g, lipschitz.EnsembleSpec("one-point", M=1, v0=0), seed=0, steps=3)

@@ -9,6 +9,7 @@ from liplab.flaws import (
     flaw_decomposition,
     tail_bound,
     tail_hypotheses,
+    tail_verdict,
     verify_ground_state_lemma,
 )
 from liplab.graphs import (
@@ -233,6 +234,18 @@ def test_tail_monotone_in_t(k6):
     rows = conditional_tail_profile(k6, 1, 1.0, 0, [1, 2, 3, 4])
     probs = [r["probability"] for r in rows]
     assert probs == sorted(probs, reverse=True)
+
+
+def test_tail_verdict_reads_failures_and_monotonicity(petersen):
+    def row(p, asserted=True, holds=True):
+        return {"probability": p, "asserted": asserted, "holds": holds}
+
+    assert tail_verdict([row(0.5), row(0.2), row(0.2)]) == {"asserted_violations": [], "monotone": True}
+    bad = row(0.3, holds=False)
+    assert tail_verdict([row(0.1), bad, row(0.4, asserted=False, holds=False)]) == {
+        "asserted_violations": [bad], "monotone": False}
+    # strictly falling exact rows on Petersen (0.134, 0.0039, 0.0)
+    assert tail_verdict(conditional_tail_profile(petersen, 1, 1.0, 3, [0, 1, 2]))["monotone"]
 
 
 def test_tail_probability_against_enumeration(k6):

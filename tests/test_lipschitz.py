@@ -566,6 +566,20 @@ def test_function_file_roundtrip(tmp_path):
     assert load_function(path) == LipschitzFn((0, -2, 3), 5)
 
 
+@pytest.mark.parametrize("text", [
+    '{"values": [0, 1]}', '{"M": 1}', '{"M": 1.5, "values": [0, 1]}', '{"M": true, "values": [0, 1]}',
+    '{"M": -1, "values": [0, 1]}', '{"M": 1, "values": [0, "1"]}', '{"M": 1, "values": [0, 0.5]}',
+    '{"M": 1, "values": 7}', '[1, [0, 1]]',
+])
+def test_function_file_needs_integer_fields(text, tmp_path):
+    from liplab.errors import ConfigError
+
+    path = tmp_path / "f.json"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match="a function file is"):
+        load_function(path)
+
+
 # ---------------------------------------------------------------------------
 # Frontier DP: fixed-seed draws, brute-force oracles, sizes and budgets
 # ---------------------------------------------------------------------------

@@ -1,0 +1,42 @@
+"""The benchmark's tracer (`bench/tracing.py`) wraps liplab entry points by
+module and name.  These tests read that file without importing it as a
+module, so a renamed entry point fails here rather than in a traced bench
+run."""
+
+import importlib
+from pathlib import Path
+
+from liplab.cli import main
+from liplab.graphs import cycle_graph
+from liplab.lipschitz import count_onepoint
+
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+
+def _tracing() -> dict:
+    namespace = {"__name__": "bench_tracing"}
+    exec(compile(TRACING.read_text(), str(TRACING), "exec"), namespace)
+    return namespace
+
+
+def test_every_traced_target_resolves():
+    targets = _tracing()["TARGETS"]
+    assert targets
+    for module, attr, _, _ in targets:
+        owner = importlib.import_module(f"liplab.{module}")
+        if "." in attr:
+            cls_name, meth = attr.split(".")
+            assert meth in vars(getattr(owner, cls_name)), f"liplab.{module}.{attr}"
+        else:
+            assert callable(getattr(owner, attr, None)), f"liplab.{module}.{attr}"
+
+
+def test_traced_cli_count_reaches_the_count_counters(capsys):
+    tracing = _tracing()
+    tracer = tracing["Tracer"]()
+    with tracing["installed"](tracer):
+        assert main(["count", "--graph", '{"family":"cycle","n":4}', "--M", "1"]) == 0
+    capsys.readouterr()
+    summary = tracer.summary()
+    assert summary["lipschitz.count.calls"] == 1
+    assert summary["lipschitz.count.nodes"] == count_onepoint(cycle_graph(4), 0, 1).nodes_explored
