@@ -85,8 +85,8 @@ _FLAGS = {
     "graph": dict(required=True, help="generator JSON or edge-list path"),
     "M": dict(type=int, required=True, help="Lipschitz constant"),
     "mode": dict(choices=["one-point", "ground-state"], default="one-point"),
-    "v0": dict(type=int, default=0, help="anchor vertex of the one-point ensemble"),
-    "k": dict(type=int, default=0, help="window base of the ground-state ensemble"),
+    "v0": dict(type=int, default=None, help="anchor vertex of the one-point ensemble (default 0)"),
+    "k": dict(type=int, default=None, help="window base of the ground-state ensemble (default 0)"),
     "lambda-source": dict(default="spectral", help="spectral | exhaustive | a number to assert"),
 }
 # the flags that name an ensemble; checked by the config's ensemble-key checks
@@ -142,7 +142,8 @@ def make_parser() -> argparse.ArgumentParser:
     _add_flags(p, *_ENSEMBLE)
     p.add_argument("--sampler", choices=["exact", "glauber"], default="exact")
     p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--probes", type=int, nargs="*", default=[0])
+    p.add_argument("--probes", type=int, nargs="*", default=None,
+                   help="vertices whose values are reported (default: the anchor)")
     _add_flags(p, "seed", "budget", "out")
 
     p = sub.add_parser("flaws", help="cluster/core decomposition of a stored function")
@@ -185,8 +186,13 @@ def _resolve_lambda_arg(arg: str):
 
 def _ensemble_keys(args) -> dict:
     """The config keys that the ensemble flags stand for; `parse_ensemble`
-    checks them as it checks a config's."""
-    mode = {"kind": args.mode, **({"v0": args.v0} if args.mode == "one-point" else {"k": args.k})}
+    checks them as it checks a config's.  The flag of the other mode is
+    refused, as a config mode that names both `v0` and `k` is."""
+    key, other = ("v0", "k") if args.mode == "one-point" else ("k", "v0")
+    if getattr(args, other) is not None:
+        raise ConfigError(f"--{other} does not apply to {args.mode} mode")
+    value = getattr(args, key)
+    mode = {"kind": args.mode, key: 0 if value is None else value}
     return {"graph": _graph_source(args.graph), "M": args.M, "mode": mode,
             "lambda_source": _resolve_lambda_arg(args.lambda_source)}
 
@@ -250,8 +256,9 @@ def _cmd_sample(args) -> int:
             "sampler": {"kind": args.sampler},
             "samples": args.samples,
             "seed": args.seed,
-            "probes": list(args.probes),
             "budget": args.budget,
+            # left out when not given, so the probes default to the anchor as in a config
+            **({} if args.probes is None else {"probes": args.probes}),
         }
     )
     text = run_range_experiment(cfg).csv_text()

@@ -58,7 +58,6 @@ from .graphs import (
 )
 from .lipschitz import (
     EnsembleSpec,
-    ExactSampler,
     LipschitzFn,
     count_groundstate,
     count_onepoint,
@@ -69,6 +68,7 @@ from .lipschitz import (
     glauber_samples,
     glauber_site_interval,
     min_ground_state,
+    sample_exact,
 )
 
 CONFIG_SCHEMA = 1
@@ -313,8 +313,9 @@ def resolve_ensemble(keys: EnsembleKeys, probes=None, ground: bool = False,
     that reads it in either mode) needs a regular graph of degree >= 1 and
     its certificate; `gates` computes the certificate on any regular graph;
     otherwise none is computed, but the lambda source must fit the graph.
-    `probes` (None when the caller reads none) default to the anchor, v0 or
-    vertex 0, and must be vertices of the graph."""
+    `probes` (None when the caller reads none) must be vertices of the
+    graph, and default to the anchor, v0 or vertex 0; a v0 off the graph is
+    left to the sampler, which refuses it as the anchor."""
     g = build_graph(keys.graph_source)
     mode = keys.mode
     ground = ground or mode["kind"] == "ground-state"
@@ -329,10 +330,10 @@ def resolve_ensemble(keys: EnsembleKeys, probes=None, ground: bool = False,
     spec = EnsembleSpec(mode["kind"], M=keys.M, v0=mode.get("v0"), k=mode.get("k"),
                         lam=profile.lam if mode["kind"] == "ground-state" else None)
     if probes is not None:
-        probes = tuple(probes) or (mode.get("v0", 0),)
         for v in probes:
             if not 0 <= v < g.n:
                 raise ConfigError(f"probe vertex {v} out of range")
+        probes = tuple(probes) or (mode.get("v0", 0),)
     return Ensemble(g, profile, spec, probes or ())
 
 
@@ -351,9 +352,7 @@ def glauber_schedule(g: Graph, cfg: ExperimentConfig) -> dict:
 def draw_samples(ens: Ensemble, cfg: ExperimentConfig) -> list[LipschitzFn]:
     g, spec = ens.g, ens.spec
     if cfg.sampler["kind"] == "exact":
-        sampler = ExactSampler(g, spec, budget=cfg.budget)
-        child_seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.samples)
-        return [sampler.draw(np.random.default_rng(child)) for child in child_seeds]
+        return sample_exact(g, spec, cfg.seed, cfg.samples, budget=cfg.budget)
 
     schedule = glauber_schedule(g, cfg)
     return glauber_samples(g, spec, cfg.seed, schedule["burn_in"], schedule["thinning"], cfg.samples)

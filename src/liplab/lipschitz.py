@@ -10,19 +10,16 @@ Counting, exact sampling, enumeration and exact marginals share one
 recursion-free frontier DP (`_FrontierDP`).  Their `budget` bounds, and
 `CountResult.nodes_explored` reports, the number of DP transitions: pairs of
 a state and a candidate value that lead to a live state, each charged once;
-sampling and marginals walk flat integer rows compiled in one sweep.
+sampling and marginals read per-layer rank arrays compiled in one sweep.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from array import array
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, pairwise
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -126,6 +123,19 @@ def flaw_cap(n: int, d: int, lam) -> int:
 # Frontier DP engine
 # ---------------------------------------------------------------------------
 
+class _Layer(NamedTuple):
+    """One compiled DP layer, one entry per successor with completions, in
+    rank order.  `cum[j]` ends the ranks of successor j (they start at
+    `cum[j - 1]`, or 0); taking j adds `step[j]` to the rank, which makes it a
+    rank of the next layer.  `values` and `shifts` are as in
+    `_FrontierDP.successors`."""
+
+    cum: np.ndarray
+    step: np.ndarray
+    values: np.ndarray
+    shifts: np.ndarray
+
+
 class _FrontierDP:
     """Layered transfer-matrix DP of the ensemble `spec` along the
     breadth-first vertex order from v0 (one-point mode) or from `start`
@@ -151,7 +161,7 @@ class _FrontierDP:
     key plus the running offset.
 
     `forward` counts, `stream` enumerates, and `compile` turns the layers
-    into flat integer rows for sampling and marginals; each calls
+    into rank arrays for sampling and marginals; each calls
     `successors` once per state it reaches.  `nodes` counts DP transitions:
     (state, candidate) pairs that lead to a live state.  It is checked
     against `budget` after every state expanded.
@@ -256,20 +266,25 @@ class _FrontierDP:
             layer = nxt
         return layer
 
-    def compile(self, stage: str) -> list[tuple]:
-        """Per layer, flat rows (start, values, kids, shifts, cum).  States
-        are numbered as the forward pass finds them, the root as 0; state s
-        of layer i owns entries start[s]:start[s + 1], one per successor with
-        completions: its value and shift (as in `successors`), its number in
-        layer i + 1, and the running total of completions through it.  Keys
-        live only while the next layer is built; the backward pass that
-        fills `cum` and drops dead children walks integer rows alone."""
+    def compile(self, stage: str) -> tuple[int, list[_Layer]]:
+        """The ensemble size and, per layer, the `_Layer` arrays that rank
+        the layer's successors.  States are numbered as the forward pass
+        finds them, the root as 0, and each owns a run of successors in
+        increasing value.  A layer's ranks run over all its states in turn:
+        state s owns [base[s], base[s] + completions of s), split between its
+        successors in order.  Keys live only while the next layer is built;
+        the backward pass that fills the ranks and drops dead children works
+        on integer arrays alone, in int64 while a layer's ranks stay below
+        2^62 and in Python ints past that."""
+        # one-point keys lie in [0, 2M], so values and shifts lie in [-M, 3M]
+        reach = 3 * self.M if self.box is None else max(map(abs, self.box))
+        value_type = np.int64 if reach < 1 << 62 else object
         rows = []
         keys = {self.root: 0}
         for i in range(self.n):
             nxt: dict = {}
             number = nxt.setdefault
-            start = array("q", [0])
+            start = [0]
             values, kids, shifts = [], [], []
             for key in keys:
                 succ = self.successors(i, key)
@@ -279,24 +294,26 @@ class _FrontierDP:
                     kids.append(number(child, len(nxt)))
                     shifts.append(shift)
                 start.append(len(values))
-            rows.append((start, values, kids, shifts))
+            rows.append((np.array(start), np.array(values, dtype=value_type),
+                         np.array(kids, dtype=np.int64), np.array(shifts, dtype=value_type)))
             keys = nxt
-        counts = [1] * len(keys)
+        # every last-layer state completes one way, and nothing is left to rank
+        counts, base = np.ones(len(keys), dtype=np.int64), np.zeros(len(keys), dtype=np.int64)
         for i in range(self.n - 1, -1, -1):
             start, values, kids, shifts = rows[i]
-            got = list(map(counts.__getitem__, kids))
-            live = array("q", [0])
-            cum, counts = [], []
-            for a, b in pairwise(start):
-                total = 0
-                for m in got[a:b]:
-                    if m:
-                        total += m
-                        cum.append(total)
-                live.append(len(cum))
-                counts.append(total)
-            rows[i] = (live, *(list(compress(x, got)) for x in (values, kids, shifts)), cum)
-        return rows
+            got = counts[kids]
+            if got.dtype != object and got.sum(dtype=np.float64) >= 2.0 ** 62:
+                got = got.astype(object)  # the running sums could pass int64
+            cum = np.cumsum(got)
+            ends = np.concatenate((np.zeros(1, cum.dtype), cum))[start]
+            live = got > 0
+            # taking a successor moves the rank from its run to the child's
+            step = base[kids] - (cum - got)
+            rows[i] = _Layer(cum[live], step[live], values[live], shifts[live])
+            base, counts = ends[:-1], np.diff(ends)
+        total = int(counts[0])
+        kind = np.int64 if total < 1 << 63 and value_type is np.int64 else object
+        return total, [_Layer(*(a.astype(kind, copy=False) for a in layer)) for layer in rows]
 
     def stream(self, stage: str) -> Iterator[list[int]]:
         """Yield every complete assignment (in order positions) in
@@ -382,69 +399,84 @@ def marginal_groundstate(g: Graph, k: int, M: int, lam, v: int,
     """Exact marginal of f(v) over the ground-state ensemble at base k:
     {value: number of members taking it}, read from the DP rooted at v."""
     spec = EnsembleSpec("ground-state", M=M, k=k, lam=lam)
-    _, values, _, _, cum = _FrontierDP(g, spec, budget, start=v).compile("marginal")[0]
-    return {c: b - a for c, a, b in zip(values, [0] + cum, cum)}
+    _, rows = _FrontierDP(g, spec, budget, start=v).compile("marginal")
+    cum, values = rows[0].cum, rows[0].values
+    return dict(zip(values.tolist(), np.diff(cum, prepend=0).tolist()))
 
 
 # ---------------------------------------------------------------------------
 # Exact sampling
 # ---------------------------------------------------------------------------
 
-def _randbelow(rng: np.random.Generator, bound: int) -> int:
-    """Uniform integer in [0, bound), exact even past 64-bit counts."""
-    if bound <= 0:
-        raise ValueError("empty choice")
-    if bound <= (1 << 62):
-        return int(rng.integers(0, bound))
-    k = bound.bit_length()
-    words = (k + 31) // 32
-    while True:
-        x = 0
-        for w in rng.integers(0, 1 << 32, size=words, dtype=np.int64):
-            x = (x << 32) | int(w)
-        x >>= words * 32 - k
-        if x < bound:
-            return x
+def _ranks(rng: np.random.Generator, total: int, count: int) -> np.ndarray:
+    """`count` uniform ranks in [0, total): one `integers` call below 2^63,
+    past it one multi-word draw per rank (exact Python ints, by rejection)."""
+    if total < 1 << 63:
+        return rng.integers(0, total, size=count, dtype=np.int64)
+    bits = total.bit_length()
+    words = (bits + 31) // 32
+    ranks = np.empty(count, dtype=object)
+    for i in range(count):
+        while True:
+            x = 0
+            for w in rng.integers(0, 1 << 32, size=words, dtype=np.int64).tolist():
+                x = (x << 32) | w
+            x >>= words * 32 - bits
+            if x < total:
+                ranks[i] = x
+                break
+    return ranks
 
 
 class ExactSampler:
-    """Sequentially exact sampler: each vertex value is drawn proportional to
-    the exact number of completions, so draws are uniform over the ensemble.
+    """Exact sampler by unranking (Nijenhuis-Wilf): a uniform rank below the
+    ensemble size picks a member, and the ranks map one-to-one onto the
+    members in the order `enumerate_onepoint`/`enumerate_groundstate` list
+    them.
 
-    The DP is compiled once at construction into flat rows of successor
-    values and cumulative completion counts (`_FrontierDP.compile`); a draw
-    then makes one bisection per layer and touches no state keys.
+    The DP is compiled once at construction into per-layer rank arrays
+    (`_FrontierDP.compile`).  A batch of draws makes one rank draw and then
+    walks the layers once for all its ranks, with one `searchsorted` per
+    layer; it touches no state keys.  The arrays are int64 when the ensemble
+    size is below 2^63 and the values fit, and Python ints otherwise.
     """
 
     def __init__(self, g: Graph, spec: EnsembleSpec, budget: int = DEFAULT_NODE_BUDGET):
         self._dp = _FrontierDP(g, spec, budget)
-        self._rows = self._dp.compile("sampler")
-        cum = self._rows[0][4]
-        self.total = cum[-1] if cum else 0
+        self.total, self._rows = self._dp.compile("sampler")
         if self.total == 0:
             raise ValueError("ensemble is empty")
 
-    def draw(self, rng: np.random.Generator) -> LipschitzFn:
+    def draw(self, rng: np.random.Generator, count: int) -> list[LipschitzFn]:
+        """`count` independent uniform members: the members of `count`
+        uniform ranks."""
+        return self.unrank(_ranks(rng, self.total, count))
+
+    def unrank(self, ranks) -> list[LipschitzFn]:
+        """The members of the given ranks, each in [0, total)."""
         dp = self._dp
-        vals = [0] * dp.n
-        s, offset = 0, dp.offset
-        for i, (start, values, kids, shifts, cum) in enumerate(self._rows):
-            # the first successor whose running total of completions exceeds
-            # the pick: each is taken in proportion to its completions
-            lo, hi = start[s], start[s + 1]
-            j = bisect_right(cum, _randbelow(rng, cum[hi - 1]), lo, hi)
-            vals[i] = values[j] + offset
-            s = kids[j]
+        dtype = self._rows[0].cum.dtype
+        rank = np.array(ranks, dtype=dtype).reshape(-1)
+        if len(rank) and not (0 <= rank.min() and rank.max() < self.total):
+            raise ValueError(f"ranks must lie in [0, {self.total})")
+        vals = np.empty((len(rank), dp.n), dtype=dtype)
+        offset = np.full(len(rank), dp.offset, dtype=dtype)
+        for i, (cum, step, values, shifts) in enumerate(self._rows):
+            # the successor whose run of ranks holds the rank
+            j = np.searchsorted(cum, rank, "right")
+            vals[:, i] = values[j] + offset
             offset += shifts[j]
-        return LipschitzFn(dp.to_vertex_order(vals), dp.M)
+            rank += step[j]
+        return [LipschitzFn(tuple(row), dp.M) for row in vals[:, dp._place].tolist()]
 
 
 def sample_exact(g: Graph, spec: EnsembleSpec, seed: int, count: int = 1,
                  budget: int = DEFAULT_NODE_BUDGET) -> list[LipschitzFn]:
-    """Draw `count` exactly-uniform samples; deterministic for a fixed seed."""
-    sampler = ExactSampler(g, spec, budget=budget)
+    """Draw `count` exactly-uniform samples; one batch on
+    `default_rng(SeedSequence(seed))`, so a fixed seed gives fixed draws, and
+    the first j draws of a batch are the draws of a batch of j."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    return [sampler.draw(rng) for _ in range(count)]
+    return ExactSampler(g, spec, budget=budget).draw(rng, count)
 
 
 # ---------------------------------------------------------------------------

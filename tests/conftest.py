@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from liplab.graphs import (
@@ -46,3 +48,22 @@ def q3():
 @pytest.fixture(scope="session")
 def petersen():
     return petersen_graph()
+
+
+class CountingGenerator:
+    """A `Generator` that counts calls of its methods by name."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.calls = Counter()
+
+    def __getattr__(self, name):
+        attr = getattr(self._rng, name)
+        if not callable(attr):
+            return attr
+
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            return attr(*args, **kwargs)
+
+        return counted

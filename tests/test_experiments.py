@@ -32,6 +32,7 @@ from liplab.experiments import (
 from liplab.flaws import conditional_tail_profile
 from liplab.graphs import DEFAULT_NODE_BUDGET, complete_graph
 from liplab.lipschitz import count_onepoint, enumerate_onepoint, fn_range
+from tests.conftest import CountingGenerator
 
 
 def base_config(**overrides):
@@ -414,6 +415,18 @@ def test_cli_count_groundstate(capsys):
     assert json.loads(capsys.readouterr().out)["count"] == 106
 
 
+@pytest.mark.parametrize("command", ["count", "enumerate", "sample"])
+@pytest.mark.parametrize("flags,message", [
+    (["--k", "3"], "--k does not apply to one-point mode"),
+    (["--mode", "ground-state", "--v0", "4"], "--v0 does not apply to ground-state mode"),
+], ids=["k-in-one-point", "v0-in-ground-state"])
+def test_cli_refuses_the_flag_of_the_other_mode(command, flags, message, capsys):
+    # as a config whose mode names both v0 and k is refused
+    argv = [command, "--graph", '{"family":"complete","n":6}', "--M", "1", *flags]
+    assert main([*argv, *(["--samples", "2"] if command == "sample" else [])]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_cli_enumerate_limit(capsys):
     argv = ["enumerate", "--graph", '{"family":"cycle","n":4}', "--M", "1", "--limit"]
     code = main([*argv, "5"])
@@ -746,6 +759,37 @@ def test_sample_cli_equals_experiment_range(sampler, graph, mode, lam, tmp_path,
     assert text == expected
     assert len(text.splitlines()) == 26
     assert (tmp_path / "s" / "samples.csv").read_text() == expected
+
+
+@pytest.mark.parametrize("sampler", ["exact", "glauber"])
+def test_sample_cli_probes_default_to_the_anchor(sampler, capsys):
+    graph = {"family": "hypercube", "dim": 3}
+    text = _sample_cli(capsys, "--graph", json.dumps(graph), "--M", "1", "--v0", "5", "--samples", "6",
+                       "--seed", "2", "--sampler", sampler)
+    assert text.splitlines()[0] == "sample_id,range,min,max,probe_5"
+    cfg = base_config(graph=graph, mode={"kind": "one-point", "v0": 5}, sampler={"kind": sampler},
+                      samples=6, seed=2)
+    del cfg["probes"]
+    assert text == run_range_experiment(parse_config(cfg)).csv_text()
+
+
+def test_sample_cli_with_no_exact_samples_prints_nothing(capsys):
+    assert _sample_cli(capsys, "--graph", '{"family":"cycle","n":6}', "--M", "1", "--samples", "0") == ""
+
+
+def test_exact_draw_samples_seed_one_generator_per_batch(monkeypatch):
+    # one generator of SeedSequence(seed) and one `integers` call for the
+    # whole batch: no stream per sample
+    made = []
+
+    def default_rng(seed):
+        made.append(CountingGenerator(np.random.Generator(np.random.PCG64(seed))))
+        return made[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", default_rng)
+    cfg = parse_config(base_config(graph={"family": "hypercube", "dim": 3}, samples=300, seed=8))
+    assert len(draw_samples(resolve_ensemble(cfg), cfg)) == 300
+    assert [m.calls for m in made] == [{"integers": 1}]
 
 
 def test_sample_cli_glauber_output_unchanged(capsys):

@@ -40,7 +40,7 @@ from liplab.lipschitz import (
     sample_exact,
     validate,
 )
-from tests.conftest import path_graph
+from tests.conftest import CountingGenerator, path_graph
 
 
 def brute_onepoint(g, v0, M):
@@ -347,6 +347,90 @@ def test_sampler_total_matches_count(c4, k6):
     assert ExactSampler(k6, EnsembleSpec("ground-state", M=1, k=0, lam=1.0)).total == 106
 
 
+@pytest.mark.parametrize(
+    "g,spec,dtype",
+    [
+        (cycle_graph(4), EnsembleSpec("one-point", M=1, v0=0), np.int64),
+        (hypercube_graph(3), EnsembleSpec("one-point", M=1, v0=0), np.int64),
+        (torus_graph([3, 4]), EnsembleSpec("one-point", M=1, v0=0), np.int64),
+        (complete_graph(6), EnsembleSpec("ground-state", M=1, k=0, lam=1.0), np.int64),
+        # values past int64: the rank arrays hold Python ints
+        (complete_graph(8), EnsembleSpec("ground-state", M=2, k=10**20, lam=1.0), object),
+    ],
+    ids=["C4", "Q3", "T3x4", "K6-ground", "K8-ground-k1e20"],
+)
+def test_ranks_map_one_to_one_onto_the_enumeration(g, spec, dtype):
+    sampler = ExactSampler(g, spec)
+    assert sampler._rows[0].cum.dtype == dtype
+    if spec.mode == "one-point":
+        members = list(enumerate_onepoint(g, spec.v0, spec.M))
+    else:
+        members = list(enumerate_groundstate(g, spec.k, spec.M, spec.lam))
+    assert sampler.unrank(range(sampler.total)) == members
+
+
+@pytest.mark.parametrize("n,bits,dtype", [(42, 63, np.int64), (200, 313, object)], ids=["C42", "C200"])
+def test_large_ensembles_unrank_in_enumeration_order(n, bits, dtype):
+    # C42 at M=1 has a size in [2^62, 2^63): its running sums pass 2^62 but
+    # its ranks stay int64; C200's do not
+    g = cycle_graph(n)
+    sampler = ExactSampler(g, EnsembleSpec("one-point", M=1, v0=0))
+    assert sampler.total.bit_length() == bits and sampler._rows[0].cum.dtype == dtype
+    assert sampler.unrank(range(60)) == list(itertools.islice(enumerate_onepoint(g, 0, 1), 60))
+    (last,) = sampler.unrank([sampler.total - 1])
+    assert last.values == tuple(min(v, n - v) for v in range(n))  # the largest member
+    with pytest.raises(ValueError, match="ranks must lie in"):
+        sampler.unrank([sampler.total])
+
+
+@pytest.mark.parametrize(
+    "g,spec",
+    [
+        (hypercube_graph(3), EnsembleSpec("one-point", M=1, v0=0)),
+        (complete_graph(8), EnsembleSpec("ground-state", M=2, k=10**20, lam=1.0)),
+        (cycle_graph(200), EnsembleSpec("one-point", M=1, v0=0)),
+    ],
+    ids=["Q3", "K8-ground-k1e20", "C200"],
+)
+def test_a_batch_starts_with_the_smaller_batch(g, spec):
+    sampler = ExactSampler(g, spec)
+
+    def batch(count):
+        return sampler.draw(np.random.default_rng(np.random.SeedSequence(21)), count)
+
+    assert batch(64) == sample_exact(g, spec, seed=21, count=64)
+    for j, count in ((1, 7), (5, 64), (40, 41)):
+        assert batch(count)[:j] == batch(j)
+
+
+def test_an_empty_batch_draws_nothing(q3):
+    sampler = ExactSampler(q3, EnsembleSpec("one-point", M=1, v0=0))
+    assert sampler.draw(np.random.default_rng(0), 0) == []
+    assert sample_exact(q3, EnsembleSpec("one-point", M=1, v0=0), seed=0, count=0) == []
+
+
+def test_a_batch_below_2_63_makes_one_integers_call():
+    # `draw_samples` seeds one generator per batch (tests/test_experiments.py)
+    rng = CountingGenerator(np.random.default_rng(0))
+    assert len(ExactSampler(hypercube_graph(4), EnsembleSpec("one-point", M=1, v0=0)).draw(rng, 2000)) == 2000
+    assert rng.calls == {"integers": 1}
+
+
+def test_sample_exact_q4_range_chisquare():
+    # the range histogram of the draws against the one of the whole ensemble;
+    # ranges 1 and 5 (1 and 16 of 197,547 members) are pooled with 2 and 4
+    g = hypercube_graph(4)
+    exact = Counter(min(max(fn_range(f), 2), 4) for f in enumerate_onepoint(g, 0, 1))
+    assert sum(exact.values()) == 197_547
+    spec = EnsembleSpec("one-point", M=1, v0=0)
+    for seed in (31, 32):
+        draws = sample_exact(g, spec, seed=seed, count=20_000)
+        seen = Counter(min(max(fn_range(f), 2), 4) for f in draws)
+        expected = [exact[r] * len(draws) / 197_547 for r in (2, 3, 4)]
+        _, p = stats.chisquare([seen[r] for r in (2, 3, 4)], expected)
+        assert p > 0.001, (seed, p)
+
+
 # ---------------------------------------------------------------------------
 # Glauber dynamics
 # ---------------------------------------------------------------------------
@@ -588,30 +672,32 @@ def _draws_sha256(draws):
     return hashlib.sha256(json.dumps([list(f.values) for f in draws]).encode()).hexdigest()
 
 
+# Recorded when draws became one batch of uniform ranks (one `integers` call
+# below 2^63, one multi-word draw per rank past it) in place of one
+# `integers` call per layer per draw: that change of the draw stream moved them.
 @pytest.mark.parametrize(
     "builder,spec,seed,count,digest",
     [
         (lambda: hypercube_graph(3), EnsembleSpec("one-point", M=1, v0=0), 5, 200,
-         "8fef1ec78bf4b624f43e71d53c9280c9fa0d611e75a96ea6b18f2b3b5c07ff86"),
+         "2c120876e4f4c950ef02bd0e07ffecb05492189a4003113265729b31f617013f"),
         (lambda: complete_graph(6), EnsembleSpec("ground-state", M=1, k=0, lam=1.0), 17, 200,
-         "7582b8fa90565a9e4bc92e97591e1448396f69d3332caa93aec3296c10183309"),
+         "40adc809ba70d51d47a15538c9ff6b6477fc4b10115a47c245a1a34f5440406c"),
         (lambda: torus_graph([3, 4]), EnsembleSpec("one-point", M=1, v0=0), 3, 100,
-         "9a13e07f81b51fb5a06842c8aa632170970d8b8c307007034f4c1ad4f0d80a67"),
-        # recorded with the per-draw successor scan that the compiled rows replaced
+         "95912229ec4885d83d2015f283abdbae34cc2ec59cedff94c257436f50be9385"),
         (lambda: hypercube_graph(4), EnsembleSpec("one-point", M=1, v0=0), 0, 200,
-         "5e0378cc20b699435be876ff1641a98b87c142946042c6fcdeb9ab3f47814ce1"),
+         "738d15d89497efc48de89d5a8e6ebb3ec30399a6edab4a8e1b2502fe51e5baa9"),
         (lambda: torus_graph([4, 5]), EnsembleSpec("one-point", M=1, v0=0), 0, 200,
-         "f0b054e8b1b9b645e28eb9a2fe2511a4b0ed2a0a3f33053308f62d684076109a"),
-        # 313-bit total: multi-word _randbelow picks and big-int bisection
+         "ae1351d4bc5b95f9b35f3efa458417b18cd6779b2402253f197e04d2eade00a6"),
+        # 313-bit total: multi-word rank draws and Python-int rank arrays
         (lambda: cycle_graph(200), EnsembleSpec("one-point", M=1, v0=0), 7, 50,
-         "453d0dd01b657c68961b3ad762de94fbc0ef9cd7c6149690335247ceb0d615ea"),
+         "79ecb525a0c81f8a631551487ae2cd109a6ffa1f8e8857d3e3f2dfa84ac919fb"),
         # values far past int64
         (lambda: complete_graph(8), EnsembleSpec("ground-state", M=2, k=10**20, lam=1.0), 3, 50,
-         "f6e7394e89bd74d71c01ca63f1e7443959ebe48c07ebc9091b2207f938550fd6"),
+         "6dbe516541a9b3d869290e7117efe40fb6a372d3db6e0c1de4f57f4d71ad79a8"),
     ],
+    ids=["Q3", "K6-ground", "T3x4", "Q4", "T4x5", "C200", "K8-ground-k1e20"],
 )
 def test_sample_exact_golden_draws(builder, spec, seed, count, digest):
-    # digests recorded with the depth-first sampler the DP replaced
     assert _draws_sha256(sample_exact(builder(), spec, seed=seed, count=count)) == digest
 
 
