@@ -59,13 +59,13 @@ from .graphs import (
 from .lipschitz import (
     EnsembleSpec,
     LipschitzFn,
+    _glauber_samples,
     count_groundstate,
     count_onepoint,
     enumerate_groundstate,
     enumerate_onepoint,
     flaw_cap,
     fn_range,
-    glauber_samples,
     glauber_site_interval,
     min_ground_state,
     sample_exact,
@@ -350,12 +350,21 @@ def glauber_schedule(g: Graph, cfg: ExperimentConfig) -> dict:
 
 
 def draw_samples(ens: Ensemble, cfg: ExperimentConfig) -> list[LipschitzFn]:
+    """The samples of the config's sampler, without the `sampler` block."""
+    return _draw(ens, cfg)[0]
+
+
+def _draw(ens: Ensemble, cfg: ExperimentConfig) -> tuple[list[LipschitzFn], dict | None]:
+    """The samples, and for a Glauber run the `sampler` block of
+    summary.json: its schedule and the moves the flaw cap rejected."""
     g, spec = ens.g, ens.spec
     if cfg.sampler["kind"] == "exact":
-        return sample_exact(g, spec, cfg.seed, cfg.samples, budget=cfg.budget)
+        return sample_exact(g, spec, cfg.seed, cfg.samples, budget=cfg.budget), None
 
     schedule = glauber_schedule(g, cfg)
-    return glauber_samples(g, spec, cfg.seed, schedule["burn_in"], schedule["thinning"], cfg.samples)
+    samples, rejected = _glauber_samples(g, spec, cfg.seed, schedule["burn_in"], schedule["thinning"],
+                                         cfg.samples)
+    return samples, {**schedule, "rejected": rejected}
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +456,7 @@ def run_range_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     # the flaw dump reads each sample's ground states, in either mode
     ens = resolve_ensemble(cfg, cfg.probes, ground=cfg.dump_flaws, gates=True)
     g, profile, probes = ens.g, ens.profile, ens.probes
-    samples = draw_samples(ens, cfg)
+    samples, sampler = _draw(ens, cfg)
 
     records = []
     for i, f in enumerate(samples):
@@ -500,8 +509,8 @@ def run_range_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         },
         "constants": cfg.constants,
     }
-    if cfg.sampler["kind"] == "glauber":
-        aggregates["sampler"] = glauber_schedule(g, cfg)
+    if sampler is not None:
+        aggregates["sampler"] = sampler
 
     extra = None
     if cfg.dump_flaws:
@@ -558,9 +567,9 @@ def run_tail_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             C=cfg.constants["C"],
             k=k,
         )
-        estimate = "exact"
+        estimate, sampler = "exact", None
     else:
-        samples = draw_samples(ens, cfg)
+        samples, sampler = _draw(ens, cfg)
         marginal = Counter(f.values[probe] for f in samples)
         rows = tail_rows(g, cfg.M, profile.lam, probe, cfg.t_values, marginal, k,
                          cfg.constants["c"], cfg.constants["C"])
@@ -580,8 +589,8 @@ def run_tail_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         for r in rows
     ]
     aggregates = {"estimate": estimate, "rows": rows, **tail_verdict(rows)}
-    if cfg.sampler["kind"] == "glauber":
-        aggregates["sampler"] = glauber_schedule(g, cfg)
+    if sampler is not None:
+        aggregates["sampler"] = sampler
     gates = {"lam": profile.lam, "lambda_method": profile.method}
     return ExperimentResult(
         kind="tail",

@@ -164,7 +164,8 @@ class _FrontierDP:
     into rank arrays for sampling and marginals; each calls
     `successors` once per state it reaches.  `nodes` counts DP transitions:
     (state, candidate) pairs that lead to a live state.  It is checked
-    against `budget` after every state expanded.
+    against `budget` for every state expanded, before its successors are
+    built.
     """
 
     def __init__(self, g: Graph, spec: EnsembleSpec, budget: int, start: int = 0):
@@ -200,56 +201,64 @@ class _FrontierDP:
         self.offset = 0 if self.box is not None else min(lo, hi)
         self.root = (lo - self.offset, hi - self.offset, 0)
 
-    def successors(self, i: int, key: tuple, shifted: bool = True) -> list[tuple[int, tuple, int]]:
+    def successors(self, i: int, key: tuple, stage: str, width: int,
+                   shifted: bool = True) -> list[tuple[int, tuple, int]]:
         """(value, successor key, shift) for each value of vertex i in state
         `key` that leaves a live state, in increasing value.  The value is in
         key coordinates; the successor key is shifted down by `shift`, which
-        stays 0 unless `shifted` and there is no box."""
-        M = self.M
-        lo, hi = key[0] - M, key[1] + M
-        box = self.box
-        if box is not None:
-            lo, hi = max(lo, box[0]), min(hi, box[1])
-        rest, flaws = key[2:-1], key[-1]
-        tighten, fresh = self.tighten[i], self.fresh[i]
-        window, cap = self.window, self.cap
-        shifted = shifted and box is None
-        span = 2 * M
-        out = []
-        for c in range(lo, hi + 1):
-            nf = flaws
-            if window is not None and not window[0] <= c <= window[1]:
-                nf += 1
-                if nf > cap:
-                    continue
-            pairs = list(rest)
-            for j in tighten:
-                if c > pairs[j]:
-                    if c - pairs[j + 1] > span:
-                        break
-                    pairs[j] = c
-                elif c < pairs[j + 1]:
-                    if pairs[j] - c > span:
-                        break
-                    pairs[j + 1] = c
-            else:
-                pairs += (c, c) * fresh
-                shift = 0
-                if shifted and pairs:
-                    shift = min(pairs[1::2])
-                    if shift:
-                        pairs = [x - shift for x in pairs]
-                pairs.append(nf)
-                out.append((c, tuple(pairs), shift))
-        return out
+        stays 0 unless `shifted` and there is no box.
 
-    def _charge(self, transitions: int, stage: str, i: int, width: int) -> None:
-        """Add `transitions` to `nodes`; `width` is the number of layer-i
-        states held while layer i is expanded."""
-        self.nodes += transitions
+        The live values form one interval, so they are added to `nodes` and
+        checked against the budget before any successor is built: the work
+        and memory of a state are bounded by the budget, not by M.  `width`
+        is the number of layer-i states held, for the budget error."""
+        M = self.M
+        span = 2 * M
+        rest, flaws = key[2:-1], key[-1]
+        tighten = self.tighten[i]
+        # within M of vertex i's assigned neighbours, and within 2M of those
+        # of every pending vertex it tightens (rest[j] is a max, rest[j + 1] a min)
+        lo, hi = key[0] - M, key[1] + M
+        for j in tighten:
+            bound = rest[j] - span
+            if bound > lo:
+                lo = bound
+            bound = rest[j + 1] + span
+            if bound < hi:
+                hi = bound
+        box, window = self.box, self.window
+        if box is not None:
+            # the window lies in the box; at the cap one more flaw is one too many
+            low, high = window if flaws == self.cap else box
+            if low > lo:
+                lo = low
+            if high < hi:
+                hi = high
+        if hi < lo:
+            return []
+        self.nodes += hi - lo + 1
         if self.nodes > self.budget:
             raise BudgetExceededError(self.nodes, self.budget, stage,
                                       where=f"layer {i}/{self.n}, width {width} states")
+        fresh = self.fresh[i]
+        shifted = shifted and box is None
+        out = []
+        for c in range(lo, hi + 1):
+            pairs = list(rest)
+            for j in tighten:
+                if c > pairs[j]:
+                    pairs[j] = c
+                elif c < pairs[j + 1]:
+                    pairs[j + 1] = c
+            pairs += (c, c) * fresh
+            shift = 0
+            if shifted and pairs:
+                shift = min(pairs[1::2])
+                if shift:
+                    pairs = [x - shift for x in pairs]
+            pairs.append(flaws if window is None or window[0] <= c <= window[1] else flaws + 1)
+            out.append((c, tuple(pairs), shift))
+        return out
 
     def forward(self, stage: str) -> dict:
         """Walk the layers with multiplicities and return the last one,
@@ -259,9 +268,7 @@ class _FrontierDP:
             nxt: dict = {}
             get = nxt.get
             for key, mult in layer.items():
-                succ = self.successors(i, key)
-                self._charge(len(succ), stage, i, len(layer))
-                for _, child, _ in succ:
+                for _, child, _ in self.successors(i, key, stage, len(layer)):
                     nxt[child] = get(child, 0) + mult
             layer = nxt
         return layer
@@ -287,9 +294,7 @@ class _FrontierDP:
             start = [0]
             values, kids, shifts = [], [], []
             for key in keys:
-                succ = self.successors(i, key)
-                self._charge(len(succ), stage, i, len(keys))
-                for c, child, shift in succ:
+                for c, child, shift in self.successors(i, key, stage, len(keys)):
                     values.append(c)
                     kids.append(number(child, len(nxt)))
                     shifts.append(shift)
@@ -321,8 +326,7 @@ class _FrontierDP:
         Keys are not shifted here: no state is looked up twice."""
         n, offset = self.n, self.offset
         vals = [0] * n
-        succ = self.successors(0, self.root, shifted=False)
-        self._charge(len(succ), stage, 0, 1)
+        succ = self.successors(0, self.root, stage, 1, shifted=False)
         # each frame: an iterator over a successor list, and that list's
         # length (the layer-(i + 1) states the walk holds)
         stack = [(iter(succ), len(succ))]
@@ -334,8 +338,7 @@ class _FrontierDP:
                 if i + 1 == n:
                     yield vals
                     continue
-                succ = self.successors(i + 1, child, shifted=False)
-                self._charge(len(succ), stage, i + 1, width)
+                succ = self.successors(i + 1, child, stage, width, shifted=False)
                 stack.append((iter(succ), len(succ)))
                 break
             else:
@@ -486,6 +489,8 @@ def sample_exact(g: Graph, spec: EnsembleSpec, seed: int, count: int = 1,
 _GLAUBER_CHUNK = 1 << 16  # draws per rng.integers / rng.random call
 _GLAUBER_SLICE = 1 << 12  # draws converted to Python scalars at a time
 _SAMPLE_SALT = 0x9E3779B97F4A7C15  # xor-ed into the seed of the per-sample streams
+_GLAUBER_MEMO_CELLS = 1 << 13  # neighbour values the interval table may hold
+_GLAUBER_MEMO_MISS_SHARE = 0.25  # share of missed lookups that switches the table off
 
 
 def glauber_site_interval(values: Sequence[int], nbrs: Sequence[int], M: int) -> tuple[int, int]:
@@ -512,10 +517,16 @@ def glauber_chain(
     state after every step, rejected moves included.
 
     Each step reads the site's neighbour values with one call of its
-    `Graph.neighbor_getters` entry; `glauber_site_interval` is the reference
-    for the interval.  A fixed seed always gives the same chain.
+    `Graph.neighbor_getters` entry and looks the interval up in a table keyed
+    by those values, computing it only on a miss; `glauber_site_interval` is
+    the reference for the interval.  The table stores at most 8,192
+    neighbour values (8,192 // max degree entries) and keeps serving once
+    full.  The chain judges it after every 4,096 or more steps (slices of
+    the draws, summed across `glauber_samples` blocks), and switches it off
+    and frees it the first time more than a quarter of those lookups missed.
+    It changes no draw: a fixed seed always gives the same chain.
     """
-    return _glauber_run(g, spec, [(seed, steps)], initial, on_step)[0]
+    return _glauber_run(g, spec, [(seed, steps)], initial, on_step)[0][0]
 
 
 def glauber_samples(g: Graph, spec: EnsembleSpec, seed: int, burn_in: int, thinning: int,
@@ -530,9 +541,16 @@ def glauber_samples(g: Graph, spec: EnsembleSpec, seed: int, burn_in: int, thinn
     fixed seed gives fixed samples, and each block is the `glauber_chain` run
     of that seed from the previous state.
     """
+    return _glauber_samples(g, spec, seed, burn_in, thinning, samples)[0]
+
+
+def _glauber_samples(g: Graph, spec: EnsembleSpec, seed: int, burn_in: int, thinning: int,
+                     samples: int) -> tuple[list[LipschitzFn], int]:
+    """`glauber_samples`, and how many moves of its run the flaw cap rejected."""
     children = np.random.SeedSequence(seed ^ _SAMPLE_SALT).spawn(samples)
     blocks = [(seed, burn_in)] + [(child.generate_state(1)[0].item(), thinning) for child in children]
-    return _glauber_run(g, spec, blocks)[1:]
+    states, rejected = _glauber_run(g, spec, blocks)
+    return states[1:], rejected
 
 
 def _glauber_run(
@@ -541,9 +559,10 @@ def _glauber_run(
     blocks: list[tuple[int, int]],
     initial: LipschitzFn | None = None,
     on_step: Callable[[int, list[int]], None] | None = None,
-) -> list[LipschitzFn]:
+) -> tuple[list[LipschitzFn], int]:
     """One chain over `(seed, steps)` blocks, each drawing on a fresh
-    generator of `SeedSequence(seed)`; the state after each block.
+    generator of `SeedSequence(seed)`; the state after each block, and the
+    number of moves the flaw cap rejected.
 
     The sites, the flaw count and the neighbour getters are set up once; only
     a caller's `initial` state is checked.  Step t of the run (counted across
@@ -577,11 +596,15 @@ def _glauber_run(
         if on_step is not None:
             for t in range(sum(steps for _, steps in blocks)):
                 on_step(t, values)
-        return [LipschitzFn(tuple(values), M)] * len(blocks)
+        return [LipschitzFn(tuple(values), M)] * len(blocks), 0
 
     getters = np.empty(g.n, dtype=object)
     getters[:] = g.neighbor_getters
     site_getters = getters[sites]
+    # the interval table: neighbour values -> (lo, width); None once switched off
+    table: dict | None = {}
+    room = _GLAUBER_MEMO_CELLS // max(max(g.degrees), 1)
+    looked = misses = rejected = 0
     states = []
     t = 0
     for seed, steps in blocks:
@@ -598,8 +621,19 @@ def _glauber_run(
                 for v, get, u in zip(verts[start:stop].tolist(), gets[start:stop].tolist(),
                                      coins[start:stop].tolist()):
                     nv = get(values)
-                    lo = max(nv) - M
-                    c = lo + int(u * (min(nv) + M - lo + 1))
+                    if table is None:
+                        lo = max(nv) - M
+                        width = min(nv) + M - lo + 1
+                    else:
+                        try:
+                            lo, width = table[nv]
+                        except KeyError:
+                            misses += 1
+                            lo = max(nv) - M
+                            width = min(nv) + M - lo + 1
+                            if len(table) < room:
+                                table[nv] = lo, width
+                    c = lo + int(u * width)
                     if ground and c != values[v]:
                         old_in = w_lo <= values[v] <= w_hi
                         if old_in != (w_lo <= c <= w_hi):
@@ -609,12 +643,20 @@ def _glauber_run(
                                 flaws += 1
                             else:
                                 c = values[v]  # rejected: one more flaw than allowed
+                                rejected += 1
                     values[v] = c
                     if on_step is not None:
                         on_step(t, values)
                     t += 1
+                if table is not None:
+                    # judge the table over 4,096 or more lookups, across blocks
+                    looked += min(stop, take) - start
+                    if looked >= _GLAUBER_SLICE:
+                        if misses > _GLAUBER_MEMO_MISS_SHARE * looked:
+                            table = None  # too many misses for the table to pay
+                        looked = misses = 0
         states.append(LipschitzFn(tuple(values), M))
-    return states
+    return states, rejected
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import json
 import math
 import shlex
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from liplab.experiments import (
 from liplab.flaws import conditional_tail_profile
 from liplab.graphs import DEFAULT_NODE_BUDGET, complete_graph
 from liplab.lipschitz import count_onepoint, enumerate_onepoint, fn_range
-from tests.conftest import CountingGenerator
+from tests.conftest import CountingGenerator, reference_glauber
 
 
 def base_config(**overrides):
@@ -211,20 +212,52 @@ def test_glauber_summary_reports_schedule():
         sampler={"kind": "glauber", "burn_in": 300, "thinning": 7},
         samples=11,
     )))
-    assert explicit.aggregates["sampler"] == {"burn_in": 300, "thinning": 7, "chain_steps": 300 + 11 * 7}
+    assert explicit.aggregates["sampler"] == {"burn_in": 300, "thinning": 7, "chain_steps": 300 + 11 * 7,
+                                              "rejected": 0}
     # defaults: burn-in 100*n*M, thinning n
     defaulted = run_range_experiment(parse_config(base_config(
         graph={"family": "cycle", "n": 6}, M=2, sampler={"kind": "glauber"}, samples=5,
     )))
-    assert defaulted.aggregates["sampler"] == {"burn_in": 1200, "thinning": 6, "chain_steps": 1230}
+    assert defaulted.aggregates["sampler"] == {"burn_in": 1200, "thinning": 6, "chain_steps": 1230,
+                                               "rejected": 0}
+    # the rejection counts are checked against the reference chain below
     tail = run_tail_experiment(tail_config(sampler={"kind": "glauber", "burn_in": 200, "thinning": 5},
                                            samples=40))
-    assert tail.aggregates["sampler"] == {"burn_in": 200, "thinning": 5, "chain_steps": 400}
+    assert tail.aggregates["sampler"] == {"burn_in": 200, "thinning": 5, "chain_steps": 400, "rejected": 14}
     tail_default = run_tail_experiment(tail_config(sampler={"kind": "glauber"}, samples=3))
-    assert tail_default.aggregates["sampler"] == {"burn_in": 600, "thinning": 6, "chain_steps": 618}
+    assert tail_default.aggregates["sampler"] == {"burn_in": 600, "thinning": 6, "chain_steps": 618,
+                                                  "rejected": 52}
     # exact runs report no sampler block
     assert "sampler" not in run_range_experiment(parse_config(base_config())).aggregates
     assert "sampler" not in run_tail_experiment(tail_config()).aggregates
+
+
+def _sample_blocks(cfg):
+    """The `(seed, steps)` blocks of a Glauber experiment's one run."""
+    children = np.random.SeedSequence(cfg.seed ^ 0x9E3779B97F4A7C15).spawn(cfg.samples)
+    return [(cfg.seed, cfg.sampler["burn_in"])] + [
+        (child.generate_state(1)[0].item(), cfg.sampler["thinning"]) for child in children]
+
+
+def test_glauber_summary_counts_rejections(tmp_path):
+    # ground state on K6 at lam = 1: the flaw cap (2) rejects moves
+    tail_cfg = tail_config(sampler={"kind": "glauber", "burn_in": 200, "thinning": 5}, samples=40, seed=7)
+    _, rejected = reference_glauber(complete_graph(6), resolve_ensemble(tail_cfg).spec,
+                                    _sample_blocks(tail_cfg))
+    assert rejected > 0
+    tail = run_tail_experiment(tail_cfg)
+    assert tail.aggregates["sampler"]["rejected"] == rejected
+    with open(tail.write(tmp_path / "tail")["summary"]) as fh:
+        assert json.load(fh)["aggregates"]["sampler"]["rejected"] == rejected
+    # a one-point chain rejects nothing
+    range_cfg = parse_config(base_config(graph={"family": "random-regular", "n": 20, "d": 3, "seed": 1}, M=2,
+                                         sampler={"kind": "glauber", "burn_in": 300, "thinning": 20},
+                                         samples=30, seed=7))
+    ens = resolve_ensemble(range_cfg)
+    states, rejected = reference_glauber(ens.g, ens.spec, _sample_blocks(range_cfg))
+    assert rejected == 0
+    assert draw_samples(ens, range_cfg) == states[1:]
+    assert run_range_experiment(range_cfg).aggregates["sampler"]["rejected"] == 0
 
 
 def test_glauber_schedule_keeps_csv(tmp_path):
@@ -519,6 +552,20 @@ def test_cli_budget_message_names_stage_and_layer(capsys):
     assert err == "error: count exceeded node budget (13 > 10) at layer 2/14, width 3 states"
 
 
+def test_cli_budget_bounds_the_work_of_one_state(capsys):
+    # one K2 state has 2M + 1 live values; they are charged before any is built
+    tracemalloc.start()
+    try:
+        code = main(["count", "--graph", '{"family":"complete","n":2}', "--M", "200000", "--budget", "100"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert capsys.readouterr().err.strip() == (
+        "error: count exceeded node budget (400002 > 100) at layer 1/2, width 1 states")
+    assert peak < 5_000_000
+
+
 def test_cli_experiment_and_exit_codes(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(base_config(samples=20)))
@@ -643,7 +690,8 @@ def test_config_rejects_bad_glauber_schedule(sampler):
 
 def test_config_accepts_schedule_edges():
     cfg = parse_config(base_config(sampler={"kind": "glauber", "burn_in": 0, "thinning": 1}, samples=3))
-    assert run_range_experiment(cfg).aggregates["sampler"] == {"burn_in": 0, "thinning": 1, "chain_steps": 3}
+    assert run_range_experiment(cfg).aggregates["sampler"] == {"burn_in": 0, "thinning": 1, "chain_steps": 3,
+                                                               "rejected": 0}
 
 
 def test_cli_bad_glauber_schedule_exits_2(tmp_path, capsys):

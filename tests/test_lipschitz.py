@@ -40,7 +40,7 @@ from liplab.lipschitz import (
     sample_exact,
     validate,
 )
-from tests.conftest import CountingGenerator, path_graph
+from tests.conftest import CountingGenerator, path_graph, reference_glauber
 
 
 def brute_onepoint(g, v0, M):
@@ -550,12 +550,46 @@ def _trajectory_sha256(g, spec, seed, steps):
         (lambda: random_regular_graph(20, 3, seed=1), EnsembleSpec("one-point", M=2, v0=0), 9, 70_000,
          ("21b78ab868282383b257a3b7159a4f7979a4d50c7903c1ac7ce30a0897ff5314",
           "e761c5f0961fab1e9e986e4797a83e8ac432a292c5387f904d394c0e6b2b9d51")),
+        # the cases of test_glauber_chain_matches_reference_chain that switch
+        # the interval table off and fill it, recorded from the chain before the table
+        (lambda: hypercube_graph(6), EnsembleSpec("one-point", M=4, v0=0), 10, 30_000,
+         ("331739409681d43ee36173986c195001c16d8be5d459f2d09341ecba2c305090",
+          "ee8ebb4c7f6ddd26ac7801750a24e6c211720c467d059f1f7187808fa6fce762")),
+        (lambda: hypercube_graph(7), EnsembleSpec("one-point", M=1, v0=0), 3, 40_000,
+         ("34fa4ee58d6063045b52e2d8dfe1366ddcf39ace7012a251fe983d782d531f74",
+          "447a6626f2ae330b693f66937590894d2da52e00039d0c9ade80e1617f4a9217")),
     ],
-    ids=["C4-M1", "C4-M2", "Q3-M1", "Q3-M2", "P7-M1", "K6-ground", "RR20-70k"],
+    ids=["C4-M1", "C4-M2", "Q3-M1", "Q3-M2", "P7-M1", "K6-ground", "RR20-70k", "Q6-M4-table-off",
+         "Q7-M1-table-full"],
 )
 def test_glauber_golden_trajectories(builder, spec, seed, steps, digests):
     # digests recorded with the per-step glauber_site_interval loop the kernel replaced
     assert _trajectory_sha256(builder(), spec, seed, steps) == digests
+
+
+@pytest.mark.parametrize(
+    "builder,spec,seed,steps",
+    [
+        (lambda: random_regular_graph(20, 3, seed=1), EnsembleSpec("one-point", M=2, v0=0), 9, 70_000),
+        (lambda: complete_graph(6), EnsembleSpec("ground-state", M=1, k=0, lam=1.0), 8, 3000),
+        # 3,681 of the first 4,096 lookups miss, so the table is switched off after that slice
+        (lambda: hypercube_graph(6), EnsembleSpec("one-point", M=4, v0=0), 10, 30_000),
+        # the table fills at step 23,440 (8,192 values / degree 7 = 1,170 entries) and serves on
+        (lambda: hypercube_graph(7), EnsembleSpec("one-point", M=1, v0=0), 3, 40_000),
+    ],
+    ids=["RR20-M2", "K6-ground", "Q6-M4-table-off", "Q7-M1-table-full"],
+)
+def test_glauber_chain_matches_reference_chain(builder, spec, seed, steps):
+    import liplab.lipschitz as lipschitz
+
+    g = builder()
+    seen, expected = [], []
+    got = lipschitz._glauber_run(g, spec, [(seed, steps)], on_step=lambda t, vals: seen.append(hash(tuple(vals))))
+    want = reference_glauber(g, spec, [(seed, steps)], on_step=lambda t, vals: expected.append(hash(tuple(vals))))
+    assert len(seen) == steps
+    assert seen == expected
+    assert got == want
+    assert (want[1] > 0) == (spec.mode == "ground-state")
 
 
 def test_glauber_ground_state_rejects_moves(k6):
@@ -807,6 +841,16 @@ def test_sampler_charges_each_transition_once(g, spec):
     else:
         counted = count_groundstate(g, spec.k, spec.M, spec.lam)
     assert ExactSampler(g, spec)._dp.nodes == counted.nodes_explored
+
+
+def test_nodes_explored_pinned():
+    # recorded before a state's live values were charged ahead of building them
+    assert count_onepoint(cycle_graph(14), 0, 1).nodes_explored == 385
+    assert count_onepoint(torus_graph([3, 5]), 0, 1).nodes_explored == 3_992
+    assert count_onepoint(random_regular_graph(12, 3, seed=1), 0, 3).nodes_explored == 93_139
+    # flaw caps 2 and 5 bind
+    assert count_groundstate(complete_graph(10), 0, 2, 1.0).nodes_explored == 698
+    assert count_groundstate(hypercube_graph(3), 0, 2, 1.0).nodes_explored == 19_755
 
 
 @pytest.mark.parametrize(
