@@ -59,13 +59,13 @@ from .graphs import (
 from .lipschitz import (
     EnsembleSpec,
     LipschitzFn,
-    _glauber_samples,
     count_groundstate,
     count_onepoint,
     enumerate_groundstate,
     enumerate_onepoint,
     flaw_cap,
     fn_range,
+    glauber_samples,
     glauber_site_interval,
     min_ground_state,
     sample_exact,
@@ -349,21 +349,17 @@ def glauber_schedule(g: Graph, cfg: ExperimentConfig) -> dict:
     return {"burn_in": burn_in, "thinning": thinning, "chain_steps": burn_in + cfg.samples * thinning}
 
 
-def draw_samples(ens: Ensemble, cfg: ExperimentConfig) -> list[LipschitzFn]:
-    """The samples of the config's sampler, without the `sampler` block."""
-    return _draw(ens, cfg)[0]
-
-
-def _draw(ens: Ensemble, cfg: ExperimentConfig) -> tuple[list[LipschitzFn], dict | None]:
-    """The samples, and for a Glauber run the `sampler` block of
-    summary.json: its schedule and the moves the flaw cap rejected."""
+def draw_samples(ens: Ensemble, cfg: ExperimentConfig) -> tuple[list[LipschitzFn], dict | None]:
+    """The samples of the config's sampler, and for a Glauber run the
+    `sampler` block of summary.json: its schedule and the moves the flaw cap
+    rejected (None for the exact sampler)."""
     g, spec = ens.g, ens.spec
     if cfg.sampler["kind"] == "exact":
         return sample_exact(g, spec, cfg.seed, cfg.samples, budget=cfg.budget), None
 
     schedule = glauber_schedule(g, cfg)
-    samples, rejected = _glauber_samples(g, spec, cfg.seed, schedule["burn_in"], schedule["thinning"],
-                                         cfg.samples)
+    samples, rejected = glauber_samples(g, spec, cfg.seed, schedule["burn_in"], schedule["thinning"],
+                                        cfg.samples)
     return samples, {**schedule, "rejected": rejected}
 
 
@@ -456,7 +452,7 @@ def run_range_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     # the flaw dump reads each sample's ground states, in either mode
     ens = resolve_ensemble(cfg, cfg.probes, ground=cfg.dump_flaws, gates=True)
     g, profile, probes = ens.g, ens.profile, ens.probes
-    samples, sampler = _draw(ens, cfg)
+    samples, sampler = draw_samples(ens, cfg)
 
     records = []
     for i, f in enumerate(samples):
@@ -569,7 +565,7 @@ def run_tail_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         )
         estimate, sampler = "exact", None
     else:
-        samples, sampler = _draw(ens, cfg)
+        samples, sampler = draw_samples(ens, cfg)
         marginal = Counter(f.values[probe] for f in samples)
         rows = tail_rows(g, cfg.M, profile.lam, probe, cfg.t_values, marginal, k,
                          cfg.constants["c"], cfg.constants["C"])

@@ -9,8 +9,10 @@ that flaw allowance is below n.
 Counting, exact sampling, enumeration and exact marginals share one
 recursion-free frontier DP (`_FrontierDP`).  Their `budget` bounds, and
 `CountResult.nodes_explored` reports, the number of DP transitions: pairs of
-a state and a candidate value that lead to a live state, each charged once;
-sampling and marginals read per-layer rank arrays compiled in one sweep.
+a state and a candidate value that lead to a live state, each charged once.
+Counts walk the layers forward, holding one at a time; sampling, marginals and
+enumeration read per-layer rank arrays compiled in one sweep, rank r being
+member r of the enumeration (Nijenhuis-Wilf unranking).
 """
 
 from __future__ import annotations
@@ -160,9 +162,9 @@ class _FrontierDP:
     successor carries the shift it applied; a state's real values are its
     key plus the running offset.
 
-    `forward` counts, `stream` enumerates, and `compile` turns the layers
-    into rank arrays for sampling and marginals; each calls
-    `successors` once per state it reaches.  `nodes` counts DP transitions:
+    `forward` counts, holding one layer at a time, and `compile` turns the
+    layers into rank arrays for sampling, marginals and enumeration; each
+    calls `successors` once per state it reaches.  `nodes` counts DP transitions:
     (state, candidate) pairs that lead to a live state.  It is checked
     against `budget` for every state expanded, before its successors are
     built.
@@ -201,12 +203,11 @@ class _FrontierDP:
         self.offset = 0 if self.box is not None else min(lo, hi)
         self.root = (lo - self.offset, hi - self.offset, 0)
 
-    def successors(self, i: int, key: tuple, stage: str, width: int,
-                   shifted: bool = True) -> list[tuple[int, tuple, int]]:
+    def successors(self, i: int, key: tuple, stage: str, width: int) -> list[tuple[int, tuple, int]]:
         """(value, successor key, shift) for each value of vertex i in state
         `key` that leaves a live state, in increasing value.  The value is in
         key coordinates; the successor key is shifted down by `shift`, which
-        stays 0 unless `shifted` and there is no box.
+        stays 0 when there is a box.
 
         The live values form one interval, so they are added to `nodes` and
         checked against the budget before any successor is built: the work
@@ -241,7 +242,6 @@ class _FrontierDP:
             raise BudgetExceededError(self.nodes, self.budget, stage,
                                       where=f"layer {i}/{self.n}, width {width} states")
         fresh = self.fresh[i]
-        shifted = shifted and box is None
         out = []
         for c in range(lo, hi + 1):
             pairs = list(rest)
@@ -252,7 +252,7 @@ class _FrontierDP:
                     pairs[j + 1] = c
             pairs += (c, c) * fresh
             shift = 0
-            if shifted and pairs:
+            if box is None and pairs:
                 shift = min(pairs[1::2])
                 if shift:
                     pairs = [x - shift for x in pairs]
@@ -320,33 +320,6 @@ class _FrontierDP:
         kind = np.int64 if total < 1 << 63 and value_type is np.int64 else object
         return total, [_Layer(*(a.astype(kind, copy=False) for a in layer)) for layer in rows]
 
-    def stream(self, stage: str) -> Iterator[list[int]]:
-        """Yield every complete assignment (in order positions) in
-        lexicographic order, from an explicit stack of successor lists.
-        Keys are not shifted here: no state is looked up twice."""
-        n, offset = self.n, self.offset
-        vals = [0] * n
-        succ = self.successors(0, self.root, stage, 1, shifted=False)
-        # each frame: an iterator over a successor list, and that list's
-        # length (the layer-(i + 1) states the walk holds)
-        stack = [(iter(succ), len(succ))]
-        while stack:
-            i = len(stack) - 1
-            states, width = stack[i]
-            for c, child, _ in states:
-                vals[i] = c + offset
-                if i + 1 == n:
-                    yield vals
-                    continue
-                succ = self.successors(i + 1, child, stage, width, shifted=False)
-                stack.append((iter(succ), len(succ)))
-                break
-            else:
-                stack.pop()
-
-    def to_vertex_order(self, vals: Sequence[int]) -> tuple[int, ...]:
-        return tuple(map(vals.__getitem__, self._place))
-
 
 def _check_spec(g: Graph, spec: EnsembleSpec) -> int | None:
     """Check that `spec` names a finite ensemble on g, with its anchor on the
@@ -370,11 +343,24 @@ def _count(g: Graph, spec: EnsembleSpec, budget: int) -> CountResult:
                        anchor=spec.v0, base=spec.k, flaw_cap=dp.cap, box=dp.box)
 
 
+_UNRANK_CELLS = 1 << 14  # member values an enumeration unranks at a time
+
+
 def _members(g: Graph, spec: EnsembleSpec, budget: int) -> Iterator[LipschitzFn]:
-    """The ensemble's members in lexicographic order along the DP's vertex
-    order; the spec is checked at the call, the members come lazily."""
+    """The ensemble's members in rank order, which is lexicographic order
+    along the DP's vertex order.  The spec is checked at the call; the DP is
+    compiled at the first `next`, and the ranks are unranked in batches of
+    about 16,384 values."""
     dp = _FrontierDP(g, spec, budget)
-    return (LipschitzFn(dp.to_vertex_order(vals), spec.M) for vals in dp.stream("enumeration"))
+
+    def members() -> Iterator[LipschitzFn]:
+        total, rows = dp.compile("enumeration")
+        batch = max(1, _UNRANK_CELLS // dp.n)
+        for first in range(0, total, batch):
+            # a range of Python ints: ranks past 2^63 never pass through int64
+            yield from _unrank(dp, rows, range(first, min(first + batch, total)))
+
+    return members()
 
 
 def enumerate_onepoint(g: Graph, v0: int, M: int, budget: int = DEFAULT_NODE_BUDGET) -> Iterator[LipschitzFn]:
@@ -453,24 +439,36 @@ class ExactSampler:
     def draw(self, rng: np.random.Generator, count: int) -> list[LipschitzFn]:
         """`count` independent uniform members: the members of `count`
         uniform ranks."""
-        return self.unrank(_ranks(rng, self.total, count))
+        return _unrank(self._dp, self._rows, _ranks(rng, self.total, count))
 
     def unrank(self, ranks) -> list[LipschitzFn]:
-        """The members of the given ranks, each in [0, total)."""
-        dp = self._dp
-        dtype = self._rows[0].cum.dtype
-        rank = np.array(ranks, dtype=dtype).reshape(-1)
-        if len(rank) and not (0 <= rank.min() and rank.max() < self.total):
+        """The members of the given ranks, each an integer in [0, total);
+        anything else (a float, a bool, a string) is a `ValueError`."""
+        exact = []
+        for r in ranks:
+            if isinstance(r, bool) or not isinstance(r, (int, np.integer)):
+                raise ValueError(f"rank {r!r} is not an integer")
+            exact.append(int(r))
+        if exact and not (0 <= min(exact) and max(exact) < self.total):
             raise ValueError(f"ranks must lie in [0, {self.total})")
-        vals = np.empty((len(rank), dp.n), dtype=dtype)
-        offset = np.full(len(rank), dp.offset, dtype=dtype)
-        for i, (cum, step, values, shifts) in enumerate(self._rows):
-            # the successor whose run of ranks holds the rank
-            j = np.searchsorted(cum, rank, "right")
-            vals[:, i] = values[j] + offset
-            offset += shifts[j]
-            rank += step[j]
-        return [LipschitzFn(tuple(row), dp.M) for row in vals[:, dp._place].tolist()]
+        return _unrank(self._dp, self._rows, exact)
+
+
+def _unrank(dp: _FrontierDP, rows: list[_Layer], ranks) -> list[LipschitzFn]:
+    """The members of `ranks`, valid ranks of the layers `rows` that
+    `dp.compile` returned: one `searchsorted` per layer for all of them, in
+    the dtype of `rows`."""
+    dtype = rows[0].cum.dtype
+    rank = np.array(ranks, dtype=dtype)
+    vals = np.empty((len(rank), dp.n), dtype=dtype)
+    offset = np.full(len(rank), dp.offset, dtype=dtype)
+    for i, (cum, step, values, shifts) in enumerate(rows):
+        # the successor whose run of ranks holds the rank
+        j = np.searchsorted(cum, rank, "right")
+        vals[:, i] = values[j] + offset
+        offset += shifts[j]
+        rank += step[j]
+    return [LipschitzFn(tuple(row), dp.M) for row in vals[:, dp._place].tolist()]
 
 
 def sample_exact(g: Graph, spec: EnsembleSpec, seed: int, count: int = 1,
@@ -530,10 +528,10 @@ def glauber_chain(
 
 
 def glauber_samples(g: Graph, spec: EnsembleSpec, seed: int, burn_in: int, thinning: int,
-                    samples: int) -> list[LipschitzFn]:
+                    samples: int) -> tuple[list[LipschitzFn], int]:
     """`samples` states of one Glauber chain, `thinning` steps apart after
     `burn_in` steps from the all-zero (one-point) or all-k (ground-state)
-    state.
+    state, and how many moves of the run the flaw cap rejected.
 
     The burn-in draws on `SeedSequence(seed)`; the block ending at sample i
     draws on the seed that child i of
@@ -541,12 +539,6 @@ def glauber_samples(g: Graph, spec: EnsembleSpec, seed: int, burn_in: int, thinn
     fixed seed gives fixed samples, and each block is the `glauber_chain` run
     of that seed from the previous state.
     """
-    return _glauber_samples(g, spec, seed, burn_in, thinning, samples)[0]
-
-
-def _glauber_samples(g: Graph, spec: EnsembleSpec, seed: int, burn_in: int, thinning: int,
-                     samples: int) -> tuple[list[LipschitzFn], int]:
-    """`glauber_samples`, and how many moves of its run the flaw cap rejected."""
     children = np.random.SeedSequence(seed ^ _SAMPLE_SALT).spawn(samples)
     blocks = [(seed, burn_in)] + [(child.generate_state(1)[0].item(), thinning) for child in children]
     states, rejected = _glauber_run(g, spec, blocks)

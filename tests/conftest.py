@@ -1,5 +1,6 @@
 from collections import Counter
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -106,3 +107,47 @@ def reference_glauber(g, spec, blocks, on_step=None):
                 t += 1
         states.append(LipschitzFn(tuple(values), spec.M))
     return states, rejected
+
+
+def brute_members(nxg, spec):
+    """Every member of the ensemble `spec` on the networkx graph `nxg`, as
+    value tuples in vertex order, in lexicographic order along
+    `[root] + bfs_edges(root, sort_neighbors=sorted)`, the root being v0 in
+    one-point mode and vertex 0 in ground-state mode.
+
+    Each vertex tries, in increasing order, the values of its box: |x| <=
+    M*dist(v, v0) in one-point mode, [k - n*M, k + M + n*M] in ground-state
+    mode.  A partial assignment is not extended once it breaks an edge to an
+    earlier vertex or has more flaws than the cap."""
+    M, n = spec.M, nxg.number_of_nodes()
+    root = spec.v0 if spec.mode == "one-point" else 0
+    order = [root] + [v for _, v in nx.bfs_edges(nxg, root, sort_neighbors=sorted)]
+    pos = {v: i for i, v in enumerate(order)}
+    earlier = [[u for u in nxg[v] if pos[u] < i] for i, v in enumerate(order)]
+    if spec.mode == "one-point":
+        dist = nx.single_source_shortest_path_length(nxg, root)
+        boxes = [range(-M * dist[v], M * dist[v] + 1) for v in order]
+        window, cap = None, None
+    else:
+        boxes = [range(spec.k - n * M, spec.k + M + n * M + 1)] * n
+        window, cap = (spec.k, spec.k + M), flaw_cap(n, nxg.degree(root), spec.lam)
+    vals = [0] * n
+
+    def extend(i, flaws):
+        if i == n:
+            yield tuple(vals)
+            return
+        for x in boxes[i]:
+            if all(abs(x - vals[u]) <= M for u in earlier[i]):
+                more = flaws + (window is not None and not window[0] <= x <= window[1])
+                if cap is None or more <= cap:
+                    vals[order[i]] = x
+                    yield from extend(i + 1, more)
+
+    return extend(0, 0)
+
+
+def to_networkx(g):
+    nxg = nx.empty_graph(g.n)
+    nxg.add_edges_from(g.edges())
+    return nxg

@@ -176,7 +176,7 @@ def test_range_glauber_reproducible():
 
 def _draws_sha256(data):
     cfg = parse_config(data)
-    draws = draw_samples(resolve_ensemble(cfg), cfg)
+    draws, _ = draw_samples(resolve_ensemble(cfg), cfg)
     return hashlib.sha256(json.dumps([list(f.values) for f in draws]).encode()).hexdigest()
 
 
@@ -256,7 +256,8 @@ def test_glauber_summary_counts_rejections(tmp_path):
     ens = resolve_ensemble(range_cfg)
     states, rejected = reference_glauber(ens.g, ens.spec, _sample_blocks(range_cfg))
     assert rejected == 0
-    assert draw_samples(ens, range_cfg) == states[1:]
+    samples, _ = draw_samples(ens, range_cfg)
+    assert samples == states[1:]
     assert run_range_experiment(range_cfg).aggregates["sampler"]["rejected"] == 0
 
 
@@ -836,7 +837,8 @@ def test_exact_draw_samples_seed_one_generator_per_batch(monkeypatch):
 
     monkeypatch.setattr(np.random, "default_rng", default_rng)
     cfg = parse_config(base_config(graph={"family": "hypercube", "dim": 3}, samples=300, seed=8))
-    assert len(draw_samples(resolve_ensemble(cfg), cfg)) == 300
+    samples, _ = draw_samples(resolve_ensemble(cfg), cfg)
+    assert len(samples) == 300
     assert [m.calls for m in made] == [{"integers": 1}]
 
 
@@ -977,7 +979,8 @@ def test_glauber_draw_samples_matches_per_sample_chain(overrides):
     ens = resolve_ensemble(cfg)
     expected = _per_sample_glauber(ens, cfg)
     assert len(expected) == cfg.samples
-    assert draw_samples(ens, cfg) == expected
+    samples, _ = draw_samples(ens, cfg)
+    assert samples == expected
 
 
 def test_glauber_draw_samples_never_validates(monkeypatch):
@@ -991,7 +994,8 @@ def test_glauber_draw_samples_never_validates(monkeypatch):
                                        samples=30, **mode))
         ens = resolve_ensemble(cfg)
         g = ens.g
-        assert len(draw_samples(ens, cfg)) == 30
+        samples, _ = draw_samples(ens, cfg)
+        assert len(samples) == 30
     assert calls == []
     # the patch is live: a caller's initial state is still checked
     state = lipschitz.glauber_chain(g, lipschitz.EnsembleSpec("one-point", M=1, v0=0), seed=0, steps=3)

@@ -40,7 +40,7 @@ from liplab.lipschitz import (
     sample_exact,
     validate,
 )
-from tests.conftest import CountingGenerator, path_graph, reference_glauber
+from tests.conftest import CountingGenerator, brute_members, path_graph, reference_glauber, to_networkx
 
 
 def brute_onepoint(g, v0, M):
@@ -366,7 +366,9 @@ def test_ranks_map_one_to_one_onto_the_enumeration(g, spec, dtype):
         members = list(enumerate_onepoint(g, spec.v0, spec.M))
     else:
         members = list(enumerate_groundstate(g, spec.k, spec.M, spec.lam))
-    assert sampler.unrank(range(sampler.total)) == members
+    # enumeration unranks too, so the order is checked against a brute force
+    expected = [LipschitzFn(values, spec.M) for values in brute_members(to_networkx(g), spec)]
+    assert sampler.unrank(range(sampler.total)) == members == expected
 
 
 @pytest.mark.parametrize("n,bits,dtype", [(42, 63, np.int64), (200, 313, object)], ids=["C42", "C200"])
@@ -376,11 +378,19 @@ def test_large_ensembles_unrank_in_enumeration_order(n, bits, dtype):
     g = cycle_graph(n)
     sampler = ExactSampler(g, EnsembleSpec("one-point", M=1, v0=0))
     assert sampler.total.bit_length() == bits and sampler._rows[0].cum.dtype == dtype
-    assert sampler.unrank(range(60)) == list(itertools.islice(enumerate_onepoint(g, 0, 1), 60))
+    brute = brute_members(to_networkx(g), EnsembleSpec("one-point", M=1, v0=0))
+    expected = [LipschitzFn(values, 1) for values in itertools.islice(brute, 60)]
+    assert sampler.unrank(range(60)) == list(itertools.islice(enumerate_onepoint(g, 0, 1), 60)) == expected
     (last,) = sampler.unrank([sampler.total - 1])
     assert last.values == tuple(min(v, n - v) for v in range(n))  # the largest member
-    with pytest.raises(ValueError, match="ranks must lie in"):
-        sampler.unrank([sampler.total])
+    # a rank past int64 (C42) is out of range, not an overflow
+    for bad in ([sampler.total], [-1], [sampler.total << 8], [max(2**70, sampler.total)]):
+        with pytest.raises(ValueError, match="ranks must lie in"):
+            sampler.unrank(bad)
+    # `unrank` takes integers only
+    for bad in ([1.5], [True], ["3"], [np.float64(2.0)], [2**70, 0.5]):
+        with pytest.raises(ValueError, match="is not an integer"):
+            sampler.unrank(bad)
 
 
 @pytest.mark.parametrize(
@@ -661,7 +671,8 @@ def test_glauber_lone_pinned_vertex_is_a_no_op():
     f = glauber_chain(k1, spec, seed=0, steps=5, on_step=lambda t, vals: seen.append((t, tuple(vals))))
     assert f == LipschitzFn((0,), 2)
     assert seen == [(t, (0,)) for t in range(5)]
-    assert glauber_samples(k1, spec, seed=3, burn_in=10, thinning=4, samples=3) == [LipschitzFn((0,), 2)] * 3
+    samples, _ = glauber_samples(k1, spec, seed=3, burn_in=10, thinning=4, samples=3)
+    assert samples == [LipschitzFn((0,), 2)] * 3
 
 
 # ---------------------------------------------------------------------------

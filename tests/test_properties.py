@@ -1,7 +1,7 @@
 """Property tests of the graph primitives against networkx on random connected
-graphs with at most 12 vertices, and of the one-point count against a brute
-force on those with at most 7.  Examples are derandomized, so the suite
-stays deterministic."""
+graphs with at most 12 vertices, and of the one-point count and enumeration
+against brute forces on those with at most 7.  Examples are derandomized, so
+the suite stays deterministic."""
 
 import networkx as nx
 from hypothesis import given, settings
@@ -20,7 +20,8 @@ from liplab.graphs import (
     neighborhood,
     outer_boundary,
 )
-from liplab.lipschitz import count_onepoint
+from liplab.lipschitz import EnsembleSpec, LipschitzFn, count_onepoint, enumerate_onepoint
+from tests.conftest import brute_members
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -127,3 +128,12 @@ def test_count_onepoint_matches_brute_force_over_the_box(graphs, M, data):
     g, nxg = graphs
     v0 = data.draw(st.integers(0, g.n - 1))
     assert count_onepoint(g, v0, M).count == brute_count_over_box(nxg, v0, M)
+
+
+@PROPERTY_SETTINGS
+@given(connected_graphs(max_n=7), st.integers(0, 2), st.data())
+def test_enumerate_onepoint_matches_brute_force_in_order(graphs, M, data):
+    g, nxg = graphs
+    v0 = data.draw(st.integers(0, g.n - 1))
+    expected = [LipschitzFn(values, M) for values in brute_members(nxg, EnsembleSpec("one-point", M=M, v0=v0))]
+    assert list(enumerate_onepoint(g, v0, M)) == expected

@@ -40,3 +40,16 @@ def test_traced_cli_count_reaches_the_count_counters(capsys):
     summary = tracer.summary()
     assert summary["lipschitz.count.calls"] == 1
     assert summary["lipschitz.count.nodes"] == count_onepoint(cycle_graph(4), 0, 1).nodes_explored
+
+
+def test_traced_cli_enumerate_counts_members_and_builds_no_sampler(capsys):
+    tracing = _tracing()
+    tracer = tracing["Tracer"]()
+    with tracing["installed"](tracer):
+        assert main(["enumerate", "--graph", '{"family":"cycle","n":4}', "--M", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    summary = tracer.summary()
+    assert len(lines) == 19
+    assert summary["lipschitz.enumerate.members"] == len(lines)
+    # enumeration unranks the compiled DP without building an `ExactSampler`
+    assert summary.get("lipschitz.sampler_build.calls", 0) == 0
