@@ -307,9 +307,7 @@ def _cmd_containers(args) -> int:
         g, args.vertex, args.boundary_size, args.linkage, args.psi, profile,
         seed=args.seed, budget=args.budget,
     )
-    report = linked_set_count_report(
-        g, args.vertex, args.boundary_size, args.linkage, profile, budget=args.budget
-    )
+    report = linked_set_count_report(fam.n_sets, args.boundary_size, args.linkage, profile)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, "family.jsonl"), "w") as fh:

@@ -202,6 +202,8 @@ def refine_to_approx_pair(
     X-vertex keeps more than psi boundary neighbors uncovered; then remove
     neighborhoods of U while some outside vertex sees more than psi of S.
     The greedy growth certifies |H| <= g/psi and |U| <= 2g/psi, both checked.
+    The pair itself is not validated here: `build_container_family` checks
+    it against X once, and reports the verdict as `covers_all`.
     """
     x = frozenset(x)
     cover = frozenset(cover)
@@ -246,9 +248,6 @@ def refine_to_approx_pair(
     f = frozenset(f_prime | {u for u in range(g.n) if len(nbr[u] & s) > psi + _TOL})
 
     pair = ApproxPair(s=s, f=f, psi=psi)
-    report = validate_approx_pair(g, pair, x)
-    if not report["ok"]:
-        raise RuntimeError(f"refinement produced an invalid pair: {report}")
     stats = RefineStats(
         h_size=len(h),
         u_size=len(u_list),
@@ -300,8 +299,9 @@ def build_container_family(
 ) -> ContainerFamily:
     """Cover-then-refine over every enumerated linked set, deduplicated.
 
-    The covering property is checked exhaustively: each enumerated X must
-    validate against some member of the family.
+    The covering property is checked exhaustively: each enumerated X is
+    validated once against the pair refined from its cover, and `covers_all`
+    is false if any of them fails (a failed check, not an error).
     """
     xs = enumerate_linked_sets(g, v, boundary_size, k, budget=budget)
     streams = np.random.SeedSequence(seed).spawn(max(1, len(xs)))
@@ -309,18 +309,15 @@ def build_container_family(
     max_h = 0
     max_u = 0
     met_cover_bound = 0
-    per_set_pair: list[ApproxPair] = []
+    covers_all = True
     for x, stream in zip(xs, streams):
         cover = build_mutual_cover(g, x, profile, seed=stream.generate_state(1)[0].item())
         pair, stats = refine_to_approx_pair(g, cover.members, x, psi)
         pairs.setdefault(pair.key(), pair)
-        per_set_pair.append(pair)
+        covers_all &= validate_approx_pair(g, pair, x)["ok"]
         max_h = max(max_h, stats.h_size)
         max_u = max(max_u, stats.u_size)
         met_cover_bound += 1 if cover.met_bound else 0
-    covers_all = all(
-        validate_approx_pair(g, pair, x)["ok"] for x, pair in zip(xs, per_set_pair)
-    )
     exponent = family_bound_exponent(profile.d, profile.lam, k, psi, boundary_size)
     n_pairs = len(pairs)
     empirical_c = math.log(n_pairs) / exponent if n_pairs >= 1 and exponent > 0 else None
@@ -374,19 +371,12 @@ def check_pair_size_bound(pair: ApproxPair, profile: ExpanderProfile) -> dict:
     }
 
 
-def linked_set_count_report(
-    g: Graph,
-    v: int,
-    boundary_size: int,
-    k: int,
-    profile: ExpanderProfile,
-    budget: int = DEFAULT_NODE_BUDGET,
-) -> dict:
-    """Count the linked sets at one (v, g, k) and compare with the two size
-    bounds: the explicit tree-growth bound and the container-method bound
-    whose universal constant is reported empirically, never asserted."""
+def linked_set_count_report(count: int, boundary_size: int, k: int, profile: ExpanderProfile) -> dict:
+    """Compare `count`, the number of k-linked sets at one vertex with
+    |N(X)| = boundary_size (a family's `n_sets`), with the two size bounds:
+    the explicit tree-growth bound and the container-method bound whose
+    universal constant is reported empirically, never asserted."""
     n, d, lam = profile.n, profile.d, profile.lam
-    count = len(enumerate_linked_sets(g, v, boundary_size, k, budget=budget))
     gsize = boundary_size
     in_range = d <= gsize <= n / 2
     naive_exp = (2.0 * lam / d) ** 2 * gsize * math.log(math.e * d**k)

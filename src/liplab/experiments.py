@@ -726,10 +726,24 @@ def check_ground_state_existence(sg: SuiteGraph, ctx: VerifyContext) -> list[dic
 
 
 def check_count_enumeration(sg: SuiteGraph, ctx: VerifyContext) -> list[dict]:
-    n_enum = sum(1 for _ in enumerate_onepoint(sg.g, 0, 1, budget=ctx.budget))
+    """The enumerated members themselves, stacked and checked in one pass over
+    the edges: each 1-Lipschitz with f(0) = 0, no two equal, and as many as
+    the count.  The first bad member is the witness."""
+    values = (v for f in enumerate_onepoint(sg.g, 0, 1, budget=ctx.budget) for v in f.values)
+    members = np.fromiter(values, dtype=np.int64).reshape(-1, sg.g.n)  # no member kept as an object
     n_count = count_onepoint(sg.g, 0, 1, budget=ctx.budget).count
-    return [_verdict("count-enumeration-agreement", sg.name, n_enum == n_count,
-                     {"enumerated": n_enum, "counted": n_count})]
+    lower, upper = sg.g.edge_index
+    rows = members.view(np.dtype((np.void, members.itemsize * sg.g.n))).ravel()  # one key per member
+    repeat = np.ones(len(members), dtype=bool)
+    repeat[np.unique(rows, return_index=True)[1]] = False  # later copies only
+    steep = (np.abs(members[:, lower] - members[:, upper]) > 1).any(axis=1)
+    bad = steep | (members[:, 0] != 0) | repeat
+    witness = {"enumerated": len(members), "counted": n_count}
+    if bad.any():
+        first = int(np.argmax(bad))
+        witness.update(rank=first, member=members[first].tolist())
+    ok = len(members) == n_count and not bad.any()
+    return [_verdict("count-enumeration-agreement", sg.name, ok, witness)]
 
 
 def check_translation_bijection(sg: SuiteGraph, ctx: VerifyContext) -> list[dict]:
@@ -890,9 +904,11 @@ def check_detailed_balance(ctx: VerifyContext) -> list[dict]:
         for v in (1, 2, 3):
             lo, hi = glauber_site_interval(s, c4.neighbors(v), 1)
             for c in range(lo, hi + 1):
-                t = list(s)
-                t[v] = c
-                key = (index[s], index[tuple(t)])
+                t = s[:v] + (c,) + s[v + 1:]
+                if t not in index:  # the enumeration missed a state the chain reaches
+                    return [_verdict("detailed-balance", "C4", False,
+                                     {"move_outside_enumeration": [list(s), list(t)]})]
+                key = (index[s], index[t])
                 probs[key] = probs.get(key, Fraction(0)) + Fraction(1, 3 * (hi - lo + 1))
     asym = next(((i, j) for (i, j), p in probs.items() if probs.get((j, i), Fraction(0)) != p), None)
     return [_verdict("detailed-balance", "C4", asym is None,

@@ -235,18 +235,6 @@ def outer_boundary(g: Graph, xs: Iterable[int]) -> frozenset:
     return neighborhood(g, xs) - xs
 
 
-def inner_boundary(g: Graph, xs: Iterable[int]) -> frozenset:
-    """Vertices of X with at least one neighbor outside X."""
-    xs = frozenset(xs)
-    complement = frozenset(range(g.n)) - xs
-    return outer_boundary(g, complement)
-
-
-def interior(g: Graph, xs: Iterable[int]) -> frozenset:
-    xs = frozenset(xs)
-    return xs - inner_boundary(g, xs)
-
-
 def _linked_walk(power: Sequence[frozenset], ys: frozenset, v: int) -> frozenset:
     """The component of v in the graph on Y whose edges are the pairs of
     `power` (the neighbour sets of G^k) inside Y."""
@@ -257,23 +245,6 @@ def _linked_walk(power: Sequence[frozenset], ys: frozenset, v: int) -> frozenset
         comp |= fresh
         stack.extend(fresh)
     return frozenset(comp)
-
-
-def k_linked_components(g: Graph, ys: Iterable[int], k: int) -> list[frozenset]:
-    """Maximal k-linked subsets of Y: components of the k-th power induced on Y.
-
-    Components are returned sorted by their smallest member; they partition Y
-    and any two distinct components are at graph distance > k.
-    """
-    power = g.power_sets(k)
-    ys = frozenset(ys)
-    comps: list[frozenset] = []
-    seen: set[int] = set()
-    for v in sorted(ys):
-        if v not in seen:
-            comps.append(_linked_walk(power, ys, v))
-            seen |= comps[-1]
-    return comps
 
 
 def linked_component_containing(g: Graph, ys: Iterable[int], k: int, v: int) -> frozenset:
@@ -287,12 +258,6 @@ def is_k_linked(g: Graph, xs: Iterable[int], k: int) -> bool:
     if not xs:
         return True
     return len(linked_component_containing(g, xs, k, min(xs))) == len(xs)
-
-
-def graph_power(g: Graph, k: int) -> Graph:
-    """G^k: edge between distinct u, v iff their distance in G is <= k."""
-    power = g.power_sets(k)
-    return g if k == 1 else Graph(power, name=f"{g.name}^{k}" if g.name else "")
 
 
 def is_mutual_cover(g: Graph, xs: Iterable[int], ys: Iterable[int]) -> bool:

@@ -246,6 +246,26 @@ def test_family_every_set_has_member(petersen):
         assert any(validate_approx_pair(petersen, p, xs)["ok"] for p in fam.pairs)
 
 
+def test_rejected_pairs_are_a_failed_check_not_a_crash(monkeypatch, capsys):
+    import liplab.containers as containers
+    from liplab.cli import main
+    from liplab.experiments import run_verify_suite
+
+    monkeypatch.setattr(containers, "validate_approx_pair", lambda g, pair, x: {"ok": False})
+    petersen = petersen_graph()
+    fam = build_container_family(petersen, 0, 8, 4, 1.0, exhaustive_lambda(petersen), seed=3)
+    assert fam.n_sets == 78 and not fam.covers_all
+    code = main(["containers", "--graph", '{"family":"petersen"}', "--boundary-size", "8",
+                 "--linkage", "4", "--lambda-source", "exhaustive"])
+    assert code == 1
+    assert '"covers_all": false' in capsys.readouterr().out
+    suite = run_verify_suite(graphs=[petersen])
+    (row,) = [r for r in suite["rows"] if r["check"] == "container-covering"]
+    assert row["status"] == "fail"
+    assert row["witness"] == {"k": 1, "boundary_size": 3}
+    assert row["repro"].endswith("--graph <Petersen>  # check=container-covering graph=Petersen")
+
+
 def test_family_json_lines(c5):
     prof = exhaustive_lambda(c5)
     fam = build_container_family(c5, 0, 4, 1, 1.0, prof, seed=3)
@@ -289,7 +309,8 @@ def test_size_bound_passes_on_small_f():
 
 def test_count_report_c5(c5):
     prof = exhaustive_lambda(c5)
-    rows = [linked_set_count_report(c5, 0, gsize, 1, prof) for gsize in range(1, 6)]
+    rows = [linked_set_count_report(len(enumerate_linked_sets(c5, 0, gsize, 1)), gsize, 1, prof)
+            for gsize in range(1, 6)]
     # d=2, n=5: in range means 2 <= g <= 2.5
     assert [r["status"] for r in rows] == ["skipped", "pass", "skipped", "skipped", "skipped"]
     assert rows[1]["count"] == 1
@@ -301,6 +322,6 @@ def test_count_report_c5(c5):
 def test_count_report_within_naive_bound(petersen):
     prof = exhaustive_lambda(petersen)
     for gsize in (3, 4, 5):
-        row = linked_set_count_report(petersen, 0, gsize, 4, prof)
+        row = linked_set_count_report(len(enumerate_linked_sets(petersen, 0, gsize, 4)), gsize, 4, prof)
         assert row["status"] == "pass"
         assert row["count"] <= row["bound_naive"]

@@ -14,10 +14,13 @@ from liplab.errors import ConfigError
 from liplab.experiments import (
     GRAPH_CHECKS,
     SUITE_CHECKS,
+    SuiteGraph,
     VerifyContext,
     build_graph,
+    check_count_enumeration,
     check_detailed_balance,
     check_entropy,
+    default_suite_graphs,
     draw_samples,
     load_config,
     parse_config,
@@ -1225,3 +1228,56 @@ def test_readme_lists_every_registry_entry():
     for check in GRAPH_CHECKS + SUITE_CHECKS:
         assert f"| `{check.__name__}` |" in table, check.__name__
 
+
+
+def test_verify_fails_rows_on_wrong_members_in_the_right_number(monkeypatch, capsys):
+    """A mutant DP whose successors shift their keys without recording the
+    shift: counts stay right, but enumerated members come out unanchored and
+    not Lipschitz."""
+    from liplab import lipschitz
+    from liplab.lipschitz import LipschitzFn, validate
+
+    successors = lipschitz._FrontierDP.successors
+    monkeypatch.setattr(lipschitz._FrontierDP, "successors",
+                        lambda self, *args: [(c, key, 0) for c, key, _ in successors(self, *args)])
+    suite = run_verify_suite()
+    rows = {(r["check"], r["graph"]): r for r in suite["rows"]}
+    for g in default_suite_graphs():
+        name = g.name
+        row = rows["count-enumeration-agreement", name]
+        assert row["status"] == "fail"
+        witness = row["witness"]
+        assert witness["enumerated"] == witness["counted"]
+        member = witness["member"]
+        assert member[0] != 0 or not validate(g, LipschitzFn(tuple(member), 1))
+        assert row["repro"].endswith(f"# check=count-enumeration-agreement graph={name}")
+    balance = rows["detailed-balance", "C4"]
+    assert balance["status"] == "fail"
+    assert len(balance["witness"]["move_outside_enumeration"]) == 2
+    assert not suite["ok"]
+    assert main(["verify", "--graph", '{"family":"cycle","n":4}']) == 1
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("last", ["repeated", "unanchored", "missing"])
+def test_count_enumeration_fails_on_a_bad_last_member(monkeypatch, last):
+    """The last of C4's 19 members is replaced by a copy of the first, or by
+    the first shifted off its anchor (still Lipschitz, and no repeat), or is
+    dropped."""
+    import liplab.experiments as experiments
+    from liplab.expanders import spectral_lambda
+    from liplab.graphs import cycle_graph
+
+    c4 = cycle_graph(4)
+    sg = SuiteGraph(c4, "C4", spectral_lambda(c4), None)
+    (row,) = check_count_enumeration(sg, VerifyContext())
+    assert row == {"check": "count-enumeration-agreement", "graph": "C4", "status": "pass"}
+    members = list(enumerate_onepoint(c4, 0, 1))
+    tail = {"repeated": [members[0]], "unanchored": [members[0].shift(1)], "missing": []}[last]
+    monkeypatch.setattr(experiments, "enumerate_onepoint", lambda g, v0, M, budget: iter(members[:-1] + tail))
+    (row,) = check_count_enumeration(sg, VerifyContext())
+    assert row["status"] == "fail"
+    expected = {"enumerated": 18 + len(tail), "counted": 19}
+    if tail:
+        expected.update(rank=18, member=list(tail[0].values))
+    assert row["witness"] == expected

@@ -14,13 +14,11 @@ from liplab.graphs import (
     complete_graph,
     cycle_graph,
     generate,
-    graph_power,
     hypercube_graph,
-    interior,
     is_k_linked,
     is_mutual_cover,
     iter_rooted_connected_sets,
-    k_linked_components,
+    linked_component_containing,
     load_edge_list,
     neighborhood,
     outer_boundary,
@@ -176,30 +174,17 @@ def test_ball_nested(petersen):
 def test_boundary_singleton(c5):
     assert neighborhood(c5, {0}) == frozenset({1, 4})
     assert outer_boundary(c5, {0}) == frozenset({1, 4})
-    assert interior(c5, {0}) == frozenset()
     assert closure(c5, {0}) == frozenset({0, 1, 4})
 
 
 def test_boundary_full_set(c5):
     full = frozenset(range(5))
     assert outer_boundary(c5, full) == frozenset()
-    assert interior(c5, full) == full
 
 
 def test_boundary_bipartite_side():
     g = complete_bipartite_graph(3, 3)
     assert neighborhood(g, {0, 1, 2}) == frozenset({3, 4, 5})
-    assert interior(g, {0, 1, 2}) == frozenset()
-
-
-def test_interior_identity_random():
-    # interior(X) == V \ closure(V \ X) on assorted sets
-    g = random_regular_graph(12, 3, seed=3)
-    rng = np.random.default_rng(0)
-    full = frozenset(range(g.n))
-    for _ in range(50):
-        xs = frozenset(int(v) for v in rng.choice(g.n, size=rng.integers(0, g.n + 1), replace=False))
-        assert interior(g, xs) == full - closure(g, full - xs)
 
 
 # ---------------------------------------------------------------------------
@@ -208,9 +193,11 @@ def test_interior_identity_random():
 
 def test_k_linked_path_split():
     p4 = path_graph(4)
-    assert k_linked_components(p4, {0, 2}, 1) == [frozenset({0}), frozenset({2})]
-    assert k_linked_components(p4, {0, 2}, 2) == [frozenset({0, 2})]
-    assert k_linked_components(p4, frozenset(), 1) == []
+    assert linked_component_containing(p4, {0, 2}, 1, 0) == frozenset({0})
+    assert linked_component_containing(p4, {0, 2}, 1, 2) == frozenset({2})
+    assert linked_component_containing(p4, {0, 2}, 2, 2) == frozenset({0, 2})
+    assert linked_component_containing(p4, {0, 2}, 2, 1) == frozenset()
+    assert linked_component_containing(p4, frozenset(), 1, 0) == frozenset()
 
 
 def test_k_linked_partitions_and_separation():
@@ -219,7 +206,7 @@ def test_k_linked_partitions_and_separation():
     for _ in range(30):
         ys = frozenset(int(v) for v in rng.choice(g.n, size=7, replace=False))
         for k in (1, 2, 4):
-            comps = k_linked_components(g, ys, k)
+            comps = {linked_component_containing(g, ys, k, v) for v in ys}
             merged = set()
             for comp in comps:
                 assert not (merged & comp)
@@ -235,17 +222,15 @@ def test_k_linked_partitions_and_separation():
 
 
 def test_graph_power_c4_is_k4(c4):
-    g2 = graph_power(c4, 2)
-    assert g2.m == 6
-    assert g2.regular_degree() == 3
+    assert c4.power_sets(2) == tuple(frozenset(range(4)) - {v} for v in range(4))
 
 
 def test_graph_power_identity(petersen):
-    assert graph_power(petersen, 1) is petersen
+    assert petersen.power_sets(1) is petersen.neighbor_sets
 
 
 def test_graph_power_path():
-    assert graph_power(path_graph(4), 3).m == 6
+    assert sum(map(len, path_graph(4).power_sets(3))) == 2 * 6
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,12 @@ module, so a renamed entry point fails here rather than in a traced bench
 run."""
 
 import importlib
+import json
 from pathlib import Path
 
 from liplab.cli import main
-from liplab.graphs import cycle_graph
+from liplab.containers import enumerate_linked_sets
+from liplab.graphs import cycle_graph, petersen_graph
 from liplab.lipschitz import count_onepoint
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
@@ -53,3 +55,18 @@ def test_traced_cli_enumerate_counts_members_and_builds_no_sampler(capsys):
     assert summary["lipschitz.enumerate.members"] == len(lines)
     # enumeration unranks the compiled DP without building an `ExactSampler`
     assert summary.get("lipschitz.sampler_build.calls", 0) == 0
+
+
+def test_traced_cli_containers_enumerates_the_linked_sets_once(capsys):
+    # the tracer wraps only modules already imported; importing
+    # `enumerate_linked_sets` above loads `liplab.containers`, which the CLI imports lazily
+    n_sets = len(enumerate_linked_sets(petersen_graph(), 0, 8, 4))
+    tracing = _tracing()
+    tracer = tracing["Tracer"]()
+    with tracing["installed"](tracer):
+        assert main(["containers", "--graph", '{"family":"petersen"}', "--boundary-size", "8",
+                     "--linkage", "4", "--lambda-source", "exhaustive"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    summary = tracer.summary()
+    assert summary["containers.linked_sets.calls"] == 1
+    assert summary["containers.linked_sets.sets"] == out["n_sets"] == out["count_report"]["count"] == n_sets == 78
