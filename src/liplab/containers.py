@@ -10,6 +10,7 @@ must be approximated by some family member.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
@@ -340,8 +341,6 @@ def build_container_family(
 
 
 def family_to_json_lines(family: ContainerFamily) -> list[str]:
-    import json
-
     return [
         json.dumps({"S": sorted(p.s), "F": sorted(p.f), "psi": p.psi})
         for p in family.pairs

@@ -45,14 +45,6 @@ def asserted_profile(g: Graph, lam: float) -> ExpanderProfile:
     return ExpanderProfile(n=g.n, d=g.regular_degree(), lam=float(lam), method="asserted")
 
 
-def diameter(g: Graph) -> int:
-    """Exact diameter via all-source BFS."""
-    best = 0
-    for v in range(g.n):
-        best = max(best, max(bfs_distances(g, v)))
-    return best
-
-
 def adjacency_spectrum(g: Graph) -> np.ndarray:
     """All adjacency eigenvalues (ascending), residual-checked."""
     a = g.adjacency_matrix()

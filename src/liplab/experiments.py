@@ -18,6 +18,8 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -47,11 +49,13 @@ from .graphs import (
     GenSpec,
     Graph,
     bfs_order,
+    check_graph_spec,
     closure,
     complete_graph,
     cycle_graph,
     generate,
     hypercube_graph,
+    is_int,
     is_k_linked,
     load_edge_list,
     random_regular_graph,
@@ -72,17 +76,6 @@ from .lipschitz import (
 )
 
 CONFIG_SCHEMA = 1
-
-_GRAPH_KEYS = {
-    "cycle": {"n"},
-    "complete": {"n"},
-    "complete-bipartite": {"a", "b"},
-    "hypercube": {"dim"},
-    "torus": {"sides"},
-    "random-regular": {"n", "d", "seed"},
-    "wired-tree": {"levels", "d"},
-    "petersen": set(),
-}
 
 _TOP_KEYS = {
     "schema",
@@ -130,14 +123,21 @@ class ExperimentConfig(EnsembleKeys):
         return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def _is_int(value) -> bool:
-    """An integer config value; JSON booleans are not integers here, though
-    Python's `bool` subclasses `int`."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _is_number(value) -> bool:
-    return _is_int(value) or isinstance(value, float)
+    return is_int(value) or isinstance(value, float)
+
+
+def _check_graph_source(graph) -> None:
+    """Refuse a `graph` key that is neither `{"path": <string>}` nor a
+    generator spec that `check_graph_spec` accepts."""
+    if not isinstance(graph, dict) or not ({"path"} <= set(graph) or "family" in graph):
+        raise ConfigError("graph must be {'path': ...} or {'family': ..., <params>}")
+    if "path" not in graph:
+        check_graph_spec(graph)
+    elif set(graph) != {"path"}:
+        raise ConfigError("graph path entry takes no other keys")
+    elif not isinstance(graph["path"], str):
+        raise ConfigError(f"graph.path must be a string, got {graph['path']!r}")
 
 
 def parse_ensemble(data: dict) -> EnsembleKeys:
@@ -145,31 +145,20 @@ def parse_ensemble(data: dict) -> EnsembleKeys:
     `lambda_source`.  `parse_config` runs these checks, and the CLI runs them
     on its ensemble flags."""
     graph = data.get("graph")
-    if not isinstance(graph, dict) or not ({"path"} <= set(graph) or "family" in graph):
-        raise ConfigError("graph must be {'path': ...} or {'family': ..., <params>}")
-    if "path" in graph:
-        if set(graph) != {"path"}:
-            raise ConfigError("graph path entry takes no other keys")
-    else:
-        family = graph["family"]
-        if family not in _GRAPH_KEYS:
-            raise ConfigError(f"unknown graph family {family!r}")
-        extra = set(graph) - {"family"} - _GRAPH_KEYS[family]
-        if extra:
-            raise ConfigError(f"unknown graph keys for {family}: {sorted(extra)}")
+    _check_graph_source(graph)
 
     m_value = data.get("M")
-    if not _is_int(m_value) or m_value < 0:
+    if not is_int(m_value) or m_value < 0:
         raise ConfigError("M must be a nonnegative integer")
 
     mode = data.get("mode", {"kind": "one-point", "v0": 0})
     if not isinstance(mode, dict) or mode.get("kind") not in ("one-point", "ground-state"):
         raise ConfigError("mode.kind must be 'one-point' or 'ground-state'")
     if mode["kind"] == "one-point":
-        if set(mode) != {"kind", "v0"} or not _is_int(mode.get("v0")):
+        if set(mode) != {"kind", "v0"} or not is_int(mode.get("v0")):
             raise ConfigError("one-point mode needs integer v0")
     else:
-        if set(mode) != {"kind", "k"} or not _is_int(mode.get("k")):
+        if set(mode) != {"kind", "k"} or not is_int(mode.get("k")):
             raise ConfigError("ground-state mode needs integer k")
 
     lam_src = data.get("lambda_source", "spectral")
@@ -203,24 +192,24 @@ def parse_config(data: dict) -> ExperimentConfig:
         raise ConfigError(f"unknown sampler keys: {sorted(set(sampler) - allowed)}")
     for key, low in (("burn_in", 0), ("thinning", 1)):
         value = sampler.get(key, low)
-        if not _is_int(value) or value < low:
+        if not is_int(value) or value < low:
             raise ConfigError(f"sampler.{key} must be an integer >= {low}")
 
     samples = data.get("samples", 0)
-    if not _is_int(samples) or samples < 0:
+    if not is_int(samples) or samples < 0:
         raise ConfigError("samples must be a nonnegative integer")
     seed = data.get("seed")
-    if not _is_int(seed) or seed < 0 or seed >= 2**64:
+    if not is_int(seed) or seed < 0 or seed >= 2**64:
         raise ConfigError("seed must be an unsigned 64-bit integer")
 
     probes = data.get("probes", [])
-    if not isinstance(probes, list) or not all(_is_int(v) for v in probes):
+    if not isinstance(probes, list) or not all(is_int(v) for v in probes):
         raise ConfigError("probes must be a list of vertex ids")
 
-    constants = {"c": 1.0, "C": 1.0, "c_prime": 1.0, "C_prime": 1.0}
+    constants = {"c": 1.0, "C": 1.0, "c_prime": 1.0}
     user_constants = data.get("constants", {})
     if not isinstance(user_constants, dict) or set(user_constants) - set(constants):
-        raise ConfigError(f"constants allows keys {sorted(constants)}")
+        raise ConfigError(f"constants allows keys {sorted(constants)}, got {user_constants!r}")
     for key, value in user_constants.items():
         if not _is_number(value):
             raise ConfigError(f"constants.{key} must be a number, got {value!r}")
@@ -229,11 +218,11 @@ def parse_config(data: dict) -> ExperimentConfig:
         constants[key] = float(value)
 
     budget = data.get("budget", DEFAULT_NODE_BUDGET)
-    if not _is_int(budget) or budget <= 0:
+    if not is_int(budget) or budget <= 0:
         raise ConfigError("budget must be a positive integer")
 
     t_values = data.get("t_values", [2, 3, 4])
-    if not isinstance(t_values, list) or not all(_is_int(t) and t >= 0 for t in t_values):
+    if not isinstance(t_values, list) or not all(is_int(t) and t >= 0 for t in t_values):
         raise ConfigError("t_values must be a list of nonnegative integers")
 
     out = data.get("out")
@@ -269,6 +258,7 @@ def load_config(path) -> ExperimentConfig:
 
 
 def build_graph(source: dict) -> Graph:
+    _check_graph_source(source)
     if "path" in source:
         return load_edge_list(source["path"])
     params = {k: v for k, v in source.items() if k not in ("family", "seed")}
@@ -657,12 +647,22 @@ class VerifyContext:
 
 @dataclass(frozen=True)
 class SuiteGraph:
-    """A regular graph with its certificates, computed once per suite run."""
+    """A suite graph under its row name, with the certificates of a regular
+    graph, each computed once, when a check first reads it."""
 
     g: Graph
-    name: str
-    spectral: ExpanderProfile
-    exhaustive: ExpanderProfile | None
+
+    @property
+    def name(self) -> str:
+        return self.g.name or f"graph-{self.g.n}"
+
+    @cached_property
+    def spectral(self) -> ExpanderProfile:
+        return spectral_lambda(self.g)
+
+    @cached_property
+    def exhaustive(self) -> ExpanderProfile | None:
+        return exhaustive_lambda(self.g) if self.g.n <= EXHAUSTIVE_CAP else None
 
     @property
     def profile(self) -> ExpanderProfile:
@@ -804,14 +804,7 @@ def check_boundary_ordering_fuzz(sg: SuiteGraph, ctx: VerifyContext) -> list[dic
     g, rng = sg.g, ctx.rng
     checked, failed = 0, None
     for _ in range(100 * ctx.fuzz_scale):
-        s = {int(rng.integers(0, g.n))}
-        for _ in range(int(rng.integers(0, 3))):
-            cands = [u for u in range(g.n) if u not in s]
-            rng.shuffle(cands)
-            for u in cands:
-                if is_k_linked(g, s | {u}, 4):
-                    s.add(u)
-                    break
+        s = _random_linked_set(g, rng)
         if len(closure(g, s)) == g.n:
             continue
         order = boundary_ordering(g, s)
@@ -894,8 +887,6 @@ def check_cover_inequality(ctx: VerifyContext) -> list[dict]:
 def check_detailed_balance(ctx: VerifyContext) -> list[dict]:
     """Exact single-site balance of the Glauber chain on C4: the proposal
     kernel over the 19 anchored M = 1 states is symmetric."""
-    from fractions import Fraction
-
     c4 = cycle_graph(4)
     states = [f.values for f in enumerate_onepoint(c4, 0, 1, budget=ctx.budget)]
     index = {s: i for i, s in enumerate(states)}
@@ -941,6 +932,32 @@ GRAPH_CHECKS = (
 SUITE_CHECKS = (check_entropy, check_cover_inequality, check_detailed_balance, check_reproducibility)
 
 
+def run_checks(graphs: list[Graph], ctx: VerifyContext, graph_checks: tuple,
+               suite_checks: tuple) -> tuple[list[dict], dict]:
+    """The rows of `graph_checks` on each regular graph in turn, then of
+    `suite_checks`, on `ctx`'s one stream (a graph that is not regular gets
+    one skipped row), and each check's wall time summed under its name."""
+    elapsed = dict.fromkeys((c.__name__ for c in graph_checks + suite_checks), 0.0)
+
+    def timed(check, *args):
+        start = time.perf_counter()
+        out = check(*args)
+        elapsed[check.__name__] += time.perf_counter() - start
+        return out
+
+    rows: list[dict] = []
+    for g in graphs:
+        sg = SuiteGraph(g)
+        if not g.is_regular():
+            rows.append(_row("expander-certificate", sg.name, "skipped", reason="graph not regular"))
+            continue
+        for check in graph_checks:
+            rows.extend(timed(check, sg, ctx))
+    for check in suite_checks:
+        rows.extend(timed(check, ctx))
+    return rows, elapsed
+
+
 def run_verify_suite(graphs: list[Graph] | None = None, seed: int = 0,
                      budget: int = DEFAULT_NODE_BUDGET, fuzz_scale: int = 1,
                      graph_specs: list[str] | None = None) -> dict:
@@ -950,38 +967,18 @@ def run_verify_suite(graphs: list[Graph] | None = None, seed: int = 0,
     `graph_specs` are the `--graph` arguments that `graphs` were built from,
     in order, for that command; graphs given without them appear in it as
     `--graph <name>` placeholders.  `elapsed_s` sums each registry entry's
-    wall time over the graphs; building a graph's certificates counts under
-    `check_expander_certificate`, which checks them."""
-    if not _is_int(fuzz_scale) or fuzz_scale < 1:
+    wall time over the graphs; a graph's certificates are computed, and
+    timed, in `check_expander_certificate`, which reads them first."""
+    if not is_int(fuzz_scale) or fuzz_scale < 1:
         raise ConfigError(f"fuzz_scale must be an integer >= 1, got {fuzz_scale!r}")
-    ctx = VerifyContext(seed, budget, fuzz_scale)
-    rows: list[dict] = []
-    elapsed = dict.fromkeys((c.__name__ for c in GRAPH_CHECKS + SUITE_CHECKS), 0.0)
-
-    def timed(key, fn, *args):
-        start = time.perf_counter()
-        out = fn(*args)
-        elapsed[key] += time.perf_counter() - start
-        return out
-
-    names = []
-    for g in default_suite_graphs() if graphs is None else graphs:
-        names.append(g.name or f"graph-{g.n}")
-        if not g.is_regular():
-            rows.append(_row("expander-certificate", names[-1], "skipped", reason="graph not regular"))
-            continue
-        sg = timed("check_expander_certificate", lambda: SuiteGraph(
-            g, names[-1], spectral_lambda(g), exhaustive_lambda(g) if g.n <= EXHAUSTIVE_CAP else None))
-        for check in GRAPH_CHECKS:
-            rows.extend(timed(check.__name__, check, sg, ctx))
-    for check in SUITE_CHECKS:
-        rows.extend(timed(check.__name__, check, ctx))
+    rows, elapsed = run_checks(default_suite_graphs() if graphs is None else graphs,
+                               VerifyContext(seed, budget, fuzz_scale), GRAPH_CHECKS, SUITE_CHECKS)
 
     repro = f"liplab verify --seed {seed} --fuzz-scale {fuzz_scale} --budget {budget}"
     if graph_specs is not None:
         repro += "".join(f" --graph {shlex.quote(spec)}" for spec in graph_specs)
     elif graphs is not None:
-        repro += "".join(f" --graph <{name}>" for name in names)
+        repro += "".join(f" --graph <{SuiteGraph(g).name}>" for g in graphs)
     for r in rows:
         if r["status"] == "fail":
             r["repro"] = f"{repro}  # check={r['check']} graph={r['graph']}"
@@ -994,6 +991,20 @@ def run_verify_suite(graphs: list[Graph] | None = None, seed: int = 0,
         "ok": n_fail == 0,
         "elapsed_s": elapsed,
     }
+
+
+def _random_linked_set(g: Graph, rng: np.random.Generator) -> set[int]:
+    """A random vertex, grown up to twice by the first vertex, in a shuffled
+    order, that keeps the set 4-linked."""
+    s = {int(rng.integers(0, g.n))}
+    for _ in range(int(rng.integers(0, 3))):
+        cands = [u for u in range(g.n) if u not in s]
+        rng.shuffle(cands)
+        for u in cands:
+            if is_k_linked(g, s | {u}, 4):
+                s.add(u)
+                break
+    return s
 
 
 def _random_lipschitz(g: Graph, M: int, rng: np.random.Generator) -> LipschitzFn:

@@ -26,6 +26,7 @@ from .graphs import (
 )
 from .lipschitz import (
     LipschitzFn,
+    enumerate_onepoint,
     flaw_allowance_ok,
     flaw_count,
     marginal_groundstate,
@@ -93,8 +94,6 @@ def verify_ground_state_lemma(
 ) -> dict:
     """Exhaustively confirm that every anchored function admits a window base
     within the flaw allowance; reports the worst-case allowance usage."""
-    from .lipschitz import enumerate_onepoint
-
     d = g.regular_degree()
     allowance = 2.0 * float(lam) / d * g.n
     checked = 0

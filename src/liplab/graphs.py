@@ -15,7 +15,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceededError, GenerationError
+from .errors import BudgetExceededError, ConfigError, GenerationError
 
 DEFAULT_NODE_BUDGET = 10_000_000
 
@@ -274,7 +274,6 @@ def iter_rooted_connected_sets(
     nbr_sets: Sequence[frozenset],
     root: int,
     budget: int = DEFAULT_NODE_BUDGET,
-    max_size: int | None = None,
     prune=None,
 ):
     """Yield every connected vertex set containing `root` exactly once.
@@ -291,8 +290,6 @@ def iter_rooted_connected_sets(
         if nodes > budget:
             raise BudgetExceededError(nodes, budget, "connected-set enumeration")
         yield x
-        if max_size is not None and len(x) >= max_size:
-            return
         ext: set[int] = set()
         for v in x:
             ext.update(nbr_sets[v])
@@ -459,16 +456,43 @@ class GenSpec:
     seed: int | None = None
 
 
+def is_int(value) -> bool:
+    """An integer parameter; JSON booleans are not integers here, though
+    Python's `bool` subclasses `int`."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+_TYPES = {"an integer": is_int,
+          "a list of integers": lambda value: isinstance(value, list) and all(map(is_int, value))}
+
+# family -> (generator, {parameter: its type in _TYPES}); the generator takes
+# the parameters in this order, the random-regular `seed` being GenSpec.seed
 _FAMILIES = {
-    "cycle": lambda p, s: cycle_graph(p["n"]),
-    "complete": lambda p, s: complete_graph(p["n"]),
-    "complete-bipartite": lambda p, s: complete_bipartite_graph(p["a"], p["b"]),
-    "hypercube": lambda p, s: hypercube_graph(p["dim"]),
-    "torus": lambda p, s: torus_graph(p["sides"]),
-    "random-regular": lambda p, s: random_regular_graph(p["n"], p["d"], s),
-    "wired-tree": lambda p, s: wired_tree_graph(p["levels"], p["d"]),
-    "petersen": lambda p, s: petersen_graph(),
+    "cycle": (cycle_graph, {"n": "an integer"}),
+    "complete": (complete_graph, {"n": "an integer"}),
+    "complete-bipartite": (complete_bipartite_graph, {"a": "an integer", "b": "an integer"}),
+    "hypercube": (hypercube_graph, {"dim": "an integer"}),
+    "torus": (torus_graph, {"sides": "a list of integers"}),
+    "random-regular": (random_regular_graph, {"n": "an integer", "d": "an integer", "seed": "an integer"}),
+    "wired-tree": (wired_tree_graph, {"levels": "an integer", "d": "an integer"}),
+    "petersen": (petersen_graph, {}),
 }
+
+
+def check_graph_spec(spec: dict) -> None:
+    """Refuse a generator spec `{"family": ..., <params>}` whose family is
+    unknown, or that names a parameter the family does not take or gives one
+    a value of the wrong type; a missing parameter is left to `generate`."""
+    family = spec["family"]
+    if not isinstance(family, str) or family not in _FAMILIES:
+        raise ConfigError(f"unknown graph family {family!r}")
+    types = _FAMILIES[family][1]
+    extra = set(spec) - {"family"} - set(types)
+    if extra:
+        raise ConfigError(f"unknown graph keys for {family}: {sorted(extra)}")
+    for key, kind in types.items():
+        if key in spec and not _TYPES[kind](spec[key]):
+            raise ConfigError(f"graph.{key} must be {kind}, got {spec[key]!r}")
 
 
 def generate(spec: GenSpec) -> Graph:
@@ -476,8 +500,10 @@ def generate(spec: GenSpec) -> Graph:
         raise GenerationError(f"unknown family {spec.family!r}; known: {sorted(_FAMILIES)}")
     if spec.family == "random-regular" and spec.seed is None:
         raise GenerationError("random-regular requires a seed")
+    generator, types = _FAMILIES[spec.family]
+    params = {**spec.params, "seed": spec.seed}
     try:
-        return _FAMILIES[spec.family](spec.params, spec.seed)
+        return generator(*[params[key] for key in types])
     except KeyError as exc:
         raise GenerationError(f"family {spec.family!r} missing parameter {exc}") from exc
 

@@ -433,6 +433,7 @@ def test_cover_xor_blocks():
 def test_cover_pairwise_half_weights_fuzz():
     sets = (frozenset({0, 1}), frozenset({0, 2}), frozenset({1, 2}))
     cw = CoverWeights(sets, (0.5, 0.5, 0.5), frozenset())
+    assert shearer_check(JointPmf.independent_uniform_bits(3), cw)["pass"]  # equality: 3 = 3 * 0.5 * 2
     for seed in range(100):
         p = JointPmf.random([(0, 1), (0, 1), (0, 1)], seed=seed)
         assert shearer_check(p, cw)["pass"]

@@ -63,7 +63,7 @@ def test_config_roundtrip(tmp_path):
     path.write_text(json.dumps(base_config()))
     cfg = load_config(path)
     assert cfg.samples == 100
-    assert cfg.constants == {"c": 1.0, "C": 1.0, "c_prime": 1.0, "C_prime": 1.0}
+    assert cfg.constants == {"c": 1.0, "C": 1.0, "c_prime": 1.0}
 
 
 def test_config_rejects_unknown_keys():
@@ -1132,7 +1132,8 @@ def test_verify_suite_rejects_bad_fuzz_scale(fuzz_scale):
 
 
 @pytest.mark.parametrize("key, token", [
-    pytest.param("constants.C_prime", token, id=token) for token in ("NaN", "Infinity", "-Infinity")
+    pytest.param(f"constants.{name}", token, id=token)
+    for name, token in (("c_prime", "NaN"), ("C", "Infinity"), ("c", "-Infinity"))
 ] + [pytest.param("lambda_source.asserted", "NaN", id="asserted-NaN")])
 def test_cli_non_finite_constant_exits_2(key, token, tmp_path, capsys):
     outer, inner = key.split(".")
@@ -1142,6 +1143,40 @@ def test_cli_non_finite_constant_exits_2(key, token, tmp_path, capsys):
     value = float(token)
     assert capsys.readouterr().err == f"error: {key} must be finite, got {value!r}\n"
     assert not (tmp_path / "res").exists()
+
+
+def test_cli_constant_c_prime_is_an_unknown_key(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(base_config(constants={"C_prime": 1})))
+    assert main(["experiment", "range", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == "error: constants allows keys ['C', 'c', 'c_prime'], got {'C_prime': 1}\n"
+
+
+_BAD_GRAPH_SPECS = [
+    pytest.param({"family": "torus", "sides": 5}, "graph.sides must be a list of integers, got 5", id="sides-5"),
+    pytest.param({"family": "cycle", "n": "5"}, "graph.n must be an integer, got '5'", id="n-string"),
+    pytest.param({"family": "cycle", "n": 5.0}, "graph.n must be an integer, got 5.0", id="n-float"),
+    pytest.param({"family": "random-regular", "n": 10, "d": 3, "seed": "x"},
+                 "graph.seed must be an integer, got 'x'", id="seed-string"),
+    pytest.param({"family": "hypercube", "dim": True}, "graph.dim must be an integer, got True", id="dim-true"),
+    pytest.param({"path": 5}, "graph.path must be a string, got 5", id="path-5"),
+    pytest.param({"path": 0}, "graph.path must be a string, got 0", id="path-0"),
+]
+
+
+@pytest.mark.parametrize("spec,message", _BAD_GRAPH_SPECS)
+@pytest.mark.parametrize("command", ["count", "gen-graph", "experiment"])
+def test_cli_graph_spec_of_the_wrong_type_exits_2_naming_the_key(spec, message, command, tmp_path, capsys):
+    """A wrong parameter type is a config error, before any graph is built
+    or any file opened; `gen-graph` builds its graph without the ensemble
+    checks, and a config is checked when it is parsed."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(base_config(graph=spec)))
+    argv = {"count": ["count", "--graph", json.dumps(spec), "--M", "1"],
+            "gen-graph": ["gen-graph", "--graph", json.dumps(spec), "--out-file", str(tmp_path / "g.edges")],
+            "experiment": ["experiment", "range", "--config", str(cfg_path)]}[command]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_cli_verify_failing_check_exits_1_with_witness_and_repro(monkeypatch, capsys):
@@ -1265,11 +1300,10 @@ def test_count_enumeration_fails_on_a_bad_last_member(monkeypatch, last):
     the first shifted off its anchor (still Lipschitz, and no repeat), or is
     dropped."""
     import liplab.experiments as experiments
-    from liplab.expanders import spectral_lambda
     from liplab.graphs import cycle_graph
 
     c4 = cycle_graph(4)
-    sg = SuiteGraph(c4, "C4", spectral_lambda(c4), None)
+    sg = SuiteGraph(c4)
     (row,) = check_count_enumeration(sg, VerifyContext())
     assert row == {"check": "count-enumeration-agreement", "graph": "C4", "status": "pass"}
     members = list(enumerate_onepoint(c4, 0, 1))

@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from liplab.experiments import _random_linked_set, _random_lipschitz
 from liplab.flaws import (
     boundary_ordering,
     check_boundary_ordering,
@@ -15,38 +18,13 @@ from liplab.flaws import (
 from liplab.graphs import (
     ball,
     bfs_distances,
-    bfs_order,
     closure,
     cycle_graph,
     is_k_linked,
     random_regular_graph,
 )
-from liplab.lipschitz import LipschitzFn, enumerate_groundstate, validate
+from liplab.lipschitz import LipschitzFn, enumerate_groundstate
 from tests.conftest import path_graph
-
-
-def random_lipschitz(g, M, rng):
-    """Cheap Lipschitz function: breadth-first assignment within the allowed
-    interval, restarting on dead ends (an assignment may fail to extend)."""
-    order = bfs_order(g, int(rng.integers(0, g.n)))
-    while True:
-        vals = [0] * g.n
-        assigned = set()
-        ok = True
-        for v in order:
-            nbrs = [u for u in g.neighbors(v) if u in assigned]
-            if nbrs:
-                lo = max(vals[u] for u in nbrs) - M
-                hi = min(vals[u] for u in nbrs) + M
-            else:
-                lo, hi = -M, M
-            if lo > hi:
-                ok = False
-                break
-            vals[v] = int(rng.integers(lo, hi + 1))
-            assigned.add(v)
-        if ok:
-            return LipschitzFn(tuple(vals), M)
 
 
 # ---------------------------------------------------------------------------
@@ -70,6 +48,12 @@ def test_staircase_on_p5():
     assert closure(p5, dec.core) == frozenset({3, 4})
 
 
+def test_core_whose_closure_leaves_the_cluster_is_reported():
+    p5 = path_graph(5)
+    dec = flaw_decomposition(p5, LipschitzFn((0, 1, 2, 3, 4), 1), anchor=4, base=0)
+    assert not core_within_cluster_interior(replace(dec, cluster=frozenset({4})), p5)  # N(4) = {3}
+
+
 def test_anchor_in_window_gives_empty_sets(c4):
     f = LipschitzFn((0, 1, 2, 1), 1)
     dec = flaw_decomposition(c4, f, anchor=0, base=0)
@@ -79,7 +63,7 @@ def test_anchor_in_window_gives_empty_sets(c4):
 def test_core_subset_of_cluster_always(petersen):
     rng = np.random.default_rng(3)
     for _ in range(100):
-        f = random_lipschitz(petersen, int(rng.integers(1, 4)), rng)
+        f = _random_lipschitz(petersen, int(rng.integers(1, 4)), rng)
         anchor = int(rng.integers(0, petersen.n))
         base = int(f.values[anchor]) - 2 * f.M - 2 - int(rng.integers(0, 3))
         dec = flaw_decomposition(petersen, f, anchor, base)
@@ -88,7 +72,7 @@ def test_core_subset_of_cluster_always(petersen):
 
 def test_shift_equivariance(petersen):
     rng = np.random.default_rng(4)
-    f = random_lipschitz(petersen, 2, rng)
+    f = _random_lipschitz(petersen, 2, rng)
     anchor = int(np.argmax(f.values))
     base = f.values[anchor] - 2 * f.M - 2
     dec = flaw_decomposition(petersen, f, anchor, base)
@@ -112,7 +96,7 @@ def test_core_closure_inside_cluster_fuzz():
         g = random_regular_graph(12, 3, seed=seed)
         for _ in range(250):
             m = int(rng.integers(1, 4))
-            f = random_lipschitz(g, m, rng)
+            f = _random_lipschitz(g, m, rng)
             anchor = int(rng.integers(0, g.n))
             base = f.values[anchor] - 2 * m - 2
             dec = flaw_decomposition(g, f, anchor, base)
@@ -188,15 +172,7 @@ def test_ordering_fuzz():
     for seed in range(5):
         g = random_regular_graph(14, 3, seed=seed)
         for _ in range(60):
-            # grow a random 4-linked set
-            s = {int(rng.integers(0, g.n))}
-            for _ in range(int(rng.integers(0, 3))):
-                candidates = [u for u in range(g.n) if u not in s]
-                rng.shuffle(candidates)
-                for u in candidates:
-                    if is_k_linked(g, s | {u}, 4):
-                        s.add(u)
-                        break
+            s = _random_linked_set(g, rng)
             outside = frozenset(range(g.n)) - closure(g, s)
             if not outside:
                 continue

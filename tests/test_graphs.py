@@ -239,7 +239,7 @@ def test_graph_power_path():
 
 def rooted_connected_count(g, root, m, **kwargs):
     """Connected m-vertex sets containing `root`, counted through the enumeration."""
-    sets = iter_rooted_connected_sets(g.neighbor_sets, root, max_size=m, **kwargs)
+    sets = iter_rooted_connected_sets(g.neighbor_sets, root, prune=lambda xs: len(xs) > m, **kwargs)
     return sum(1 for xs in sets if len(xs) == m)
 
 

@@ -43,17 +43,6 @@ from liplab.lipschitz import (
 from tests.conftest import CountingGenerator, brute_members, path_graph, reference_glauber, to_networkx
 
 
-def brute_onepoint(g, v0, M):
-    """Oracle: product over the per-vertex value boxes, filtered by the edge rule."""
-    dist = bfs_distances(g, v0)
-    boxes = [range(-M * d, M * d + 1) if v != v0 else (0,) for v, d in enumerate(dist)]
-    out = []
-    for vals in itertools.product(*boxes):
-        if all(abs(vals[u] - vals[v]) <= M for u, v in g.edges()):
-            out.append(vals)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Validation and range
 # ---------------------------------------------------------------------------
@@ -164,7 +153,8 @@ def test_counts_match_bruteforce(builder, v0, M, expected):
     g = builder()
     res = count_onepoint(g, v0, M)
     assert res.count == expected
-    assert res.count == len(brute_onepoint(g, v0, M))
+    brute = brute_members(to_networkx(g), EnsembleSpec("one-point", M=M, v0=v0))
+    assert res.count == sum(1 for _ in brute)
 
 
 def test_enumeration_agrees_with_count(c4, q3):
@@ -195,23 +185,11 @@ def test_k6_inclusion_exclusion(k6):
 # Ground-state ensemble
 # ---------------------------------------------------------------------------
 
-def brute_groundstate_k6(M=1, lam=1.0):
-    """Window oracle for K6: flaw allowance 2 keeps >= 4 vertices in {0,1},
-    and a complete graph confines all values to within M of those."""
-    g = complete_graph(6)
-    out = []
-    for vals in itertools.product(range(-1, 3), repeat=6):
-        if all(abs(a - b) <= M for a, b in itertools.combinations(vals, 2)):
-            if sum(1 for v in vals if not 0 <= v <= M) <= 2 * lam / g.regular_degree() * g.n:
-                out.append(vals)
-    return out
-
-
 def test_groundstate_k6_count(k6):
     res = count_groundstate(k6, 0, 1, 1.0)
     assert res.count == 106
     assert res.flaw_cap == 2
-    oracle = brute_groundstate_k6()
+    oracle = list(brute_members(to_networkx(k6), EnsembleSpec("ground-state", M=1, k=0, lam=1.0)))
     assert len(oracle) == 106
     assert set(f.values for f in enumerate_groundstate(k6, 0, 1, 1.0)) == set(oracle)
 
@@ -754,19 +732,6 @@ def random_connected_graph(n, seed, p=0.5):
     return Graph.from_edges(n, sorted(edges), name=f"G{n}s{seed}")
 
 
-def brute_groundstate(g, k, M, cap):
-    """Oracle: with at most cap < n flaws, every flawed vertex lies within
-    distance cap of a window vertex, so values stay in [k - cap*M, k + M + cap*M]."""
-    box = range(k - cap * M, k + M + cap * M + 1)
-    count = 0
-    for vals in itertools.product(box, repeat=g.n):
-        if sum(1 for x in vals if not k <= x <= k + M) <= cap and all(
-            abs(vals[u] - vals[v]) <= M for u, v in g.edges()
-        ):
-            count += 1
-    return count
-
-
 @pytest.mark.parametrize("seed", range(8))
 def test_dp_onepoint_matches_bruteforce_random_graphs(seed):
     rng = np.random.default_rng(1000 + seed)
@@ -774,7 +739,8 @@ def test_dp_onepoint_matches_bruteforce_random_graphs(seed):
     g = random_connected_graph(n, seed)
     v0 = int(rng.integers(0, n))
     for M in (0, 1, 2):
-        assert count_onepoint(g, v0, M).count == len(brute_onepoint(g, v0, M)), (g.name, v0, M)
+        brute = brute_members(to_networkx(g), EnsembleSpec("one-point", M=M, v0=v0))
+        assert count_onepoint(g, v0, M).count == sum(1 for _ in brute), (g.name, v0, M)
 
 
 @pytest.mark.parametrize(
@@ -797,7 +763,8 @@ def test_dp_groundstate_matches_bruteforce(g, M, cap):
     lam = Fraction(cap * d, 2 * g.n)  # exactly cap admissible flaws
     res = count_groundstate(g, 1, M, lam)
     assert res.flaw_cap == cap
-    assert res.count == brute_groundstate(g, 1, M, cap)
+    brute = brute_members(to_networkx(g), EnsembleSpec("ground-state", M=M, k=1, lam=lam))
+    assert res.count == sum(1 for _ in brute)
 
 
 def test_sample_exact_q3_chisquare(q3):

@@ -1,13 +1,12 @@
 """Property tests of the graph primitives against networkx on random connected
 graphs with at most 12 vertices, and of the one-point count and enumeration
-against brute forces on those with at most 7.  Examples are derandomized, so
+against `brute_members` on those with at most 7.  Examples are derandomized, so
 the suite stays deterministic."""
 
 import networkx as nx
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liplab.expanders import diameter
 from liplab.graphs import (
     Graph,
     closure,
@@ -53,13 +52,6 @@ def test_graph_power_matches_networkx(graphs, k):
 
 
 @PROPERTY_SETTINGS
-@given(connected_graphs())
-def test_diameter_matches_networkx(graphs):
-    g, nxg = graphs
-    assert diameter(g) == nx.diameter(nxg)
-
-
-@PROPERTY_SETTINGS
 @given(connected_graphs(), st.integers(1, 4))
 def test_power_sets_match_networkx_balls(graphs, k):
     g, nxg = graphs
@@ -91,34 +83,13 @@ def test_boundary_operators_match_their_definitions(graphs, data):
     assert outer_boundary(g, xs) == nbhd - xs
 
 
-def brute_count_over_box(nxg, v0, M):
-    """The f with f(v0) = 0 and |f(v)| <= M*dist(v, v0) (networkx distances)
-    that move by at most M along every edge, counted vertex by vertex; a
-    partial assignment that already breaks an edge is not extended."""
-    dist = nx.single_source_shortest_path_length(nxg, v0)
-    n = len(dist)
-    earlier = [[u for u in nxg[v] if u < v] for v in range(n)]
-    vals = [0] * n
-
-    def extend(v):
-        if v == n:
-            return 1
-        total = 0
-        for x in range(-M * dist[v], M * dist[v] + 1):
-            if all(abs(x - vals[u]) <= M for u in earlier[v]):
-                vals[v] = x
-                total += extend(v + 1)
-        return total
-
-    return extend(0)
-
-
 @PROPERTY_SETTINGS
 @given(connected_graphs(max_n=7), st.integers(0, 2), st.data())
 def test_count_onepoint_matches_brute_force_over_the_box(graphs, M, data):
     g, nxg = graphs
     v0 = data.draw(st.integers(0, g.n - 1))
-    assert count_onepoint(g, v0, M).count == brute_count_over_box(nxg, v0, M)
+    spec = EnsembleSpec("one-point", M=M, v0=v0)
+    assert count_onepoint(g, v0, M).count == sum(1 for _ in brute_members(nxg, spec))
 
 
 @PROPERTY_SETTINGS
