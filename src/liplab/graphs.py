@@ -496,12 +496,16 @@ def check_graph_spec(spec: dict) -> None:
 
 
 def generate(spec: GenSpec) -> Graph:
+    """The graph `spec` names.  An unknown family or a missing random-regular
+    seed is a `GenerationError`; a parameter the family does not take or of
+    the wrong type is the `ConfigError` that `check_graph_spec` gives."""
     if spec.family not in _FAMILIES:
         raise GenerationError(f"unknown family {spec.family!r}; known: {sorted(_FAMILIES)}")
     if spec.family == "random-regular" and spec.seed is None:
         raise GenerationError("random-regular requires a seed")
     generator, types = _FAMILIES[spec.family]
-    params = {**spec.params, "seed": spec.seed}
+    params = {**spec.params, "seed": spec.seed} if "seed" in types else spec.params
+    check_graph_spec({**params, "family": spec.family})
     try:
         return generator(*[params[key] for key in types])
     except KeyError as exc:

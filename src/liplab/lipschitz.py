@@ -7,18 +7,20 @@ the window [k, k+M] on at most (2*lam/d)*n vertices; it is finite whenever
 that flaw allowance is below n.
 
 Counting, exact sampling, enumeration and exact marginals share one
-recursion-free frontier DP (`_FrontierDP`).  Their `budget` bounds, and
+recursion-free frontier DP (`_FrontierDP`), whose one forward sweep yields
+each layer's transitions as integer arrays.  Their `budget` bounds, and
 `CountResult.nodes_explored` reports, the number of DP transitions: pairs of
 a state and a candidate value that lead to a live state, each charged once.
-Counts walk the layers forward, holding one at a time; sampling, marginals and
-enumeration read per-layer rank arrays compiled in one sweep, rank r being
-member r of the enumeration (Nijenhuis-Wilf unranking).
+Counts carry multiplicities along the sweep, one layer at a time; sampling,
+marginals and enumeration keep every layer's arrays and turn them into rank
+arrays, rank r being member r of the enumeration (Nijenhuis-Wilf unranking).
 """
 
 from __future__ import annotations
 
 import json
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple, Sequence
@@ -126,11 +128,11 @@ def flaw_cap(n: int, d: int, lam) -> int:
 # ---------------------------------------------------------------------------
 
 class _Layer(NamedTuple):
-    """One compiled DP layer, one entry per successor with completions, in
-    rank order.  `cum[j]` ends the ranks of successor j (they start at
+    """One compiled DP layer, one entry per transition with completions, in
+    rank order.  `cum[j]` ends the ranks of transition j (they start at
     `cum[j - 1]`, or 0); taking j adds `step[j]` to the rank, which makes it a
     rank of the next layer.  `values` and `shifts` are as in
-    `_FrontierDP.successors`."""
+    `_FrontierDP.sweep`."""
 
     cum: np.ndarray
     step: np.ndarray
@@ -162,12 +164,12 @@ class _FrontierDP:
     successor carries the shift it applied; a state's real values are its
     key plus the running offset.
 
-    `forward` counts, holding one layer at a time, and `compile` turns the
-    layers into rank arrays for sampling, marginals and enumeration; each
-    calls `successors` once per state it reaches.  `nodes` counts DP transitions:
-    (state, candidate) pairs that lead to a live state.  It is checked
-    against `budget` for every state expanded, before its successors are
-    built.
+    `sweep` is the one loop that expands states: counting reads its arrays
+    one layer at a time, and `compile` keeps them all and turns them into
+    rank arrays for sampling, marginals and enumeration.  `nodes` counts DP
+    transitions: (state, candidate) pairs that lead to a live state.  It is
+    checked against `budget` for every state expanded, before its successors
+    are built.
     """
 
     def __init__(self, g: Graph, spec: EnsembleSpec, budget: int, start: int = 0):
@@ -203,112 +205,92 @@ class _FrontierDP:
         self.offset = 0 if self.box is not None else min(lo, hi)
         self.root = (lo - self.offset, hi - self.offset, 0)
 
-    def successors(self, i: int, key: tuple, stage: str, width: int) -> list[tuple[int, tuple, int]]:
-        """(value, successor key, shift) for each value of vertex i in state
-        `key` that leaves a live state, in increasing value.  The value is in
-        key coordinates; the successor key is shifted down by `shift`, which
-        stays 0 when there is a box.
-
-        The live values form one interval, so they are added to `nodes` and
-        checked against the budget before any successor is built: the work
-        and memory of a state are bounded by the budget, not by M.  `width`
-        is the number of layer-i states held, for the budget error."""
-        M = self.M
+    def sweep(self, stage: str) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+        """Layer i's transitions as integer arrays `(start, values, kids,
+        shifts)`, layer by layer.  States are numbered as they are found, the
+        root as 0; state s owns transitions `start[s]:start[s + 1]`, one per
+        value of vertex i (in key coordinates, increasing) that leaves a live
+        state.  Transition t gives vertex i `values[t]` and leads to state
+        `kids[t]` of layer i + 1, whose key is shifted down by `shifts[t]`
+        (0 when there is a box).  A layer's keys are dropped once the next
+        layer is numbered.  A state's live values form one interval, charged
+        to `nodes` and checked against the budget before any successor is
+        built, so its work and memory are bounded by the budget, not by M."""
+        M, box, window, cap = self.M, self.box, self.window, self.cap
         span = 2 * M
-        rest, flaws = key[2:-1], key[-1]
-        tighten = self.tighten[i]
-        # within M of vertex i's assigned neighbours, and within 2M of those
-        # of every pending vertex it tightens (rest[j] is a max, rest[j + 1] a min)
-        lo, hi = key[0] - M, key[1] + M
-        for j in tighten:
-            bound = rest[j] - span
-            if bound > lo:
-                lo = bound
-            bound = rest[j + 1] + span
-            if bound < hi:
-                hi = bound
-        box, window = self.box, self.window
-        if box is not None:
-            # the window lies in the box; at the cap one more flaw is one too many
-            low, high = window if flaws == self.cap else box
-            if low > lo:
-                lo = low
-            if high < hi:
-                hi = high
-        if hi < lo:
-            return []
-        self.nodes += hi - lo + 1
-        if self.nodes > self.budget:
-            raise BudgetExceededError(self.nodes, self.budget, stage,
-                                      where=f"layer {i}/{self.n}, width {width} states")
-        fresh = self.fresh[i]
-        out = []
-        for c in range(lo, hi + 1):
-            pairs = list(rest)
-            for j in tighten:
-                if c > pairs[j]:
-                    pairs[j] = c
-                elif c < pairs[j + 1]:
-                    pairs[j + 1] = c
-            pairs += (c, c) * fresh
-            shift = 0
-            if box is None and pairs:
-                shift = min(pairs[1::2])
-                if shift:
-                    pairs = [x - shift for x in pairs]
-            pairs.append(flaws if window is None or window[0] <= c <= window[1] else flaws + 1)
-            out.append((c, tuple(pairs), shift))
-        return out
-
-    def forward(self, stage: str) -> dict:
-        """Walk the layers with multiplicities and return the last one,
-        {key: number of functions reaching it}."""
-        layer = {self.root: 1}
+        # one-point keys lie in [0, 2M], so values and shifts lie in [-M, 3M]
+        reach = 3 * M if box is None else max(map(abs, box))
+        value_type = np.int64 if reach < 1 << 62 else object
+        # int64 buffers, which the yielded arrays share, or Python ints
+        column = (lambda: array("q")) if value_type is np.int64 else list
+        keys: dict = {self.root: 0}
         for i in range(self.n):
+            tighten, fresh, width = self.tighten[i], self.fresh[i], len(keys)
             nxt: dict = {}
-            get = nxt.get
-            for key, mult in layer.items():
-                for _, child, _ in self.successors(i, key, stage, len(layer)):
-                    nxt[child] = get(child, 0) + mult
-            layer = nxt
-        return layer
+            number = nxt.setdefault
+            start, kids = array("q"), array("q")
+            values, shifts = column(), column()
+            for key in keys:
+                start.append(len(values))
+                rest, flaws = key[2:-1], key[-1]
+                # within M of vertex i's assigned neighbours, and within 2M of those
+                # of every pending vertex it tightens (rest[j] is a max, rest[j + 1] a min)
+                lo, hi = key[0] - M, key[1] + M
+                for j in tighten:
+                    bound = rest[j] - span
+                    if bound > lo:
+                        lo = bound
+                    bound = rest[j + 1] + span
+                    if bound < hi:
+                        hi = bound
+                if box is not None:
+                    # the window lies in the box; at the cap one more flaw is one too many
+                    low, high = window if flaws == cap else box
+                    if low > lo:
+                        lo = low
+                    if high < hi:
+                        hi = high
+                if hi < lo:
+                    continue
+                self.nodes += hi - lo + 1
+                if self.nodes > self.budget:
+                    raise BudgetExceededError(self.nodes, self.budget, stage,
+                                              where=f"layer {i}/{self.n}, width {width} states")
+                for c in range(lo, hi + 1):
+                    pairs = list(rest)
+                    for j in tighten:
+                        if c > pairs[j]:
+                            pairs[j] = c
+                        elif c < pairs[j + 1]:
+                            pairs[j + 1] = c
+                    pairs += (c, c) * fresh
+                    shift = 0
+                    if box is None and pairs:
+                        shift = min(pairs[1::2])
+                        if shift:
+                            pairs = [x - shift for x in pairs]
+                    pairs.append(flaws if window is None or window[0] <= c <= window[1] else flaws + 1)
+                    values.append(c)
+                    kids.append(number(tuple(pairs), len(nxt)))
+                    shifts.append(shift)
+            start.append(len(values))
+            keys = nxt
+            yield (np.asarray(start), np.asarray(values, dtype=value_type),
+                   np.asarray(kids), np.asarray(shifts, dtype=value_type))
 
     def compile(self, stage: str) -> tuple[int, list[_Layer]]:
         """The ensemble size and, per layer, the `_Layer` arrays that rank
-        the layer's successors.  States are numbered as the forward pass
-        finds them, the root as 0, and each owns a run of successors in
-        increasing value.  A layer's ranks run over all its states in turn:
-        state s owns [base[s], base[s] + completions of s), split between its
-        successors in order.  Keys live only while the next layer is built;
-        the backward pass that fills the ranks and drops dead children works
-        on integer arrays alone, in int64 while a layer's ranks stay below
-        2^62 and in Python ints past that."""
-        # one-point keys lie in [0, 2M], so values and shifts lie in [-M, 3M]
-        reach = 3 * self.M if self.box is None else max(map(abs, self.box))
-        value_type = np.int64 if reach < 1 << 62 else object
-        rows = []
-        keys = {self.root: 0}
-        for i in range(self.n):
-            nxt: dict = {}
-            number = nxt.setdefault
-            start = [0]
-            values, kids, shifts = [], [], []
-            for key in keys:
-                for c, child, shift in self.successors(i, key, stage, len(keys)):
-                    values.append(c)
-                    kids.append(number(child, len(nxt)))
-                    shifts.append(shift)
-                start.append(len(values))
-            rows.append((np.array(start), np.array(values, dtype=value_type),
-                         np.array(kids, dtype=np.int64), np.array(shifts, dtype=value_type)))
-            keys = nxt
+        the layer's transitions.  A layer's ranks run over all its states in
+        turn: state s owns [base[s], base[s] + completions of s), split
+        between its transitions in order.  The backward pass that fills the
+        ranks and drops dead children works on the swept arrays alone."""
+        rows = list(self.sweep(stage))
         # every last-layer state completes one way, and nothing is left to rank
-        counts, base = np.ones(len(keys), dtype=np.int64), np.zeros(len(keys), dtype=np.int64)
+        width = int(rows[-1][2].max(initial=-1)) + 1
+        counts, base = np.ones(width, dtype=np.int64), np.zeros(width, dtype=np.int64)
         for i in range(self.n - 1, -1, -1):
             start, values, kids, shifts = rows[i]
-            got = counts[kids]
-            if got.dtype != object and got.sum(dtype=np.float64) >= 2.0 ** 62:
-                got = got.astype(object)  # the running sums could pass int64
+            got = _widened(counts[kids])
             cum = np.cumsum(got)
             ends = np.concatenate((np.zeros(1, cum.dtype), cum))[start]
             live = got > 0
@@ -317,8 +299,16 @@ class _FrontierDP:
             rows[i] = _Layer(cum[live], step[live], values[live], shifts[live])
             base, counts = ends[:-1], np.diff(ends)
         total = int(counts[0])
-        kind = np.int64 if total < 1 << 63 and value_type is np.int64 else object
+        kind = np.int64 if total < 1 << 63 and rows[0].values.dtype != object else object
         return total, [_Layer(*(a.astype(kind, copy=False) for a in layer)) for layer in rows]
+
+
+def _widened(weights: np.ndarray) -> np.ndarray:
+    """`weights` as Python ints once their sum could pass 2^62, so that no
+    sum or running sum of them wraps int64."""
+    if weights.dtype != object and weights.sum(dtype=np.float64) >= 2.0 ** 62:
+        return weights.astype(object)
+    return weights
 
 
 def _check_spec(g: Graph, spec: EnsembleSpec) -> int | None:
@@ -338,7 +328,13 @@ def _check_spec(g: Graph, spec: EnsembleSpec) -> int | None:
 
 def _count(g: Graph, spec: EnsembleSpec, budget: int) -> CountResult:
     dp = _FrontierDP(g, spec, budget)
-    total = sum(dp.forward("count").values())
+    mult = np.ones(1, dtype=np.int64)  # functions reaching each state of the layer
+    for start, _, kids, _ in dp.sweep("count"):
+        spread = _widened(np.repeat(mult, np.diff(start)))
+        mult = np.zeros(int(kids.max(initial=-1)) + 1, dtype=spread.dtype)
+        np.add.at(mult, kids, spread)
+        del start, kids, _, spread  # hold only `mult` while the next layer is swept
+    total = int(mult.sum())
     return CountResult(count=total, nodes_explored=dp.nodes, mode=spec.mode, M=spec.M,
                        anchor=spec.v0, base=spec.k, flaw_cap=dp.cap, box=dp.box)
 

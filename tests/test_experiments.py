@@ -1266,15 +1266,19 @@ def test_readme_lists_every_registry_entry():
 
 
 def test_verify_fails_rows_on_wrong_members_in_the_right_number(monkeypatch, capsys):
-    """A mutant DP whose successors shift their keys without recording the
-    shift: counts stay right, but enumerated members come out unanchored and
-    not Lipschitz."""
+    """A mutant DP sweep that shifts its keys without recording the shift:
+    counts stay right, but enumerated members come out unanchored and not
+    Lipschitz."""
     from liplab import lipschitz
     from liplab.lipschitz import LipschitzFn, validate
 
-    successors = lipschitz._FrontierDP.successors
-    monkeypatch.setattr(lipschitz._FrontierDP, "successors",
-                        lambda self, *args: [(c, key, 0) for c, key, _ in successors(self, *args)])
+    sweep = lipschitz._FrontierDP.sweep
+
+    def shiftless(self, stage):
+        for start, values, kids, shifts in sweep(self, stage):
+            yield start, values, kids, np.zeros_like(shifts)
+
+    monkeypatch.setattr(lipschitz._FrontierDP, "sweep", shiftless)
     suite = run_verify_suite()
     rows = {(r["check"], r["graph"]): r for r in suite["rows"]}
     for g in default_suite_graphs():

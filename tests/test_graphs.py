@@ -1,10 +1,11 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 
-from liplab.errors import BudgetExceededError, GenerationError
+from liplab.errors import BudgetExceededError, ConfigError, GenerationError
 from liplab.graphs import (
     GenSpec,
     Graph,
@@ -148,6 +149,12 @@ def test_generate_dispatch():
         generate(GenSpec("moebius", {}))
     with pytest.raises(GenerationError):
         generate(GenSpec("random-regular", {"n": 10, "d": 3}))  # no seed
+    # the parameter types that configs are checked against
+    for spec, message in [(GenSpec("torus", {"sides": 5}), "graph.sides must be a list of integers, got 5"),
+                          (GenSpec("hypercube", {"dim": True}), "graph.dim must be an integer, got True"),
+                          (GenSpec("cycle", {"n": 5.0}), "graph.n must be an integer, got 5.0")]:
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            generate(spec)
 
 
 # ---------------------------------------------------------------------------

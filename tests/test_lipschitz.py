@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -330,12 +331,14 @@ def test_sampler_total_matches_count(c4, k6):
     [
         (cycle_graph(4), EnsembleSpec("one-point", M=1, v0=0), np.int64),
         (hypercube_graph(3), EnsembleSpec("one-point", M=1, v0=0), np.int64),
+        (complete_graph(6), EnsembleSpec("one-point", M=1, v0=0), np.int64),
+        (random_regular_graph(10, 3, seed=1), EnsembleSpec("one-point", M=1, v0=0), np.int64),
         (torus_graph([3, 4]), EnsembleSpec("one-point", M=1, v0=0), np.int64),
         (complete_graph(6), EnsembleSpec("ground-state", M=1, k=0, lam=1.0), np.int64),
         # values past int64: the rank arrays hold Python ints
         (complete_graph(8), EnsembleSpec("ground-state", M=2, k=10**20, lam=1.0), object),
     ],
-    ids=["C4", "Q3", "T3x4", "K6-ground", "K8-ground-k1e20"],
+    ids=["C4", "Q3", "K6", "RR10,3#1", "T3x4", "K6-ground", "K8-ground-k1e20"],
 )
 def test_ranks_map_one_to_one_onto_the_enumeration(g, spec, dtype):
     sampler = ExactSampler(g, spec)
@@ -792,9 +795,29 @@ def test_long_cycle_m0_has_no_recursion_limit():
     assert f.values == (0,) * 1500
 
 
-def test_c16_central_trinomial():
+def _central_trinomial(n: int) -> int:
     # a cycle step of 1-Lipschitz values is -1, 0 or 1, with zero total
-    assert count_onepoint(cycle_graph(16), 0, 1).count == 5_196_627
+    return sum(math.comb(n, 2 * k) * math.comb(2 * k, k) for k in range(n // 2 + 1))
+
+
+_STAR = Graph.from_edges(14, [(0, v) for v in range(1, 14)], name="K1,13")
+
+
+@pytest.mark.parametrize(
+    "g,v0,M,expected",
+    [
+        (cycle_graph(16), 0, 1, _central_trinomial(16)),
+        (cycle_graph(200), 0, 1, _central_trinomial(200)),
+        # on a tree each edge step is free: (2M+1)^(n-1) functions
+        (_STAR, 0, 20, 41 ** 13),
+        (_STAR, 5, 20, 41 ** 13),
+    ],
+    ids=["C16", "C200", "K1,13-v0=0", "K1,13-v0=5"],
+)
+def test_counts_match_closed_forms(g, v0, M, expected):
+    # all but C16 pass 2^63, where int64 multiplicities would wrap
+    counted = count_onepoint(g, v0, M).count
+    assert counted == ExactSampler(g, EnsembleSpec("one-point", M=M, v0=v0)).total == expected
 
 
 def test_torus_count_anchor_invariant():

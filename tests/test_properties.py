@@ -1,12 +1,14 @@
-"""Property tests of the graph primitives against networkx on random connected
-graphs with at most 12 vertices, and of the one-point count and enumeration
-against `brute_members` on those with at most 7.  Examples are derandomized, so
-the suite stays deterministic."""
+"""Property tests of the graph primitives and the adjacency spectrum against
+networkx on random connected graphs with at most 12 vertices, and of the
+one-point count and enumeration against `brute_members` on those with at most
+7.  Examples are derandomized, so the suite stays deterministic."""
 
 import networkx as nx
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liplab.expanders import adjacency_spectrum
 from liplab.graphs import (
     Graph,
     closure,
@@ -81,6 +83,14 @@ def test_boundary_operators_match_their_definitions(graphs, data):
     assert neighborhood(g, xs) == nbhd
     assert closure(g, xs) == nbhd | xs
     assert outer_boundary(g, xs) == nbhd - xs
+
+
+@PROPERTY_SETTINGS
+@given(connected_graphs())
+def test_adjacency_spectrum_matches_networkx(graphs):
+    g, nxg = graphs
+    expected = np.sort(nx.adjacency_spectrum(nxg).real)
+    assert np.abs(adjacency_spectrum(g) - expected).max() <= 1e-9
 
 
 @PROPERTY_SETTINGS
