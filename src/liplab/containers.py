@@ -6,10 +6,15 @@ then deterministically refine the cover into an approximating pair (S, F)
 whose defining degree conditions are machine-checked.  Families built this
 way are verified exhaustively at desk scale: every enumerated linked set
 must be approximated by some family member.
+
+Every vertex set here is a mask (bit u set when u is in the set; see
+`graphs.vertex_mask`), from the enumerated X through covers to the pairs
+(S, F); `family_to_json_lines` writes them out as sorted id lists.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -22,7 +27,9 @@ from .graphs import (
     Graph,
     is_mutual_cover,
     iter_rooted_connected_sets,
-    neighborhood,
+    mask_neighborhood,
+    mask_vertices,
+    vertex_mask,
 )
 
 _TOL = 1e-9
@@ -38,23 +45,24 @@ def enumerate_linked_sets(
     boundary_size: int,
     k: int,
     budget: int = DEFAULT_NODE_BUDGET,
-) -> list[frozenset]:
-    """All k-linked sets X containing v with |N(X)| == boundary_size.
+) -> list[int]:
+    """All k-linked sets X containing v with |N(X)| == boundary_size, as
+    masks in the enumeration's preorder.
 
     Exhaustive: grows k-linked supersets of {v}, pruning once |N(X)| exceeds
     the target (N is monotone under inclusion).
     """
     if not (0 <= v < g.n):
         raise ValueError(f"invalid vertex id {v}")
-    nbrs_k = g.power_sets(k)
+    link = g.power_masks(k)
     if boundary_size > g.n:
         return []
-    out = []
-    prune = lambda xs: len(neighborhood(g, xs)) > boundary_size
-    for xs in iter_rooted_connected_sets(nbrs_k, v, budget=budget, prune=prune):
-        if len(neighborhood(g, xs)) == boundary_size:
-            out.append(xs)
-    return out
+    prune = lambda x, nbhd: nbhd.bit_count() > boundary_size
+    return [
+        x
+        for x, nbhd in iter_rooted_connected_sets(link, g.neighbor_masks, v, budget=budget, prune=prune)
+        if nbhd.bit_count() == boundary_size
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +71,7 @@ def enumerate_linked_sets(
 
 @dataclass(frozen=True)
 class CoverResult:
-    members: frozenset
+    members: int
     size_bound: float
     met_bound: bool
     attempts: int
@@ -77,22 +85,31 @@ def cover_size_bound(d: int, lam: float, boundary_size: int) -> float:
     return 7.0 * math.log2(ratio) / d * boundary_size
 
 
+def cover_sampling(d: int, lam: float) -> tuple[float, float]:
+    """ell = (4*lam/sqrt(d))^4, the degree into X above which a boundary
+    vertex is set aside, and p = ln(ell)/d clipped to [0, 1], the rate at
+    which the rest of the boundary is sampled."""
+    ell = (4.0 * lam / math.sqrt(d)) ** 4
+    return ell, min(1.0, max(0.0, math.log(ell) / d)) if ell > 1.0 else 0.0
+
+
 def build_mutual_cover(
     g: Graph,
-    x,
+    x: int,
     profile: ExpanderProfile,
     seed: int,
     retry_cap: int = 64,
 ) -> CoverResult:
-    """Construct a small mutual cover of X inside N(X).
+    """Construct a small mutual cover of the mask X inside N(X).
 
     High-degree boundary vertices are set aside, the rest of the boundary is
-    sampled at rate ln(ell)/d with ell = (4*lam/sqrt(d))^4, and uncovered
+    sampled at rate p = ln(ell)/d with ell = (4*lam/sqrt(d))^4, and uncovered
     vertices of X each contribute their smallest neighbor.  Sampling repeats
     on fresh seed streams until the size bound is met or the retry cap is
-    hit, in which case the smallest cover found is returned flagged.
+    hit, in which case the smallest cover found is returned flagged.  At
+    p = 1 every draw keeps the whole pool and at p = 0 none of it, so a
+    random stream is drawn only when 0 < p < 1.
     """
-    x = frozenset(x)
     if not x:
         raise ValueError("X must be nonempty")
     if retry_cap < 1:
@@ -100,42 +117,36 @@ def build_mutual_cover(
     if not profile.matches(g):
         raise ValueError("profile does not match graph")
     d, lam = profile.d, profile.lam
-    q = neighborhood(g, x)
-    nbr = g.neighbor_sets
-    ell = (4.0 * lam / math.sqrt(d)) ** 4
-    q0 = frozenset(u for u in q if len(nbr[u] & x) >= ell)
-    pool = sorted(q - q0)
-    p = min(1.0, max(0.0, math.log(ell) / d)) if ell > 1.0 else 0.0
-    bound = cover_size_bound(d, lam, len(q))
+    nbr = g.neighbor_masks
+    q = mask_neighborhood(g, x)
+    ell, p = cover_sampling(d, lam)
+    pool = [u for u in mask_vertices(q) if (nbr[u] & x).bit_count() < ell]
+    bound = cover_size_bound(d, lam, q.bit_count())
+    x_vertices = mask_vertices(x)
 
-    best: frozenset | None = None
     # One child stream per attempt, spawned only when needed: the i-th
     # spawn(1) equals spawn(retry_cap)[i], at a fraction of the cost.
-    root = np.random.SeedSequence(seed)
+    root = np.random.SeedSequence(seed) if pool and 0.0 < p < 1.0 else None
+    best: int | None = None
     attempts = 0
     while attempts < retry_cap:
         attempts += 1
-        rng = np.random.default_rng(root.spawn(1)[0])
-        if pool and p > 0:
-            keep = rng.random(len(pool)) < p
-            y = set(u for u, take in zip(pool, keep) if take)
+        if root is None:
+            y = vertex_mask(pool) if p >= 1.0 else 0
         else:
-            y = set()
-        covered = set(y)
-        for u in y:
-            covered.update(nbr[u])
-        cover = set(y)
-        for u in sorted(x):
-            if u not in covered:
-                w = min(nbr[u])
-                cover.add(w)
-                covered.add(w)
-                covered.update(nbr[w])
-        members = frozenset(cover)
-        if best is None or len(members) < len(best):
-            best = members
-        if len(members) <= bound + _TOL:
-            best = members
+            keep = np.random.default_rng(root.spawn(1)[0]).random(len(pool)) < p
+            y = vertex_mask(u for u, take in zip(pool, keep) if take)
+        covered = y | mask_neighborhood(g, y)
+        cover = y
+        for u in x_vertices:
+            if not covered >> u & 1:
+                low = nbr[u] & -nbr[u]  # the smallest neighbor of u
+                cover |= low
+                covered |= low | nbr[low.bit_length() - 1]
+        if best is None or cover.bit_count() < best.bit_count():
+            best = cover
+        if cover.bit_count() <= bound + _TOL:
+            best = cover
             break
     assert best is not None
     if not is_mutual_cover(g, x, best):
@@ -143,7 +154,7 @@ def build_mutual_cover(
     return CoverResult(
         members=best,
         size_bound=bound,
-        met_bound=len(best) <= bound + _TOL,
+        met_bound=best.bit_count() <= bound + _TOL,
         attempts=attempts,
     )
 
@@ -154,27 +165,28 @@ def build_mutual_cover(
 
 @dataclass(frozen=True)
 class ApproxPair:
-    """(S, F) with: F inside N(X), S containing X, S-vertices having at most
-    psi neighbors outside F, and non-F vertices having at most psi neighbors
-    in S."""
+    """(S, F) as masks, with: F inside N(X), S containing X, S-vertices
+    having at most psi neighbors outside F, and non-F vertices having at most
+    psi neighbors in S."""
 
-    s: frozenset
-    f: frozenset
+    s: int
+    f: int
     psi: float
 
     def key(self) -> tuple:
-        return (tuple(sorted(self.s)), tuple(sorted(self.f)), self.psi)
+        return (self.s, self.f, self.psi)
 
 
-def validate_approx_pair(g: Graph, pair: ApproxPair, x) -> dict:
-    """Machine-check the three defining conditions against the witnessed X."""
-    x = frozenset(x)
-    nbr = g.neighbor_sets
-    q = neighborhood(g, x)
-    cond_containment = pair.f <= q and x <= pair.s
-    cond_s_degree = all(len(nbr[u] - pair.f) <= pair.psi + _TOL for u in pair.s)
+def validate_approx_pair(g: Graph, pair: ApproxPair, x: int) -> dict:
+    """Machine-check the three defining conditions against the witnessed
+    mask X."""
+    nbr = g.neighbor_masks
+    q = mask_neighborhood(g, x)
+    limit = pair.psi + _TOL
+    cond_containment = not (pair.f & ~q or x & ~pair.s)
+    cond_s_degree = all((nbr[u] & ~pair.f).bit_count() <= limit for u in mask_vertices(pair.s))
     cond_f_degree = all(
-        len(nbr[u] & pair.s) <= pair.psi + _TOL for u in range(g.n) if u not in pair.f
+        (nbr[u] & pair.s).bit_count() <= limit for u in range(g.n) if not pair.f >> u & 1
     )
     return {
         "containment": cond_containment,
@@ -194,59 +206,50 @@ class RefineStats:
 
 def refine_to_approx_pair(
     g: Graph,
-    cover,
-    x,
+    cover: int,
+    x: int,
     psi: float,
 ) -> tuple[ApproxPair, RefineStats]:
     """Deterministic greedy refinement of a mutual cover into an approximating
-    pair.  Two greedy phases run to fixpoints: grow H inside X while some
-    X-vertex keeps more than psi boundary neighbors uncovered; then remove
-    neighborhoods of U while some outside vertex sees more than psi of S.
+    pair; the cover, X and the pair are masks.  Two greedy phases run to
+    fixpoints: grow H inside X while some X-vertex keeps more than psi
+    boundary neighbors uncovered; then remove neighborhoods of U while some
+    outside vertex sees more than psi of S.  Each phase takes the smallest
+    such vertex; a vertex passed over stays passed over, as the sets only
+    grow, so one ascending scan finds each phase's picks.
     The greedy growth certifies |H| <= g/psi and |U| <= 2g/psi, both checked.
     The pair itself is not validated here: `build_container_family` checks
     it against X once, and reports the verdict as `covers_all`.
     """
-    x = frozenset(x)
-    cover = frozenset(cover)
     d = g.regular_degree()
     if not (1.0 - _TOL <= psi <= d / 2.0 + _TOL):
         raise ValueError(f"psi must lie in [1, d/2] = [1, {d / 2}], got {psi}")
     if not is_mutual_cover(g, x, cover):
         raise ValueError("cover does not mutually cover X")
-    q = neighborhood(g, x)
-    if not cover <= q:
+    q = mask_neighborhood(g, x)
+    if cover & ~q:
         raise ValueError("cover must sit inside N(X)")
-    nbr = g.neighbor_sets
-    gsize = len(q)
+    nbr = g.neighbor_masks
+    gsize = q.bit_count()
+    limit = psi + _TOL
 
-    f_prime = set(cover)
+    f_prime = cover
     h: list[int] = []
-    while True:
-        cand = next((u for u in sorted(x) if len((nbr[u] & q) - f_prime) > psi + _TOL), None)
-        if cand is None:
-            break
-        h.append(cand)
-        f_prime |= nbr[cand]  # every neighbor of an X-vertex lies in Q
+    for u in mask_vertices(x):
+        if (nbr[u] & ~f_prime).bit_count() > limit:  # every neighbor of an X-vertex lies in Q
+            h.append(u)
+            f_prime |= nbr[u]
 
-    s_prime = frozenset(u for u in range(g.n) if len(nbr[u] & f_prime) >= d - psi - _TOL)
-    removed: set[int] = set()
+    s_prime = vertex_mask(u for u in range(g.n) if (nbr[u] & f_prime).bit_count() >= d - psi - _TOL)
+    removed = 0
     u_list: list[int] = []
-    while True:
-        cand = next(
-            (
-                u
-                for u in range(g.n)
-                if u not in q and len((nbr[u] & s_prime) - removed) > psi + _TOL
-            ),
-            None,
-        )
-        if cand is None:
-            break
-        u_list.append(cand)
-        removed |= nbr[cand]
+    for u in range(g.n):
+        if not q >> u & 1 and (nbr[u] & s_prime & ~removed).bit_count() > limit:
+            u_list.append(u)
+            removed |= nbr[u]
 
-    s = frozenset(s_prime - removed)
-    f = frozenset(f_prime | {u for u in range(g.n) if len(nbr[u] & s) > psi + _TOL})
+    s = s_prime & ~removed
+    f = f_prime | vertex_mask(u for u in range(g.n) if (nbr[u] & s).bit_count() > limit)
 
     pair = ApproxPair(s=s, f=f, psi=psi)
     stats = RefineStats(
@@ -302,17 +305,22 @@ def build_container_family(
 
     The covering property is checked exhaustively: each enumerated X is
     validated once against the pair refined from its cover, and `covers_all`
-    is false if any of them fails (a failed check, not an error).
+    is false if any of them fails (a failed check, not an error).  Each
+    cover gets its own seed stream when covers sample (0 < p < 1); at p = 0
+    or 1 a cover ignores its seed, so none is spawned.
     """
     xs = enumerate_linked_sets(g, v, boundary_size, k, budget=budget)
-    streams = np.random.SeedSequence(seed).spawn(max(1, len(xs)))
+    if 0.0 < cover_sampling(profile.d, profile.lam)[1] < 1.0:
+        seeds = (s.generate_state(1)[0].item() for s in np.random.SeedSequence(seed).spawn(len(xs)))
+    else:
+        seeds = itertools.repeat(seed)
     pairs: dict[tuple, ApproxPair] = {}
     max_h = 0
     max_u = 0
     met_cover_bound = 0
     covers_all = True
-    for x, stream in zip(xs, streams):
-        cover = build_mutual_cover(g, x, profile, seed=stream.generate_state(1)[0].item())
+    for x, cover_seed in zip(xs, seeds):
+        cover = build_mutual_cover(g, x, profile, seed=cover_seed)
         pair, stats = refine_to_approx_pair(g, cover.members, x, psi)
         pairs.setdefault(pair.key(), pair)
         covers_all &= validate_approx_pair(g, pair, x)["ok"]
@@ -342,7 +350,7 @@ def build_container_family(
 
 def family_to_json_lines(family: ContainerFamily) -> list[str]:
     return [
-        json.dumps({"S": sorted(p.s), "F": sorted(p.f), "psi": p.psi})
+        json.dumps({"S": mask_vertices(p.s), "F": mask_vertices(p.f), "psi": p.psi})
         for p in family.pairs
     ]
 
@@ -355,16 +363,16 @@ def check_pair_size_bound(pair: ApproxPair, profile: ExpanderProfile) -> dict:
     """|S| <= (lam / (d(1 - |F|/n) - psi))^2 |F| whenever the denominator is
     positive; otherwise the row is skipped with the failing hypothesis named."""
     n, d, lam = profile.n, profile.d, profile.lam
-    fsize = len(pair.f)
+    fsize = pair.f.bit_count()
     denom = d * (1.0 - fsize / n) - pair.psi
     if denom <= 0:
         return {"status": "skipped", "reason": f"denominator {denom:.6g} <= 0",
-                "lhs": len(pair.s), "denominator": denom}
+                "lhs": pair.s.bit_count(), "denominator": denom}
     rhs = (lam / denom) ** 2 * fsize
-    ok = len(pair.s) <= rhs + _TOL
+    ok = pair.s.bit_count() <= rhs + _TOL
     return {
         "status": "pass" if ok else "fail",
-        "lhs": len(pair.s),
+        "lhs": pair.s.bit_count(),
         "rhs": rhs,
         "denominator": denom,
     }

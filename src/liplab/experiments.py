@@ -58,6 +58,7 @@ from .graphs import (
     is_int,
     is_k_linked,
     load_edge_list,
+    mask_vertices,
     random_regular_graph,
 )
 from .lipschitz import (
@@ -834,7 +835,7 @@ def check_containers(sg: SuiteGraph, ctx: VerifyContext) -> list[dict]:
             break
         for pair in fam.pairs:
             if check_pair_size_bound(pair, sg.profile)["status"] == "fail":
-                pair_bound_fail = {"k": k, "pair_s": sorted(pair.s)}
+                pair_bound_fail = {"k": k, "pair_s": mask_vertices(pair.s)}
     return [_verdict("container-covering", sg.name, pipeline_fail is None, pipeline_fail),
             _verdict("pair-size-bound", sg.name, pair_bound_fail is None, pair_bound_fail)]
 

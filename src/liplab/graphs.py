@@ -1,8 +1,11 @@
 """Immutable simple graphs, standard generators, and neighborhood primitives.
 
-Vertex ids are dense integers in [0, n).  All set-valued operations take and
-return plain frozensets of ids, which keeps them cheap to compare against
-brute-force oracles.
+Vertex ids are dense integers in [0, n).  The set-valued operations below
+take and return plain frozensets of ids, which keeps them cheap to compare
+against brute-force oracles.  The container pipeline instead holds a vertex
+set as a Python-int mask (bit u set when u is in the set): `vertex_mask` and
+`mask_vertices` convert, and `Graph.neighbor_masks`/`power_masks` give the
+adjacency in that form.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ class Graph:
     """
 
     __slots__ = ("n", "name", "_adj", "_nbr_sets", "_degrees", "_matrix", "_nbr_getters", "_edge_index",
-                 "_power_sets")
+                 "_power_sets", "_power_masks")
 
     def __init__(self, adjacency: Sequence[Iterable[int]], name: str = ""):
         n = len(adjacency)
@@ -58,6 +61,7 @@ class Graph:
         self._nbr_getters = None
         self._edge_index = None
         self._power_sets = {}
+        self._power_masks = {}
         if len(bfs_order(self, 0)) != n:
             raise ValueError("graph is not connected")
 
@@ -101,6 +105,30 @@ class Graph:
                 nbrs.union(*(prev[u] for u in nbrs)) - {v} for v, nbrs in enumerate(self.neighbor_sets)
             )
         return self._power_sets[k]
+
+    @property
+    def neighbor_masks(self) -> tuple[int, ...]:
+        """Per vertex, its neighbour set as a mask."""
+        if 1 not in self._power_masks:
+            self._power_masks[1] = tuple(map(vertex_mask, self._adj))
+        return self._power_masks[1]
+
+    def power_masks(self, k: int) -> tuple[int, ...]:
+        """`power_sets(k)` as masks, built once per k from the masks for k - 1."""
+        if k < 1:
+            raise ValueError("k must be >= 1")
+        if k == 1:
+            return self.neighbor_masks
+        if k not in self._power_masks:
+            prev = self.power_masks(k - 1)
+            masks = []
+            for v, nbr in enumerate(self.neighbor_masks):
+                reach = nbr
+                for u in self._adj[v]:
+                    reach |= prev[u]
+                masks.append(reach & ~(1 << v))
+            self._power_masks[k] = tuple(masks)
+        return self._power_masks[k]
 
     @property
     def neighbor_getters(self) -> tuple[Callable[[Sequence], tuple], ...]:
@@ -260,10 +288,43 @@ def is_k_linked(g: Graph, xs: Iterable[int], k: int) -> bool:
     return len(linked_component_containing(g, xs, k, min(xs))) == len(xs)
 
 
-def is_mutual_cover(g: Graph, xs: Iterable[int], ys: Iterable[int]) -> bool:
-    """True iff X is inside the closure of Y and Y is inside the closure of X."""
-    xs, ys = frozenset(xs), frozenset(ys)
-    return xs <= closure(g, ys) and ys <= closure(g, xs)
+# ---------------------------------------------------------------------------
+# Vertex sets as masks
+# ---------------------------------------------------------------------------
+
+def vertex_mask(xs: Iterable[int]) -> int:
+    """The mask of a vertex set: bit u set when u is in the set."""
+    m = 0
+    for u in xs:
+        m |= 1 << u
+    return m
+
+
+def mask_vertices(m: int) -> list[int]:
+    """The vertices of a mask, ascending."""
+    out = []
+    while m:
+        low = m & -m
+        out.append(low.bit_length() - 1)
+        m ^= low
+    return out
+
+
+def mask_neighborhood(g: Graph, m: int) -> int:
+    """N(X) of a mask X, as a mask."""
+    nbr = g.neighbor_masks
+    out = 0
+    while m:
+        low = m & -m
+        out |= nbr[low.bit_length() - 1]
+        m ^= low
+    return out
+
+
+def is_mutual_cover(g: Graph, x: int, y: int) -> bool:
+    """True iff the mask X is inside the closure of the mask Y and Y is inside
+    the closure of X."""
+    return not (x & ~(y | mask_neighborhood(g, y)) or y & ~(x | mask_neighborhood(g, x)))
 
 
 # ---------------------------------------------------------------------------
@@ -271,41 +332,41 @@ def is_mutual_cover(g: Graph, xs: Iterable[int], ys: Iterable[int]) -> bool:
 # ---------------------------------------------------------------------------
 
 def iter_rooted_connected_sets(
-    nbr_sets: Sequence[frozenset],
+    link_masks: Sequence[int],
+    nbr_masks: Sequence[int],
     root: int,
     budget: int = DEFAULT_NODE_BUDGET,
     prune=None,
-):
-    """Yield every connected vertex set containing `root` exactly once.
+) -> Iterator[tuple[int, int]]:
+    """Yield `(X, N(X))` once for every vertex set X containing `root` that is
+    connected in the graph with adjacency masks `link_masks` (possibly a
+    power of G); N(X) is taken in `nbr_masks`.  Both are masks.
 
-    `nbr_sets` is the adjacency of the (possibly powered) graph.  `prune(X)`
-    returning True discards X and all of its supersets, so it must be
-    monotone.  Each explored set counts one node against `budget`.
+    Preorder: X's children add one candidate each, ascending, and a child
+    never adds an earlier sibling's candidate.  `prune(X, N(X))` returning
+    True discards X and all of its supersets, so it must be monotone.  Each
+    explored set counts one node against `budget`.  The walk keeps its own
+    stack, so its depth is not bounded by the recursion limit.
     """
+    start, start_nbhd = 1 << root, nbr_masks[root]
+    if prune is not None and prune(start, start_nbhd):
+        return
+    # (X, N(X), members' link neighbours, banned candidates)
+    stack = [(start, start_nbhd, link_masks[root], 0)]
     nodes = 0
-
-    def rec(x: frozenset, banned: frozenset):
-        nonlocal nodes
+    while stack:
+        x, nbhd, reach, banned = stack.pop()
         nodes += 1
         if nodes > budget:
             raise BudgetExceededError(nodes, budget, "connected-set enumeration")
-        yield x
-        ext: set[int] = set()
-        for v in x:
-            ext.update(nbr_sets[v])
-        ext -= x
-        ext -= banned
-        dead: set[int] = set()
-        for c in sorted(ext):
-            nx = x | {c}
-            if prune is None or not prune(nx):
-                yield from rec(nx, banned | frozenset(dead))
-            dead.add(c)
-
-    start = frozenset([root])
-    if prune is not None and prune(start):
-        return
-    yield from rec(start, frozenset())
+        yield x, nbhd
+        ext = reach & ~x & ~banned
+        children = []
+        for c in mask_vertices(ext):
+            child, child_nbhd = x | 1 << c, nbhd | nbr_masks[c]
+            if prune is None or not prune(child, child_nbhd):
+                children.append((child, child_nbhd, reach | link_masks[c], banned | ext & ((1 << c) - 1)))
+        stack.extend(reversed(children))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -23,9 +25,11 @@ from liplab.graphs import (
     cycle_graph,
     is_k_linked,
     is_mutual_cover,
+    mask_vertices,
     neighborhood,
     petersen_graph,
     random_regular_graph,
+    vertex_mask,
 )
 
 
@@ -41,24 +45,29 @@ def brute_linked_sets(g, v, boundary_size, k):
     return sorted(out, key=sorted)
 
 
+def vertex_sets(masks):
+    """The masks the pipeline returns, as the frozensets the oracles use."""
+    return [frozenset(mask_vertices(m)) for m in masks]
+
+
 # ---------------------------------------------------------------------------
 # Linked-set enumeration
 # ---------------------------------------------------------------------------
 
 def test_c5_singleton(c5):
-    assert enumerate_linked_sets(c5, 0, 2, 1) == [frozenset({0})]
+    assert vertex_sets(enumerate_linked_sets(c5, 0, 2, 1)) == [frozenset({0})]
 
 
 def test_c5_matches_bruteforce(c5):
     for gsize in range(1, 6):
-        got = sorted(enumerate_linked_sets(c5, 0, gsize, 1), key=sorted)
+        got = sorted(vertex_sets(enumerate_linked_sets(c5, 0, gsize, 1)), key=sorted)
         assert got == brute_linked_sets(c5, 0, gsize, 1)
 
 
 def test_petersen_matches_bruteforce(petersen):
     for k in (1, 4):
         for gsize in (3, 5, 7):
-            got = sorted(enumerate_linked_sets(petersen, 0, gsize, k), key=sorted)
+            got = sorted(vertex_sets(enumerate_linked_sets(petersen, 0, gsize, k)), key=sorted)
             assert got == brute_linked_sets(petersen, 0, gsize, k)
 
 
@@ -67,8 +76,16 @@ def test_oversized_boundary_empty(c5):
 
 
 def test_enumeration_budget(petersen):
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError, match="connected-set enumeration"):
         enumerate_linked_sets(petersen, 0, 10, 4, budget=20)
+
+
+def test_enumeration_walks_paths_longer_than_the_recursion_limit():
+    # On C1500, |N(X)| = 1100 picks out the paths of 1,098 vertices, and
+    # those through 0 are its 1,098 arcs starting at -1097, ..., 0.
+    sets = enumerate_linked_sets(cycle_graph(1500), 0, 1100, 1)
+    assert len(sets) == 1098 > sys.getrecursionlimit()
+    assert set(sets) == {vertex_mask((a + i) % 1500 for i in range(1098)) for a in range(-1097, 1)}
 
 
 # ---------------------------------------------------------------------------
@@ -77,9 +94,9 @@ def test_enumeration_budget(petersen):
 
 def test_cover_singleton(k6):
     prof = spectral_lambda(k6)
-    res = build_mutual_cover(k6, {0}, prof, seed=1)
-    assert is_mutual_cover(k6, {0}, res.members)
-    assert res.members <= neighborhood(k6, {0})
+    res = build_mutual_cover(k6, vertex_mask({0}), prof, seed=1)
+    assert is_mutual_cover(k6, vertex_mask({0}), res.members)
+    assert set(mask_vertices(res.members)) <= neighborhood(k6, {0})
 
 
 def test_cover_fuzz_properties():
@@ -90,21 +107,21 @@ def test_cover_fuzz_properties():
         for trial in range(20):
             size = int(rng.integers(1, 6))
             xs = frozenset(int(u) for u in rng.choice(g.n, size=size, replace=False))
-            res = build_mutual_cover(g, xs, prof, seed=trial)
-            assert is_mutual_cover(g, xs, res.members)
-            assert res.members <= neighborhood(g, xs)
+            res = build_mutual_cover(g, vertex_mask(xs), prof, seed=trial)
+            assert is_mutual_cover(g, vertex_mask(xs), res.members)
+            assert set(mask_vertices(res.members)) <= neighborhood(g, xs)
 
 
 def test_cover_linkage_transfer(petersen):
     prof = exhaustive_lambda(petersen)
     for xs in enumerate_linked_sets(petersen, 0, 6, 2):
         res = build_mutual_cover(petersen, xs, prof, seed=5)
-        assert is_k_linked(petersen, res.members, 4)
+        assert is_k_linked(petersen, mask_vertices(res.members), 4)
 
 
 def test_cover_bound_evaluated(k6):
     prof = spectral_lambda(k6)  # lam = 1, d = 5
-    res = build_mutual_cover(k6, {0, 1}, prof, seed=9)
+    res = build_mutual_cover(k6, vertex_mask({0, 1}), prof, seed=9)
     expected = 7.0 * np.log2(4.0 / np.sqrt(5.0)) / 5.0 * len(neighborhood(k6, {0, 1}))
     assert res.size_bound == pytest.approx(expected)
     assert cover_size_bound(5, 1.0, 6) == pytest.approx(expected)
@@ -112,8 +129,8 @@ def test_cover_bound_evaluated(k6):
 
 def test_cover_deterministic(petersen):
     prof = exhaustive_lambda(petersen)
-    a = build_mutual_cover(petersen, {0, 1, 5}, prof, seed=7)
-    b = build_mutual_cover(petersen, {0, 1, 5}, prof, seed=7)
+    a = build_mutual_cover(petersen, vertex_mask({0, 1, 5}), prof, seed=7)
+    b = build_mutual_cover(petersen, vertex_mask({0, 1, 5}), prof, seed=7)
     assert a.members == b.members and a.attempts == b.attempts
 
 
@@ -162,15 +179,34 @@ def test_cover_retry_streams_match_eager_spawn():
     for xs in ({0, 1}, {0, 2, 5}, {1, 3, 7, 9}):
         for seed in range(4):
             for cap in (5, 64):
-                res = build_mutual_cover(g, xs, prof, seed=seed, retry_cap=cap)
-                assert (res.members, res.attempts) == eager_stream_cover(g, frozenset(xs), prof, seed, cap)
+                res = build_mutual_cover(g, vertex_mask(xs), prof, seed=seed, retry_cap=cap)
+                assert (frozenset(mask_vertices(res.members)), res.attempts) == eager_stream_cover(
+                    g, frozenset(xs), prof, seed, cap)
                 multi += res.attempts > 1
     assert multi >= 12
     # covers chosen when every stream was spawned up front
-    picks = [sorted(build_mutual_cover(g, {0, 1}, prof, seed=s).members) for s in range(3)]
+    picks = [mask_vertices(build_mutual_cover(g, vertex_mask({0, 1}), prof, seed=s).members)
+             for s in range(3)]
     assert picks == [[5, 8], [2, 11], [2, 5]]
-    res = build_mutual_cover(g, {1, 3, 7, 9}, prof, seed=2)
-    assert (sorted(res.members), res.attempts, res.met_bound) == ([0, 5, 15], 2, True)
+    res = build_mutual_cover(g, vertex_mask({1, 3, 7, 9}), prof, seed=2)
+    assert (mask_vertices(res.members), res.attempts, res.met_bound) == ([0, 5, 15], 2, True)
+
+
+@pytest.mark.parametrize("lam, p, met", [(None, 1.0, True), (0.3, 0.0, False)])
+def test_cover_without_draws_matches_eager_spawn(lam, p, met):
+    # At p = 1 (spectral lam = 2.56) every draw keeps the whole pool, and at
+    # p = 0 (4*lam/sqrt(d) < 1, so ell < 1 and a negative bound) none of it:
+    # the cover that draws no stream equals the oracle that draws them all.
+    g = random_regular_graph(18, 3, seed=1)
+    prof = spectral_lambda(g) if lam is None else asserted_profile(g, lam)
+    ell = (4.0 * prof.lam / np.sqrt(prof.d)) ** 4
+    assert (min(1.0, np.log(ell) / prof.d) if ell > 1.0 else 0.0) == p
+    for x in enumerate_linked_sets(g, 0, 8, 2):
+        for seed, cap in ((0, 5), (3, 64)):
+            res = build_mutual_cover(g, x, prof, seed=seed, retry_cap=cap)
+            assert (frozenset(mask_vertices(res.members)), res.attempts) == eager_stream_cover(
+                g, frozenset(mask_vertices(x)), prof, seed, cap)
+            assert res.met_bound == met
 
 
 # ---------------------------------------------------------------------------
@@ -180,29 +216,29 @@ def test_cover_retry_streams_match_eager_spawn():
 def test_trivial_pair_validates(petersen):
     # (X, N(X)) is always a valid pair
     xs = frozenset({0, 1})
-    pair = ApproxPair(s=xs, f=neighborhood(petersen, xs), psi=1.0)
-    assert validate_approx_pair(petersen, pair, xs)["ok"]
+    pair = ApproxPair(s=vertex_mask(xs), f=vertex_mask(neighborhood(petersen, xs)), psi=1.0)
+    assert validate_approx_pair(petersen, pair, vertex_mask(xs))["ok"]
 
 
 def test_refine_singleton(k6):
     prof = spectral_lambda(k6)
-    cover = build_mutual_cover(k6, {0}, prof, seed=0)
-    pair, stats = refine_to_approx_pair(k6, cover.members, {0}, psi=1.0)
-    assert 0 in pair.s
-    assert validate_approx_pair(k6, pair, {0})["ok"]
+    cover = build_mutual_cover(k6, vertex_mask({0}), prof, seed=0)
+    pair, stats = refine_to_approx_pair(k6, cover.members, vertex_mask({0}), psi=1.0)
+    assert 0 in mask_vertices(pair.s)
+    assert validate_approx_pair(k6, pair, vertex_mask({0}))["ok"]
     assert stats.h_size <= stats.h_bound and stats.u_size <= stats.u_bound
 
 
 def test_refine_psi_range(k6):
     prof = spectral_lambda(k6)
-    cover = build_mutual_cover(k6, {0}, prof, seed=0)
+    cover = build_mutual_cover(k6, vertex_mask({0}), prof, seed=0)
     with pytest.raises(ValueError, match="psi"):
-        refine_to_approx_pair(k6, cover.members, {0}, psi=4.0)  # > d/2
+        refine_to_approx_pair(k6, cover.members, vertex_mask({0}), psi=4.0)  # > d/2
 
 
 def test_refine_rejects_non_cover(k6):
     with pytest.raises(ValueError, match="cover"):
-        refine_to_approx_pair(k6, frozenset(), {0}, psi=1.0)
+        refine_to_approx_pair(k6, vertex_mask(frozenset()), vertex_mask({0}), psi=1.0)
 
 
 def test_refine_fuzz_greedy_bounds():
@@ -215,10 +251,10 @@ def test_refine_fuzz_greedy_bounds():
             size = int(rng.integers(1, 4))
             xs = frozenset(int(u) for u in rng.choice(g.n, size=size, replace=False))
             gsize = len(neighborhood(g, xs))
-            cover = build_mutual_cover(g, xs, prof, seed=trial)
+            cover = build_mutual_cover(g, vertex_mask(xs), prof, seed=trial)
             for psi in (1.0, d / 2.0):
-                pair, stats = refine_to_approx_pair(g, cover.members, xs, psi)
-                assert validate_approx_pair(g, pair, xs)["ok"]
+                pair, stats = refine_to_approx_pair(g, cover.members, vertex_mask(xs), psi)
+                assert validate_approx_pair(g, pair, vertex_mask(xs))["ok"]
                 assert stats.h_size <= gsize / psi + 1e-9
                 assert stats.u_size <= 2 * gsize / psi + 1e-9
 
@@ -283,7 +319,7 @@ def test_family_json_lines(c5):
 
 def test_size_bound_skip_on_large_f(k6):
     prof = spectral_lambda(k6)
-    pair = ApproxPair(s=frozenset({0}), f=neighborhood(k6, {0}), psi=1.0)
+    pair = ApproxPair(s=vertex_mask({0}), f=vertex_mask(neighborhood(k6, {0})), psi=1.0)
     # d(1-5/6) - 1 < 0 on K6
     assert check_pair_size_bound(pair, prof)["status"] == "skipped"
 
@@ -291,7 +327,8 @@ def test_size_bound_skip_on_large_f(k6):
 def test_size_bound_empty_pair(k6):
     # with no F, only an empty S can satisfy the degree conditions
     prof = spectral_lambda(k6)
-    report = check_pair_size_bound(ApproxPair(s=frozenset(), f=frozenset(), psi=1.0), prof)
+    empty = vertex_mask(frozenset())
+    report = check_pair_size_bound(ApproxPair(s=empty, f=empty, psi=1.0), prof)
     assert report["status"] == "pass"
     assert report["rhs"] == 0
 
@@ -299,8 +336,8 @@ def test_size_bound_empty_pair(k6):
 def test_size_bound_passes_on_small_f():
     g = random_regular_graph(14, 3, seed=8)
     prof = spectral_lambda(g)
-    cover = build_mutual_cover(g, {0}, prof, seed=0)
-    pair, _ = refine_to_approx_pair(g, cover.members, {0}, psi=1.0)
+    cover = build_mutual_cover(g, vertex_mask({0}), prof, seed=0)
+    pair, _ = refine_to_approx_pair(g, cover.members, vertex_mask({0}), psi=1.0)
     report = check_pair_size_bound(pair, prof)
     assert report["status"] in ("pass", "skipped")
     if report["status"] == "pass":
@@ -325,3 +362,30 @@ def test_count_report_within_naive_bound(petersen):
         row = linked_set_count_report(len(enumerate_linked_sets(petersen, 0, gsize, 4)), gsize, 4, prof)
         assert row["status"] == "pass"
         assert row["count"] <= row["bound_naive"]
+
+
+# ---------------------------------------------------------------------------
+# The CLI's bytes
+# ---------------------------------------------------------------------------
+
+# sha256 of `liplab containers` stdout and family.jsonl on RR(18,3) at vertex
+# 0, g = 10, k = 4, seed 7, recorded with the frozenset pipeline.  Spectral
+# lam gives p = 1; lam = 0.48 gives p ~ 0.14, so the sampled covers retry.
+CONTAINERS_DIGESTS = {
+    "spectral": ("b6455c2d3d30a4f03c793befa21848576501882b88c9046474c7f48b941968cd",
+                 "8b48c742ab80b049dd7cfdd11a1e4bac0d4af56f393240d6980ec905f6ec3983"),
+    "0.48": ("779685979c6f3bee6cab05f740be1622ae60a0a436470a7723e8e1cc3231c5f3",
+             "a1463c3b6a6c4d294937966f9e8e2975057135211460917486f92561521a87c0"),
+}
+
+
+@pytest.mark.parametrize("lam", sorted(CONTAINERS_DIGESTS))
+def test_cli_containers_pinned(lam, tmp_path, capsys):
+    from liplab.cli import main
+
+    graph = '{"family":"random-regular","n":18,"d":3,"seed":1}'
+    assert main(["containers", "--graph", graph, "--vertex", "0", "--boundary-size", "10",
+                 "--linkage", "4", "--seed", "7", "--lambda-source", lam, "--out", str(tmp_path)]) == 0
+    stdout = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    family = hashlib.sha256((tmp_path / "family.jsonl").read_bytes()).hexdigest()
+    assert (stdout, family) == CONTAINERS_DIGESTS[lam]

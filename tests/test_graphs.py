@@ -26,6 +26,7 @@ from liplab.graphs import (
     random_regular_graph,
     save_edge_list,
     torus_graph,
+    vertex_mask,
     wired_tree_graph,
 )
 from tests.conftest import path_graph
@@ -246,8 +247,9 @@ def test_graph_power_path():
 
 def rooted_connected_count(g, root, m, **kwargs):
     """Connected m-vertex sets containing `root`, counted through the enumeration."""
-    sets = iter_rooted_connected_sets(g.neighbor_sets, root, prune=lambda xs: len(xs) > m, **kwargs)
-    return sum(1 for xs in sets if len(xs) == m)
+    sets = iter_rooted_connected_sets(g.neighbor_masks, g.neighbor_masks, root,
+                                      prune=lambda x, nbhd: x.bit_count() > m, **kwargs)
+    return sum(1 for x, _ in sets if x.bit_count() == m)
 
 
 def brute_rooted_connected_count(g, root, m):
@@ -295,16 +297,16 @@ def test_rooted_count_budget():
 # ---------------------------------------------------------------------------
 
 def test_mutual_cover_self(c5):
-    assert is_mutual_cover(c5, {0}, {0})
+    assert is_mutual_cover(c5, vertex_mask({0}), vertex_mask({0}))
 
 
 def test_mutual_cover_adjacent(c5):
-    assert is_mutual_cover(c5, {0}, {1})
+    assert is_mutual_cover(c5, vertex_mask({0}), vertex_mask({1}))
 
 
 def test_mutual_cover_distance3():
     g = cycle_graph(7)
-    assert not is_mutual_cover(g, {0}, {3})
+    assert not is_mutual_cover(g, vertex_mask({0}), vertex_mask({3}))
 
 
 def test_mutual_cover_linkage_transfer():
@@ -320,7 +322,7 @@ def test_mutual_cover_linkage_transfer():
             for v in xs:
                 nbrs = g.neighbors(v)
                 ys.add(int(nbrs[rng.integers(0, len(nbrs))]))
-            if not is_mutual_cover(g, xs, ys):
+            if not is_mutual_cover(g, vertex_mask(xs), vertex_mask(ys)):
                 continue
             for k in (1, 2):
                 if is_k_linked(g, xs, k):

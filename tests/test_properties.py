@@ -1,24 +1,32 @@
 """Property tests of the graph primitives and the adjacency spectrum against
-networkx on random connected graphs with at most 12 vertices, and of the
-one-point count and enumeration against `brute_members` on those with at most
-7.  Examples are derandomized, so the suite stays deterministic."""
+networkx on random connected graphs with at most 12 vertices, of the
+linked-set enumeration against `brute_linked_sets` on those with at most 9,
+and of the one-point count and enumeration against `brute_members` on those
+with at most 7.  Examples are derandomized, so the suite stays
+deterministic."""
 
 import networkx as nx
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liplab.containers import enumerate_linked_sets
 from liplab.expanders import adjacency_spectrum
 from liplab.graphs import (
     Graph,
     closure,
     is_k_linked,
+    is_mutual_cover,
     linked_component_containing,
+    mask_neighborhood,
+    mask_vertices,
     neighborhood,
     outer_boundary,
+    vertex_mask,
 )
 from liplab.lipschitz import EnsembleSpec, LipschitzFn, count_onepoint, enumerate_onepoint
 from tests.conftest import brute_members
+from tests.test_containers import brute_linked_sets, vertex_sets
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -60,6 +68,38 @@ def test_power_sets_match_networkx_balls(graphs, k):
     expected = [set(nx.single_source_shortest_path_length(nxg, v, cutoff=k)) - {v} for v in range(g.n)]
     assert [set(s) for s in g.power_sets(k)] == expected
     assert all(isinstance(s, frozenset) for s in g.power_sets(k))
+
+
+@PROPERTY_SETTINGS
+@given(connected_graphs(), st.integers(1, 4))
+def test_power_masks_match_power_sets_and_networkx(graphs, k):
+    g, nxg = graphs
+    power = nx.power(nxg, k)
+    assert list(g.power_masks(k)) == [vertex_mask(s) for s in g.power_sets(k)]
+    assert list(g.power_masks(k)) == [vertex_mask(power[v]) for v in range(g.n)]
+
+
+@PROPERTY_SETTINGS
+@given(connected_graphs(), st.data())
+def test_masks_round_trip_and_match_the_set_operators(graphs, data):
+    g, _ = graphs
+    xs = data.draw(st.sets(st.integers(0, g.n - 1), max_size=g.n))
+    ys = data.draw(st.sets(st.integers(0, g.n - 1), max_size=g.n))
+    assert mask_vertices(vertex_mask(xs)) == sorted(xs)
+    assert mask_neighborhood(g, vertex_mask(xs)) == vertex_mask(neighborhood(g, xs))
+    mutual = xs <= closure(g, ys) and ys <= closure(g, xs)
+    assert is_mutual_cover(g, vertex_mask(xs), vertex_mask(ys)) == mutual
+
+
+@PROPERTY_SETTINGS
+@given(connected_graphs(max_n=9), st.data())
+def test_enumerate_linked_sets_matches_brute_force(graphs, data):
+    g, _ = graphs
+    v = data.draw(st.integers(0, g.n - 1))
+    for k in (1, 2, 3):
+        for boundary_size in range(g.n + 1):
+            got = sorted(vertex_sets(enumerate_linked_sets(g, v, boundary_size, k)), key=sorted)
+            assert got == brute_linked_sets(g, v, boundary_size, k)
 
 
 @PROPERTY_SETTINGS
