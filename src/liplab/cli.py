@@ -36,7 +36,7 @@ from .experiments import (
     run_verify_suite,
 )
 from .flaws import core_within_cluster_interior, flaw_decomposition
-from .graphs import DEFAULT_NODE_BUDGET, save_edge_list
+from .graphs import DEFAULT_NODE_BUDGET, mask_vertices, save_edge_list
 from .lipschitz import (
     count_groundstate,
     count_onepoint,
@@ -280,8 +280,8 @@ def _cmd_flaws(args) -> int:
         "anchor": dec.anchor,
         "base": dec.base,
         "M": dec.M,
-        "cluster": sorted(dec.cluster),
-        "core": sorted(dec.core),
+        "cluster": mask_vertices(dec.cluster),
+        "core": mask_vertices(dec.core),
         "cluster_threshold": dec.cluster_threshold,
         "core_threshold": dec.core_threshold,
     }

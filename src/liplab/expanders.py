@@ -109,7 +109,7 @@ def exhaustive_lambda_bruteforce(g: Graph) -> float:
     """Pure-Python oracle for the subset-pair sweep (tiny n only)."""
     d = g.regular_degree()
     n = g.n
-    nbr = g.neighbor_sets
+    nbr = [frozenset(g.neighbors(v)) for v in range(n)]
     subsets = []
     for mask in range(1, 1 << n):
         subsets.append([v for v in range(n) if (mask >> v) & 1])

@@ -2,10 +2,11 @@
 
 For a window base k, the `cluster` is the 2-linked component of the vertices
 valued at least k+M+1 through the probe vertex, and the `core` is the
-4-linked component of those valued at least k+2M+2.  The core's closure
-always sits inside the cluster, which the fuzz suites re-check on every
-sampled function.  Fluctuations below the window are analyzed through the
-reflection f -> -f + k + M rather than duplicated code.
+4-linked component of those valued at least k+2M+2; both are vertex masks
+(see `graphs`).  The core's closure always sits inside the cluster, which the
+fuzz suites re-check on every sampled function.  Fluctuations below the
+window are analyzed through the reflection f -> -f + k + M rather than
+duplicated code.
 """
 
 from __future__ import annotations
@@ -18,11 +19,12 @@ from .graphs import (
     DEFAULT_NODE_BUDGET,
     Graph,
     ball,
-    closure,
     is_k_linked,
     linked_component_containing,
+    linked_layers,
+    mask_vertices,
     neighborhood,
-    outer_boundary,
+    vertex_mask,
 )
 from .lipschitz import (
     LipschitzFn,
@@ -41,8 +43,8 @@ class FlawDecomposition:
     anchor: int
     base: int  # window base k
     M: int
-    cluster: frozenset  # 2-linked component above k+M
-    core: frozenset  # 4-linked component above k+2M+1
+    cluster: int  # mask of the 2-linked component above k+M
+    core: int  # mask of the 4-linked component above k+2M+1
     cluster_threshold: int
     core_threshold: int
 
@@ -54,8 +56,8 @@ def flaw_decomposition(g: Graph, f: LipschitzFn, anchor: int, base: int = 0) -> 
     m = f.M
     t_cluster = base + m + 1
     t_core = base + 2 * m + 2
-    above_cluster = frozenset(v for v in range(g.n) if f.values[v] >= t_cluster)
-    above_core = frozenset(v for v in range(g.n) if f.values[v] >= t_core)
+    above_cluster = vertex_mask(v for v in range(g.n) if f.values[v] >= t_cluster)
+    above_core = vertex_mask(v for v in range(g.n) if f.values[v] >= t_core)
     cluster = linked_component_containing(g, above_cluster, CLUSTER_LINKAGE, anchor)
     core = linked_component_containing(g, above_core, CORE_LINKAGE, anchor)
     return FlawDecomposition(
@@ -78,7 +80,7 @@ def core_within_cluster_interior(dec: FlawDecomposition, g: Graph) -> bool:
     """
     if not dec.core:
         raise ValueError("core is empty")
-    return closure(g, dec.core) <= dec.cluster
+    return not (dec.core | neighborhood(g, dec.core)) & ~dec.cluster
 
 
 # ---------------------------------------------------------------------------
@@ -127,72 +129,68 @@ def verify_ground_state_lemma(
 # Boundary-visiting vertex ordering
 # ---------------------------------------------------------------------------
 
-def boundary_ordering(g: Graph, s) -> list[int]:
-    """Order the closure of a 4-linked set S so that (i) the first vertex is
-    within distance 2 of the outside, (ii) S precedes its outer boundary, and
-    (iii) every later vertex has an earlier one within distance 4.
+def boundary_ordering(g: Graph, s: int) -> list[int]:
+    """Order the closure of a 4-linked set S (a mask) so that (i) the first
+    vertex is within distance 2 of the outside, (ii) S precedes its outer
+    boundary, and (iii) every later vertex has an earlier one within
+    distance 4.
 
     Built by breadth-first layers of the 4th-power graph restricted to S,
-    starting from a vertex of S nearest the complement of the closure, then
-    the outer boundary in id order.
+    each in id order, starting from a vertex of S nearest the complement of
+    the closure, then the outer boundary in id order.
     """
-    s = frozenset(s)
     if not s:
         raise ValueError("S must be nonempty")
     if not is_k_linked(g, s, CORE_LINKAGE):
         raise ValueError("S must be 4-linked")
-    s_plus = closure(g, s)
-    outside = frozenset(range(g.n)) - s_plus
+    s_plus = s | neighborhood(g, s)
+    outside = ((1 << g.n) - 1) & ~s_plus
     if not outside:
         raise ValueError("closure of S covers the whole graph; no valid start vertex")
 
     # breadth-first layers out of the outside, up to the first that meets S
     reached = layer = outside
-    while layer.isdisjoint(s):
-        layer = neighborhood(g, layer) - reached
+    while not layer & s:
+        layer = neighborhood(g, layer) & ~reached
         reached |= layer
-    start = min(layer & s)
-    power = g.power_sets(CORE_LINKAGE)
-    ordered = [start]
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = set().union(*(power[v] & s for v in frontier)) - seen
-        frontier = sorted(nxt)
-        ordered.extend(frontier)
-        seen.update(nxt)
-    ordered.extend(sorted(outer_boundary(g, s)))
+    hits = layer & s
+    start = (hits & -hits).bit_length() - 1
+    ordered = []
+    for layer in linked_layers(g, s, CORE_LINKAGE, start):
+        ordered.extend(mask_vertices(layer))
+    ordered.extend(mask_vertices(s_plus & ~s))
     return ordered
 
 
-def check_boundary_ordering(g: Graph, s, ordering: list[int]) -> dict:
-    """Machine-check the three ordering properties; used by the fuzz suites."""
-    s = frozenset(s)
-    s_plus = closure(g, s)
-    outside = frozenset(range(g.n)) - s_plus
-    pos = {v: i for i, v in enumerate(ordering)}
-    ok_members = set(ordering) == set(s_plus) and len(ordering) == len(s_plus)
-
+def check_boundary_ordering(g: Graph, s: int, ordering: list[int]) -> dict:
+    """Machine-check the three ordering properties of `ordering` for the
+    mask S; used by the fuzz suites.  A list that is not an ordering of the
+    closure of S fails `covers_closure`, and the other three properties,
+    which read positions in such an ordering, are then None (not checked)."""
+    s_plus = s | neighborhood(g, s)
+    if not ordering or sorted(ordering) != mask_vertices(s_plus):
+        return {"covers_closure": False, "first_near_outside": None, "set_before_boundary": None,
+                "predecessor_within_4": None, "ok": False}
+    outside = ((1 << g.n) - 1) & ~s_plus
     first = ordering[0]
-    ok_first = first in outside or not g.power_sets(2)[first].isdisjoint(outside)
+    ok_first = bool((1 << first | g.power_masks(2)[first]) & outside)
+    # S comes first iff no vertex of S follows its first |S| places
+    ok_split = not any(s >> v & 1 for v in ordering[s.bit_count():])
 
-    boundary = s_plus - s
-    ok_split = all(pos[v] < pos[w] for v in s for w in boundary) if boundary else True
-
-    power = g.power_sets(CORE_LINKAGE)
-    earlier = {first}
+    power = g.power_masks(CORE_LINKAGE)
+    earlier = 1 << first
     ok_pred = True
     for v in ordering[1:]:
-        if v not in earlier and power[v].isdisjoint(earlier):
+        if not power[v] & earlier:
             ok_pred = False
             break
-        earlier.add(v)
+        earlier |= 1 << v
     return {
-        "covers_closure": ok_members,
+        "covers_closure": True,
         "first_near_outside": ok_first,
         "set_before_boundary": ok_split,
         "predecessor_within_4": ok_pred,
-        "ok": ok_members and ok_first and ok_split and ok_pred,
+        "ok": ok_first and ok_split and ok_pred,
     }
 
 
@@ -225,7 +223,7 @@ def tail_hypotheses(n: int, d: int, lam: float, M: int, t: int | None = None,
 def tail_bound(g: Graph, anchor: int, t: int, M: int) -> float:
     """2 ** (-|ball(anchor, t-1)| / (5M))."""
     radius = max(t - 1, 0)
-    return 2.0 ** (-len(ball(g, anchor, radius)) / (5.0 * M))
+    return 2.0 ** (-ball(g, anchor, radius).bit_count() / (5.0 * M))
 
 
 def tail_rows(g: Graph, M: int, lam, anchor: int, t_values, marginal, k: int,
@@ -251,7 +249,7 @@ def tail_rows(g: Graph, M: int, lam, anchor: int, t_values, marginal, k: int,
             "count_above": above,
             "ensemble_size": total,
             "bound": bound,
-            "ball_size": len(ball(g, anchor, max(t - 1, 0))),
+            "ball_size": ball(g, anchor, max(t - 1, 0)).bit_count(),
             "hypotheses_hold": gate["all_hold"],
             "hypotheses": gate["clauses"],
             "asserted": gate["all_hold"],

@@ -1,11 +1,9 @@
 """Immutable simple graphs, standard generators, and neighborhood primitives.
 
-Vertex ids are dense integers in [0, n).  The set-valued operations below
-take and return plain frozensets of ids, which keeps them cheap to compare
-against brute-force oracles.  The container pipeline instead holds a vertex
-set as a Python-int mask (bit u set when u is in the set): `vertex_mask` and
-`mask_vertices` convert, and `Graph.neighbor_masks`/`power_masks` give the
-adjacency in that form.
+Vertex ids are dense integers in [0, n).  Every vertex set below is a
+Python-int mask: bit u is set when u is in the set.  `vertex_mask` and
+`mask_vertices` convert to and from id lists, and `Graph.neighbor_masks` and
+`Graph.power_masks` give the adjacency of G and of its powers in that form.
 """
 
 from __future__ import annotations
@@ -31,8 +29,7 @@ class Graph:
     dense ids, and connectivity.
     """
 
-    __slots__ = ("n", "name", "_adj", "_nbr_sets", "_degrees", "_matrix", "_nbr_getters", "_edge_index",
-                 "_power_sets", "_power_masks")
+    __slots__ = ("n", "name", "_adj", "_degrees", "_matrix", "_nbr_getters", "_edge_index", "_power_masks")
 
     def __init__(self, adjacency: Sequence[Iterable[int]], name: str = ""):
         n = len(adjacency)
@@ -55,12 +52,10 @@ class Graph:
         self.n = n
         self.name = name
         self._adj = tuple(adj)
-        self._nbr_sets = None
         self._degrees = None
         self._matrix = None
         self._nbr_getters = None
         self._edge_index = None
-        self._power_sets = {}
         self._power_masks = {}
         if len(bfs_order(self, 0)) != n:
             raise ValueError("graph is not connected")
@@ -87,26 +82,6 @@ class Graph:
         return self._adj[v]
 
     @property
-    def neighbor_sets(self) -> tuple[frozenset, ...]:
-        if self._nbr_sets is None:
-            self._nbr_sets = tuple(frozenset(nbrs) for nbrs in self._adj)
-        return self._nbr_sets
-
-    def power_sets(self, k: int) -> tuple[frozenset, ...]:
-        """Per vertex, the other vertices within distance k: the neighbour
-        sets of G^k.  Built once per k from the table for k - 1."""
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        if k == 1:
-            return self.neighbor_sets
-        if k not in self._power_sets:
-            prev = self.power_sets(k - 1)
-            self._power_sets[k] = tuple(
-                nbrs.union(*(prev[u] for u in nbrs)) - {v} for v, nbrs in enumerate(self.neighbor_sets)
-            )
-        return self._power_sets[k]
-
-    @property
     def neighbor_masks(self) -> tuple[int, ...]:
         """Per vertex, its neighbour set as a mask."""
         if 1 not in self._power_masks:
@@ -114,20 +89,17 @@ class Graph:
         return self._power_masks[1]
 
     def power_masks(self, k: int) -> tuple[int, ...]:
-        """`power_sets(k)` as masks, built once per k from the masks for k - 1."""
+        """Per vertex, the other vertices within distance k, as a mask: the
+        neighbour masks of G^k.  Built once per k from the masks for k - 1."""
         if k < 1:
             raise ValueError("k must be >= 1")
         if k == 1:
             return self.neighbor_masks
         if k not in self._power_masks:
             prev = self.power_masks(k - 1)
-            masks = []
-            for v, nbr in enumerate(self.neighbor_masks):
-                reach = nbr
-                for u in self._adj[v]:
-                    reach |= prev[u]
-                masks.append(reach & ~(1 << v))
-            self._power_masks[k] = tuple(masks)
+            self._power_masks[k] = tuple(
+                (nbr | _union(prev, nbr)) & ~(1 << v) for v, nbr in enumerate(self.neighbor_masks)
+            )
         return self._power_masks[k]
 
     @property
@@ -201,7 +173,7 @@ def _values_getter(idx: tuple[int, ...]) -> Callable[[Sequence], tuple]:
 
 
 # ---------------------------------------------------------------------------
-# Metric / boundary primitives
+# Breadth-first search
 # ---------------------------------------------------------------------------
 
 def bfs_order(g: Graph, start: int) -> list[int]:
@@ -237,57 +209,6 @@ def bfs_distances(g: Graph, source: int, limit: int | None = None) -> list[int]:
     return dist
 
 
-def ball(g: Graph, center: int, radius: int) -> frozenset:
-    """All vertices at graph distance <= radius from `center`."""
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
-    dist = bfs_distances(g, center, limit=radius)
-    return frozenset(v for v, d in enumerate(dist) if 0 <= d <= radius)
-
-
-def neighborhood(g: Graph, xs: Iterable[int]) -> frozenset:
-    """N(X): vertices adjacent to some member of X (may intersect X)."""
-    out: set[int] = set()
-    for v in xs:
-        out.update(g.neighbors(v))
-    return frozenset(out)
-
-
-def closure(g: Graph, xs: Iterable[int]) -> frozenset:
-    xs = frozenset(xs)
-    return xs | neighborhood(g, xs)
-
-
-def outer_boundary(g: Graph, xs: Iterable[int]) -> frozenset:
-    xs = frozenset(xs)
-    return neighborhood(g, xs) - xs
-
-
-def _linked_walk(power: Sequence[frozenset], ys: frozenset, v: int) -> frozenset:
-    """The component of v in the graph on Y whose edges are the pairs of
-    `power` (the neighbour sets of G^k) inside Y."""
-    comp = {v}
-    stack = [v]
-    while stack:
-        fresh = (power[stack.pop()] & ys) - comp
-        comp |= fresh
-        stack.extend(fresh)
-    return frozenset(comp)
-
-
-def linked_component_containing(g: Graph, ys: Iterable[int], k: int, v: int) -> frozenset:
-    """The k-linked component of Y containing v (empty set when v not in Y)."""
-    ys = frozenset(ys)
-    return _linked_walk(g.power_sets(k), ys, v) if v in ys else frozenset()
-
-
-def is_k_linked(g: Graph, xs: Iterable[int], k: int) -> bool:
-    xs = frozenset(xs)
-    if not xs:
-        return True
-    return len(linked_component_containing(g, xs, k, min(xs))) == len(xs)
-
-
 # ---------------------------------------------------------------------------
 # Vertex sets as masks
 # ---------------------------------------------------------------------------
@@ -310,21 +231,60 @@ def mask_vertices(m: int) -> list[int]:
     return out
 
 
-def mask_neighborhood(g: Graph, m: int) -> int:
-    """N(X) of a mask X, as a mask."""
-    nbr = g.neighbor_masks
+def _union(masks: Sequence[int], m: int) -> int:
+    """The union of `masks[u]` over the vertices u of the mask m."""
     out = 0
     while m:
         low = m & -m
-        out |= nbr[low.bit_length() - 1]
+        out |= masks[low.bit_length() - 1]
         m ^= low
     return out
+
+
+def neighborhood(g: Graph, x: int) -> int:
+    """N(X): the vertices adjacent to some vertex of the mask X (may meet X)."""
+    return _union(g.neighbor_masks, x)
 
 
 def is_mutual_cover(g: Graph, x: int, y: int) -> bool:
     """True iff the mask X is inside the closure of the mask Y and Y is inside
     the closure of X."""
-    return not (x & ~(y | mask_neighborhood(g, y)) or y & ~(x | mask_neighborhood(g, x)))
+    return not (x & ~(y | neighborhood(g, y)) or y & ~(x | neighborhood(g, x)))
+
+
+def ball(g: Graph, center: int, radius: int) -> int:
+    """The vertices at graph distance <= radius from `center`, as a mask."""
+    if radius < 0:
+        raise ValueError("radius must be nonnegative")
+    dist = bfs_distances(g, center, limit=radius)
+    return vertex_mask(v for v, d in enumerate(dist) if 0 <= d <= radius)
+
+
+def linked_layers(g: Graph, ys: int, k: int, v: int) -> Iterator[int]:
+    """The breadth-first layers, as masks, of the k-linked component of the
+    mask Y containing v: {v} first, then each layer's G^k neighbours in Y not
+    yet reached.  Nothing when v is not in Y."""
+    if not ys >> v & 1:
+        return
+    power = g.power_masks(k)
+    reached = layer = 1 << v
+    while layer:
+        yield layer
+        layer = _union(power, layer) & ys & ~reached
+        reached |= layer
+
+
+def linked_component_containing(g: Graph, ys: int, k: int, v: int) -> int:
+    """The k-linked component of the mask Y containing v (0 when v is not in Y)."""
+    comp = 0
+    for layer in linked_layers(g, ys, k, v):
+        comp |= layer
+    return comp
+
+
+def is_k_linked(g: Graph, xs: int, k: int) -> bool:
+    """True iff the mask X is connected in G^k (the empty set is)."""
+    return not xs or linked_component_containing(g, xs, k, (xs & -xs).bit_length() - 1) == xs
 
 
 # ---------------------------------------------------------------------------

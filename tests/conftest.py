@@ -151,3 +151,20 @@ def to_networkx(g):
     nxg = nx.empty_graph(g.n)
     nxg.add_edges_from(g.edges())
     return nxg
+
+
+def set_neighborhood(g, xs):
+    """N(X) as a frozenset, read off `g.neighbors`: the oracles' boundary
+    operator, independent of the mask code."""
+    return frozenset(u for v in xs for u in g.neighbors(v))
+
+
+def nx_power(g, k):
+    """G^k by networkx, for the oracles' linkage checks."""
+    return nx.power(to_networkx(g), k)
+
+
+def is_linked_nx(power, xs):
+    """Whether the vertex set X is connected in `power` (a networkx G^k): X is
+    k-linked.  The empty set is."""
+    return not xs or nx.is_connected(power.subgraph(xs))

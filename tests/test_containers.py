@@ -19,28 +19,30 @@ from liplab.containers import (
     validate_approx_pair,
 )
 from liplab.errors import BudgetExceededError
-from liplab.expanders import asserted_profile, exhaustive_lambda, spectral_lambda
+from liplab.expanders import ExpanderProfile, asserted_profile, exhaustive_lambda, spectral_lambda
 from liplab.graphs import (
     complete_graph,
     cycle_graph,
     is_k_linked,
     is_mutual_cover,
     mask_vertices,
-    neighborhood,
     petersen_graph,
     random_regular_graph,
     vertex_mask,
 )
+from tests.conftest import is_linked_nx, nx_power, set_neighborhood
 
 
 def brute_linked_sets(g, v, boundary_size, k):
-    """Oracle: scan every subset containing v."""
+    """Oracle: scan every subset containing v, with frozenset N(X) and
+    networkx linkage."""
+    power = nx_power(g, k)
     out = []
     rest = [u for u in range(g.n) if u != v]
     for r in range(g.n):
         for extra in itertools.combinations(rest, r):
             xs = frozenset((v,) + extra)
-            if is_k_linked(g, xs, k) and len(neighborhood(g, xs)) == boundary_size:
+            if len(set_neighborhood(g, xs)) == boundary_size and is_linked_nx(power, xs):
                 out.append(xs)
     return sorted(out, key=sorted)
 
@@ -96,7 +98,7 @@ def test_cover_singleton(k6):
     prof = spectral_lambda(k6)
     res = build_mutual_cover(k6, vertex_mask({0}), prof, seed=1)
     assert is_mutual_cover(k6, vertex_mask({0}), res.members)
-    assert set(mask_vertices(res.members)) <= neighborhood(k6, {0})
+    assert set(mask_vertices(res.members)) <= set_neighborhood(k6, {0})
 
 
 def test_cover_fuzz_properties():
@@ -109,20 +111,20 @@ def test_cover_fuzz_properties():
             xs = frozenset(int(u) for u in rng.choice(g.n, size=size, replace=False))
             res = build_mutual_cover(g, vertex_mask(xs), prof, seed=trial)
             assert is_mutual_cover(g, vertex_mask(xs), res.members)
-            assert set(mask_vertices(res.members)) <= neighborhood(g, xs)
+            assert set(mask_vertices(res.members)) <= set_neighborhood(g, xs)
 
 
 def test_cover_linkage_transfer(petersen):
     prof = exhaustive_lambda(petersen)
     for xs in enumerate_linked_sets(petersen, 0, 6, 2):
         res = build_mutual_cover(petersen, xs, prof, seed=5)
-        assert is_k_linked(petersen, mask_vertices(res.members), 4)
+        assert is_k_linked(petersen, res.members, 4)
 
 
 def test_cover_bound_evaluated(k6):
     prof = spectral_lambda(k6)  # lam = 1, d = 5
     res = build_mutual_cover(k6, vertex_mask({0, 1}), prof, seed=9)
-    expected = 7.0 * np.log2(4.0 / np.sqrt(5.0)) / 5.0 * len(neighborhood(k6, {0, 1}))
+    expected = 7.0 * np.log2(4.0 / np.sqrt(5.0)) / 5.0 * len(set_neighborhood(k6, {0, 1}))
     assert res.size_bound == pytest.approx(expected)
     assert cover_size_bound(5, 1.0, 6) == pytest.approx(expected)
 
@@ -138,8 +140,8 @@ def eager_stream_cover(g, x, profile, seed, retry_cap):
     """Oracle: the cover construction with all retry_cap seed streams spawned
     up front by SeedSequence(seed).spawn(retry_cap)."""
     d, lam = profile.d, profile.lam
-    q = neighborhood(g, x)
-    nbr = g.neighbor_sets
+    q = set_neighborhood(g, x)
+    nbr = [frozenset(g.neighbors(u)) for u in range(g.n)]
     ell = (4.0 * lam / np.sqrt(d)) ** 4
     pool = sorted(u for u in q if len(nbr[u] & x) < ell)
     p = min(1.0, max(0.0, np.log(ell) / d)) if ell > 1.0 else 0.0
@@ -216,7 +218,7 @@ def test_cover_without_draws_matches_eager_spawn(lam, p, met):
 def test_trivial_pair_validates(petersen):
     # (X, N(X)) is always a valid pair
     xs = frozenset({0, 1})
-    pair = ApproxPair(s=vertex_mask(xs), f=vertex_mask(neighborhood(petersen, xs)), psi=1.0)
+    pair = ApproxPair(s=vertex_mask(xs), f=vertex_mask(set_neighborhood(petersen, xs)), psi=1.0)
     assert validate_approx_pair(petersen, pair, vertex_mask(xs))["ok"]
 
 
@@ -250,7 +252,7 @@ def test_refine_fuzz_greedy_bounds():
         for trial in range(25):
             size = int(rng.integers(1, 4))
             xs = frozenset(int(u) for u in rng.choice(g.n, size=size, replace=False))
-            gsize = len(neighborhood(g, xs))
+            gsize = len(set_neighborhood(g, xs))
             cover = build_mutual_cover(g, vertex_mask(xs), prof, seed=trial)
             for psi in (1.0, d / 2.0):
                 pair, stats = refine_to_approx_pair(g, cover.members, vertex_mask(xs), psi)
@@ -319,7 +321,7 @@ def test_family_json_lines(c5):
 
 def test_size_bound_skip_on_large_f(k6):
     prof = spectral_lambda(k6)
-    pair = ApproxPair(s=vertex_mask({0}), f=vertex_mask(neighborhood(k6, {0})), psi=1.0)
+    pair = ApproxPair(s=vertex_mask({0}), f=vertex_mask(set_neighborhood(k6, {0})), psi=1.0)
     # d(1-5/6) - 1 < 0 on K6
     assert check_pair_size_bound(pair, prof)["status"] == "skipped"
 
@@ -362,6 +364,18 @@ def test_count_report_within_naive_bound(petersen):
         row = linked_set_count_report(len(enumerate_linked_sets(petersen, 0, gsize, 4)), gsize, 4, prof)
         assert row["status"] == "pass"
         assert row["count"] <= row["bound_naive"]
+
+
+def test_count_report_past_the_largest_float():
+    # e ** naive_exp overflows a float once naive_exp passes ~709: such a
+    # bound is None (null in JSON, an empty CSV cell) and the status is
+    # decided in log space.
+    row = linked_set_count_report(1098, 1100, 1, spectral_lambda(cycle_graph(1500)))
+    assert (row["bound_naive"], row["bound_lemma"], row["status"]) == (None, None, "skipped")
+    row = linked_set_count_report(5, 1400, 1, ExpanderProfile(3000, 3, 2.8, "asserted"))
+    assert (row["bound_naive"], row["bound_lemma"], row["in_range"], row["status"]) == (None, None, True, "pass")
+    assert count_report_csv([row]).splitlines()[1] == "1400,5,,,0.000808018,pass"
+    assert linked_set_count_report(10**5000, 1400, 1, ExpanderProfile(3000, 3, 2.8, "asserted"))["status"] == "fail"
 
 
 # ---------------------------------------------------------------------------

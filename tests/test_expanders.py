@@ -22,7 +22,6 @@ from liplab.expanders import (
 )
 from liplab.experiments import resolve_profile
 from liplab.graphs import (
-    ball,
     bfs_distances,
     complete_graph,
     cycle_graph,
@@ -251,13 +250,14 @@ def pair_sweep_joining_edge(g, lam, tol=1e-9):
 
 def volume_growth_oracle(g, lam, tol=1e-9):
     """First (v, t), in vertex then radius order, whose ball is below the
-    volume-growth bound, from `ball`; a ball past the eccentricity of v holds
-    all n vertices, above every bound."""
+    volume-growth bound, from the breadth-first distances; a ball past the
+    eccentricity of v holds all n vertices, above every bound."""
     n, d = g.n, g.regular_degree()
     growth = d / (2.0 * lam)
     for v in range(n):
-        for t in range(max(bfs_distances(g, v)) + 1):
-            size = len(ball(g, v, t))
+        dist = bfs_distances(g, v)
+        for t in range(max(dist) + 1):
+            size = sum(x <= t for x in dist)
             bound = min(n / 2.0, growth ** (2 * t))
             if size < bound - tol:
                 return {"v": v, "t": t, "ball": size, "bound": bound}
@@ -336,7 +336,7 @@ def test_sampled_rows_meet_every_subset(petersen):
     assert report["mode"] == "sampled"
     witness = _check(report, "joining-edge")["witness"]
     s, t = set(witness["S"]), set(witness["T"])
-    assert not any(petersen.neighbor_sets[v] & t for v in s)
+    assert not any(set(petersen.neighbors(v)) & t for v in s)
     assert len(s) * len(t) == witness["product"] > witness["threshold"]
     certified = verify_expander_props(petersen, exhaustive_lambda(petersen), cap=8, sample_count=50, seed=3)
     assert _check(certified, "joining-edge")["status"] == "sampled"

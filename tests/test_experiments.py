@@ -342,7 +342,7 @@ def test_tail_monotone_and_bound_formula(k6):
     from liplab.graphs import ball
 
     for r in rows:
-        expected = 2.0 ** (-len(ball(k6, 0, max(r["t"] - 1, 0))) / 5.0)
+        expected = 2.0 ** (-ball(k6, 0, max(r["t"] - 1, 0)).bit_count() / 5.0)
         assert r["bound"] == expected
 
 

@@ -1,3 +1,5 @@
+import hashlib
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -16,15 +18,14 @@ from liplab.flaws import (
     verify_ground_state_lemma,
 )
 from liplab.graphs import (
-    ball,
     bfs_distances,
-    closure,
     cycle_graph,
-    is_k_linked,
+    mask_vertices,
     random_regular_graph,
+    vertex_mask,
 )
 from liplab.lipschitz import LipschitzFn, enumerate_groundstate
-from tests.conftest import path_graph
+from tests.conftest import is_linked_nx, nx_power, path_graph, set_neighborhood
 
 
 # ---------------------------------------------------------------------------
@@ -34,30 +35,31 @@ from tests.conftest import path_graph
 def test_single_peak_on_c4(c4):
     f = LipschitzFn((0, 1, 2, 1), 1)
     dec = flaw_decomposition(c4, f, anchor=2, base=0)
-    assert dec.cluster == frozenset({2})
-    assert dec.core == frozenset()
+    assert mask_vertices(dec.cluster) == [2]
+    assert mask_vertices(dec.core) == []
 
 
 def test_staircase_on_p5():
     p5 = path_graph(5)
     f = LipschitzFn((0, 1, 2, 3, 4), 1)
     dec = flaw_decomposition(p5, f, anchor=4, base=0)
-    assert dec.cluster == frozenset({2, 3, 4})
-    assert dec.core == frozenset({4})
+    assert mask_vertices(dec.cluster) == [2, 3, 4]
+    assert mask_vertices(dec.core) == [4]
     assert core_within_cluster_interior(dec, p5)
-    assert closure(p5, dec.core) == frozenset({3, 4})
+    core = set(mask_vertices(dec.core))
+    assert core | set_neighborhood(p5, core) == {3, 4}
 
 
 def test_core_whose_closure_leaves_the_cluster_is_reported():
     p5 = path_graph(5)
     dec = flaw_decomposition(p5, LipschitzFn((0, 1, 2, 3, 4), 1), anchor=4, base=0)
-    assert not core_within_cluster_interior(replace(dec, cluster=frozenset({4})), p5)  # N(4) = {3}
+    assert not core_within_cluster_interior(replace(dec, cluster=vertex_mask({4})), p5)  # N(4) = {3}
 
 
 def test_anchor_in_window_gives_empty_sets(c4):
     f = LipschitzFn((0, 1, 2, 1), 1)
     dec = flaw_decomposition(c4, f, anchor=0, base=0)
-    assert dec.cluster == frozenset() and dec.core == frozenset()
+    assert mask_vertices(dec.cluster) == [] and mask_vertices(dec.core) == []
 
 
 def test_core_subset_of_cluster_always(petersen):
@@ -67,7 +69,7 @@ def test_core_subset_of_cluster_always(petersen):
         anchor = int(rng.integers(0, petersen.n))
         base = int(f.values[anchor]) - 2 * f.M - 2 - int(rng.integers(0, 3))
         dec = flaw_decomposition(petersen, f, anchor, base)
-        assert dec.core <= dec.cluster
+        assert set(mask_vertices(dec.core)) <= set(mask_vertices(dec.cluster))
 
 
 def test_shift_equivariance(petersen):
@@ -94,16 +96,17 @@ def test_core_closure_inside_cluster_fuzz():
     found = 0
     for seed in range(4):
         g = random_regular_graph(12, 3, seed=seed)
+        power2, power4 = nx_power(g, 2), nx_power(g, 4)
         for _ in range(250):
             m = int(rng.integers(1, 4))
             f = _random_lipschitz(g, m, rng)
             anchor = int(rng.integers(0, g.n))
             base = f.values[anchor] - 2 * m - 2
             dec = flaw_decomposition(g, f, anchor, base)
-            assert dec.core and anchor in dec.core
+            assert dec.core and anchor in mask_vertices(dec.core)
             assert core_within_cluster_interior(dec, g)
-            assert is_k_linked(g, dec.cluster, 2)
-            assert is_k_linked(g, dec.core, 4)
+            assert is_linked_nx(power2, mask_vertices(dec.cluster))
+            assert is_linked_nx(power4, mask_vertices(dec.core))
             found += 1
     assert found == 1000
 
@@ -140,30 +143,30 @@ def test_ground_state_lemma_flags_bogus_lambda(q3):
 # ---------------------------------------------------------------------------
 
 def test_ordering_singleton(petersen):
-    order = boundary_ordering(petersen, {0})
+    order = boundary_ordering(petersen, vertex_mask({0}))
     assert order[0] == 0
     assert order[1:] == sorted(petersen.neighbors(0))
-    assert check_boundary_ordering(petersen, {0}, order)["ok"]
+    assert check_boundary_ordering(petersen, vertex_mask({0}), order)["ok"]
 
 
 def test_ordering_pair(petersen):
-    s = frozenset({0, 2})  # distance 2 on the outer cycle: 4-linked
+    s = vertex_mask({0, 2})  # distance 2 on the outer cycle: 4-linked
     order = boundary_ordering(petersen, s)
     report = check_boundary_ordering(petersen, s, order)
     assert report["ok"]
-    assert set(order[:2]) == s
+    assert sorted(order[:2]) == mask_vertices(s)
 
 
 def test_ordering_requires_room():
     g = cycle_graph(5)
     with pytest.raises(ValueError, match="whole graph"):
-        boundary_ordering(g, {0, 2})  # closure covers all of C5
+        boundary_ordering(g, vertex_mask({0, 2}))  # closure covers all of C5
 
 
 def test_ordering_requires_linkage():
     g = cycle_graph(12)
     with pytest.raises(ValueError, match="4-linked"):
-        boundary_ordering(g, {0, 6})
+        boundary_ordering(g, vertex_mask({0, 6}))
 
 
 def test_ordering_fuzz():
@@ -173,25 +176,49 @@ def test_ordering_fuzz():
         g = random_regular_graph(14, 3, seed=seed)
         for _ in range(60):
             s = _random_linked_set(g, rng)
-            outside = frozenset(range(g.n)) - closure(g, s)
+            members = mask_vertices(s)
+            outside = set(range(g.n)) - set(members) - set_neighborhood(g, members)
             if not outside:
                 continue
             order = boundary_ordering(g, s)
             assert check_boundary_ordering(g, s, order)["ok"]
             # the start is the member of S nearest the outside, smallest id first
-            assert order[0] == min(s, key=lambda v: (min(bfs_distances(g, v)[u] for u in outside), v))
+            assert order[0] == min(members, key=lambda v: (min(bfs_distances(g, v)[u] for u in outside), v))
             checked += 1
     assert checked >= 200
 
 
 def test_check_boundary_ordering_flags_each_violation():
     g = cycle_graph(30)
-    report = check_boundary_ordering(g, {0, 1, 2, 3, 4}, [3, 2, 1, 0, 4, 29, 5])  # 3 is 3 steps from the outside
+    report = check_boundary_ordering(g, vertex_mask({0, 1, 2, 3, 4}), [3, 2, 1, 0, 4, 29, 5])  # 3 is 3 steps from the outside
     assert not report["first_near_outside"] and not report["ok"]
     assert report["covers_closure"] and report["set_before_boundary"] and report["predecessor_within_4"]
-    report = check_boundary_ordering(g, {0, 4, 8}, [0, 8, 4, 29, 1, 3, 5, 7, 9])  # 8 is 8 steps from 0
+    report = check_boundary_ordering(g, vertex_mask({0, 4, 8}), [0, 8, 4, 29, 1, 3, 5, 7, 9])  # 8 is 8 steps from 0
     assert not report["predecessor_within_4"] and not report["ok"]
     assert report["covers_closure"] and report["first_near_outside"] and report["set_before_boundary"]
+    report = check_boundary_ordering(g, vertex_mask({0, 1, 2}), [0, 1, 29, 2, 3])  # boundary vertex 29 before 2
+    assert not report["set_before_boundary"] and not report["ok"]
+    assert report["covers_closure"] and report["first_near_outside"] and report["predecessor_within_4"]
+
+
+@pytest.mark.parametrize("order", [[2, 1, 4], []])
+def test_check_boundary_ordering_fails_an_ordering_that_misses_the_closure(order):
+    # the closure of {2, 3} on C8 is {1, 2, 3, 4}
+    report = check_boundary_ordering(cycle_graph(8), vertex_mask({2, 3}), order)
+    assert report["covers_closure"] is False and report["ok"] is False
+
+
+def test_faulty_ordering_is_a_failed_check_not_a_crash(monkeypatch):
+    import liplab.experiments as experiments
+
+    monkeypatch.setattr(experiments, "boundary_ordering", lambda g, s: boundary_ordering(g, s)[:-1])
+    rows = [r for r in experiments.run_verify_suite(seed=0)["rows"]
+            if r["check"] == "boundary-ordering" and r["status"] != "skipped"]  # K6 closes over every set
+    assert rows and all(r["status"] == "fail" for r in rows)
+    for row in rows:
+        witness = row["witness"]
+        assert witness["verdict"]["covers_closure"] is False and witness["verdict"]["ok"] is False
+        assert witness["s"] == sorted(witness["s"]) and witness["order"]
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +262,8 @@ def test_tail_probability_against_enumeration(k6):
 
 
 def test_tail_bound_formula(petersen):
-    assert tail_bound(petersen, 0, 3, 2) == 2.0 ** (-len(ball(petersen, 0, 2)) / 10.0)
+    ball_size = sum(0 <= d <= 2 for d in bfs_distances(petersen, 0))
+    assert tail_bound(petersen, 0, 3, 2) == 2.0 ** (-ball_size / 10.0)
 
 
 def test_hypothesis_gate_clauses():
@@ -245,3 +273,38 @@ def test_hypothesis_gate_clauses():
     assert not gate["clauses"]["lam <= d/5"]
     gate = tail_hypotheses(n=6, d=5, lam=1.0, M=50, t=2)
     assert not gate["all_hold"]
+
+
+# ---------------------------------------------------------------------------
+# The CLI's bytes
+# ---------------------------------------------------------------------------
+
+# sha256 of the outputs below, recorded with the frozenset decomposition.
+# On T5x5 the cluster has 21 vertices and the core is [11, 12, 16].
+FLAWS_STDOUT_SHA256 = "2058f15279dd1b8bfb1e7f58ab54bf48eccf598d73b3939a65bd9681295d6147"
+RANGE_DUMP_SHA256 = {"flaws.jsonl": "4201d7c66552e4a27dc32afe8e24284ef4a148e527b02e407a3244a883f16213",
+                     "results.csv": "19153101c6c3e3b2d892699ae05c475446b7bfed250946897be93005d966c9d5"}
+
+
+def test_cli_flaws_pinned(tmp_path, capsys):
+    from liplab.cli import main
+
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"M": 1, "values": [-1, 0, 0, 0, -1, 0, 1, 1, 0, -1, 1, 2, 2, 1, 0, 1, 2, 1, 1,
+                                                   0, 0, 1, 1, 0, -1]}))
+    assert main(["flaws", "--graph", '{"family":"torus","sides":[5,5]}', "--function", str(path),
+                 "--anchor", "11", "--base", "-2"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == FLAWS_STDOUT_SHA256
+
+
+def test_range_experiment_flaw_dump_pinned(tmp_path, capsys):
+    from liplab.cli import main
+
+    path = tmp_path / "range.json"
+    path.write_text(json.dumps({
+        "schema": 1, "graph": {"family": "random-regular", "n": 30, "d": 3, "seed": 1}, "M": 2,
+        "mode": {"kind": "one-point", "v0": 0}, "sampler": {"kind": "glauber", "burn_in": 3000, "thinning": 30},
+        "samples": 40, "seed": 7, "dump_flaws": True}))
+    assert main(["experiment", "range", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    digests = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest() for name in RANGE_DUMP_SHA256}
+    assert digests == RANGE_DUMP_SHA256

@@ -1,9 +1,9 @@
-"""Property tests of the graph primitives and the adjacency spectrum against
-networkx on random connected graphs with at most 12 vertices, of the
-linked-set enumeration against `brute_linked_sets` on those with at most 9,
-and of the one-point count and enumeration against `brute_members` on those
-with at most 7.  Examples are derandomized, so the suite stays
-deterministic."""
+"""Property tests of the mask primitives, the boundary ordering and the
+adjacency spectrum against networkx on random connected graphs with at most
+12 vertices, of the linked-set enumeration against `brute_linked_sets` on
+those with at most 9, and of the one-point count and enumeration against
+`brute_members` on those with at most 7.  Examples are derandomized, so the
+suite stays deterministic."""
 
 import networkx as nx
 import numpy as np
@@ -12,16 +12,15 @@ from hypothesis import strategies as st
 
 from liplab.containers import enumerate_linked_sets
 from liplab.expanders import adjacency_spectrum
+from liplab.flaws import boundary_ordering, check_boundary_ordering
 from liplab.graphs import (
     Graph,
-    closure,
+    ball,
     is_k_linked,
     is_mutual_cover,
     linked_component_containing,
-    mask_neighborhood,
     mask_vertices,
     neighborhood,
-    outer_boundary,
     vertex_mask,
 )
 from liplab.lipschitz import EnsembleSpec, LipschitzFn, count_onepoint, enumerate_onepoint
@@ -50,7 +49,7 @@ def test_k_linked_components_match_the_induced_power(graphs, k, data):
     ys = data.draw(st.sets(st.integers(0, g.n - 1), max_size=g.n))
     for comp in nx.connected_components(nx.power(nxg, k).subgraph(ys)):
         for v in comp:
-            assert linked_component_containing(g, ys, k, v) == comp
+            assert set(mask_vertices(linked_component_containing(g, vertex_mask(ys), k, v))) == comp
 
 
 @PROPERTY_SETTINGS
@@ -58,36 +57,34 @@ def test_k_linked_components_match_the_induced_power(graphs, k, data):
 def test_graph_power_matches_networkx(graphs, k):
     g, nxg = graphs
     power = nx.power(nxg, k)
-    assert [set(s) for s in g.power_sets(k)] == [set(power[v]) for v in range(g.n)]
+    assert list(g.power_masks(k)) == [vertex_mask(power[v]) for v in range(g.n)]
 
 
 @PROPERTY_SETTINGS
 @given(connected_graphs(), st.integers(1, 4))
-def test_power_sets_match_networkx_balls(graphs, k):
+def test_power_masks_match_networkx_balls(graphs, k):
     g, nxg = graphs
     expected = [set(nx.single_source_shortest_path_length(nxg, v, cutoff=k)) - {v} for v in range(g.n)]
-    assert [set(s) for s in g.power_sets(k)] == expected
-    assert all(isinstance(s, frozenset) for s in g.power_sets(k))
+    assert [set(mask_vertices(m)) for m in g.power_masks(k)] == expected
 
 
 @PROPERTY_SETTINGS
-@given(connected_graphs(), st.integers(1, 4))
-def test_power_masks_match_power_sets_and_networkx(graphs, k):
+@given(connected_graphs(), st.integers(0, 4), st.data())
+def test_ball_matches_networkx(graphs, radius, data):
     g, nxg = graphs
-    power = nx.power(nxg, k)
-    assert list(g.power_masks(k)) == [vertex_mask(s) for s in g.power_sets(k)]
-    assert list(g.power_masks(k)) == [vertex_mask(power[v]) for v in range(g.n)]
+    v = data.draw(st.integers(0, g.n - 1))
+    assert mask_vertices(ball(g, v, radius)) == sorted(nx.single_source_shortest_path_length(nxg, v, cutoff=radius))
 
 
 @PROPERTY_SETTINGS
 @given(connected_graphs(), st.data())
 def test_masks_round_trip_and_match_the_set_operators(graphs, data):
-    g, _ = graphs
+    g, nxg = graphs
     xs = data.draw(st.sets(st.integers(0, g.n - 1), max_size=g.n))
     ys = data.draw(st.sets(st.integers(0, g.n - 1), max_size=g.n))
     assert mask_vertices(vertex_mask(xs)) == sorted(xs)
-    assert mask_neighborhood(g, vertex_mask(xs)) == vertex_mask(neighborhood(g, xs))
-    mutual = xs <= closure(g, ys) and ys <= closure(g, xs)
+    nbhd_x, nbhd_y = ({u for v in zs for u in nxg[v]} for zs in (xs, ys))
+    mutual = xs <= ys | nbhd_y and ys <= xs | nbhd_x
     assert is_mutual_cover(g, vertex_mask(xs), vertex_mask(ys)) == mutual
 
 
@@ -109,9 +106,9 @@ def test_linked_component_and_is_k_linked_match_the_induced_power(graphs, k, dat
     ys = data.draw(st.sets(st.integers(0, g.n - 1), max_size=g.n))
     v = data.draw(st.integers(0, g.n - 1))
     induced = nx.power(nxg, k).subgraph(ys)
-    expected = frozenset(nx.node_connected_component(induced, v)) if v in ys else frozenset()
-    assert linked_component_containing(g, ys, k, v) == expected
-    assert is_k_linked(g, ys, k) == (not ys or nx.is_connected(induced))
+    expected = nx.node_connected_component(induced, v) if v in ys else set()
+    assert set(mask_vertices(linked_component_containing(g, vertex_mask(ys), k, v))) == expected
+    assert is_k_linked(g, vertex_mask(ys), k) == (not ys or nx.is_connected(induced))
 
 
 @PROPERTY_SETTINGS
@@ -120,9 +117,22 @@ def test_boundary_operators_match_their_definitions(graphs, data):
     g, nxg = graphs
     xs = data.draw(st.sets(st.integers(0, g.n - 1), max_size=g.n))
     nbhd = {u for v in xs for u in nxg[v]}
-    assert neighborhood(g, xs) == nbhd
-    assert closure(g, xs) == nbhd | xs
-    assert outer_boundary(g, xs) == nbhd - xs
+    x = vertex_mask(xs)
+    assert set(mask_vertices(neighborhood(g, x))) == nbhd
+    assert set(mask_vertices(x | neighborhood(g, x))) == nbhd | xs  # closure
+    assert set(mask_vertices(neighborhood(g, x) & ~x)) == nbhd - xs  # outer boundary
+
+
+@PROPERTY_SETTINGS
+@given(connected_graphs(), st.data())
+def test_boundary_ordering_passes_its_check_on_4_linked_sets(graphs, data):
+    g, nxg = graphs
+    xs = data.draw(st.sets(st.integers(0, g.n - 1), min_size=1, max_size=g.n))
+    xs = nx.node_connected_component(nx.power(nxg, 4).subgraph(xs), min(xs))  # 4-linked
+    if len(xs | {u for v in xs for u in nxg[v]}) == g.n:
+        return  # the closure leaves no outside to start from
+    order = boundary_ordering(g, vertex_mask(xs))
+    assert check_boundary_ordering(g, vertex_mask(xs), order)["ok"]
 
 
 @PROPERTY_SETTINGS
