@@ -303,6 +303,8 @@ def _cmd_containers(args) -> int:
     profile = resolve_profile(g, _resolve_lambda_arg(args.lambda_source))
     if profile is None:
         raise ConfigError("container pipeline requires a regular graph")
+    if profile.d == 0:
+        raise ConfigError("container pipeline requires degree d >= 1, got d = 0")
     fam = build_container_family(
         g, args.vertex, args.boundary_size, args.linkage, args.psi, profile,
         seed=args.seed, budget=args.budget,

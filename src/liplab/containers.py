@@ -34,6 +34,7 @@ from .graphs import (
 )
 
 _TOL = 1e-9
+COVER_RETRY_CAP = 64  # sampling attempts per cover
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)  # math.exp overflows past this
 
 
@@ -62,7 +63,7 @@ def enumerate_linked_sets(
     prune = lambda x, nbhd: nbhd.bit_count() > boundary_size
     return [
         x
-        for x, nbhd in iter_rooted_connected_sets(link, g.neighbor_masks, v, budget=budget, prune=prune)
+        for x, nbhd in iter_rooted_connected_sets(link, g.neighbor_masks, v, prune, budget=budget)
         if nbhd.bit_count() == boundary_size
     ]
 
@@ -100,22 +101,19 @@ def build_mutual_cover(
     x: int,
     profile: ExpanderProfile,
     seed: int,
-    retry_cap: int = 64,
 ) -> CoverResult:
     """Construct a small mutual cover of the mask X inside N(X).
 
     High-degree boundary vertices are set aside, the rest of the boundary is
     sampled at rate p = ln(ell)/d with ell = (4*lam/sqrt(d))^4, and uncovered
     vertices of X each contribute their smallest neighbor.  Sampling repeats
-    on fresh seed streams until the size bound is met or the retry cap is
-    hit, in which case the smallest cover found is returned flagged.  At
-    p = 1 every draw keeps the whole pool and at p = 0 none of it, so a
-    random stream is drawn only when 0 < p < 1.
+    on fresh seed streams until the size bound is met or `COVER_RETRY_CAP`
+    attempts are made, in which case the smallest cover found is returned
+    flagged.  At p = 1 every draw keeps the whole pool and at p = 0 none of
+    it, so a random stream is drawn only when 0 < p < 1.
     """
     if not x:
         raise ValueError("X must be nonempty")
-    if retry_cap < 1:
-        raise ValueError("retry_cap must be >= 1")
     if not profile.matches(g):
         raise ValueError("profile does not match graph")
     d, lam = profile.d, profile.lam
@@ -127,11 +125,11 @@ def build_mutual_cover(
     x_vertices = mask_vertices(x)
 
     # One child stream per attempt, spawned only when needed: the i-th
-    # spawn(1) equals spawn(retry_cap)[i], at a fraction of the cost.
+    # spawn(1) equals spawn(COVER_RETRY_CAP)[i], at a fraction of the cost.
     root = np.random.SeedSequence(seed) if pool and 0.0 < p < 1.0 else None
     best: int | None = None
     attempts = 0
-    while attempts < retry_cap:
+    while attempts < COVER_RETRY_CAP:
         attempts += 1
         if root is None:
             y = vertex_mask(pool) if p >= 1.0 else 0

@@ -23,6 +23,8 @@ import numpy as np
 
 _NORM_TOL = 1e-12
 ENTROPY_TOL = 1e-10
+_COVER_WEIGHT_TOL = 1e-9
+TRIALS = 2  # random coarsenings of Y per pair (X, Y) in check (5)
 MAX_TABLE_CELLS = 1 << 24  # 128 MB of float64
 
 
@@ -234,7 +236,7 @@ def _random_tables(rngs: list, tables: list[tuple]) -> list[np.ndarray]:
     return out
 
 
-def _row_reports(pmfs: list[JointPmf], seeds: list, trials: int, tol: float) -> list[dict]:
+def _row_reports(pmfs: list[JointPmf], seeds: list) -> list[dict]:
     """The report of each pmf, checked together; see `check_entropy_properties`."""
     shape = pmfs[0].table.shape
     n = len(shape)
@@ -252,7 +254,7 @@ def _row_reports(pmfs: list[JointPmf], seeds: list, trials: int, tol: float) -> 
             f"over MAX_TABLE_CELLS = {MAX_TABLE_CELLS}"
         )
     stack = _Stack(np.stack([p.table for p in pmfs]), [p.supports for p in pmfs])
-    H = stack.entropy
+    H, tol = stack.entropy, ENTROPY_TOL
     batch = len(pmfs)
     rngs = [np.random.default_rng(np.random.SeedSequence(s)) for s in seeds]
     nonempty = [tuple(c) for r in range(1, n + 1) for c in itertools.combinations(range(n), r)]
@@ -278,10 +280,10 @@ def _row_reports(pmfs: list[JointPmf], seeds: list, trials: int, tol: float) -> 
 
     # (5)/(6) with explicit deterministic maps of the conditioning block.  Per
     # row, the random tables draw once per positive value, in sorted value
-    # order: `trials` tables of Y, then one of X, pair after pair.
+    # order: `TRIALS` tables of Y, then one of X, pair after pair.
     by_value = {block: stack.by_value(block) for pair in pairs for block in pair}
     random = _random_tables(rngs, [
-        spec for xs, ys in pairs for spec in ((*by_value[ys], 2, trials), (*by_value[xs], 3, 1))
+        spec for xs, ys in pairs for spec in ((*by_value[ys], 2, TRIALS), (*by_value[xs], 3, 1))
     ])
     for (xs, ys), y_codes, x_codes in zip(pairs, random[::2], random[1::2]):
         joint = stack.block(xs, ys)
@@ -295,7 +297,7 @@ def _row_reports(pmfs: list[JointPmf], seeds: list, trials: int, tol: float) -> 
             sub_shape = tuple(y_shape[i] for i in sub)
             maps.append((np.ravel_multi_index(tuple(y_axes[list(sub)]), sub_shape), math.prod(sub_shape)))
         onehot = [np.broadcast_to(_indicator(codes, width), (batch, n_y, width)) for codes, width in maps]
-        onehot += [_indicator(y_codes[:, t], 2) for t in range(trials)]  # width 2 even if one code is unused
+        onehot += [_indicator(y_codes[:, t], 2) for t in range(TRIALS)]  # width 2 even if one code is unused
         widths = [block.shape[2] for block in onehot]
         coarse = joint @ np.concatenate(onehot, axis=2)  # p(x, f(y)) for every map f, side by side
         per_column = _conditional_terms(coarse, coarse.sum(axis=1, keepdims=True)).sum(axis=1)
@@ -328,17 +330,18 @@ def _row_reports(pmfs: list[JointPmf], seeds: list, trials: int, tol: float) -> 
     return reports
 
 
-def check_entropy_properties(pmfs, trials: int = 3, seed=0, tol: float = ENTROPY_TOL) -> dict:
-    """Verify the standard entropy toolbox on one pmf, or on a list of pmfs
-    with equal support sizes checked together.
+def check_entropy_properties(pmfs: list[JointPmf], seeds: list) -> dict:
+    """Verify the standard entropy toolbox on a list of pmfs with equal
+    support sizes, checked together, one seed per pmf.
 
     Properties, over all applicable coordinate subsets: (1) image bound,
     (2) conditioning reduces entropy, (3) chain rule, (4) subadditivity given
     side information, (5) coarser conditioning increases conditional entropy
     (determined maps), (6) functions of the target add nothing, (7) triangle
     inequality.  Deterministic maps for (5)/(6) are coordinate projections,
-    constants, and `trials` random tables drawn from `SeedSequence(seed)`;
-    each is a lookup array over the cells of the block it maps.
+    constants, and `TRIALS` random tables drawn from the pmf's
+    `SeedSequence(seed)`; each is a lookup array over the cells of the block
+    it maps.
 
     The tables are stacked into one (B, *shape) array, so each marginal and
     conditional entropy is one axis sum over all pmfs, and all coarsenings
@@ -346,20 +349,17 @@ def check_entropy_properties(pmfs, trials: int = 3, seed=0, tol: float = ENTROPY
     all targets (X, f(X)) one more.  Each pmf keeps its own random stream,
     so its verdicts do not depend on the others in the batch.
 
-    One pmf with an int `seed` gives {"checked", "failures", "ok"}.  A list
-    with one seed per pmf gives the same keys plus "pmfs", and stops at the
+    The report has "checked", "failures", "ok" and "pmfs", and stops at the
     first pmf that fails: "pmfs" and the "checked" totals count the pmfs up
     to and including it, and its failures carry its index as "pmf".
     Raises ValueError when the stack would exceed MAX_TABLE_CELLS.
     """
-    if isinstance(pmfs, JointPmf):
-        return _row_reports([pmfs], [seed], trials, tol)[0]
     pmfs = list(pmfs)
-    if isinstance(seed, int):
+    if isinstance(seeds, int):
         raise ValueError("a list of pmfs needs a list of seeds, one per pmf")
     if not pmfs:
         return {"checked": dict.fromkeys(_PROPERTIES, 0), "failures": [], "ok": True, "pmfs": 0}
-    reports = _row_reports(pmfs, list(seed), trials, tol)
+    reports = _row_reports(pmfs, list(seeds))
     counted = next((k + 1 for k, report in enumerate(reports) if not report["ok"]), len(reports))
     last = reports[counted - 1]
     return {
@@ -398,7 +398,7 @@ class CoverWeights:
             if b == c and (a, d) not in pairs:
                 raise ValueError(f"order is not transitive: ({a},{b}),({c},{d}) need ({a},{d})")
 
-    def validate_for(self, n_coords: int, tol: float = 1e-9) -> None:
+    def validate_for(self, n_coords: int) -> None:
         for s in self.sets:
             if any(i < 0 or i >= n_coords for i in s):
                 raise ValueError(f"subset {sorted(s)} out of range")
@@ -407,11 +407,11 @@ class CoverWeights:
                 raise ValueError(f"order pair ({i},{j}) out of range")
         for i in range(n_coords):
             tot = sum(w for s, w in zip(self.sets, self.weights) if i in s)
-            if abs(tot - 1.0) > tol:
+            if abs(tot - 1.0) > _COVER_WEIGHT_TOL:
                 raise ValueError(f"coordinate {i} has cover weight {tot}, want 1")
 
 
-def shearer_check(p: JointPmf, cw: CoverWeights, tol: float = ENTROPY_TOL) -> dict:
+def shearer_check(p: JointPmf, cw: CoverWeights) -> dict:
     """Total entropy versus the weighted sum of conditional block entropies.
 
     The right side conditions each block on the coordinates that precede all
@@ -428,4 +428,4 @@ def shearer_check(p: JointPmf, cw: CoverWeights, tol: float = ENTROPY_TOL) -> di
         h = conditional_entropy(p, tuple(s), pred)
         rhs += w * h
         terms.append({"set": sorted(s), "weight": w, "given": pred, "term": h})
-    return {"lhs": lhs, "rhs": rhs, "pass": lhs <= rhs + tol, "terms": terms}
+    return {"lhs": lhs, "rhs": rhs, "pass": lhs <= rhs + ENTROPY_TOL, "terms": terms}

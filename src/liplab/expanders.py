@@ -20,6 +20,8 @@ from .graphs import Graph, bfs_distances
 EXHAUSTIVE_CAP = 22
 _CHUNK = 1 << 14  # subset rows per chunk: about 20 MB traced at n = 18
 _RESIDUAL_TOL = 1e-7
+_SAMPLES = 2000  # random subset rows A when n > EXHAUSTIVE_CAP
+_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -77,7 +79,7 @@ def _subset_chunks(n: int):
         yield ((masks[:, None] >> shifts) & 1).astype(np.float64)
 
 
-def exhaustive_lambda(g: Graph, cap: int = EXHAUSTIVE_CAP) -> ExpanderProfile:
+def exhaustive_lambda(g: Graph) -> ExpanderProfile:
     """Minimal feasible expansion constant over all pairs of nonempty subsets.
 
     e(S,T) counts edges with one endpoint in each set, twice when both ends
@@ -89,8 +91,8 @@ def exhaustive_lambda(g: Graph, cap: int = EXHAUSTIVE_CAP) -> ExpanderProfile:
     sweep over all subset pairs, bit for bit.
     """
     d = g.regular_degree()
-    if g.n > cap:
-        raise ValueError(f"exhaustive sweep capped at n={cap}, got n={g.n}")
+    if g.n > EXHAUSTIVE_CAP:
+        raise ValueError(f"exhaustive sweep capped at n={EXHAUSTIVE_CAP}, got n={g.n}")
     a = g.adjacency_matrix()
     t = np.arange(1, g.n + 1, dtype=np.float64)
     ratio_d_n = d / g.n
@@ -136,33 +138,37 @@ def _sampled_subsets(n: int, count: int, rng: np.random.Generator) -> np.ndarray
     return rows
 
 
-def verify_expander_props(
-    g: Graph,
-    profile: ExpanderProfile,
-    cap: int = EXHAUSTIVE_CAP,
-    sample_count: int = 2000,
-    seed: int = 0,
-    tol: float = 1e-9,
-) -> dict:
+def verify_expander_props(g: Graph, profile: ExpanderProfile, seed: int = 0) -> dict:
     """Check the structural consequences of an expansion certificate.
 
     Returns a report with one entry per check: joining-edge (large subset
     pairs meet), vertex-expansion, volume-growth, diameter-bound.  Status is
     pass/fail for exhaustive sweeps, ``sampled`` for passing sampled sweeps
-    on large graphs, ``skipped`` when a hypothesis gate fails.  A failure
-    under an exhaustively certified lam indicates an implementation bug.
+    on graphs above ``EXHAUSTIVE_CAP`` vertices, ``skipped`` when a
+    hypothesis gate fails (every check when d = 0).  A failure under an
+    exhaustively certified lam indicates an implementation bug.
     """
     if not profile.matches(g):
         raise ValueError("profile does not match graph")
     n, d, lam = g.n, profile.d, profile.lam
-    exhaustive = n <= cap
+    exhaustive = n <= EXHAUSTIVE_CAP
+    report = {"graph": g.name, "n": n, "d": d, "lam": lam, "method": profile.method,
+              "mode": "exhaustive" if exhaustive else "sampled"}
+
+    def skipped(name, reason="lam = 0"):
+        return {"name": name, "status": "skipped", "witness": None, "details": {"reason": reason}}
+
+    if d == 0:  # K1: every bound below divides by d
+        checks = [skipped(name, "d = 0")
+                  for name in ("joining-edge", "vertex-expansion", "volume-growth", "diameter-bound")]
+        return {**report, "checks": checks, "all_ok": True}
     checks = []
 
     if exhaustive:
         chunks = _subset_chunks(n)
     else:
         rng = np.random.default_rng(np.random.SeedSequence(seed))
-        chunks = [_sampled_subsets(n, sample_count, rng)]
+        chunks = [_sampled_subsets(n, _SAMPLES, rng)]
     ok_status = "pass" if exhaustive else "sampled"
 
     # (1) joining edge: |A||B| > (lam*n/d)^2 forces e(A,B) >= 1.  The sets B
@@ -180,24 +186,21 @@ def verify_expander_props(
         free = n - nb_sizes
         products = sizes * free
         worst = max(worst, float(products.max()))
-        bad = products > threshold + tol
+        bad = products > threshold + _TOL
         if join_witness is None and bad.any():
             i = int(np.argmax(bad))
-            k = next(k for k in range(1, int(free[i]) + 1) if sizes[i] * k > threshold + tol)
+            k = next(k for k in range(1, int(free[i]) + 1) if sizes[i] * k > threshold + _TOL)
             join_witness = {"S": np.flatnonzero(rows[i]).tolist(), "T": np.flatnonzero(~reached[i])[:k].tolist(),
                             "product": float(sizes[i] * k), "threshold": threshold}
         if lam != 0 and expansion_witness is None:
             lhs = nb_sizes / sizes
             rhs = ((d / lam) * (1.0 - nb_sizes / n)) ** 2
-            bad = lhs < rhs - tol
+            bad = lhs < rhs - _TOL
             if bad.any():
                 i = int(np.argmax(bad))
                 expansion_witness = {"A": np.flatnonzero(rows[i]).tolist(), "ratio": float(lhs[i]), "bound": float(rhs[i])}
     checks.append({"name": "joining-edge", "status": "fail" if join_witness else ok_status, "witness": join_witness,
                    "details": {"threshold": threshold, "max_product_without_edge": worst or None}})
-
-    def skipped(name):
-        return {"name": name, "status": "skipped", "witness": None, "details": {"reason": "lam = 0"}}
 
     checks.append(skipped("vertex-expansion") if lam == 0 else
                   {"name": "vertex-expansion", "status": "fail" if expansion_witness else ok_status,
@@ -219,7 +222,7 @@ def verify_expander_props(
             except OverflowError:  # (d/2lam)^(2t) is past every ball size
                 bounds.append(n / 2.0)
         balls = np.array([np.cumsum(np.pad(shell, (0, diam + 1 - len(shell)))) for shell in shells])
-        bad = balls < np.array(bounds) - tol
+        bad = balls < np.array(bounds) - _TOL
         witness = None
         if bad.any():
             v, t = divmod(int(np.argmax(bad)), diam + 1)
@@ -238,7 +241,7 @@ def verify_expander_props(
         )
     else:
         bound = math.log(n) / math.log(d / (2.0 * lam))
-        ok = diam <= bound + tol
+        ok = diam <= bound + _TOL
         checks.append(
             {
                 "name": "diameter-bound",
@@ -248,13 +251,4 @@ def verify_expander_props(
             }
         )
 
-    return {
-        "graph": g.name,
-        "n": n,
-        "d": d,
-        "lam": lam,
-        "method": profile.method,
-        "mode": "exhaustive" if exhaustive else "sampled",
-        "checks": checks,
-        "all_ok": all(c["status"] != "fail" for c in checks),
-    }
+    return {**report, "checks": checks, "all_ok": all(c["status"] != "fail" for c in checks)}

@@ -827,6 +827,10 @@ def check_containers(sg: SuiteGraph, ctx: VerifyContext) -> list[dict]:
     from .containers import build_container_family, check_pair_size_bound
 
     d = sg.spectral.d
+    if d < 2:  # psi = 1 needs 1 <= d/2
+        reason = f"psi = 1 lies outside [1, d/2] = [1, {d / 2}]"
+        return [_row(check, sg.name, "skipped", reason=reason)
+                for check in ("container-covering", "pair-size-bound")]
     pipeline_fail = pair_bound_fail = None
     for k in (1, 4):
         fam = build_container_family(sg.g, 0, d, k, 1.0, sg.profile, seed=ctx.seed, budget=ctx.budget)
@@ -853,7 +857,7 @@ def check_entropy(ctx: VerifyContext) -> list[dict]:
     hand_built = [JointPmf.xor_triple(), JointPmf.independent_uniform_bits(3)]
     for pmfs, pmf_seeds, name in ((random_pmfs, seeds, None),
                                   (hand_built, [ctx.seed, ctx.seed], "hand-constructed")):
-        report = check_entropy_properties(pmfs, trials=2, seed=pmf_seeds)
+        report = check_entropy_properties(pmfs, pmf_seeds)
         n_pmfs += report["pmfs"]
         n_checks += sum(report["checked"].values())
         if not report["ok"]:
@@ -936,8 +940,9 @@ SUITE_CHECKS = (check_entropy, check_cover_inequality, check_detailed_balance, c
 def run_checks(graphs: list[Graph], ctx: VerifyContext, graph_checks: tuple,
                suite_checks: tuple) -> tuple[list[dict], dict]:
     """The rows of `graph_checks` on each regular graph in turn, then of
-    `suite_checks`, on `ctx`'s one stream (a graph that is not regular gets
-    one skipped row), and each check's wall time summed under its name."""
+    `suite_checks`, on `ctx`'s one stream (a graph that is not regular, or
+    of degree 0, gets one skipped row), and each check's wall time summed
+    under its name."""
     elapsed = dict.fromkeys((c.__name__ for c in graph_checks + suite_checks), 0.0)
 
     def timed(check, *args):
@@ -949,8 +954,9 @@ def run_checks(graphs: list[Graph], ctx: VerifyContext, graph_checks: tuple,
     rows: list[dict] = []
     for g in graphs:
         sg = SuiteGraph(g)
-        if not g.is_regular():
-            rows.append(_row("expander-certificate", sg.name, "skipped", reason="graph not regular"))
+        if not g.is_regular() or g.regular_degree() == 0:
+            reason = "d = 0" if g.is_regular() else "graph not regular"
+            rows.append(_row("expander-certificate", sg.name, "skipped", reason=reason))
             continue
         for check in graph_checks:
             rows.extend(timed(check, sg, ctx))

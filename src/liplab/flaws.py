@@ -29,7 +29,7 @@ from .graphs import (
 from .lipschitz import (
     LipschitzFn,
     enumerate_onepoint,
-    flaw_allowance_ok,
+    flaw_cap,
     flaw_count,
     marginal_groundstate,
 )
@@ -98,6 +98,7 @@ def verify_ground_state_lemma(
     within the flaw allowance; reports the worst-case allowance usage."""
     d = g.regular_degree()
     allowance = 2.0 * float(lam) / d * g.n
+    cap = flaw_cap(g.n, d, lam)
     checked = 0
     failures = []
     worst_ratio = 0.0
@@ -106,7 +107,7 @@ def verify_ground_state_lemma(
         checked += 1
         lo, hi = min(f.values) - M, max(f.values)
         best = min(flaw_count(f, k) for k in range(lo, hi + 1))
-        ok = flaw_allowance_ok(best, g.n, d, lam)
+        ok = best <= cap
         ratio = best / allowance if allowance > 0 else (0.0 if best == 0 else math.inf)
         if ratio > worst_ratio:
             worst_ratio = ratio
@@ -220,17 +221,11 @@ def tail_hypotheses(n: int, d: int, lam: float, M: int, t: int | None = None,
     }
 
 
-def tail_bound(g: Graph, anchor: int, t: int, M: int) -> float:
-    """2 ** (-|ball(anchor, t-1)| / (5M))."""
-    radius = max(t - 1, 0)
-    return 2.0 ** (-ball(g, anchor, radius).bit_count() / (5.0 * M))
-
-
 def tail_rows(g: Graph, M: int, lam, anchor: int, t_values, marginal, k: int,
               c: float, C: float) -> list[dict]:
     """Tail P(f(anchor) > k + tM + 1) for each t, read off `marginal` (the
     number of functions per value of f(anchor)), next to the theoretical
-    bound.  A row is asserted when the hypothesis gate holds; otherwise both
+    bound 2 ** (-|ball(anchor, t-1)| / (5M)).  A row is asserted when the hypothesis gate holds; otherwise both
     sides are informational.
     """
     d = g.regular_degree()
@@ -240,7 +235,8 @@ def tail_rows(g: Graph, M: int, lam, anchor: int, t_values, marginal, k: int,
         threshold = k + t * M + 1
         above = sum(members for value, members in marginal.items() if value > threshold)
         prob = above / total if total else 0.0
-        bound = tail_bound(g, anchor, t, M)
+        ball_size = ball(g, anchor, max(t - 1, 0)).bit_count()
+        bound = 2.0 ** (-ball_size / (5.0 * M))
         gate = tail_hypotheses(g.n, d, float(lam), M, t=t, c=c, C=C)
         row = {
             "t": t,
@@ -249,7 +245,7 @@ def tail_rows(g: Graph, M: int, lam, anchor: int, t_values, marginal, k: int,
             "count_above": above,
             "ensemble_size": total,
             "bound": bound,
-            "ball_size": ball(g, anchor, max(t - 1, 0)).bit_count(),
+            "ball_size": ball_size,
             "hypotheses_hold": gate["all_hold"],
             "hypotheses": gate["clauses"],
             "asserted": gate["all_hold"],

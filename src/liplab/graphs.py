@@ -19,6 +19,7 @@ import numpy as np
 from .errors import BudgetExceededError, ConfigError, GenerationError
 
 DEFAULT_NODE_BUDGET = 10_000_000
+RANDOM_REGULAR_RETRY_CAP = 1000  # configuration-model pairings per graph
 
 
 class Graph:
@@ -74,10 +75,6 @@ class Graph:
             adj[v].add(u)
         return cls(adj, name=name)
 
-    @property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        return self._adj
-
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._adj[v]
 
@@ -119,9 +116,6 @@ class Graph:
             ends.flags.writeable = False
             self._edge_index = (ends[0], ends[1])
         return self._edge_index
-
-    def degree(self, v: int) -> int:
-        return len(self._adj[v])
 
     @property
     def degrees(self) -> tuple[int, ...]:
@@ -295,8 +289,8 @@ def iter_rooted_connected_sets(
     link_masks: Sequence[int],
     nbr_masks: Sequence[int],
     root: int,
+    prune: Callable[[int, int], bool],
     budget: int = DEFAULT_NODE_BUDGET,
-    prune=None,
 ) -> Iterator[tuple[int, int]]:
     """Yield `(X, N(X))` once for every vertex set X containing `root` that is
     connected in the graph with adjacency masks `link_masks` (possibly a
@@ -309,7 +303,7 @@ def iter_rooted_connected_sets(
     stack, so its depth is not bounded by the recursion limit.
     """
     start, start_nbhd = 1 << root, nbr_masks[root]
-    if prune is not None and prune(start, start_nbhd):
+    if prune(start, start_nbhd):
         return
     # (X, N(X), members' link neighbours, banned candidates)
     stack = [(start, start_nbhd, link_masks[root], 0)]
@@ -324,7 +318,7 @@ def iter_rooted_connected_sets(
         children = []
         for c in mask_vertices(ext):
             child, child_nbhd = x | 1 << c, nbhd | nbr_masks[c]
-            if prune is None or not prune(child, child_nbhd):
+            if not prune(child, child_nbhd):
                 children.append((child, child_nbhd, reach | link_masks[c], banned | ext & ((1 << c) - 1)))
         stack.extend(reversed(children))
 
@@ -428,11 +422,12 @@ def petersen_graph() -> Graph:
     return Graph.from_edges(10, outer + inner + spokes, name="Petersen")
 
 
-def random_regular_graph(n: int, d: int, seed: int, retry_cap: int = 1000) -> Graph:
+def random_regular_graph(n: int, d: int, seed: int) -> Graph:
     """Random d-regular graph via the configuration model with rejection.
 
     Pairings with loops or parallel edges, and disconnected outcomes, are
-    rejected and retried; deterministic for a fixed seed.
+    rejected and retried, up to `RANDOM_REGULAR_RETRY_CAP` pairings;
+    deterministic for a fixed seed.
     """
     if n * d % 2 != 0:
         raise GenerationError(f"n*d must be even, got n={n}, d={d}")
@@ -440,7 +435,7 @@ def random_regular_graph(n: int, d: int, seed: int, retry_cap: int = 1000) -> Gr
         raise GenerationError(f"need 0 < d < n, got n={n}, d={d}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     attempts = 0
-    while attempts < retry_cap:
+    while attempts < RANDOM_REGULAR_RETRY_CAP:
         attempts += 1
         stubs = np.repeat(np.arange(n), d)
         rng.shuffle(stubs)

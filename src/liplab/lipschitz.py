@@ -44,9 +44,6 @@ class LipschitzFn:
         if self.M < 0:
             raise ValueError("M must be nonnegative")
 
-    def shift(self, c: int) -> "LipschitzFn":
-        return LipschitzFn(tuple(v + c for v in self.values), self.M)
-
     def reflect(self, k: int) -> "LipschitzFn":
         """The involution f -> -f + k + M pairing the ensembles based at k and 0."""
         return LipschitzFn(tuple(-v + k + self.M for v in self.values), self.M)
@@ -110,14 +107,10 @@ class CountResult:
 # Flaw-allowance arithmetic
 # ---------------------------------------------------------------------------
 
-def flaw_allowance_ok(count: int, n: int, d: int, lam) -> bool:
-    """count <= (2*lam/d)*n; for an integer count, count <= `flaw_cap`."""
-    return count <= flaw_cap(n, d, lam)
-
-
 def flaw_cap(n: int, d: int, lam) -> int:
     """Largest admissible flaw count: floor of (2*lam/d)*n, exactly when lam
-    is rational, else with slack."""
+    is rational, else with slack.  An integer count is within the allowance
+    (2*lam/d)*n exactly when it is at most this cap."""
     if isinstance(lam, (int, Fraction)):
         return math.floor(Fraction(2 * lam * n, d))
     return math.floor(2.0 * lam / d * n + _SLACK)
@@ -437,18 +430,6 @@ class ExactSampler:
         uniform ranks."""
         return _unrank(self._dp, self._rows, _ranks(rng, self.total, count))
 
-    def unrank(self, ranks) -> list[LipschitzFn]:
-        """The members of the given ranks, each an integer in [0, total);
-        anything else (a float, a bool, a string) is a `ValueError`."""
-        exact = []
-        for r in ranks:
-            if isinstance(r, bool) or not isinstance(r, (int, np.integer)):
-                raise ValueError(f"rank {r!r} is not an integer")
-            exact.append(int(r))
-        if exact and not (0 <= min(exact) and max(exact) < self.total):
-            raise ValueError(f"ranks must lie in [0, {self.total})")
-        return _unrank(self._dp, self._rows, exact)
-
 
 def _unrank(dp: _FrontierDP, rows: list[_Layer], ranks) -> list[LipschitzFn]:
     """The members of `ranks`, valid ranks of the layers `rows` that
@@ -663,9 +644,9 @@ def ground_states(g: Graph, f: LipschitzFn, lam) -> set[int]:
     every vertex flawed, which qualifies only when the allowance is >= n
     (and then bases outside the occupied range carry no information).
     """
-    d = g.regular_degree()
+    cap = flaw_cap(g.n, g.regular_degree(), lam)
     lo, hi = min(f.values) - f.M, max(f.values)
-    return {k for k in range(lo, hi + 1) if flaw_allowance_ok(flaw_count(f, k), g.n, d, lam)}
+    return {k for k in range(lo, hi + 1) if flaw_count(f, k) <= cap}
 
 
 def min_ground_state(g: Graph, f: LipschitzFn, lam) -> int:

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+import liplab.containers as containers
 from liplab.containers import (
     ApproxPair,
     build_container_family,
@@ -172,20 +173,24 @@ def eager_stream_cover(g, x, profile, seed, retry_cap):
     return best, attempts
 
 
-def test_cover_retry_streams_match_eager_spawn():
+def test_cover_retry_streams_match_eager_spawn(monkeypatch):
     # An asserted lam with 4*lam/sqrt(d) = 1.1 samples the boundary at rate
     # ~0.13 against a bound of ~0.32 |N(X)|, so most attempts miss the bound.
     g = random_regular_graph(18, 3, seed=1)
     prof = asserted_profile(g, 1.1 * np.sqrt(3) / 4)
-    multi = 0
+    multi = exhausted = 0
     for xs in ({0, 1}, {0, 2, 5}, {1, 3, 7, 9}):
         for seed in range(4):
             for cap in (5, 64):
-                res = build_mutual_cover(g, vertex_mask(xs), prof, seed=seed, retry_cap=cap)
+                monkeypatch.setattr(containers, "COVER_RETRY_CAP", cap)
+                res = build_mutual_cover(g, vertex_mask(xs), prof, seed=seed)
                 assert (frozenset(mask_vertices(res.members)), res.attempts) == eager_stream_cover(
                     g, frozenset(xs), prof, seed, cap)
                 multi += res.attempts > 1
+                exhausted += res.attempts == cap and not res.met_bound
     assert multi >= 12
+    assert exhausted == 8  # X = {0, 1} misses the bound at every seed and cap
+    monkeypatch.undo()
     # covers chosen when every stream was spawned up front
     picks = [mask_vertices(build_mutual_cover(g, vertex_mask({0, 1}), prof, seed=s).members)
              for s in range(3)]
@@ -195,7 +200,7 @@ def test_cover_retry_streams_match_eager_spawn():
 
 
 @pytest.mark.parametrize("lam, p, met", [(None, 1.0, True), (0.3, 0.0, False)])
-def test_cover_without_draws_matches_eager_spawn(lam, p, met):
+def test_cover_without_draws_matches_eager_spawn(monkeypatch, lam, p, met):
     # At p = 1 (spectral lam = 2.56) every draw keeps the whole pool, and at
     # p = 0 (4*lam/sqrt(d) < 1, so ell < 1 and a negative bound) none of it:
     # the cover that draws no stream equals the oracle that draws them all.
@@ -205,7 +210,8 @@ def test_cover_without_draws_matches_eager_spawn(lam, p, met):
     assert (min(1.0, np.log(ell) / prof.d) if ell > 1.0 else 0.0) == p
     for x in enumerate_linked_sets(g, 0, 8, 2):
         for seed, cap in ((0, 5), (3, 64)):
-            res = build_mutual_cover(g, x, prof, seed=seed, retry_cap=cap)
+            monkeypatch.setattr(containers, "COVER_RETRY_CAP", cap)
+            res = build_mutual_cover(g, x, prof, seed=seed)
             assert (frozenset(mask_vertices(res.members)), res.attempts) == eager_stream_cover(
                 g, frozenset(mask_vertices(x)), prof, seed, cap)
             assert res.met_bound == met
@@ -403,3 +409,12 @@ def test_cli_containers_pinned(lam, tmp_path, capsys):
     stdout = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     family = hashlib.sha256((tmp_path / "family.jsonl").read_bytes()).hexdigest()
     assert (stdout, family) == CONTAINERS_DIGESTS[lam]
+
+
+def test_cli_containers_refuses_degree_0(capsys):
+    from liplab.cli import main
+
+    # K1 is regular of degree 0: the cover sampling rate ln(ell)/d is undefined
+    assert main(["containers", "--graph", '{"family":"complete","n":1}', "--boundary-size", "0",
+                 "--linkage", "1"]) == 2
+    assert capsys.readouterr().err == "error: container pipeline requires degree d >= 1, got d = 0\n"

@@ -99,31 +99,31 @@ def test_conditional_chain_identity():
 # ---------------------------------------------------------------------------
 
 def test_properties_on_xor():
-    report = check_entropy_properties(JointPmf.xor_triple(), trials=3, seed=1)
+    report = check_entropy_properties([JointPmf.xor_triple()], [1])
     assert report["ok"], report["failures"][:3]
     assert all(v > 0 for v in report["checked"].values())
 
 
 def test_properties_on_independent_bits():
-    report = check_entropy_properties(JointPmf.independent_uniform_bits(3), trials=2, seed=2)
+    report = check_entropy_properties([JointPmf.independent_uniform_bits(3)], [2])
     assert report["ok"]
 
 
 def test_properties_random_fuzz():
     seeds = list(range(60))
     pmfs = [JointPmf.random([(0, 1), (0, 1, 2), (0, 1)], seed=seed) for seed in seeds]
-    report = check_entropy_properties(pmfs, trials=2, seed=seeds)
+    report = check_entropy_properties(pmfs, seeds)
     assert report["ok"], report["failures"][:2]
     assert report["pmfs"] == 60
 
 
 def test_properties_coordinate_cap():
     with pytest.raises(ValueError, match="4"):
-        check_entropy_properties(JointPmf.independent_uniform_bits(5))
+        check_entropy_properties([JointPmf.independent_uniform_bits(5)], [0])
 
 
 def test_properties_checked_counts_pinned():
-    report = check_entropy_properties(JointPmf.xor_triple(), trials=2, seed=0)
+    report = check_entropy_properties([JointPmf.xor_triple()], [0])
     assert report["checked"] == {
         "image": 7, "cond_reduces": 12, "chain": 12, "subadd": 3,
         "coarsen": 51, "function": 24, "triangle": 6,
@@ -141,7 +141,7 @@ def verify_pmfs(seed=0):
 def test_properties_verify_set_total():
     total = 0
     for pmfs, seeds in verify_pmfs(seed=0):
-        report = check_entropy_properties(pmfs, trials=2, seed=seeds)
+        report = check_entropy_properties(pmfs, seeds)
         assert report["ok"]
         assert report["pmfs"] == len(pmfs)
         total += sum(report["checked"].values())
@@ -154,7 +154,7 @@ def test_chain_check_is_not_vacuous(monkeypatch):
     kernel = entropy_module._conditional_terms
     monkeypatch.setattr(entropy_module, "_conditional_terms", lambda joint, given: kernel(joint, given) + 1e-6)
     p = JointPmf.random([(0, 1), (0, 1, 2), (0, 1)], seed=3)
-    report = check_entropy_properties(p, trials=2, seed=0)
+    report = check_entropy_properties([p], [0])
     assert not report["ok"]
     assert any(f["property"] == "chain" for f in report["failures"])
 
@@ -256,20 +256,24 @@ def mixed_batch():
 # (and the chain and function checks always), so the reports list failures
 # that depend on each pmf's table and on its random maps.
 @pytest.mark.parametrize("tol", [TOL, -1e-9])
-def test_batch_rows_match_single_checks_on_mixed_batch(tol):
+def test_batch_rows_match_single_checks_on_mixed_batch(monkeypatch, tol):
+    monkeypatch.setattr(entropy_module, "ENTROPY_TOL", tol)
     pmfs, seeds = mixed_batch(), [5, 6, 7, 8]
-    rows = entropy_module._row_reports(pmfs, seeds, 3, tol)
-    alone = [check_entropy_properties(p, trials=3, seed=s, tol=tol) for p, s in zip(pmfs, seeds)]
-    assert rows == alone == [reference_properties(p, 3, s, tol) for p, s in zip(pmfs, seeds)]
+    rows = entropy_module._row_reports(pmfs, seeds)
+    alone = [entropy_module._row_reports([p], [s])[0] for p, s in zip(pmfs, seeds)]
+    trials = entropy_module.TRIALS
+    assert rows == alone == [reference_properties(p, trials, s, tol) for p, s in zip(pmfs, seeds)]
     if tol < 0:
         assert len({len(report["failures"]) for report in rows}) == len(rows)
 
 
-def test_batch_rows_match_single_checks_on_verify_pmfs():
+def test_batch_rows_match_single_checks_on_verify_pmfs(monkeypatch):
+    monkeypatch.setattr(entropy_module, "ENTROPY_TOL", -1e-9)
     (pmfs, seeds), _ = verify_pmfs(seed=0)
-    rows = entropy_module._row_reports(pmfs, seeds, 2, -1e-9)
-    alone = [check_entropy_properties(p, trials=2, seed=s, tol=-1e-9) for p, s in zip(pmfs, seeds)]
-    assert rows == alone == [reference_properties(p, 2, s, -1e-9) for p, s in zip(pmfs, seeds)]
+    rows = entropy_module._row_reports(pmfs, seeds)
+    alone = [entropy_module._row_reports([p], [s])[0] for p, s in zip(pmfs, seeds)]
+    trials = entropy_module.TRIALS
+    assert rows == alone == [reference_properties(p, trials, s, -1e-9) for p, s in zip(pmfs, seeds)]
     assert len({len(report["failures"]) for report in rows}) > 1
 
 
@@ -291,7 +295,7 @@ def test_random_tables_equal_scalar_draws():
 
 def test_list_report_stops_at_first_failing_pmf(monkeypatch):
     pmfs, seeds = mixed_batch(), [5, 6, 7, 8]
-    per_pmf = sum(check_entropy_properties(pmfs[0], trials=2, seed=5)["checked"].values())
+    per_pmf = sum(check_entropy_properties([pmfs[0]], [5])["checked"].values())
     kernel = entropy_module._conditional_terms
 
     def fault_in_row_2(joint, given):
@@ -300,7 +304,7 @@ def test_list_report_stops_at_first_failing_pmf(monkeypatch):
         return terms
 
     monkeypatch.setattr(entropy_module, "_conditional_terms", fault_in_row_2)
-    report = check_entropy_properties(pmfs, trials=2, seed=seeds)
+    report = check_entropy_properties(pmfs, seeds)
     assert not report["ok"]
     assert report["pmfs"] == 3
     assert sum(report["checked"].values()) == 3 * per_pmf
@@ -311,19 +315,19 @@ def test_list_report_stops_at_first_failing_pmf(monkeypatch):
 def test_list_input_validation(monkeypatch):
     bits = JointPmf.independent_uniform_bits(3)
     with pytest.raises(ValueError, match="equal support sizes"):
-        check_entropy_properties([bits, JointPmf.independent_uniform_bits(2)], seed=[0, 0])
+        check_entropy_properties([bits, JointPmf.independent_uniform_bits(2)], [0, 0])
     with pytest.raises(ValueError, match="one seed per pmf"):
-        check_entropy_properties([bits, bits], seed=[0])
+        check_entropy_properties([bits, bits], [0])
     with pytest.raises(ValueError, match="list of seeds"):
-        check_entropy_properties([bits, bits], seed=0)
-    empty = check_entropy_properties([], seed=[])
+        check_entropy_properties([bits, bits], 0)
+    empty = check_entropy_properties([], [])
     assert empty == {"checked": dict.fromkeys(empty["checked"], 0), "failures": [], "ok": True, "pmfs": 0}
     assert len(empty["checked"]) == 7
     # the stack guard: B x cells against the cap, before any table is stacked
     monkeypatch.setattr(entropy_module, "MAX_TABLE_CELLS", 20)
-    assert check_entropy_properties([bits, bits], trials=1, seed=[0, 1])["ok"]
+    assert check_entropy_properties([bits, bits], [0, 1])["ok"]
     with pytest.raises(ValueError, match="24 table cells, over MAX_TABLE_CELLS = 20"):
-        check_entropy_properties([bits, bits, bits], trials=1, seed=[0, 1, 2])
+        check_entropy_properties([bits, bits, bits], [0, 1, 2])
 
 
 # ---------------------------------------------------------------------------

@@ -118,7 +118,7 @@ def test_exhaustive_below_spectral():
 
 def test_exhaustive_cap():
     with pytest.raises(ValueError, match="capped"):
-        exhaustive_lambda(random_regular_graph(16, 3, seed=0), cap=14)
+        exhaustive_lambda(random_regular_graph(EXHAUSTIVE_CAP + 2, 3, seed=0))
 
 
 def test_full_sets_never_bind(k6):
@@ -168,8 +168,8 @@ def test_props_fail_with_bogus_lambda(petersen):
 
 
 def test_props_sampled_mode():
-    g = random_regular_graph(18, 4, seed=1)
-    report = verify_expander_props(g, spectral_lambda(g), cap=14, sample_count=300, seed=5)
+    g = random_regular_graph(EXHAUSTIVE_CAP + 2, 4, seed=1)
+    report = verify_expander_props(g, spectral_lambda(g), seed=5)
     assert report["mode"] == "sampled"
     statuses = {c["name"]: c["status"] for c in report["checks"]}
     assert statuses["joining-edge"] in ("sampled", "fail")
@@ -329,16 +329,17 @@ def test_volume_growth_bound_past_float_range(petersen):
     assert _check(report, "volume-growth")["witness"] == {"v": 0, "t": 1, "ball": 4, "bound": 5.0}
 
 
-def test_sampled_rows_meet_every_subset(petersen):
+def test_sampled_rows_meet_every_subset():
     # sampled rows A are checked against every B, so a sampled witness is a
     # genuine edge-free pair above the threshold
-    report = verify_expander_props(petersen, asserted_profile(petersen, 0.5), cap=8, sample_count=50, seed=3)
+    g = random_regular_graph(EXHAUSTIVE_CAP + 2, 3, seed=1)
+    report = verify_expander_props(g, asserted_profile(g, 0.5), seed=3)
     assert report["mode"] == "sampled"
     witness = _check(report, "joining-edge")["witness"]
     s, t = set(witness["S"]), set(witness["T"])
-    assert not any(set(petersen.neighbors(v)) & t for v in s)
+    assert not any(set(g.neighbors(v)) & t for v in s)
     assert len(s) * len(t) == witness["product"] > witness["threshold"]
-    certified = verify_expander_props(petersen, exhaustive_lambda(petersen), cap=8, sample_count=50, seed=3)
+    certified = verify_expander_props(g, spectral_lambda(g), seed=3)
     assert _check(certified, "joining-edge")["status"] == "sampled"
 
 
@@ -371,6 +372,17 @@ def test_cli_spectrum_props_pinned(graph, capsys):
     assert main(["spectrum", "--graph", graph, "--exhaustive", "--props"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == SPECTRUM_DIGESTS[graph]
+
+
+def test_cli_spectrum_props_skips_every_check_at_degree_0(capsys):
+    # K1 is 0-regular: every bound divides by d, so each check is skipped
+    assert main(["spectrum", "--graph", '{"family":"complete","n":1}', "--props"]) == 0
+    props = json.loads(capsys.readouterr().out)["props"]
+    assert props["all_ok"] and props["d"] == 0
+    assert [(c["name"], c["status"], c["details"]) for c in props["checks"]] == [
+        (name, "skipped", {"reason": "d = 0"})
+        for name in ("joining-edge", "vertex-expansion", "volume-growth", "diameter-bound")
+    ]
 
 
 def test_exhaustive_refused_above_cap(tmp_path, capsys):

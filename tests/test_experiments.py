@@ -35,7 +35,7 @@ from liplab.experiments import (
 )
 from liplab.flaws import conditional_tail_profile
 from liplab.graphs import DEFAULT_NODE_BUDGET, complete_graph
-from liplab.lipschitz import count_onepoint, enumerate_onepoint, fn_range
+from liplab.lipschitz import LipschitzFn, count_onepoint, enumerate_onepoint, fn_range
 from tests.conftest import CountingGenerator, reference_glauber
 
 
@@ -588,6 +588,29 @@ def test_cli_verify_small(capsys):
     assert "0 fail" in out
 
 
+def test_cli_verify_degree_0_graph_gets_one_skipped_row(tmp_path, capsys):
+    # K1 is 0-regular: the graph checks divide by d, so K1 is skipped as a
+    # non-regular graph is
+    assert main(["verify", "--graph", '{"family":"complete","n":1}', "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    suite = json.loads((tmp_path / "verify_report.json").read_text())
+    assert suite["n_fail"] == 0
+    assert [r for r in suite["rows"] if r["graph"] == "K1"] == [
+        {"check": "expander-certificate", "graph": "K1", "status": "skipped", "reason": "d = 0"}]
+
+
+def test_cli_verify_1_regular_graph_skips_the_containers(tmp_path, capsys):
+    # the container checks refine at psi = 1, outside [1, d/2] when d = 1
+    assert main(["verify", "--graph", '{"family":"complete","n":2}', "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    suite = json.loads((tmp_path / "verify_report.json").read_text())
+    assert (suite["n_pass"], suite["n_fail"], suite["n_skipped"]) == (11, 0, 6)
+    reason = "psi = 1 lies outside [1, d/2] = [1, 0.5]"
+    containers = ("container-covering", "pair-size-bound")
+    assert [r for r in suite["rows"] if r["check"] in containers] == [
+        {"check": check, "graph": "K2", "status": "skipped", "reason": reason} for check in containers]
+
+
 def test_cli_internal_error_exit_code(monkeypatch, capsys):
     import liplab.cli as cli
 
@@ -618,12 +641,8 @@ def test_verify_entropy_row_stops_at_first_failing_pmf(monkeypatch):
     from liplab.entropy import JointPmf, check_entropy_properties
 
     k = 7
-    expected_checks = sum(
-        sum(check_entropy_properties(
-            JointPmf.random([(0, 1), (0, 1, 2), (0, 1)], seed=s), trials=2, seed=s
-        )["checked"].values())
-        for s in range(k + 1)
-    )
+    pmfs = [JointPmf.random([(0, 1), (0, 1, 2), (0, 1)], seed=s) for s in range(k + 1)]
+    expected_checks = sum(check_entropy_properties(pmfs, list(range(k + 1)))["checked"].values())
     kernel = entropy_module._conditional_terms
 
     def fault_in_pmf_k(joint, given):
@@ -637,7 +656,7 @@ def test_verify_entropy_row_stops_at_first_failing_pmf(monkeypatch):
     monkeypatch.setattr(entropy_module, "_conditional_terms", fault_in_pmf_k)
     monkeypatch.setattr(
         entropy_module, "check_entropy_properties",
-        lambda pmfs, **kwargs: calls.append(len(pmfs)) or checker(pmfs, **kwargs),
+        lambda pmfs, seeds: calls.append(len(pmfs)) or checker(pmfs, seeds),
     )
     (row,) = check_entropy(VerifyContext(seed=0))
     assert calls == [150]  # the hand-built pmfs are not checked
@@ -1270,7 +1289,7 @@ def test_verify_fails_rows_on_wrong_members_in_the_right_number(monkeypatch, cap
     counts stay right, but enumerated members come out unanchored and not
     Lipschitz."""
     from liplab import lipschitz
-    from liplab.lipschitz import LipschitzFn, validate
+    from liplab.lipschitz import validate
 
     sweep = lipschitz._FrontierDP.sweep
 
@@ -1311,7 +1330,8 @@ def test_count_enumeration_fails_on_a_bad_last_member(monkeypatch, last):
     (row,) = check_count_enumeration(sg, VerifyContext())
     assert row == {"check": "count-enumeration-agreement", "graph": "C4", "status": "pass"}
     members = list(enumerate_onepoint(c4, 0, 1))
-    tail = {"repeated": [members[0]], "unanchored": [members[0].shift(1)], "missing": []}[last]
+    unanchored = LipschitzFn(tuple(v + 1 for v in members[0].values), 1)
+    tail = {"repeated": [members[0]], "unanchored": [unanchored], "missing": []}[last]
     monkeypatch.setattr(experiments, "enumerate_onepoint", lambda g, v0, M, budget: iter(members[:-1] + tail))
     (row,) = check_count_enumeration(sg, VerifyContext())
     assert row["status"] == "fail"

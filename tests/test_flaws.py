@@ -12,8 +12,8 @@ from liplab.flaws import (
     conditional_tail_profile,
     core_within_cluster_interior,
     flaw_decomposition,
-    tail_bound,
     tail_hypotheses,
+    tail_rows,
     tail_verdict,
     verify_ground_state_lemma,
 )
@@ -78,7 +78,8 @@ def test_shift_equivariance(petersen):
     anchor = int(np.argmax(f.values))
     base = f.values[anchor] - 2 * f.M - 2
     dec = flaw_decomposition(petersen, f, anchor, base)
-    dec_shift = flaw_decomposition(petersen, f.shift(9), anchor, base + 9)
+    shifted = LipschitzFn(tuple(v + 9 for v in f.values), f.M)
+    dec_shift = flaw_decomposition(petersen, shifted, anchor, base + 9)
     assert dec.cluster == dec_shift.cluster
     assert dec.core == dec_shift.core
 
@@ -262,8 +263,12 @@ def test_tail_probability_against_enumeration(k6):
 
 
 def test_tail_bound_formula(petersen):
-    ball_size = sum(0 <= d <= 2 for d in bfs_distances(petersen, 0))
-    assert tail_bound(petersen, 0, 3, 2) == 2.0 ** (-ball_size / 10.0)
+    # the bound at t reads the ball of radius t - 1: 4 vertices at t = 2, all 10 at t = 3
+    dists = bfs_distances(petersen, 0)
+    for t, row in zip((2, 3), tail_rows(petersen, 2, 1.0, 0, [2, 3], {0: 1}, 0, 1.0, 1.0)):
+        ball_size = sum(0 <= d <= t - 1 for d in dists)
+        assert row["ball_size"] == ball_size == (4, 10)[t - 2]
+        assert row["bound"] == 2.0 ** (-ball_size / 10.0)
 
 
 def test_hypothesis_gate_clauses():

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+import liplab.graphs as graphs
 from liplab.errors import BudgetExceededError, ConfigError, GenerationError
 from liplab.graphs import (
     GenSpec,
@@ -124,9 +125,10 @@ def test_random_regular_rejects_odd_product():
         random_regular_graph(5, 3, seed=1)
 
 
-def test_random_regular_retry_cap_reports_attempts():
+def test_random_regular_retry_cap_reports_attempts(monkeypatch):
+    monkeypatch.setattr(graphs, "RANDOM_REGULAR_RETRY_CAP", 0)
     with pytest.raises(GenerationError) as info:
-        random_regular_graph(10, 3, seed=1, retry_cap=0)
+        random_regular_graph(10, 3, seed=1)
     assert info.value.attempts == 0
     assert "attempts" in str(info.value)
 
@@ -135,8 +137,8 @@ def test_wired_tree_structure():
     g = wired_tree_graph(2, 3)
     # root + 3 + 6 leaves + apex
     assert g.n == 11
-    assert g.degree(0) == 3
-    assert g.degree(g.n - 1) == 6  # apex joins all 6 leaves
+    assert g.degrees[0] == 3
+    assert g.degrees[g.n - 1] == 6  # apex joins all 6 leaves
     assert not g.is_regular()
     with pytest.raises(ValueError):
         g.regular_degree()
