@@ -3,14 +3,13 @@
 __version__ = "0.1.0"
 
 from .errors import BudgetExceededError, ConfigError, GenerationError
-from .graphs import Graph, GenSpec, generate
+from .graphs import Graph, generate
 
 __all__ = [
     "BudgetExceededError",
     "ConfigError",
     "GenerationError",
     "Graph",
-    "GenSpec",
     "generate",
     "__version__",
 ]

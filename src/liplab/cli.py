@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from itertools import islice
 
@@ -25,15 +24,18 @@ from .expanders import (
 )
 from .experiments import (
     build_graph,
+    check_lambda_source,
     load_config,
     parse_config,
     parse_ensemble,
+    report_json,
     resolve_ensemble,
     resolve_profile,
     run_covering_check,
     run_range_experiment,
     run_tail_experiment,
     run_verify_suite,
+    write_files,
 )
 from .flaws import core_within_cluster_interior, flaw_decomposition
 from .graphs import DEFAULT_NODE_BUDGET, mask_vertices, save_edge_list
@@ -76,8 +78,18 @@ def _int_at_least(low: int):
     return parse
 
 
+def _seed(text: str) -> int:
+    """An argparse type: a seed, an integer in [0, 2^64)."""
+    try:
+        if 0 <= int(text) < 2**64:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"seed must be an unsigned 64-bit integer, got {text}")
+
+
 _FLAGS = {
-    "seed": dict(type=int, default=0, help="64-bit seed for stochastic steps"),
+    "seed": dict(type=_seed, default=0, help="seed for stochastic steps, an integer in [0, 2^64)"),
     "out": dict(default=None, help="output directory"),
     "budget": dict(type=_int_at_least(1), default=DEFAULT_NODE_BUDGET,
                    help="node budget for exhaustive routines; for Lipschitz counts, "
@@ -100,12 +112,11 @@ def _add_flags(p: argparse.ArgumentParser, *names: str) -> None:
 
 
 def _emit(obj, out_dir, filename) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True, default=str)
+    """Print the report `obj`, and write it to `filename` under `out_dir` if given."""
+    text = report_json(obj)
     if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, filename), "w") as fh:
-            fh.write(text + "\n")
-    print(text)
+        write_files(out_dir, {filename: text})
+    print(text, end="")
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -263,9 +274,7 @@ def _cmd_sample(args) -> int:
     )
     text = run_range_experiment(cfg).csv_text()
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "samples.csv"), "w") as fh:
-            fh.write(text)
+        write_files(args.out, {"samples.csv": text})
     print(text, end="")
     return EXIT_OK
 
@@ -300,7 +309,7 @@ def _cmd_containers(args) -> int:
     )
 
     g = build_graph(_graph_source(args.graph))
-    profile = resolve_profile(g, _resolve_lambda_arg(args.lambda_source))
+    profile = resolve_profile(g, check_lambda_source(_resolve_lambda_arg(args.lambda_source)))
     if profile is None:
         raise ConfigError("container pipeline requires a regular graph")
     if profile.d == 0:
@@ -311,29 +320,19 @@ def _cmd_containers(args) -> int:
     )
     report = linked_set_count_report(fam.n_sets, args.boundary_size, args.linkage, profile)
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "family.jsonl"), "w") as fh:
-            for line in family_to_json_lines(fam):
-                fh.write(line + "\n")
-        with open(os.path.join(args.out, "container_report.csv"), "w") as fh:
-            fh.write(count_report_csv([report]))
-    print(
-        json.dumps(
-            {
-                "vertex": fam.vertex,
-                "boundary_size": fam.boundary_size,
-                "linkage": fam.linkage,
-                "psi": fam.psi,
-                "n_sets": fam.n_sets,
-                "n_pairs": len(fam.pairs),
-                "covers_all": fam.covers_all,
-                "stats": fam.stats,
-                "count_report": report,
-            },
-            indent=2,
-            sort_keys=True,
-        )
-    )
+        write_files(args.out, {"family.jsonl": "".join(line + "\n" for line in family_to_json_lines(fam)),
+                               "container_report.csv": count_report_csv([report])})
+    print(report_json({
+        "vertex": fam.vertex,
+        "boundary_size": fam.boundary_size,
+        "linkage": fam.linkage,
+        "psi": fam.psi,
+        "n_sets": fam.n_sets,
+        "n_pairs": len(fam.pairs),
+        "covers_all": fam.covers_all,
+        "stats": fam.stats,
+        "count_report": report,
+    }), end="")
     return EXIT_OK if fam.covers_all or fam.n_sets == 0 else EXIT_CHECK_FAILED
 
 
@@ -349,8 +348,7 @@ def _cmd_experiment(args) -> int:
         paths = result.write(out_dir)
         print(json.dumps({"written": paths}, sort_keys=True))
     else:
-        print(json.dumps({"aggregates": result.aggregates, "gates": result.gates},
-                         indent=2, sort_keys=True, default=str))
+        print(report_json({"aggregates": result.aggregates, "gates": result.gates}), end="")
     if args.kind == "tail" and result.aggregates["asserted_violations"]:
         return EXIT_CHECK_FAILED
     return EXIT_OK

@@ -173,9 +173,6 @@ class ApproxPair:
     f: int
     psi: float
 
-    def key(self) -> tuple:
-        return (self.s, self.f, self.psi)
-
 
 def validate_approx_pair(g: Graph, pair: ApproxPair, x: int) -> dict:
     """Machine-check the three defining conditions against the witnessed
@@ -314,7 +311,7 @@ def build_container_family(
         seeds = (s.generate_state(1)[0].item() for s in np.random.SeedSequence(seed).spawn(len(xs)))
     else:
         seeds = itertools.repeat(seed)
-    pairs: dict[tuple, ApproxPair] = {}
+    pairs: dict[ApproxPair, None] = {}  # insertion-ordered set: a frozen pair hashes on (s, f, psi)
     max_h = 0
     max_u = 0
     met_cover_bound = 0
@@ -322,7 +319,7 @@ def build_container_family(
     for x, cover_seed in zip(xs, seeds):
         cover = build_mutual_cover(g, x, profile, seed=cover_seed)
         pair, stats = refine_to_approx_pair(g, cover.members, x, psi)
-        pairs.setdefault(pair.key(), pair)
+        pairs.setdefault(pair)
         covers_all &= validate_approx_pair(g, pair, x)["ok"]
         max_h = max(max_h, stats.h_size)
         max_u = max(max_u, stats.u_size)
@@ -335,7 +332,7 @@ def build_container_family(
         boundary_size=boundary_size,
         linkage=k,
         psi=psi,
-        pairs=tuple(pairs.values()),
+        pairs=tuple(pairs),
         n_sets=len(xs),
         covers_all=covers_all,
         stats={

@@ -46,7 +46,6 @@ from .flaws import (
 )
 from .graphs import (
     DEFAULT_NODE_BUDGET,
-    GenSpec,
     Graph,
     bfs_order,
     check_graph_spec,
@@ -128,17 +127,32 @@ def _is_number(value) -> bool:
     return is_int(value) or isinstance(value, float)
 
 
-def _check_graph_source(graph) -> None:
-    """Refuse a `graph` key that is neither `{"path": <string>}` nor a
-    generator spec that `check_graph_spec` accepts."""
-    if not isinstance(graph, dict) or not ({"path"} <= set(graph) or "family" in graph):
+def _graph_path(graph) -> str | None:
+    """The edge-list path of a `{"path": <string>}` graph source, or None for
+    a generator spec `{"family": ..., <params>}` (checked by
+    `check_graph_spec`); any other `graph` key is refused."""
+    if not isinstance(graph, dict) or not ("path" in graph or "family" in graph):
         raise ConfigError("graph must be {'path': ...} or {'family': ..., <params>}")
     if "path" not in graph:
-        check_graph_spec(graph)
-    elif set(graph) != {"path"}:
+        return None
+    if set(graph) != {"path"}:
         raise ConfigError("graph path entry takes no other keys")
-    elif not isinstance(graph["path"], str):
+    if not isinstance(graph["path"], str):
         raise ConfigError(f"graph.path must be a string, got {graph['path']!r}")
+    return graph["path"]
+
+
+def check_lambda_source(lam_src):
+    """`lam_src` if it is a lambda source: "spectral", "exhaustive" or
+    `{"asserted": <finite number>}`."""
+    if isinstance(lam_src, dict):
+        if set(lam_src) != {"asserted"} or not _is_number(lam_src["asserted"]):
+            raise ConfigError("lambda_source object form is {'asserted': number}")
+        if not math.isfinite(lam_src["asserted"]):
+            raise ConfigError(f"lambda_source.asserted must be finite, got {lam_src['asserted']!r}")
+    elif lam_src not in ("spectral", "exhaustive"):
+        raise ConfigError(f"unknown lambda_source {lam_src!r}")
+    return lam_src
 
 
 def parse_ensemble(data: dict) -> EnsembleKeys:
@@ -146,7 +160,8 @@ def parse_ensemble(data: dict) -> EnsembleKeys:
     `lambda_source`.  `parse_config` runs these checks, and the CLI runs them
     on its ensemble flags."""
     graph = data.get("graph")
-    _check_graph_source(graph)
+    if _graph_path(graph) is None:
+        check_graph_spec(graph)
 
     m_value = data.get("M")
     if not is_int(m_value) or m_value < 0:
@@ -162,15 +177,7 @@ def parse_ensemble(data: dict) -> EnsembleKeys:
         if set(mode) != {"kind", "k"} or not is_int(mode.get("k")):
             raise ConfigError("ground-state mode needs integer k")
 
-    lam_src = data.get("lambda_source", "spectral")
-    if isinstance(lam_src, dict):
-        if set(lam_src) != {"asserted"} or not _is_number(lam_src["asserted"]):
-            raise ConfigError("lambda_source object form is {'asserted': number}")
-        if not math.isfinite(lam_src["asserted"]):
-            raise ConfigError(f"lambda_source.asserted must be finite, got {lam_src['asserted']!r}")
-    elif lam_src not in ("spectral", "exhaustive"):
-        raise ConfigError(f"unknown lambda_source {lam_src!r}")
-
+    lam_src = check_lambda_source(data.get("lambda_source", "spectral"))
     return EnsembleKeys(graph, m_value, mode, lam_src)
 
 
@@ -259,11 +266,9 @@ def load_config(path) -> ExperimentConfig:
 
 
 def build_graph(source: dict) -> Graph:
-    _check_graph_source(source)
-    if "path" in source:
-        return load_edge_list(source["path"])
-    params = {k: v for k, v in source.items() if k not in ("family", "seed")}
-    return generate(GenSpec(source["family"], params, source.get("seed")))
+    """The graph of a `graph` key: an edge-list file or a generated graph."""
+    path = _graph_path(source)
+    return generate(source) if path is None else load_edge_list(path)
 
 
 def _check_lambda_source(g: Graph, lambda_source) -> bool:
@@ -378,34 +383,34 @@ class ExperimentResult:
         return "\n".join(lines) + "\n"
 
     def write(self, out_dir) -> dict:
-        os.makedirs(out_dir, exist_ok=True)
-        paths = {}
-        if self.records:
-            csv_path = os.path.join(out_dir, self.csv_name)
-            with open(csv_path, "w") as fh:
-                fh.write(self.csv_text())
-            paths["csv"] = csv_path
-        for name, text in (self.extra_files or {}).items():
-            path = os.path.join(out_dir, name)
-            with open(path, "w") as fh:
-                fh.write(text)
-            paths[name] = path
-        summary_path = os.path.join(out_dir, "summary.json")
-        with open(summary_path, "w") as fh:
-            json.dump(
-                {
-                    "kind": self.kind,
-                    "aggregates": self.aggregates,
-                    "gates": self.gates,
-                    "provenance": self.provenance,
-                },
-                fh,
-                indent=2,
-                sort_keys=True,
-            )
-            fh.write("\n")
-        paths["summary"] = summary_path
-        return paths
+        """Write the CSV (when there are records), the extra files and
+        summary.json; their paths, the CSV's under "csv" and summary.json's
+        under "summary"."""
+        files = {self.csv_name: self.csv_text()} if self.records else {}
+        files.update(self.extra_files or {})
+        files["summary.json"] = report_json({"kind": self.kind, "aggregates": self.aggregates,
+                                             "gates": self.gates, "provenance": self.provenance})
+        keys = {self.csv_name: "csv", "summary.json": "summary"}
+        return {keys.get(name, name): path for name, path in write_files(out_dir, files).items()}
+
+
+def report_json(obj) -> str:
+    """A report as pretty-printed JSON with a final newline, the one format
+    of every JSON report printed or written; a value that JSON cannot hold
+    raises `TypeError`."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def write_files(out_dir, files: dict[str, str]) -> dict[str, str]:
+    """Make `out_dir` and write each text of `files` there under its file
+    name, the one writer of output files; the written paths by file name."""
+    os.makedirs(out_dir, exist_ok=True)
+    paths = {}
+    for name, text in files.items():
+        paths[name] = os.path.join(out_dir, name)
+        with open(paths[name], "w") as fh:
+            fh.write(text)
+    return paths
 
 
 def _provenance(cfg: ExperimentConfig) -> dict:
@@ -539,6 +544,8 @@ def run_tail_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """
     if cfg.mode["kind"] != "ground-state":
         raise ConfigError("tail experiment requires ground-state mode")
+    if len(cfg.probes) > 1:
+        raise ConfigError(f"tail experiment takes one probe, got probes {list(cfg.probes)}")
     ens = resolve_ensemble(cfg, cfg.probes)
     g, profile, probe, k = ens.g, ens.profile, ens.probes[0], ens.spec.k
 
@@ -915,7 +922,7 @@ def check_reproducibility(ctx: VerifyContext) -> list[dict]:
     """Two runs of one range experiment give byte-identical CSV."""
     cfg = parse_config({"schema": 1, "graph": {"family": "cycle", "n": 4}, "M": 1,
                         "mode": {"kind": "one-point", "v0": 0}, "sampler": {"kind": "exact"},
-                        "samples": 50, "seed": ctx.seed + 7, "probes": [2]})
+                        "samples": 50, "seed": (ctx.seed + 7) % 2**64, "probes": [2]})
     first = run_range_experiment(cfg).csv_text()
     return [_verdict("reproducibility", "C4", first == run_range_experiment(cfg).csv_text(), None)]
 

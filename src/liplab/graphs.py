@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import operator
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -463,15 +462,6 @@ def random_regular_graph(n: int, d: int, seed: int) -> Graph:
     )
 
 
-@dataclass(frozen=True)
-class GenSpec:
-    """Declarative request for a generated graph."""
-
-    family: str
-    params: dict = field(default_factory=dict)
-    seed: int | None = None
-
-
 def is_int(value) -> bool:
     """An integer parameter; JSON booleans are not integers here, though
     Python's `bool` subclasses `int`."""
@@ -482,7 +472,7 @@ _TYPES = {"an integer": is_int,
           "a list of integers": lambda value: isinstance(value, list) and all(map(is_int, value))}
 
 # family -> (generator, {parameter: its type in _TYPES}); the generator takes
-# the parameters in this order, the random-regular `seed` being GenSpec.seed
+# the parameters in this order
 _FAMILIES = {
     "cycle": (cycle_graph, {"n": "an integer"}),
     "complete": (complete_graph, {"n": "an integer"}),
@@ -499,7 +489,7 @@ def check_graph_spec(spec: dict) -> None:
     """Refuse a generator spec `{"family": ..., <params>}` whose family is
     unknown, or that names a parameter the family does not take or gives one
     a value of the wrong type; a missing parameter is left to `generate`."""
-    family = spec["family"]
+    family = spec.get("family")
     if not isinstance(family, str) or family not in _FAMILIES:
         raise ConfigError(f"unknown graph family {family!r}")
     types = _FAMILIES[family][1]
@@ -511,21 +501,19 @@ def check_graph_spec(spec: dict) -> None:
             raise ConfigError(f"graph.{key} must be {kind}, got {spec[key]!r}")
 
 
-def generate(spec: GenSpec) -> Graph:
-    """The graph `spec` names.  An unknown family or a missing random-regular
-    seed is a `GenerationError`; a parameter the family does not take or of
-    the wrong type is the `ConfigError` that `check_graph_spec` gives."""
-    if spec.family not in _FAMILIES:
-        raise GenerationError(f"unknown family {spec.family!r}; known: {sorted(_FAMILIES)}")
-    if spec.family == "random-regular" and spec.seed is None:
+def generate(spec: dict) -> Graph:
+    """The graph a generator spec `{"family": ..., <params>}` names, the
+    shape of a config's `graph` key.  A spec that `check_graph_spec` refuses
+    is its `ConfigError`; a missing parameter is a `GenerationError`."""
+    check_graph_spec(spec)
+    family = spec["family"]
+    if family == "random-regular" and "seed" not in spec:
         raise GenerationError("random-regular requires a seed")
-    generator, types = _FAMILIES[spec.family]
-    params = {**spec.params, "seed": spec.seed} if "seed" in types else spec.params
-    check_graph_spec({**params, "family": spec.family})
+    generator, types = _FAMILIES[family]
     try:
-        return generator(*[params[key] for key in types])
+        return generator(*[spec[key] for key in types])
     except KeyError as exc:
-        raise GenerationError(f"family {spec.family!r} missing parameter {exc}") from exc
+        raise GenerationError(f"family {family!r} missing parameter {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

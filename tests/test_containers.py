@@ -418,3 +418,16 @@ def test_cli_containers_refuses_degree_0(capsys):
     assert main(["containers", "--graph", '{"family":"complete","n":1}', "--boundary-size", "0",
                  "--linkage", "1"]) == 2
     assert capsys.readouterr().err == "error: container pipeline requires degree d >= 1, got d = 0\n"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_cli_containers_refuses_a_non_finite_lambda(value, capsys):
+    from liplab.cli import main
+
+    # the lambda-source check that `count` applies to the same flag
+    message = f"error: lambda_source.asserted must be finite, got {value}\n"
+    assert main(["containers", "--graph", '{"family":"petersen"}', "--boundary-size", "6",
+                 "--lambda-source", value]) == 2
+    assert capsys.readouterr().err == message
+    assert main(["count", "--graph", '{"family":"petersen"}', "--M", "1", "--lambda-source", value]) == 2
+    assert capsys.readouterr().err == message

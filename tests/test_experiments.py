@@ -2,9 +2,14 @@ import csv
 import hashlib
 import json
 import math
+import os
+import re
 import shlex
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +30,7 @@ from liplab.experiments import (
     load_config,
     parse_config,
     range_threshold,
+    report_json,
     resolve_ensemble,
     resolve_profile,
     run_covering_check,
@@ -884,6 +890,43 @@ def test_sample_cli_rejects_seed_past_64_bits(capsys):
     assert "seed must be an unsigned 64-bit integer" in capsys.readouterr().err
 
 
+def test_cli_verify_takes_the_largest_seeds(capsys):
+    # the reproducibility row derives its config's seed modulo 2^64
+    assert main(["verify", "--graph", '{"family":"cycle","n":4}', "--seed", str(2**64 - 6)]) == 0
+    out = capsys.readouterr().out
+    assert "reproducibility" in out
+    assert ", 0 fail," in out
+
+
+def test_cli_verify_runs_without_scipy():
+    # scipy and networkx are test dependencies: no liplab module imports them
+    code = ("import sys; sys.modules['scipy'] = sys.modules['networkx'] = None; "
+            "from liplab.cli import main; sys.exit(main(['verify', '--graph', '{\"family\":\"cycle\",\"n\":4}']))")
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert ", 0 fail," in proc.stdout
+
+
+def test_report_json_refuses_what_json_cannot_hold():
+    assert report_json({"b": [1], "a": None}) == '{\n  "a": null,\n  "b": [\n    1\n  ]\n}\n'
+    with pytest.raises(TypeError):
+        report_json({"members": {1, 2}})
+
+
+def test_tail_experiment_takes_one_probe(tmp_path, capsys):
+    cfg = base_config(graph={"family": "petersen"}, mode={"kind": "ground-state", "k": 0},
+                      lambda_source={"asserted": 1.0}, samples=0, probes=[0, 3])
+    message = "tail experiment takes one probe, got probes [0, 3]"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        run_tail_experiment(parse_config(cfg))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["experiment", "tail", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 # Petersen, M=1, asserted lam=1.0, probe 3, t = 0, 1, 2: the rows the tail
 # experiment reported before its two branches shared `tail_rows`
 _PETERSEN_GATE = {"M <= (log n)^C": True, "M <= c*d^1.5/(lam*log d)": True, "d/5 <= c*n": True,
@@ -1142,6 +1185,19 @@ def test_cli_budget_below_one_exits_2(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.endswith(f"error: argument --budget: must be an integer >= 1, got {argv[-1]}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--graph", '{"family":"cycle","n":4}', "--seed", "-1"],
+    # no cover on this input draws a stream, so only the flag's check reads the seed
+    ["containers", "--graph", '{"family":"random-regular","n":18,"d":3,"seed":1}', "--boundary-size", "10",
+     "--seed", "-1"],
+], ids=["verify", "containers"])
+def test_cli_seed_below_zero_exits_2(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("error: argument --seed: seed must be an unsigned 64-bit integer, got -1\n")
 
 
 @pytest.mark.parametrize("fuzz_scale", [0, -1, 1.5, True])

@@ -8,7 +8,6 @@ import pytest
 import liplab.graphs as graphs
 from liplab.errors import BudgetExceededError, ConfigError, GenerationError
 from liplab.graphs import (
-    GenSpec,
     Graph,
     ball,
     complete_bipartite_graph,
@@ -145,16 +144,17 @@ def test_wired_tree_structure():
 
 
 def test_generate_dispatch():
-    g = generate(GenSpec("hypercube", {"dim": 3}))
+    g = generate({"family": "hypercube", "dim": 3})
     assert g.n == 8
-    with pytest.raises(GenerationError):
-        generate(GenSpec("moebius", {}))
-    with pytest.raises(GenerationError):
-        generate(GenSpec("random-regular", {"n": 10, "d": 3}))  # no seed
-    # the parameter types that configs are checked against
-    for spec, message in [(GenSpec("torus", {"sides": 5}), "graph.sides must be a list of integers, got 5"),
-                          (GenSpec("hypercube", {"dim": True}), "graph.dim must be an integer, got True"),
-                          (GenSpec("cycle", {"n": 5.0}), "graph.n must be an integer, got 5.0")]:
+    with pytest.raises(GenerationError, match="^random-regular requires a seed$"):
+        generate({"family": "random-regular", "n": 10, "d": 3})
+    with pytest.raises(GenerationError, match="^family 'cycle' missing parameter 'n'$"):
+        generate({"family": "cycle"})
+    # the family and parameter types that configs are checked against
+    for spec, message in [({"family": "moebius"}, "unknown graph family 'moebius'"),
+                          ({"family": "torus", "sides": 5}, "graph.sides must be a list of integers, got 5"),
+                          ({"family": "hypercube", "dim": True}, "graph.dim must be an integer, got True"),
+                          ({"family": "cycle", "n": 5.0}, "graph.n must be an integer, got 5.0")]:
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             generate(spec)
 
