@@ -167,7 +167,7 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("containers", help="build an approximating-pair family")
     _add_flags(p, "graph")
     p.add_argument("--vertex", type=int, default=0)
-    p.add_argument("--boundary-size", type=int, required=True)
+    p.add_argument("--boundary-size", type=_int_at_least(0), required=True)
     p.add_argument("--linkage", type=int, default=4)
     p.add_argument("--psi", type=float, default=1.0)
     _add_flags(p, "lambda-source", "seed", "budget", "out")

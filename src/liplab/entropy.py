@@ -74,7 +74,7 @@ class JointPmf:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
         table.flags.writeable = False
         object.__setattr__(self, "table", table)
-        object.__setattr__(self, "_stack", _Stack(table[None], [self.supports]))
+        object.__setattr__(self, "_stack", _Stack(table[None]))
 
     @property
     def n_coords(self) -> int:
@@ -119,12 +119,11 @@ def _conditional_terms(joint: np.ndarray, given: np.ndarray) -> np.ndarray:
 
 class _Stack:
     """The tables of B pmfs with equal support sizes as one (B, *shape)
-    array, with their supports.  Marginals and conditional entropies are
-    axis sums over all rows at once, cached per coordinate block.  A pmf
-    keeps a stack of one row for its own entropies."""
+    array.  Marginals and conditional entropies are axis sums over all rows
+    at once, cached per coordinate block.  A pmf keeps a stack of one row
+    for its own entropies."""
 
-    def __init__(self, table: np.ndarray, supports: list[tuple]):
-        self.supports = supports
+    def __init__(self, table: np.ndarray):
         self.table = table
         self.shape = table.shape[1:]
         self._marginals: dict = {}
@@ -158,19 +157,6 @@ class _Stack:
                 terms = _conditional_terms(self.marginal(target), 1.0)
             h = self._entropies[key] = terms.reshape(len(terms), -1).sum(axis=1)
         return h
-
-    def by_value(self, coords: tuple) -> tuple[np.ndarray, np.ndarray]:
-        """The cells of the marginal over `coords` ordered by their value
-        tuples, and which of them are positive: two (B, cells) arrays.  The
-        order is sorted once per distinct support."""
-        orders: dict = {}
-        for supports in self.supports:
-            if supports not in orders:
-                values = list(itertools.product(*(supports[i] for i in coords)))
-                orders[supports] = sorted(range(len(values)), key=values.__getitem__)
-        order = np.array([orders[supports] for supports in self.supports], dtype=np.intp)
-        marginal = self.marginal(coords).reshape(len(order), -1)
-        return order, np.take_along_axis(marginal, order, axis=1) > 0.0
 
 
 def entropy(p: JointPmf, coords) -> float:
@@ -207,33 +193,21 @@ def _indicator(codes: np.ndarray, width: int) -> np.ndarray:
     return out
 
 
-def _random_tables(rngs: list, tables: list[tuple]) -> list[np.ndarray]:
+def _random_tables(seeds: list, tables: list[tuple]) -> list[np.ndarray]:
     """Random lookup tables for each row of a stack, drawn from the row's
-    generator.  `tables` lists (order, positive, codomain, count) in draw
-    order, with `order`/`positive` from `_Stack.by_value`; each entry gives
-    `count` tables, shape (B, count, cells), with one code in [0, codomain)
-    per positive cell, drawn in value order, and 0 elsewhere.
+    `SeedSequence(seed)`: per (codomain, count, cells) entry of `tables`, in
+    order, `count` tables of shape (B, count, cells), with one code in
+    [0, codomain) per cell, drawn in cell order.
 
     A row draws all its tables in one `integers` call with an array of
     upper bounds.  Bounded int64 draws take the same values from the stream
     whether they come one per call or many per call, so the tables equal
     those of one scalar call per cell."""
-    sizes = np.stack([count * positive.sum(axis=1) for _, positive, _, count in tables], axis=1)
-    highs = np.repeat(np.tile([codomain for _, _, codomain, _ in tables], len(rngs)), sizes.ravel())
-    by_row = np.split(highs, np.cumsum(sizes.sum(axis=1))[:-1])
-    draws = np.concatenate([rng.integers(0, row) for rng, row in zip(rngs, by_row)])
-    # regroup the draws by table, keeping the rows in order
-    table_of = np.repeat(np.tile(np.arange(len(tables)), len(rngs)), sizes.ravel())
-    grouped = np.split(draws[np.argsort(table_of, kind="stable")], np.cumsum(sizes.sum(axis=0))[:-1])
-    out = []
-    for (order, positive, _, count), codes in zip(tables, grouped):
-        shape = (len(order), count, order.shape[1])
-        by_value = np.zeros(shape, dtype=np.intp)
-        by_value[np.broadcast_to(positive[:, None, :], shape)] = codes
-        table = np.zeros(shape, dtype=np.intp)
-        np.put_along_axis(table, np.broadcast_to(order[:, None, :], shape), by_value, axis=2)
-        out.append(table)
-    return out
+    sizes = [count * cells for _, count, cells in tables]
+    highs = np.repeat([codomain for codomain, _, _ in tables], sizes)
+    draws = np.stack([np.random.default_rng(np.random.SeedSequence(s)).integers(0, highs) for s in seeds])
+    parts = np.split(draws, np.cumsum(sizes)[:-1], axis=1)
+    return [part.reshape(len(seeds), count, cells) for part, (_, count, cells) in zip(parts, tables)]
 
 
 def _row_reports(pmfs: list[JointPmf], seeds: list) -> list[dict]:
@@ -253,10 +227,9 @@ def _row_reports(pmfs: list[JointPmf], seeds: list) -> list[dict]:
             f"{len(pmfs)} pmfs of shape {shape} stack to {cells} table cells, "
             f"over MAX_TABLE_CELLS = {MAX_TABLE_CELLS}"
         )
-    stack = _Stack(np.stack([p.table for p in pmfs]), [p.supports for p in pmfs])
+    stack = _Stack(np.stack([p.table for p in pmfs]))
     H, tol = stack.entropy, ENTROPY_TOL
     batch = len(pmfs)
-    rngs = [np.random.default_rng(np.random.SeedSequence(s)) for s in seeds]
     nonempty = [tuple(c) for r in range(1, n + 1) for c in itertools.combinations(range(n), r)]
     pairs = [(xs, ys) for xs, ys in itertools.permutations(nonempty, 2) if not set(xs) & set(ys)]
     checks: list[tuple[str, dict]] = []  # (property, witness), the same for every row
@@ -278,13 +251,11 @@ def _row_reports(pmfs: list[JointPmf], seeds: list) -> list[dict]:
             bound = sum(H((i,), ys) for i in xs)
             record("subadd", H(xs, ys) <= bound + tol, {"X": xs, "Y": ys})
 
-    # (5)/(6) with explicit deterministic maps of the conditioning block.  Per
-    # row, the random tables draw once per positive value, in sorted value
-    # order: `TRIALS` tables of Y, then one of X, pair after pair.
-    by_value = {block: stack.by_value(block) for pair in pairs for block in pair}
-    random = _random_tables(rngs, [
-        spec for xs, ys in pairs for spec in ((*by_value[ys], 2, TRIALS), (*by_value[xs], 3, 1))
-    ])
+    # (5)/(6) with explicit deterministic maps of the conditioning block; per
+    # pair, `TRIALS` random tables of Y, then one of X, each drawn cell by cell.
+    size = {block: math.prod(stack.shape[i] for i in block) for block in nonempty}
+    random = _random_tables(seeds, [spec for xs, ys in pairs
+                                    for spec in ((2, TRIALS, size[ys]), (3, 1, size[xs]))])
     for (xs, ys), y_codes, x_codes in zip(pairs, random[::2], random[1::2]):
         joint = stack.block(xs, ys)
         n_x, n_y = joint.shape[1:]

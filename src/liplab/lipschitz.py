@@ -480,7 +480,6 @@ def glauber_chain(
     spec: EnsembleSpec,
     seed: int,
     steps: int,
-    initial: LipschitzFn | None = None,
     on_step: Callable[[int, list[int]], None] | None = None,
 ) -> LipschitzFn:
     """Single-site heat-bath chain whose stationary law is uniform.
@@ -501,7 +500,7 @@ def glauber_chain(
     and frees it the first time more than a quarter of those lookups missed.
     It changes no draw: a fixed seed always gives the same chain.
     """
-    return _glauber_run(g, spec, [(seed, steps)], initial, on_step)[0][0]
+    return _glauber_run(g, spec, [(seed, steps)], on_step)[0][0]
 
 
 def glauber_samples(g: Graph, spec: EnsembleSpec, seed: int, burn_in: int, thinning: int,
@@ -526,16 +525,16 @@ def _glauber_run(
     g: Graph,
     spec: EnsembleSpec,
     blocks: list[tuple[int, int]],
-    initial: LipschitzFn | None = None,
     on_step: Callable[[int, list[int]], None] | None = None,
 ) -> tuple[list[LipschitzFn], int]:
     """One chain over `(seed, steps)` blocks, each drawing on a fresh
     generator of `SeedSequence(seed)`; the state after each block, and the
     number of moves the flaw cap rejected.
 
-    The sites, the flaw count and the neighbour getters are set up once; only
-    a caller's `initial` state is checked.  Step t of the run (counted across
-    blocks) passes `(t, values)` to `on_step`.
+    The run starts from the all-zero (one-point) or all-k (ground-state)
+    state; the sites, the flaw count and the neighbour getters are set up
+    once.  Step t of the run (counted across blocks) passes `(t, values)` to
+    `on_step`.
     """
     M = spec.M
     cap = _check_spec(g, spec)
@@ -544,21 +543,10 @@ def _glauber_run(
     if ground:
         values = [spec.k] * g.n
         w_lo, w_hi = spec.k, spec.k + M
+        flaws = 0
     else:
         sites = sites[sites != spec.v0]
         values = [0] * g.n
-    if initial is not None:
-        if len(initial.values) != g.n or initial.M != M:
-            raise ValueError("initial state does not match graph or M")
-        if not validate(g, initial):
-            raise ValueError("initial state is not Lipschitz")
-        if not ground and initial.values[spec.v0] != 0:
-            raise ValueError("initial state must anchor v0 at 0")
-        values = list(initial.values)
-    if ground:
-        flaws = sum(1 for v in values if not w_lo <= v <= w_hi)
-        if flaws > cap:
-            raise ValueError("initial state violates the flaw allowance")
     n_sites = len(sites)
     if not n_sites:
         # a lone pinned vertex: every step leaves the state as it is

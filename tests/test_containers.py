@@ -431,3 +431,12 @@ def test_cli_containers_refuses_a_non_finite_lambda(value, capsys):
     assert capsys.readouterr().err == message
     assert main(["count", "--graph", '{"family":"petersen"}', "--M", "1", "--lambda-source", value]) == 2
     assert capsys.readouterr().err == message
+
+
+def test_cli_containers_refuses_a_negative_boundary_size(capsys):
+    from liplab.cli import main
+
+    assert main(["containers", "--graph", '{"family":"petersen"}', "--boundary-size", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("error: argument --boundary-size: must be an integer >= 0, got -1\n")

@@ -107,6 +107,9 @@ def test_properties_on_xor():
 def test_properties_on_independent_bits():
     report = check_entropy_properties([JointPmf.independent_uniform_bits(3)], [2])
     assert report["ok"]
+    # one coordinate: no pair (X, Y), so no random map is drawn
+    report = check_entropy_properties([JointPmf.independent_uniform_bits(1)] * 2, [0, 1])
+    assert report["ok"] and report["checked"]["image"] == 2
 
 
 def test_properties_random_fuzz():
@@ -184,11 +187,8 @@ def reference_properties(p, trials, seed, tol=TOL):
         return table.reshape(math.prod(p.table.shape[i] for i in rows), -1)
 
     def random_codes(coords, codomain):
-        values = list(itertools.product(*(p.supports[i] for i in coords)))
-        codes = np.zeros(len(values), dtype=np.intp)
-        for cell in sorted(np.flatnonzero(marginal(coords)).tolist(), key=values.__getitem__):
-            codes[cell] = rng.integers(0, codomain)
-        return codes
+        cells = math.prod(p.table.shape[i] for i in coords)
+        return np.array([rng.integers(0, codomain) for _ in range(cells)], dtype=np.intp)
 
     def terms_by_map(table, maps, axis):
         # H(row | column) of `table` after merging its rows (axis 0) or its
@@ -278,19 +278,21 @@ def test_batch_rows_match_single_checks_on_verify_pmfs(monkeypatch):
 
 
 def test_random_tables_equal_scalar_draws():
-    pmfs = mixed_batch()
-    stack = entropy_module._Stack(np.stack([p.table for p in pmfs]), [p.supports for p in pmfs])
-    specs = [(*stack.by_value((0, 2)), 2, 3), (*stack.by_value((1,)), 3, 1), (*stack.by_value((0, 1, 2)), 5, 2)]
-    rngs = [np.random.default_rng(np.random.SeedSequence(s)) for s in range(len(pmfs))]
-    tables = entropy_module._random_tables(rngs, specs)
-    for row, p in enumerate(pmfs):
-        rng = np.random.default_rng(np.random.SeedSequence(row))
-        for (order, positive, codomain, count), table in zip(specs, tables):
-            expected = np.zeros(table.shape[1:], dtype=np.intp)
-            for t in range(count):
-                for cell in order[row][positive[row]]:
-                    expected[t, cell] = rng.integers(0, codomain)
-            assert np.array_equal(table[row], expected)
+    specs = [(2, 3, 4), (3, 1, 2), (5, 2, 8)]  # (codomain, count, cells)
+    seeds = [0, 1, 2, 3]
+    tables = entropy_module._random_tables(seeds, specs)
+    for row, seed in enumerate(seeds):
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        for (codomain, count, cells), table in zip(specs, tables):
+            assert table.shape == (len(seeds), count, cells)
+            assert table[row].tolist() == [[rng.integers(0, codomain) for _ in range(cells)] for _ in range(count)]
+
+
+def test_row_reports_do_not_depend_on_the_random_maps():
+    pmfs = [JointPmf.random([(0, 1), (0, 1, 2), (0, 1)], seed=s) for s in range(20)]
+    rows = entropy_module._row_reports(pmfs, list(range(20)))
+    assert rows == entropy_module._row_reports(pmfs, list(range(100, 120)))
+    assert all(report["ok"] for report in rows)
 
 
 def test_list_report_stops_at_first_failing_pmf(monkeypatch):

@@ -27,6 +27,7 @@ from liplab.experiments import (
     check_entropy,
     default_suite_graphs,
     draw_samples,
+    glauber_schedule,
     load_config,
     parse_config,
     range_threshold,
@@ -241,18 +242,19 @@ def test_glauber_summary_reports_schedule():
     assert "sampler" not in run_tail_experiment(tail_config()).aggregates
 
 
-def _sample_blocks(cfg):
-    """The `(seed, steps)` blocks of a Glauber experiment's one run."""
+def _sample_blocks(g, cfg):
+    """The `(seed, steps)` blocks of a Glauber experiment's one run on `g`."""
+    schedule = glauber_schedule(g, cfg)
     children = np.random.SeedSequence(cfg.seed ^ 0x9E3779B97F4A7C15).spawn(cfg.samples)
-    return [(cfg.seed, cfg.sampler["burn_in"])] + [
-        (child.generate_state(1)[0].item(), cfg.sampler["thinning"]) for child in children]
+    return [(cfg.seed, schedule["burn_in"])] + [
+        (child.generate_state(1)[0].item(), schedule["thinning"]) for child in children]
 
 
 def test_glauber_summary_counts_rejections(tmp_path):
     # ground state on K6 at lam = 1: the flaw cap (2) rejects moves
     tail_cfg = tail_config(sampler={"kind": "glauber", "burn_in": 200, "thinning": 5}, samples=40, seed=7)
     _, rejected = reference_glauber(complete_graph(6), resolve_ensemble(tail_cfg).spec,
-                                    _sample_blocks(tail_cfg))
+                                    _sample_blocks(complete_graph(6), tail_cfg))
     assert rejected > 0
     tail = run_tail_experiment(tail_cfg)
     assert tail.aggregates["sampler"]["rejected"] == rejected
@@ -263,7 +265,7 @@ def test_glauber_summary_counts_rejections(tmp_path):
                                          sampler={"kind": "glauber", "burn_in": 300, "thinning": 20},
                                          samples=30, seed=7))
     ens = resolve_ensemble(range_cfg)
-    states, rejected = reference_glauber(ens.g, ens.spec, _sample_blocks(range_cfg))
+    states, rejected = reference_glauber(ens.g, ens.spec, _sample_blocks(ens.g, range_cfg))
     assert rejected == 0
     samples, _ = draw_samples(ens, range_cfg)
     assert samples == states[1:]
@@ -1004,23 +1006,6 @@ def test_verify_covering_rows_pinned(default_suite):
 # One Glauber run per experiment
 # ---------------------------------------------------------------------------
 
-def _per_sample_glauber(ens, cfg):
-    """The Glauber branch of `draw_samples` before it became one run: one
-    `glauber_chain` call per sample, continuing from the previous state."""
-    from liplab.experiments import glauber_schedule
-    from liplab.lipschitz import glauber_chain
-
-    g, spec = ens.g, ens.spec
-    schedule = glauber_schedule(g, cfg)
-    state = glauber_chain(g, spec, seed=cfg.seed, steps=schedule["burn_in"])
-    out = []
-    for child in np.random.SeedSequence(cfg.seed ^ 0x9E3779B97F4A7C15).spawn(cfg.samples):
-        state = glauber_chain(g, spec, seed=child.generate_state(1)[0].item(),
-                              steps=schedule["thinning"], initial=state)
-        out.append(state)
-    return out
-
-
 _RR20 = {"family": "random-regular", "n": 20, "d": 3, "seed": 1}
 _GROUND = {"mode": {"kind": "ground-state", "k": 0}, "lambda_source": {"asserted": 0.3}}
 
@@ -1042,10 +1027,10 @@ _GROUND = {"mode": {"kind": "ground-state", "k": 0}, "lambda_source": {"asserted
 def test_glauber_draw_samples_matches_per_sample_chain(overrides):
     cfg = parse_config(base_config(**{"seed": 4, "probes": [], **overrides}))
     ens = resolve_ensemble(cfg)
-    expected = _per_sample_glauber(ens, cfg)
-    assert len(expected) == cfg.samples
+    states, _ = reference_glauber(ens.g, ens.spec, _sample_blocks(ens.g, cfg))
+    assert len(states) == cfg.samples + 1
     samples, _ = draw_samples(ens, cfg)
-    assert samples == expected
+    assert samples == states[1:]
 
 
 def test_glauber_draw_samples_never_validates(monkeypatch):
@@ -1057,15 +1042,9 @@ def test_glauber_draw_samples_never_validates(monkeypatch):
     for mode in ({}, _GROUND):
         cfg = parse_config(base_config(graph=_RR20, sampler={"kind": "glauber", "burn_in": 50, "thinning": 5},
                                        samples=30, **mode))
-        ens = resolve_ensemble(cfg)
-        g = ens.g
-        samples, _ = draw_samples(ens, cfg)
+        samples, _ = draw_samples(resolve_ensemble(cfg), cfg)
         assert len(samples) == 30
     assert calls == []
-    # the patch is live: a caller's initial state is still checked
-    state = lipschitz.glauber_chain(g, lipschitz.EnsembleSpec("one-point", M=1, v0=0), seed=0, steps=3)
-    lipschitz.glauber_chain(g, lipschitz.EnsembleSpec("one-point", M=1, v0=0), seed=1, steps=3, initial=state)
-    assert len(calls) == 1
 
 
 def test_one_vertex_range_glauber_equals_exact(tmp_path):
