@@ -7,20 +7,23 @@ the window [k, k+M] on at most (2*lam/d)*n vertices; it is finite whenever
 that flaw allowance is below n.
 
 Counting, exact sampling, enumeration and exact marginals share one
-recursion-free frontier DP (`_FrontierDP`), whose one forward sweep yields
-each layer's transitions as integer arrays.  Their `budget` bounds, and
-`CountResult.nodes_explored` reports, the number of DP transitions: pairs of
-a state and a candidate value that lead to a live state, each charged once.
-Counts carry multiplicities along the sweep, one layer at a time; sampling,
-marginals and enumeration keep every layer's arrays and turn them into rank
-arrays, rank r being member r of the enumeration (Nijenhuis-Wilf unranking).
+recursion-free frontier DP (`_FrontierDP`).  Its forward sweep is one numpy
+kernel per layer: the layer's states are the rows of one integer key array,
+their transitions are charged and expanded in bulk, and the successor rows
+are packed into int64 words and numbered by one stable sort, in order of
+first appearance.  It yields each layer's transitions as integer arrays.
+Their `budget` bounds, and `CountResult.nodes_explored` reports, the number
+of DP transitions: pairs of a state and a candidate value that lead to a
+live state, each charged once.  Counts carry multiplicities along the
+sweep, one layer at a time; sampling, marginals and enumeration keep every
+layer's arrays and turn them into rank arrays, rank r being member r of the
+enumeration (Nijenhuis-Wilf unranking).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple, Sequence
@@ -133,6 +136,36 @@ class _Layer(NamedTuple):
     shifts: np.ndarray
 
 
+class _Plan(NamedTuple):
+    """How layer i's keys become layer i + 1's, as key columns.  Vertex i's
+    value is at least `keys[:, bounds[j]] + offsets[j]` for each j of the
+    first half (max - M of its own pair, first, then max - 2M of each pair
+    it tightens) and below it for each j of the second half (min + M + 1,
+    min + 2M + 1: the upper end is exclusive).  Column j of a successor key
+    starts as its parent's column `take[j]`.  A successor lists the pairs
+    vertex i leaves alone, then those it tightens (columns `tight[0]` to
+    `tight[1]`), then the pairs it opens (up to column `fresh`), which start
+    at its value, and ends with the flaw count."""
+
+    bounds: np.ndarray
+    offsets: np.ndarray
+    take: np.ndarray
+    tight: tuple[int, int]
+    fresh: int
+
+
+class _Step(NamedTuple):
+    """One layer of `_FrontierDP.expand`: the four arrays of `sweep`, the
+    state that owns each transition, and how many states layer i + 1 has."""
+
+    start: np.ndarray
+    values: np.ndarray
+    kids: np.ndarray
+    shifts: np.ndarray
+    parent: np.ndarray
+    states: int
+
+
 class _FrontierDP:
     """Layered transfer-matrix DP of the ensemble `spec` along the
     breadth-first vertex order from v0 (one-point mode) or from `start`
@@ -143,133 +176,179 @@ class _FrontierDP:
 
     Layer i holds the states reached once the first i vertices of the order
     have values.  A vertex is pending when it is unassigned but has an
-    assigned neighbour.  A state key lists, for every pending vertex in order
-    position, the max and the min of its assigned neighbours' values, and
-    ends with the flaw count.  The key is exact: a pending vertex's
-    candidates are [max - M, min + M] clipped to the box, so a successor in
-    which some max - min exceeds 2M is dead and is dropped.  In a breadth-first
-    order vertex i is the first pending vertex of layer i, and the new
-    pending vertices it opens come after all others; the root gets a
-    synthetic pair whose candidates are exactly `root`.
+    assigned neighbour.  A state key lists, for every pending vertex, the
+    max and the min of its assigned neighbours' values, and ends with the
+    flaw count.  The key is exact: a pending vertex's candidates are [max -
+    M, min + M] clipped to the box, so a successor in which some max - min
+    exceeds 2M is dead and is dropped.  Keys of one layer list the pending
+    vertices in one order, which `plans[i]` fixes along with the column of
+    vertex i's own pair; in a breadth-first order vertex i is pending at
+    layer i.  The root key gets a synthetic pair whose candidates are
+    exactly 0 in one-point mode and the whole box in ground-state mode.
 
     Without a box (one-point mode) completion counts do not change when a
     whole key is shifted, so keys are shifted to minimum 0 and every
     successor carries the shift it applied; a state's real values are its
-    key plus the running offset.
+    key plus the running offset.  With a box, keys count from the box's low
+    end.  Either way every key entry is nonnegative.
 
-    `sweep` is the one loop that expands states: counting reads its arrays
-    one layer at a time, and `compile` keeps them all and turns them into
-    rank arrays for sampling, marginals and enumeration.  `nodes` counts DP
-    transitions: (state, candidate) pairs that lead to a live state.  It is
-    checked against `budget` for every state expanded, before its successors
-    are built.
+    A layer's keys are one `(states, 2 * pending + 1)` array, int64 unless
+    a value or bound could pass 2^62 (then Python ints, through the same
+    code).  `expand` is the one kernel that expands states, and `sweep`
+    yields its arrays: counting reads them one layer at a time, and
+    `compile` keeps them all and turns them into rank arrays for sampling,
+    marginals and enumeration.  `nodes` counts DP transitions: (state,
+    candidate) pairs that lead to a live state.  It is charged state by
+    state, in state order, and checked against `budget` before any
+    successor of the layer is built.
     """
 
     def __init__(self, g: Graph, spec: EnsembleSpec, budget: int, start: int = 0):
         self.M = M = spec.M
         self.cap = _check_spec(g, spec)
         if self.cap is None:
-            start, root, self.box, self.window = spec.v0, (0, 0), None, None
+            start, self.box = spec.v0, None
         else:
             if not 0 <= start < g.n:
                 raise ValueError(f"invalid anchor vertex {start}")
-            k = spec.k
-            root = self.box = (k - g.n * M, k + M + g.n * M)
-            self.window = (k, k + M)
+            self.box = (spec.k - g.n * M, spec.k + M + g.n * M)
         order = bfs_order(g, start)
-        self.n = len(order)
+        self.n = n = len(order)
         self.budget = budget
         self.nodes = 0
-        pos = {v: i for i, v in enumerate(order)}
-        self._place = [pos[v] for v in range(g.n)]  # the graph is connected
-        # per layer: key offsets of the pending pairs that vertex i tightens,
-        # and how many new pending vertices it opens
-        self.tighten: list[tuple[int, ...]] = []
-        self.fresh: list[int] = []
-        pending = [0]
+        self._place = place = [0] * n  # each vertex's order position; the graph is connected
         for i, v in enumerate(order):
-            later = {pos[u] for u in g.neighbors(v) if pos[u] > i}
-            rest = pending[1:]
-            self.tighten.append(tuple(2 * j for j, p in enumerate(rest) if p in later))
-            opened = sorted(later.difference(rest))
-            self.fresh.append(len(opened))
-            pending = rest + opened
-        lo, hi = root[0] + M, root[1] - M
-        self.offset = 0 if self.box is not None else min(lo, hi)
-        self.root = (lo - self.offset, hi - self.offset, 0)
+            place[v] = i
+        # key entries, candidates and bounds in key coordinates lie within (2n + 3)M + 1
+        # of 0 and the values yielded within the box, so every int64 difference and
+        # one state's live count stay below 2^63
+        reach = (2 * n + 3) * M + 1 + (0 if self.box is None else max(map(abs, self.box)))
+        self.dtype = dtype = np.int64 if reach < 1 << 62 else object
+        # the most live values one state can have: the root's box, else 2M + 1
+        self._widest = 2 * M + 1 if self.box is None else self.box[1] - self.box[0] + 1
+        # every layer's columns in one array, each plan holding views of it; the
+        # bounds' offsets depend only on how many pairs vertex i tightens
+        cols: list[int] = []
+        spans = []
+        pending = [0]  # the pending vertices, by order position, in key order
+        for i, v in enumerate(order):
+            later = {place[u] for u in g.neighbors(v)}
+            kept, tight, stay, moved = [], [], [], []
+            for j, p in enumerate(pending):
+                if p in later:
+                    tight.append(2 * j)
+                    moved.append(p)
+                elif p != i:
+                    kept.append(2 * j)
+                    stay.append(p)
+                else:
+                    own = 2 * j
+            opened = sorted(p for p in later.difference(pending) if p > i)
+            first, lows = len(cols), [own] + tight
+            cols += lows
+            cols += [c + 1 for c in lows]
+            mid = len(cols)
+            for c in kept + tight:
+                cols += (c, c + 1)
+            high = len(cols) - mid
+            fresh = high + 2 * len(opened)
+            cols += [0] * (fresh - high)
+            cols.append(2 * len(pending))
+            spans.append((first, mid, len(cols), len(tight), (2 * len(kept), high), fresh))
+            pending = stay + moved + opened
+        cols = np.array(cols, dtype=np.intp)
+        offsets = {t: np.array([-M] + [-2 * M] * t + [M + 1] + [2 * M + 1] * t, dtype=dtype)
+                   for t in {span[3] for span in spans}}
+        self.plans = [_Plan(cols[a:b], offsets[t], cols[b:c], tight, fresh)
+                      for a, b, c, t, tight, fresh in spans]
+        if self.box is None:
+            # the root's synthetic pair (M, -M), shifted to minimum 0
+            self.offset, self.root = -M, (2 * M, 0, 0)
+        else:
+            width = self.box[1] - self.box[0]
+            self.offset, self.root = 0, (M, width - M, 0)
+            # per flaw count, the live values [low, high) in key coordinates: the box,
+            # and at the cap the window [k, k + M], which starts n*M into the box
+            self._window = low, high = n * M, n * M + M
+            self._low = np.array([0] * self.cap + [low], dtype=dtype)
+            self._high = np.array([width + 1] * self.cap + [high + 1], dtype=dtype)
+
+    def expand(self, stage: str) -> Iterator[_Step]:
+        """Layer i's transitions, layer by layer, as `_Step`s: the arrays of
+        `sweep`, plus each transition's state and the next layer's width."""
+        keys = np.array([self.root], dtype=self.dtype)
+        for i, plan in enumerate(self.plans):
+            width = len(keys)
+            # each state's live values [lo, hi)
+            bound = keys.take(plan.bounds, axis=1)
+            bound += plan.offsets
+            half = len(plan.offsets) // 2
+            lo = np.maximum.reduce(bound[:, :half], axis=1)
+            hi = np.minimum.reduce(bound[:, half:], axis=1)
+            if self.box is not None:
+                # at the cap one more flaw is one too many
+                flaws = keys[:, -1].astype(np.intp, copy=False)
+                lo = np.maximum(lo, self._low.take(flaws))
+                hi = np.minimum(hi, self._high.take(flaws))
+                del flaws
+            live = hi - lo
+            np.maximum(live, 0, out=live)
+            # the running sums could pass int64 only past this bound
+            charge = live.astype(object) if width * self._widest >= 1 << 62 else live
+            start = np.empty(width + 1, dtype=charge.dtype)
+            start[0] = 0
+            np.add.accumulate(charge, out=start[1:])
+            spare = self.budget - self.nodes
+            if start[-1] > spare:
+                # charged state by state: stop at the first state past the budget
+                self.nodes += int(start[(start > spare).argmax()])
+                raise BudgetExceededError(self.nodes, self.budget, stage,
+                                          where=f"layer {i}/{self.n}, width {width} states")
+            self.nodes += int(start[-1])
+            start = start.astype(np.int64, copy=False)
+            parent = np.arange(width).repeat(live.astype(np.int64, copy=False))
+            values = (lo - start[:-1]).take(parent) + np.arange(len(parent))
+            keys = keys.take(plan.take, axis=1)  # drops the layer's keys
+            rows = keys.take(parent, axis=0)
+            del keys, bound, lo, hi, live, charge
+            column = values[:, None]
+            low, high = plan.tight
+            if high < plan.fresh:
+                rows[:, high:plan.fresh] = column
+            if low < high:
+                raised, lowered = rows[:, low:high:2], rows[:, low + 1:high:2]
+                np.maximum(raised, column, out=raised)
+                np.minimum(lowered, column, out=lowered)
+                del raised, lowered
+            if self.box is None:
+                if plan.fresh:
+                    shifts = np.minimum.reduce(rows[:, 1:-1:2], axis=1)
+                    rows[:, :-1] -= shifts[:, None]
+                else:
+                    shifts = np.zeros(len(values), dtype=values.dtype)
+            else:
+                rows[:, -1] += (values < self._window[0]) | (values > self._window[1])
+                values = values + self.box[0]
+                shifts = np.zeros(len(values), dtype=values.dtype)
+            kids, keys = _number(rows)
+            del rows, column
+            yield _Step(start, values, kids, shifts, parent, len(keys))
+            del start, values, kids, shifts, parent  # the caller holds what it keeps
 
     def sweep(self, stage: str) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
         """Layer i's transitions as integer arrays `(start, values, kids,
         shifts)`, layer by layer.  States are numbered as they are found, the
         root as 0; state s owns transitions `start[s]:start[s + 1]`, one per
-        value of vertex i (in key coordinates, increasing) that leaves a live
-        state.  Transition t gives vertex i `values[t]` and leads to state
+        value of vertex i (increasing; in one-point mode relative to the
+        running offset) that leaves a live state.  Transition t gives vertex i `values[t]` and leads to state
         `kids[t]` of layer i + 1, whose key is shifted down by `shifts[t]`
         (0 when there is a box).  A layer's keys are dropped once the next
-        layer is numbered.  A state's live values form one interval, charged
-        to `nodes` and checked against the budget before any successor is
-        built, so its work and memory are bounded by the budget, not by M."""
-        M, box, window, cap = self.M, self.box, self.window, self.cap
-        span = 2 * M
-        # one-point keys lie in [0, 2M], so values and shifts lie in [-M, 3M]
-        reach = 3 * M if box is None else max(map(abs, box))
-        value_type = np.int64 if reach < 1 << 62 else object
-        # int64 buffers, which the yielded arrays share, or Python ints
-        column = (lambda: array("q")) if value_type is np.int64 else list
-        keys: dict = {self.root: 0}
-        for i in range(self.n):
-            tighten, fresh, width = self.tighten[i], self.fresh[i], len(keys)
-            nxt: dict = {}
-            number = nxt.setdefault
-            start, kids = array("q"), array("q")
-            values, shifts = column(), column()
-            for key in keys:
-                start.append(len(values))
-                rest, flaws = key[2:-1], key[-1]
-                # within M of vertex i's assigned neighbours, and within 2M of those
-                # of every pending vertex it tightens (rest[j] is a max, rest[j + 1] a min)
-                lo, hi = key[0] - M, key[1] + M
-                for j in tighten:
-                    bound = rest[j] - span
-                    if bound > lo:
-                        lo = bound
-                    bound = rest[j + 1] + span
-                    if bound < hi:
-                        hi = bound
-                if box is not None:
-                    # the window lies in the box; at the cap one more flaw is one too many
-                    low, high = window if flaws == cap else box
-                    if low > lo:
-                        lo = low
-                    if high < hi:
-                        hi = high
-                if hi < lo:
-                    continue
-                self.nodes += hi - lo + 1
-                if self.nodes > self.budget:
-                    raise BudgetExceededError(self.nodes, self.budget, stage,
-                                              where=f"layer {i}/{self.n}, width {width} states")
-                for c in range(lo, hi + 1):
-                    pairs = list(rest)
-                    for j in tighten:
-                        if c > pairs[j]:
-                            pairs[j] = c
-                        elif c < pairs[j + 1]:
-                            pairs[j + 1] = c
-                    pairs += (c, c) * fresh
-                    shift = 0
-                    if box is None and pairs:
-                        shift = min(pairs[1::2])
-                        if shift:
-                            pairs = [x - shift for x in pairs]
-                    pairs.append(flaws if window is None or window[0] <= c <= window[1] else flaws + 1)
-                    values.append(c)
-                    kids.append(number(tuple(pairs), len(nxt)))
-                    shifts.append(shift)
-            start.append(len(values))
-            keys = nxt
-            yield (np.asarray(start), np.asarray(values, dtype=value_type),
-                   np.asarray(kids), np.asarray(shifts, dtype=value_type))
+        layer is numbered.  A state's live values form one interval; a
+        layer's are charged to `nodes` and checked against the budget before
+        any successor is built, so the work and memory of a layer are bounded
+        by the budget, not by M."""
+        for step in self.expand(stage):
+            yield step[:4]
 
     def compile(self, stage: str) -> tuple[int, list[_Layer]]:
         """The ensemble size and, per layer, the `_Layer` arrays that rank
@@ -296,12 +375,48 @@ class _FrontierDP:
         return total, [_Layer(*(a.astype(kind, copy=False) for a in layer)) for layer in rows]
 
 
+def _number(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's number among the distinct rows of `rows`, numbered in
+    order of first appearance, and the distinct rows in that order.  `rows`
+    is not empty: every layer has a member's transition.
+
+    The entries are nonnegative, so a run of columns packs into one
+    mixed-radix word below 2^63.  When the columns' spans multiply past
+    that, each further run's word is paired with the word so far through
+    their ranks among their distinct values.  A stable sort of the words
+    puts each row's first appearance first among its equals."""
+    radix, runs, size = [], [len(rows[0])], 1
+    for j, top in reversed(list(enumerate(np.maximum.reduce(rows, axis=0).tolist()))):
+        if size * (top + 1) >= 1 << 63:
+            runs.append(j + 1)
+            size = 1
+        radix.append(size)
+        size *= top + 1
+    radix = np.array(radix[::-1], dtype=np.int64)
+    words = rows[:, :runs[-1]].dot(radix[:runs[-1]])
+    for start, stop in zip(runs[:0:-1], runs[-2::-1]):
+        _, ranks = np.unique(words, return_inverse=True)
+        _, more = np.unique(rows[:, start:stop].dot(radix[start:stop]), return_inverse=True)
+        words = ranks * (more.max() + 1) + more
+    order = words.argsort(kind="stable")
+    ranked = words.take(order)
+    new = np.empty(len(order), dtype=bool)  # where a new word starts, in word order
+    new[0] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
+    new = new.nonzero()[0]
+    first = order.take(new)  # each distinct row's first appearance, in word order
+    found = first.argsort()
+    kids = found.argsort().take(ranked.take(new).searchsorted(words))
+    return kids, rows.take(first.take(found), axis=0)
+
+
 def _widened(weights: np.ndarray) -> np.ndarray:
     """`weights` as Python ints once their sum could pass 2^62, so that no
     sum or running sum of them wraps int64."""
-    if weights.dtype != object and weights.sum(dtype=np.float64) >= 2.0 ** 62:
-        return weights.astype(object)
-    return weights
+    if weights.dtype == object or int(np.maximum.reduce(weights, initial=0)) * len(weights) < 1 << 62:
+        return weights
+    return weights.astype(object) if weights.sum(dtype=np.float64) >= 2.0 ** 62 else weights
+
 
 
 def _check_spec(g: Graph, spec: EnsembleSpec) -> int | None:
@@ -322,11 +437,11 @@ def _check_spec(g: Graph, spec: EnsembleSpec) -> int | None:
 def _count(g: Graph, spec: EnsembleSpec, budget: int) -> CountResult:
     dp = _FrontierDP(g, spec, budget)
     mult = np.ones(1, dtype=np.int64)  # functions reaching each state of the layer
-    for start, _, kids, _ in dp.sweep("count"):
-        spread = _widened(np.repeat(mult, np.diff(start)))
-        mult = np.zeros(int(kids.max(initial=-1)) + 1, dtype=spread.dtype)
-        np.add.at(mult, kids, spread)
-        del start, kids, _, spread  # hold only `mult` while the next layer is swept
+    for step in dp.expand("count"):
+        spread = _widened(mult.take(step.parent))
+        mult = np.zeros(step.states, dtype=spread.dtype)
+        np.add.at(mult, step.kids, spread)
+        del step, spread  # hold only `mult` while the next layer is swept
     total = int(mult.sum())
     return CountResult(count=total, nodes_explored=dp.nodes, mode=spec.mode, M=spec.M,
                        anchor=spec.v0, base=spec.k, flaw_cap=dp.cap, box=dp.box)

@@ -1,11 +1,14 @@
+from array import array
 from collections import Counter
 
 import networkx as nx
 import numpy as np
 import pytest
 
+from liplab.errors import BudgetExceededError
 from liplab.graphs import (
     Graph,
+    bfs_order,
     complete_graph,
     cycle_graph,
     hypercube_graph,
@@ -107,6 +110,78 @@ def reference_glauber(g, spec, blocks, on_step=None):
                 t += 1
         states.append(LipschitzFn(tuple(values), spec.M))
     return states, rejected
+
+
+def reference_sweep(g, spec, budget, start=0):
+    """The frontier DP as a loop over dict keys of tuples, for comparison
+    with the kernel of `_FrontierDP.sweep`.  Returns every layer's `(start,
+    values, kids, shifts)` arrays and the transitions charged, or raises the
+    `BudgetExceededError` of the first state that passes `budget`.
+
+    A key lists, per pending vertex in breadth-first position, the max and
+    the min of its assigned neighbours' values, then the flaw count.  Vertex
+    i's live values are [max - M, min + M] of its own pair, within 2M of each
+    pair it tightens, clipped to the box (or, at the flaw cap, the window).
+    Without a box, each successor key is shifted to minimum 0.  States are
+    numbered as they are found."""
+    M, n = spec.M, g.n
+    if spec.mode == "one-point":
+        start, root, box, window, cap = spec.v0, (0, 0), None, None, None
+    else:
+        k = spec.k
+        root = box = (k - n * M, k + M + n * M)
+        window, cap = (k, k + M), flaw_cap(n, g.regular_degree(), spec.lam)
+    order = bfs_order(g, start)
+    pos = {v: i for i, v in enumerate(order)}
+    tightens, opens, pending = [], [], [0]
+    for i, v in enumerate(order):
+        later = {pos[u] for u in g.neighbors(v) if pos[u] > i}
+        rest = pending[1:]
+        tightens.append(tuple(2 * j for j, p in enumerate(rest) if p in later))
+        opened = sorted(later.difference(rest))
+        opens.append(len(opened))
+        pending = rest + opened
+    lo, hi = root[0] + M, root[1] - M
+    offset = 0 if box is not None else min(lo, hi)
+    span = 2 * M
+    # the dtype of the arrays: int64 while 3M (one-point) or the box (ground-state) stays below 2^62
+    value_type = np.int64 if (3 * M if box is None else max(map(abs, box))) < 1 << 62 else object
+    nodes, layers = 0, []
+    keys = {(lo - offset, hi - offset, 0): 0}
+    for i in range(n):
+        tighten, fresh, width = tightens[i], opens[i], len(keys)
+        nxt = {}
+        starts, values, kids, shifts = array("q"), [], array("q"), []
+        for key in keys:
+            starts.append(len(values))
+            rest, flaws = key[2:-1], key[-1]
+            lo, hi = key[0] - M, key[1] + M
+            for j in tighten:
+                lo, hi = max(lo, rest[j] - span), min(hi, rest[j + 1] + span)
+            if box is not None:
+                low, high = window if flaws == cap else box
+                lo, hi = max(lo, low), min(hi, high)
+            if hi < lo:
+                continue
+            nodes += hi - lo + 1
+            if nodes > budget:
+                raise BudgetExceededError(nodes, budget, "count", where=f"layer {i}/{n}, width {width} states")
+            for c in range(lo, hi + 1):
+                pairs = list(rest)
+                for j in tighten:
+                    pairs[j], pairs[j + 1] = max(pairs[j], c), min(pairs[j + 1], c)
+                pairs += (c, c) * fresh
+                shift = min(pairs[1::2]) if box is None and pairs else 0
+                pairs = [x - shift for x in pairs]
+                pairs.append(flaws if window is None or window[0] <= c <= window[1] else flaws + 1)
+                values.append(c)
+                kids.append(nxt.setdefault(tuple(pairs), len(nxt)))
+                shifts.append(shift)
+        starts.append(len(values))
+        keys = nxt
+        layers.append((np.asarray(starts), np.asarray(values, dtype=value_type),
+                       np.asarray(kids), np.asarray(shifts, dtype=value_type)))
+    return layers, nodes
 
 
 def brute_members(nxg, spec):

@@ -22,7 +22,6 @@ from liplab.containers import (
 from liplab.errors import BudgetExceededError
 from liplab.expanders import ExpanderProfile, asserted_profile, exhaustive_lambda, spectral_lambda
 from liplab.graphs import (
-    complete_graph,
     cycle_graph,
     is_k_linked,
     is_mutual_cover,

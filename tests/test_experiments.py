@@ -42,7 +42,7 @@ from liplab.experiments import (
 )
 from liplab.flaws import conditional_tail_profile
 from liplab.graphs import DEFAULT_NODE_BUDGET, complete_graph
-from liplab.lipschitz import LipschitzFn, count_onepoint, enumerate_onepoint, fn_range
+from liplab.lipschitz import LipschitzFn, enumerate_onepoint, fn_range
 from tests.conftest import CountingGenerator, reference_glauber
 
 

@@ -11,6 +11,7 @@ from scipy import stats
 
 from liplab.errors import BudgetExceededError
 from liplab.graphs import (
+    DEFAULT_NODE_BUDGET,
     Graph,
     bfs_distances,
     complete_graph,
@@ -20,10 +21,10 @@ from liplab.graphs import (
     torus_graph,
 )
 from liplab.lipschitz import (
-    CountResult,
     EnsembleSpec,
     ExactSampler,
     LipschitzFn,
+    _FrontierDP,
     _unrank,
     count_groundstate,
     count_onepoint,
@@ -41,7 +42,14 @@ from liplab.lipschitz import (
     sample_exact,
     validate,
 )
-from tests.conftest import CountingGenerator, brute_members, path_graph, reference_glauber, to_networkx
+from tests.conftest import (
+    CountingGenerator,
+    brute_members,
+    path_graph,
+    reference_glauber,
+    reference_sweep,
+    to_networkx,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -842,3 +850,66 @@ def test_budget_error_names_stage_and_layer(q3, run, stage):
     with pytest.raises(BudgetExceededError, match=rf"^{stage} exceeded node budget \(\d+ > 40\) "
                                                   r"at layer \d/8, width \d+ states$"):
         run(q3)
+
+
+def assert_sweep_matches_reference(g, spec, budget, start=0):
+    """`_FrontierDP.sweep` yields the loop reference's arrays, byte for byte
+    (element for element, all Python ints, past int64), and charges the same
+    transitions; or both raise the same budget error at the same state."""
+    dp = _FrontierDP(g, spec, budget, start)
+    try:
+        expected, nodes = reference_sweep(g, spec, budget, start)
+    except BudgetExceededError as error:
+        with pytest.raises(BudgetExceededError) as raised:
+            list(dp.sweep("count"))
+        assert str(raised.value) == str(error)
+        assert raised.value.nodes == error.nodes == dp.nodes
+        return
+    layers = list(dp.sweep("count"))
+    assert dp.nodes == nodes
+    assert len(layers) == len(expected) == g.n
+    for layer, reference in zip(layers, expected):
+        assert len(layer) == len(reference) == 4
+        for got, want in zip(layer, reference):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            if want.dtype == object:
+                assert got.tolist() == want.tolist()
+                assert all(type(x) is int for x in got.tolist())
+            else:
+                assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "g,spec,budget",
+    [
+        # ground-state values past int64: keys and arrays hold Python ints
+        (complete_graph(8), EnsembleSpec("ground-state", M=2, k=10**20, lam=1.0), DEFAULT_NODE_BUDGET),
+        (complete_graph(8), EnsembleSpec("ground-state", M=2, k=-(10**20), lam=1.0), 300),
+        # one state's live count past int64 is charged before anything is built
+        (complete_graph(2), EnsembleSpec("one-point", M=2**70, v0=0), 100),
+        # a key row spans more than one 63-bit word
+        (complete_graph(10), EnsembleSpec("ground-state", M=2, k=0, lam=1.0), DEFAULT_NODE_BUDGET),
+    ],
+    ids=["K8-k1e20", "K8-k-1e20-budget", "K2-M2^70-budget", "K10-wide-keys"],
+)
+def test_sweep_matches_the_loop_reference(g, spec, budget):
+    assert_sweep_matches_reference(g, spec, budget)
+
+
+@pytest.mark.parametrize(
+    "g,lam",
+    [(cycle_graph(14), 0.15), (hypercube_graph(3), 0.6), (complete_graph(6), 1.0)],
+    ids=["C14", "Q3", "K6"],
+)
+def test_every_budget_below_the_total_fails_as_the_loop_reference(g, lam):
+    # ground-state M=1: flaw caps 2, 3 and 2; 942, 866 and 110 transitions
+    spec = EnsembleSpec("ground-state", M=1, k=0, lam=lam)
+    total = count_groundstate(g, 0, 1, lam).nodes_explored
+    assert total == reference_sweep(g, spec, total)[1]
+    for budget in range(total):
+        with pytest.raises(BudgetExceededError) as error:
+            reference_sweep(g, spec, budget)
+        with pytest.raises(BudgetExceededError) as raised:
+            count_groundstate(g, 0, 1, lam, budget=budget)
+        assert str(raised.value) == str(error.value)
+        assert raised.value.nodes == error.value.nodes

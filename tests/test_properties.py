@@ -1,7 +1,9 @@
 """Property tests of the mask primitives, the boundary ordering and the
 adjacency spectrum against networkx on random connected graphs with at most
 12 vertices, of the linked-set enumeration against `brute_linked_sets` on
-those with at most 9, and of the one-point count and enumeration against
+those with at most 9, of the frontier DP's layer arrays against
+`reference_sweep` on those with at most 9 (and on small regular graphs in
+ground-state mode), and of the one-point count and enumeration against
 `brute_members` on those with at most 7.  Examples are derandomized, so the
 suite stays deterministic."""
 
@@ -16,16 +18,21 @@ from liplab.flaws import boundary_ordering, check_boundary_ordering
 from liplab.graphs import (
     Graph,
     ball,
+    complete_graph,
+    cycle_graph,
+    hypercube_graph,
     is_k_linked,
     is_mutual_cover,
     linked_component_containing,
     mask_vertices,
     neighborhood,
+    random_regular_graph,
     vertex_mask,
 )
-from liplab.lipschitz import EnsembleSpec, LipschitzFn, count_onepoint, enumerate_onepoint
+from liplab.lipschitz import EnsembleSpec, LipschitzFn, count_onepoint, enumerate_onepoint, flaw_cap
 from tests.conftest import brute_members
 from tests.test_containers import brute_linked_sets, vertex_sets
+from tests.test_lipschitz import assert_sweep_matches_reference
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -141,6 +148,35 @@ def test_adjacency_spectrum_matches_networkx(graphs):
     g, nxg = graphs
     expected = np.sort(nx.adjacency_spectrum(nxg).real)
     assert np.abs(adjacency_spectrum(g) - expected).max() <= 1e-9
+
+
+@st.composite
+def regular_graphs(draw):
+    """A cycle, complete graph, hypercube or random 3-regular graph with 2 to
+    10 vertices."""
+    family = draw(st.sampled_from(["cycle", "complete", "hypercube", "random-regular"]))
+    if family == "cycle":
+        return cycle_graph(draw(st.integers(3, 10)))
+    if family == "complete":
+        return complete_graph(draw(st.integers(2, 7)))
+    if family == "hypercube":
+        return hypercube_graph(draw(st.integers(1, 3)))
+    return random_regular_graph(draw(st.sampled_from([4, 6, 8, 10])), 3, seed=draw(st.integers(0, 99)))
+
+
+@PROPERTY_SETTINGS
+@given(connected_graphs(max_n=9), regular_graphs(), st.integers(0, 3), st.data())
+def test_frontier_sweep_matches_the_loop_reference(graphs, regular, M, data):
+    # both ways: every layer's arrays and the transitions charged, or the budget error
+    g, _ = graphs
+    v0 = data.draw(st.integers(0, g.n - 1))
+    assert_sweep_matches_reference(g, EnsembleSpec("one-point", M=M, v0=v0), 20_000)
+    # the flaw allowance divides by the degree, so K1 has no ground-state ensemble
+    for h in (g, regular) if g.is_regular() and g.n > 1 else (regular,):
+        lam = data.draw(st.sampled_from([0, 0.5, 1.0, 1.5]))
+        if flaw_cap(h.n, h.regular_degree(), lam) < h.n:
+            spec = EnsembleSpec("ground-state", M=M, k=data.draw(st.integers(-3, 3)), lam=lam)
+            assert_sweep_matches_reference(h, spec, 20_000, start=data.draw(st.integers(0, h.n - 1)))
 
 
 @PROPERTY_SETTINGS
