@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
 from .expanders import ExpanderProfile
 from .graphs import (
     DEFAULT_NODE_BUDGET,
@@ -201,6 +202,12 @@ class RefineStats:
     u_bound: float
 
 
+def _check_psi(d: int, psi: float) -> None:
+    """Refuse a psi outside [1, d/2], NaN included."""
+    if not (1.0 - _TOL <= psi <= d / 2.0 + _TOL):
+        raise ConfigError(f"psi must lie in [1, d/2] = [1, {d / 2}], got {psi}")
+
+
 def refine_to_approx_pair(
     g: Graph,
     cover: int,
@@ -219,8 +226,7 @@ def refine_to_approx_pair(
     it against X once, and reports the verdict as `covers_all`.
     """
     d = g.regular_degree()
-    if not (1.0 - _TOL <= psi <= d / 2.0 + _TOL):
-        raise ValueError(f"psi must lie in [1, d/2] = [1, {d / 2}], got {psi}")
+    _check_psi(d, psi)
     if not is_mutual_cover(g, x, cover):
         raise ValueError("cover does not mutually cover X")
     q = neighborhood(g, x)
@@ -306,6 +312,7 @@ def build_container_family(
     cover gets its own seed stream when covers sample (0 < p < 1); at p = 0
     or 1 a cover ignores its seed, so none is spawned.
     """
+    _check_psi(profile.d, psi)  # also when no linked set exists
     xs = enumerate_linked_sets(g, v, boundary_size, k, budget=budget)
     if 0.0 < cover_sampling(profile.d, profile.lam)[1] < 1.0:
         seeds = (s.generate_state(1)[0].item() for s in np.random.SeedSequence(seed).spawn(len(xs)))

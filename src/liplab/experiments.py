@@ -144,12 +144,14 @@ def _graph_path(graph) -> str | None:
 
 def check_lambda_source(lam_src):
     """`lam_src` if it is a lambda source: "spectral", "exhaustive" or
-    `{"asserted": <finite number>}`."""
+    `{"asserted": <finite number >= 0>}`."""
     if isinstance(lam_src, dict):
         if set(lam_src) != {"asserted"} or not _is_number(lam_src["asserted"]):
             raise ConfigError("lambda_source object form is {'asserted': number}")
         if not math.isfinite(lam_src["asserted"]):
             raise ConfigError(f"lambda_source.asserted must be finite, got {lam_src['asserted']!r}")
+        if lam_src["asserted"] < 0:
+            raise ConfigError(f"lambda_source.asserted must be >= 0, got {lam_src['asserted']!r}")
     elif lam_src not in ("spectral", "exhaustive"):
         raise ConfigError(f"unknown lambda_source {lam_src!r}")
     return lam_src

@@ -7,17 +7,16 @@ the window [k, k+M] on at most (2*lam/d)*n vertices; it is finite whenever
 that flaw allowance is below n.
 
 Counting, exact sampling, enumeration and exact marginals share one
-recursion-free frontier DP (`_FrontierDP`).  Its forward sweep is one numpy
-kernel per layer: the layer's states are the rows of one integer key array,
-their transitions are charged and expanded in bulk, and the successor rows
-are packed into int64 words and numbered by one stable sort, in order of
-first appearance.  It yields each layer's transitions as integer arrays.
-Their `budget` bounds, and `CountResult.nodes_explored` reports, the number
-of DP transitions: pairs of a state and a candidate value that lead to a
-live state, each charged once.  Counts carry multiplicities along the
-sweep, one layer at a time; sampling, marginals and enumeration keep every
-layer's arrays and turn them into rank arrays, rank r being member r of the
-enumeration (Nijenhuis-Wilf unranking).
+recursion-free frontier DP (`_FrontierDP`).  Its one iterator, `expand`,
+runs one numpy kernel per layer on that layer's plan of key columns: the
+states are the rows of one integer key array, their transitions are charged
+and expanded in bulk, and the successor rows are packed into int64 words and
+numbered by one stable sort, in order of first appearance.  Its `budget`
+bounds, and `CountResult.nodes_explored` reports, the number of DP
+transitions: pairs of a state and a candidate value that lead to a live
+state, each charged once.  Counts carry multiplicities one layer at a time;
+sampling, marginals and enumeration keep every layer's arrays as rank
+arrays, rank r being member r of the enumeration (Nijenhuis-Wilf unranking).
 """
 
 from __future__ import annotations
@@ -127,8 +126,7 @@ class _Layer(NamedTuple):
     """One compiled DP layer, one entry per transition with completions, in
     rank order.  `cum[j]` ends the ranks of transition j (they start at
     `cum[j - 1]`, or 0); taking j adds `step[j]` to the rank, which makes it a
-    rank of the next layer.  `values` and `shifts` are as in
-    `_FrontierDP.sweep`."""
+    rank of the next layer.  `values` and `shifts` are as in `_Step`."""
 
     cum: np.ndarray
     step: np.ndarray
@@ -155,8 +153,13 @@ class _Plan(NamedTuple):
 
 
 class _Step(NamedTuple):
-    """One layer of `_FrontierDP.expand`: the four arrays of `sweep`, the
-    state that owns each transition, and how many states layer i + 1 has."""
+    """Layer i's transitions, as `_FrontierDP.expand` yields them.  States
+    are numbered as they are found, the root as 0; state s = `parent[t]`
+    owns the transitions t in `start[s]:start[s + 1]`, one per value of
+    vertex i (increasing; in one-point mode relative to the running offset)
+    that leaves a live state.  Transition t gives vertex i `values[t]` and
+    leads to state `kids[t]` of the `states` of layer i + 1, whose key is
+    shifted down by `shifts[t]` (0 when there is a box)."""
 
     start: np.ndarray
     values: np.ndarray
@@ -194,13 +197,13 @@ class _FrontierDP:
 
     A layer's keys are one `(states, 2 * pending + 1)` array, int64 unless
     a value or bound could pass 2^62 (then Python ints, through the same
-    code).  `expand` is the one kernel that expands states, and `sweep`
-    yields its arrays: counting reads them one layer at a time, and
-    `compile` keeps them all and turns them into rank arrays for sampling,
-    marginals and enumeration.  `nodes` counts DP transitions: (state,
-    candidate) pairs that lead to a live state.  It is charged state by
-    state, in state order, and checked against `budget` before any
-    successor of the layer is built.
+    code).  `expand` is the DP's one iterator: counting reads its `_Step`s
+    one layer at a time, and `compile` keeps them all and turns them into
+    rank arrays for sampling, marginals and enumeration.  `nodes` counts DP
+    transitions: (state, candidate) pairs that lead to a live state.  It is
+    charged state by state, in state order, and checked against `budget`
+    before any successor of the layer is built, so a layer's work and
+    memory are bounded by the budget, not by M.
     """
 
     def __init__(self, g: Graph, spec: EnsembleSpec, budget: int, start: int = 0):
@@ -226,10 +229,7 @@ class _FrontierDP:
         self.dtype = dtype = np.int64 if reach < 1 << 62 else object
         # the most live values one state can have: the root's box, else 2M + 1
         self._widest = 2 * M + 1 if self.box is None else self.box[1] - self.box[0] + 1
-        # every layer's columns in one array, each plan holding views of it; the
-        # bounds' offsets depend only on how many pairs vertex i tightens
-        cols: list[int] = []
-        spans = []
+        self.plans = []
         pending = [0]  # the pending vertices, by order position, in key order
         for i, v in enumerate(order):
             later = {place[u] for u in g.neighbors(v)}
@@ -241,26 +241,15 @@ class _FrontierDP:
                 elif p != i:
                     kept.append(2 * j)
                     stay.append(p)
-                else:
-                    own = 2 * j
             opened = sorted(p for p in later.difference(pending) if p > i)
-            first, lows = len(cols), [own] + tight
-            cols += lows
-            cols += [c + 1 for c in lows]
-            mid = len(cols)
-            for c in kept + tight:
-                cols += (c, c + 1)
-            high = len(cols) - mid
-            fresh = high + 2 * len(opened)
-            cols += [0] * (fresh - high)
-            cols.append(2 * len(pending))
-            spans.append((first, mid, len(cols), len(tight), (2 * len(kept), high), fresh))
+            lows, t = [2 * pending.index(i)] + tight, len(tight)  # vertex i's own pair first
+            offsets = np.array([-M] + [-2 * M] * t + [M + 1] + [2 * M + 1] * t, dtype=dtype)
+            take = [c + e for c in kept + tight for e in (0, 1)]
+            tightened = (2 * len(kept), len(take))
+            take += [0] * (2 * len(opened)) + [2 * len(pending)]  # the opened pairs, the flaw count
+            self.plans.append(_Plan(np.array(lows + [c + 1 for c in lows], dtype=np.intp), offsets,
+                                    np.array(take, dtype=np.intp), tightened, len(take) - 1))
             pending = stay + moved + opened
-        cols = np.array(cols, dtype=np.intp)
-        offsets = {t: np.array([-M] + [-2 * M] * t + [M + 1] + [2 * M + 1] * t, dtype=dtype)
-                   for t in {span[3] for span in spans}}
-        self.plans = [_Plan(cols[a:b], offsets[t], cols[b:c], tight, fresh)
-                      for a, b, c, t, tight, fresh in spans]
         if self.box is None:
             # the root's synthetic pair (M, -M), shifted to minimum 0
             self.offset, self.root = -M, (2 * M, 0, 0)
@@ -274,8 +263,8 @@ class _FrontierDP:
             self._high = np.array([width + 1] * self.cap + [high + 1], dtype=dtype)
 
     def expand(self, stage: str) -> Iterator[_Step]:
-        """Layer i's transitions, layer by layer, as `_Step`s: the arrays of
-        `sweep`, plus each transition's state and the next layer's width."""
+        """Each layer's transitions, layer by layer, as `_Step`s.  A layer's
+        keys are dropped once the next layer is numbered."""
         keys = np.array([self.root], dtype=self.dtype)
         for i, plan in enumerate(self.plans):
             width = len(keys)
@@ -335,30 +324,17 @@ class _FrontierDP:
             yield _Step(start, values, kids, shifts, parent, len(keys))
             del start, values, kids, shifts, parent  # the caller holds what it keeps
 
-    def sweep(self, stage: str) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-        """Layer i's transitions as integer arrays `(start, values, kids,
-        shifts)`, layer by layer.  States are numbered as they are found, the
-        root as 0; state s owns transitions `start[s]:start[s + 1]`, one per
-        value of vertex i (increasing; in one-point mode relative to the
-        running offset) that leaves a live state.  Transition t gives vertex i `values[t]` and leads to state
-        `kids[t]` of layer i + 1, whose key is shifted down by `shifts[t]`
-        (0 when there is a box).  A layer's keys are dropped once the next
-        layer is numbered.  A state's live values form one interval; a
-        layer's are charged to `nodes` and checked against the budget before
-        any successor is built, so the work and memory of a layer are bounded
-        by the budget, not by M."""
-        for step in self.expand(stage):
-            yield step[:4]
-
     def compile(self, stage: str) -> tuple[int, list[_Layer]]:
         """The ensemble size and, per layer, the `_Layer` arrays that rank
         the layer's transitions.  A layer's ranks run over all its states in
         turn: state s owns [base[s], base[s] + completions of s), split
         between its transitions in order.  The backward pass that fills the
-        ranks and drops dead children works on the swept arrays alone."""
-        rows = list(self.sweep(stage))
+        ranks and drops dead children reads each `_Step`'s first four arrays."""
+        rows = []
+        for step in self.expand(stage):
+            rows.append(step[:4])
+            width = step.states
         # every last-layer state completes one way, and nothing is left to rank
-        width = int(rows[-1][2].max(initial=-1)) + 1
         counts, base = np.ones(width, dtype=np.int64), np.zeros(width, dtype=np.int64)
         for i in range(self.n - 1, -1, -1):
             start, values, kids, shifts = rows[i]

@@ -114,7 +114,7 @@ def reference_glauber(g, spec, blocks, on_step=None):
 
 def reference_sweep(g, spec, budget, start=0):
     """The frontier DP as a loop over dict keys of tuples, for comparison
-    with the kernel of `_FrontierDP.sweep`.  Returns every layer's `(start,
+    with the kernel of `_FrontierDP.expand`.  Returns every layer's `(start,
     values, kids, shifts)` arrays and the transitions charged, or raises the
     `BudgetExceededError` of the first state that passes `budget`.
 

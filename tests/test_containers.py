@@ -419,17 +419,32 @@ def test_cli_containers_refuses_degree_0(capsys):
     assert capsys.readouterr().err == "error: container pipeline requires degree d >= 1, got d = 0\n"
 
 
-@pytest.mark.parametrize("value", ["nan", "inf"])
-def test_cli_containers_refuses_a_non_finite_lambda(value, capsys):
+@pytest.mark.parametrize("value,message", [
+    ("nan", "error: lambda_source.asserted must be finite, got nan\n"),
+    ("inf", "error: lambda_source.asserted must be finite, got inf\n"),
+    ("-1", "error: lambda_source.asserted must be >= 0, got -1.0\n"),
+], ids=["nan", "inf", "-1"])
+def test_cli_containers_refuses_a_non_finite_lambda(value, message, capsys):
     from liplab.cli import main
 
     # the lambda-source check that `count` applies to the same flag
-    message = f"error: lambda_source.asserted must be finite, got {value}\n"
     assert main(["containers", "--graph", '{"family":"petersen"}', "--boundary-size", "6",
                  "--lambda-source", value]) == 2
     assert capsys.readouterr().err == message
     assert main(["count", "--graph", '{"family":"petersen"}', "--M", "1", "--lambda-source", value]) == 2
     assert capsys.readouterr().err == message
+
+
+@pytest.mark.parametrize("boundary_size,psi,shown", [("99", "nan", "nan"), ("2", "7", "7.0")])
+def test_cli_containers_checks_psi_without_linked_sets(boundary_size, psi, shown, capsys):
+    from liplab.cli import main
+
+    # no linked set of either size exists on the Petersen graph, so no pair is refined
+    assert main(["containers", "--graph", '{"family":"petersen"}', "--boundary-size", boundary_size,
+                 "--psi", psi]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: psi must lie in [1, d/2] = [1, 1.5], got {shown}\n"
 
 
 def test_cli_containers_refuses_a_negative_boundary_size(capsys):

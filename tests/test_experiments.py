@@ -42,7 +42,7 @@ from liplab.experiments import (
 )
 from liplab.flaws import conditional_tail_profile
 from liplab.graphs import DEFAULT_NODE_BUDGET, complete_graph
-from liplab.lipschitz import LipschitzFn, enumerate_onepoint, fn_range
+from liplab.lipschitz import LipschitzFn, count_groundstate, count_onepoint, enumerate_onepoint, fn_range
 from tests.conftest import CountingGenerator, reference_glauber
 
 
@@ -704,6 +704,99 @@ def test_cli_config_rejects_booleans_and_nulls_exits_2(override, message, tmp_pa
     assert not out_dir.exists()
 
 
+# a config file's text, and the error it exits 2 with; "{config}" stands for its path
+_REFUSED_CONFIGS = [
+    pytest.param(json.dumps(base_config(graph={"name": "C4"})),
+                 "graph must be {'path': ...} or {'family': ..., <params>}", id="graph-no-source"),
+    pytest.param(json.dumps(base_config(graph={"path": "g.edges", "n": 4})),
+                 "graph path entry takes no other keys", id="graph-path-extra-key"),
+    pytest.param(json.dumps(base_config(lambda_source="magic")),
+                 "unknown lambda_source 'magic'", id="lambda-source-unknown"),
+    pytest.param(json.dumps(base_config(mode={"kind": "two-point", "v0": 0})),
+                 "mode.kind must be 'one-point' or 'ground-state'", id="mode-kind"),
+    pytest.param(json.dumps([base_config()]), "config must be a JSON object", id="not-an-object"),
+    pytest.param(json.dumps(base_config(sampler={"kind": "cftp"})),
+                 "sampler.kind must be 'exact' or 'glauber'", id="sampler-kind"),
+    pytest.param(json.dumps(base_config(out=3)), "out must be a string path", id="out-not-a-string"),
+    pytest.param(json.dumps(base_config(dump_flaws=1)), "dump_flaws must be a boolean", id="dump-flaws-1"),
+    pytest.param("{not json", "{config}: invalid JSON (Expecting property name enclosed in double "
+                 "quotes: line 1 column 2 (char 1))", id="not-json"),
+]
+
+
+@pytest.mark.parametrize("text,message", _REFUSED_CONFIGS)
+def test_cli_config_refusals_exit_2(text, message, tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text)
+    out_dir = tmp_path / "res"
+    assert main(["experiment", "range", "--config", str(cfg_path), "--out", str(out_dir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message.replace('{config}', str(cfg_path))}\n"
+    assert captured.out == ""
+    assert not out_dir.exists()
+
+
+def test_cli_range_reads_the_constants_block(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(base_config(graph={"family": "complete", "n": 6}, samples=5,
+                                               constants={"c_prime": 2.0})))
+    assert main(["experiment", "range", "--config", str(cfg_path), "--out", str(tmp_path / "res")]) == 0
+    with open(tmp_path / "res" / "summary.json") as fh:
+        summary = json.load(fh)
+    aggregates = summary["aggregates"]
+    assert aggregates["constants"] == {"c": 1.0, "C": 1.0, "c_prime": 2.0}
+    lam = summary["gates"]["lam"]
+    assert aggregates["range_threshold_display"] == range_threshold(6, 5, lam, 1, c_prime=2.0)
+    assert aggregates["range_threshold_display"] != range_threshold(6, 5, lam, 1, c_prime=1.0)
+
+
+def test_cli_range_without_out_prints_the_aggregates(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    config = base_config(graph={"family": "complete", "n": 6}, samples=5)
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    assert main(["experiment", "range", "--config", "cfg.json"]) == 0
+    result = run_range_experiment(load_config(tmp_path / "cfg.json"))
+    assert capsys.readouterr().out == report_json({"aggregates": result.aggregates, "gates": result.gates})
+    assert os.listdir(tmp_path) == ["cfg.json"]
+
+
+def test_cli_experiment_covering_writes_covering_json(tmp_path, capsys, k6):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(base_config(graph={"family": "complete", "n": 6},
+                                               mode={"kind": "ground-state", "k": 0}, samples=0)))
+    assert main(["experiment", "covering", "--config", str(cfg_path), "--out", str(tmp_path / "res")]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    with open(tmp_path / "res" / "covering.json") as fh:
+        text = fh.read()
+    assert captured.out == text
+    report = json.loads(text)
+    lam = resolve_profile(k6, "spectral").lam
+    assert report["status"] == "pass"
+    assert report["ground_state_count"] == count_groundstate(k6, 0, 1, lam).count == 106
+    assert report["one_point_count"] == count_onepoint(k6, 0, 1).count == 63
+
+
+_STAR = '{"family":"complete-bipartite","a":1,"b":3}'  # K1,3: connected, not regular
+
+
+@pytest.mark.parametrize("args,message", [
+    pytest.param(["count", "--graph", "{bad", "--M", "1"], "bad graph JSON: Expecting property name enclosed "
+                 "in double quotes: line 1 column 2 (char 1)", id="malformed-graph-json"),
+    pytest.param(["containers", "--graph", _STAR, "--boundary-size", "1"],
+                 "container pipeline requires a regular graph", id="containers-not-regular"),
+    pytest.param(["count", "--graph", _STAR, "--M", "1", "--mode", "ground-state"],
+                 "ground-state mode requires a regular graph", id="ground-state-not-regular"),
+    pytest.param(["count", "--graph", _STAR, "--M", "1", "--lambda-source", "0.5"],
+                 "asserted lambda requires a regular graph", id="asserted-not-regular"),
+])
+def test_cli_refuses_graphs_it_cannot_use(args, message, capsys):
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
 # ---------------------------------------------------------------------------
 # One front end per job: config keys, CLI flags, `sample`, tail rows
 # ---------------------------------------------------------------------------
@@ -1326,13 +1419,13 @@ def test_verify_fails_rows_on_wrong_members_in_the_right_number(monkeypatch, cap
     from liplab import lipschitz
     from liplab.lipschitz import validate
 
-    sweep = lipschitz._FrontierDP.sweep
+    expand = lipschitz._FrontierDP.expand
 
     def shiftless(self, stage):
-        for start, values, kids, shifts in sweep(self, stage):
-            yield start, values, kids, np.zeros_like(shifts)
+        for step in expand(self, stage):
+            yield step._replace(shifts=np.zeros_like(step.shifts))
 
-    monkeypatch.setattr(lipschitz._FrontierDP, "sweep", shiftless)
+    monkeypatch.setattr(lipschitz._FrontierDP, "expand", shiftless)
     suite = run_verify_suite()
     rows = {(r["check"], r["graph"]): r for r in suite["rows"]}
     for g in default_suite_graphs():

@@ -338,6 +338,23 @@ def test_mutual_cover_linkage_transfer():
 # Edge-list files
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("text,message", [
+    ("", "empty edge-list file"),
+    ("# only a comment\n3\n", "header must be 'n m'"),
+    ("3 2\n0 1\n", "expected 2 edges, found 1"),
+    ("3 1\n0 1 2\n", "bad edge line '0 1 2'"),
+], ids=["empty", "header", "edge-count", "edge-line"])
+def test_cli_refuses_a_malformed_edge_list(text, message, tmp_path, capsys):
+    from liplab.cli import main
+
+    path = tmp_path / "g.edges"
+    path.write_text(text)
+    assert main(["spectrum", "--graph", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: {message}\n"
+
+
 def test_edge_list_roundtrip(tmp_path, petersen):
     path = tmp_path / "pet.edges"
     save_edge_list(petersen, path)

@@ -853,7 +853,7 @@ def test_budget_error_names_stage_and_layer(q3, run, stage):
 
 
 def assert_sweep_matches_reference(g, spec, budget, start=0):
-    """`_FrontierDP.sweep` yields the loop reference's arrays, byte for byte
+    """`_FrontierDP.expand` yields the loop reference's arrays, byte for byte
     (element for element, all Python ints, past int64), and charges the same
     transitions; or both raise the same budget error at the same state."""
     dp = _FrontierDP(g, spec, budget, start)
@@ -861,11 +861,11 @@ def assert_sweep_matches_reference(g, spec, budget, start=0):
         expected, nodes = reference_sweep(g, spec, budget, start)
     except BudgetExceededError as error:
         with pytest.raises(BudgetExceededError) as raised:
-            list(dp.sweep("count"))
+            list(dp.expand("count"))
         assert str(raised.value) == str(error)
         assert raised.value.nodes == error.nodes == dp.nodes
         return
-    layers = list(dp.sweep("count"))
+    layers = [step[:4] for step in dp.expand("count")]
     assert dp.nodes == nodes
     assert len(layers) == len(expected) == g.n
     for layer, reference in zip(layers, expected):
