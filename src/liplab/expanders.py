@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, bfs_distances
+from .graphs import Graph, linked_layers
 
 EXHAUSTIVE_CAP = 22
 _CHUNK = 1 << 14  # subset rows per chunk: about 20 MB traced at n = 18
@@ -107,24 +107,6 @@ def exhaustive_lambda(g: Graph) -> ExpanderProfile:
     return ExpanderProfile(n=g.n, d=d, lam=best, method="exhaustive")
 
 
-def exhaustive_lambda_bruteforce(g: Graph) -> float:
-    """Pure-Python oracle for the subset-pair sweep (tiny n only)."""
-    d = g.regular_degree()
-    n = g.n
-    nbr = [frozenset(g.neighbors(v)) for v in range(n)]
-    subsets = []
-    for mask in range(1, 1 << n):
-        subsets.append([v for v in range(n) if (mask >> v) & 1])
-    best = 0.0
-    for s in subsets:
-        s_set = set(s)
-        for t in subsets:
-            e = sum(len(nbr[v] & s_set) for v in t)
-            val = abs(e - d * len(s) * len(t) / n) / math.sqrt(len(s) * len(t))
-            best = max(best, val)
-    return best
-
-
 # ---------------------------------------------------------------------------
 # Consequence checks: joining edges, vertex expansion, volume growth, diameter
 # ---------------------------------------------------------------------------
@@ -136,6 +118,12 @@ def _sampled_subsets(n: int, count: int, rng: np.random.Generator) -> np.ndarray
     if len(rows) == 0:
         rows = np.ones((1, n))
     return rows
+
+
+def _check(name: str, witness, ok_status: str = "pass", **details) -> dict:
+    """One check's entry in the report: status "fail" carrying `witness` when
+    there is one, else `ok_status`."""
+    return {"name": name, "status": "fail" if witness else ok_status, "witness": witness, "details": details}
 
 
 def verify_expander_props(g: Graph, profile: ExpanderProfile, seed: int = 0) -> dict:
@@ -155,14 +143,10 @@ def verify_expander_props(g: Graph, profile: ExpanderProfile, seed: int = 0) -> 
     report = {"graph": g.name, "n": n, "d": d, "lam": lam, "method": profile.method,
               "mode": "exhaustive" if exhaustive else "sampled"}
 
-    def skipped(name, reason="lam = 0"):
-        return {"name": name, "status": "skipped", "witness": None, "details": {"reason": reason}}
-
     if d == 0:  # K1: every bound below divides by d
-        checks = [skipped(name, "d = 0")
+        checks = [_check(name, None, "skipped", reason="d = 0")
                   for name in ("joining-edge", "vertex-expansion", "volume-growth", "diameter-bound")]
         return {**report, "checks": checks, "all_ok": True}
-    checks = []
 
     if exhaustive:
         chunks = _subset_chunks(n)
@@ -199,20 +183,18 @@ def verify_expander_props(g: Graph, profile: ExpanderProfile, seed: int = 0) -> 
             if bad.any():
                 i = int(np.argmax(bad))
                 expansion_witness = {"A": np.flatnonzero(rows[i]).tolist(), "ratio": float(lhs[i]), "bound": float(rhs[i])}
-    checks.append({"name": "joining-edge", "status": "fail" if join_witness else ok_status, "witness": join_witness,
-                   "details": {"threshold": threshold, "max_product_without_edge": worst or None}})
+    checks = [_check("joining-edge", join_witness, ok_status,
+                     threshold=threshold, max_product_without_edge=worst or None),
+              _check("vertex-expansion", expansion_witness, ok_status) if lam else
+              _check("vertex-expansion", None, "skipped", reason="lam = 0")]
 
-    checks.append(skipped("vertex-expansion") if lam == 0 else
-                  {"name": "vertex-expansion", "status": "fail" if expansion_witness else ok_status,
-                   "witness": expansion_witness, "details": {}})
-
-    # (3) volume growth: |B(v,t)| >= min(n/2, (d/2lam)^(2t)); one BFS per
-    # vertex gives every ball size and the diameter
-    dists = (np.array(bfs_distances(g, v)) for v in range(n))
-    shells = [np.bincount(dist[dist >= 0]) for dist in dists]  # shells[v][t] = #{u : dist(v, u) = t}
-    diam = max(len(shell) for shell in shells) - 1
+    # (3) volume growth: |B(v,t)| >= min(n/2, (d/2lam)^(2t)); the breadth-first
+    # layers from each vertex give every ball size and the diameter
+    full = (1 << n) - 1
+    shells = [[layer.bit_count() for layer in linked_layers(g, full, 1, 1 << v)] for v in range(n)]
+    diam = max(map(len, shells)) - 1
     if lam == 0:
-        checks.append(skipped("volume-growth"))
+        checks.append(_check("volume-growth", None, "skipped", reason="lam = 0"))
     else:
         growth = d / (2.0 * lam)
         bounds = []
@@ -227,28 +209,16 @@ def verify_expander_props(g: Graph, profile: ExpanderProfile, seed: int = 0) -> 
         if bad.any():
             v, t = divmod(int(np.argmax(bad)), diam + 1)
             witness = {"v": v, "t": t, "ball": int(balls[v, t]), "bound": bounds[t]}
-        checks.append({"name": "volume-growth", "status": "fail" if witness else "pass", "witness": witness, "details": {}})
+        checks.append(_check("volume-growth", witness))
 
     # (4) diameter bound, hypothesis lam < d/2
     if lam >= d / 2.0 or lam == 0:
-        checks.append(
-            {
-                "name": "diameter-bound",
-                "status": "skipped",
-                "witness": None,
-                "details": {"reason": f"hypothesis lam < d/2 fails (lam={lam}, d={d})" if lam else "lam = 0"},
-            }
-        )
+        reason = f"hypothesis lam < d/2 fails (lam={lam}, d={d})" if lam else "lam = 0"
+        checks.append(_check("diameter-bound", None, "skipped", reason=reason))
     else:
         bound = math.log(n) / math.log(d / (2.0 * lam))
         ok = diam <= bound + _TOL
-        checks.append(
-            {
-                "name": "diameter-bound",
-                "status": "pass" if ok else "fail",
-                "witness": None if ok else {"diameter": diam, "bound": bound},
-                "details": {"diameter": diam, "bound": bound},
-            }
-        )
+        checks.append(_check("diameter-bound", None if ok else {"diameter": diam, "bound": bound},
+                             diameter=diam, bound=bound))
 
     return {**report, "checks": checks, "all_ok": all(c["status"] != "fail" for c in checks)}

@@ -398,9 +398,12 @@ class ExperimentResult:
 
 def report_json(obj) -> str:
     """A report as pretty-printed JSON with a final newline, the one format
-    of every JSON report printed or written; a value that JSON cannot hold
-    raises `TypeError`."""
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    of every JSON report printed or written; a value that JSON cannot hold,
+    NaN and the infinities among them, raises `TypeError`."""
+    try:
+        return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:  # a non-finite float: a fault, not a usage error
+        raise TypeError(str(exc)) from exc
 
 
 def write_files(out_dir, files: dict[str, str]) -> dict[str, str]:
@@ -1024,19 +1027,16 @@ def _random_linked_set(g: Graph, rng: np.random.Generator) -> int:
 
 
 def _random_lipschitz(g: Graph, M: int, rng: np.random.Generator) -> LipschitzFn:
-    """Breadth-first random assignment, restarted on dead ends."""
+    """Breadth-first random assignment, restarted on dead ends; a vertex not
+    yet assigned holds None."""
     order = bfs_order(g, int(rng.integers(0, g.n)))
     while True:
-        vals = [0] * g.n
-        assigned: set[int] = set()
-        ok = True
+        vals = [None] * g.n
         for v in order:
-            nbrs = [u for u in g.neighbors(v) if u in assigned]
-            lo, hi = glauber_site_interval(vals, nbrs, M) if nbrs else (-M, M)
+            near = [vals[u] for u in g.neighbors(v) if vals[u] is not None]
+            lo, hi = (max(near) - M, min(near) + M) if near else (-M, M)
             if lo > hi:
-                ok = False
                 break
             vals[v] = int(rng.integers(lo, hi + 1))
-            assigned.add(v)
-        if ok:
+        else:
             return LipschitzFn(tuple(vals), M)

@@ -144,20 +144,16 @@ def boundary_ordering(g: Graph, s: int) -> list[int]:
         raise ValueError("S must be nonempty")
     if not is_k_linked(g, s, CORE_LINKAGE):
         raise ValueError("S must be 4-linked")
+    full = (1 << g.n) - 1
     s_plus = s | neighborhood(g, s)
-    outside = ((1 << g.n) - 1) & ~s_plus
+    outside = full & ~s_plus
     if not outside:
         raise ValueError("closure of S covers the whole graph; no valid start vertex")
 
-    # breadth-first layers out of the outside, up to the first that meets S
-    reached = layer = outside
-    while not layer & s:
-        layer = neighborhood(g, layer) & ~reached
-        reached |= layer
-    hits = layer & s
-    start = (hits & -hits).bit_length() - 1
+    # the first breadth-first layer out of the outside that meets S
+    hits = next(layer & s for layer in linked_layers(g, full, 1, outside) if layer & s)
     ordered = []
-    for layer in linked_layers(g, s, CORE_LINKAGE, start):
+    for layer in linked_layers(g, s, CORE_LINKAGE, hits & -hits):
         ordered.extend(mask_vertices(layer))
     ordered.extend(mask_vertices(s_plus & ~s))
     return ordered

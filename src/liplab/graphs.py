@@ -4,6 +4,9 @@ Vertex ids are dense integers in [0, n).  Every vertex set below is a
 Python-int mask: bit u is set when u is in the set.  `vertex_mask` and
 `mask_vertices` convert to and from id lists, and `Graph.neighbor_masks` and
 `Graph.power_masks` give the adjacency of G and of its powers in that form.
+`linked_layers` is the one breadth-first walk over vertex sets: balls,
+k-linked components and the distance shells of a set all read its layers.
+`bfs_order` walks single vertices; it fixes the frontier DP's vertex order.
 """
 
 from __future__ import annotations
@@ -184,24 +187,6 @@ def bfs_order(g: Graph, start: int) -> list[int]:
     return order
 
 
-def bfs_distances(g: Graph, source: int, limit: int | None = None) -> list[int]:
-    """Distances from `source`; -1 past `limit` when a limit is given."""
-    if not (0 <= source < g.n):
-        raise ValueError(f"invalid vertex id {source}")
-    dist = [-1] * g.n
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        v = queue.popleft()
-        if limit is not None and dist[v] >= limit:
-            continue
-        for u in g.neighbors(v):
-            if dist[u] < 0:
-                dist[u] = dist[v] + 1
-                queue.append(u)
-    return dist
-
-
 # ---------------------------------------------------------------------------
 # Vertex sets as masks
 # ---------------------------------------------------------------------------
@@ -249,18 +234,22 @@ def ball(g: Graph, center: int, radius: int) -> int:
     """The vertices at graph distance <= radius from `center`, as a mask."""
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    dist = bfs_distances(g, center, limit=radius)
-    return vertex_mask(v for v, d in enumerate(dist) if 0 <= d <= radius)
+    if not (0 <= center < g.n):
+        raise ValueError(f"invalid vertex id {center}")
+    # the layers are disjoint, so their sum is their union
+    return sum(itertools.islice(linked_layers(g, (1 << g.n) - 1, 1, 1 << center), radius + 1))
 
 
-def linked_layers(g: Graph, ys: int, k: int, v: int) -> Iterator[int]:
-    """The breadth-first layers, as masks, of the k-linked component of the
-    mask Y containing v: {v} first, then each layer's G^k neighbours in Y not
-    yet reached.  Nothing when v is not in Y."""
-    if not ys >> v & 1:
+def linked_layers(g: Graph, ys: int, k: int, start: int) -> Iterator[int]:
+    """The breadth-first layers, as disjoint masks, of the part of the mask Y
+    linked in G^k to the mask `start`: `start` first, then each layer's G^k
+    neighbours in Y not yet reached.  Nothing when `start` is not inside Y.
+    From one vertex it walks a k-linked component; with k = 1 and Y = V, the
+    t-th layer is the vertices at graph distance t from `start`."""
+    if start & ~ys:
         return
     power = g.power_masks(k)
-    reached = layer = 1 << v
+    reached = layer = start
     while layer:
         yield layer
         layer = _union(power, layer) & ys & ~reached
@@ -268,16 +257,14 @@ def linked_layers(g: Graph, ys: int, k: int, v: int) -> Iterator[int]:
 
 
 def linked_component_containing(g: Graph, ys: int, k: int, v: int) -> int:
-    """The k-linked component of the mask Y containing v (0 when v is not in Y)."""
-    comp = 0
-    for layer in linked_layers(g, ys, k, v):
-        comp |= layer
-    return comp
+    """The k-linked component of the mask Y containing v (0 when v is not in Y),
+    the sum of its disjoint layers."""
+    return sum(linked_layers(g, ys, k, 1 << v))
 
 
 def is_k_linked(g: Graph, xs: int, k: int) -> bool:
     """True iff the mask X is connected in G^k (the empty set is)."""
-    return not xs or linked_component_containing(g, xs, k, (xs & -xs).bit_length() - 1) == xs
+    return not xs or sum(linked_layers(g, xs, k, xs & -xs)) == xs
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import math
 from array import array
 from collections import Counter
 
@@ -226,6 +227,32 @@ def to_networkx(g):
     nxg = nx.empty_graph(g.n)
     nxg.add_edges_from(g.edges())
     return nxg
+
+
+def nx_distances(g, source):
+    """Graph distances from `source`, a list by vertex id, by networkx: the
+    oracle of the breadth-first walks."""
+    dist = nx.single_source_shortest_path_length(to_networkx(g), source)
+    return [dist[v] for v in range(g.n)]
+
+
+def exhaustive_lambda_bruteforce(g):
+    """The minimal expansion constant by the plain sweep over every pair of
+    nonempty subsets (tiny n only): the oracle of `exhaustive_lambda`."""
+    d = g.regular_degree()
+    n = g.n
+    nbr = [frozenset(g.neighbors(v)) for v in range(n)]
+    subsets = []
+    for mask in range(1, 1 << n):
+        subsets.append([v for v in range(n) if (mask >> v) & 1])
+    best = 0.0
+    for s in subsets:
+        s_set = set(s)
+        for t in subsets:
+            e = sum(len(nbr[v] & s_set) for v in t)
+            val = abs(e - d * len(s) * len(t) / n) / math.sqrt(len(s) * len(t))
+            best = max(best, val)
+    return best
 
 
 def set_neighborhood(g, xs):

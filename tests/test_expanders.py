@@ -16,13 +16,11 @@ from liplab.expanders import (
     adjacency_spectrum,
     asserted_profile,
     exhaustive_lambda,
-    exhaustive_lambda_bruteforce,
     spectral_lambda,
     verify_expander_props,
 )
 from liplab.experiments import resolve_profile
 from liplab.graphs import (
-    bfs_distances,
     complete_graph,
     cycle_graph,
     hypercube_graph,
@@ -30,6 +28,7 @@ from liplab.graphs import (
     random_regular_graph,
     wired_tree_graph,
 )
+from tests.conftest import exhaustive_lambda_bruteforce, nx_distances
 
 TOL = 1e-9
 
@@ -255,7 +254,7 @@ def volume_growth_oracle(g, lam, tol=1e-9):
     n, d = g.n, g.regular_degree()
     growth = d / (2.0 * lam)
     for v in range(n):
-        dist = bfs_distances(g, v)
+        dist = nx_distances(g, v)
         for t in range(max(dist) + 1):
             size = sum(x <= t for x in dist)
             bound = min(n / 2.0, growth ** (2 * t))

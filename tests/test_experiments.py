@@ -10,6 +10,7 @@ import sys
 import time
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -1008,6 +1009,22 @@ def test_report_json_refuses_what_json_cannot_hold():
     assert report_json({"b": [1], "a": None}) == '{\n  "a": null,\n  "b": [\n    1\n  ]\n}\n'
     with pytest.raises(TypeError):
         report_json({"members": {1, 2}})
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(TypeError, match="not JSON compliant"):
+            report_json({"ratio": value})
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_cli_report_with_a_non_finite_float_is_an_internal_error(value, monkeypatch, capsys, tmp_path):
+    import liplab.cli as cli
+
+    monkeypatch.setattr(cli, "count_onepoint", lambda *args, **kwargs: SimpleNamespace(count=1, ratio=value))
+    out = tmp_path / "out"
+    assert main(["count", "--graph", '{"family":"cycle","n":4}', "--M", "1", "--out", str(out)]) == 4
+    stdout, stderr = capsys.readouterr()
+    assert stdout == ""
+    assert stderr.startswith("internal error: TypeError: Out of range float values are not JSON compliant")
+    assert not out.exists()
 
 
 def test_tail_experiment_takes_one_probe(tmp_path, capsys):

@@ -18,14 +18,13 @@ from liplab.flaws import (
     verify_ground_state_lemma,
 )
 from liplab.graphs import (
-    bfs_distances,
     cycle_graph,
     mask_vertices,
     random_regular_graph,
     vertex_mask,
 )
 from liplab.lipschitz import LipschitzFn, enumerate_groundstate
-from tests.conftest import is_linked_nx, nx_power, path_graph, set_neighborhood
+from tests.conftest import is_linked_nx, nx_distances, nx_power, path_graph, set_neighborhood
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +183,8 @@ def test_ordering_fuzz():
             order = boundary_ordering(g, s)
             assert check_boundary_ordering(g, s, order)["ok"]
             # the start is the member of S nearest the outside, smallest id first
-            assert order[0] == min(members, key=lambda v: (min(bfs_distances(g, v)[u] for u in outside), v))
+            dist = {v: nx_distances(g, v) for v in members}
+            assert order[0] == min(members, key=lambda v: (min(dist[v][u] for u in outside), v))
             checked += 1
     assert checked >= 200
 
@@ -264,7 +264,7 @@ def test_tail_probability_against_enumeration(k6):
 
 def test_tail_bound_formula(petersen):
     # the bound at t reads the ball of radius t - 1: 4 vertices at t = 2, all 10 at t = 3
-    dists = bfs_distances(petersen, 0)
+    dists = nx_distances(petersen, 0)
     for t, row in zip((2, 3), tail_rows(petersen, 2, 1.0, 0, [2, 3], {0: 1}, 0, 1.0, 1.0)):
         ball_size = sum(0 <= d <= t - 1 for d in dists)
         assert row["ball_size"] == ball_size == (4, 10)[t - 2]

@@ -19,6 +19,7 @@ from liplab.graphs import (
     is_mutual_cover,
     iter_rooted_connected_sets,
     linked_component_containing,
+    linked_layers,
     load_edge_list,
     mask_vertices,
     neighborhood,
@@ -28,7 +29,7 @@ from liplab.graphs import (
     vertex_mask,
     wired_tree_graph,
 )
-from tests.conftest import is_linked_nx, nx_power, path_graph
+from tests.conftest import is_linked_nx, nx_distances, nx_power, path_graph
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +181,23 @@ def test_ball_nested(petersen):
         assert set(mask_vertices(ball(petersen, 0, t))) <= set(mask_vertices(ball(petersen, 0, t + 1)))
 
 
+def test_ball_refuses_a_centre_off_the_graph_and_a_negative_radius(c5):
+    for center in (5, -1):
+        with pytest.raises(ValueError, match=f"invalid vertex id {center}"):
+            ball(c5, center, 1)
+    with pytest.raises(ValueError, match="radius must be nonnegative"):
+        ball(c5, 0, -1)
+
+
+def test_linked_layers_need_the_start_inside_y():
+    p4 = path_graph(4)
+    ys = vertex_mask({0, 1, 2})
+    assert list(linked_layers(p4, ys, 1, vertex_mask({3}))) == []
+    assert list(linked_layers(p4, ys, 1, vertex_mask({2, 3}))) == []
+    assert list(linked_layers(p4, ys, 1, 0)) == []
+    assert [mask_vertices(layer) for layer in linked_layers(p4, ys, 1, vertex_mask({0, 2}))] == [[0, 2], [1]]
+
+
 def test_boundary_singleton(c5):
     x = vertex_mask({0})
     assert mask_vertices(neighborhood(c5, x)) == [1, 4]
@@ -224,11 +242,9 @@ def test_k_linked_partitions_and_separation():
                 merged |= comp
             assert merged == set(ys)
             # distinct components sit at distance > k
-            from liplab.graphs import bfs_distances
-
             for a, b in itertools.combinations(comps, 2):
                 for v in a:
-                    dist = bfs_distances(g, v)
+                    dist = nx_distances(g, v)
                     assert all(dist[u] > k for u in b)
 
 

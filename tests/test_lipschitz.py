@@ -13,7 +13,6 @@ from liplab.errors import BudgetExceededError
 from liplab.graphs import (
     DEFAULT_NODE_BUDGET,
     Graph,
-    bfs_distances,
     complete_graph,
     cycle_graph,
     hypercube_graph,
@@ -45,6 +44,7 @@ from liplab.lipschitz import (
 from tests.conftest import (
     CountingGenerator,
     brute_members,
+    nx_distances,
     path_graph,
     reference_glauber,
     reference_sweep,
@@ -98,7 +98,7 @@ def test_validate_matches_adjacency_oracle(seed):
         M = int(rng.integers(0, 4))
         if trial % 2:
             # a Lipschitz function: M times the distance from a random vertex, plus a shift
-            vals = [M * d for d in bfs_distances(g, int(rng.integers(0, n)))]
+            vals = [M * d for d in nx_distances(g, int(rng.integers(0, n)))]
         else:
             vals = [int(x) for x in rng.integers(-M - 2, M + 3, size=n)]
         shift = offsets[trial % len(offsets)]

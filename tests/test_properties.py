@@ -24,6 +24,7 @@ from liplab.graphs import (
     is_k_linked,
     is_mutual_cover,
     linked_component_containing,
+    linked_layers,
     mask_vertices,
     neighborhood,
     random_regular_graph,
@@ -81,6 +82,18 @@ def test_ball_matches_networkx(graphs, radius, data):
     g, nxg = graphs
     v = data.draw(st.integers(0, g.n - 1))
     assert mask_vertices(ball(g, v, radius)) == sorted(nx.single_source_shortest_path_length(nxg, v, cutoff=radius))
+
+
+@PROPERTY_SETTINGS
+@given(connected_graphs(), st.data())
+def test_linked_layers_from_a_set_are_its_distance_shells(graphs, data):
+    g, nxg = graphs
+    start = data.draw(st.sets(st.integers(0, g.n - 1), min_size=1, max_size=g.n))
+    dist = nx.multi_source_dijkstra_path_length(nxg, start)
+    layers = list(linked_layers(g, (1 << g.n) - 1, 1, vertex_mask(start)))
+    assert [layer.bit_count() for layer in layers] == np.bincount(list(dist.values())).tolist()
+    assert [mask_vertices(layer) for layer in layers] == [
+        sorted(v for v, t in dist.items() if t == r) for r in range(len(layers))]
 
 
 @PROPERTY_SETTINGS
