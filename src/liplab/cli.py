@@ -119,7 +119,11 @@ def _emit(obj, out_dir, filename) -> None:
     print(text, end="")
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built at the first call and shared after it:
+    `parse_args` keeps no state between calls, and each call returns a fresh
+    namespace."""
     parser = argparse.ArgumentParser(prog="liplab",
                                      description="Exact and Monte-Carlo study of integer "
                                                  "Lipschitz functions on finite graphs")
@@ -388,9 +392,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
     try:
-        args = parser.parse_args(argv)
+        args = make_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

@@ -68,7 +68,6 @@ from .lipschitz import (
     enumerate_groundstate,
     enumerate_onepoint,
     flaw_cap,
-    fn_range,
     glauber_samples,
     glauber_site_interval,
     min_ground_state,
@@ -275,10 +274,15 @@ def build_graph(source: dict) -> Graph:
 
 def _check_lambda_source(g: Graph, lambda_source) -> bool:
     """Refuse a lambda source that cannot apply to g, without computing a
-    certificate; return whether g is regular."""
+    certificate; return whether g is regular.  An asserted lambda above the
+    degree d is refused: no eigenvalue of a d-regular graph exceeds d."""
     regular = g.is_regular()
-    if isinstance(lambda_source, dict) and not regular:
-        raise ConfigError("asserted lambda requires a regular graph")
+    if isinstance(lambda_source, dict):
+        if not regular:
+            raise ConfigError("asserted lambda requires a regular graph")
+        if lambda_source["asserted"] > g.regular_degree():
+            raise ConfigError(f"lambda_source.asserted must be <= the degree d = {g.regular_degree()}, "
+                              f"got {lambda_source['asserted']!r}")
     if lambda_source == "exhaustive" and regular and g.n > EXHAUSTIVE_CAP:
         raise ConfigError(f"exhaustive lambda needs n <= {EXHAUSTIVE_CAP}, got n={g.n}")
     return regular
@@ -347,10 +351,11 @@ def glauber_schedule(g: Graph, cfg: ExperimentConfig) -> dict:
     return {"burn_in": burn_in, "thinning": thinning, "chain_steps": burn_in + cfg.samples * thinning}
 
 
-def draw_samples(ens: Ensemble, cfg: ExperimentConfig) -> tuple[list[LipschitzFn], dict | None]:
-    """The samples of the config's sampler, and for a Glauber run the
-    `sampler` block of summary.json: its schedule and the moves the flaw cap
-    rejected (None for the exact sampler)."""
+def draw_samples(ens: Ensemble, cfg: ExperimentConfig) -> tuple[np.ndarray, dict | None]:
+    """The samples of the config's sampler, the rows of one `(samples, n)`
+    value array, and for a Glauber run the `sampler` block of summary.json:
+    its schedule and the moves the flaw cap rejected (None for the exact
+    sampler)."""
     g, spec = ens.g, ens.spec
     if cfg.sampler["kind"] == "exact":
         return sample_exact(g, spec, cfg.seed, cfg.samples, budget=cfg.budget), None
@@ -376,12 +381,11 @@ class ExperimentResult:
     extra_files: dict | None = None
 
     def csv_text(self) -> str:
+        """The records as CSV; every record has the first one's keys, in order."""
         if not self.records:
             return ""
-        cols = list(self.records[0])
-        lines = [",".join(cols)]
-        for row in self.records:
-            lines.append(",".join(str(row[c]) for c in cols))
+        lines = [",".join(self.records[0])]
+        lines += [",".join(map(str, row.values())) for row in self.records]
         return "\n".join(lines) + "\n"
 
     def write(self, out_dir) -> dict:
@@ -455,19 +459,16 @@ def run_range_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     g, profile, probes = ens.g, ens.profile, ens.probes
     samples, sampler = draw_samples(ens, cfg)
 
-    records = []
-    for i, f in enumerate(samples):
-        row = {
-            "sample_id": i,
-            "range": fn_range(f),
-            "min": min(f.values),
-            "max": max(f.values),
-        }
-        for v in probes:
-            row[f"probe_{v}"] = f.values[v]
-        records.append(row)
+    # per sample: two row reductions for the range, column slices for the probes
+    low, high = np.minimum.reduce(samples, axis=1), np.maximum.reduce(samples, axis=1)
+    spans = high - low + 1
+    columns = {"sample_id": range(len(samples)), "range": spans.tolist(),
+               "min": low.tolist(), "max": high.tolist()}
+    for v in probes:
+        columns[f"probe_{v}"] = samples[:, v].tolist()
+    records = [dict(zip(columns, row)) for row in zip(*columns.values())]
 
-    ranges = np.array([r["range"] for r in records], dtype=np.int64)
+    ranges = spans.astype(np.int64, copy=False)
     tail_curve = []
     if len(ranges):
         for r in range(1, int(ranges.max()) + 1):
@@ -475,7 +476,7 @@ def run_range_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             tail_curve.append({"r": r, "count": count, "fraction": count / len(ranges)})
     probe_stats = {}
     for v in probes:
-        vals = np.array([r[f"probe_{v}"] for r in records], dtype=np.float64)
+        vals = samples[:, v].astype(np.float64)
         probe_stats[str(v)] = {
             "mean": float(vals.mean()) if len(vals) else None,
             "variance": float(vals.var()) if len(vals) else None,
@@ -512,8 +513,9 @@ def run_range_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     extra = None
     if cfg.dump_flaws:
         lines = []
-        for i, f in enumerate(samples):
-            anchor = max(range(g.n), key=lambda v: f.values[v])
+        for i, values in enumerate(samples.tolist()):
+            f = LipschitzFn(tuple(values), cfg.M)
+            anchor = max(range(g.n), key=values.__getitem__)
             base = min_ground_state(g, f, profile.lam)
             dec = flaw_decomposition(g, f, anchor, base)
             lines.append(
@@ -569,7 +571,7 @@ def run_tail_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         estimate, sampler = "exact", None
     else:
         samples, sampler = draw_samples(ens, cfg)
-        marginal = Counter(f.values[probe] for f in samples)
+        marginal = Counter(samples[:, probe].tolist())
         rows = tail_rows(g, cfg.M, profile.lam, probe, cfg.t_values, marginal, k,
                          cfg.constants["c"], cfg.constants["C"])
         for row in rows:

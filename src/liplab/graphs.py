@@ -32,7 +32,8 @@ class Graph:
     dense ids, and connectivity.
     """
 
-    __slots__ = ("n", "name", "_adj", "_degrees", "_matrix", "_nbr_getters", "_edge_index", "_power_masks")
+    __slots__ = ("n", "name", "_adj", "_degrees", "_regular_degree", "_matrix", "_nbr_getters", "_edge_index",
+                 "_power_masks")
 
     def __init__(self, adjacency: Sequence[Iterable[int]], name: str = ""):
         n = len(adjacency)
@@ -55,7 +56,9 @@ class Graph:
         self.n = n
         self.name = name
         self._adj = tuple(adj)
-        self._degrees = None
+        self._degrees = degrees = tuple(map(len, adj))
+        # the common degree, or None when the degrees differ
+        self._regular_degree = degrees[0] if len(set(degrees)) == 1 else None
         self._matrix = None
         self._nbr_getters = None
         self._edge_index = None
@@ -121,8 +124,6 @@ class Graph:
 
     @property
     def degrees(self) -> tuple[int, ...]:
-        if self._degrees is None:
-            self._degrees = tuple(len(nbrs) for nbrs in self._adj)
         return self._degrees
 
     @property
@@ -136,13 +137,12 @@ class Graph:
                     yield (v, u)
 
     def is_regular(self) -> bool:
-        degs = self.degrees
-        return len(set(degs)) == 1
+        return self._regular_degree is not None
 
     def regular_degree(self) -> int:
-        if not self.is_regular():
+        if self._regular_degree is None:
             raise ValueError(f"graph {self.name!r} is not regular; degrees {sorted(set(self.degrees))}")
-        return self.degrees[0]
+        return self._regular_degree
 
     def adjacency_matrix(self) -> np.ndarray:
         if self._matrix is None:

@@ -438,7 +438,8 @@ def _members(g: Graph, spec: EnsembleSpec, budget: int) -> Iterator[LipschitzFn]
         batch = max(1, _UNRANK_CELLS // dp.n)
         for first in range(0, total, batch):
             # a range of Python ints: ranks past 2^63 never pass through int64
-            yield from _unrank(dp, rows, range(first, min(first + batch, total)))
+            for row in _unrank(dp, rows, range(first, min(first + batch, total))).tolist():
+                yield LipschitzFn(tuple(row), dp.M)
 
     return members()
 
@@ -516,16 +517,18 @@ class ExactSampler:
         if self.total == 0:
             raise ValueError("ensemble is empty")
 
-    def draw(self, rng: np.random.Generator, count: int) -> list[LipschitzFn]:
-        """`count` independent uniform members: the members of `count`
-        uniform ranks."""
+    def draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """`count` independent uniform members, the members of `count`
+        uniform ranks, as the rows of a `(count, n)` value array."""
         return _unrank(self._dp, self._rows, _ranks(rng, self.total, count))
 
 
-def _unrank(dp: _FrontierDP, rows: list[_Layer], ranks) -> list[LipschitzFn]:
+def _unrank(dp: _FrontierDP, rows: list[_Layer], ranks) -> np.ndarray:
     """The members of `ranks`, valid ranks of the layers `rows` that
-    `dp.compile` returned: one `searchsorted` per layer for all of them, in
-    the dtype of `rows`."""
+    `dp.compile` returned, as the rows of one value array indexed by vertex:
+    one `searchsorted` per layer for all of them, in the dtype of `rows`
+    (int64, or Python ints when a value or the ensemble size could pass
+    int64)."""
     dtype = rows[0].cum.dtype
     rank = np.array(ranks, dtype=dtype)
     vals = np.empty((len(rank), dp.n), dtype=dtype)
@@ -536,14 +539,15 @@ def _unrank(dp: _FrontierDP, rows: list[_Layer], ranks) -> list[LipschitzFn]:
         vals[:, i] = values[j] + offset
         offset += shifts[j]
         rank += step[j]
-    return [LipschitzFn(tuple(row), dp.M) for row in vals[:, dp._place].tolist()]
+    return vals[:, dp._place]
 
 
 def sample_exact(g: Graph, spec: EnsembleSpec, seed: int, count: int = 1,
-                 budget: int = DEFAULT_NODE_BUDGET) -> list[LipschitzFn]:
-    """Draw `count` exactly-uniform samples; one batch on
-    `default_rng(SeedSequence(seed))`, so a fixed seed gives fixed draws, and
-    the first j draws of a batch are the draws of a batch of j."""
+                 budget: int = DEFAULT_NODE_BUDGET) -> np.ndarray:
+    """Draw `count` exactly-uniform samples, the rows of a `(count, n)` value
+    array; one batch on `default_rng(SeedSequence(seed))`, so a fixed seed
+    gives fixed draws, and the first j draws of a batch are the draws of a
+    batch of j."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     return ExactSampler(g, spec, budget=budget).draw(rng, count)
 
@@ -591,14 +595,16 @@ def glauber_chain(
     and frees it the first time more than a quarter of those lookups missed.
     It changes no draw: a fixed seed always gives the same chain.
     """
-    return _glauber_run(g, spec, [(seed, steps)], on_step)[0][0]
+    (state,) = _glauber_run(g, spec, [(seed, steps)], on_step)[0].tolist()
+    return LipschitzFn(tuple(state), spec.M)
 
 
 def glauber_samples(g: Graph, spec: EnsembleSpec, seed: int, burn_in: int, thinning: int,
-                    samples: int) -> tuple[list[LipschitzFn], int]:
+                    samples: int) -> tuple[np.ndarray, int]:
     """`samples` states of one Glauber chain, `thinning` steps apart after
     `burn_in` steps from the all-zero (one-point) or all-k (ground-state)
-    state, and how many moves of the run the flaw cap rejected.
+    state, as the rows of a `(samples, n)` value array, and how many moves
+    of the run the flaw cap rejected.
 
     The burn-in draws on `SeedSequence(seed)`; the block ending at sample i
     draws on the seed that child i of
@@ -617,10 +623,11 @@ def _glauber_run(
     spec: EnsembleSpec,
     blocks: list[tuple[int, int]],
     on_step: Callable[[int, list[int]], None] | None = None,
-) -> tuple[list[LipschitzFn], int]:
+) -> tuple[np.ndarray, int]:
     """One chain over `(seed, steps)` blocks, each drawing on a fresh
-    generator of `SeedSequence(seed)`; the state after each block, and the
-    number of moves the flaw cap rejected.
+    generator of `SeedSequence(seed)`; the state after each block, as the
+    rows of one value array (see `_value_array`), and the number of moves
+    the flaw cap rejected.
 
     The run starts from the all-zero (one-point) or all-k (ground-state)
     state; the sites, the flaw count and the neighbour getters are set up
@@ -644,7 +651,7 @@ def _glauber_run(
         if on_step is not None:
             for t in range(sum(steps for _, steps in blocks)):
                 on_step(t, values)
-        return [LipschitzFn(tuple(values), M)] * len(blocks), 0
+        return _value_array(values * len(blocks), g.n), 0
 
     getters = np.empty(g.n, dtype=object)
     getters[:] = g.neighbor_getters
@@ -653,7 +660,7 @@ def _glauber_run(
     table: dict | None = {}
     room = _GLAUBER_MEMO_CELLS // max(max(g.degrees), 1)
     looked = misses = rejected = 0
-    states = []
+    states = []  # the state after each block, end to end
     t = 0
     for seed, steps in blocks:
         rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -703,8 +710,21 @@ def _glauber_run(
                         if misses > _GLAUBER_MEMO_MISS_SHARE * looked:
                             table = None  # too many misses for the table to pay
                         looked = misses = 0
-        states.append(LipschitzFn(tuple(values), M))
-    return states, rejected
+        states += values
+    return _value_array(states, g.n), rejected
+
+
+def _value_array(values: list[int], n: int) -> np.ndarray:
+    """`values`, n to a row, as one int64 array, or as Python ints in an
+    object array once some |value| reaches 2^62, so that a difference of
+    two values plus one never wraps."""
+    try:
+        vals = np.fromiter(values, dtype=np.int64, count=len(values))
+    except OverflowError:  # a value past int64
+        vals = None
+    if vals is None or (len(vals) and max(-int(vals.min()), int(vals.max())) >= 1 << 62):
+        vals = np.array(values, dtype=object)
+    return vals.reshape(-1, n)
 
 
 # ---------------------------------------------------------------------------

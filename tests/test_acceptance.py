@@ -150,7 +150,7 @@ def test_criterion_6_sampler_correctness():
         assert len(support) == 19
 
         draws = sample_exact(g, spec, seed=20240917, count=100_000)
-        counts = Counter(f.values for f in draws)
+        counts = Counter(map(tuple, draws.tolist()))
         assert set(counts) <= set(support)
         observed = [counts.get(s, 0) for s in support]
         _, p = stats.chisquare(observed)

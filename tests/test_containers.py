@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 import sys
 
 import numpy as np
@@ -433,6 +434,28 @@ def test_cli_containers_refuses_a_non_finite_lambda(value, message, capsys):
     assert capsys.readouterr().err == message
     assert main(["count", "--graph", '{"family":"petersen"}', "--M", "1", "--lambda-source", value]) == 2
     assert capsys.readouterr().err == message
+
+
+@pytest.mark.parametrize("argv,value", [
+    (["containers", "--graph", '{"family":"petersen"}', "--boundary-size", "6"], "1e300"),
+    (["count", "--graph", '{"family":"petersen"}', "--M", "1", "--mode", "ground-state"], "1.7e308"),
+    (["count", "--graph", '{"family":"petersen"}', "--M", "1"], "3.0000000000000004"),
+], ids=["containers-1e300", "count-ground-1.7e308", "count-just-above-d"])
+def test_cli_refuses_an_asserted_lambda_above_the_degree(argv, value, capsys):
+    from liplab.cli import main
+
+    # no eigenvalue of a d-regular graph exceeds d
+    assert main([*argv, "--lambda-source", value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: lambda_source.asserted must be <= the degree d = 3, got {float(value)!r}\n"
+
+
+def test_cli_takes_an_asserted_lambda_equal_to_the_degree(capsys):
+    from liplab.cli import main
+
+    assert main(["count", "--graph", '{"family":"petersen"}', "--M", "1", "--lambda-source", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["count"] == 2_613
 
 
 @pytest.mark.parametrize("boundary_size,psi,shown", [("99", "nan", "nan"), ("2", "7", "7.0")])

@@ -188,7 +188,7 @@ def test_range_glauber_reproducible():
 def _draws_sha256(data):
     cfg = parse_config(data)
     draws, _ = draw_samples(resolve_ensemble(cfg), cfg)
-    return hashlib.sha256(json.dumps([list(f.values) for f in draws]).encode()).hexdigest()
+    return hashlib.sha256(json.dumps(draws.tolist()).encode()).hexdigest()
 
 
 def test_glauber_draw_samples_golden():
@@ -269,7 +269,7 @@ def test_glauber_summary_counts_rejections(tmp_path):
     states, rejected = reference_glauber(ens.g, ens.spec, _sample_blocks(ens.g, range_cfg))
     assert rejected == 0
     samples, _ = draw_samples(ens, range_cfg)
-    assert samples == states[1:]
+    assert samples.tolist() == [list(f.values) for f in states[1:]]
     assert run_range_experiment(range_cfg).aggregates["sampler"]["rejected"] == 0
 
 
@@ -894,6 +894,29 @@ def test_dropped_flags_are_rejected_by_the_parser(command, flag):
     assert exc.value.code == 2
 
 
+def test_main_builds_one_parser_and_shares_no_state(capsys):
+    from liplab.cli import make_parser
+
+    graph = '{"family":"cycle","n":4}'
+    assert main(["count", "--graph", graph, "--M", "1", "--v0", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["anchor"] == 3
+    # a flag left out takes its default again, not the last call's value
+    assert main(["count", "--graph", graph, "--M", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["anchor"] == 0
+    assert main(["sample", "--graph", graph, "--M", "1", "--samples", "2", "--probes", "1"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "sample_id,range,min,max,probe_1"
+    assert main(["sample", "--graph", graph, "--M", "1", "--samples", "2"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "sample_id,range,min,max,probe_0"
+    # a usage error after a successful call still exits 2, and the next call runs
+    assert main(["count", "--graph", graph]) == 2
+    assert main(["count", "--graph", graph, "--M", "1", "--budget", "0"]) == 2
+    assert capsys.readouterr().out == ""
+    assert main(["count", "--graph", graph, "--M", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["count"] == 19
+    assert make_parser() is make_parser()
+    assert make_parser.cache_info().misses == 1
+
+
 @pytest.mark.parametrize("argv", [
     ["experiment", "range", "--config", "cfg.json", "--seed", "999"],
     ["gen-graph", "--graph", '{"family":"cycle","n":4}', "--out-file", "g.edges", "--budget", "1"],
@@ -977,6 +1000,62 @@ def test_sample_cli_glauber_output_unchanged(capsys):
                        "--samples", "15", "--seed", "11", "--sampler", "glauber", "--probes", "0", "3")
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "68586ae876e9c2c2e5578b8670cd5d0f427637ef9db512c6aba537d05316a109")
+
+
+def test_sample_cli_exact_output_unchanged(capsys):
+    # sha256 of the output recorded before the samples became one value array
+    text = _sample_cli(capsys, "--graph", '{"family":"hypercube","dim":3}', "--M", "1", "--sampler", "exact",
+                       "--samples", "200", "--seed", "5", "--probes", "0", "7")
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "f00b11962e3d9d36f8ab946a2d65b43507e2f9d32ea187f913df55adceced23e")
+    text = _sample_cli(capsys, "--graph", '{"family":"complete","n":6}', "--M", "1",
+                       "--mode", "ground-state", "--k", "0", "--lambda-source", "1.0", "--sampler", "exact",
+                       "--samples", "200", "--seed", "17", "--probes", "0", "3")
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "b1c376de9907d26c476550f9e1bd19cdc48797461dce07e9be8a0d971b3b5c63")
+    # values far past int64: the samples are Python ints in an object array
+    text = _sample_cli(capsys, "--graph", '{"family":"complete","n":8}', "--M", "2",
+                       "--mode", "ground-state", "--k", str(10**20), "--lambda-source", "1.0",
+                       "--sampler", "exact", "--samples", "50", "--seed", "3", "--probes", "1")
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "5d1425258b7be8465c1219b1c2610c84234e7d9e72733edcb158185a96eda631")
+    # a 313-bit ensemble size: multi-word rank draws, Python-int rank arrays
+    text = _sample_cli(capsys, "--graph", '{"family":"cycle","n":200}', "--M", "1", "--sampler", "exact",
+                       "--samples", "50", "--seed", "7", "--probes", "0", "100")
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "3ae0f193f2478d140c8bf9a2ce45ca589a9034edab11d0ca581b175d54af0806")
+
+
+@pytest.mark.parametrize("sampler,csv_digest,flaws_digest", [
+    ({"kind": "exact"}, "7a68352ecf773d4cb3f97e7b9eccdb9d09a4cc7ad127e3e281ad33656c761825",
+     "dccdd2a7c5ab903eaccb41040b328fdc5dfc3547e4b37a97d72d854d7b3126fc"),
+    ({"kind": "glauber", "burn_in": 300, "thinning": 10},
+     "2ee5e377df74f2da5f472b74b76afab24070aa1bce991af24a729d66b902aff1",
+     "693f06f2fa0d23e30f1a4545c0ac6fa47a697d851602511fcd7049c22568f694"),
+], ids=["exact", "glauber"])
+def test_range_dump_flaws_output_unchanged(sampler, csv_digest, flaws_digest):
+    # sha256 of results.csv and flaws.jsonl recorded before the samples became one value array
+    cfg = parse_config(base_config(graph={"family": "petersen"}, sampler=sampler, samples=40, seed=11,
+                                   probes=[0], dump_flaws=True))
+    res = run_range_experiment(cfg)
+    assert hashlib.sha256(res.csv_text().encode()).hexdigest() == csv_digest
+    assert hashlib.sha256(res.extra_files["flaws.jsonl"].encode()).hexdigest() == flaws_digest
+
+
+def test_range_glauber_past_int64_output_unchanged():
+    # values near 10^20 on the Glauber path: the samples are Python ints in an
+    # object array; sha256 recorded before the samples became one value array
+    cfg = parse_config(base_config(graph={"family": "complete", "n": 6}, mode={"kind": "ground-state", "k": 10**20},
+                                   lambda_source={"asserted": 1.0},
+                                   sampler={"kind": "glauber", "burn_in": 50, "thinning": 3},
+                                   samples=30, seed=4, probes=[0, 2]))
+    samples, _ = draw_samples(resolve_ensemble(cfg), cfg)
+    assert samples.dtype == object
+    text = run_range_experiment(cfg).csv_text()
+    assert text.splitlines()[1] == "0,2,100000000000000000000,100000000000000000001,100000000000000000001," \
+                                   "100000000000000000000"
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "326d5d4753993bd0541957acfb9dfb46ab830f10fd76a6e9495a4cdc001751e1")
 
 
 def test_sample_cli_rejects_seed_past_64_bits(capsys):
@@ -1140,7 +1219,8 @@ def test_glauber_draw_samples_matches_per_sample_chain(overrides):
     states, _ = reference_glauber(ens.g, ens.spec, _sample_blocks(ens.g, cfg))
     assert len(states) == cfg.samples + 1
     samples, _ = draw_samples(ens, cfg)
-    assert samples == states[1:]
+    assert samples.shape == (cfg.samples, ens.g.n)
+    assert samples.tolist() == [list(f.values) for f in states[1:]]
 
 
 def test_glauber_draw_samples_never_validates(monkeypatch):

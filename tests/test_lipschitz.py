@@ -289,24 +289,29 @@ def test_ground_states_weak_lambda(c4):
 # Exact sampling
 # ---------------------------------------------------------------------------
 
+def _rows(values):
+    """The rows of a `(count, n)` value array, as tuples of Python ints."""
+    return list(map(tuple, values.tolist()))
+
+
 def test_sample_exact_deterministic(c4):
     spec = EnsembleSpec("one-point", M=1, v0=0)
-    a = [f.values for f in sample_exact(c4, spec, seed=9, count=10)]
-    b = [f.values for f in sample_exact(c4, spec, seed=9, count=10)]
-    assert a == b
+    a = sample_exact(c4, spec, seed=9, count=10)
+    b = sample_exact(c4, spec, seed=9, count=10)
+    assert a.shape == (10, 4)
+    assert a.tolist() == b.tolist()
 
 
 def test_sample_exact_singleton():
     g = complete_graph(2)
     spec = EnsembleSpec("one-point", M=0, v0=0)
-    (f,) = sample_exact(g, spec, seed=0, count=1)
-    assert f.values == (0, 0)
+    assert sample_exact(g, spec, seed=0, count=1).tolist() == [[0, 0]]
 
 
 def test_sample_exact_k2_chisquare(k2):
     spec = EnsembleSpec("one-point", M=1, v0=0)
     draws = sample_exact(k2, spec, seed=123, count=30_000)
-    counts = Counter(f.values for f in draws)
+    counts = Counter(_rows(draws))
     assert set(counts) == {(0, -1), (0, 0), (0, 1)}
     _, p = stats.chisquare(list(counts.values()))
     assert p > 0.001
@@ -315,7 +320,7 @@ def test_sample_exact_k2_chisquare(k2):
 def test_sample_exact_matches_enumeration_support(c4):
     spec = EnsembleSpec("one-point", M=1, v0=0)
     support = set(f.values for f in enumerate_onepoint(c4, 0, 1))
-    draws = set(f.values for f in sample_exact(c4, spec, seed=5, count=2000))
+    draws = set(_rows(sample_exact(c4, spec, seed=5, count=2000)))
     assert draws <= support
     assert len(draws) == 19  # every state seen at this sample size
 
@@ -323,8 +328,8 @@ def test_sample_exact_matches_enumeration_support(c4):
 def test_sample_exact_groundstate(k6):
     spec = EnsembleSpec("ground-state", M=1, k=0, lam=1.0)
     support = set(f.values for f in enumerate_groundstate(k6, 0, 1, 1.0))
-    for f in sample_exact(k6, spec, seed=17, count=200):
-        assert f.values in support
+    for values in _rows(sample_exact(k6, spec, seed=17, count=200)):
+        assert values in support
 
 
 def test_sampler_total_matches_count(c4, k6):
@@ -355,7 +360,10 @@ def test_ranks_map_one_to_one_onto_the_enumeration(g, spec, dtype):
         members = list(enumerate_groundstate(g, spec.k, spec.M, spec.lam))
     # enumeration unranks too, so the order is checked against a brute force
     expected = [LipschitzFn(values, spec.M) for values in brute_members(to_networkx(g), spec)]
-    assert _unrank(sampler._dp, sampler._rows, range(sampler.total)) == members == expected
+    assert members == expected
+    unranked = _unrank(sampler._dp, sampler._rows, range(sampler.total))
+    assert unranked.dtype == dtype
+    assert _rows(unranked) == [f.values for f in members]
 
 
 @pytest.mark.parametrize("n,bits,dtype", [(42, 63, np.int64), (200, 313, object)], ids=["C42", "C200"])
@@ -367,10 +375,12 @@ def test_large_ensembles_unrank_in_enumeration_order(n, bits, dtype):
     assert sampler.total.bit_length() == bits and sampler._rows[0].cum.dtype == dtype
     brute = brute_members(to_networkx(g), EnsembleSpec("one-point", M=1, v0=0))
     expected = [LipschitzFn(values, 1) for values in itertools.islice(brute, 60)]
+    assert list(itertools.islice(enumerate_onepoint(g, 0, 1), 60)) == expected
     first = _unrank(sampler._dp, sampler._rows, range(60))
-    assert first == list(itertools.islice(enumerate_onepoint(g, 0, 1), 60)) == expected
-    (last,) = _unrank(sampler._dp, sampler._rows, [sampler.total - 1])
-    assert last.values == tuple(min(v, n - v) for v in range(n))  # the largest member
+    assert first.dtype == dtype
+    assert _rows(first) == [f.values for f in expected]
+    (last,) = _rows(_unrank(sampler._dp, sampler._rows, [sampler.total - 1]))
+    assert last == tuple(min(v, n - v) for v in range(n))  # the largest member
 
 
 @pytest.mark.parametrize(
@@ -386,17 +396,17 @@ def test_a_batch_starts_with_the_smaller_batch(g, spec):
     sampler = ExactSampler(g, spec)
 
     def batch(count):
-        return sampler.draw(np.random.default_rng(np.random.SeedSequence(21)), count)
+        return sampler.draw(np.random.default_rng(np.random.SeedSequence(21)), count).tolist()
 
-    assert batch(64) == sample_exact(g, spec, seed=21, count=64)
+    assert batch(64) == sample_exact(g, spec, seed=21, count=64).tolist()
     for j, count in ((1, 7), (5, 64), (40, 41)):
         assert batch(count)[:j] == batch(j)
 
 
 def test_an_empty_batch_draws_nothing(q3):
     sampler = ExactSampler(q3, EnsembleSpec("one-point", M=1, v0=0))
-    assert sampler.draw(np.random.default_rng(0), 0) == []
-    assert sample_exact(q3, EnsembleSpec("one-point", M=1, v0=0), seed=0, count=0) == []
+    assert sampler.draw(np.random.default_rng(0), 0).shape == (0, 8)
+    assert sample_exact(q3, EnsembleSpec("one-point", M=1, v0=0), seed=0, count=0).shape == (0, 8)
 
 
 def test_a_batch_below_2_63_makes_one_integers_call():
@@ -415,7 +425,7 @@ def test_sample_exact_q4_range_chisquare():
     spec = EnsembleSpec("one-point", M=1, v0=0)
     for seed in (31, 32):
         draws = sample_exact(g, spec, seed=seed, count=20_000)
-        seen = Counter(min(max(fn_range(f), 2), 4) for f in draws)
+        seen = Counter(min(max(max(row) - min(row) + 1, 2), 4) for row in draws.tolist())
         expected = [exact[r] * len(draws) / 197_547 for r in (2, 3, 4)]
         _, p = stats.chisquare([seen[r] for r in (2, 3, 4)], expected)
         assert p > 0.001, (seed, p)
@@ -570,7 +580,7 @@ def test_glauber_chain_matches_reference_chain(builder, spec, seed, steps):
     want = reference_glauber(g, spec, [(seed, steps)], on_step=lambda t, vals: expected.append(hash(tuple(vals))))
     assert len(seen) == steps
     assert seen == expected
-    assert got == want
+    assert (_rows(got[0]), got[1]) == ([f.values for f in want[0]], want[1])
     assert (want[1] > 0) == (spec.mode == "ground-state")
 
 
@@ -629,6 +639,23 @@ def test_glauber_ground_state_guards(k6):
         glauber_chain(k6, EnsembleSpec("ground-state", M=1, k=0, lam=5.0), seed=0, steps=1)
 
 
+@pytest.mark.parametrize("values,dtype", [
+    ([3, -4, 0, 7], np.int64),
+    ([2**62 - 1, -(2**62) + 1], np.int64),
+    ([2**62, 0], object),
+    ([0, -(2**62)], object),
+    ([2**80, 1], object),
+    ([], np.int64),
+], ids=["small", "below-2^62", "2^62", "-2^62", "past-int64", "empty"])
+def test_glauber_value_array_keeps_differences_exact(values, dtype):
+    # int64 only while every max - min + 1 fits, else Python ints
+    from liplab.lipschitz import _value_array
+
+    got = _value_array(values, 2)
+    assert got.dtype == dtype
+    assert got.tolist() == [values[i:i + 2] for i in range(0, len(values), 2)]
+
+
 def test_glauber_lone_pinned_vertex_is_a_no_op():
     k1 = complete_graph(1)
     spec = EnsembleSpec("one-point", M=2, v0=0)
@@ -637,7 +664,7 @@ def test_glauber_lone_pinned_vertex_is_a_no_op():
     assert f == LipschitzFn((0,), 2)
     assert seen == [(t, (0,)) for t in range(5)]
     samples, _ = glauber_samples(k1, spec, seed=3, burn_in=10, thinning=4, samples=3)
-    assert samples == [LipschitzFn((0,), 2)] * 3
+    assert samples.tolist() == [[0]] * 3
 
 
 # ---------------------------------------------------------------------------
@@ -679,7 +706,7 @@ def test_function_file_needs_integer_fields(text, tmp_path):
 # ---------------------------------------------------------------------------
 
 def _draws_sha256(draws):
-    return hashlib.sha256(json.dumps([list(f.values) for f in draws]).encode()).hexdigest()
+    return hashlib.sha256(json.dumps(draws.tolist()).encode()).hexdigest()
 
 
 # Recorded when draws became one batch of uniform ranks (one `integers` call
@@ -759,7 +786,7 @@ def test_sample_exact_q3_chisquare(q3):
     assert len(support) == 495
     spec = EnsembleSpec("one-point", M=1, v0=0)
     for seed in (11, 12):
-        counts = Counter(f.values for f in sample_exact(q3, spec, seed=seed, count=20_000))
+        counts = Counter(_rows(sample_exact(q3, spec, seed=seed, count=20_000)))
         assert set(counts) <= set(support)
         _, p = stats.chisquare([counts.get(s, 0) for s in support])
         assert p > 0.001, (seed, p)
@@ -775,8 +802,7 @@ def test_long_cycle_m0_has_no_recursion_limit():
     g = cycle_graph(1500)
     assert count_onepoint(g, 0, 0).count == 1
     assert [f.values for f in enumerate_onepoint(g, 0, 0)] == [(0,) * 1500]
-    (f,) = sample_exact(g, EnsembleSpec("one-point", M=0, v0=0), seed=1)
-    assert f.values == (0,) * 1500
+    assert sample_exact(g, EnsembleSpec("one-point", M=0, v0=0), seed=1).tolist() == [[0] * 1500]
 
 
 def _central_trinomial(n: int) -> int:
