@@ -110,8 +110,9 @@ def build_mutual_cover(
     vertices of X each contribute their smallest neighbor.  Sampling repeats
     on fresh seed streams until the size bound is met or `COVER_RETRY_CAP`
     attempts are made, in which case the smallest cover found is returned
-    flagged.  At p = 1 every draw keeps the whole pool and at p = 0 none of
-    it, so a random stream is drawn only when 0 < p < 1.
+    flagged.  At p = 1 every draw keeps the whole pool and at p = 0 (or with
+    an empty pool) none of it, so a random stream is drawn, and a missed
+    bound retried, only when 0 < p < 1 and the pool is nonempty.
     """
     if not x:
         raise ValueError("X must be nonempty")
@@ -127,10 +128,11 @@ def build_mutual_cover(
 
     # One child stream per attempt, spawned only when needed: the i-th
     # spawn(1) equals spawn(COVER_RETRY_CAP)[i], at a fraction of the cost.
+    # Without a stream every attempt builds the same cover, so one is built.
     root = np.random.SeedSequence(seed) if pool and 0.0 < p < 1.0 else None
     best: int | None = None
     attempts = 0
-    while attempts < COVER_RETRY_CAP:
+    while attempts < (COVER_RETRY_CAP if root is not None else 1):
         attempts += 1
         if root is None:
             y = vertex_mask(pool) if p >= 1.0 else 0

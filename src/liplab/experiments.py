@@ -457,6 +457,9 @@ def run_range_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     # the flaw dump reads each sample's ground states, in either mode
     ens = resolve_ensemble(cfg, cfg.probes, ground=cfg.dump_flaws, gates=True)
     g, profile, probes = ens.g, ens.profile, ens.probes
+    if cfg.M * (g.n - 1) + 1 >= 1 << 62:
+        # no range passes M*(n-1)+1, so below this bound every range fits int64
+        raise ConfigError(f"range experiment needs M*(n-1)+1 < 2^62, got M={cfg.M} on n={g.n}")
     samples, sampler = draw_samples(ens, cfg)
 
     # per sample: two row reductions for the range, column slices for the probes
@@ -469,11 +472,10 @@ def run_range_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     records = [dict(zip(columns, row)) for row in zip(*columns.values())]
 
     ranges = spans.astype(np.int64, copy=False)
-    tail_curve = []
-    if len(ranges):
-        for r in range(1, int(ranges.max()) + 1):
-            count = int((ranges >= r).sum())
-            tail_curve.append({"r": r, "count": count, "fraction": count / len(ranges)})
+    # at_least[r - 1] counts the samples of range >= r, for r = 1 .. max range
+    at_least = np.bincount(ranges)[:0:-1].cumsum()[::-1].tolist() if len(ranges) else []
+    tail_curve = [{"r": r, "count": count, "fraction": count / len(ranges)}
+                  for r, count in enumerate(at_least, 1)]
     probe_stats = {}
     for v in probes:
         vals = samples[:, v].astype(np.float64)

@@ -560,7 +560,6 @@ _GLAUBER_CHUNK = 1 << 16  # draws per rng.integers / rng.random call
 _GLAUBER_SLICE = 1 << 12  # draws converted to Python scalars at a time
 _SAMPLE_SALT = 0x9E3779B97F4A7C15  # xor-ed into the seed of the per-sample streams
 _GLAUBER_MEMO_CELLS = 1 << 13  # neighbour values the interval table may hold
-_GLAUBER_MEMO_MISS_SHARE = 0.25  # share of missed lookups that switches the table off
 
 
 def glauber_site_interval(values: Sequence[int], nbrs: Sequence[int], M: int) -> tuple[int, int]:
@@ -589,11 +588,13 @@ def glauber_chain(
     `Graph.neighbor_getters` entry and looks the interval up in a table keyed
     by those values, computing it only on a miss; `glauber_site_interval` is
     the reference for the interval.  The table stores at most 8,192
-    neighbour values (8,192 // max degree entries) and keeps serving once
-    full.  The chain judges it after every 4,096 or more steps (slices of
-    the draws, summed across `glauber_samples` blocks), and switches it off
-    and frees it the first time more than a quarter of those lookups missed.
-    It changes no draw: a fixed seed always gives the same chain.
+    neighbour values (8,192 // max degree entries).  While it has room,
+    every miss makes an entry, so only a full table can keep missing; it is
+    judged once, when it fills.  If it filled within 4 steps per entry
+    (counted from the start of the run, across `glauber_samples` blocks),
+    more than a quarter of its lookups missed, and the chain switches it off
+    and frees it; otherwise it keeps serving.  It changes no draw: a fixed
+    seed always gives the same chain.
     """
     (state,) = _glauber_run(g, spec, [(seed, steps)], on_step)[0].tolist()
     return LipschitzFn(tuple(state), spec.M)
@@ -653,13 +654,11 @@ def _glauber_run(
                 on_step(t, values)
         return _value_array(values * len(blocks), g.n), 0
 
-    getters = np.empty(g.n, dtype=object)
-    getters[:] = g.neighbor_getters
-    site_getters = getters[sites]
+    getters = g.neighbor_getters
     # the interval table: neighbour values -> (lo, width); None once switched off
     table: dict | None = {}
     room = _GLAUBER_MEMO_CELLS // max(max(g.degrees), 1)
-    looked = misses = rejected = 0
+    rejected = 0
     states = []  # the state after each block, end to end
     t = 0
     for seed, steps in blocks:
@@ -669,13 +668,12 @@ def _glauber_run(
             take = min(_GLAUBER_CHUNK, steps - done)
             site_idx = rng.integers(0, n_sites, size=take)
             coins = rng.random(size=take)
-            verts, gets = sites[site_idx], site_getters[site_idx]
+            verts = sites[site_idx]
             for start in range(0, take, _GLAUBER_SLICE):
                 stop = start + _GLAUBER_SLICE
                 # heat bath: c is uniform on [max nbr - M, min nbr + M]
-                for v, get, u in zip(verts[start:stop].tolist(), gets[start:stop].tolist(),
-                                     coins[start:stop].tolist()):
-                    nv = get(values)
+                for v, u in zip(verts[start:stop].tolist(), coins[start:stop].tolist()):
+                    nv = getters[v](values)
                     if table is None:
                         lo = max(nv) - M
                         width = min(nv) + M - lo + 1
@@ -683,11 +681,14 @@ def _glauber_run(
                         try:
                             lo, width = table[nv]
                         except KeyError:
-                            misses += 1
                             lo = max(nv) - M
                             width = min(nv) + M - lo + 1
                             if len(table) < room:
                                 table[nv] = lo, width
+                                # every miss so far made an entry, so a table that fills
+                                # within 4 * room steps missed over a quarter of its lookups
+                                if len(table) == room and t + 1 < 4 * room:
+                                    table = None
                     c = lo + int(u * width)
                     if ground and c != values[v]:
                         old_in = w_lo <= values[v] <= w_hi
@@ -703,13 +704,6 @@ def _glauber_run(
                     if on_step is not None:
                         on_step(t, values)
                     t += 1
-                if table is not None:
-                    # judge the table over 4,096 or more lookups, across blocks
-                    looked += min(stop, take) - start
-                    if looked >= _GLAUBER_SLICE:
-                        if misses > _GLAUBER_MEMO_MISS_SHARE * looked:
-                            table = None  # too many misses for the table to pay
-                        looked = misses = 0
         states += values
     return _value_array(states, g.n), rejected
 

@@ -139,7 +139,8 @@ def test_cover_deterministic(petersen):
 
 def eager_stream_cover(g, x, profile, seed, retry_cap):
     """Oracle: the cover construction with all retry_cap seed streams spawned
-    up front by SeedSequence(seed).spawn(retry_cap)."""
+    up front by SeedSequence(seed).spawn(retry_cap), or one stream when no
+    draw can differ from another (p = 0, p = 1 or an empty pool)."""
     d, lam = profile.d, profile.lam
     q = set_neighborhood(g, x)
     nbr = [frozenset(g.neighbors(u)) for u in range(g.n)]
@@ -148,7 +149,7 @@ def eager_stream_cover(g, x, profile, seed, retry_cap):
     p = min(1.0, max(0.0, np.log(ell) / d)) if ell > 1.0 else 0.0
     bound = cover_size_bound(d, lam, len(q))
     best, attempts = None, 0
-    for stream in np.random.SeedSequence(seed).spawn(retry_cap):
+    for stream in np.random.SeedSequence(seed).spawn(retry_cap if pool and 0 < p < 1 else 1):
         attempts += 1
         rng = np.random.default_rng(stream)
         y = set()

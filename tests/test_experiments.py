@@ -1058,6 +1058,24 @@ def test_range_glauber_past_int64_output_unchanged():
         "326d5d4753993bd0541957acfb9dfb46ab830f10fd76a6e9495a4cdc001751e1")
 
 
+@pytest.mark.parametrize("sampler", [{"kind": "exact"}, {"kind": "glauber", "burn_in": 50, "thinning": 3},
+                                     {"kind": "glauber"}], ids=["exact", "glauber", "glauber-default-burn-in"])
+def test_range_past_int64_is_refused_before_sampling(sampler, tmp_path, capsys):
+    # a range can reach M*(n-1)+1 = 2^70 + 1 on K2, past int64: refused before any draw
+    M = 2**70
+    message = f"error: range experiment needs M*(n-1)+1 < 2^62, got M={M} on n=2\n"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(base_config(graph={"family": "complete", "n": 2}, M=M, sampler=sampler,
+                                               samples=5, probes=[0])))
+    assert main(["experiment", "range", "--config", str(cfg_path), "--out", str(tmp_path / "res")]) == 2
+    assert capsys.readouterr() == ("", message)
+    assert not (tmp_path / "res").exists()
+    if "burn_in" not in sampler:
+        assert main(["sample", "--graph", '{"family":"complete","n":2}', "--M", str(M),
+                     "--sampler", sampler["kind"], "--samples", "5"]) == 2
+        assert capsys.readouterr() == ("", message)
+
+
 def test_sample_cli_rejects_seed_past_64_bits(capsys):
     code = main(["sample", "--graph", '{"family":"cycle","n":6}', "--M", "1", "--samples", "2",
                  "--seed", str(2**64)])

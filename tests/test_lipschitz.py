@@ -542,8 +542,9 @@ def _trajectory_sha256(g, spec, seed, steps):
         (lambda: random_regular_graph(20, 3, seed=1), EnsembleSpec("one-point", M=2, v0=0), 9, 70_000,
          ("21b78ab868282383b257a3b7159a4f7979a4d50c7903c1ac7ce30a0897ff5314",
           "e761c5f0961fab1e9e986e4797a83e8ac432a292c5387f904d394c0e6b2b9d51")),
-        # the cases of test_glauber_chain_matches_reference_chain that switch
-        # the interval table off and fill it, recorded from the chain before the table
+        # the cases of test_glauber_chain_matches_reference_chain whose interval
+        # table fills, recorded from the chain before the table: Q6 at M=4 fills it
+        # fast enough to be switched off, Q7 at M=1 slowly enough to keep it
         (lambda: hypercube_graph(6), EnsembleSpec("one-point", M=4, v0=0), 10, 30_000,
          ("331739409681d43ee36173986c195001c16d8be5d459f2d09341ecba2c305090",
           "ee8ebb4c7f6ddd26ac7801750a24e6c211720c467d059f1f7187808fa6fce762")),
@@ -564,12 +565,17 @@ def test_glauber_golden_trajectories(builder, spec, seed, steps, digests):
     [
         (lambda: random_regular_graph(20, 3, seed=1), EnsembleSpec("one-point", M=2, v0=0), 9, 70_000),
         (lambda: complete_graph(6), EnsembleSpec("ground-state", M=1, k=0, lam=1.0), 8, 3000),
-        # 3,681 of the first 4,096 lookups miss, so the table is switched off after that slice
+        # the table fills at step 1,727 (8,192 values / degree 6 = 1,365 entries), within
+        # 4 * 1,365 steps, so over a quarter of its lookups missed and it is switched off
         (lambda: hypercube_graph(6), EnsembleSpec("one-point", M=4, v0=0), 10, 30_000),
-        # the table fills at step 23,440 (8,192 values / degree 7 = 1,170 entries) and serves on
+        # the table fills at step 39,311 (8,192 values / degree 7 = 1,170 entries), past
+        # 4 * 1,170 steps, so it serves on
         (lambda: hypercube_graph(7), EnsembleSpec("one-point", M=1, v0=0), 3, 40_000),
+        # a cold start: 1,093 of the first 4,096 lookups miss, but the table fills at step
+        # 40,087 (2,730 entries) with 7% of its lookups missed, so it serves on
+        (lambda: random_regular_graph(500, 3, seed=1), EnsembleSpec("one-point", M=5, v0=0), 0, 50_000),
     ],
-    ids=["RR20-M2", "K6-ground", "Q6-M4-table-off", "Q7-M1-table-full"],
+    ids=["RR20-M2", "K6-ground", "Q6-M4-table-off", "Q7-M1-table-full", "RR500-M5-cold-start"],
 )
 def test_glauber_chain_matches_reference_chain(builder, spec, seed, steps):
     import liplab.lipschitz as lipschitz
@@ -631,6 +637,41 @@ def test_glauber_chain_does_not_call_site_interval(c4, monkeypatch):
     monkeypatch.setattr(lipschitz, "glauber_site_interval", fail)
     spec = EnsembleSpec("one-point", M=1, v0=0)
     assert validate(c4, glauber_chain(c4, spec, seed=0, steps=1000))
+
+
+@pytest.mark.parametrize(
+    "builder,spec,seed,steps,kept",
+    [
+        (lambda: hypercube_graph(6), EnsembleSpec("one-point", M=4, v0=0), 10, 30_000, False),
+        (lambda: random_regular_graph(500, 3, seed=1), EnsembleSpec("one-point", M=5, v0=0), 0, 50_000, True),
+    ],
+    ids=["Q6-M4-switched-off", "RR500-M5-kept"],
+)
+def test_glauber_table_is_judged_when_it_fills(builder, spec, seed, steps, kept, monkeypatch):
+    import builtins
+
+    import liplab.lipschitz as lipschitz
+
+    g = builder()
+    room = lipschitz._GLAUBER_MEMO_CELLS // max(g.degrees)
+    computed = 0  # interval computations: min of the neighbour values
+
+    def counting_min(*args):
+        nonlocal computed
+        computed += len(args) == 1
+        return builtins.min(*args)
+
+    monkeypatch.setattr(lipschitz, "min", counting_min, raising=False)
+    totals = []
+    lipschitz._glauber_run(g, spec, [(seed, steps)], on_step=lambda t, vals: totals.append(computed))
+    hits = [t for t, (before, after) in enumerate(zip([0] + totals, totals)) if before == after]
+    # every miss before the fill makes an entry, so the table filled
+    assert computed >= room and hits
+    if kept:
+        assert computed < steps // 10 and hits[-1] == steps - 1
+    else:
+        # switched off at the fill, within 4 * room steps: every later step computes
+        assert hits[-1] < 4 * room and computed > steps - 3 * room
 
 
 def test_glauber_ground_state_guards(k6):
