@@ -65,11 +65,11 @@ from .lipschitz import (
     LipschitzFn,
     count_groundstate,
     count_onepoint,
-    enumerate_groundstate,
     enumerate_onepoint,
     flaw_cap,
     glauber_samples,
     glauber_site_interval,
+    member_batches,
     min_ground_state,
     sample_exact,
 )
@@ -746,8 +746,7 @@ def check_count_enumeration(sg: SuiteGraph, ctx: VerifyContext) -> list[dict]:
     """The enumerated members themselves, stacked and checked in one pass over
     the edges: each 1-Lipschitz with f(0) = 0, no two equal, and as many as
     the count.  The first bad member is the witness."""
-    values = (v for f in enumerate_onepoint(sg.g, 0, 1, budget=ctx.budget) for v in f.values)
-    members = np.fromiter(values, dtype=np.int64).reshape(-1, sg.g.n)  # no member kept as an object
+    members = np.concatenate(list(member_batches(sg.g, EnsembleSpec("one-point", M=1, v0=0), ctx.budget)))
     n_count = count_onepoint(sg.g, 0, 1, budget=ctx.budget).count
     lower, upper = sg.g.edge_index
     rows = members.view(np.dtype((np.void, members.itemsize * sg.g.n))).ravel()  # one key per member
@@ -768,12 +767,17 @@ def check_translation_bijection(sg: SuiteGraph, ctx: VerifyContext) -> list[dict
         return skip
 
     def ensemble(k):
-        return enumerate_groundstate(sg.g, k, 1, sg.spectral.lam, budget=ctx.budget)
+        spec = EnsembleSpec("ground-state", M=1, k=k, lam=sg.spectral.lam)
+        return np.concatenate(list(member_batches(sg.g, spec, ctx.budget)))
 
-    base = sorted(f.values for f in ensemble(0))
-    shifted = sorted(tuple(v - 5 for v in f.values) for f in ensemble(5))
-    reflected = sorted(f.reflect(3).values for f in ensemble(3))
-    return [_verdict("translation-bijection", sg.name, base == shifted == reflected,
+    def lexsorted(members):
+        return members[np.lexsort(members.T[::-1])]
+
+    base = lexsorted(ensemble(0))
+    shifted = lexsorted(ensemble(5) - 5)
+    reflected = lexsorted(3 + 1 - ensemble(3))  # f -> -f + k + M
+    ok = np.array_equal(base, shifted) and np.array_equal(base, reflected)
+    return [_verdict("translation-bijection", sg.name, ok,
                      {"sizes": [len(base), len(shifted), len(reflected)]})]
 
 

@@ -46,10 +46,6 @@ class LipschitzFn:
         if self.M < 0:
             raise ValueError("M must be nonnegative")
 
-    def reflect(self, k: int) -> "LipschitzFn":
-        """The involution f -> -f + k + M pairing the ensembles based at k and 0."""
-        return LipschitzFn(tuple(-v + k + self.M for v in self.values), self.M)
-
 
 def validate(g: Graph, f: LipschitzFn) -> bool:
     """True iff |f(u) - f(v)| <= M across every edge."""
@@ -215,11 +211,11 @@ class _FrontierDP:
             if not 0 <= start < g.n:
                 raise ValueError(f"invalid anchor vertex {start}")
             self.box = (spec.k - g.n * M, spec.k + M + g.n * M)
-        order = bfs_order(g, start)
+        self.order = order = bfs_order(g, start)
         self.n = n = len(order)
         self.budget = budget
         self.nodes = 0
-        self._place = place = [0] * n  # each vertex's order position; the graph is connected
+        place = [0] * n  # each vertex's order position; the graph is connected
         for i, v in enumerate(order):
             place[v] = i
         # key entries, candidates and bounds in key coordinates lie within (2n + 3)M + 1
@@ -426,22 +422,28 @@ def _count(g: Graph, spec: EnsembleSpec, budget: int) -> CountResult:
 _UNRANK_CELLS = 1 << 14  # member values an enumeration unranks at a time
 
 
-def _members(g: Graph, spec: EnsembleSpec, budget: int) -> Iterator[LipschitzFn]:
+def member_batches(g: Graph, spec: EnsembleSpec, budget: int = DEFAULT_NODE_BUDGET) -> Iterator[np.ndarray]:
     """The ensemble's members in rank order, which is lexicographic order
-    along the DP's vertex order.  The spec is checked at the call; the DP is
-    compiled at the first `next`, and the ranks are unranked in batches of
-    about 16,384 values."""
+    along the DP's vertex order, as the rows of value arrays (see `_unrank`)
+    of about 16,384 values each.  The spec is checked at the call; the DP is
+    compiled at the first `next`, and each batch is unranked when it is
+    reached, so a partly read enumeration costs only the batches read."""
     dp = _FrontierDP(g, spec, budget)
 
-    def members() -> Iterator[LipschitzFn]:
+    def batches() -> Iterator[np.ndarray]:
         total, rows = dp.compile("enumeration")
         batch = max(1, _UNRANK_CELLS // dp.n)
         for first in range(0, total, batch):
             # a range of Python ints: ranks past 2^63 never pass through int64
-            for row in _unrank(dp, rows, range(first, min(first + batch, total))).tolist():
-                yield LipschitzFn(tuple(row), dp.M)
+            yield _unrank(dp, rows, range(first, min(first + batch, total)))
 
-    return members()
+    return batches()
+
+
+def _members(g: Graph, spec: EnsembleSpec, budget: int) -> Iterator[LipschitzFn]:
+    """`member_batches`, one `LipschitzFn` per row."""
+    batches = member_batches(g, spec, budget)  # checks the spec now, not at the first `next`
+    return (LipschitzFn(tuple(row), spec.M) for vals in batches for row in vals.tolist())
 
 
 def enumerate_onepoint(g: Graph, v0: int, M: int, budget: int = DEFAULT_NODE_BUDGET) -> Iterator[LipschitzFn]:
@@ -533,13 +535,13 @@ def _unrank(dp: _FrontierDP, rows: list[_Layer], ranks) -> np.ndarray:
     rank = np.array(ranks, dtype=dtype)
     vals = np.empty((len(rank), dp.n), dtype=dtype)
     offset = np.full(len(rank), dp.offset, dtype=dtype)
-    for i, (cum, step, values, shifts) in enumerate(rows):
+    for v, (cum, step, values, shifts) in zip(dp.order, rows):
         # the successor whose run of ranks holds the rank
         j = np.searchsorted(cum, rank, "right")
-        vals[:, i] = values[j] + offset
+        vals[:, v] = values[j] + offset
         offset += shifts[j]
         rank += step[j]
-    return vals[:, dp._place]
+    return vals
 
 
 def sample_exact(g: Graph, spec: EnsembleSpec, seed: int, count: int = 1,
@@ -725,21 +727,37 @@ def _value_array(values: list[int], n: int) -> np.ndarray:
 # Ground states
 # ---------------------------------------------------------------------------
 
-def flaw_count(f: LipschitzFn, k: int) -> int:
-    lo, hi = k, k + f.M
-    return sum(1 for v in f.values if v < lo or v > hi)
+def window_flaws(vals: np.ndarray, M: int) -> tuple[int, np.ndarray]:
+    """The flaw counts of the rows of the value array `vals` (at least one
+    row) at every window base from `low = min - M` to `max`, the extremes
+    taken over the whole array: `low` and a `(rows, max - min + M + 1)`
+    array whose column j holds the counts at base `low + j`.  Any other base
+    leaves every vertex of every row flawed.
+
+    Each row's values become a histogram over [low, max + M] (one
+    `bincount` for all rows), and the vertices inside each window [k, k+M]
+    are a difference of its prefix sums."""
+    rows, n = vals.shape
+    low = int(vals.min()) - M
+    size = int(vals.max()) + M - low + 1  # the values [low, max + M], M empty slots at each end
+    slots = (vals - low).astype(np.intp) + np.arange(0, rows * size, size, dtype=np.intp)[:, None]
+    hist = np.bincount(slots.ravel(), minlength=rows * size).reshape(rows, size)
+    below = np.zeros((rows, size + 1), dtype=np.intp)  # below[:, x]: the values under low + x
+    np.cumsum(hist, axis=1, out=below[:, 1:])
+    return low, n - (below[:, M + 1:] - below[:, :size - M])
 
 
 def ground_states(g: Graph, f: LipschitzFn, lam) -> set[int]:
     """All window bases k whose flaw count is within the allowance.
 
-    The search window [min f - M, max f] is complete: any other k leaves
-    every vertex flawed, which qualifies only when the allowance is >= n
-    (and then bases outside the occupied range carry no information).
+    The search window [min f - M, max f] of `window_flaws` is complete: any
+    other k leaves every vertex flawed, which qualifies only when the
+    allowance is >= n (and then bases outside the occupied range carry no
+    information).
     """
     cap = flaw_cap(g.n, g.regular_degree(), lam)
-    lo, hi = min(f.values) - f.M, max(f.values)
-    return {k for k in range(lo, hi + 1) if flaw_count(f, k) <= cap}
+    low, flaws = window_flaws(_value_array(f.values, len(f.values)), f.M)
+    return {low + j for j in (flaws[0] <= cap).nonzero()[0].tolist()}
 
 
 def min_ground_state(g: Graph, f: LipschitzFn, lam) -> int:

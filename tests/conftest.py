@@ -8,6 +8,7 @@ import pytest
 
 from liplab.errors import BudgetExceededError
 from liplab.graphs import (
+    DEFAULT_NODE_BUDGET,
     Graph,
     bfs_order,
     complete_graph,
@@ -15,7 +16,7 @@ from liplab.graphs import (
     hypercube_graph,
     petersen_graph,
 )
-from liplab.lipschitz import LipschitzFn, flaw_cap, glauber_site_interval
+from liplab.lipschitz import LipschitzFn, enumerate_onepoint, flaw_cap, glauber_site_interval
 
 
 def path_graph(n: int) -> Graph:
@@ -221,6 +222,41 @@ def brute_members(nxg, spec):
                     yield from extend(i + 1, more)
 
     return extend(0, 0)
+
+
+def flaw_count(f, k):
+    """The vertices f puts outside the window [k, k+M], one at a time: the
+    oracle of `window_flaws`."""
+    return sum(1 for v in f.values if v < k or v > k + f.M)
+
+
+def reference_ground_state_lemma(g, M, lam, v0, budget=DEFAULT_NODE_BUDGET):
+    """`verify_ground_state_lemma` as a loop over `enumerate_onepoint`: each
+    member's fewest flaws over its bases [min f - M, max f] by `flaw_count`;
+    the worst ratio is the first member's with the largest, and the failures
+    keep rank order."""
+    d = g.regular_degree()
+    allowance = 2.0 * float(lam) / d * g.n
+    cap = flaw_cap(g.n, d, lam)
+    checked, failures, worst_ratio, worst_values = 0, [], 0.0, None
+    for f in enumerate_onepoint(g, v0, M, budget=budget):
+        checked += 1
+        best = min(flaw_count(f, k) for k in range(min(f.values) - M, max(f.values) + 1))
+        ratio = best / allowance if allowance > 0 else (0.0 if best == 0 else math.inf)
+        if ratio > worst_ratio:
+            worst_ratio, worst_values = ratio, list(f.values)
+        if best > cap:
+            failures.append(list(f.values))
+    return {
+        "lemma": "ground-state-existence",
+        "graph": g.name,
+        "M": M,
+        "lam": float(lam),
+        "allowance": allowance,
+        "instances_checked": checked,
+        "failures": failures,
+        "stats": {"max_flaw_ratio": worst_ratio, "worst_function": worst_values},
+    }
 
 
 def to_networkx(g):

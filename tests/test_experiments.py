@@ -43,7 +43,15 @@ from liplab.experiments import (
 )
 from liplab.flaws import conditional_tail_profile
 from liplab.graphs import DEFAULT_NODE_BUDGET, complete_graph
-from liplab.lipschitz import LipschitzFn, count_groundstate, count_onepoint, enumerate_onepoint, fn_range
+from liplab.lipschitz import (
+    EnsembleSpec,
+    LipschitzFn,
+    count_groundstate,
+    count_onepoint,
+    enumerate_onepoint,
+    fn_range,
+    member_batches,
+)
 from tests.conftest import CountingGenerator, reference_glauber
 
 
@@ -1564,7 +1572,7 @@ def test_verify_fails_rows_on_wrong_members_in_the_right_number(monkeypatch, cap
 def test_count_enumeration_fails_on_a_bad_last_member(monkeypatch, last):
     """The last of C4's 19 members is replaced by a copy of the first, or by
     the first shifted off its anchor (still Lipschitz, and no repeat), or is
-    dropped."""
+    dropped; the members come as one value array from `member_batches`."""
     import liplab.experiments as experiments
     from liplab.graphs import cycle_graph
 
@@ -1572,13 +1580,14 @@ def test_count_enumeration_fails_on_a_bad_last_member(monkeypatch, last):
     sg = SuiteGraph(c4)
     (row,) = check_count_enumeration(sg, VerifyContext())
     assert row == {"check": "count-enumeration-agreement", "graph": "C4", "status": "pass"}
-    members = list(enumerate_onepoint(c4, 0, 1))
-    unanchored = LipschitzFn(tuple(v + 1 for v in members[0].values), 1)
-    tail = {"repeated": [members[0]], "unanchored": [unanchored], "missing": []}[last]
-    monkeypatch.setattr(experiments, "enumerate_onepoint", lambda g, v0, M, budget: iter(members[:-1] + tail))
+    (members,) = member_batches(c4, EnsembleSpec("one-point", M=1, v0=0))
+    assert members.tolist() == [list(f.values) for f in enumerate_onepoint(c4, 0, 1)]
+    tail = {"repeated": members[:1], "unanchored": members[:1] + 1, "missing": members[:0]}[last]
+    mutant = np.concatenate((members[:-1], tail))
+    monkeypatch.setattr(experiments, "member_batches", lambda g, spec, budget: iter([mutant]))
     (row,) = check_count_enumeration(sg, VerifyContext())
     assert row["status"] == "fail"
     expected = {"enumerated": 18 + len(tail), "counted": 19}
-    if tail:
-        expected.update(rank=18, member=list(tail[0].values))
+    if len(tail):
+        expected.update(rank=18, member=tail[0].tolist())
     assert row["witness"] == expected

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -17,14 +18,24 @@ from liplab.flaws import (
     tail_verdict,
     verify_ground_state_lemma,
 )
+from liplab.expanders import spectral_lambda
 from liplab.graphs import (
+    complete_graph,
     cycle_graph,
+    hypercube_graph,
     mask_vertices,
     random_regular_graph,
     vertex_mask,
 )
 from liplab.lipschitz import LipschitzFn, enumerate_groundstate
-from tests.conftest import is_linked_nx, nx_distances, nx_power, path_graph, set_neighborhood
+from tests.conftest import (
+    is_linked_nx,
+    nx_distances,
+    nx_power,
+    path_graph,
+    reference_ground_state_lemma,
+    set_neighborhood,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -124,8 +135,6 @@ def test_ground_state_lemma_k6(k6):
 
 def test_ground_state_lemma_random_regular():
     g = random_regular_graph(10, 3, seed=2)
-    from liplab.expanders import spectral_lambda
-
     lam = spectral_lambda(g).lam
     report = verify_ground_state_lemma(g, 1, lam, 0)
     assert report["failures"] == []
@@ -136,6 +145,38 @@ def test_ground_state_lemma_flags_bogus_lambda(q3):
     # a tiny fake certificate must surface failures instead of erroring
     report = verify_ground_state_lemma(q3, 1, 0.01, 0)
     assert report["failures"]
+
+
+_LEMMA_GRAPHS = {
+    "K6": lambda: complete_graph(6),
+    "C4": lambda: cycle_graph(4),
+    "Q3": lambda: hypercube_graph(3),
+    "RR10,3#1": lambda: random_regular_graph(10, 3, seed=1),
+    "RR8,3#0": lambda: random_regular_graph(8, 3, seed=0),
+    "RR12,3#3": lambda: random_regular_graph(12, 3, seed=3),
+    "RR12,4#5": lambda: random_regular_graph(12, 4, seed=5),
+}
+
+
+@pytest.mark.parametrize("lam", [0, 0.01, "spectral"])
+@pytest.mark.parametrize("name,M", [
+    ("K6", 1), ("C4", 1), ("Q3", 1), ("RR10,3#1", 1),  # the suite graphs; RR(10,3) spans 3 batches
+    ("K6", 2), ("C4", 2), ("Q3", 2),  # Q3 at M = 2: 15,329 members in 8 batches
+    ("RR8,3#0", 1), ("RR8,3#0", 2), ("RR12,3#3", 1), ("RR12,4#5", 1),
+])
+def test_ground_state_lemma_matches_the_per_member_loop(name, M, lam):
+    """The batched sweep against the loop over `LipschitzFn`s, field for
+    field: the same failures in rank order, the same worst member, and a
+    ratio equal as a float (0.0 or inf at lambda = 0)."""
+    g = _LEMMA_GRAPHS[name]()
+    if lam == "spectral":
+        lam = spectral_lambda(g).lam
+    report = verify_ground_state_lemma(g, M, lam, 0)
+    expected = reference_ground_state_lemma(g, M, lam, 0)
+    assert report == expected
+    assert json.dumps(report) == json.dumps(expected)  # Python ints and floats, not numpy scalars
+    if lam == 0:
+        assert report["stats"]["max_flaw_ratio"] in (0.0, math.inf)
 
 
 # ---------------------------------------------------------------------------

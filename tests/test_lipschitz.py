@@ -10,6 +10,7 @@ import pytest
 from scipy import stats
 
 from liplab.errors import BudgetExceededError
+from liplab.experiments import _random_lipschitz
 from liplab.graphs import (
     DEFAULT_NODE_BUDGET,
     Graph,
@@ -37,13 +38,16 @@ from liplab.lipschitz import (
     ground_states,
     load_function,
     marginal_groundstate,
+    member_batches,
     min_ground_state,
     sample_exact,
     validate,
+    window_flaws,
 )
 from tests.conftest import (
     CountingGenerator,
     brute_members,
+    flaw_count,
     nx_distances,
     path_graph,
     reference_glauber,
@@ -229,7 +233,7 @@ def test_groundstate_translation_bijection(k6):
 def test_groundstate_reflection_bijection(k6):
     k = 3
     base = sorted(f.values for f in enumerate_groundstate(k6, 0, 1, 1.0))
-    reflected = sorted(f.reflect(k).values for f in enumerate_groundstate(k6, k, 1, 1.0))
+    reflected = sorted(tuple(-v + k + 1 for v in f.values) for f in enumerate_groundstate(k6, k, 1, 1.0))
     assert base == reflected
 
 
@@ -283,6 +287,33 @@ def test_ground_states_weak_lambda(c4):
     f = LipschitzFn((0, 1, 0, 1), 1)
     ks = ground_states(c4, f, 10.0)
     assert ks == set(range(-1, 2))
+
+
+def test_window_flaws_match_the_count_per_base(q3):
+    """A batch's flaw counts at every base of the batch's window, against
+    `flaw_count` member by member; the rows' own windows differ."""
+    vals = next(member_batches(q3, EnsembleSpec("one-point", M=2, v0=0)))
+    low, flaws = window_flaws(vals, 2)
+    assert low == vals.min() - 2
+    assert flaws.shape == (len(vals), vals.max() - low + 1)
+    for row, counts in zip(vals.tolist(), flaws.tolist()):
+        f = LipschitzFn(tuple(row), 2)
+        assert counts == [flaw_count(f, low + j) for j in range(flaws.shape[1])]
+
+
+@pytest.mark.parametrize("shift", [0, -7, 1 << 70])
+def test_ground_states_match_the_count_per_base(petersen, shift):
+    """`ground_states` against `flaw_count` over [min f - M, max f], also
+    for values past int64."""
+    rng = np.random.default_rng(3)
+    for M in (1, 3):
+        for _ in range(20):
+            f = _random_lipschitz(petersen, M, rng)
+            f = LipschitzFn(tuple(v + shift for v in f.values), M)
+            for lam in (0.0, 1.0, 2.5):
+                cap = flaw_cap(petersen.n, 3, lam)
+                window = range(min(f.values) - M, max(f.values) + 1)
+                assert ground_states(petersen, f, lam) == {k for k in window if flaw_count(f, k) <= cap}
 
 
 # ---------------------------------------------------------------------------
