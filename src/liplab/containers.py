@@ -57,7 +57,7 @@ def enumerate_linked_sets(
     the target (N is monotone under inclusion).
     """
     if not (0 <= v < g.n):
-        raise ValueError(f"invalid vertex id {v}")
+        raise ConfigError(f"invalid vertex id {v}")
     link = g.power_masks(k)
     if boundary_size > g.n:
         return []

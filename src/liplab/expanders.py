@@ -48,14 +48,18 @@ def asserted_profile(g: Graph, lam: float) -> ExpanderProfile:
 
 
 def adjacency_spectrum(g: Graph) -> np.ndarray:
-    """All adjacency eigenvalues (ascending), residual-checked."""
-    a = g.adjacency_matrix()
-    vals, vecs = np.linalg.eigh(a)
-    scale = max(1.0, float(max(g.degrees)))
-    resid = np.abs(a @ vecs - vecs * vals).max()
-    if resid > _RESIDUAL_TOL * scale:
-        raise RuntimeError(f"eigensolver residual {resid:.3e} exceeds {_RESIDUAL_TOL * scale:.3e}")
-    return vals
+    """All adjacency eigenvalues (ascending), residual-checked; solved once
+    per graph and kept on it, read-only, as its adjacency matrix is."""
+    if g._spectrum is None:
+        a = g.adjacency_matrix()
+        vals, vecs = np.linalg.eigh(a)
+        scale = max(1.0, float(max(g.degrees)))
+        resid = np.abs(a @ vecs - vecs * vals).max()
+        if resid > _RESIDUAL_TOL * scale:
+            raise RuntimeError(f"eigensolver residual {resid:.3e} exceeds {_RESIDUAL_TOL * scale:.3e}")
+        vals.flags.writeable = False
+        g._spectrum = vals
+    return g._spectrum
 
 
 def spectral_lambda(g: Graph) -> ExpanderProfile:

@@ -373,7 +373,7 @@ def draw_samples(ens: Ensemble, cfg: ExperimentConfig) -> tuple[np.ndarray, dict
 @dataclass
 class ExperimentResult:
     kind: str
-    records: list[dict]
+    columns: dict[str, list]  # the CSV's columns by header, all of one length
     aggregates: dict
     gates: dict
     provenance: dict
@@ -381,18 +381,18 @@ class ExperimentResult:
     extra_files: dict | None = None
 
     def csv_text(self) -> str:
-        """The records as CSV; every record has the first one's keys, in order."""
-        if not self.records:
+        """The columns as CSV, the header first; "" when there are no rows."""
+        lines = [",".join(map(str, row)) for row in zip(*self.columns.values())]
+        if not lines:
             return ""
-        lines = [",".join(self.records[0])]
-        lines += [",".join(map(str, row.values())) for row in self.records]
-        return "\n".join(lines) + "\n"
+        return ",".join(self.columns) + "\n" + "\n".join(lines) + "\n"
 
     def write(self, out_dir) -> dict:
-        """Write the CSV (when there are records), the extra files and
+        """Write the CSV (when there are rows), the extra files and
         summary.json; their paths, the CSV's under "csv" and summary.json's
         under "summary"."""
-        files = {self.csv_name: self.csv_text()} if self.records else {}
+        text = self.csv_text()
+        files = {self.csv_name: text} if text else {}
         files.update(self.extra_files or {})
         files["summary.json"] = report_json({"kind": self.kind, "aggregates": self.aggregates,
                                              "gates": self.gates, "provenance": self.provenance})
@@ -465,17 +465,17 @@ def run_range_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     # per sample: two row reductions for the range, column slices for the probes
     low, high = np.minimum.reduce(samples, axis=1), np.maximum.reduce(samples, axis=1)
     spans = high - low + 1
-    columns = {"sample_id": range(len(samples)), "range": spans.tolist(),
+    columns = {"sample_id": list(range(len(samples))), "range": spans.tolist(),
                "min": low.tolist(), "max": high.tolist()}
     for v in probes:
         columns[f"probe_{v}"] = samples[:, v].tolist()
-    records = [dict(zip(columns, row)) for row in zip(*columns.values())]
 
     ranges = spans.astype(np.int64, copy=False)
-    # at_least[r - 1] counts the samples of range >= r, for r = 1 .. max range
-    at_least = np.bincount(ranges)[:0:-1].cumsum()[::-1].tolist() if len(ranges) else []
+    # one entry per distinct sampled range r, counting the samples of range >= r
+    distinct, per_range = np.unique(ranges, return_counts=True)
+    at_least = per_range[::-1].cumsum()[::-1]
     tail_curve = [{"r": r, "count": count, "fraction": count / len(ranges)}
-                  for r, count in enumerate(at_least, 1)]
+                  for r, count in zip(distinct.tolist(), at_least.tolist())]
     probe_stats = {}
     for v in probes:
         vals = samples[:, v].astype(np.float64)
@@ -498,7 +498,7 @@ def run_range_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         threshold = range_threshold(g.n, profile.d, profile.lam, cfg.M, cfg.constants["c_prime"])
         var_scale = variance_scale(profile.d, profile.lam, cfg.M)
     aggregates = {
-        "samples": len(records),
+        "samples": len(samples),
         "mean_range": float(ranges.mean()) if len(ranges) else None,
         "tail_curve": tail_curve,
         "probe_stats": probe_stats,
@@ -520,23 +520,14 @@ def run_range_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             anchor = max(range(g.n), key=values.__getitem__)
             base = min_ground_state(g, f, profile.lam)
             dec = flaw_decomposition(g, f, anchor, base)
-            lines.append(
-                json.dumps(
-                    {
-                        "sample_id": i,
-                        "anchor": anchor,
-                        "base": base,
-                        "cluster": mask_vertices(dec.cluster),
-                        "core": mask_vertices(dec.core),
-                    },
-                    sort_keys=True,
-                )
-            )
-        extra = {"flaws.jsonl": "\n".join(lines) + "\n" if lines else ""}
+            lines.append(json.dumps({"sample_id": i, "anchor": anchor, "base": base,
+                                     "cluster": mask_vertices(dec.cluster), "core": mask_vertices(dec.core)},
+                                    sort_keys=True) + "\n")
+        extra = {"flaws.jsonl": "".join(lines)}
 
     return ExperimentResult(
         kind="range",
-        records=records,
+        columns=columns,
         aggregates=aggregates,
         gates=gates,
         provenance=_provenance(cfg),
@@ -580,24 +571,16 @@ def run_tail_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             row["asserted"] = False  # empirical tails are never asserted
         estimate = "empirical"
 
-    records = [
-        {
-            "t": r["t"],
-            "threshold": r["threshold"],
-            "count_above": r["count_above"],
-            "ensemble_size": r["ensemble_size"],
-            "probability": repr(r["probability"]),
-            "bound": repr(r["bound"]),
-        }
-        for r in rows
-    ]
+    # a float's str is its repr, so the CSV cells parse back to the row's floats
+    columns = {key: [r[key] for r in rows]
+               for key in ("t", "threshold", "count_above", "ensemble_size", "probability", "bound")}
     aggregates = {"estimate": estimate, "rows": rows, **tail_verdict(rows)}
     if sampler is not None:
         aggregates["sampler"] = sampler
     gates = {"lam": profile.lam, "lambda_method": profile.method}
     return ExperimentResult(
         kind="tail",
-        records=records,
+        columns=columns,
         aggregates=aggregates,
         gates=gates,
         provenance=_provenance(cfg),

@@ -17,6 +17,7 @@ from itertools import pairwise
 
 import numpy as np
 
+from .errors import ConfigError
 from .graphs import (
     DEFAULT_NODE_BUDGET,
     Graph,
@@ -55,7 +56,7 @@ class FlawDecomposition:
 def flaw_decomposition(g: Graph, f: LipschitzFn, anchor: int, base: int = 0) -> FlawDecomposition:
     """Split f's upward fluctuation through `anchor` into cluster and core."""
     if not (0 <= anchor < g.n):
-        raise ValueError(f"invalid anchor vertex {anchor}")
+        raise ConfigError(f"invalid anchor vertex {anchor}")
     m = f.M
     t_cluster = base + m + 1
     t_core = base + 2 * m + 2

@@ -32,8 +32,8 @@ class Graph:
     dense ids, and connectivity.
     """
 
-    __slots__ = ("n", "name", "_adj", "_degrees", "_regular_degree", "_matrix", "_nbr_getters", "_edge_index",
-                 "_power_masks")
+    __slots__ = ("n", "name", "_adj", "_degrees", "_regular_degree", "_matrix", "_spectrum", "_nbr_getters",
+                 "_edge_index", "_power_masks")
 
     def __init__(self, adjacency: Sequence[Iterable[int]], name: str = ""):
         n = len(adjacency)
@@ -60,6 +60,7 @@ class Graph:
         # the common degree, or None when the degrees differ
         self._regular_degree = degrees[0] if len(set(degrees)) == 1 else None
         self._matrix = None
+        self._spectrum = None  # filled by `expanders.adjacency_spectrum`
         self._nbr_getters = None
         self._edge_index = None
         self._power_masks = {}
@@ -508,30 +509,35 @@ def generate(spec: dict) -> Graph:
 # ---------------------------------------------------------------------------
 
 def load_edge_list(path) -> Graph:
+    """Read an edge-list file; a file that is not one, or whose edges make
+    no valid graph, is a `ConfigError` that names the path."""
     with open(path) as fh:
         rows = []
         for raw in fh:
             line = raw.split("#", 1)[0].strip()
             if line:
                 rows.append(line)
-    if not rows:
-        raise ValueError(f"{path}: empty edge-list file")
-    head = rows[0].split()
-    if len(head) != 2:
-        raise ValueError(f"{path}: header must be 'n m'")
-    n, m = int(head[0]), int(head[1])
-    if len(rows) - 1 != m:
-        raise ValueError(f"{path}: expected {m} edges, found {len(rows) - 1}")
-    edges = []
-    for line in rows[1:]:
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"{path}: bad edge line {line!r}")
-        u, v = int(parts[0]), int(parts[1])
-        if u >= v:
-            raise ValueError(f"{path}: edges must satisfy u < v, got {u} {v}")
-        edges.append((u, v))
-    return Graph.from_edges(n, edges, name=str(path))
+    try:
+        if not rows:
+            raise ValueError("empty edge-list file")
+        head = rows[0].split()
+        if len(head) != 2:
+            raise ValueError("header must be 'n m'")
+        n, m = int(head[0]), int(head[1])
+        if len(rows) - 1 != m:
+            raise ValueError(f"expected {m} edges, found {len(rows) - 1}")
+        edges = []
+        for line in rows[1:]:
+            parts = line.split()
+            if len(parts) != 2:
+                raise ValueError(f"bad edge line {line!r}")
+            u, v = int(parts[0]), int(parts[1])
+            if u >= v:
+                raise ValueError(f"edges must satisfy u < v, got {u} {v}")
+            edges.append((u, v))
+        return Graph.from_edges(n, edges, name=str(path))
+    except ValueError as exc:  # a malformed line, a non-integer field or an invalid graph
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def save_edge_list(g: Graph, path) -> None:

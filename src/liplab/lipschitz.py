@@ -209,7 +209,7 @@ class _FrontierDP:
             start, self.box = spec.v0, None
         else:
             if not 0 <= start < g.n:
-                raise ValueError(f"invalid anchor vertex {start}")
+                raise ConfigError(f"invalid anchor vertex {start}")
             self.box = (spec.k - g.n * M, spec.k + M + g.n * M)
         self.order = order = bfs_order(g, start)
         self.n = n = len(order)
@@ -396,7 +396,7 @@ def _check_spec(g: Graph, spec: EnsembleSpec) -> int | None:
     graph; return its flaw cap (None in one-point mode)."""
     if spec.mode == "one-point":
         if not 0 <= spec.v0 < g.n:
-            raise ValueError(f"invalid anchor vertex {spec.v0}")
+            raise ConfigError(f"invalid anchor vertex {spec.v0}")
         return None
     cap = flaw_cap(g.n, g.regular_degree(), spec.lam)
     if cap >= g.n:
@@ -781,10 +781,13 @@ def min_ground_state(g: Graph, f: LipschitzFn, lam) -> int:
 # ---------------------------------------------------------------------------
 
 def load_function(path) -> LipschitzFn:
-    """Read a function file; a missing or non-integer field is a `ConfigError`
-    (and a file that is not JSON a `ValueError`)."""
+    """Read a function file; a file that is not JSON, or a missing or
+    non-integer field, is a `ConfigError`."""
     with open(path) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     M, values = (data.get("M"), data.get("values")) if isinstance(data, dict) else (None, None)
     # `type(x) is int` leaves out JSON booleans, which subclass int in Python
     if type(M) is not int or M < 0 or not isinstance(values, list) or any(type(v) is not int for v in values):

@@ -373,6 +373,29 @@ def test_cli_spectrum_props_pinned(graph, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == SPECTRUM_DIGESTS[graph]
 
 
+@pytest.mark.parametrize("flags", [[], ["--exhaustive", "--props"]], ids=["spectrum", "exhaustive-props"])
+def test_cli_spectrum_solves_the_eigenproblem_once(flags, monkeypatch, tmp_path, capsys):
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+    graph = '{"family": "petersen"}'
+    assert main(["spectrum", "--graph", graph, *flags, "--out", str(tmp_path)]) == 0
+    assert calls == [(10, 10)]
+    text = (tmp_path / "spectrum.json").read_text()
+    assert capsys.readouterr().out == text
+    if flags:
+        assert hashlib.sha256(text.encode()).hexdigest() == SPECTRUM_DIGESTS[graph]
+    else:
+        assert json.loads(text)["lam_spectral"] == pytest.approx(2.0, abs=1e-8)
+
+
+def test_adjacency_spectrum_is_kept_read_only_on_the_graph(petersen):
+    vals = adjacency_spectrum(petersen)
+    assert adjacency_spectrum(petersen) is vals and not vals.flags.writeable
+    assert spectral_lambda(petersen).lam == pytest.approx(2.0, abs=1e-8)
+    assert adjacency_spectrum(petersen_graph()) is not vals
+
+
 def test_cli_spectrum_props_skips_every_check_at_degree_0(capsys):
     # K1 is 0-regular: every bound divides by d, so each check is skipped
     assert main(["spectrum", "--graph", '{"family":"complete","n":1}', "--props"]) == 0

@@ -41,8 +41,9 @@ from liplab.experiments import (
     run_verify_suite,
     variance_scale,
 )
-from liplab.flaws import conditional_tail_profile
-from liplab.graphs import DEFAULT_NODE_BUDGET, complete_graph
+from liplab.containers import enumerate_linked_sets
+from liplab.flaws import conditional_tail_profile, flaw_decomposition
+from liplab.graphs import DEFAULT_NODE_BUDGET, complete_graph, load_edge_list
 from liplab.lipschitz import (
     EnsembleSpec,
     LipschitzFn,
@@ -50,6 +51,8 @@ from liplab.lipschitz import (
     count_onepoint,
     enumerate_onepoint,
     fn_range,
+    load_function,
+    marginal_groundstate,
     member_batches,
 )
 from tests.conftest import CountingGenerator, reference_glauber
@@ -154,7 +157,7 @@ def test_range_exact_matches_enumeration_mean(c4):
 def test_range_records_probe_values():
     cfg = parse_config(base_config(samples=10, probes=[1, 3]))
     res = run_range_experiment(cfg)
-    assert list(res.records[0]) == ["sample_id", "range", "min", "max", "probe_1", "probe_3"]
+    assert list(res.columns) == ["sample_id", "range", "min", "max", "probe_1", "probe_3"]
 
 
 def test_range_tail_curve_consistent():
@@ -164,6 +167,64 @@ def test_range_tail_curve_consistent():
     assert curve[0]["fraction"] == 1.0  # P(R >= 1)
     fracs = [row["fraction"] for row in curve]
     assert fracs == sorted(fracs, reverse=True)
+
+
+def test_range_tail_curve_has_one_entry_per_distinct_sampled_range():
+    # K2 at M = 10^5: the old per-r curve held one entry for every r up to the largest range
+    cfg = parse_config(base_config(graph={"family": "complete", "n": 2}, M=10**5,
+                                   sampler={"kind": "glauber", "burn_in": 50, "thinning": 3},
+                                   samples=5, probes=[0]))
+    res = run_range_experiment(cfg)
+    ranges = [int(row["range"]) for row in csv.DictReader(res.csv_text().splitlines())]
+    curve = res.aggregates["tail_curve"]
+    assert len(curve) <= 5
+    assert [e["r"] for e in curve] == sorted(set(ranges))
+    assert [e["count"] for e in curve] == [sum(r >= e["r"] for r in ranges) for e in curve]
+    assert curve[0]["fraction"] == 1.0
+
+
+def test_range_tail_curve_matches_the_per_r_curve_at_its_ranges():
+    cfg = parse_config(base_config(graph={"family": "petersen"}, M=2, samples=300, seed=5))
+    res = run_range_experiment(cfg)
+    ranges = np.array([int(row["range"]) for row in csv.DictReader(res.csv_text().splitlines())])
+    # the curve before it was sized by the samples: one entry for each r = 1 .. max range
+    at_least = np.bincount(ranges)[:0:-1].cumsum()[::-1].tolist()
+    per_r = {r: {"r": r, "count": count, "fraction": count / len(ranges)} for r, count in enumerate(at_least, 1)}
+    curve = res.aggregates["tail_curve"]
+    assert len(curve) == len(set(ranges.tolist())) > 1
+    assert curve == [per_r[e["r"]] for e in curve]
+
+
+@pytest.mark.parametrize("kind,overrides", [
+    ("range", {"samples": 0}),
+    ("tail", {"mode": {"kind": "ground-state", "k": 0}, "graph": {"family": "petersen"},
+              "lambda_source": {"asserted": 1.0}, "probes": [3], "t_values": []}),
+])
+def test_an_empty_table_writes_the_summary_and_no_csv(kind, overrides, tmp_path):
+    cfg = parse_config(base_config(**overrides))
+    res = (run_range_experiment if kind == "range" else run_tail_experiment)(cfg)
+    assert res.csv_text() == ""
+    paths = res.write(tmp_path)
+    assert sorted(os.listdir(tmp_path)) == ["summary.json"]
+    assert paths == {"summary": str(tmp_path / "summary.json")}
+    assert json.loads((tmp_path / "summary.json").read_text())["kind"] == kind
+
+
+@pytest.mark.parametrize("sampler", [{"kind": "exact"}, {"kind": "glauber", "burn_in": 500, "thinning": 10}],
+                         ids=["exact", "glauber"])
+def test_tail_csv_floats_parse_back_to_the_rows(sampler):
+    cfg = parse_config(base_config(graph={"family": "petersen"}, mode={"kind": "ground-state", "k": 0},
+                                   lambda_source={"asserted": 1.0}, sampler=sampler, samples=60, seed=5,
+                                   probes=[3], t_values=[0, 1, 2, 3]))
+    res = run_tail_experiment(cfg)
+    rows = res.aggregates["rows"]
+    cells = list(csv.DictReader(res.csv_text().splitlines()))
+    assert len(cells) == len(rows) == 4
+    for cell, row in zip(cells, rows):
+        for key in ("probability", "bound"):
+            assert float(cell[key]) == row[key] and isinstance(row[key], float)
+        for key in ("t", "threshold", "count_above", "ensemble_size"):
+            assert int(cell[key]) == row[key]
 
 
 def test_range_aggregates_recomputable_from_csv():
@@ -542,6 +603,64 @@ def test_cli_flaws_rejects_a_bad_function_file(text, message, tmp_path, capsys):
     path.write_text(text)
     assert main(["flaws", "--graph", '{"family":"cycle","n":4}', "--function", str(path), "--anchor", "0"]) == 2
     assert capsys.readouterr() == ("", f"error: {message.format(path=path)}\n")
+
+
+def _edge_file(tmp_path, text):
+    path = tmp_path / "g.edges"
+    path.write_text(text)
+    return str(path)
+
+
+def _function_file(tmp_path, text='{"M": 1, "values": [0, 1, 0, 1]}'):
+    path = tmp_path / "f.json"
+    path.write_text(text)
+    return str(path)
+
+
+# each user input error through `main`: its argv, its message, and the library call
+# that raises `ConfigError` at the boundary (None: argparse refuses it first)
+_CONFIG_ERRORS = {
+    "count-v0": (lambda tmp: ["count", "--graph", '{"family":"cycle","n":4}', "--M", "1", "--v0", "9"],
+                 "error: invalid anchor vertex 9\n",
+                 lambda tmp: count_onepoint(complete_graph(4), 9, 1)),
+    "flaws-anchor": (lambda tmp: ["flaws", "--graph", '{"family":"cycle","n":4}', "--function",
+                                  _function_file(tmp), "--anchor", "9"],
+                     "error: invalid anchor vertex 9\n",
+                     lambda tmp: flaw_decomposition(complete_graph(4), LipschitzFn((0, 1, 0, 1), 1), 9)),
+    "containers-vertex": (lambda tmp: ["containers", "--graph", '{"family":"petersen"}', "--boundary-size", "6",
+                                       "--vertex", "50"],
+                          "error: invalid vertex id 50\n",
+                          lambda tmp: enumerate_linked_sets(complete_graph(4), 50, 3, 4)),
+    "containers-linkage": (lambda tmp: ["containers", "--graph", '{"family":"petersen"}', "--boundary-size", "6",
+                                        "--linkage", "0"],
+                           "argument --linkage: must be an integer >= 1, got 0\n",
+                           None),
+    "edge-list-header": (lambda tmp: ["count", "--graph", _edge_file(tmp, "x 1\n0 1\n"), "--M", "1"],
+                         "error: {tmp}/g.edges: invalid literal for int() with base 10: 'x'\n",
+                         lambda tmp: load_edge_list(_edge_file(tmp, "x 1\n0 1\n"))),
+    "function-not-json": (lambda tmp: ["flaws", "--graph", '{"family":"cycle","n":4}', "--function",
+                                       _function_file(tmp, "not json"), "--anchor", "0"],
+                          "error: {tmp}/f.json: invalid JSON (Expecting value: line 1 column 1 (char 0))\n",
+                          lambda tmp: load_function(_function_file(tmp, "not json"))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CONFIG_ERRORS))
+def test_user_input_errors_are_config_errors_that_exit_2(case, tmp_path, capsys):
+    argv, message, library_call = _CONFIG_ERRORS[case]
+    assert main(argv(tmp_path)) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith(message.format(tmp=tmp_path))
+    if library_call is not None:
+        assert err == message.format(tmp=tmp_path)
+        with pytest.raises(ConfigError):
+            library_call(tmp_path)
+
+
+def test_ground_state_dp_refuses_an_anchor_off_the_graph(petersen):
+    with pytest.raises(ConfigError, match="invalid anchor vertex 10"):
+        marginal_groundstate(petersen, 0, 1, 1.0, 10)
 
 
 def test_cli_gen_graph_and_sample(tmp_path, capsys):

@@ -359,7 +359,11 @@ def test_mutual_cover_linkage_transfer():
     ("# only a comment\n3\n", "header must be 'n m'"),
     ("3 2\n0 1\n", "expected 2 edges, found 1"),
     ("3 1\n0 1 2\n", "bad edge line '0 1 2'"),
-], ids=["empty", "header", "edge-count", "edge-line"])
+    ("2 1\n0 y\n", "invalid literal for int() with base 10: 'y'"),
+    ("3 1\n0 5\n", "edge (0,5) out of range"),
+    ("3 2\n0 1\n0 1\n", "duplicate edge (0,1)"),
+    ("3 1\n0 1\n", "graph is not connected"),
+], ids=["empty", "header", "edge-count", "edge-line", "edge-field", "out-of-range", "duplicate", "disconnected"])
 def test_cli_refuses_a_malformed_edge_list(text, message, tmp_path, capsys):
     from liplab.cli import main
 
@@ -369,6 +373,8 @@ def test_cli_refuses_a_malformed_edge_list(text, message, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {path}: {message}\n"
+    with pytest.raises(ConfigError):
+        load_edge_list(path)
 
 
 def test_edge_list_roundtrip(tmp_path, petersen):
