@@ -286,7 +286,9 @@ def _cmd_sample(args) -> int:
 def _cmd_flaws(args) -> int:
     g = build_graph(_graph_source(args.graph))
     f = load_function(args.function)
-    if not validate(g, f):  # a length mismatch raises ValueError, also exit 2
+    if len(f.values) != g.n:
+        raise ConfigError(f"{args.function}: value array has length {len(f.values)}, graph has {g.n} vertices")
+    if not validate(g, f):
         raise ConfigError(f"{args.function}: values are not {f.M}-Lipschitz on {g.name}")
     dec = flaw_decomposition(g, f, args.anchor, args.base)
     out = {

@@ -31,6 +31,7 @@ import numpy as np
 
 from .errors import BudgetExceededError, ConfigError
 from .graphs import DEFAULT_NODE_BUDGET, Graph, bfs_order
+from .streams import child_seeds, pcg64_states
 
 _SLACK = 1e-12
 
@@ -400,7 +401,7 @@ def _check_spec(g: Graph, spec: EnsembleSpec) -> int | None:
         return None
     cap = flaw_cap(g.n, g.regular_degree(), spec.lam)
     if cap >= g.n:
-        raise ValueError(
+        raise ConfigError(
             f"flaw allowance {cap} admits every function (n={g.n}); the ensemble is infinite"
         )
     return cap
@@ -613,10 +614,10 @@ def glauber_samples(g: Graph, spec: EnsembleSpec, seed: int, burn_in: int, thinn
     draws on the seed that child i of
     `SeedSequence(seed ^ 0x9E3779B97F4A7C15).spawn(samples)` generates, so a
     fixed seed gives fixed samples, and each block is the `glauber_chain` run
-    of that seed from the previous state.
+    of that seed from the previous state.  The child seeds come from one
+    `streams.child_seeds` pass, equal to numpy's spawn value for value.
     """
-    children = np.random.SeedSequence(seed ^ _SAMPLE_SALT).spawn(samples)
-    blocks = [(seed, burn_in)] + [(child.generate_state(1)[0].item(), thinning) for child in children]
+    blocks = [(seed, burn_in)] + [(child, thinning) for child in child_seeds(seed ^ _SAMPLE_SALT, samples)]
     states, rejected = _glauber_run(g, spec, blocks)
     return states[1:], rejected
 
@@ -627,18 +628,22 @@ def _glauber_run(
     blocks: list[tuple[int, int]],
     on_step: Callable[[int, list[int]], None] | None = None,
 ) -> tuple[np.ndarray, int]:
-    """One chain over `(seed, steps)` blocks, each drawing on a fresh
-    generator of `SeedSequence(seed)`; the state after each block, as the
-    rows of one value array (see `_value_array`), and the number of moves
-    the flaw cap rejected.
+    """One chain over `(seed, steps)` blocks, each drawing on the stream of
+    a fresh generator of `SeedSequence(seed)` (0 <= seed < 2^128); the state
+    after each block, as the rows of one value array (see `_value_array`),
+    and the number of moves the flaw cap rejected.
 
     The run starts from the all-zero (one-point) or all-k (ground-state)
     state; the sites, the flaw count and the neighbour getters are set up
-    once.  Step t of the run (counted across blocks) passes `(t, values)` to
-    `on_step`.
+    once.  So is the generator: `streams.pcg64_states` maps every block seed
+    to its PCG64 state in one pass, and each block sets its state, with no
+    buffered half-word, on the run's one `PCG64`, which is exactly what a
+    fresh generator of that seed holds.  Step t of the run (counted across
+    blocks) passes `(t, values)` to `on_step`.
     """
     M = spec.M
     cap = _check_spec(g, spec)
+    block_states = pcg64_states([seed for seed, _ in blocks])
     ground = cap is not None
     sites = np.arange(g.n)
     if ground:
@@ -663,8 +668,11 @@ def _glauber_run(
     rejected = 0
     states = []  # the state after each block, end to end
     t = 0
-    for seed, steps in blocks:
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
+    bits = np.random.PCG64(0)  # never drawn on at this seed: each block sets its own state
+    rng = np.random.Generator(bits)
+    for (_, steps), (state, inc) in zip(blocks, block_states):
+        bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                      "has_uint32": 0, "uinteger": 0}
         for done in range(0, steps, _GLAUBER_CHUNK):
             # the draws alternate per chunk, so the chunk size is part of the stream
             take = min(_GLAUBER_CHUNK, steps - done)

@@ -218,6 +218,23 @@ def test_cover_without_draws_matches_eager_spawn(monkeypatch, lam, p, met):
             assert res.met_bound == met
 
 
+@pytest.mark.parametrize("boundary_size, n_sets", [(0, 0), (3, 1), (11, 84)])
+def test_family_cover_seeds_are_the_spawned_children(boundary_size, n_sets, monkeypatch):
+    # 0 < p < 1, so each linked set's cover draws on child i of SeedSequence(seed).spawn
+    g = random_regular_graph(18, 3, seed=1)
+    prof = asserted_profile(g, 1.1 * np.sqrt(3) / 4)
+    seeds = []
+
+    def cover(g, x, profile, seed):
+        seeds.append(seed)
+        return build_mutual_cover(g, x, profile, seed)
+
+    monkeypatch.setattr(containers, "build_mutual_cover", cover)
+    fam = build_container_family(g, 0, boundary_size, 1, 1.0, prof, seed=7)
+    assert fam.n_sets == n_sets
+    assert seeds == [child.generate_state(1)[0].item() for child in np.random.SeedSequence(7).spawn(n_sets)]
+
+
 # ---------------------------------------------------------------------------
 # Approximating pairs
 # ---------------------------------------------------------------------------

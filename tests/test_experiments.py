@@ -594,7 +594,7 @@ def test_flaw_dump_on_degree_zero_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("text,message", [
-    ('{"M": 1, "values": [0, 1, 0]}', "value array has length 3, graph has 4 vertices"),
+    ('{"M": 1, "values": [0, 1, 0]}', "{path}: value array has length 3, graph has 4 vertices"),
     ('{"values": [0, 1, 0, 1]}', '{path}: a function file is {{"M": integer >= 0, "values": [integer, ...]}}'),
     ('{"M": 1, "values": [0, 5, 0, 0]}', "{path}: values are not 1-Lipschitz on C4"),
 ], ids=["three-values-on-C4", "no-M", "not-Lipschitz"])
@@ -642,6 +642,10 @@ _CONFIG_ERRORS = {
                                        _function_file(tmp, "not json"), "--anchor", "0"],
                           "error: {tmp}/f.json: invalid JSON (Expecting value: line 1 column 1 (char 0))\n",
                           lambda tmp: load_function(_function_file(tmp, "not json"))),
+    "infinite-ensemble": (lambda tmp: ["count", "--graph", '{"family":"petersen"}', "--M", "1", "--mode",
+                                       "ground-state", "--lambda-source", "3"],
+                          "error: flaw allowance 20 admits every function (n=10); the ensemble is infinite\n",
+                          lambda tmp: count_groundstate(complete_graph(6), 0, 1, 5.0)),
 }
 
 
