@@ -33,7 +33,6 @@ from .graphs import (
     neighborhood,
     vertex_mask,
 )
-from .streams import child_seeds
 
 _TOL = 1e-9
 COVER_RETRY_CAP = 64  # sampling attempts per cover
@@ -318,7 +317,7 @@ def build_container_family(
     _check_psi(profile.d, psi)  # also when no linked set exists
     xs = enumerate_linked_sets(g, v, boundary_size, k, budget=budget)
     if 0.0 < cover_sampling(profile.d, profile.lam)[1] < 1.0:
-        seeds = child_seeds(seed, len(xs))  # child i's seed of SeedSequence(seed).spawn
+        seeds = [int(child.generate_state(1)[0]) for child in np.random.SeedSequence(seed).spawn(len(xs))]
     else:
         seeds = itertools.repeat(seed)
     pairs: dict[ApproxPair, None] = {}  # insertion-ordered set: a frozen pair hashes on (s, f, psi)

@@ -98,7 +98,7 @@ class JointPmf:
         """Flat-Dirichlet probabilities over the full product support."""
         supports = tuple(tuple(s) for s in supports)
         cells = list(itertools.product(*supports))
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        rng = np.random.default_rng(seed)
         weights = rng.dirichlet([1.0] * len(cells))
         return cls(supports, {cell: float(w) for cell, w in zip(cells, weights)})
 
@@ -195,7 +195,7 @@ def _indicator(codes: np.ndarray, width: int) -> np.ndarray:
 
 def _random_tables(seeds: list, tables: list[tuple]) -> list[np.ndarray]:
     """Random lookup tables for each row of a stack, drawn from the row's
-    `SeedSequence(seed)`: per (codomain, count, cells) entry of `tables`, in
+    `default_rng(seed)`: per (codomain, count, cells) entry of `tables`, in
     order, `count` tables of shape (B, count, cells), with one code in
     [0, codomain) per cell, drawn in cell order.
 
@@ -205,7 +205,7 @@ def _random_tables(seeds: list, tables: list[tuple]) -> list[np.ndarray]:
     those of one scalar call per cell."""
     sizes = [count * cells for _, count, cells in tables]
     highs = np.repeat([codomain for codomain, _, _ in tables], sizes)
-    draws = np.stack([np.random.default_rng(np.random.SeedSequence(s)).integers(0, highs) for s in seeds])
+    draws = np.stack([np.random.default_rng(s).integers(0, highs) for s in seeds])
     parts = np.split(draws, np.cumsum(sizes)[:-1], axis=1)
     return [part.reshape(len(seeds), count, cells) for part, (_, count, cells) in zip(parts, tables)]
 
@@ -311,7 +311,7 @@ def check_entropy_properties(pmfs: list[JointPmf], seeds: list) -> dict:
     (determined maps), (6) functions of the target add nothing, (7) triangle
     inequality.  Deterministic maps for (5)/(6) are coordinate projections,
     constants, and `TRIALS` random tables drawn from the pmf's
-    `SeedSequence(seed)`; each is a lookup array over the cells of the block
+    `default_rng(seed)`; each is a lookup array over the cells of the block
     it maps.
 
     The tables are stacked into one (B, *shape) array, so each marginal and

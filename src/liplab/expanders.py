@@ -155,7 +155,7 @@ def verify_expander_props(g: Graph, profile: ExpanderProfile, seed: int = 0) -> 
     if exhaustive:
         chunks = _subset_chunks(n)
     else:
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        rng = np.random.default_rng(seed)
         chunks = [_sampled_subsets(n, _SAMPLES, rng)]
     ok_status = "pass" if exhaustive else "sampled"
 

@@ -633,7 +633,7 @@ def default_suite_graphs() -> list[Graph]:
 @dataclass
 class VerifyContext:
     """What every check reads: the suite's seed, node budget and fuzz scale,
-    and the one `SeedSequence(seed)` stream that the fuzz checks consume in
+    and the one `default_rng(seed)` stream that the fuzz checks consume in
     registry order."""
 
     seed: int = 0
@@ -642,7 +642,7 @@ class VerifyContext:
     rng: np.random.Generator = field(init=False)
 
     def __post_init__(self):
-        self.rng = np.random.default_rng(np.random.SeedSequence(self.seed))
+        self.rng = np.random.default_rng(self.seed)
 
 
 @dataclass(frozen=True)

@@ -420,7 +420,7 @@ def random_regular_graph(n: int, d: int, seed: int) -> Graph:
         raise GenerationError(f"n*d must be even, got n={n}, d={d}")
     if not 0 < d < n:
         raise GenerationError(f"need 0 < d < n, got n={n}, d={d}")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = np.random.default_rng(seed)
     attempts = 0
     while attempts < RANDOM_REGULAR_RETRY_CAP:
         attempts += 1

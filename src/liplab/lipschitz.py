@@ -31,7 +31,6 @@ import numpy as np
 
 from .errors import BudgetExceededError, ConfigError
 from .graphs import DEFAULT_NODE_BUDGET, Graph, bfs_order
-from .streams import child_seeds, pcg64_states
 
 _SLACK = 1e-12
 
@@ -548,10 +547,10 @@ def _unrank(dp: _FrontierDP, rows: list[_Layer], ranks) -> np.ndarray:
 def sample_exact(g: Graph, spec: EnsembleSpec, seed: int, count: int = 1,
                  budget: int = DEFAULT_NODE_BUDGET) -> np.ndarray:
     """Draw `count` exactly-uniform samples, the rows of a `(count, n)` value
-    array; one batch on `default_rng(SeedSequence(seed))`, so a fixed seed
+    array; one batch on `default_rng(seed)`, so a fixed seed
     gives fixed draws, and the first j draws of a batch are the draws of a
     batch of j."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = np.random.default_rng(seed)
     return ExactSampler(g, spec, budget=budget).draw(rng, count)
 
 
@@ -561,7 +560,6 @@ def sample_exact(g: Graph, spec: EnsembleSpec, seed: int, count: int = 1,
 
 _GLAUBER_CHUNK = 1 << 16  # draws per rng.integers / rng.random call
 _GLAUBER_SLICE = 1 << 12  # draws converted to Python scalars at a time
-_SAMPLE_SALT = 0x9E3779B97F4A7C15  # xor-ed into the seed of the per-sample streams
 _GLAUBER_MEMO_CELLS = 1 << 13  # neighbour values the interval table may hold
 
 
@@ -585,7 +583,9 @@ def glauber_chain(
     interval.  Ground-state mode proposes the same move on any site and
     rejects proposals that would exceed the flaw allowance, which preserves
     uniformity because the proposal kernel is symmetric.  `on_step` sees the
-    state after every step, rejected moves included.
+    state after every step, rejected moves included.  The chain draws on
+    `default_rng(seed)`: per 65,536-step chunk, `integers` for the sites
+    then `random` for the coins.
 
     Each step reads the site's neighbour values with one call of its
     `Graph.neighbor_getters` entry and looks the interval up in a table keyed
@@ -593,13 +593,12 @@ def glauber_chain(
     the reference for the interval.  The table stores at most 8,192
     neighbour values (8,192 // max degree entries).  While it has room,
     every miss makes an entry, so only a full table can keep missing; it is
-    judged once, when it fills.  If it filled within 4 steps per entry
-    (counted from the start of the run, across `glauber_samples` blocks),
+    judged once, when it fills.  If it filled within 4 steps per entry,
     more than a quarter of its lookups missed, and the chain switches it off
     and frees it; otherwise it keeps serving.  It changes no draw: a fixed
     seed always gives the same chain.
     """
-    (state,) = _glauber_run(g, spec, [(seed, steps)], on_step)[0].tolist()
+    (state,) = _glauber_run(g, spec, seed, [steps], on_step)[0].tolist()
     return LipschitzFn(tuple(state), spec.M)
 
 
@@ -610,40 +609,34 @@ def glauber_samples(g: Graph, spec: EnsembleSpec, seed: int, burn_in: int, thinn
     state, as the rows of a `(samples, n)` value array, and how many moves
     of the run the flaw cap rejected.
 
-    The burn-in draws on `SeedSequence(seed)`; the block ending at sample i
-    draws on the seed that child i of
-    `SeedSequence(seed ^ 0x9E3779B97F4A7C15).spawn(samples)` generates, so a
-    fixed seed gives fixed samples, and each block is the `glauber_chain` run
-    of that seed from the previous state.  The child seeds come from one
-    `streams.child_seeds` pass, equal to numpy's spawn value for value.
+    Sample i is the state of the `glauber_chain` run of `seed` after
+    `burn_in + i * thinning` steps, so a fixed seed gives fixed samples.
+    The run's length is part of its stream, because the draws alternate
+    per chunk: a run of more samples has other first samples.
     """
-    blocks = [(seed, burn_in)] + [(child, thinning) for child in child_seeds(seed ^ _SAMPLE_SALT, samples)]
-    states, rejected = _glauber_run(g, spec, blocks)
+    marks = [burn_in + i * thinning for i in range(samples + 1)]
+    states, rejected = _glauber_run(g, spec, seed, marks)
     return states[1:], rejected
 
 
 def _glauber_run(
     g: Graph,
     spec: EnsembleSpec,
-    blocks: list[tuple[int, int]],
+    seed: int,
+    marks: list[int],
     on_step: Callable[[int, list[int]], None] | None = None,
 ) -> tuple[np.ndarray, int]:
-    """One chain over `(seed, steps)` blocks, each drawing on the stream of
-    a fresh generator of `SeedSequence(seed)` (0 <= seed < 2^128); the state
-    after each block, as the rows of one value array (see `_value_array`),
-    and the number of moves the flaw cap rejected.
+    """One chain of `marks[-1]` steps on `default_rng(seed)`; the state after
+    each step count in `marks` (ascending, a mark of 0 being the start
+    state), as the rows of one value array (see `_value_array`), and the
+    number of moves the flaw cap rejected.
 
     The run starts from the all-zero (one-point) or all-k (ground-state)
     state; the sites, the flaw count and the neighbour getters are set up
-    once.  So is the generator: `streams.pcg64_states` maps every block seed
-    to its PCG64 state in one pass, and each block sets its state, with no
-    buffered half-word, on the run's one `PCG64`, which is exactly what a
-    fresh generator of that seed holds.  Step t of the run (counted across
-    blocks) passes `(t, values)` to `on_step`.
+    once.  Step t of the run passes `(t, values)` to `on_step`.
     """
     M = spec.M
     cap = _check_spec(g, spec)
-    block_states = pcg64_states([seed for seed, _ in blocks])
     ground = cap is not None
     sites = np.arange(g.n)
     if ground:
@@ -654,67 +647,73 @@ def _glauber_run(
         sites = sites[sites != spec.v0]
         values = [0] * g.n
     n_sites = len(sites)
+    run = marks[-1]
     if not n_sites:
         # a lone pinned vertex: every step leaves the state as it is
         if on_step is not None:
-            for t in range(sum(steps for _, steps in blocks)):
+            for t in range(run):
                 on_step(t, values)
-        return _value_array(values * len(blocks), g.n), 0
+        return _value_array(values * len(marks), g.n), 0
 
     getters = g.neighbor_getters
     # the interval table: neighbour values -> (lo, width); None once switched off
     table: dict | None = {}
     room = _GLAUBER_MEMO_CELLS // max(max(g.degrees), 1)
     rejected = 0
-    states = []  # the state after each block, end to end
+    states = []  # the state at each mark, end to end
+    m = 0  # the marks recorded so far
     t = 0
-    bits = np.random.PCG64(0)  # never drawn on at this seed: each block sets its own state
-    rng = np.random.Generator(bits)
-    for (_, steps), (state, inc) in zip(blocks, block_states):
-        bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                      "has_uint32": 0, "uinteger": 0}
-        for done in range(0, steps, _GLAUBER_CHUNK):
-            # the draws alternate per chunk, so the chunk size is part of the stream
-            take = min(_GLAUBER_CHUNK, steps - done)
-            site_idx = rng.integers(0, n_sites, size=take)
-            coins = rng.random(size=take)
-            verts = sites[site_idx]
-            for start in range(0, take, _GLAUBER_SLICE):
-                stop = start + _GLAUBER_SLICE
-                # heat bath: c is uniform on [max nbr - M, min nbr + M]
-                for v, u in zip(verts[start:stop].tolist(), coins[start:stop].tolist()):
-                    nv = getters[v](values)
-                    if table is None:
+    while m < len(marks) and marks[m] <= t:
+        states += values
+        m += 1
+    rng = np.random.default_rng(seed)
+    for done in range(0, run, _GLAUBER_CHUNK):
+        # the draws alternate per chunk, so the chunk size is part of the stream
+        take = min(_GLAUBER_CHUNK, run - done)
+        site_idx = rng.integers(0, n_sites, size=take)
+        coins = rng.random(size=take)
+        verts = sites[site_idx]
+        start = 0
+        while start < take:
+            # a slice ends after _GLAUBER_SLICE steps or at the next mark
+            stop = min(start + _GLAUBER_SLICE, take, marks[m] - done)
+            # heat bath: c is uniform on [max nbr - M, min nbr + M]
+            for v, u in zip(verts[start:stop].tolist(), coins[start:stop].tolist()):
+                nv = getters[v](values)
+                if table is None:
+                    lo = max(nv) - M
+                    width = min(nv) + M - lo + 1
+                else:
+                    try:
+                        lo, width = table[nv]
+                    except KeyError:
                         lo = max(nv) - M
                         width = min(nv) + M - lo + 1
-                    else:
-                        try:
-                            lo, width = table[nv]
-                        except KeyError:
-                            lo = max(nv) - M
-                            width = min(nv) + M - lo + 1
-                            if len(table) < room:
-                                table[nv] = lo, width
-                                # every miss so far made an entry, so a table that fills
-                                # within 4 * room steps missed over a quarter of its lookups
-                                if len(table) == room and t + 1 < 4 * room:
-                                    table = None
-                    c = lo + int(u * width)
-                    if ground and c != values[v]:
-                        old_in = w_lo <= values[v] <= w_hi
-                        if old_in != (w_lo <= c <= w_hi):
-                            if not old_in:
-                                flaws -= 1
-                            elif flaws < cap:
-                                flaws += 1
-                            else:
-                                c = values[v]  # rejected: one more flaw than allowed
-                                rejected += 1
-                    values[v] = c
-                    if on_step is not None:
-                        on_step(t, values)
-                    t += 1
-        states += values
+                        if len(table) < room:
+                            table[nv] = lo, width
+                            # every miss so far made an entry, so a table that fills
+                            # within 4 * room steps missed over a quarter of its lookups
+                            if len(table) == room and t + 1 < 4 * room:
+                                table = None
+                c = lo + int(u * width)
+                if ground and c != values[v]:
+                    old_in = w_lo <= values[v] <= w_hi
+                    if old_in != (w_lo <= c <= w_hi):
+                        if not old_in:
+                            flaws -= 1
+                        elif flaws < cap:
+                            flaws += 1
+                        else:
+                            c = values[v]  # rejected: one more flaw than allowed
+                            rejected += 1
+                values[v] = c
+                if on_step is not None:
+                    on_step(t, values)
+                t += 1
+            start = stop
+            while m < len(marks) and marks[m] <= t:
+                states += values
+                m += 1
     return _value_array(states, g.n), rejected
 
 
@@ -770,10 +769,13 @@ def ground_states(g: Graph, f: LipschitzFn, lam) -> set[int]:
 
 def min_ground_state(g: Graph, f: LipschitzFn, lam) -> int:
     """Smallest admissible window base; the admissible set must then fit in
-    a window of M+1 consecutive bases whenever lam < d/4."""
+    a window of M+1 consecutive bases whenever lam < d/4.  A function with no
+    admissible base is a `ConfigError` that names lam and the allowance."""
     ks = ground_states(g, f, lam)
     if not ks:
-        raise ValueError("no ground state found; the expansion certificate is likely invalid")
+        cap = flaw_cap(g.n, g.regular_degree(), lam)
+        raise ConfigError(f"no ground state: every window base leaves more than {cap} flawed vertices, "
+                          f"the allowance at lambda = {lam}; the expansion certificate is likely invalid")
     kappa = min(ks)
     d = g.regular_degree()
     if lam < d / 4.0 and max(ks) > kappa + f.M:

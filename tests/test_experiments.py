@@ -43,7 +43,7 @@ from liplab.experiments import (
 )
 from liplab.containers import enumerate_linked_sets
 from liplab.flaws import conditional_tail_profile, flaw_decomposition
-from liplab.graphs import DEFAULT_NODE_BUDGET, complete_graph, load_edge_list
+from liplab.graphs import DEFAULT_NODE_BUDGET, complete_graph, cycle_graph, load_edge_list
 from liplab.lipschitz import (
     EnsembleSpec,
     LipschitzFn,
@@ -54,6 +54,7 @@ from liplab.lipschitz import (
     load_function,
     marginal_groundstate,
     member_batches,
+    min_ground_state,
 )
 from tests.conftest import CountingGenerator, reference_glauber
 
@@ -261,7 +262,7 @@ def _draws_sha256(data):
 
 
 def test_glauber_draw_samples_golden():
-    # digests recorded with the per-step glauber_site_interval loop the kernel replaced
+    # digests of the states of `conftest.reference_glauber`, one chain on default_rng(seed), at the marks
     range_cfg = base_config(
         graph={"family": "random-regular", "n": 30, "d": 3, "seed": 2},
         M=2,
@@ -270,7 +271,7 @@ def test_glauber_draw_samples_golden():
         seed=0,
         probes=[],
     )
-    assert _draws_sha256(range_cfg) == "f8eb719de0dfe25e10f0dfac2adf264ed0a0fbf5f4f904875dbacbe6eeeca2c0"
+    assert _draws_sha256(range_cfg) == "531948baf89f52379c6eb07a655ab0698c7cbccbdc6da79d389fea350cf0706b"
     tail_cfg = base_config(
         graph={"family": "random-regular", "n": 20, "d": 3, "seed": 1},
         mode={"kind": "ground-state", "k": 0},
@@ -280,10 +281,10 @@ def test_glauber_draw_samples_golden():
         seed=0,
         probes=[],
     )
-    assert _draws_sha256(tail_cfg) == "fe2d323b29d2e6d03cbca70cab73888f30550f9f49b0d45a8c2dfa49326697c3"
+    assert _draws_sha256(tail_cfg) == "9d62142ea438fa26c8a2de7a22826b8d17e2d49fbe276785844af754d93b1603"
     default_cfg = base_config(graph={"family": "cycle", "n": 6}, sampler={"kind": "glauber"},
                               samples=20, seed=0, probes=[])
-    assert _draws_sha256(default_cfg) == "b59ee009dfd1d980bd16050e0ee38174e113c8c46c9c414e4e23a3907e49a3c2"
+    assert _draws_sha256(default_cfg) == "be73737f0b2a5a8e4325749a32b4439a05b26acdbac2cd88430e72fb5b6f779a"
 
 
 def test_glauber_summary_reports_schedule():
@@ -303,28 +304,27 @@ def test_glauber_summary_reports_schedule():
     # the rejection counts are checked against the reference chain below
     tail = run_tail_experiment(tail_config(sampler={"kind": "glauber", "burn_in": 200, "thinning": 5},
                                            samples=40))
-    assert tail.aggregates["sampler"] == {"burn_in": 200, "thinning": 5, "chain_steps": 400, "rejected": 14}
+    assert tail.aggregates["sampler"] == {"burn_in": 200, "thinning": 5, "chain_steps": 400, "rejected": 35}
     tail_default = run_tail_experiment(tail_config(sampler={"kind": "glauber"}, samples=3))
     assert tail_default.aggregates["sampler"] == {"burn_in": 600, "thinning": 6, "chain_steps": 618,
-                                                  "rejected": 52}
+                                                  "rejected": 60}
     # exact runs report no sampler block
     assert "sampler" not in run_range_experiment(parse_config(base_config())).aggregates
     assert "sampler" not in run_tail_experiment(tail_config()).aggregates
 
 
-def _sample_blocks(g, cfg):
-    """The `(seed, steps)` blocks of a Glauber experiment's one run on `g`."""
+def _sample_marks(g, cfg):
+    """The step counts at which a Glauber experiment's one run on `g` records
+    its state: the end of the burn-in, then every `thinning` steps."""
     schedule = glauber_schedule(g, cfg)
-    children = np.random.SeedSequence(cfg.seed ^ 0x9E3779B97F4A7C15).spawn(cfg.samples)
-    return [(cfg.seed, schedule["burn_in"])] + [
-        (child.generate_state(1)[0].item(), schedule["thinning"]) for child in children]
+    return [schedule["burn_in"] + i * schedule["thinning"] for i in range(cfg.samples + 1)]
 
 
 def test_glauber_summary_counts_rejections(tmp_path):
     # ground state on K6 at lam = 1: the flaw cap (2) rejects moves
     tail_cfg = tail_config(sampler={"kind": "glauber", "burn_in": 200, "thinning": 5}, samples=40, seed=7)
-    _, rejected = reference_glauber(complete_graph(6), resolve_ensemble(tail_cfg).spec,
-                                    _sample_blocks(complete_graph(6), tail_cfg))
+    _, rejected = reference_glauber(complete_graph(6), resolve_ensemble(tail_cfg).spec, tail_cfg.seed,
+                                    _sample_marks(complete_graph(6), tail_cfg))
     assert rejected > 0
     tail = run_tail_experiment(tail_cfg)
     assert tail.aggregates["sampler"]["rejected"] == rejected
@@ -335,7 +335,7 @@ def test_glauber_summary_counts_rejections(tmp_path):
                                          sampler={"kind": "glauber", "burn_in": 300, "thinning": 20},
                                          samples=30, seed=7))
     ens = resolve_ensemble(range_cfg)
-    states, rejected = reference_glauber(ens.g, ens.spec, _sample_blocks(ens.g, range_cfg))
+    states, rejected = reference_glauber(ens.g, ens.spec, range_cfg.seed, _sample_marks(ens.g, range_cfg))
     assert rejected == 0
     samples, _ = draw_samples(ens, range_cfg)
     assert samples.tolist() == [list(f.values) for f in states[1:]]
@@ -1121,16 +1121,16 @@ def test_exact_draw_samples_seed_one_generator_per_batch(monkeypatch):
 
 
 def test_sample_cli_glauber_output_unchanged(capsys):
-    # sha256 of the output recorded before `sample` ran through the range experiment
+    # sha256 of the output with the samples of `conftest.reference_glauber` at the marks
     text = _sample_cli(capsys, "--graph", '{"family":"cycle","n":6}', "--M", "1", "--samples", "20",
                        "--seed", "3", "--sampler", "glauber", "--probes", "0", "2")
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "924ef6ac029630873ddae45fcb315d74a484bf4412c518085b0bfe0fe1adcde5")
+        "75bd4cc3099df022b11e64c38597826ac2a3ca0b8270c2b6aa886b0a1ea552c5")
     text = _sample_cli(capsys, "--graph", '{"family":"complete","n":6}', "--M", "1",
                        "--mode", "ground-state", "--k", "0", "--lambda-source", "1.0",
                        "--samples", "15", "--seed", "11", "--sampler", "glauber", "--probes", "0", "3")
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "68586ae876e9c2c2e5578b8670cd5d0f427637ef9db512c6aba537d05316a109")
+        "062361e51a0a55b1d2613eb5114379ba4cdf50208a8d022959cd6f06b0a3e855")
 
 
 def test_sample_cli_exact_output_unchanged(capsys):
@@ -1161,11 +1161,12 @@ def test_sample_cli_exact_output_unchanged(capsys):
     ({"kind": "exact"}, "7a68352ecf773d4cb3f97e7b9eccdb9d09a4cc7ad127e3e281ad33656c761825",
      "dccdd2a7c5ab903eaccb41040b328fdc5dfc3547e4b37a97d72d854d7b3126fc"),
     ({"kind": "glauber", "burn_in": 300, "thinning": 10},
-     "2ee5e377df74f2da5f472b74b76afab24070aa1bce991af24a729d66b902aff1",
-     "693f06f2fa0d23e30f1a4545c0ac6fa47a697d851602511fcd7049c22568f694"),
+     "c2e38aaf9c12a4276254b9a3f1e67e96b42502b031c71c9d22bb7971e433187d",
+     "dec8890633b2edd2d77a95ae3b916f40c4ae0faa623d5345705945926001cc14"),
 ], ids=["exact", "glauber"])
 def test_range_dump_flaws_output_unchanged(sampler, csv_digest, flaws_digest):
-    # sha256 of results.csv and flaws.jsonl recorded before the samples became one value array
+    # sha256 of results.csv and flaws.jsonl: the exact ones recorded before the samples became one
+    # value array, the Glauber ones with the samples of `conftest.reference_glauber` at the marks
     cfg = parse_config(base_config(graph={"family": "petersen"}, sampler=sampler, samples=40, seed=11,
                                    probes=[0], dump_flaws=True))
     res = run_range_experiment(cfg)
@@ -1173,9 +1174,28 @@ def test_range_dump_flaws_output_unchanged(sampler, csv_digest, flaws_digest):
     assert hashlib.sha256(res.extra_files["flaws.jsonl"].encode()).hexdigest() == flaws_digest
 
 
+def test_range_dump_flaws_without_a_ground_state_is_a_config_error(tmp_path, capsys):
+    # at an asserted lam = 0 the flaw allowance is 0, and a sample of C8 with a range
+    # over M + 1 = 2 values has no window base at all: exit 2, and nothing is written
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(base_config(graph={"family": "cycle", "n": 8}, lambda_source={"asserted": 0.0},
+                                               samples=20, dump_flaws=True)))
+    out = tmp_path / "res"
+    assert main(["experiment", "range", "--config", str(cfg_path), "--out", str(out)]) == 2
+    stdout, stderr = capsys.readouterr()
+    assert stdout == ""
+    assert stderr == ("error: no ground state: every window base leaves more than 0 flawed vertices, "
+                      "the allowance at lambda = 0.0; the expansion certificate is likely invalid\n")
+    assert not out.exists()
+    # a ConfigError, which is still a ValueError
+    with pytest.raises(ConfigError, match="allowance at lambda = 0.0;"):
+        min_ground_state(cycle_graph(8), LipschitzFn((0, 1, 2, 1, 0, 0, 0, 0), 1), 0.0)
+    assert issubclass(ConfigError, ValueError)
+
+
 def test_range_glauber_past_int64_output_unchanged():
     # values near 10^20 on the Glauber path: the samples are Python ints in an
-    # object array; sha256 recorded before the samples became one value array
+    # object array; sha256 with the samples of `conftest.reference_glauber` at the marks
     cfg = parse_config(base_config(graph={"family": "complete", "n": 6}, mode={"kind": "ground-state", "k": 10**20},
                                    lambda_source={"asserted": 1.0},
                                    sampler={"kind": "glauber", "burn_in": 50, "thinning": 3},
@@ -1183,10 +1203,10 @@ def test_range_glauber_past_int64_output_unchanged():
     samples, _ = draw_samples(resolve_ensemble(cfg), cfg)
     assert samples.dtype == object
     text = run_range_experiment(cfg).csv_text()
-    assert text.splitlines()[1] == "0,2,100000000000000000000,100000000000000000001,100000000000000000001," \
+    assert text.splitlines()[1] == "0,2,99999999999999999999,100000000000000000000,99999999999999999999," \
                                    "100000000000000000000"
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "326d5d4753993bd0541957acfb9dfb46ab830f10fd76a6e9495a4cdc001751e1")
+        "c9e33587cdc4e8619c6fc0037706bf5d3c7a5e7cdb01fa76d78ee3aee62bc05b")
 
 
 @pytest.mark.parametrize("sampler", [{"kind": "exact"}, {"kind": "glauber", "burn_in": 50, "thinning": 3},
@@ -1268,11 +1288,12 @@ def test_tail_experiment_takes_one_probe(tmp_path, capsys):
 
 
 # Petersen, M=1, asserted lam=1.0, probe 3, t = 0, 1, 2: the rows the tail
-# experiment reported before its two branches shared `tail_rows`
+# experiment reported before its two branches shared `tail_rows`; the Glauber
+# counts are those of `conftest.reference_glauber`'s states at the marks
 _PETERSEN_GATE = {"M <= (log n)^C": True, "M <= c*d^1.5/(lam*log d)": True, "d/5 <= c*n": True,
                   "lam <= d/5": False}
 _PETERSEN_TAIL = {
-    "glauber": [(0, 1, 4, 60, 0.06666666666666667), (1, 2, 0, 60, 0.0), (2, 3, 0, 60, 0.0)],
+    "glauber": [(0, 1, 29, 60, 0.48333333333333334), (1, 2, 7, 60, 0.11666666666666667), (2, 3, 0, 60, 0.0)],
     "exact": [(0, 1, 854, 6368, 0.13410804020100503), (1, 2, 25, 6368, 0.003925879396984924),
               (2, 3, 0, 6368, 0.0)],
 }
@@ -1351,7 +1372,7 @@ _GROUND = {"mode": {"kind": "ground-state", "k": 0}, "lambda_source": {"asserted
 @pytest.mark.parametrize("overrides", [
     {"graph": _RR20, "M": 2, "sampler": {"kind": "glauber", "burn_in": 700, "thinning": 13}, "samples": 40},
     {"graph": _RR20, **_GROUND, "sampler": {"kind": "glauber", "burn_in": 700, "thinning": 13}, "samples": 40},
-    # one 70,000-step block crosses the 65,536-draw chunk
+    # a 70,000-step thinning crosses the 65,536-draw chunk
     {"graph": _RR20, "M": 2, "sampler": {"kind": "glauber", "burn_in": 5, "thinning": 70_000}, "samples": 2},
     {"graph": _RR20, **_GROUND, "sampler": {"kind": "glauber", "burn_in": 5, "thinning": 70_000}, "samples": 2},
     {"graph": _RR20, "sampler": {"kind": "glauber", "burn_in": 0, "thinning": 7}, "samples": 9},
@@ -1365,7 +1386,7 @@ _GROUND = {"mode": {"kind": "ground-state", "k": 0}, "lambda_source": {"asserted
 def test_glauber_draw_samples_matches_per_sample_chain(overrides):
     cfg = parse_config(base_config(**{"seed": 4, "probes": [], **overrides}))
     ens = resolve_ensemble(cfg)
-    states, _ = reference_glauber(ens.g, ens.spec, _sample_blocks(ens.g, cfg))
+    states, _ = reference_glauber(ens.g, ens.spec, cfg.seed, _sample_marks(ens.g, cfg))
     assert len(states) == cfg.samples + 1
     samples, _ = draw_samples(ens, cfg)
     assert samples.shape == (cfg.samples, ens.g.n)

@@ -328,8 +328,10 @@ def test_hypothesis_gate_clauses():
 # sha256 of the outputs below, recorded with the frozenset decomposition.
 # On T5x5 the cluster has 21 vertices and the core is [11, 12, 16].
 FLAWS_STDOUT_SHA256 = "2058f15279dd1b8bfb1e7f58ab54bf48eccf598d73b3939a65bd9681295d6147"
-RANGE_DUMP_SHA256 = {"flaws.jsonl": "4201d7c66552e4a27dc32afe8e24284ef4a148e527b02e407a3244a883f16213",
-                     "results.csv": "19153101c6c3e3b2d892699ae05c475446b7bfed250946897be93005d966c9d5"}
+# The range dump runs a Glauber chain: its digests are those of the samples of
+# `conftest.reference_glauber` at the marks.
+RANGE_DUMP_SHA256 = {"flaws.jsonl": "ff924cfed922bf541e0b4834138cb99204c01d63a19bcaf147cad1abc49e0f69",
+                     "results.csv": "b944c4523eee0a8147642770461861155966625adec75fe3a31273c0a357844d"}
 
 
 def test_cli_flaws_pinned(tmp_path, capsys):

@@ -613,8 +613,8 @@ def test_glauber_chain_matches_reference_chain(builder, spec, seed, steps):
 
     g = builder()
     seen, expected = [], []
-    got = lipschitz._glauber_run(g, spec, [(seed, steps)], on_step=lambda t, vals: seen.append(hash(tuple(vals))))
-    want = reference_glauber(g, spec, [(seed, steps)], on_step=lambda t, vals: expected.append(hash(tuple(vals))))
+    got = lipschitz._glauber_run(g, spec, seed, [steps], on_step=lambda t, vals: seen.append(hash(tuple(vals))))
+    want = reference_glauber(g, spec, seed, [steps], on_step=lambda t, vals: expected.append(hash(tuple(vals))))
     assert len(seen) == steps
     assert seen == expected
     assert (_rows(got[0]), got[1]) == ([f.values for f in want[0]], want[1])
@@ -694,7 +694,7 @@ def test_glauber_table_is_judged_when_it_fills(builder, spec, seed, steps, kept,
 
     monkeypatch.setattr(lipschitz, "min", counting_min, raising=False)
     totals = []
-    lipschitz._glauber_run(g, spec, [(seed, steps)], on_step=lambda t, vals: totals.append(computed))
+    lipschitz._glauber_run(g, spec, seed, [steps], on_step=lambda t, vals: totals.append(computed))
     hits = [t for t, (before, after) in enumerate(zip([0] + totals, totals)) if before == after]
     # every miss before the fill makes an entry, so the table filled
     assert computed >= room and hits

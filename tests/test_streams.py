@@ -1,102 +1,103 @@
-"""The vectorised `SeedSequence` mixing against numpy itself, and the Glauber
-runs that read it against the reference chain."""
+"""Glauber samples are the states of one chain on one random stream: the
+states of the reference chain at the marks `burn_in + i * thinning`, and
+the states that `glauber_chain` passes to `on_step` at those step counts."""
 
-import numpy as np
+import hashlib
+
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from liplab.graphs import complete_graph, random_regular_graph
-from liplab.lipschitz import _SAMPLE_SALT, EnsembleSpec, glauber_samples
-from liplab.streams import child_seeds, pcg64_states
+from liplab.cli import main
+from liplab.graphs import complete_graph, petersen_graph, random_regular_graph
+from liplab.lipschitz import EnsembleSpec, glauber_chain, glauber_samples
 from tests.conftest import reference_glauber
 
-STREAM_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+def sample_marks(burn_in, thinning, samples):
+    return [burn_in + i * thinning for i in range(samples + 1)]
 
 
-def numpy_children(entropy, count):
-    return [child.generate_state(1)[0].item() for child in np.random.SeedSequence(entropy).spawn(count)]
+def chain_states(g, spec, seed, marks):
+    """The states after each step count in `marks` (all >= 1) of the
+    `glauber_chain` run of `seed` over `marks[-1]` steps, read from `on_step`."""
+    wanted, seen = set(marks), {}
+
+    def on_step(t, vals):
+        if t + 1 in wanted:
+            seen[t + 1] = list(vals)
+
+    glauber_chain(g, spec, seed, marks[-1], on_step=on_step)
+    return [seen[mark] for mark in marks]
 
 
-def numpy_pcg64(seed):
-    state = np.random.PCG64(np.random.SeedSequence(seed)).state["state"]
-    return state["state"], state["inc"]
-
-
-@pytest.mark.parametrize("entropy", [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 2**127, 5 ^ _SAMPLE_SALT],
-                         ids=["0", "1", "2^32-1", "2^32", "2^63", "2^64-1", "2^127", "salted"])
-@pytest.mark.parametrize("count", [0, 1, 70, 1000])
-def test_child_seeds_match_numpy_spawn(entropy, count):
-    assert child_seeds(entropy, count) == numpy_children(entropy, count)
-
-
-@STREAM_SETTINGS
-@given(st.integers(0, 2**160), st.integers(0, 40))
-def test_child_seeds_match_numpy_spawn_at_random(entropy, count):
-    # past 2^128 the entropy has more words than the pool, which the tail of the mixing takes
-    assert child_seeds(entropy, count) == numpy_children(entropy, count)
-
-
-@pytest.mark.parametrize("bits", [32, 64, 128])
-def test_pcg64_states_match_numpy_at_the_edges(bits):
-    seeds = [0, 1, 2**bits - 1, 2**(bits - 1)]
-    assert pcg64_states(seeds) == [numpy_pcg64(s) for s in seeds]
-    assert pcg64_states([]) == []
-
-
-@STREAM_SETTINGS
-@given(st.lists(st.one_of(st.integers(0, 2**32 - 1), st.integers(0, 2**64 - 1), st.integers(0, 2**128 - 1)),
-                max_size=20))
-def test_pcg64_states_match_numpy_at_random(seeds):
-    assert pcg64_states(seeds) == [numpy_pcg64(s) for s in seeds]
-
-
-def test_streams_refuse_seeds_out_of_range():
-    with pytest.raises(ValueError, match="2\\^128"):
-        pcg64_states([3, 2**128])
-    with pytest.raises(ValueError):
-        pcg64_states([-1])
-    with pytest.raises(ValueError):
-        child_seeds(-1, 3)
-
-
-def spawned_blocks(seed, burn_in, thinning, samples):
-    """The Glauber blocks of a run, their seeds from numpy's own spawn."""
-    return [(seed, burn_in)] + [(child, thinning) for child in numpy_children(seed ^ _SAMPLE_SALT, samples)]
+def assert_replays(g, spec, seed, burn_in, thinning, samples):
+    """`glauber_samples` equals the reference chain and the `glauber_chain`
+    run at the marks; returns the rejected moves."""
+    marks = sample_marks(burn_in, thinning, samples)
+    states, rejected = reference_glauber(g, spec, seed, marks)
+    got, got_rejected = glauber_samples(g, spec, seed, burn_in, thinning, samples)
+    assert got.shape == (samples, g.n)
+    assert got.tolist() == [list(f.values) for f in states[1:]]
+    assert got_rejected == rejected
+    if samples:
+        assert got.tolist() == chain_states(g, spec, seed, marks[1:])
+    return rejected
 
 
 @pytest.mark.parametrize("seed", [0, 12345, 2**64 - 1])
 def test_glauber_samples_replay_the_reference_streams(seed):
     g = random_regular_graph(20, 3, seed=1)
-    spec = EnsembleSpec("one-point", M=2, v0=0)
-    blocks = spawned_blocks(seed, 300, 7, 60)
-    states, rejected = reference_glauber(g, spec, blocks)
-    samples, got_rejected = glauber_samples(g, spec, seed, burn_in=300, thinning=7, samples=60)
-    assert samples.tolist() == [list(f.values) for f in states[1:]]
-    assert got_rejected == rejected == 0
-    # an odd thinning leaves a 32-bit half-word buffered at the end of some block, which the
-    # next block's fresh generator does not see
-    buffered = 0
-    for child, steps in blocks[1:]:
-        rng = np.random.default_rng(np.random.SeedSequence(child))
-        rng.integers(0, g.n - 1, size=steps)
-        rng.random(size=steps)
-        buffered += rng.bit_generator.state["has_uint32"]
-    assert buffered > 0
+    assert assert_replays(g, EnsembleSpec("one-point", M=2, v0=0), seed, 300, 7, 60) == 0
 
 
 def test_glauber_samples_replay_the_reference_rejections():
-    g = complete_graph(6)
     spec = EnsembleSpec("ground-state", M=1, k=0, lam=1.0)
-    states, rejected = reference_glauber(g, spec, spawned_blocks(7, 200, 7, 40))
-    samples, got_rejected = glauber_samples(g, spec, 7, burn_in=200, thinning=7, samples=40)
-    assert rejected > 0
-    assert (samples.tolist(), got_rejected) == ([list(f.values) for f in states[1:]], rejected)
+    assert assert_replays(complete_graph(6), spec, 7, 200, 7, 40) > 0
+
+
+@pytest.mark.parametrize("burn_in,thinning,samples", [(0, 7, 9), (90, 1, 30), (0, 1, 25)],
+                         ids=["no-burn-in", "thinning-1", "no-burn-in-thinning-1"])
+@pytest.mark.parametrize("mode", ["one-point", "ground-state"])
+def test_glauber_samples_replay_at_the_edges_of_the_schedule(mode, burn_in, thinning, samples):
+    g = complete_graph(6)
+    spec = EnsembleSpec("one-point", M=1, v0=0) if mode == "one-point" else EnsembleSpec(
+        "ground-state", M=1, k=0, lam=1.0)
+    assert_replays(g, spec, 5, burn_in, thinning, samples)
+
+
+@pytest.mark.parametrize("mode", ["one-point", "ground-state"])
+def test_glauber_samples_replay_across_chunks_and_slices(mode):
+    # a 70,000-step thinning crosses the 65,536-draw chunk and many 4,096-step slices,
+    # and the burn-in of 5 puts every mark off the slice boundaries
+    g = random_regular_graph(20, 3, seed=1)
+    spec = EnsembleSpec("one-point", M=2, v0=0) if mode == "one-point" else EnsembleSpec(
+        "ground-state", M=1, k=0, lam=0.5)
+    rejected = assert_replays(g, spec, 4, 5, 70_000, 2)
+    assert (rejected > 0) == (mode == "ground-state")
 
 
 def test_glauber_samples_with_no_samples_run_the_burn_in_only():
-    g = complete_graph(4)
-    spec = EnsembleSpec("one-point", M=1, v0=0)
+    g = complete_graph(6)
+    spec = EnsembleSpec("ground-state", M=1, k=0, lam=1.0)
     samples, rejected = glauber_samples(g, spec, 3, burn_in=50, thinning=7, samples=0)
-    assert samples.shape == (0, 4)
-    assert rejected == 0
+    assert samples.shape == (0, 6)
+    # the rejections of the 50 burn-in steps, and not of a step past them
+    assert rejected == reference_glauber(g, spec, 3, [50])[1] != reference_glauber(g, spec, 3, [57])[1]
+    assert_replays(g, spec, 3, 50, 7, 0)
+
+
+def test_glauber_cli_sample_replays_the_reference_chain(capsys):
+    # the `sample` line of CI: Petersen, M = 1, a seed of two 32-bit words; the default
+    # schedule is a burn-in of 100 * n * M = 1,000 steps and a thinning of n = 10
+    seed = 2**64 - 1
+    spec = EnsembleSpec("one-point", M=1, v0=0)
+    states, _ = reference_glauber(petersen_graph(), spec, seed, sample_marks(1000, 10, 20))
+    assert main(["sample", "--graph", '{"family":"petersen"}', "--M", "1", "--sampler", "glauber",
+                 "--samples", "20", "--seed", str(seed)]) == 0
+    rows = ["sample_id,range,min,max,probe_0"]
+    for i, f in enumerate(states[1:]):
+        lo, hi = min(f.values), max(f.values)
+        rows.append(f"{i},{hi - lo + 1},{lo},{hi},{f.values[0]}")
+    out = capsys.readouterr().out
+    assert out == "\n".join(rows) + "\n"
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "5d0e8da58ab07b410f09b241d67769c3016518ae606c2a533bfb981677134486")  # the digest CI pins
