@@ -354,8 +354,8 @@ def glauber_schedule(g: Graph, cfg: ExperimentConfig) -> dict:
 def draw_samples(ens: Ensemble, cfg: ExperimentConfig) -> tuple[np.ndarray, dict | None]:
     """The samples of the config's sampler, the rows of one `(samples, n)`
     value array, and for a Glauber run the `sampler` block of summary.json:
-    its schedule and the moves the flaw cap rejected (None for the exact
-    sampler)."""
+    its schedule, the moves the flaw cap rejected and their share of the
+    chain steps (None for the exact sampler)."""
     g, spec = ens.g, ens.spec
     if cfg.sampler["kind"] == "exact":
         return sample_exact(g, spec, cfg.seed, cfg.samples, budget=cfg.budget), None
@@ -363,7 +363,8 @@ def draw_samples(ens: Ensemble, cfg: ExperimentConfig) -> tuple[np.ndarray, dict
     schedule = glauber_schedule(g, cfg)
     samples, rejected = glauber_samples(g, spec, cfg.seed, schedule["burn_in"], schedule["thinning"],
                                         cfg.samples)
-    return samples, {**schedule, "rejected": rejected}
+    steps = schedule["chain_steps"]
+    return samples, {**schedule, "rejected": rejected, "rejection_rate": rejected / steps if steps else 0.0}
 
 
 # ---------------------------------------------------------------------------

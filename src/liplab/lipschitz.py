@@ -558,7 +558,7 @@ def sample_exact(g: Graph, spec: EnsembleSpec, seed: int, count: int = 1,
 # Glauber dynamics
 # ---------------------------------------------------------------------------
 
-_GLAUBER_CHUNK = 1 << 16  # draws per rng.integers / rng.random call
+_GLAUBER_CHUNK = 1 << 16  # draws per rng.integers call; the stream does not depend on it
 _GLAUBER_SLICE = 1 << 12  # draws converted to Python scalars at a time
 _GLAUBER_MEMO_CELLS = 1 << 13  # neighbour values the interval table may hold
 
@@ -568,6 +568,20 @@ def glauber_site_interval(values: Sequence[int], nbrs: Sequence[int], M: int) ->
     lo = max(values[u] for u in nbrs) - M
     hi = min(values[u] for u in nbrs) + M
     return lo, hi
+
+
+def _coin_range(M: int, n_sites: int) -> int:
+    """The range W of the heat-bath coin q, uniform on [0, W): lcm(1, ...,
+    2M+1), so that every interval width divides it, or (2^63 - 1) // n_sites
+    once that lcm would pass it, so that `n_sites * W` stays an int64 bound.
+    lcm(1, ..., 43) passes 2^63, so the loop never runs past 43 terms."""
+    cap = (2**63 - 1) // n_sites
+    W = 1
+    for w in range(2, 2 * M + 2):
+        W = math.lcm(W, w)
+        if W > cap:
+            return cap
+    return W
 
 
 def glauber_chain(
@@ -583,9 +597,18 @@ def glauber_chain(
     interval.  Ground-state mode proposes the same move on any site and
     rejects proposals that would exceed the flaw allowance, which preserves
     uniformity because the proposal kernel is symmetric.  `on_step` sees the
-    state after every step, rejected moves included.  The chain draws on
-    `default_rng(seed)`: per 65,536-step chunk, `integers` for the sites
-    then `random` for the coins.
+    state after every step, rejected moves included.
+
+    The chain draws on `default_rng(seed)`, one bounded integer x per step,
+    uniform on [0, n_sites * W) (see `_coin_range`): the site is number
+    x // W and the coin q = x % W, and the new value is lo + q * width // W
+    for the interval [lo, lo + width).  While W is lcm(1, ..., 2M+1), every
+    width divides it and the choice is exactly uniform.  Once that lcm
+    passes (2^63 - 1) // n_sites (at 2M+1 = 43 at the latest), W is that
+    cap, and each value's probability differs from 1 / width by less than
+    1 / W, a relative bias of at most width / W.  numpy's `integers` stream
+    does not depend on how the draws are split into calls, so a run's first
+    steps do not depend on its length.
 
     Each step reads the site's neighbour values with one call of its
     `Graph.neighbor_getters` entry and looks the interval up in a table keyed
@@ -610,9 +633,8 @@ def glauber_samples(g: Graph, spec: EnsembleSpec, seed: int, burn_in: int, thinn
     of the run the flaw cap rejected.
 
     Sample i is the state of the `glauber_chain` run of `seed` after
-    `burn_in + i * thinning` steps, so a fixed seed gives fixed samples.
-    The run's length is part of its stream, because the draws alternate
-    per chunk: a run of more samples has other first samples.
+    `burn_in + i * thinning` steps, so a fixed seed gives fixed samples,
+    and the first j samples of a run are those of every longer run.
     """
     marks = [burn_in + i * thinning for i in range(samples + 1)]
     states, rejected = _glauber_run(g, spec, seed, marks)
@@ -633,7 +655,11 @@ def _glauber_run(
 
     The run starts from the all-zero (one-point) or all-k (ground-state)
     state; the sites, the flaw count and the neighbour getters are set up
-    once.  Step t of the run passes `(t, values)` to `on_step`.
+    once.  Each 65,536-step chunk makes one `integers` call on
+    [0, n_sites * W) and splits its draws into sites and coins in numpy, so
+    a step does integer arithmetic only; the bias of a coin is that of
+    `glauber_chain`, 0 while W is lcm(1, ..., 2M+1) and at most width / W
+    past the cap.  Step t of the run passes `(t, values)` to `on_step`.
     """
     M = spec.M
     cap = _check_spec(g, spec)
@@ -666,19 +692,18 @@ def _glauber_run(
     while m < len(marks) and marks[m] <= t:
         states += values
         m += 1
+    W = _coin_range(M, n_sites)
     rng = np.random.default_rng(seed)
     for done in range(0, run, _GLAUBER_CHUNK):
-        # the draws alternate per chunk, so the chunk size is part of the stream
         take = min(_GLAUBER_CHUNK, run - done)
-        site_idx = rng.integers(0, n_sites, size=take)
-        coins = rng.random(size=take)
-        verts = sites[site_idx]
+        picks, coins = np.divmod(rng.integers(0, n_sites * W, size=take), W)
+        verts = sites[picks]
         start = 0
         while start < take:
             # a slice ends after _GLAUBER_SLICE steps or at the next mark
             stop = min(start + _GLAUBER_SLICE, take, marks[m] - done)
             # heat bath: c is uniform on [max nbr - M, min nbr + M]
-            for v, u in zip(verts[start:stop].tolist(), coins[start:stop].tolist()):
+            for v, q in zip(verts[start:stop].tolist(), coins[start:stop].tolist()):
                 nv = getters[v](values)
                 if table is None:
                     lo = max(nv) - M
@@ -695,7 +720,7 @@ def _glauber_run(
                             # within 4 * room steps missed over a quarter of its lookups
                             if len(table) == room and t + 1 < 4 * room:
                                 table = None
-                c = lo + int(u * width)
+                c = lo + q * width // W
                 if ground and c != values[v]:
                     old_in = w_lo <= values[v] <= w_hi
                     if old_in != (w_lo <= c <= w_hi):

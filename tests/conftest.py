@@ -80,40 +80,42 @@ class CountingGenerator:
 def reference_glauber(g, spec, seed, marks, on_step=None):
     """The Glauber chain as a plain loop, for comparison with the kernel.
 
-    It replays the same stream: one generator, `default_rng(seed)`, drawn
-    over `marks[-1]` steps in 65,536-step chunks, `integers` for the sites
-    then `random` for the coins.  Every step calls `glauber_site_interval`,
-    and a ground-state proposal is rejected when it would leave the window
-    at more than the flaw cap's vertices.  Returns the state after each
-    step count in `marks` (a mark of 0 is the start state) and the number
-    of rejected moves."""
+    It replays the same stream in one call instead of per chunk: one
+    generator, `default_rng(seed)`, and `marks[-1]` integers on
+    [0, len(sites) * W), where W is lcm(1, ..., 2M+1) or, once
+    `len(sites) * W` would pass 2^63 - 1, `(2^63 - 1) // len(sites)`.  A draw
+    x picks site x // W and sets it to lo + (x % W) * (hi - lo + 1) // W.
+    Every step calls `glauber_site_interval`, and a ground-state proposal is
+    rejected when it would leave the window at more than the flaw cap's
+    vertices.  Returns the state after each step count in `marks` (a mark
+    of 0 is the start state) and the number of rejected moves."""
     ground = spec.mode == "ground-state"
     sites = list(range(g.n)) if ground else [v for v in range(g.n) if v != spec.v0]
     values = [spec.k if ground else 0] * g.n
     cap = flaw_cap(g.n, g.regular_degree(), spec.lam) if ground else None
+    # lcm(1, ..., 43) is past 2^63 already
+    W = math.lcm(*range(1, min(2 * spec.M + 1, 43) + 1))
+    if len(sites) * W > 2**63 - 1:
+        W = (2**63 - 1) // len(sites)
     wanted = set(marks)
     seen = {0: tuple(values)}  # the state after t steps, for t in marks
-    rejected, t = 0, 0
+    rejected = 0
     rng = np.random.default_rng(seed)
-    for done in range(0, marks[-1], 1 << 16):
-        take = min(1 << 16, marks[-1] - done)
-        picks = rng.integers(0, len(sites), size=take).tolist()
-        coins = rng.random(size=take).tolist()
-        for i, u in zip(picks, coins):
-            v = sites[i]
-            lo, hi = glauber_site_interval(values, g.neighbors(v), spec.M)
-            c = lo + int(u * (hi - lo + 1))
-            if ground:
-                proposal = values[:v] + [c] + values[v + 1:]
-                if sum(not spec.k <= x <= spec.k + spec.M for x in proposal) > cap:
-                    c = values[v]
-                    rejected += 1
-            values[v] = c
-            if on_step is not None:
-                on_step(t, values)
-            t += 1
-            if t in wanted:
-                seen[t] = tuple(values)
+    for t, x in enumerate(rng.integers(0, len(sites) * W, size=marks[-1]).tolist()):
+        v = sites[x // W]
+        lo, hi = glauber_site_interval(values, g.neighbors(v), spec.M)
+        q = x % W
+        c = lo + q * (hi - lo + 1) // W
+        if ground:
+            proposal = values[:v] + [c] + values[v + 1:]
+            if sum(not spec.k <= y <= spec.k + spec.M for y in proposal) > cap:
+                c = values[v]
+                rejected += 1
+        values[v] = c
+        if on_step is not None:
+            on_step(t, values)
+        if t + 1 in wanted:
+            seen[t + 1] = tuple(values)
     return [LipschitzFn(seen[mark], spec.M) for mark in marks], rejected
 
 

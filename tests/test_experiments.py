@@ -271,7 +271,7 @@ def test_glauber_draw_samples_golden():
         seed=0,
         probes=[],
     )
-    assert _draws_sha256(range_cfg) == "531948baf89f52379c6eb07a655ab0698c7cbccbdc6da79d389fea350cf0706b"
+    assert _draws_sha256(range_cfg) == "7e584d685f83581788c65e4f233d0d4b6c22c40f6c6b2b9c80a56350795acea3"
     tail_cfg = base_config(
         graph={"family": "random-regular", "n": 20, "d": 3, "seed": 1},
         mode={"kind": "ground-state", "k": 0},
@@ -281,10 +281,10 @@ def test_glauber_draw_samples_golden():
         seed=0,
         probes=[],
     )
-    assert _draws_sha256(tail_cfg) == "9d62142ea438fa26c8a2de7a22826b8d17e2d49fbe276785844af754d93b1603"
+    assert _draws_sha256(tail_cfg) == "d26cea2ed3f7b1f0c5248b26b867f9e4ad45e3bd8d50daa3dcc505b8d5ea30c0"
     default_cfg = base_config(graph={"family": "cycle", "n": 6}, sampler={"kind": "glauber"},
                               samples=20, seed=0, probes=[])
-    assert _draws_sha256(default_cfg) == "be73737f0b2a5a8e4325749a32b4439a05b26acdbac2cd88430e72fb5b6f779a"
+    assert _draws_sha256(default_cfg) == "153da13eda357dcf0e184d7e5a2d1b29f64a92ab063e195162f998b5ce150233"
 
 
 def test_glauber_summary_reports_schedule():
@@ -294,20 +294,25 @@ def test_glauber_summary_reports_schedule():
         samples=11,
     )))
     assert explicit.aggregates["sampler"] == {"burn_in": 300, "thinning": 7, "chain_steps": 300 + 11 * 7,
-                                              "rejected": 0}
+                                              "rejected": 0, "rejection_rate": 0.0}
     # defaults: burn-in 100*n*M, thinning n
     defaulted = run_range_experiment(parse_config(base_config(
         graph={"family": "cycle", "n": 6}, M=2, sampler={"kind": "glauber"}, samples=5,
     )))
     assert defaulted.aggregates["sampler"] == {"burn_in": 1200, "thinning": 6, "chain_steps": 1230,
-                                               "rejected": 0}
+                                               "rejected": 0, "rejection_rate": 0.0}
     # the rejection counts are checked against the reference chain below
     tail = run_tail_experiment(tail_config(sampler={"kind": "glauber", "burn_in": 200, "thinning": 5},
                                            samples=40))
-    assert tail.aggregates["sampler"] == {"burn_in": 200, "thinning": 5, "chain_steps": 400, "rejected": 35}
+    assert tail.aggregates["sampler"] == {"burn_in": 200, "thinning": 5, "chain_steps": 400, "rejected": 24,
+                                          "rejection_rate": 24 / 400}
     tail_default = run_tail_experiment(tail_config(sampler={"kind": "glauber"}, samples=3))
     assert tail_default.aggregates["sampler"] == {"burn_in": 600, "thinning": 6, "chain_steps": 618,
-                                                  "rejected": 60}
+                                                  "rejected": 31, "rejection_rate": 31 / 618}
+    # a run of no steps rejects no share of them
+    empty = tail_config(sampler={"kind": "glauber", "burn_in": 0, "thinning": 5}, samples=0)
+    assert draw_samples(resolve_ensemble(empty), empty)[1] == {"burn_in": 0, "thinning": 5, "chain_steps": 0,
+                                                               "rejected": 0, "rejection_rate": 0.0}
     # exact runs report no sampler block
     assert "sampler" not in run_range_experiment(parse_config(base_config())).aggregates
     assert "sampler" not in run_tail_experiment(tail_config()).aggregates
@@ -329,7 +334,9 @@ def test_glauber_summary_counts_rejections(tmp_path):
     tail = run_tail_experiment(tail_cfg)
     assert tail.aggregates["sampler"]["rejected"] == rejected
     with open(tail.write(tmp_path / "tail")["summary"]) as fh:
-        assert json.load(fh)["aggregates"]["sampler"]["rejected"] == rejected
+        sampler = json.load(fh)["aggregates"]["sampler"]
+    assert sampler["rejected"] == rejected
+    assert sampler["rejection_rate"] == rejected / 400 == rejected / sampler["chain_steps"]
     # a one-point chain rejects nothing
     range_cfg = parse_config(base_config(graph={"family": "random-regular", "n": 20, "d": 3, "seed": 1}, M=2,
                                          sampler={"kind": "glauber", "burn_in": 300, "thinning": 20},
@@ -339,7 +346,15 @@ def test_glauber_summary_counts_rejections(tmp_path):
     assert rejected == 0
     samples, _ = draw_samples(ens, range_cfg)
     assert samples.tolist() == [list(f.values) for f in states[1:]]
-    assert run_range_experiment(range_cfg).aggregates["sampler"]["rejected"] == 0
+    paths = run_range_experiment(range_cfg).write(tmp_path / "range")
+    with open(paths["summary"]) as fh:
+        sampler = json.load(fh)["aggregates"]["sampler"]
+    assert (sampler["rejected"], sampler["rejection_rate"]) == (0, 0.0)
+    # results.csv is the reference chain's, whatever the summary adds
+    rows = [f"{i},{max(f.values) - min(f.values) + 1},{min(f.values)},{max(f.values)},{f.values[2]}"
+            for i, f in enumerate(states[1:])]
+    with open(tmp_path / "range" / "results.csv") as fh:
+        assert fh.read() == "sample_id,range,min,max,probe_2\n" + "".join(row + "\n" for row in rows)
 
 
 def test_glauber_schedule_keeps_csv(tmp_path):
@@ -947,7 +962,7 @@ def test_config_rejects_bad_glauber_schedule(sampler):
 def test_config_accepts_schedule_edges():
     cfg = parse_config(base_config(sampler={"kind": "glauber", "burn_in": 0, "thinning": 1}, samples=3))
     assert run_range_experiment(cfg).aggregates["sampler"] == {"burn_in": 0, "thinning": 1, "chain_steps": 3,
-                                                               "rejected": 0}
+                                                               "rejected": 0, "rejection_rate": 0.0}
 
 
 def test_cli_bad_glauber_schedule_exits_2(tmp_path, capsys):
@@ -1125,12 +1140,12 @@ def test_sample_cli_glauber_output_unchanged(capsys):
     text = _sample_cli(capsys, "--graph", '{"family":"cycle","n":6}', "--M", "1", "--samples", "20",
                        "--seed", "3", "--sampler", "glauber", "--probes", "0", "2")
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "75bd4cc3099df022b11e64c38597826ac2a3ca0b8270c2b6aa886b0a1ea552c5")
+        "f81d7bb48d47ce9b1115b75e1a418eeea69e9236336a180041e09e90a6b6642f")
     text = _sample_cli(capsys, "--graph", '{"family":"complete","n":6}', "--M", "1",
                        "--mode", "ground-state", "--k", "0", "--lambda-source", "1.0",
                        "--samples", "15", "--seed", "11", "--sampler", "glauber", "--probes", "0", "3")
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "062361e51a0a55b1d2613eb5114379ba4cdf50208a8d022959cd6f06b0a3e855")
+        "40ef9147bae1892697dce564ebd1f2909fc49e33c9749a9c2818a45c71d5bb36")
 
 
 def test_sample_cli_exact_output_unchanged(capsys):
@@ -1161,8 +1176,8 @@ def test_sample_cli_exact_output_unchanged(capsys):
     ({"kind": "exact"}, "7a68352ecf773d4cb3f97e7b9eccdb9d09a4cc7ad127e3e281ad33656c761825",
      "dccdd2a7c5ab903eaccb41040b328fdc5dfc3547e4b37a97d72d854d7b3126fc"),
     ({"kind": "glauber", "burn_in": 300, "thinning": 10},
-     "c2e38aaf9c12a4276254b9a3f1e67e96b42502b031c71c9d22bb7971e433187d",
-     "dec8890633b2edd2d77a95ae3b916f40c4ae0faa623d5345705945926001cc14"),
+     "2b8dcbca62056f9d2465242d37fb65f08c096cb93483a78dbfa503f5c393fff9",
+     "cbcb345574cde239c6771b292b12efd8d7b3c45d0cac5c5b3a3b61dbf2a7044c"),
 ], ids=["exact", "glauber"])
 def test_range_dump_flaws_output_unchanged(sampler, csv_digest, flaws_digest):
     # sha256 of results.csv and flaws.jsonl: the exact ones recorded before the samples became one
@@ -1203,10 +1218,10 @@ def test_range_glauber_past_int64_output_unchanged():
     samples, _ = draw_samples(resolve_ensemble(cfg), cfg)
     assert samples.dtype == object
     text = run_range_experiment(cfg).csv_text()
-    assert text.splitlines()[1] == "0,2,99999999999999999999,100000000000000000000,99999999999999999999," \
+    assert text.splitlines()[1] == "0,2,99999999999999999999,100000000000000000000,100000000000000000000," \
                                    "100000000000000000000"
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "c9e33587cdc4e8619c6fc0037706bf5d3c7a5e7cdb01fa76d78ee3aee62bc05b")
+        "fd1e57206b7c645fd224dfbeff07cb8eb8e3e5fd12e0d1bc76d9c5f0682547e1")
 
 
 @pytest.mark.parametrize("sampler", [{"kind": "exact"}, {"kind": "glauber", "burn_in": 50, "thinning": 3},
@@ -1293,7 +1308,7 @@ def test_tail_experiment_takes_one_probe(tmp_path, capsys):
 _PETERSEN_GATE = {"M <= (log n)^C": True, "M <= c*d^1.5/(lam*log d)": True, "d/5 <= c*n": True,
                   "lam <= d/5": False}
 _PETERSEN_TAIL = {
-    "glauber": [(0, 1, 29, 60, 0.48333333333333334), (1, 2, 7, 60, 0.11666666666666667), (2, 3, 0, 60, 0.0)],
+    "glauber": [(0, 1, 16, 60, 0.26666666666666666), (1, 2, 0, 60, 0.0), (2, 3, 0, 60, 0.0)],
     "exact": [(0, 1, 854, 6368, 0.13410804020100503), (1, 2, 25, 6368, 0.003925879396984924),
               (2, 3, 0, 6368, 0.0)],
 }

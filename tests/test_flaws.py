@@ -330,8 +330,8 @@ def test_hypothesis_gate_clauses():
 FLAWS_STDOUT_SHA256 = "2058f15279dd1b8bfb1e7f58ab54bf48eccf598d73b3939a65bd9681295d6147"
 # The range dump runs a Glauber chain: its digests are those of the samples of
 # `conftest.reference_glauber` at the marks.
-RANGE_DUMP_SHA256 = {"flaws.jsonl": "ff924cfed922bf541e0b4834138cb99204c01d63a19bcaf147cad1abc49e0f69",
-                     "results.csv": "b944c4523eee0a8147642770461861155966625adec75fe3a31273c0a357844d"}
+RANGE_DUMP_SHA256 = {"flaws.jsonl": "c09a5c4151c031befd2c7ea02df77c863e927453adde3cf81b29cbe1c3deda02",
+                     "results.csv": "ebb8aa7a75dc2ec5b6cdcaee86bc3de753bc41fe78c1125d832dd66616468206"}
 
 
 def test_cli_flaws_pinned(tmp_path, capsys):

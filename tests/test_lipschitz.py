@@ -552,42 +552,42 @@ def _trajectory_sha256(g, spec, seed, steps):
     "builder,spec,seed,steps,digests",
     [
         (lambda: cycle_graph(4), EnsembleSpec("one-point", M=1, v0=0), 3, 2000,
-         ("e482b0c94aa98e83a49b56fc657c9efe47cd1b0d913421c3dc5f038d5da89f72",
-          "a8dae580bc3ba6afe3f4cc99b029f6648ed19a9c21b7b0467430897a9c494c02")),
+         ("79b9c4e4e51b2f3e0810691832b34b334a55357bd4b58f698d504a72701ea832",
+          "5d95a9510f3967c09fd696cb279f28a1f04fe75dedd4ca01b1a450b995878796")),
         (lambda: cycle_graph(4), EnsembleSpec("one-point", M=2, v0=0), 4, 2000,
-         ("152b5febdba2b3a29eb9fcea75d4e04fb4d53591986974d0ab6ac4b35f90744d",
-          "9f343f83c68ee74c7911ad1e1af56dff029ac7088e4aaad41dbaaa423439d976")),
+         ("0f3ecd8c79ca8fe923834cc227407b929805fbac79f20b7819f066cb344b134e",
+          "20261f947196c90f330ea6b219c70bb00137c2c1d87f90c66b367a974ca8bfb3")),
         (lambda: hypercube_graph(3), EnsembleSpec("one-point", M=1, v0=0), 5, 3000,
-         ("788cb5b27a816160fd1b291826d6f950b3353b62b9e54d6fc01918ea7858cf7b",
-          "43b8d8871b1220ff49b6bee9d58bda5356a3295a37b9f704ad47479268b422c3")),
+         ("d5760928294209f5d74e008ec648b2aef76e984fc67ab713b0e5c26a43b0fdb6",
+          "decb1b3eeae388ef1e5280f078f7a70bda628e49db8e07a7b90ea2a145f25626")),
         (lambda: hypercube_graph(3), EnsembleSpec("one-point", M=2, v0=5), 6, 3000,
-         ("84a6bdc6e77f06ffe423d8c583dd762192c318b7550ddf9378dd26e9559265fe",
-          "1b66fe1ded97a86c293f4e5a83e9565c01aeb5d799736c0b726ffb2ae19166d0")),
+         ("c120199fca178f10898b67edb634a06198f30b3b63caaebbe5cdeedeb310f85e",
+          "63df35a9c94d2654be6b57123c09ccb5ad1bbc6c183b097c7cc6b9c709deb0b6")),
         (lambda: path_graph(7), EnsembleSpec("one-point", M=1, v0=3), 7, 3000,
-         ("40136549ee231c895c2f5b7a9b96c1dadcbd92e27b66a426a57290adf4d201c4",
-          "f576f5d3205da2625aa7e8a196a14d50f4dafbf672d7988ce98d73fa2423623c")),
+         ("22c9a5e93fb0ea9ab2acf22a191b933bc55ca1a36e84afd973ff9fbeccfc3798",
+          "b30a8b215cb6cb4e43cab47c4864e1476b86d61b2324c3318ec7a2c2b4d97676")),
         (lambda: complete_graph(6), EnsembleSpec("ground-state", M=1, k=0, lam=1.0), 8, 3000,
-         ("6a3d0217e5918af605eda8abf7ff4826ede859c40ed9a4b8f4424f1a38659206",
-          "f374340b09f26f5f466e5100242a498e5a644885210171fa76c0ef0897132cbd")),
+         ("ee91930f3c4bb1e533c94a920c26b4ddac93525843441070d7aab1c5c1529736",
+          "46469d3aae7da9f78f1bddf023b415643882d3217b1f6fc8b37b2cb1a34e2705")),
         # 70,000 steps cross the 65,536-draw chunk and 4,096-draw slice boundaries
         (lambda: random_regular_graph(20, 3, seed=1), EnsembleSpec("one-point", M=2, v0=0), 9, 70_000,
-         ("21b78ab868282383b257a3b7159a4f7979a4d50c7903c1ac7ce30a0897ff5314",
-          "e761c5f0961fab1e9e986e4797a83e8ac432a292c5387f904d394c0e6b2b9d51")),
+         ("656a896d284802a0d6a882924adf91c8d04a04c6cd3286bc90ef98919cc3801c",
+          "3672d4d1a3c1d28c4832396b4b9da966c3d2b8b74ebbf1bcca9fadb76523f2fb")),
         # the cases of test_glauber_chain_matches_reference_chain whose interval
-        # table fills, recorded from the chain before the table: Q6 at M=4 fills it
-        # fast enough to be switched off, Q7 at M=1 slowly enough to keep it
+        # table fills: Q6 at M=4 fills it fast enough to be switched off, Q7 at
+        # M=1 slowly enough to keep it
         (lambda: hypercube_graph(6), EnsembleSpec("one-point", M=4, v0=0), 10, 30_000,
-         ("331739409681d43ee36173986c195001c16d8be5d459f2d09341ecba2c305090",
-          "ee8ebb4c7f6ddd26ac7801750a24e6c211720c467d059f1f7187808fa6fce762")),
+         ("15b0d314437f3ca5580a9df7f55423c8c2e0c13fcb02d3a61379873908bb22e1",
+          "7bb79bf7ada7db7f43cf47b0d898575abfffd61768e0041e0db0f7e22a31a557")),
         (lambda: hypercube_graph(7), EnsembleSpec("one-point", M=1, v0=0), 3, 40_000,
-         ("34fa4ee58d6063045b52e2d8dfe1366ddcf39ace7012a251fe983d782d531f74",
-          "447a6626f2ae330b693f66937590894d2da52e00039d0c9ade80e1617f4a9217")),
+         ("095c8eb3d9d76b908240fb4d5fd562ca740bf5c5e59be0df637b187469b82177",
+          "24c151d3f6f23faa7e3e57b3d969faeeb9e95ae7451403a2c726da51b0479d35")),
     ],
     ids=["C4-M1", "C4-M2", "Q3-M1", "Q3-M2", "P7-M1", "K6-ground", "RR20-70k", "Q6-M4-table-off",
          "Q7-M1-table-full"],
 )
 def test_glauber_golden_trajectories(builder, spec, seed, steps, digests):
-    # digests recorded with the per-step glauber_site_interval loop the kernel replaced
+    # digests of the per-step `conftest.reference_glauber` chain, checked equal to the kernel's
     assert _trajectory_sha256(builder(), spec, seed, steps) == digests
 
 
@@ -596,14 +596,14 @@ def test_glauber_golden_trajectories(builder, spec, seed, steps, digests):
     [
         (lambda: random_regular_graph(20, 3, seed=1), EnsembleSpec("one-point", M=2, v0=0), 9, 70_000),
         (lambda: complete_graph(6), EnsembleSpec("ground-state", M=1, k=0, lam=1.0), 8, 3000),
-        # the table fills at step 1,727 (8,192 values / degree 6 = 1,365 entries), within
+        # the table fills at step 1,732 (8,192 values / degree 6 = 1,365 entries), within
         # 4 * 1,365 steps, so over a quarter of its lookups missed and it is switched off
         (lambda: hypercube_graph(6), EnsembleSpec("one-point", M=4, v0=0), 10, 30_000),
-        # the table fills at step 39,311 (8,192 values / degree 7 = 1,170 entries), past
+        # the table fills at step 28,135 (8,192 values / degree 7 = 1,170 entries), past
         # 4 * 1,170 steps, so it serves on
         (lambda: hypercube_graph(7), EnsembleSpec("one-point", M=1, v0=0), 3, 40_000),
-        # a cold start: 1,093 of the first 4,096 lookups miss, but the table fills at step
-        # 40,087 (2,730 entries) with 7% of its lookups missed, so it serves on
+        # a cold start: 1,118 of the first 4,096 lookups miss, but the table fills at step
+        # 38,778 (2,730 entries) with 7% of its lookups missed, so it serves on
         (lambda: random_regular_graph(500, 3, seed=1), EnsembleSpec("one-point", M=5, v0=0), 0, 50_000),
     ],
     ids=["RR20-M2", "K6-ground", "Q6-M4-table-off", "Q7-M1-table-full", "RR500-M5-cold-start"],
@@ -737,6 +737,64 @@ def test_glauber_lone_pinned_vertex_is_a_no_op():
     assert seen == [(t, (0,)) for t in range(5)]
     samples, _ = glauber_samples(k1, spec, seed=3, burn_in=10, thinning=4, samples=3)
     assert samples.tolist() == [[0]] * 3
+
+
+@pytest.mark.parametrize("n_sites", [1, 7, 42])
+@pytest.mark.parametrize("M", range(21))
+def test_glauber_coins_are_exactly_uniform_below_the_cap(M, n_sites):
+    # lcm(1, ..., 41) * 42 < 2^63, so up to M = 20 every width divides W
+    from liplab.lipschitz import _coin_range
+
+    W = _coin_range(M, n_sites)
+    assert W == math.lcm(*range(1, 2 * M + 2))
+    for w in range(1, 2 * M + 2):
+        assert W % w == 0
+        if W <= 10**6:
+            # every coin q in [0, W): each of the w outcomes exactly W / w times
+            assert np.bincount(np.arange(W) * w // W, minlength=w).tolist() == [W // w] * w
+
+
+def _coins_giving(j, W, w):
+    """How many coins q in [0, W) give the outcome q * w // W == j: those
+    from ceil(j * W / w) up to ceil((j + 1) * W / w)."""
+    return -(-(j + 1) * W // w) + (-j * W) // w
+
+
+@pytest.mark.parametrize("M,n_sites", [(21, 1), (21, 2), (10**5, 1), (10**5, 2), (20, 43)],
+                         ids=["K2-M21", "K2-ground-M21", "K2-M1e5", "K2-ground-M1e5", "M20-43-sites"])
+def test_glauber_coins_past_the_cap(M, n_sites):
+    # lcm(1, ..., 43) > 2^63 and lcm(1, ..., 41) * 43 > 2^63: W is the int64 cap, and an
+    # outcome of width w takes floor(W / w) or ceil(W / w) coins, a bias of at most w / W
+    from liplab.lipschitz import _coin_range
+
+    W = _coin_range(M, n_sites)
+    assert W == (2**63 - 1) // n_sites
+    for w in (3, 2 * M + 1, 2 * M):
+        counts = {_coins_giving(j, W, w) for j in range(min(w, 1000))}
+        assert counts <= {W // w, -(-W // w)}
+
+
+@pytest.mark.parametrize("M", [10**20, 2**70])
+def test_glauber_coin_range_never_runs_to_2M(M, monkeypatch):
+    import liplab.lipschitz as lipschitz
+
+    calls = []
+    lcm = math.lcm
+    monkeypatch.setattr(math, "lcm", lambda *args: calls.append(args) or lcm(*args))
+    assert lipschitz._coin_range(M, 2) == (2**63 - 1) // 2
+    assert len(calls) <= 42
+
+
+@pytest.mark.parametrize("spec", [EnsembleSpec("one-point", M=21, v0=0), EnsembleSpec("one-point", M=10**5, v0=1),
+                                  EnsembleSpec("ground-state", M=10**5, k=0, lam=0.3)],
+                         ids=["M21", "M1e5", "ground-M1e5"])
+def test_glauber_past_the_cap_replays_the_reference_chain(spec):
+    # K2 past the lcm cap: the kernel and the reference chain agree on the capped coins
+    g = complete_graph(2)
+    got, rejected = glauber_samples(g, spec, 6, burn_in=20, thinning=3, samples=30)
+    want, want_rejected = reference_glauber(g, spec, 6, [20 + 3 * i for i in range(31)])
+    assert (got.tolist(), rejected) == ([list(f.values) for f in want[1:]], want_rejected)
+    assert len({tuple(row) for row in got.tolist()}) > 10
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Glauber samples are the states of one chain on one random stream: the
 states of the reference chain at the marks `burn_in + i * thinning`, and
-the states that `glauber_chain` passes to `on_step` at those step counts."""
+the states that `glauber_chain` passes to `on_step` at those step counts.
+The stream does not depend on how its draws are split into calls, so the
+first samples of a run are those of every longer run."""
 
 import hashlib
 
@@ -85,6 +87,43 @@ def test_glauber_samples_with_no_samples_run_the_burn_in_only():
     assert_replays(g, spec, 3, 50, 7, 0)
 
 
+def test_glauber_samples_are_prefix_stable():
+    # Petersen, ground state, asserted lam = 1: a 60-sample run is the start of a
+    # 20,000-sample run (under per-chunk site and coin draws, 29 and 16 of those 60
+    # samples had f(3) > 1)
+    spec = EnsembleSpec("ground-state", M=1, k=0, lam=1.0)
+    short, _ = glauber_samples(petersen_graph(), spec, 5, 500, 10, 60)
+    long, _ = glauber_samples(petersen_graph(), spec, 5, 500, 10, 20_000)
+    assert short.tolist() == long[:60].tolist()
+
+
+@pytest.mark.parametrize("mode", ["one-point", "ground-state"])
+def test_glauber_samples_are_prefix_stable_across_a_chunk(mode):
+    # runs of 65,000, 68,000 and 72,000 steps: one integers call, then two of
+    # 65,536 + 2,464 and of 65,536 + 6,464 draws
+    g = random_regular_graph(20, 3, seed=1)
+    spec = EnsembleSpec("one-point", M=2, v0=0) if mode == "one-point" else EnsembleSpec(
+        "ground-state", M=1, k=0, lam=0.5)
+    runs = [glauber_samples(g, spec, 8, 60_000, 1_000, samples)[0].tolist() for samples in (5, 8, 12)]
+    assert runs[0] == runs[1][:5] and runs[1] == runs[2][:8]
+    assert_replays(g, spec, 8, 60_000, 1_000, 12)
+
+
+@pytest.mark.parametrize("mode", ["one-point", "ground-state"])
+def test_glauber_samples_do_not_depend_on_the_chunk_size(mode, monkeypatch):
+    import liplab.lipschitz as lipschitz
+
+    g = random_regular_graph(20, 3, seed=1)
+    spec = EnsembleSpec("one-point", M=2, v0=0) if mode == "one-point" else EnsembleSpec(
+        "ground-state", M=1, k=0, lam=0.5)
+    want = glauber_samples(g, spec, 2, 300, 7, 40)
+    monkeypatch.setattr(lipschitz, "_GLAUBER_CHUNK", 13)
+    monkeypatch.setattr(lipschitz, "_GLAUBER_SLICE", 5)
+    got = glauber_samples(g, spec, 2, 300, 7, 40)
+    assert (got[0].tolist(), got[1]) == (want[0].tolist(), want[1])
+    assert (want[1] > 0) == (mode == "ground-state")
+
+
 def test_glauber_cli_sample_replays_the_reference_chain(capsys):
     # the `sample` line of CI: Petersen, M = 1, a seed of two 32-bit words; the default
     # schedule is a burn-in of 100 * n * M = 1,000 steps and a thinning of n = 10
@@ -100,4 +139,4 @@ def test_glauber_cli_sample_replays_the_reference_chain(capsys):
     out = capsys.readouterr().out
     assert out == "\n".join(rows) + "\n"
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "5d0e8da58ab07b410f09b241d67769c3016518ae606c2a533bfb981677134486")  # the digest CI pins
+        "e19510531684bbdc8a9efaf921036b0e8e0dc1f8b87c87b06d1c7ae860108262")  # the digest CI pins
