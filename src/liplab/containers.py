@@ -7,32 +7,29 @@ whose defining degree conditions are machine-checked.  Families built this
 way are verified exhaustively at desk scale: every enumerated linked set
 must be approximated by some family member.
 
-Every vertex set here is a mask (bit u set when u is in the set; see
-`graphs.vertex_mask`), from the enumerated X through covers to the pairs
-(S, F); `family_to_json_lines` writes them out as sorted id lists.
+Every vertex set in and out of this module is a mask (bit u set when u is
+in the set; see `graphs.vertex_mask`), from the enumerated X through covers
+to the pairs (S, F); `family_to_json_lines` writes them out as sorted id
+lists.  Inside, a family's sets are the columns of `(n, sets)` boolean
+arrays, one row per vertex, and every step (cover, refinement, checks) runs
+on all columns at once, scanning only the vertices some column can act on.
+`build_mutual_cover`, `refine_to_approx_pair` and `validate_approx_pair`
+are one-column calls into the same routines.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import sys
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigError
 from .expanders import ExpanderProfile
-from .graphs import (
-    DEFAULT_NODE_BUDGET,
-    Graph,
-    is_mutual_cover,
-    iter_rooted_connected_sets,
-    mask_vertices,
-    neighborhood,
-    vertex_mask,
-)
+from .graphs import DEFAULT_NODE_BUDGET, Graph, iter_rooted_connected_sets, mask_vertices
 
 _TOL = 1e-9
 COVER_RETRY_CAP = 64  # sampling attempts per cover
@@ -70,6 +67,48 @@ def enumerate_linked_sets(
 
 
 # ---------------------------------------------------------------------------
+# Vertex sets as columns
+# ---------------------------------------------------------------------------
+
+def _columns(masks: Sequence[int], n: int) -> np.ndarray:
+    """The masks as the columns of an `(n, len(masks))` boolean array: row u
+    holds vertex u's membership in every set."""
+    width = (n + 7) // 8
+    packed = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), dtype=np.uint8)
+    bits = np.unpackbits(packed.reshape(len(masks), width), axis=1, count=n, bitorder="little")
+    return np.ascontiguousarray(bits.T, dtype=bool)
+
+
+def _masks(cols: np.ndarray) -> list[int]:
+    """The columns of an `(n, sets)` boolean array as masks."""
+    width = (cols.shape[0] + 7) // 8
+    raw = np.packbits(cols.T, axis=1, bitorder="little").tobytes()
+    return [int.from_bytes(raw[i:i + width], "little") for i in range(0, len(raw), width)]
+
+
+def _adjacency(g: Graph) -> np.ndarray:
+    """The `(n, d)` table of a regular graph's neighbours, ascending per vertex."""
+    d = g.regular_degree()
+    return np.array([g.neighbors(u) for u in range(g.n)], dtype=np.intp).reshape(g.n, d)
+
+
+def _neighborhoods(adj: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """N(X) of every column X."""
+    return cols[adj].any(axis=1)
+
+
+def _degrees_into(adj: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Per vertex u and column X, |N(u) & X|."""
+    return cols[adj].sum(axis=1, dtype=np.min_scalar_type(adj.shape[1]))
+
+
+def _mutual(adj: np.ndarray, x: np.ndarray, q: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per column, whether X (with N(X) = q) and Y cover each other: X inside
+    Y | N(Y) and Y inside X | N(X)."""
+    return ~((x & ~(y | _neighborhoods(adj, y))) | (y & ~(x | q))).any(axis=0)
+
+
+# ---------------------------------------------------------------------------
 # Mutual covers (randomized construction with retries)
 # ---------------------------------------------------------------------------
 
@@ -81,11 +120,12 @@ class CoverResult:
     attempts: int
 
 
-def cover_size_bound(d: int, lam: float, boundary_size: int) -> float:
-    """Target cover size (7 * log2(4*lam/sqrt(d)) / d) * |N(X)|."""
+def cover_size_bound(d: int, lam: float, boundary_size: int | np.ndarray) -> float | np.ndarray:
+    """Target cover size (7 * log2(4*lam/sqrt(d)) / d) * |N(X)|, elementwise
+    for an array of sizes."""
     ratio = 4.0 * lam / math.sqrt(d)
     if ratio <= 0:
-        return 0.0
+        return 0.0 * boundary_size
     return 7.0 * math.log2(ratio) / d * boundary_size
 
 
@@ -95,6 +135,73 @@ def cover_sampling(d: int, lam: float) -> tuple[float, float]:
     which the rest of the boundary is sampled."""
     ell = (4.0 * lam / math.sqrt(d)) ** 4
     return ell, min(1.0, max(0.0, math.log(ell) / d)) if ell > 1.0 else 0.0
+
+
+def _complete(adj: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Each column's Y grown into a cover of X: every vertex of X outside
+    Y | N(Y), in ascending order, adds its smallest neighbor to the cover and
+    that neighbor's closure to what is covered."""
+    cover = y.copy()
+    covered = y | _neighborhoods(adj, y)
+    for u in np.flatnonzero((x & ~covered).any(axis=1)):  # covered only grows
+        add = x[u] & ~covered[u]
+        low = adj[u, 0]
+        cover[low] |= add
+        covered[low] |= add
+        covered[adj[low]] |= add
+    return cover
+
+
+def _cover_columns(
+    adj: np.ndarray,
+    x: np.ndarray,
+    q: np.ndarray,
+    profile: ExpanderProfile,
+    seeds: Sequence[int],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The covers of every column X (with N(X) = q) as `build_mutual_cover`
+    builds them, column j drawing on `seeds[j]`: the cover columns, the
+    attempts and the met-bound flags per column, and the size bounds.
+
+    Every column makes its first attempt together; retries run in rounds
+    over the columns still drawing.  Only the draw of a sampled pool is per
+    column.
+    """
+    d, lam = profile.d, profile.lam
+    ell, p = cover_sampling(d, lam)
+    pool = q & (_degrees_into(adj, x) < ell)
+    bound = cover_size_bound(d, lam, q.sum(axis=0))
+
+    def draw(cols: np.ndarray, attempt: int) -> np.ndarray:
+        y = np.zeros((x.shape[0], cols.size), dtype=bool)
+        for i, j in enumerate(cols):
+            ids = np.flatnonzero(pool[:, j])
+            # the attempt-th `spawn(1)` of SeedSequence(seeds[j])
+            rng = np.random.default_rng(np.random.SeedSequence(seeds[j], spawn_key=(attempt,)))
+            y[ids[rng.random(ids.size) < p], i] = True
+        return y
+
+    y = pool if p >= 1.0 else np.zeros_like(pool)
+    live = np.flatnonzero(pool.any(axis=0)) if 0.0 < p < 1.0 else np.empty(0, dtype=np.intp)
+    if live.size:
+        y[:, live] = draw(live, 0)
+    best = _complete(adj, x, y)
+    best_size = best.sum(axis=0)
+    attempts = np.ones(x.shape[1], dtype=np.intp)
+    for attempt in range(1, COVER_RETRY_CAP if live.size else 1):
+        # a column's best cover meets the bound once one of its covers has
+        live = live[best_size[live] > bound[live] + _TOL]
+        if not live.size:
+            break
+        cover = _complete(adj, x[:, live], draw(live, attempt))
+        size = cover.sum(axis=0)
+        take = size < best_size[live]  # so also every cover that meets the bound
+        best[:, live[take]] = cover[:, take]
+        best_size[live[take]] = size[take]
+        attempts[live] += 1
+    if not _mutual(adj, x, q, best).all():
+        raise RuntimeError("constructed cover is not mutual; this is a bug")
+    return best, attempts, best_size <= bound + _TOL, bound
 
 
 def build_mutual_cover(
@@ -118,47 +225,14 @@ def build_mutual_cover(
         raise ValueError("X must be nonempty")
     if not profile.matches(g):
         raise ValueError("profile does not match graph")
-    d, lam = profile.d, profile.lam
-    nbr = g.neighbor_masks
-    q = neighborhood(g, x)
-    ell, p = cover_sampling(d, lam)
-    pool = [u for u in mask_vertices(q) if (nbr[u] & x).bit_count() < ell]
-    bound = cover_size_bound(d, lam, q.bit_count())
-    x_vertices = mask_vertices(x)
-
-    # One child stream per attempt, spawned only when needed: the i-th
-    # spawn(1) equals spawn(COVER_RETRY_CAP)[i], at a fraction of the cost.
-    # Without a stream every attempt builds the same cover, so one is built.
-    root = np.random.SeedSequence(seed) if pool and 0.0 < p < 1.0 else None
-    best: int | None = None
-    attempts = 0
-    while attempts < (COVER_RETRY_CAP if root is not None else 1):
-        attempts += 1
-        if root is None:
-            y = vertex_mask(pool) if p >= 1.0 else 0
-        else:
-            keep = np.random.default_rng(root.spawn(1)[0]).random(len(pool)) < p
-            y = vertex_mask(u for u, take in zip(pool, keep) if take)
-        covered = y | neighborhood(g, y)
-        cover = y
-        for u in x_vertices:
-            if not covered >> u & 1:
-                low = nbr[u] & -nbr[u]  # the smallest neighbor of u
-                cover |= low
-                covered |= low | nbr[low.bit_length() - 1]
-        if best is None or cover.bit_count() < best.bit_count():
-            best = cover
-        if cover.bit_count() <= bound + _TOL:
-            best = cover
-            break
-    assert best is not None
-    if not is_mutual_cover(g, x, best):
-        raise RuntimeError("constructed cover is not mutual; this is a bug")
+    adj = _adjacency(g)
+    xc = _columns([x], g.n)
+    cover, attempts, met, bound = _cover_columns(adj, xc, _neighborhoods(adj, xc), profile, [seed])
     return CoverResult(
-        members=best,
-        size_bound=bound,
-        met_bound=best.bit_count() <= bound + _TOL,
-        attempts=attempts,
+        members=_masks(cover)[0],
+        size_bound=float(bound[0]),
+        met_bound=bool(met[0]),
+        attempts=int(attempts[0]),
     )
 
 
@@ -177,23 +251,31 @@ class ApproxPair:
     psi: float
 
 
+def _validate_columns(
+    adj: np.ndarray, x: np.ndarray, q: np.ndarray, s: np.ndarray, f: np.ndarray, psi: float
+) -> dict[str, np.ndarray]:
+    """The three defining conditions of the pair (S, F) of every column,
+    checked against its X (with N(X) = q), one flag per column each."""
+    limit = psi + _TOL
+    outside_f = ~f
+    containment = ~((f & ~q) | (x & ~s)).any(axis=0)
+    s_degree = ~(s & (_degrees_into(adj, outside_f) > limit)).any(axis=0)
+    f_degree = ~(outside_f & (_degrees_into(adj, s) > limit)).any(axis=0)
+    return {
+        "containment": containment,
+        "s_outside_degree": s_degree,
+        "outside_s_degree": f_degree,
+        "ok": containment & s_degree & f_degree,
+    }
+
+
 def validate_approx_pair(g: Graph, pair: ApproxPair, x: int) -> dict:
     """Machine-check the three defining conditions against the witnessed
-    mask X."""
-    nbr = g.neighbor_masks
-    q = neighborhood(g, x)
-    limit = pair.psi + _TOL
-    cond_containment = not (pair.f & ~q or x & ~pair.s)
-    cond_s_degree = all((nbr[u] & ~pair.f).bit_count() <= limit for u in mask_vertices(pair.s))
-    cond_f_degree = all(
-        (nbr[u] & pair.s).bit_count() <= limit for u in range(g.n) if not pair.f >> u & 1
-    )
-    return {
-        "containment": cond_containment,
-        "s_outside_degree": cond_s_degree,
-        "outside_s_degree": cond_f_degree,
-        "ok": cond_containment and cond_s_degree and cond_f_degree,
-    }
+    mask X; G must be regular."""
+    adj = _adjacency(g)
+    xc, s, f = np.split(_columns([x, pair.s, pair.f], g.n), 3, axis=1)
+    checks = _validate_columns(adj, xc, _neighborhoods(adj, xc), s, f, pair.psi)
+    return {name: bool(flags[0]) for name, flags in checks.items()}
 
 
 @dataclass(frozen=True)
@@ -208,6 +290,43 @@ def _check_psi(d: int, psi: float) -> None:
     """Refuse a psi outside [1, d/2], NaN included."""
     if not (1.0 - _TOL <= psi <= d / 2.0 + _TOL):
         raise ConfigError(f"psi must lie in [1, d/2] = [1, {d / 2}], got {psi}")
+
+
+def _refine_columns(
+    adj: np.ndarray, x: np.ndarray, q: np.ndarray, cover: np.ndarray, psi: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The pair (S, F) that `refine_to_approx_pair` refines from each column's
+    cover, as columns, with |H| and |U| per column.  Each greedy phase scans
+    only the vertices that some column could pick: a vertex's count only
+    falls as the phase goes on."""
+    d = adj.shape[1]
+    limit = psi + _TOL
+    f = cover.copy()
+    h_size = np.zeros(x.shape[1], dtype=np.intp)
+    for u in np.flatnonzero((x & (_degrees_into(adj, ~f) > limit)).any(axis=1)):
+        pick = x[u] & (np.count_nonzero(~f[adj[u]], axis=0) > limit)  # every neighbor of an X-vertex lies in Q
+        h_size += pick
+        f[adj[u]] |= pick
+
+    s = _degrees_into(adj, f) >= d - psi - _TOL
+    removed = np.zeros_like(s)
+    u_size = np.zeros_like(h_size)
+    for u in np.flatnonzero((~q & (_degrees_into(adj, s) > limit)).any(axis=1)):
+        pick = ~q[u] & (np.count_nonzero(s[adj[u]] & ~removed[adj[u]], axis=0) > limit)
+        u_size += pick
+        removed[adj[u]] |= pick
+
+    s &= ~removed
+    f |= _degrees_into(adj, s) > limit
+    gsize = q.sum(axis=0)
+    over = (h_size > gsize / psi + _TOL) | (u_size > 2.0 * gsize / psi + _TOL)
+    if over.any():
+        j = int(np.argmax(over))
+        raise RuntimeError(
+            f"greedy sizes |H|={h_size[j]}, |U|={u_size[j]} exceed bounds "
+            f"{gsize[j] / psi}, {2.0 * gsize[j] / psi}; this is a bug"
+        )
+    return s, f, h_size, u_size
 
 
 def refine_to_approx_pair(
@@ -227,48 +346,24 @@ def refine_to_approx_pair(
     The pair itself is not validated here: `build_container_family` checks
     it against X once, and reports the verdict as `covers_all`.
     """
-    d = g.regular_degree()
-    _check_psi(d, psi)
-    if not is_mutual_cover(g, x, cover):
+    _check_psi(g.regular_degree(), psi)
+    adj = _adjacency(g)
+    xc, yc = np.split(_columns([x, cover], g.n), 2, axis=1)
+    q = _neighborhoods(adj, xc)
+    if not _mutual(adj, xc, q, yc)[0]:
         raise ValueError("cover does not mutually cover X")
-    q = neighborhood(g, x)
-    if cover & ~q:
+    if (yc & ~q).any():
         raise ValueError("cover must sit inside N(X)")
-    nbr = g.neighbor_masks
-    gsize = q.bit_count()
-    limit = psi + _TOL
-
-    f_prime = cover
-    h: list[int] = []
-    for u in mask_vertices(x):
-        if (nbr[u] & ~f_prime).bit_count() > limit:  # every neighbor of an X-vertex lies in Q
-            h.append(u)
-            f_prime |= nbr[u]
-
-    s_prime = vertex_mask(u for u in range(g.n) if (nbr[u] & f_prime).bit_count() >= d - psi - _TOL)
-    removed = 0
-    u_list: list[int] = []
-    for u in range(g.n):
-        if not q >> u & 1 and (nbr[u] & s_prime & ~removed).bit_count() > limit:
-            u_list.append(u)
-            removed |= nbr[u]
-
-    s = s_prime & ~removed
-    f = f_prime | vertex_mask(u for u in range(g.n) if (nbr[u] & s).bit_count() > limit)
-
-    pair = ApproxPair(s=s, f=f, psi=psi)
+    s, f, h_size, u_size = _refine_columns(adj, xc, q, yc, psi)
+    gsize = int(q.sum())
+    s_mask, f_mask = _masks(np.hstack([s, f]))
     stats = RefineStats(
-        h_size=len(h),
-        u_size=len(u_list),
+        h_size=int(h_size[0]),
+        u_size=int(u_size[0]),
         h_bound=gsize / psi,
         u_bound=2.0 * gsize / psi,
     )
-    if stats.h_size > stats.h_bound + _TOL or stats.u_size > stats.u_bound + _TOL:
-        raise RuntimeError(
-            f"greedy sizes |H|={stats.h_size}, |U|={stats.u_size} exceed bounds "
-            f"{stats.h_bound}, {stats.u_bound}; this is a bug"
-        )
-    return pair, stats
+    return ApproxPair(s=s_mask, f=f_mask, psi=psi), stats
 
 
 # ---------------------------------------------------------------------------
@@ -308,46 +403,46 @@ def build_container_family(
 ) -> ContainerFamily:
     """Cover-then-refine over every enumerated linked set, deduplicated.
 
-    The covering property is checked exhaustively: each enumerated X is
-    validated once against the pair refined from its cover, and `covers_all`
-    is false if any of them fails (a failed check, not an error).  Each
-    cover gets its own seed stream when covers sample (0 < p < 1); at p = 0
-    or 1 a cover ignores its seed, so none is spawned.
+    Every linked set is a column of the same boolean arrays, so the covers,
+    the refinement and the checks run on all of them at once.  The covering
+    property is checked exhaustively: each enumerated X is validated once
+    against the pair refined from its cover, and `covers_all` is false if any
+    of them fails (a failed check, not an error).  Each cover gets its own
+    seed stream, child i of `SeedSequence(seed).spawn`, when covers sample
+    (0 < p < 1); at p = 0 or 1 a cover ignores its seed, so none is spawned.
+    `stats["cover_attempts"]` sums the covers' attempts.
     """
     _check_psi(profile.d, psi)  # also when no linked set exists
     xs = enumerate_linked_sets(g, v, boundary_size, k, budget=budget)
+    if not profile.matches(g):
+        raise ValueError("profile does not match graph")
     if 0.0 < cover_sampling(profile.d, profile.lam)[1] < 1.0:
         seeds = [int(child.generate_state(1)[0]) for child in np.random.SeedSequence(seed).spawn(len(xs))]
     else:
-        seeds = itertools.repeat(seed)
-    pairs: dict[ApproxPair, None] = {}  # insertion-ordered set: a frozen pair hashes on (s, f, psi)
-    max_h = 0
-    max_u = 0
-    met_cover_bound = 0
-    covers_all = True
-    for x, cover_seed in zip(xs, seeds):
-        cover = build_mutual_cover(g, x, profile, seed=cover_seed)
-        pair, stats = refine_to_approx_pair(g, cover.members, x, psi)
-        pairs.setdefault(pair)
-        covers_all &= validate_approx_pair(g, pair, x)["ok"]
-        max_h = max(max_h, stats.h_size)
-        max_u = max(max_u, stats.u_size)
-        met_cover_bound += 1 if cover.met_bound else 0
+        seeds = [seed] * len(xs)
+    adj = _adjacency(g)
+    x = _columns(xs, g.n)
+    q = _neighborhoods(adj, x)
+    cover, attempts, met, _ = _cover_columns(adj, x, q, profile, seeds)
+    s, f, h_size, u_size = _refine_columns(adj, x, q, cover, psi)
+    covers_all = bool(_validate_columns(adj, x, q, s, f, psi)["ok"].all())
+    # insertion-ordered set of (S, F): psi is the family's own
+    pairs = tuple(ApproxPair(s=sm, f=fm, psi=psi) for sm, fm in dict.fromkeys(zip(_masks(s), _masks(f))))
     exponent = family_bound_exponent(profile.d, profile.lam, k, psi, boundary_size)
-    n_pairs = len(pairs)
-    empirical_c = math.log(n_pairs) / exponent if n_pairs >= 1 and exponent > 0 else None
+    empirical_c = math.log(len(pairs)) / exponent if pairs and exponent > 0 else None
     return ContainerFamily(
         vertex=v,
         boundary_size=boundary_size,
         linkage=k,
         psi=psi,
-        pairs=tuple(pairs),
+        pairs=pairs,
         n_sets=len(xs),
         covers_all=covers_all,
         stats={
-            "max_h": max_h,
-            "max_u": max_u,
-            "covers_meeting_bound": met_cover_bound,
+            "max_h": int(h_size.max(initial=0)),
+            "max_u": int(u_size.max(initial=0)),
+            "covers_meeting_bound": int(met.sum()),
+            "cover_attempts": int(attempts.sum()),
             "bound_exponent": exponent,
             "empirical_constant": empirical_c,
         },

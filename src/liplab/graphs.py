@@ -225,12 +225,6 @@ def neighborhood(g: Graph, x: int) -> int:
     return _union(g.neighbor_masks, x)
 
 
-def is_mutual_cover(g: Graph, x: int, y: int) -> bool:
-    """True iff the mask X is inside the closure of the mask Y and Y is inside
-    the closure of X."""
-    return not (x & ~(y | neighborhood(g, y)) or y & ~(x | neighborhood(g, x)))
-
-
 def ball(g: Graph, center: int, radius: int) -> int:
     """The vertices at graph distance <= radius from `center`, as a mask."""
     if radius < 0:

@@ -6,6 +6,14 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from liplab.containers import (
+    ApproxPair,
+    ContainerFamily,
+    cover_sampling,
+    cover_size_bound,
+    enumerate_linked_sets,
+    family_bound_exponent,
+)
 from liplab.errors import BudgetExceededError
 from liplab.graphs import (
     DEFAULT_NODE_BUDGET,
@@ -14,7 +22,10 @@ from liplab.graphs import (
     complete_graph,
     cycle_graph,
     hypercube_graph,
+    mask_vertices,
+    neighborhood,
     petersen_graph,
+    vertex_mask,
 )
 from liplab.lipschitz import LipschitzFn, enumerate_onepoint, flaw_cap, glauber_site_interval
 
@@ -311,3 +322,99 @@ def is_linked_nx(power, xs):
     """Whether the vertex set X is connected in `power` (a networkx G^k): X is
     k-linked.  The empty set is."""
     return not xs or nx.is_connected(power.subgraph(xs))
+
+
+def is_mutual_cover(g, x, y):
+    """True iff the mask X is inside the closure of the mask Y and Y is inside
+    the closure of X."""
+    return not (x & ~(y | neighborhood(g, y)) or y & ~(x | neighborhood(g, x)))
+
+
+def reference_container_family(g, v, boundary_size, k, psi, profile, seed, budget=DEFAULT_NODE_BUDGET):
+    """`build_container_family` one linked set at a time on Python-int masks:
+    cover, refine and validate each X in turn (the oracle of the column
+    pipeline).  Reads `COVER_RETRY_CAP` at call time, as the library does."""
+    from liplab import containers
+
+    tol = 1e-9
+    d, lam = profile.d, profile.lam
+    nbr = g.neighbor_masks
+    limit = psi + tol
+    xs = enumerate_linked_sets(g, v, boundary_size, k, budget=budget)
+    ell, p = cover_sampling(d, lam)
+    if 0.0 < p < 1.0:
+        seeds = [int(child.generate_state(1)[0]) for child in np.random.SeedSequence(seed).spawn(len(xs))]
+    else:
+        seeds = [seed] * len(xs)
+    pairs = {}
+    max_h = max_u = met_bound = total_attempts = 0
+    covers_all = True
+    for x, cover_seed in zip(xs, seeds):
+        # the cover: sampled pool, then the smallest neighbour of each uncovered X-vertex
+        q = neighborhood(g, x)
+        pool = [u for u in mask_vertices(q) if (nbr[u] & x).bit_count() < ell]
+        bound = cover_size_bound(d, lam, q.bit_count())
+        root = np.random.SeedSequence(cover_seed) if pool and 0.0 < p < 1.0 else None
+        best, attempts = None, 0
+        while attempts < (containers.COVER_RETRY_CAP if root is not None else 1):
+            attempts += 1
+            if root is None:
+                y = vertex_mask(pool) if p >= 1.0 else 0
+            else:
+                keep = np.random.default_rng(root.spawn(1)[0]).random(len(pool)) < p
+                y = vertex_mask(u for u, take in zip(pool, keep) if take)
+            covered = y | neighborhood(g, y)
+            cover = y
+            for u in mask_vertices(x):
+                if not covered >> u & 1:
+                    low = nbr[u] & -nbr[u]
+                    cover |= low
+                    covered |= low | nbr[low.bit_length() - 1]
+            if best is None or cover.bit_count() < best.bit_count():
+                best = cover
+            if cover.bit_count() <= bound + tol:
+                best = cover
+                break
+        assert is_mutual_cover(g, x, best)
+        total_attempts += attempts
+        met_bound += best.bit_count() <= bound + tol
+        # the refinement: greedy H inside X, then greedy U outside N(X)
+        f_prime, h = best, 0
+        for u in mask_vertices(x):
+            if (nbr[u] & ~f_prime).bit_count() > limit:
+                h += 1
+                f_prime |= nbr[u]
+        s_prime = vertex_mask(u for u in range(g.n) if (nbr[u] & f_prime).bit_count() >= d - psi - tol)
+        removed, u_count = 0, 0
+        for u in range(g.n):
+            if not q >> u & 1 and (nbr[u] & s_prime & ~removed).bit_count() > limit:
+                u_count += 1
+                removed |= nbr[u]
+        s = s_prime & ~removed
+        f = f_prime | vertex_mask(u for u in range(g.n) if (nbr[u] & s).bit_count() > limit)
+        gsize = q.bit_count()
+        assert h <= gsize / psi + tol and u_count <= 2.0 * gsize / psi + tol
+        pairs.setdefault(ApproxPair(s=s, f=f, psi=psi))
+        max_h, max_u = max(max_h, h), max(max_u, u_count)
+        # the three defining conditions
+        covers_all &= (not (f & ~q or x & ~s)
+                       and all((nbr[u] & ~f).bit_count() <= limit for u in mask_vertices(s))
+                       and all((nbr[u] & s).bit_count() <= limit for u in range(g.n) if not f >> u & 1))
+    exponent = family_bound_exponent(d, lam, k, psi, boundary_size)
+    return ContainerFamily(
+        vertex=v,
+        boundary_size=boundary_size,
+        linkage=k,
+        psi=psi,
+        pairs=tuple(pairs),
+        n_sets=len(xs),
+        covers_all=covers_all,
+        stats={
+            "max_h": max_h,
+            "max_u": max_u,
+            "covers_meeting_bound": met_bound,
+            "cover_attempts": total_attempts,
+            "bound_exponent": exponent,
+            "empirical_constant": math.log(len(pairs)) / exponent if pairs and exponent > 0 else None,
+        },
+    )

@@ -5,9 +5,12 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import liplab.containers as containers
 from liplab.containers import (
+    COVER_RETRY_CAP,
     ApproxPair,
     build_container_family,
     build_mutual_cover,
@@ -25,13 +28,18 @@ from liplab.expanders import ExpanderProfile, asserted_profile, exhaustive_lambd
 from liplab.graphs import (
     cycle_graph,
     is_k_linked,
-    is_mutual_cover,
     mask_vertices,
     petersen_graph,
     random_regular_graph,
     vertex_mask,
 )
-from tests.conftest import is_linked_nx, nx_power, set_neighborhood
+from tests.conftest import (
+    is_linked_nx,
+    is_mutual_cover,
+    nx_power,
+    reference_container_family,
+    set_neighborhood,
+)
 
 
 def brute_linked_sets(g, v, boundary_size, k):
@@ -220,19 +228,104 @@ def test_cover_without_draws_matches_eager_spawn(monkeypatch, lam, p, met):
 
 @pytest.mark.parametrize("boundary_size, n_sets", [(0, 0), (3, 1), (11, 84)])
 def test_family_cover_seeds_are_the_spawned_children(boundary_size, n_sets, monkeypatch):
-    # 0 < p < 1, so each linked set's cover draws on child i of SeedSequence(seed).spawn
+    # 0 < p < 1, so each linked set's cover draws on child i of SeedSequence(seed).spawn,
+    # and set i's cover is the one `build_mutual_cover` builds on that child seed
     g = random_regular_graph(18, 3, seed=1)
     prof = asserted_profile(g, 1.1 * np.sqrt(3) / 4)
-    seeds = []
+    calls = []
+    cover_columns = containers._cover_columns
 
-    def cover(g, x, profile, seed):
-        seeds.append(seed)
-        return build_mutual_cover(g, x, profile, seed)
+    def spy(adj, x, q, profile, seeds):
+        result = cover_columns(adj, x, q, profile, seeds)
+        calls.append((x, list(seeds), result))
+        return result
 
-    monkeypatch.setattr(containers, "build_mutual_cover", cover)
+    monkeypatch.setattr(containers, "_cover_columns", spy)
     fam = build_container_family(g, 0, boundary_size, 1, 1.0, prof, seed=7)
+    monkeypatch.undo()
     assert fam.n_sets == n_sets
-    assert seeds == [child.generate_state(1)[0].item() for child in np.random.SeedSequence(7).spawn(n_sets)]
+    ((x, seeds, (covers, attempts, met, _)),) = calls
+    children = [child.generate_state(1)[0].item() for child in np.random.SeedSequence(7).spawn(n_sets)]
+    assert seeds == children
+    xs = enumerate_linked_sets(g, 0, boundary_size, 1)
+    assert containers._masks(x) == xs
+    assert [(cover, int(tries), bool(hit)) for cover, tries, hit in
+            zip(containers._masks(covers), attempts, met)] == [
+        (res.members, res.attempts, res.met_bound)
+        for res in (build_mutual_cover(g, x, prof, seed=child) for x, child in zip(xs, children))]
+
+
+# ---------------------------------------------------------------------------
+# The column pipeline against the per-set reference
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_family_matches_the_per_set_reference(data):
+    # every vertex of a random RR(n, d), spectral lam (p = 1), a lam below
+    # sqrt(d)/4 (p = 0) or one that samples (0 < p < 1) and retries
+    d = data.draw(st.sampled_from([3, 4]), label="d")
+    n = data.draw(st.integers(d + 1, 20).filter(lambda n: n * d % 2 == 0), label="n")
+    g = random_regular_graph(n, d, seed=data.draw(st.integers(0, 100), label="graph seed"))
+    source = data.draw(st.sampled_from(["spectral", "p = 0", "0 < p < 1"]), label="lambda")
+    if source == "spectral":
+        prof = spectral_lambda(g)
+    else:
+        # 4*lam/sqrt(d) = ratio: p = 4 ln(ratio)/d, and near 1 the size bound is small enough to retry
+        ratio = 0.5 if source == "p = 0" else data.draw(st.floats(1.05, 1.6), label="ratio")
+        prof = asserted_profile(g, ratio * np.sqrt(d) / 4)
+    k = data.draw(st.sampled_from([1, 2, 4]), label="k")
+    boundary_size = data.draw(st.integers(d, d + 5), label="boundary size")  # no linked set below d
+    seed = data.draw(st.integers(0, 2**32), label="seed")
+    for v in range(n):
+        for psi in (1.0, d / 2):
+            assert build_container_family(g, v, boundary_size, k, psi, prof, seed) == reference_container_family(
+                g, v, boundary_size, k, psi, prof, seed)
+
+
+def test_family_matches_the_reference_when_covers_retry():
+    # lam = 0.48 samples at p ~ 0.14: 24 of the 84 sets never meet the bound,
+    # so each of them makes every attempt
+    g = random_regular_graph(18, 3, seed=1)
+    prof = asserted_profile(g, 0.48)
+    assert 0.0 < containers.cover_sampling(3, 0.48)[1] < 1.0
+    fam = build_container_family(g, 0, 11, 1, 1.0, prof, seed=7)
+    assert fam == reference_container_family(g, 0, 11, 1, 1.0, prof, seed=7)
+    assert (fam.n_sets, fam.stats["covers_meeting_bound"]) == (84, 60)
+    assert fam.stats["cover_attempts"] > 24 * COVER_RETRY_CAP
+
+
+@pytest.mark.parametrize("lam, p", [(None, 1.0), (0.3, 0.0)])
+def test_family_matches_the_reference_without_draws(lam, p):
+    g = random_regular_graph(18, 3, seed=1)
+    prof = spectral_lambda(g) if lam is None else asserted_profile(g, lam)
+    assert containers.cover_sampling(3, prof.lam)[1] == p
+    fam = build_container_family(g, 0, 10, 4, 1.5, prof, seed=7)
+    assert fam == reference_container_family(g, 0, 10, 4, 1.5, prof, seed=7)
+    assert fam.n_sets == fam.stats["cover_attempts"] == 564
+
+
+def test_empty_family_matches_the_reference():
+    g = random_regular_graph(18, 3, seed=1)
+    prof = asserted_profile(g, 0.48)
+    fam = build_container_family(g, 0, 0, 1, 1.0, prof, seed=7)
+    assert fam == reference_container_family(g, 0, 0, 1, 1.0, prof, seed=7)
+    assert (fam.n_sets, fam.pairs, fam.covers_all, fam.stats["cover_attempts"]) == (0, (), True, 0)
+
+
+@pytest.mark.parametrize("g, v, boundary_size, n_sets", [
+    (random_regular_graph(63, 4, seed=1), 62, 14, 69),
+    (random_regular_graph(64, 3, seed=1), 63, 14, 241),
+    (random_regular_graph(65, 4, seed=1), 64, 14, 49),
+    (cycle_graph(100), 0, 70, 68),  # arcs through 0 that wrap past 99
+], ids=["RR63", "RR64", "RR65", "C100"])
+def test_family_matches_the_reference_across_byte_and_word_boundaries(g, v, boundary_size, n_sets):
+    prof = spectral_lambda(g)
+    fam = build_container_family(g, v, boundary_size, 1, 1.0, prof, seed=3)
+    assert fam == reference_container_family(g, v, boundary_size, 1, 1.0, prof, seed=3)
+    assert fam.n_sets == n_sets
+    xs = enumerate_linked_sets(g, v, boundary_size, 1)
+    assert containers._masks(containers._columns(xs, g.n)) == xs
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +406,8 @@ def test_rejected_pairs_are_a_failed_check_not_a_crash(monkeypatch, capsys):
     from liplab.cli import main
     from liplab.experiments import run_verify_suite
 
-    monkeypatch.setattr(containers, "validate_approx_pair", lambda g, pair, x: {"ok": False})
+    monkeypatch.setattr(containers, "_validate_columns",
+                        lambda adj, x, q, s, f, psi: {"ok": np.zeros(x.shape[1], dtype=bool)})
     petersen = petersen_graph()
     fam = build_container_family(petersen, 0, 8, 4, 1.0, exhaustive_lambda(petersen), seed=3)
     assert fam.n_sets == 78 and not fam.covers_all
@@ -409,24 +503,31 @@ def test_count_report_past_the_largest_float():
 # sha256 of `liplab containers` stdout and family.jsonl on RR(18,3) at vertex
 # 0, g = 10, k = 4, seed 7, recorded with the frozenset pipeline.  Spectral
 # lam gives p = 1; lam = 0.48 gives p ~ 0.14, so the sampled covers retry.
+# The stdout digests are of the report without `stats.cover_attempts`, which
+# came later; the last value is that count.
 CONTAINERS_DIGESTS = {
     "spectral": ("b6455c2d3d30a4f03c793befa21848576501882b88c9046474c7f48b941968cd",
-                 "8b48c742ab80b049dd7cfdd11a1e4bac0d4af56f393240d6980ec905f6ec3983"),
+                 "8b48c742ab80b049dd7cfdd11a1e4bac0d4af56f393240d6980ec905f6ec3983", 564),
     "0.48": ("779685979c6f3bee6cab05f740be1622ae60a0a436470a7723e8e1cc3231c5f3",
-             "a1463c3b6a6c4d294937966f9e8e2975057135211460917486f92561521a87c0"),
+             "a1463c3b6a6c4d294937966f9e8e2975057135211460917486f92561521a87c0", 7950),
 }
 
 
 @pytest.mark.parametrize("lam", sorted(CONTAINERS_DIGESTS))
 def test_cli_containers_pinned(lam, tmp_path, capsys):
     from liplab.cli import main
+    from liplab.experiments import report_json
 
     graph = '{"family":"random-regular","n":18,"d":3,"seed":1}'
     assert main(["containers", "--graph", graph, "--vertex", "0", "--boundary-size", "10",
                  "--linkage", "4", "--seed", "7", "--lambda-source", lam, "--out", str(tmp_path)]) == 0
-    stdout = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    out = capsys.readouterr().out
+    report = json.loads(out)
+    attempts = report["stats"].pop("cover_attempts")
+    assert report_json({**report, "stats": {**report["stats"], "cover_attempts": attempts}}) == out
+    stdout = hashlib.sha256(report_json(report).encode()).hexdigest()
     family = hashlib.sha256((tmp_path / "family.jsonl").read_bytes()).hexdigest()
-    assert (stdout, family) == CONTAINERS_DIGESTS[lam]
+    assert (stdout, family, attempts) == CONTAINERS_DIGESTS[lam]
 
 
 def test_cli_containers_refuses_degree_0(capsys):

@@ -16,7 +16,6 @@ from liplab.graphs import (
     generate,
     hypercube_graph,
     is_k_linked,
-    is_mutual_cover,
     iter_rooted_connected_sets,
     linked_component_containing,
     linked_layers,
@@ -29,7 +28,7 @@ from liplab.graphs import (
     vertex_mask,
     wired_tree_graph,
 )
-from tests.conftest import is_linked_nx, nx_distances, nx_power, path_graph
+from tests.conftest import is_linked_nx, is_mutual_cover, nx_distances, nx_power, path_graph
 
 
 # ---------------------------------------------------------------------------

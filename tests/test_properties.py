@@ -22,7 +22,6 @@ from liplab.graphs import (
     cycle_graph,
     hypercube_graph,
     is_k_linked,
-    is_mutual_cover,
     linked_component_containing,
     linked_layers,
     mask_vertices,
@@ -31,7 +30,7 @@ from liplab.graphs import (
     vertex_mask,
 )
 from liplab.lipschitz import EnsembleSpec, LipschitzFn, count_onepoint, enumerate_onepoint, flaw_cap
-from tests.conftest import brute_members
+from tests.conftest import brute_members, is_mutual_cover
 from tests.test_containers import brute_linked_sets, vertex_sets
 from tests.test_lipschitz import assert_sweep_matches_reference
 
