@@ -87,9 +87,10 @@ def _masks(cols: np.ndarray) -> list[int]:
 
 
 def _adjacency(g: Graph) -> np.ndarray:
-    """The `(n, d)` table of a regular graph's neighbours, ascending per vertex."""
-    d = g.regular_degree()
-    return np.array([g.neighbors(u) for u in range(g.n)], dtype=np.intp).reshape(g.n, d)
+    """The `(n, d)` table of a regular graph's neighbours, ascending per
+    vertex: `Graph.neighbor_table`, which pads no row when every degree is d."""
+    g.regular_degree()  # a graph that is not regular raises here
+    return g.neighbor_table
 
 
 def _neighborhoods(adj: np.ndarray, cols: np.ndarray) -> np.ndarray:

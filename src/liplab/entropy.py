@@ -10,7 +10,8 @@ per pmf: marginals are axis sums over the stack, and every entropy, marginal
 or conditional, is a sum of cell terms -p(x,y) log2(p(x,y)/p(y)).  A pmf
 keeps a stack of one row, with its marginals and entropies cached; the
 property suite stacks a whole list of pmfs and checks them in one pass per
-coordinate block.
+coordinate block, and `shearer_rows` checks the cover inequality on a whole
+list the same way (`shearer_check` is its one-row form).
 """
 
 from __future__ import annotations
@@ -159,6 +160,24 @@ class _Stack:
         return h
 
 
+def _stack_of(pmfs) -> _Stack:
+    """One stack of the tables of a nonempty iterable of pmfs with equal
+    support sizes, keeping only their tables; raises ValueError past
+    MAX_TABLE_CELLS."""
+    tables = [p.table for p in pmfs]
+    shape = tables[0].shape
+    if any(t.shape != shape for t in tables):
+        sizes = sorted({t.shape for t in tables})
+        raise ValueError(f"pmfs checked together need equal support sizes, got {sizes}")
+    cells = len(tables) * math.prod(shape)
+    if cells > MAX_TABLE_CELLS:
+        raise ValueError(
+            f"{len(tables)} pmfs of shape {shape} stack to {cells} table cells, "
+            f"over MAX_TABLE_CELLS = {MAX_TABLE_CELLS}"
+        )
+    return _Stack(np.stack(tables))
+
+
 def entropy(p: JointPmf, coords) -> float:
     """Marginal entropy H(X_coords) in bits (0 log 1/0 = 0)."""
     coords = _sorted_coords(p, coords, "coords")
@@ -212,22 +231,12 @@ def _random_tables(seeds: list, tables: list[tuple]) -> list[np.ndarray]:
 
 def _row_reports(pmfs: list[JointPmf], seeds: list) -> list[dict]:
     """The report of each pmf, checked together; see `check_entropy_properties`."""
-    shape = pmfs[0].table.shape
-    n = len(shape)
+    n = pmfs[0].n_coords
     if n > 4:
         raise ValueError("property sweep is exhaustive over subsets; use <= 4 coordinates")
-    if any(p.table.shape != shape for p in pmfs):
-        sizes = sorted({p.table.shape for p in pmfs})
-        raise ValueError(f"pmfs checked together need equal support sizes, got {sizes}")
     if len(seeds) != len(pmfs):
         raise ValueError(f"need one seed per pmf, got {len(seeds)} seeds for {len(pmfs)} pmfs")
-    cells = len(pmfs) * math.prod(shape)
-    if cells > MAX_TABLE_CELLS:
-        raise ValueError(
-            f"{len(pmfs)} pmfs of shape {shape} stack to {cells} table cells, "
-            f"over MAX_TABLE_CELLS = {MAX_TABLE_CELLS}"
-        )
-    stack = _Stack(np.stack([p.table for p in pmfs]))
+    stack = _stack_of(pmfs)
     H, tol = stack.entropy, ENTROPY_TOL
     batch = len(pmfs)
     nonempty = [tuple(c) for r in range(1, n + 1) for c in itertools.combinations(range(n), r)]
@@ -382,21 +391,44 @@ class CoverWeights:
                 raise ValueError(f"coordinate {i} has cover weight {tot}, want 1")
 
 
+def _shearer_sides(stack: _Stack, cw: CoverWeights) -> tuple[np.ndarray, np.ndarray, list[tuple]]:
+    """Shearer's two sides on every row of `stack`: the total entropy, the
+    weighted sum of the conditional block entropies, and per block of
+    positive weight its (set, weight, given, conditional entropy), each
+    entropy one value per row."""
+    n = len(stack.shape)
+    cw.validate_for(n)
+    if not n:
+        raise ValueError("coords must be nonempty")
+    order = set(cw.order)
+    rhs = np.zeros(len(stack.table))
+    terms = []
+    for s, w in zip(cw.sets, cw.weights):
+        if w == 0:
+            continue
+        pred = tuple(i for i in range(n) if all((i, a) in order for a in s))
+        h = stack.entropy(tuple(sorted(s)), pred)
+        rhs += w * h
+        terms.append((sorted(s), w, pred, h))
+    return stack.entropy(tuple(range(n))), rhs, terms
+
+
+def shearer_rows(pmfs, cw: CoverWeights) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`shearer_check` on every pmf of a nonempty iterable with equal support
+    sizes, in one pass over their stacked tables: the left sides, the right
+    sides and the verdicts, one entry per pmf."""
+    lhs, rhs, _ = _shearer_sides(_stack_of(pmfs), cw)
+    return lhs, rhs, lhs <= rhs + ENTROPY_TOL
+
+
 def shearer_check(p: JointPmf, cw: CoverWeights) -> dict:
     """Total entropy versus the weighted sum of conditional block entropies.
 
     The right side conditions each block on the coordinates that precede all
     of it in the partial order; the inequality holds for every valid cover.
+    The pmf's one-row stack goes through the same terms as `shearer_rows`.
     """
-    cw.validate_for(p.n_coords)
-    lhs = entropy(p, range(p.n_coords))
-    rhs = 0.0
-    terms = []
-    for s, w in zip(cw.sets, cw.weights):
-        if w == 0:
-            continue
-        pred = tuple(i for i in range(p.n_coords) if all((i, a) in set(cw.order) for a in s))
-        h = conditional_entropy(p, tuple(s), pred)
-        rhs += w * h
-        terms.append({"set": sorted(s), "weight": w, "given": pred, "term": h})
-    return {"lhs": lhs, "rhs": rhs, "pass": lhs <= rhs + ENTROPY_TOL, "terms": terms}
+    lhs, rhs, terms = _shearer_sides(p._stack, cw)
+    lhs, rhs = float(lhs[0]), float(rhs[0])
+    return {"lhs": lhs, "rhs": rhs, "pass": lhs <= rhs + ENTROPY_TOL,
+            "terms": [{"set": s, "weight": w, "given": pred, "term": float(h[0])} for s, w, pred, h in terms]}

@@ -37,8 +37,8 @@ from .flaws import (
     boundary_ordering,
     check_boundary_ordering,
     conditional_tail_profile,
-    core_within_cluster_interior,
-    flaw_decomposition,
+    core_closure_escapes,
+    decompose_rows,
     tail_hypotheses,
     tail_rows,
     tail_verdict,
@@ -70,7 +70,7 @@ from .lipschitz import (
     glauber_samples,
     glauber_site_interval,
     member_batches,
-    min_ground_state,
+    min_ground_states,
     sample_exact,
 )
 
@@ -515,15 +515,13 @@ def run_range_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
     extra = None
     if cfg.dump_flaws:
-        lines = []
-        for i, values in enumerate(samples.tolist()):
-            f = LipschitzFn(tuple(values), cfg.M)
-            anchor = max(range(g.n), key=values.__getitem__)
-            base = min_ground_state(g, f, profile.lam)
-            dec = flaw_decomposition(g, f, anchor, base)
-            lines.append(json.dumps({"sample_id": i, "anchor": anchor, "base": base,
-                                     "cluster": mask_vertices(dec.cluster), "core": mask_vertices(dec.core)},
-                                    sort_keys=True) + "\n")
+        # each sample's anchor is its first highest vertex, and its base its smallest ground state
+        anchors = samples.argmax(axis=1)
+        bases = min_ground_states(g, samples, cfg.M, profile.lam)
+        cluster, core = decompose_rows(g, samples, cfg.M, anchors, bases)
+        lines = [json.dumps({"sample_id": i, "anchor": anchor, "base": base, "cluster": np.flatnonzero(c).tolist(),
+                             "core": np.flatnonzero(k).tolist()}, sort_keys=True) + "\n"
+                 for i, (anchor, base, c, k) in enumerate(zip(anchors.tolist(), bases.tolist(), cluster, core))]
         extra = {"flaws.jsonl": "".join(lines)}
 
     return ExperimentResult(
@@ -790,17 +788,20 @@ def check_tail_inequality(sg: SuiteGraph, ctx: VerifyContext) -> list[dict]:
 
 
 def check_core_closure(sg: SuiteGraph, ctx: VerifyContext) -> list[dict]:
-    """Flaw-structure fuzz: the closure of the core stays inside the cluster."""
+    """Flaw-structure fuzz: the closure of the core stays inside the cluster.
+    Every case is a row of one batch: M uniform on {1, 2, 3}, a random
+    M-Lipschitz function, a uniform anchor and the base that puts the anchor
+    exactly at the core threshold.  The witness is the first failing case."""
     g, rng, cases = sg.g, ctx.rng, 200 * ctx.fuzz_scale
+    ms = rng.integers(1, 4, size=cases)
+    vals = _random_lipschitz_rows(g, ms, rng)
+    anchors = rng.integers(0, g.n, size=cases)
+    bases = vals[np.arange(cases), anchors] - 2 * ms - 2
+    bad = core_closure_escapes(g, *decompose_rows(g, vals, ms, anchors, bases))
     failure = None
-    for _ in range(cases):
-        m = int(rng.integers(1, 4))
-        f = _random_lipschitz(g, m, rng)
-        anchor = int(rng.integers(0, g.n))
-        base = f.values[anchor] - 2 * m - 2
-        if not core_within_cluster_interior(flaw_decomposition(g, f, anchor, base), g):
-            failure = [{"values": list(f.values), "anchor": anchor, "base": base}]
-            break
+    if bad.any():
+        i = int(bad.argmax())
+        failure = [{"values": vals[i].tolist(), "anchor": int(anchors[i]), "base": int(bases[i])}]
     return [_verdict("core-closure", sg.name, failure is None, failure, cases=cases)]
 
 
@@ -873,18 +874,18 @@ def check_entropy(ctx: VerifyContext) -> list[dict]:
 
 
 def check_cover_inequality(ctx: VerifyContext) -> list[dict]:
-    """Shearer's fractional-cover inequality on random pmfs, then on the XOR triple."""
-    from .entropy import CoverWeights, JointPmf, shearer_check
+    """Shearer's fractional-cover inequality on random pmfs, checked as one
+    stack, then on the XOR triple."""
+    from .entropy import CoverWeights, JointPmf, shearer_check, shearer_rows
 
     cw = CoverWeights((frozenset({0, 1}), frozenset({0, 2}), frozenset({1, 2})), (0.5, 0.5, 0.5), frozenset())
-    fail, n_pmfs = None, 0
-    for s in range(150 * ctx.fuzz_scale):
-        verdict = shearer_check(JointPmf.random([(0, 1), (0, 1), (0, 1)], seed=ctx.seed * 100_000 + s), cw)
-        n_pmfs += 1
-        if not verdict["pass"]:
-            fail = {"seed": s, "lhs": verdict["lhs"], "rhs": verdict["rhs"]}
-            break
-    if fail is None:
+    seeds = range(ctx.seed * 100_000, ctx.seed * 100_000 + 150 * ctx.fuzz_scale)
+    lhs, rhs, ok = shearer_rows((JointPmf.random([(0, 1), (0, 1), (0, 1)], seed=seed) for seed in seeds), cw)
+    fail, n_pmfs = None, len(seeds)
+    if not ok.all():
+        s = int(ok.argmin())
+        fail, n_pmfs = {"seed": s, "lhs": float(lhs[s]), "rhs": float(rhs[s])}, s + 1
+    else:
         xor_cover = CoverWeights((frozenset({0, 1}), frozenset({2})), (1.0, 1.0), frozenset())
         verdict = shearer_check(JointPmf.xor_triple(), xor_cover)
         n_pmfs += 1
@@ -1018,17 +1019,42 @@ def _random_linked_set(g: Graph, rng: np.random.Generator) -> int:
     return s
 
 
-def _random_lipschitz(g: Graph, M: int, rng: np.random.Generator) -> LipschitzFn:
-    """Breadth-first random assignment, restarted on dead ends; a vertex not
-    yet assigned holds None."""
-    order = bfs_order(g, int(rng.integers(0, g.n)))
-    while True:
-        vals = [None] * g.n
-        for v in order:
-            near = [vals[u] for u in g.neighbors(v) if vals[u] is not None]
-            lo, hi = (max(near) - M, min(near) + M) if near else (-M, M)
-            if lo > hi:
+def _random_lipschitz_rows(g: Graph, ms, rng: np.random.Generator) -> np.ndarray:
+    """One random M-Lipschitz function per entry M of `ms`, as the rows of an
+    int64 value array.  A row walks breadth first from a uniform root, and
+    each vertex is uniform on [max - M, min + M] over its assigned neighbours
+    ([-M, M] at the root); a row that meets an empty interval starts over
+    from its root.  One `integers` call per walk position serves every row
+    still walking, and each row's bounds live in `(rows, n)` arrays that a
+    vertex's value tightens at its neighbours in one scatter."""
+    ms = np.asarray(ms, dtype=np.int64)
+    rows, n, table = len(ms), g.n, g.neighbor_table
+    roots, inverse = np.unique(rng.integers(0, n, size=rows), return_inverse=True)
+    orders = np.array([bfs_order(g, r) for r in roots.tolist()], dtype=np.intp).reshape(-1, n)[inverse]
+    vals = np.empty((rows, n), dtype=np.int64)
+    todo = np.arange(rows)
+    while len(todo):  # the rows still to draw, each from its root
+        m, order, walking = ms[todo], orders[todo], np.arange(len(todo))
+        lo = np.full((len(todo), n), np.iinfo(np.int64).min)
+        hi = np.full((len(todo), n), np.iinfo(np.int64).max)
+        lo[walking, order[:, 0]], hi[walking, order[:, 0]] = -m, m
+        for i in range(n):
+            v = order[walking, i]
+            a, b = lo[walking, v], hi[walking, v]
+            keep = a <= b
+            walking, v, a, b = walking[keep], v[keep], a[keep], b[keep]
+            if not len(walking):
                 break
-            vals[v] = int(rng.integers(lo, hi + 1))
-        else:
-            return LipschitzFn(tuple(vals), M)
+            x = rng.integers(a, b + 1)
+            vals[todo[walking], v] = x
+            nbrs = table[v]
+            at = walking[:, None]
+            lo[at, nbrs] = np.maximum(lo[at, nbrs], (x - m[walking])[:, None])
+            hi[at, nbrs] = np.minimum(hi[at, nbrs], (x + m[walking])[:, None])
+        todo = np.delete(todo, walking)
+    return vals
+
+
+def _random_lipschitz(g: Graph, M: int, rng: np.random.Generator) -> LipschitzFn:
+    """One row of `_random_lipschitz_rows`, as a `LipschitzFn`."""
+    return LipschitzFn(tuple(_random_lipschitz_rows(g, [M], rng)[0].tolist()), M)

@@ -2,8 +2,10 @@
 
 For a window base k, the `cluster` is the 2-linked component of the vertices
 valued at least k+M+1 through the probe vertex, and the `core` is the
-4-linked component of those valued at least k+2M+2; both are vertex masks
-(see `graphs`).  The core's closure always sits inside the cluster, which the
+4-linked component of those valued at least k+2M+2.  `decompose_rows`
+finds both for every row of a value array at once, as `(rows, n)` boolean
+arrays; `flaw_decomposition` is its one-row form, with vertex masks (see
+`graphs`).  The core's closure always sits inside the cluster, which the
 fuzz suites re-check on every sampled function.  Fluctuations below the
 window are those above it of the reflection f -> -f + k + M, so they need
 no code of their own.
@@ -23,7 +25,6 @@ from .graphs import (
     Graph,
     ball,
     is_k_linked,
-    linked_component_containing,
     linked_layers,
     mask_vertices,
     neighborhood,
@@ -53,30 +54,78 @@ class FlawDecomposition:
     core_threshold: int
 
 
+def _grow(table: np.ndarray, rows: np.ndarray, steps: int) -> np.ndarray:
+    """Every row's set grown by `steps` closures through `table` (see
+    `Graph.neighbor_table`): the vertices within distance `steps` of it."""
+    for _ in range(steps):
+        rows = rows | rows[:, table].any(axis=2)
+    return rows
+
+
+def _linked_rows(table: np.ndarray, ys: np.ndarray, k: int, start: np.ndarray) -> np.ndarray:
+    """Per row, the k-linked component of the row's set in `ys` that holds
+    the row's `start` vertex (nothing when that vertex is not in the set),
+    grown breadth first: each layer is k gathers, and the walk stops when
+    no row has a new vertex."""
+    reached = layer = start & ys
+    while layer.any():
+        layer = _grow(table, layer, k) & ys & ~reached
+        reached |= layer
+    return reached
+
+
+def decompose_rows(g: Graph, vals: np.ndarray, M, anchors, bases) -> tuple[np.ndarray, np.ndarray]:
+    """The cluster and the core of every row of the value array `vals`,
+    each row with its own anchor, window base and M (a scalar serves every
+    row), as two `(rows, n)` boolean arrays.
+
+    The thresholds are `base + M + 1` and `base + 2M + 2`; an object array
+    of Python ints (values or bases past int64) goes through the same
+    comparisons.  Both components grow from the anchors together, layer by
+    layer, by gathers through the graph's neighbour table."""
+    rows = len(vals)
+    bases = np.asarray(bases)
+    start = np.zeros((rows, g.n), dtype=bool)
+    start[np.arange(rows), anchors] = True
+    table = g.neighbor_table
+    cluster = _linked_rows(table, vals >= (bases + M + 1)[:, None], CLUSTER_LINKAGE, start)
+    core = _linked_rows(table, vals >= (bases + 2 * M + 2)[:, None], CORE_LINKAGE, start)
+    return cluster, core
+
+
+def _row_mask(row: np.ndarray) -> int:
+    return vertex_mask(np.flatnonzero(row).tolist())
+
+
 def flaw_decomposition(g: Graph, f: LipschitzFn, anchor: int, base: int = 0) -> FlawDecomposition:
-    """Split f's upward fluctuation through `anchor` into cluster and core."""
+    """Split f's upward fluctuation through `anchor` into cluster and core:
+    one row of `decompose_rows`."""
     if not (0 <= anchor < g.n):
         raise ConfigError(f"invalid anchor vertex {anchor}")
     m = f.M
-    t_cluster = base + m + 1
-    t_core = base + 2 * m + 2
-    above_cluster = vertex_mask(v for v in range(g.n) if f.values[v] >= t_cluster)
-    above_core = vertex_mask(v for v in range(g.n) if f.values[v] >= t_core)
-    cluster = linked_component_containing(g, above_cluster, CLUSTER_LINKAGE, anchor)
-    core = linked_component_containing(g, above_core, CORE_LINKAGE, anchor)
+    # as Python ints, the values and the base compare exactly at any size
+    cluster, core = decompose_rows(g, np.array([f.values], dtype=object), m, [anchor], np.array([base], dtype=object))
     return FlawDecomposition(
         anchor=anchor,
         base=base,
         M=m,
-        cluster=cluster,
-        core=core,
-        cluster_threshold=t_cluster,
-        core_threshold=t_core,
+        cluster=_row_mask(cluster[0]),
+        core=_row_mask(core[0]),
+        cluster_threshold=base + m + 1,
+        core_threshold=base + 2 * m + 2,
     )
 
 
+def core_closure_escapes(g: Graph, cluster: np.ndarray, core: np.ndarray) -> np.ndarray:
+    """Per row of two `(rows, n)` boolean arrays, whether the closure of the
+    core (the core and its neighbours) leaves the cluster: one gather and
+    one AND-NOT over all rows."""
+    return (_grow(g.neighbor_table, core, 1) & ~cluster).any(axis=1)
+
+
 def core_within_cluster_interior(dec: FlawDecomposition, g: Graph) -> bool:
-    """True iff the closure of the core stays inside the cluster.
+    """True iff the closure of the core stays inside the cluster, one row
+    of `core_closure_escapes`.
 
     This holds for every Lipschitz function (the core's neighbors are still
     above the cluster threshold); a False return signals a bug, not a
@@ -84,7 +133,8 @@ def core_within_cluster_interior(dec: FlawDecomposition, g: Graph) -> bool:
     """
     if not dec.core:
         raise ValueError("core is empty")
-    return not (dec.core | neighborhood(g, dec.core)) & ~dec.cluster
+    bits = np.array([[dec.cluster >> v & 1, dec.core >> v & 1] for v in range(g.n)], dtype=bool).T
+    return not core_closure_escapes(g, bits[:1], bits[1:])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ class Graph:
     """
 
     __slots__ = ("n", "name", "_adj", "_degrees", "_regular_degree", "_matrix", "_spectrum", "_nbr_getters",
-                 "_edge_index", "_power_masks")
+                 "_edge_index", "_power_masks", "_nbr_table")
 
     def __init__(self, adjacency: Sequence[Iterable[int]], name: str = ""):
         n = len(adjacency)
@@ -64,6 +64,7 @@ class Graph:
         self._nbr_getters = None
         self._edge_index = None
         self._power_masks = {}
+        self._nbr_table = None
         if len(bfs_order(self, 0)) != n:
             raise ValueError("graph is not connected")
 
@@ -112,6 +113,20 @@ class Graph:
         if self._nbr_getters is None:
             self._nbr_getters = tuple(_values_getter(nbrs) for nbrs in self._adj)
         return self._nbr_getters
+
+    @property
+    def neighbor_table(self) -> np.ndarray:
+        """Read-only `(n, max degree)` index array of each vertex's neighbours,
+        ascending, padded with the vertex itself.  For a boolean array `rows`
+        of shape `(sets, n)`, `rows | rows[:, table].any(axis=2)` is every
+        set's closure in one gather."""
+        if self._nbr_table is None:
+            width = max(self._degrees)
+            table = np.array([nbrs + (v,) * (width - len(nbrs)) for v, nbrs in enumerate(self._adj)],
+                             dtype=np.intp).reshape(self.n, width)
+            table.flags.writeable = False
+            self._nbr_table = table
+        return self._nbr_table
 
     @property
     def edge_index(self) -> tuple[np.ndarray, np.ndarray]:
@@ -249,12 +264,6 @@ def linked_layers(g: Graph, ys: int, k: int, start: int) -> Iterator[int]:
         yield layer
         layer = _union(power, layer) & ys & ~reached
         reached |= layer
-
-
-def linked_component_containing(g: Graph, ys: int, k: int, v: int) -> int:
-    """The k-linked component of the mask Y containing v (0 when v is not in Y),
-    the sum of its disjoint layers."""
-    return sum(linked_layers(g, ys, k, 1 << v))
 
 
 def is_k_linked(g: Graph, xs: int, k: int) -> bool:

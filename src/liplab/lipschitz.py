@@ -759,6 +759,9 @@ def _value_array(values: list[int], n: int) -> np.ndarray:
 # Ground states
 # ---------------------------------------------------------------------------
 
+_WINDOW_CELLS = 1 << 20  # (row, base) cells that `min_ground_states` counts in one pass
+
+
 def window_flaws(vals: np.ndarray, M: int) -> tuple[int, np.ndarray]:
     """The flaw counts of the rows of the value array `vals` (at least one
     row) at every window base from `low = min - M` to `max`, the extremes
@@ -779,36 +782,60 @@ def window_flaws(vals: np.ndarray, M: int) -> tuple[int, np.ndarray]:
     return low, n - (below[:, M + 1:] - below[:, :size - M])
 
 
-def ground_states(g: Graph, f: LipschitzFn, lam) -> set[int]:
-    """All window bases k whose flaw count is within the allowance.
-
-    The search window [min f - M, max f] of `window_flaws` is complete: any
-    other k leaves every vertex flawed, which qualifies only when the
-    allowance is >= n (and then bases outside the occupied range carry no
-    information).
-    """
+def _admissible_bases(g: Graph, vals: np.ndarray, M: int, lam) -> tuple[int, np.ndarray]:
+    """`low` and a `(rows, width)` boolean array whose column j holds, per
+    row of `vals`, whether base `low + j` is within the flaw allowance and
+    inside the row's own window [min - M, max]; any base outside it leaves
+    every vertex flawed, which qualifies only when the allowance is >= n
+    (and then such bases carry no information)."""
     cap = flaw_cap(g.n, g.regular_degree(), lam)
-    low, flaws = window_flaws(_value_array(f.values, len(f.values)), f.M)
-    return {low + j for j in (flaws[0] <= cap).nonzero()[0].tolist()}
+    low, flaws = window_flaws(vals, M)
+    first = (vals.min(axis=1) - M - low).astype(np.intp)
+    last = (vals.max(axis=1) - low).astype(np.intp)
+    j = np.arange(flaws.shape[1])
+    return low, (flaws <= cap) & (j >= first[:, None]) & (j <= last[:, None])
+
+
+def ground_states(g: Graph, f: LipschitzFn, lam) -> set[int]:
+    """All window bases k whose flaw count is within the allowance, searched
+    over [min f - M, max f] (see `_admissible_bases`)."""
+    low, ok = _admissible_bases(g, _value_array(f.values, len(f.values)), f.M, lam)
+    return {low + j for j in ok[0].nonzero()[0].tolist()}
+
+
+def min_ground_states(g: Graph, vals: np.ndarray, M: int, lam) -> np.ndarray:
+    """The smallest admissible window base of every row of the value array
+    `vals`, from one `window_flaws` pass per block of rows (a block holds
+    at most `_WINDOW_CELLS` window cells).  The admissible bases must then
+    fit in a window of M+1 consecutive bases whenever lam < d/4.  A row with
+    no admissible base is a `ConfigError` that names lam and the allowance."""
+    d = g.regular_degree()
+    bases = []
+    if len(vals):
+        width = int(vals.max()) - int(vals.min()) + M + 1
+        step = max(1, _WINDOW_CELLS // width)
+        for block in range(0, len(vals), step):
+            low, ok = _admissible_bases(g, vals[block:block + step], M, lam)
+            if not ok.any(axis=1).all():
+                cap = flaw_cap(g.n, d, lam)
+                raise ConfigError(f"no ground state: every window base leaves more than {cap} flawed vertices, "
+                                  f"the allowance at lambda = {lam}; the expansion certificate is likely invalid")
+            first = ok.argmax(axis=1)
+            spread = ok.shape[1] - 1 - ok[:, ::-1].argmax(axis=1) - first  # last minus first admissible
+            if lam < d / 4.0 and (spread > M).any():
+                r = int((spread > M).argmax())
+                kappa = low + int(first[r])
+                ks = [low + j for j in ok[r].nonzero()[0].tolist()]
+                raise RuntimeError(
+                    f"admissible bases {ks} exceed [{kappa}, {kappa + M}] despite lam < d/4; this indicates a bug"
+                )
+            bases += [low + j for j in first.tolist()]
+    return np.array(bases, dtype=vals.dtype)
 
 
 def min_ground_state(g: Graph, f: LipschitzFn, lam) -> int:
-    """Smallest admissible window base; the admissible set must then fit in
-    a window of M+1 consecutive bases whenever lam < d/4.  A function with no
-    admissible base is a `ConfigError` that names lam and the allowance."""
-    ks = ground_states(g, f, lam)
-    if not ks:
-        cap = flaw_cap(g.n, g.regular_degree(), lam)
-        raise ConfigError(f"no ground state: every window base leaves more than {cap} flawed vertices, "
-                          f"the allowance at lambda = {lam}; the expansion certificate is likely invalid")
-    kappa = min(ks)
-    d = g.regular_degree()
-    if lam < d / 4.0 and max(ks) > kappa + f.M:
-        raise RuntimeError(
-            f"admissible bases {sorted(ks)} exceed [{kappa}, {kappa + f.M}] despite lam < d/4; "
-            "this indicates a bug"
-        )
-    return kappa
+    """`min_ground_states` of f alone."""
+    return int(min_ground_states(g, _value_array(f.values, len(f.values)), f.M, lam)[0])
 
 
 # ---------------------------------------------------------------------------

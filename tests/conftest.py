@@ -22,6 +22,7 @@ from liplab.graphs import (
     complete_graph,
     cycle_graph,
     hypercube_graph,
+    linked_layers,
     mask_vertices,
     neighborhood,
     petersen_graph,
@@ -322,6 +323,32 @@ def is_linked_nx(power, xs):
     """Whether the vertex set X is connected in `power` (a networkx G^k): X is
     k-linked.  The empty set is."""
     return not xs or nx.is_connected(power.subgraph(xs))
+
+
+def linked_component_containing(g, ys, k, v):
+    """The k-linked component of the mask Y containing v (0 when v is not in Y),
+    the sum of its disjoint `linked_layers`: the mask walk that the batched
+    flaw decomposition replaced, kept as its oracle."""
+    return sum(linked_layers(g, ys, k, 1 << v))
+
+
+def reference_random_lipschitz(g, M, rng):
+    """One random M-Lipschitz function, one vertex at a time: breadth first
+    from a uniform root, each vertex uniform on [max - M, min + M] over its
+    assigned neighbours ([-M, M] at the root), restarted from the same root on
+    an empty interval.  The per-function generator that
+    `experiments._random_lipschitz_rows` batches, kept as its law's oracle."""
+    order = bfs_order(g, int(rng.integers(0, g.n)))
+    while True:
+        vals = [None] * g.n
+        for v in order:
+            near = [vals[u] for u in g.neighbors(v) if vals[u] is not None]
+            lo, hi = (max(near) - M, min(near) + M) if near else (-M, M)
+            if lo > hi:
+                break
+            vals[v] = int(rng.integers(lo, hi + 1))
+        else:
+            return LipschitzFn(tuple(vals), M)
 
 
 def is_mutual_cover(g, x, y):

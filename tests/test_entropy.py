@@ -12,6 +12,7 @@ from liplab.entropy import (
     conditional_entropy,
     entropy,
     shearer_check,
+    shearer_rows,
 )
 
 TOL = 1e-10
@@ -468,3 +469,32 @@ def test_cover_weight_validation():
         CoverWeights((frozenset({0}),), (1.0,), frozenset({(0, 0)}))
     with pytest.raises(ValueError, match="transitive"):
         CoverWeights((frozenset({0}),), (1.0,), frozenset({(0, 1), (1, 2)}))
+
+
+@pytest.mark.parametrize("sets,order", [
+    ((frozenset({0, 1}), frozenset({0, 2}), frozenset({1, 2})), frozenset()),
+    ((frozenset({0}), frozenset({1}), frozenset({2})), frozenset({(0, 1), (0, 2), (1, 2)})),
+], ids=["pairwise", "total-order"])
+def test_shearer_rows_match_the_one_row_check(sets, order):
+    """The stacked sides against `shearer_check` pmf by pmf, and both against
+    the sides summed from `entropy` and `conditional_entropy`."""
+    cw = CoverWeights(sets, (0.5,) * 3 if len(sets[0]) == 2 else (1.0,) * 3, order)
+    pmfs = [JointPmf.random([(0, 1), (0, 1, 2), (0, 1)], seed=seed) for seed in range(60)]
+    lhs, rhs, ok = shearer_rows(pmfs, cw)
+    assert lhs.shape == rhs.shape == ok.shape == (60,)
+    assert lhs == pytest.approx([entropy(p, range(3)) for p in pmfs], abs=1e-12)
+    given = [tuple(i for i in range(3) if all((i, a) in order for a in s)) for s in sets]
+    assert rhs == pytest.approx([sum(w * conditional_entropy(p, s, pred) for s, w, pred in zip(sets, cw.weights, given))
+                                 for p in pmfs], abs=1e-12)
+    reports = [shearer_check(p, cw) for p in pmfs]
+    assert lhs == pytest.approx([r["lhs"] for r in reports], abs=1e-12)
+    assert rhs == pytest.approx([r["rhs"] for r in reports], abs=1e-12)
+    assert ok.tolist() == [r["pass"] for r in reports] == [True] * 60
+
+
+def test_shearer_rows_need_equal_supports_and_a_valid_cover():
+    cw = CoverWeights((frozenset({0}), frozenset({1})), (1.0, 1.0), frozenset())
+    with pytest.raises(ValueError, match="equal support sizes"):
+        shearer_rows([JointPmf.independent_uniform_bits(2), JointPmf.random([(0, 1), (0, 1, 2)], seed=0)], cw)
+    with pytest.raises(ValueError, match="cover weight"):
+        shearer_rows([JointPmf.independent_uniform_bits(3)], cw)

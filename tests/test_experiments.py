@@ -24,6 +24,7 @@ from liplab.experiments import (
     VerifyContext,
     build_graph,
     check_count_enumeration,
+    check_cover_inequality,
     check_detailed_balance,
     check_entropy,
     default_suite_graphs,
@@ -787,8 +788,31 @@ def test_verify_entropy_rows_report_work(default_suite):
     assert rows["cover-inequality"]["pmfs"] == 151
     assert len(suite["rows"]) == 57
     # the fuzz counters sum `cases` and `instances` over rows; the new fields stay apart
-    assert sum(r.get("cases", 0) for r in suite["rows"]) == 1_022
+    assert sum(r.get("cases", 0) for r in suite["rows"]) == 1_020
     assert sum(r.get("instances", 0) for r in suite["rows"]) == 3_870
+
+
+def test_verify_cover_row_reports_the_first_failing_pmf(monkeypatch):
+    """A right side pushed below the left one from pmf 37 on fails the row at
+    seed 37 with that pmf's sides; the XOR triple is then not checked."""
+    import liplab.entropy as entropy_module
+
+    sides = entropy_module._shearer_sides
+    calls = []
+
+    def fault_from_pmf_37(stack, cw):
+        lhs, rhs, terms = sides(stack, cw)
+        calls.append(len(lhs))
+        rhs[37:] = lhs[37:] - 1e-6
+        return lhs, rhs, terms
+
+    monkeypatch.setattr(entropy_module, "_shearer_sides", fault_from_pmf_37)
+    (row,) = check_cover_inequality(VerifyContext(seed=0))
+    assert calls == [150]
+    assert row["status"] == "fail" and row["pmfs"] == 38
+    witness = row["witness"]
+    assert witness["seed"] == 37 and witness["rhs"] == pytest.approx(witness["lhs"] - 1e-6, abs=1e-12)
+    assert type(witness["lhs"]) is float and type(witness["rhs"]) is float
 
 
 def test_verify_entropy_row_stops_at_first_failing_pmf(monkeypatch):
@@ -1367,7 +1391,7 @@ def test_verify_covering_rows_pinned(default_suite):
          "reason": "flaw allowance 18 >= n: ensemble infinite"},
     ]
     assert len(suite["rows"]) == 57
-    assert sum(r.get("cases", 0) for r in suite["rows"]) == 1_022
+    assert sum(r.get("cases", 0) for r in suite["rows"]) == 1_020
     assert sum(r.get("instances", 0) for r in suite["rows"]) == 3_870
     # K5 (lam = 1 > d/5) takes the ungated branch: counted, reported, not asserted
     k5 = run_verify_suite(graphs=[complete_graph(5)], seed=0)
@@ -1456,13 +1480,14 @@ def test_cli_count_ground_state_on_degree_zero_exits_2(capsys):
 # The verify registry
 # ---------------------------------------------------------------------------
 
-# sha256 of the sorted-key JSON of `suite["rows"]`, recorded before the suite
-# was split into a registry of checks
+# sha256 of the sorted-key JSON of `suite["rows"]`, recorded when the core-closure
+# cases became one batch; that moved the stream that the boundary-ordering fuzz reads
+# after it, and only the `cases` of boundary-ordering rows changed
 _VERIFY_ROWS_SHA256 = {
-    (0, 1): "546c062ebe3a07b83124d86f480e100f4438df02611ece83f1673e523049f7ea",
-    (0, 2): "c22ed0ec3de559266d043b4bf800b2ada6734e83f57604d814365caf1cb34741",
-    (3, 1): "71f6f71411f19caac532b977dee19cb4fa6b616270cd53c5a790acbe750a9bbc",
-    (3, 2): "67df4dd3be81840e199bbe1bc722269602a19acf915bc3cf4c75ffbc1a42fb6f",
+    (0, 1): "28e98d748a98ff5358b63ed4e45297a236d448cab8b361107c80de9723d032a1",
+    (0, 2): "abf4b85a01f4cf171d623215a38737098852c449527c4d87eac7009ae3a0f836",
+    (3, 1): "bad7f814fdf2b31005b10082874a809d28ee3ea6e33ebb9baf7a564d0f7e91ea",
+    (3, 2): "d686d36433eca7e73fb62ff801a788a0793d8471bed56080f2e9afae935a6071",
 }
 
 
@@ -1641,9 +1666,9 @@ def test_cli_verify_repro_line_replays_a_fuzz_failure_on_given_graphs(monkeypatc
     must find the same one."""
     import liplab.experiments as experiments
 
-    interior = experiments.core_within_cluster_interior
-    monkeypatch.setattr(experiments, "core_within_cluster_interior",
-                        lambda dec, g: g.n != 10 and interior(dec, g))
+    escapes = experiments.core_closure_escapes
+    monkeypatch.setattr(experiments, "core_closure_escapes",
+                        lambda g, cluster, core: escapes(g, cluster, core) | (g.n == 10))
     argv = ["verify", "--seed", "3", "--graph", '{"family": "complete", "n": 5}',
             "--graph", '{"family": "petersen"}']
     assert main(argv) == 1
@@ -1658,11 +1683,32 @@ def test_cli_verify_repro_line_replays_a_fuzz_failure_on_given_graphs(monkeypatc
 def test_verify_repro_names_in_process_graphs_as_placeholders(monkeypatch):
     import liplab.experiments as experiments
 
-    monkeypatch.setattr(experiments, "core_within_cluster_interior", lambda dec, g: False)
+    monkeypatch.setattr(experiments, "core_closure_escapes", lambda g, cluster, core: np.ones(len(core), dtype=bool))
     suite = run_verify_suite(graphs=[complete_graph(4)], seed=2)
     (row,) = [r for r in suite["rows"] if r["status"] == "fail"]
     assert row["repro"] == ("liplab verify --seed 2 --fuzz-scale 1 --budget "
                             f"{DEFAULT_NODE_BUDGET} --graph <K4>  # check=core-closure graph=K4")
+
+
+def test_core_closure_mutant_with_a_radius_two_closure_fails_and_replays(monkeypatch, capsys):
+    """A closure check that takes the radius-2 ball of the core, not its
+    closure, must fail the core-closure rows at seed 0 (K6, of diameter 1,
+    cannot tell the two apart), and the printed repro line must find the
+    same witness."""
+    import liplab.experiments as experiments
+
+    escapes = experiments.core_closure_escapes
+    monkeypatch.setattr(experiments, "core_closure_escapes",
+                        lambda g, cluster, core: escapes(g, cluster, core | core[:, g.neighbor_table].any(axis=2)))
+    suite = run_verify_suite(seed=0)
+    assert [(r["check"], r["graph"]) for r in suite["rows"] if r["status"] == "fail"] == [
+        ("core-closure", "C4"), ("core-closure", "Q3"), ("core-closure", "RR10,3#1")]
+    assert main(["verify", "--seed", "0"]) == 1
+    first = _failure_lines(capsys.readouterr().out)
+    assert first[0].split() == ["core-closure", "C4", "fail"]
+    command = shlex.split(first[2].removeprefix("  repro:   ").split("  # ")[0])
+    assert main(command[1:]) == 1
+    assert _failure_lines(capsys.readouterr().out) == first
 
 
 def test_detailed_balance_fails_on_an_asymmetric_kernel(monkeypatch):

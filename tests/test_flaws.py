@@ -1,12 +1,15 @@
 import hashlib
 import json
 import math
+from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy import stats
 
-from liplab.experiments import _random_linked_set, _random_lipschitz
+from liplab.experiments import _random_linked_set, _random_lipschitz, _random_lipschitz_rows
 from liplab.flaws import (
     boundary_ordering,
     check_boundary_ordering,
@@ -20,6 +23,7 @@ from liplab.flaws import (
 )
 from liplab.expanders import spectral_lambda
 from liplab.graphs import (
+    bfs_order,
     complete_graph,
     cycle_graph,
     hypercube_graph,
@@ -27,13 +31,15 @@ from liplab.graphs import (
     random_regular_graph,
     vertex_mask,
 )
-from liplab.lipschitz import LipschitzFn, enumerate_groundstate
+from liplab.lipschitz import LipschitzFn, enumerate_groundstate, validate
 from tests.conftest import (
+    CountingGenerator,
     is_linked_nx,
     nx_distances,
     nx_power,
     path_graph,
     reference_ground_state_lemma,
+    reference_random_lipschitz,
     set_neighborhood,
 )
 
@@ -120,6 +126,76 @@ def test_core_closure_inside_cluster_fuzz():
             assert is_linked_nx(power4, mask_vertices(dec.core))
             found += 1
     assert found == 1000
+
+
+# ---------------------------------------------------------------------------
+# The random-function generator
+# ---------------------------------------------------------------------------
+
+def _generator_law(g, M):
+    """The exact law of `reference_random_lipschitz`: a uniform root, then per
+    completed walk the product of 1/width over its intervals, renormalised
+    over the walks from that root that reach the end (a restart redraws)."""
+    law = Counter()
+    for root in range(g.n):
+        order = bfs_order(g, root)
+        ends = {}
+
+        def walk(i, vals, p):
+            if i == len(order):
+                ends[tuple(vals)] = p
+                return
+            v = order[i]
+            near = [vals[u] for u in g.neighbors(v) if vals[u] is not None]
+            lo, hi = (max(near) - M, min(near) + M) if near else (-M, M)
+            for x in range(lo, hi + 1):
+                vals[v] = x
+                walk(i + 1, vals, p / (hi - lo + 1))
+            vals[v] = None
+
+        walk(0, [None] * g.n, Fraction(1))
+        total = sum(ends.values())
+        for f, p in ends.items():
+            law[f] += p / total / g.n
+    return law
+
+
+@pytest.mark.parametrize("graph", [cycle_graph(4), complete_graph(4), cycle_graph(5)], ids=lambda g: g.name)
+def test_batched_generator_has_the_law_of_the_per_function_generator(graph):
+    """Chi-square of 20,000 draws of each generator against the exact law of
+    the per-function one, over its full support, at M = 1.  On C5 a walk can
+    meet an empty interval, so the restarts are in the law too."""
+    law = _generator_law(graph, 1)
+    support = sorted(law)
+    expected = np.array([float(law[f]) for f in support]) * 20_000
+    batched = _random_lipschitz_rows(graph, np.ones(20_000, dtype=np.int64), np.random.default_rng(41))
+    assert batched.dtype == np.int64 and batched.shape == (20_000, graph.n)
+    lower, upper = graph.edge_index
+    assert (np.abs(batched[:, lower] - batched[:, upper]) <= 1).all()
+    rng = np.random.default_rng(42)
+    reference = Counter(reference_random_lipschitz(graph, 1, rng).values for _ in range(20_000))
+    for counts in (Counter(map(tuple, batched.tolist())), reference):
+        assert set(counts) <= set(law)
+        assert all(validate(graph, LipschitzFn(f, 1)) for f in counts)
+        _, p = stats.chisquare([counts.get(f, 0) for f in support], expected)
+        assert p > 0.001, p
+
+
+def test_batched_generator_rows_each_have_their_own_M(petersen):
+    ms = np.random.default_rng(5).integers(1, 4, size=500)
+    vals = _random_lipschitz_rows(petersen, ms, np.random.default_rng(6))
+    lower, upper = petersen.edge_index
+    assert (np.abs(vals[:, lower] - vals[:, upper]).max(axis=1) <= ms).all()
+    # every M is reached somewhere: some edge of some row is as steep as its M allows
+    assert set(ms[np.abs(vals[:, lower] - vals[:, upper]).max(axis=1) == ms].tolist()) == {1, 2, 3}
+    assert _random_lipschitz_rows(petersen, [], np.random.default_rng(6)).shape == (0, 10)
+
+
+def test_batched_generator_draws_once_per_walk_position():
+    # K4 has no dead end: one draw of the roots, then one per position for all 5,000 rows
+    rng = CountingGenerator(np.random.default_rng(0))
+    _random_lipschitz_rows(complete_graph(4), np.full(5_000, 2), rng)
+    assert rng.calls == {"integers": 1 + 4}
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from liplab.graphs import (
     hypercube_graph,
     is_k_linked,
     iter_rooted_connected_sets,
-    linked_component_containing,
     linked_layers,
     load_edge_list,
     mask_vertices,
@@ -28,7 +27,14 @@ from liplab.graphs import (
     vertex_mask,
     wired_tree_graph,
 )
-from tests.conftest import is_linked_nx, is_mutual_cover, nx_distances, nx_power, path_graph
+from tests.conftest import (
+    is_linked_nx,
+    is_mutual_cover,
+    linked_component_containing,
+    nx_distances,
+    nx_power,
+    path_graph,
+)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from liplab.errors import BudgetExceededError
+from liplab.errors import BudgetExceededError, ConfigError
 from liplab.experiments import _random_lipschitz
 from liplab.graphs import (
     DEFAULT_NODE_BUDGET,
@@ -26,6 +26,7 @@ from liplab.lipschitz import (
     LipschitzFn,
     _FrontierDP,
     _unrank,
+    _value_array,
     count_groundstate,
     count_onepoint,
     enumerate_groundstate,
@@ -40,6 +41,7 @@ from liplab.lipschitz import (
     marginal_groundstate,
     member_batches,
     min_ground_state,
+    min_ground_states,
     sample_exact,
     validate,
     window_flaws,
@@ -314,6 +316,34 @@ def test_ground_states_match_the_count_per_base(petersen, shift):
                 cap = flaw_cap(petersen.n, 3, lam)
                 window = range(min(f.values) - M, max(f.values) + 1)
                 assert ground_states(petersen, f, lam) == {k for k in window if flaw_count(f, k) <= cap}
+
+
+@pytest.mark.parametrize("block_cells", [1 << 20, 1])
+@pytest.mark.parametrize("shift", [0, 1 << 70])
+def test_min_ground_states_match_the_per_function_minimum(petersen, shift, block_cells, monkeypatch):
+    """Each row's base against the least of its `ground_states`, in one pass
+    and one row per pass, also for values past int64.  At lam = 0 most rows
+    have none, and any one of them is a `ConfigError`.  At lam = 10 every
+    base of a row's own window qualifies, and the least is that row's
+    min - M, not the whole array's."""
+    import liplab.lipschitz as lipschitz
+
+    monkeypatch.setattr(lipschitz, "_WINDOW_CELLS", block_cells)
+    rng = np.random.default_rng(8)
+    for M in (1, 3):
+        fs = [_random_lipschitz(petersen, M, rng) for _ in range(30)]
+        fs = [LipschitzFn(tuple(v + shift + 4 * i for v in f.values), M) for i, f in enumerate(fs)]
+        vals = _value_array([v for f in fs for v in f.values], petersen.n)
+        for lam in (0.0, 1.0, 10.0):
+            expected = [ground_states(petersen, f, lam) for f in fs]
+            keep = [i for i, ks in enumerate(expected) if ks]
+            got = min_ground_states(petersen, vals[keep], M, lam)
+            assert got.dtype == vals.dtype
+            assert got.tolist() == [min(expected[i]) for i in keep]
+            if len(keep) < len(fs):
+                with pytest.raises(ConfigError, match=f"allowance at lambda = {lam};"):
+                    min_ground_states(petersen, vals, M, lam)
+    assert min_ground_states(petersen, vals[:0], 3, 1.0).shape == (0,)
 
 
 # ---------------------------------------------------------------------------

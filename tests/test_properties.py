@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from liplab.containers import enumerate_linked_sets
 from liplab.expanders import adjacency_spectrum
-from liplab.flaws import boundary_ordering, check_boundary_ordering
+from liplab.flaws import boundary_ordering, check_boundary_ordering, core_closure_escapes, decompose_rows
 from liplab.graphs import (
     Graph,
     ball,
@@ -22,15 +22,14 @@ from liplab.graphs import (
     cycle_graph,
     hypercube_graph,
     is_k_linked,
-    linked_component_containing,
     linked_layers,
     mask_vertices,
     neighborhood,
     random_regular_graph,
     vertex_mask,
 )
-from liplab.lipschitz import EnsembleSpec, LipschitzFn, count_onepoint, enumerate_onepoint, flaw_cap
-from tests.conftest import brute_members, is_mutual_cover
+from liplab.lipschitz import EnsembleSpec, LipschitzFn, _value_array, count_onepoint, enumerate_onepoint, flaw_cap
+from tests.conftest import brute_members, is_mutual_cover, linked_component_containing, nx_power
 from tests.test_containers import brute_linked_sets, vertex_sets
 from tests.test_lipschitz import assert_sweep_matches_reference
 
@@ -128,6 +127,38 @@ def test_linked_component_and_is_k_linked_match_the_induced_power(graphs, k, dat
     expected = nx.node_connected_component(induced, v) if v in ys else set()
     assert set(mask_vertices(linked_component_containing(g, vertex_mask(ys), k, v))) == expected
     assert is_k_linked(g, vertex_mask(ys), k) == (not ys or nx.is_connected(induced))
+
+
+@PROPERTY_SETTINGS
+@given(connected_graphs(), st.sampled_from([0, -5, 1 << 70]), st.data())
+def test_batched_flaw_decomposition_matches_the_mask_walk(graphs, shift, data):
+    """Every row's cluster and core against `linked_component_containing` and
+    the G^2 / G^4 components by networkx, and the closure test against the
+    mask closure, on random value rows (not only Lipschitz ones) with their
+    own anchors, bases and M.  The shift 2^70 puts the values in an object
+    array."""
+    g, nxg = graphs
+    n_rows = data.draw(st.integers(1, 5))
+    values = data.draw(st.lists(st.integers(-4, 4), min_size=n_rows * g.n, max_size=n_rows * g.n))
+    vals = _value_array([v + shift for v in values], g.n)
+    assert (vals.dtype == object) == (shift == 1 << 70)
+    anchors = data.draw(st.lists(st.integers(0, g.n - 1), min_size=n_rows, max_size=n_rows))
+    bases = [b + shift for b in data.draw(st.lists(st.integers(-8, 2), min_size=n_rows, max_size=n_rows))]
+    ms = np.array(data.draw(st.lists(st.integers(0, 3), min_size=n_rows, max_size=n_rows)))
+    cluster, core = decompose_rows(g, vals, ms, anchors, np.array(bases, dtype=vals.dtype))
+    assert cluster.shape == core.shape == (n_rows, g.n) and cluster.dtype == core.dtype == bool
+    escapes = core_closure_escapes(g, cluster, core)
+    powers = {k: nx_power(g, k) for k in (2, 4)}
+    for r, (row, anchor, base, m) in enumerate(zip(vals.tolist(), anchors, bases, ms.tolist())):
+        got = {}
+        for name, k, threshold, rows in (("cluster", 2, base + m + 1, cluster), ("core", 4, base + 2 * m + 2, core)):
+            above = {v for v in range(g.n) if row[v] >= threshold}
+            expected = nx.node_connected_component(powers[k].subgraph(above), anchor) if anchor in above else set()
+            assert linked_component_containing(g, vertex_mask(above), k, anchor) == vertex_mask(expected)
+            assert set(np.flatnonzero(rows[r]).tolist()) == expected, name
+            got[name] = vertex_mask(expected)
+        closure = got["core"] | neighborhood(g, got["core"])
+        assert escapes[r] == bool(closure & ~got["cluster"])
 
 
 @PROPERTY_SETTINGS
