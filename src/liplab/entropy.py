@@ -1,8 +1,9 @@
 """Entropy calculus for finite joint distributions, in bits.
 
-Implements marginal and conditional Shannon entropy over named coordinates,
-the standard toolbox of entropy inequalities, and the fractional-cover
-subadditivity inequality with conditioning along a partial order.
+Implements marginal Shannon entropy over named coordinates, the standard
+toolbox of entropy inequalities, and the fractional-cover subadditivity
+inequality with conditioning along a partial order; conditional entropies
+are computed inside those checks.
 
 A `JointPmf` keeps its probabilities as a dense float64 table with one axis
 per coordinate.  Entropies are computed on stacks of such tables, one row
@@ -184,18 +185,6 @@ def entropy(p: JointPmf, coords) -> float:
     if not coords:
         raise ValueError("coords must be nonempty")
     return float(p._stack.entropy(coords)[0])
-
-
-def conditional_entropy(p: JointPmf, target, given) -> float:
-    """H(X_target | X_given); an empty `given` reduces to the marginal entropy.
-
-    Computed cell by cell on the joint table over target and given, as
-    -sum p(x,y) log2(p(x,y)/p(y)), not as a difference of entropies."""
-    target = _sorted_coords(p, target, "target")
-    given = _sorted_coords(p, given, "given")
-    if not target:
-        raise ValueError("target must be nonempty")
-    return float(p._stack.entropy(target, given)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -62,7 +62,6 @@ from .graphs import (
 )
 from .lipschitz import (
     EnsembleSpec,
-    LipschitzFn,
     count_groundstate,
     count_onepoint,
     enumerate_onepoint,
@@ -852,17 +851,20 @@ def check_containers(sg: SuiteGraph, ctx: VerifyContext) -> list[dict]:
 def check_entropy(ctx: VerifyContext) -> list[dict]:
     """Entropy properties on random and hand-built pmfs.  One call per support
     shape, each stopping at its first failing pmf; the hand-built pmfs are
-    checked only if the random ones pass.  `pmfs` and `checks` count the work
-    done, under names apart from the `cases`/`instances` fuzz counters."""
+    checked only if the random ones pass.  A failing random pmf is named by
+    the seed that `JointPmf.random` drew it from.  `pmfs` and `checks` count
+    the work done, under names apart from the `cases`/`instances` fuzz
+    counters."""
     from .entropy import JointPmf, check_entropy_properties
 
     fail, n_pmfs, n_checks = None, 0, 0
     seeds = list(range(150 * ctx.fuzz_scale))
-    random_pmfs = [JointPmf.random([(0, 1), (0, 1, 2), (0, 1)], seed=ctx.seed * 100_000 + s) for s in seeds]
+    pmf_seeds = [ctx.seed * 100_000 + s for s in seeds]
+    random_pmfs = [JointPmf.random([(0, 1), (0, 1, 2), (0, 1)], seed=seed) for seed in pmf_seeds]
     hand_built = [JointPmf.xor_triple(), JointPmf.independent_uniform_bits(3)]
-    for pmfs, pmf_seeds, name in ((random_pmfs, seeds, None),
+    for pmfs, map_seeds, name in ((random_pmfs, seeds, None),
                                   (hand_built, [ctx.seed, ctx.seed], "hand-constructed")):
-        report = check_entropy_properties(pmfs, pmf_seeds)
+        report = check_entropy_properties(pmfs, map_seeds)
         n_pmfs += report["pmfs"]
         n_checks += sum(report["checked"].values())
         if not report["ok"]:
@@ -875,7 +877,8 @@ def check_entropy(ctx: VerifyContext) -> list[dict]:
 
 def check_cover_inequality(ctx: VerifyContext) -> list[dict]:
     """Shearer's fractional-cover inequality on random pmfs, checked as one
-    stack, then on the XOR triple."""
+    stack, then on the XOR triple.  A failing random pmf is named by the seed
+    that `JointPmf.random` drew it from."""
     from .entropy import CoverWeights, JointPmf, shearer_check, shearer_rows
 
     cw = CoverWeights((frozenset({0, 1}), frozenset({0, 2}), frozenset({1, 2})), (0.5, 0.5, 0.5), frozenset())
@@ -884,7 +887,7 @@ def check_cover_inequality(ctx: VerifyContext) -> list[dict]:
     fail, n_pmfs = None, len(seeds)
     if not ok.all():
         s = int(ok.argmin())
-        fail, n_pmfs = {"seed": s, "lhs": float(lhs[s]), "rhs": float(rhs[s])}, s + 1
+        fail, n_pmfs = {"seed": seeds[s], "lhs": float(lhs[s]), "rhs": float(rhs[s])}, s + 1
     else:
         xor_cover = CoverWeights((frozenset({0, 1}), frozenset({2})), (1.0, 1.0), frozenset())
         verdict = shearer_check(JointPmf.xor_triple(), xor_cover)
@@ -1054,7 +1057,3 @@ def _random_lipschitz_rows(g: Graph, ms, rng: np.random.Generator) -> np.ndarray
         todo = np.delete(todo, walking)
     return vals
 
-
-def _random_lipschitz(g: Graph, M: int, rng: np.random.Generator) -> LipschitzFn:
-    """One row of `_random_lipschitz_rows`, as a `LipschitzFn`."""
-    return LipschitzFn(tuple(_random_lipschitz_rows(g, [M], rng)[0].tolist()), M)

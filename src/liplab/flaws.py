@@ -5,10 +5,10 @@ valued at least k+M+1 through the probe vertex, and the `core` is the
 4-linked component of those valued at least k+2M+2.  `decompose_rows`
 finds both for every row of a value array at once, as `(rows, n)` boolean
 arrays; `flaw_decomposition` is its one-row form, with vertex masks (see
-`graphs`).  The core's closure always sits inside the cluster, which the
-fuzz suites re-check on every sampled function.  Fluctuations below the
-window are those above it of the reflection f -> -f + k + M, so they need
-no code of their own.
+`graphs`), for the `flaws` command.  The core's closure always sits inside
+the cluster, which the fuzz suites re-check on every sampled function.
+Fluctuations below the window are those above it of the reflection
+f -> -f + k + M, so they need no code of their own.
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -584,20 +584,26 @@ def _coin_range(M: int, n_sites: int) -> int:
     return W
 
 
-def glauber_chain(
-    g: Graph,
-    spec: EnsembleSpec,
-    seed: int,
-    steps: int,
-    on_step: Callable[[int, list[int]], None] | None = None,
-) -> LipschitzFn:
-    """Single-site heat-bath chain whose stationary law is uniform.
+def glauber_chain(g: Graph, spec: EnsembleSpec, seed: int, steps: int) -> LipschitzFn:
+    """The state of the `glauber_samples` chain of `seed` after `steps` steps."""
+    (state,) = _glauber_run(g, spec, seed, [steps])[0].tolist()
+    return LipschitzFn(tuple(state), spec.M)
+
+
+def glauber_samples(g: Graph, spec: EnsembleSpec, seed: int, burn_in: int, thinning: int,
+                    samples: int) -> tuple[np.ndarray, int]:
+    """`samples` states of one single-site heat-bath chain whose stationary
+    law is uniform, `thinning` steps apart after `burn_in` steps from the
+    all-zero (one-point) or all-k (ground-state) state, as the rows of a
+    `(samples, n)` value array, and how many moves of the run the flaw cap
+    rejected.  Sample i, for i = 1..samples, is the state after
+    `burn_in + i * thinning` steps, so a fixed seed gives fixed samples,
+    and the first j samples of a run are those of every longer run.
 
     One-point mode resamples a uniform site v != v0 from its heat-bath
     interval.  Ground-state mode proposes the same move on any site and
     rejects proposals that would exceed the flaw allowance, which preserves
-    uniformity because the proposal kernel is symmetric.  `on_step` sees the
-    state after every step, rejected moves included.
+    uniformity because the proposal kernel is symmetric.
 
     The chain draws on `default_rng(seed)`, one bounded integer x per step,
     uniform on [0, n_sites * W) (see `_coin_range`): the site is number
@@ -621,33 +627,12 @@ def glauber_chain(
     and frees it; otherwise it keeps serving.  It changes no draw: a fixed
     seed always gives the same chain.
     """
-    (state,) = _glauber_run(g, spec, seed, [steps], on_step)[0].tolist()
-    return LipschitzFn(tuple(state), spec.M)
-
-
-def glauber_samples(g: Graph, spec: EnsembleSpec, seed: int, burn_in: int, thinning: int,
-                    samples: int) -> tuple[np.ndarray, int]:
-    """`samples` states of one Glauber chain, `thinning` steps apart after
-    `burn_in` steps from the all-zero (one-point) or all-k (ground-state)
-    state, as the rows of a `(samples, n)` value array, and how many moves
-    of the run the flaw cap rejected.
-
-    Sample i is the state of the `glauber_chain` run of `seed` after
-    `burn_in + i * thinning` steps, so a fixed seed gives fixed samples,
-    and the first j samples of a run are those of every longer run.
-    """
     marks = [burn_in + i * thinning for i in range(samples + 1)]
     states, rejected = _glauber_run(g, spec, seed, marks)
     return states[1:], rejected
 
 
-def _glauber_run(
-    g: Graph,
-    spec: EnsembleSpec,
-    seed: int,
-    marks: list[int],
-    on_step: Callable[[int, list[int]], None] | None = None,
-) -> tuple[np.ndarray, int]:
+def _glauber_run(g: Graph, spec: EnsembleSpec, seed: int, marks: list[int]) -> tuple[np.ndarray, int]:
     """One chain of `marks[-1]` steps on `default_rng(seed)`; the state after
     each step count in `marks` (ascending, a mark of 0 being the start
     state), as the rows of one value array (see `_value_array`), and the
@@ -658,8 +643,8 @@ def _glauber_run(
     once.  Each 65,536-step chunk makes one `integers` call on
     [0, n_sites * W) and splits its draws into sites and coins in numpy, so
     a step does integer arithmetic only; the bias of a coin is that of
-    `glauber_chain`, 0 while W is lcm(1, ..., 2M+1) and at most width / W
-    past the cap.  Step t of the run passes `(t, values)` to `on_step`.
+    `glauber_samples`, 0 while W is lcm(1, ..., 2M+1) and at most width / W
+    past the cap.
     """
     M = spec.M
     cap = _check_spec(g, spec)
@@ -676,9 +661,6 @@ def _glauber_run(
     run = marks[-1]
     if not n_sites:
         # a lone pinned vertex: every step leaves the state as it is
-        if on_step is not None:
-            for t in range(run):
-                on_step(t, values)
         return _value_array(values * len(marks), g.n), 0
 
     getters = g.neighbor_getters
@@ -732,8 +714,6 @@ def _glauber_run(
                             c = values[v]  # rejected: one more flaw than allowed
                             rejected += 1
                 values[v] = c
-                if on_step is not None:
-                    on_step(t, values)
                 t += 1
             start = stop
             while m < len(marks) and marks[m] <= t:
@@ -796,13 +776,6 @@ def _admissible_bases(g: Graph, vals: np.ndarray, M: int, lam) -> tuple[int, np.
     return low, (flaws <= cap) & (j >= first[:, None]) & (j <= last[:, None])
 
 
-def ground_states(g: Graph, f: LipschitzFn, lam) -> set[int]:
-    """All window bases k whose flaw count is within the allowance, searched
-    over [min f - M, max f] (see `_admissible_bases`)."""
-    low, ok = _admissible_bases(g, _value_array(f.values, len(f.values)), f.M, lam)
-    return {low + j for j in ok[0].nonzero()[0].tolist()}
-
-
 def min_ground_states(g: Graph, vals: np.ndarray, M: int, lam) -> np.ndarray:
     """The smallest admissible window base of every row of the value array
     `vals`, from one `window_flaws` pass per block of rows (a block holds
@@ -831,11 +804,6 @@ def min_ground_states(g: Graph, vals: np.ndarray, M: int, lam) -> np.ndarray:
                 )
             bases += [low + j for j in first.tolist()]
     return np.array(bases, dtype=vals.dtype)
-
-
-def min_ground_state(g: Graph, f: LipschitzFn, lam) -> int:
-    """`min_ground_states` of f alone."""
-    return int(min_ground_states(g, _value_array(f.values, len(f.values)), f.M, lam)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from liplab.graphs import (
     petersen_graph,
     vertex_mask,
 )
-from liplab.lipschitz import LipschitzFn, enumerate_onepoint, flaw_cap, glauber_site_interval
+from liplab.lipschitz import LipschitzFn, enumerate_onepoint, flaw_cap, glauber_samples, glauber_site_interval
 
 
 def path_graph(n: int) -> Graph:
@@ -129,6 +129,21 @@ def reference_glauber(g, spec, seed, marks, on_step=None):
         if t + 1 in wanted:
             seen[t + 1] = tuple(values)
     return [LipschitzFn(seen[mark], spec.M) for mark in marks], rejected
+
+
+_STEP_BLOCK_CELLS = 1 << 20  # values that `glauber_steps` holds at a time
+
+
+def glauber_steps(g, spec, seed, steps):
+    """The states of the Glauber chain of `seed` after steps 1, ..., `steps`,
+    as tuples: the rows of `glauber_samples(g, spec, seed, 0, 1, steps)`,
+    read in blocks of about 2^20 values, so that a long run on a large graph
+    holds one block at a time.  Runs are prefix-stable, so the block that a
+    shorter run ends with equals those rows of the full run."""
+    block = max(1, _STEP_BLOCK_CELLS // g.n)
+    for start in range(0, steps, block):
+        rows, _ = glauber_samples(g, spec, seed, start, 1, min(block, steps - start))
+        yield from map(tuple, rows.tolist())
 
 
 def reference_sweep(g, spec, budget, start=0):
@@ -247,6 +262,13 @@ def flaw_count(f, k):
     return sum(1 for v in f.values if v < k or v > k + f.M)
 
 
+def ground_bases(g, f, lam):
+    """The window bases k in [min f - M, max f] whose `flaw_count` is within
+    the flaw allowance at lam, by brute force over the bases."""
+    cap = flaw_cap(g.n, g.regular_degree(), lam)
+    return {k for k in range(min(f.values) - f.M, max(f.values) + 1) if flaw_count(f, k) <= cap}
+
+
 def reference_ground_state_lemma(g, M, lam, v0, budget=DEFAULT_NODE_BUDGET):
     """`verify_ground_state_lemma` as a loop over `enumerate_onepoint`: each
     member's fewest flaws over its bases [min f - M, max f] by `flaw_count`;
@@ -357,6 +379,18 @@ def is_mutual_cover(g, x, y):
     return not (x & ~(y | neighborhood(g, y)) or y & ~(x | neighborhood(g, x)))
 
 
+def is_approx_pair(g, pair, x):
+    """True iff (S, F) meets its three defining conditions against the mask
+    X: F inside N(X) and X inside S, at most psi neighbours outside F for
+    every vertex of S, and at most psi neighbours in S for every vertex
+    outside F."""
+    nbr = g.neighbor_masks
+    s, f, limit = pair.s, pair.f, pair.psi + 1e-9
+    return (not (f & ~neighborhood(g, x) or x & ~s)
+            and all((nbr[u] & ~f).bit_count() <= limit for u in mask_vertices(s))
+            and all((nbr[u] & s).bit_count() <= limit for u in range(g.n) if not f >> u & 1))
+
+
 def reference_container_family(g, v, boundary_size, k, psi, profile, seed, budget=DEFAULT_NODE_BUDGET):
     """`build_container_family` one linked set at a time on Python-int masks:
     cover, refine and validate each X in turn (the oracle of the column
@@ -421,12 +455,10 @@ def reference_container_family(g, v, boundary_size, k, psi, profile, seed, budge
         f = f_prime | vertex_mask(u for u in range(g.n) if (nbr[u] & s).bit_count() > limit)
         gsize = q.bit_count()
         assert h <= gsize / psi + tol and u_count <= 2.0 * gsize / psi + tol
-        pairs.setdefault(ApproxPair(s=s, f=f, psi=psi))
+        pair = ApproxPair(s=s, f=f, psi=psi)
+        pairs.setdefault(pair)
         max_h, max_u = max(max_h, h), max(max_u, u_count)
-        # the three defining conditions
-        covers_all &= (not (f & ~q or x & ~s)
-                       and all((nbr[u] & ~f).bit_count() <= limit for u in mask_vertices(s))
-                       and all((nbr[u] & s).bit_count() <= limit for u in range(g.n) if not f >> u & 1))
+        covers_all &= is_approx_pair(g, pair, x)
     exponent = family_bound_exponent(d, lam, k, psi, boundary_size)
     return ContainerFamily(
         vertex=v,

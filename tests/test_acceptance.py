@@ -12,11 +12,7 @@ from contextlib import contextmanager
 
 from scipy import stats
 
-from liplab.containers import (
-    build_container_family,
-    enumerate_linked_sets,
-    validate_approx_pair,
-)
+from liplab.containers import build_container_family, enumerate_linked_sets
 from liplab.entropy import ENTROPY_TOL
 from liplab.expanders import exhaustive_lambda, spectral_lambda, verify_expander_props
 from liplab.experiments import (
@@ -46,10 +42,9 @@ from liplab.lipschitz import (
     count_groundstate,
     count_onepoint,
     enumerate_onepoint,
-    glauber_chain,
     sample_exact,
 )
-from tests.conftest import brute_members, path_graph, to_networkx
+from tests.conftest import brute_members, glauber_steps, is_approx_pair, path_graph, to_networkx
 
 LAMBDA_TOL = 1e-9
 # criterion 7: 200 functions and 100 sets per graph and unit of scale
@@ -156,9 +151,7 @@ def test_criterion_6_sampler_correctness():
         _, p = stats.chisquare(observed)
         assert p > 0.001, p
 
-        hist = Counter()
-        glauber_chain(g, spec, seed=5, steps=1_000_000,
-                      on_step=lambda t, vals: hist.update([tuple(vals)]))
+        hist = Counter(glauber_steps(g, spec, 5, 1_000_000))
         total = sum(hist.values())
         tv = 0.5 * sum(abs(hist.get(s, 0) / total - 1 / 19) for s in support)
         tv += 0.5 * sum(c / total for s, c in hist.items() if s not in support)
@@ -198,7 +191,7 @@ def test_criterion_8_container_pipeline():
                         # independent re-check of the covering property
                         for xs in sets:
                             assert any(
-                                validate_approx_pair(g, pair, xs)["ok"] for pair in fam.pairs
+                                is_approx_pair(g, pair, xs) for pair in fam.pairs
                             ), (g.name, v, gsize, k, sorted(xs))
                         assert fam.stats["max_h"] <= gsize / psi + 1e-9
                         assert fam.stats["max_u"] <= 2 * gsize / psi + 1e-9

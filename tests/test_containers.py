@@ -21,7 +21,6 @@ from liplab.containers import (
     family_to_json_lines,
     linked_set_count_report,
     refine_to_approx_pair,
-    validate_approx_pair,
 )
 from liplab.errors import BudgetExceededError
 from liplab.expanders import ExpanderProfile, asserted_profile, exhaustive_lambda, spectral_lambda
@@ -34,6 +33,7 @@ from liplab.graphs import (
     vertex_mask,
 )
 from tests.conftest import (
+    is_approx_pair,
     is_linked_nx,
     is_mutual_cover,
     nx_power,
@@ -336,7 +336,7 @@ def test_trivial_pair_validates(petersen):
     # (X, N(X)) is always a valid pair
     xs = frozenset({0, 1})
     pair = ApproxPair(s=vertex_mask(xs), f=vertex_mask(set_neighborhood(petersen, xs)), psi=1.0)
-    assert validate_approx_pair(petersen, pair, vertex_mask(xs))["ok"]
+    assert is_approx_pair(petersen, pair, vertex_mask(xs))
 
 
 def test_refine_singleton(k6):
@@ -344,7 +344,7 @@ def test_refine_singleton(k6):
     cover = build_mutual_cover(k6, vertex_mask({0}), prof, seed=0)
     pair, stats = refine_to_approx_pair(k6, cover.members, vertex_mask({0}), psi=1.0)
     assert 0 in mask_vertices(pair.s)
-    assert validate_approx_pair(k6, pair, vertex_mask({0}))["ok"]
+    assert is_approx_pair(k6, pair, vertex_mask({0}))
     assert stats.h_size <= stats.h_bound and stats.u_size <= stats.u_bound
 
 
@@ -373,7 +373,7 @@ def test_refine_fuzz_greedy_bounds():
             cover = build_mutual_cover(g, vertex_mask(xs), prof, seed=trial)
             for psi in (1.0, d / 2.0):
                 pair, stats = refine_to_approx_pair(g, cover.members, vertex_mask(xs), psi)
-                assert validate_approx_pair(g, pair, vertex_mask(xs))["ok"]
+                assert is_approx_pair(g, pair, vertex_mask(xs))
                 assert stats.h_size <= gsize / psi + 1e-9
                 assert stats.u_size <= 2 * gsize / psi + 1e-9
 
@@ -398,7 +398,7 @@ def test_family_every_set_has_member(petersen):
     fam = build_container_family(petersen, 0, 6, 4, 1.0, prof, seed=3)
     sets = enumerate_linked_sets(petersen, 0, 6, 4)
     for xs in sets:
-        assert any(validate_approx_pair(petersen, p, xs)["ok"] for p in fam.pairs)
+        assert any(is_approx_pair(petersen, p, xs) for p in fam.pairs)
 
 
 def test_rejected_pairs_are_a_failed_check_not_a_crash(monkeypatch, capsys):
@@ -407,7 +407,7 @@ def test_rejected_pairs_are_a_failed_check_not_a_crash(monkeypatch, capsys):
     from liplab.experiments import run_verify_suite
 
     monkeypatch.setattr(containers, "_validate_columns",
-                        lambda adj, x, q, s, f, psi: {"ok": np.zeros(x.shape[1], dtype=bool)})
+                        lambda adj, x, q, s, f, psi: np.zeros(x.shape[1], dtype=bool))
     petersen = petersen_graph()
     fam = build_container_family(petersen, 0, 8, 4, 1.0, exhaustive_lambda(petersen), seed=3)
     assert fam.n_sets == 78 and not fam.covers_all

@@ -9,7 +9,6 @@ from liplab.entropy import (
     CoverWeights,
     JointPmf,
     check_entropy_properties,
-    conditional_entropy,
     entropy,
     shearer_check,
     shearer_rows,
@@ -20,6 +19,13 @@ TOL = 1e-10
 
 def direct_entropy(probs):
     return sum(-p * math.log2(p) for p in probs if p > 0)
+
+
+def conditional(p, target, given):
+    """H(X_target | X_given) as H(X_target, X_given) - H(X_given), from
+    `entropy` alone; the library computes it cell by cell instead."""
+    joint = entropy(p, tuple(target) + tuple(given))
+    return joint - entropy(p, given) if given else joint
 
 
 # ---------------------------------------------------------------------------
@@ -72,25 +78,25 @@ def test_pmf_validation():
 
 def test_conditional_on_self_is_zero():
     p = JointPmf.random([(0, 1, 2), (0, 1)], seed=4)
-    assert conditional_entropy(p, [0], [0]) == pytest.approx(0.0, abs=TOL)
+    assert conditional(p, [0], [0]) == pytest.approx(0.0, abs=TOL)
 
 
 def test_independent_coordinates():
     p = JointPmf.independent_uniform_bits(2)
-    assert conditional_entropy(p, [0], [1]) == pytest.approx(entropy(p, [0]), abs=TOL)
+    assert conditional(p, [0], [1]) == pytest.approx(entropy(p, [0]), abs=TOL)
 
 
 def test_copy_coordinate():
     p = JointPmf(((0, 1), (0, 1)), {(0, 0): 0.5, (1, 1): 0.5})
     assert entropy(p, [0]) == pytest.approx(1.0, abs=TOL)
-    assert conditional_entropy(p, [0], [1]) == pytest.approx(0.0, abs=TOL)
+    assert conditional(p, [0], [1]) == pytest.approx(0.0, abs=TOL)
 
 
 def test_conditional_chain_identity():
-    # H(X|Y) == H(X,Y) - H(Y) on random pmfs
+    # the cell-by-cell H(X|Y) of the stacked engine == H(X,Y) - H(Y) on random pmfs
     for seed in range(20):
         p = JointPmf.random([(0, 1), (0, 1, 2), (0, 1)], seed=seed)
-        lhs = conditional_entropy(p, [0], [1, 2])
+        lhs = p._stack.entropy((0,), (1, 2))[0]
         rhs = entropy(p, [0, 1, 2]) - entropy(p, [1, 2])
         assert lhs == pytest.approx(rhs, abs=TOL)
 
@@ -210,16 +216,16 @@ def reference_properties(p, trials, seed, tol=TOL):
         image = np.count_nonzero(marginal(xs))
         record("image", entropy(p, xs) <= math.log2(max(1, image)) + tol, {"X": xs})
     for xs, ys in pairs:
-        record("cond_reduces", conditional_entropy(p, xs, ys) <= entropy(p, xs) + tol, {"X": xs, "Y": ys})
-        chain = entropy(p, xs + ys) - entropy(p, xs) - conditional_entropy(p, ys, xs)
+        record("cond_reduces", conditional(p, xs, ys) <= entropy(p, xs) + tol, {"X": xs, "Y": ys})
+        chain = entropy(p, xs + ys) - entropy(p, xs) - conditional(p, ys, xs)
         record("chain", abs(chain) <= tol, {"X": xs, "Y": ys})
         if len(xs) > 1:
-            bound = sum(conditional_entropy(p, (i,), ys) for i in xs)
-            record("subadd", conditional_entropy(p, xs, ys) <= bound + tol, {"X": xs, "Y": ys})
+            bound = sum(conditional(p, (i,), ys) for i in xs)
+            record("subadd", conditional(p, xs, ys) <= bound + tol, {"X": xs, "Y": ys})
     for xs, ys in pairs:
         joint = block(xs, ys)
         n_x, n_y = joint.shape
-        h = conditional_entropy(p, xs, ys)
+        h = conditional(p, xs, ys)
         y_shape = tuple(len(p.supports[i]) for i in ys)
         y_axes = np.indices(y_shape).reshape(len(ys), n_y)
         maps = [np.zeros(n_y, dtype=np.intp)]
@@ -235,8 +241,8 @@ def reference_properties(p, trials, seed, tol=TOL):
     for xs, ys, zs in itertools.permutations(nonempty, 3):
         if set(xs) & set(ys) or set(xs) & set(zs) or set(ys) & set(zs):
             continue
-        rhs = conditional_entropy(p, xs, ys) + conditional_entropy(p, ys, zs)
-        record("triangle", conditional_entropy(p, xs, zs) <= rhs + tol, {"X": xs, "Y": ys, "Z": zs})
+        rhs = conditional(p, xs, ys) + conditional(p, ys, zs)
+        record("triangle", conditional(p, xs, zs) <= rhs + tol, {"X": xs, "Y": ys, "Z": zs})
     return {"checked": checked, "failures": failures, "ok": not failures}
 
 
@@ -400,8 +406,10 @@ def test_dense_engine_matches_oracle(name):
     for target in subsets[1:]:
         assert entropy(p, target) == pytest.approx(oracle_conditional(p, target, ()), abs=1e-12)
         for given in subsets:  # disjoint, overlapping and containing the target
-            got = conditional_entropy(p, target, given)
-            assert got == pytest.approx(oracle_conditional(p, target, given), abs=1e-12), (target, given)
+            want = oracle_conditional(p, target, given)
+            assert conditional(p, target, given) == pytest.approx(want, abs=1e-12), (target, given)
+            # the cell-by-cell form that the property suite and the Shearer sides read
+            assert p._stack.entropy(target, given)[0] == pytest.approx(want, abs=1e-12), (target, given)
 
 
 def test_table_layout():
@@ -477,14 +485,14 @@ def test_cover_weight_validation():
 ], ids=["pairwise", "total-order"])
 def test_shearer_rows_match_the_one_row_check(sets, order):
     """The stacked sides against `shearer_check` pmf by pmf, and both against
-    the sides summed from `entropy` and `conditional_entropy`."""
+    the sides summed from `entropy` alone."""
     cw = CoverWeights(sets, (0.5,) * 3 if len(sets[0]) == 2 else (1.0,) * 3, order)
     pmfs = [JointPmf.random([(0, 1), (0, 1, 2), (0, 1)], seed=seed) for seed in range(60)]
     lhs, rhs, ok = shearer_rows(pmfs, cw)
     assert lhs.shape == rhs.shape == ok.shape == (60,)
     assert lhs == pytest.approx([entropy(p, range(3)) for p in pmfs], abs=1e-12)
     given = [tuple(i for i in range(3) if all((i, a) in order for a in s)) for s in sets]
-    assert rhs == pytest.approx([sum(w * conditional_entropy(p, s, pred) for s, w, pred in zip(sets, cw.weights, given))
+    assert rhs == pytest.approx([sum(w * conditional(p, s, pred) for s, w, pred in zip(sets, cw.weights, given))
                                  for p in pmfs], abs=1e-12)
     reports = [shearer_check(p, cw) for p in pmfs]
     assert lhs == pytest.approx([r["lhs"] for r in reports], abs=1e-12)

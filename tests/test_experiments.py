@@ -55,7 +55,7 @@ from liplab.lipschitz import (
     load_function,
     marginal_groundstate,
     member_batches,
-    min_ground_state,
+    min_ground_states,
 )
 from tests.conftest import CountingGenerator, reference_glauber
 
@@ -847,6 +847,45 @@ def test_verify_entropy_row_stops_at_first_failing_pmf(monkeypatch):
     assert [set(f) for f in row["witness"]["failures"]] == [{"property", "witness"}]
 
 
+def test_verify_entropy_witnesses_name_the_pmf_seed_at_a_nonzero_seed(monkeypatch):
+    """At --seed 3 the random pmfs are drawn from seeds 300,000 and up, and
+    each row's witness seed rebuilds the pmf that failed."""
+    import liplab.entropy as entropy_module
+    from liplab.entropy import JointPmf, entropy
+
+    sides, checker, kernel = (entropy_module._shearer_sides, entropy_module.check_entropy_properties,
+                              entropy_module._conditional_terms)
+    stacks, batches = [], []
+
+    def fault_from_pmf_37(stack, cw):
+        lhs, rhs, terms = sides(stack, cw)
+        stacks.append(stack.table)
+        rhs[37:] = lhs[37:] - 1e-6
+        return lhs, rhs, terms
+
+    def fault_in_pmf_7(joint, given):
+        terms = kernel(joint, given)
+        if len(terms) == 150:
+            terms[7] += 1e-6
+        return terms
+
+    ctx = VerifyContext(seed=3)
+    monkeypatch.setattr(entropy_module, "_shearer_sides", fault_from_pmf_37)
+    (cover,) = check_cover_inequality(ctx)
+    monkeypatch.setattr(entropy_module, "_conditional_terms", fault_in_pmf_7)
+    monkeypatch.setattr(entropy_module, "check_entropy_properties",
+                        lambda pmfs, seeds: batches.append(pmfs) or checker(pmfs, seeds))
+    (props,) = check_entropy(ctx)
+    assert cover["status"] == props["status"] == "fail"
+    assert (cover["witness"]["seed"], props["witness"]["seed"]) == (300_037, 300_007)
+    assert set(cover["witness"]) == {"seed", "lhs", "rhs"} and set(props["witness"]) == {"seed", "failures"}
+    rebuilt = JointPmf.random([(0, 1), (0, 1), (0, 1)], seed=cover["witness"]["seed"])
+    assert np.array_equal(rebuilt.table, stacks[0][37])
+    assert entropy(rebuilt, range(3)) == pytest.approx(cover["witness"]["lhs"], abs=1e-12)
+    rebuilt = JointPmf.random([(0, 1), (0, 1, 2), (0, 1)], seed=props["witness"]["seed"])
+    assert np.array_equal(rebuilt.table, batches[0][7].table)
+
+
 _BOOLEAN_OR_NULL_CASES = [
     ({"M": True}, "M must be a nonnegative integer"),
     ({"mode": {"kind": "one-point", "v0": True}}, "one-point mode needs integer v0"),
@@ -1228,7 +1267,7 @@ def test_range_dump_flaws_without_a_ground_state_is_a_config_error(tmp_path, cap
     assert not out.exists()
     # a ConfigError, which is still a ValueError
     with pytest.raises(ConfigError, match="allowance at lambda = 0.0;"):
-        min_ground_state(cycle_graph(8), LipschitzFn((0, 1, 2, 1, 0, 0, 0, 0), 1), 0.0)
+        min_ground_states(cycle_graph(8), np.array([[0, 1, 2, 1, 0, 0, 0, 0]]), 1, 0.0)
     assert issubclass(ConfigError, ValueError)
 
 

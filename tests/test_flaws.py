@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from liplab.experiments import _random_linked_set, _random_lipschitz, _random_lipschitz_rows
+from liplab.experiments import _random_linked_set, _random_lipschitz_rows
 from liplab.flaws import (
     boundary_ordering,
     check_boundary_ordering,
@@ -81,7 +81,7 @@ def test_anchor_in_window_gives_empty_sets(c4):
 def test_core_subset_of_cluster_always(petersen):
     rng = np.random.default_rng(3)
     for _ in range(100):
-        f = _random_lipschitz(petersen, int(rng.integers(1, 4)), rng)
+        f = reference_random_lipschitz(petersen, int(rng.integers(1, 4)), rng)
         anchor = int(rng.integers(0, petersen.n))
         base = int(f.values[anchor]) - 2 * f.M - 2 - int(rng.integers(0, 3))
         dec = flaw_decomposition(petersen, f, anchor, base)
@@ -90,7 +90,7 @@ def test_core_subset_of_cluster_always(petersen):
 
 def test_shift_equivariance(petersen):
     rng = np.random.default_rng(4)
-    f = _random_lipschitz(petersen, 2, rng)
+    f = reference_random_lipschitz(petersen, 2, rng)
     anchor = int(np.argmax(f.values))
     base = f.values[anchor] - 2 * f.M - 2
     dec = flaw_decomposition(petersen, f, anchor, base)
@@ -116,7 +116,7 @@ def test_core_closure_inside_cluster_fuzz():
         power2, power4 = nx_power(g, 2), nx_power(g, 4)
         for _ in range(250):
             m = int(rng.integers(1, 4))
-            f = _random_lipschitz(g, m, rng)
+            f = reference_random_lipschitz(g, m, rng)
             anchor = int(rng.integers(0, g.n))
             base = f.values[anchor] - 2 * m - 2
             dec = flaw_decomposition(g, f, anchor, base)

@@ -10,7 +10,6 @@ import pytest
 from scipy import stats
 
 from liplab.errors import BudgetExceededError, ConfigError
-from liplab.experiments import _random_lipschitz
 from liplab.graphs import (
     DEFAULT_NODE_BUDGET,
     Graph,
@@ -36,11 +35,9 @@ from liplab.lipschitz import (
     glauber_chain,
     glauber_samples,
     glauber_site_interval,
-    ground_states,
     load_function,
     marginal_groundstate,
     member_batches,
-    min_ground_state,
     min_ground_states,
     sample_exact,
     validate,
@@ -50,9 +47,12 @@ from tests.conftest import (
     CountingGenerator,
     brute_members,
     flaw_count,
+    glauber_steps,
+    ground_bases,
     nx_distances,
     path_graph,
     reference_glauber,
+    reference_random_lipschitz,
     reference_sweep,
     to_networkx,
 )
@@ -261,34 +261,44 @@ def test_flaw_allowance_rational_boundary():
 # Ground states of a single function
 # ---------------------------------------------------------------------------
 
+def _admissible(g, vals, M, lam):
+    """The admissible bases of each row of `vals`, from one `_admissible_bases` pass."""
+    import liplab.lipschitz as lipschitz
+
+    low, ok = lipschitz._admissible_bases(g, vals, M, lam)
+    return [{low + j for j in row.nonzero()[0].tolist()} for row in ok]
+
+
 def test_ground_states_constant_k6(k6):
     f = LipschitzFn((0,) * 6, 1)
-    assert ground_states(k6, f, 1.0) == {-1, 0}
-    assert min_ground_state(k6, f, 1.0) == -1
+    assert ground_bases(k6, f, 1.0) == {-1, 0}
+    assert _admissible(k6, _value_array(f.values, 6), 1, 1.0) == [{-1, 0}]
+    assert min_ground_states(k6, _value_array(f.values, 6), 1, 1.0).tolist() == [-1]
 
 
 def test_ground_states_shift_equivariance(k6):
-    f = LipschitzFn((0,) * 6, 1)
-    assert min_ground_state(k6, LipschitzFn(tuple(v + 5 for v in f.values), f.M), 1.0) == 4
+    vals = _value_array([0] * 6 + [5] * 6, 6)
+    assert min_ground_states(k6, vals, 1, 1.0).tolist() == [-1, 4]
 
 
 def test_ground_states_nonempty_certified(k6):
-    for f in enumerate_onepoint(k6, 0, 1):
-        assert ground_states(k6, f, 1.0)
+    members = list(enumerate_onepoint(k6, 0, 1))
+    vals = _value_array([v for f in members for v in f.values], 6)
+    # a row with no admissible base would be a ConfigError
+    assert len(min_ground_states(k6, vals, 1, 1.0)) == len(members)
+    assert all(_admissible(k6, vals, 1, 1.0))
 
 
 def test_kappa_large_m(k6):
     # zero allowance and huge M: the smallest admissible base is max f - M
     f = LipschitzFn((0, 0, 1, 0, 0, 1), 4)
-    ks = ground_states(k6, f, 0.0)
-    assert min(ks) == max(f.values) - f.M == -3
+    assert min_ground_states(k6, _value_array(f.values, 6), f.M, 0.0)[0] == max(f.values) - f.M == -3
 
 
 def test_ground_states_weak_lambda(c4):
     # allowance >= n: every base in the search window qualifies
     f = LipschitzFn((0, 1, 0, 1), 1)
-    ks = ground_states(c4, f, 10.0)
-    assert ks == set(range(-1, 2))
+    assert _admissible(c4, _value_array(f.values, 4), 1, 10.0) == [set(range(-1, 2))] == [ground_bases(c4, f, 10.0)]
 
 
 def test_window_flaws_match_the_count_per_base(q3):
@@ -305,37 +315,35 @@ def test_window_flaws_match_the_count_per_base(q3):
 
 @pytest.mark.parametrize("shift", [0, -7, 1 << 70])
 def test_ground_states_match_the_count_per_base(petersen, shift):
-    """`ground_states` against `flaw_count` over [min f - M, max f], also
-    for values past int64."""
+    """The admissible bases of 20 rows at once against `flaw_count` over
+    each row's [min f - M, max f], also for values past int64."""
     rng = np.random.default_rng(3)
     for M in (1, 3):
-        for _ in range(20):
-            f = _random_lipschitz(petersen, M, rng)
-            f = LipschitzFn(tuple(v + shift for v in f.values), M)
-            for lam in (0.0, 1.0, 2.5):
-                cap = flaw_cap(petersen.n, 3, lam)
-                window = range(min(f.values) - M, max(f.values) + 1)
-                assert ground_states(petersen, f, lam) == {k for k in window if flaw_count(f, k) <= cap}
+        fs = [reference_random_lipschitz(petersen, M, rng) for _ in range(20)]
+        fs = [LipschitzFn(tuple(v + shift for v in f.values), M) for f in fs]
+        vals = _value_array([v for f in fs for v in f.values], petersen.n)
+        for lam in (0.0, 1.0, 2.5):
+            assert _admissible(petersen, vals, M, lam) == [ground_bases(petersen, f, lam) for f in fs]
 
 
 @pytest.mark.parametrize("block_cells", [1 << 20, 1])
 @pytest.mark.parametrize("shift", [0, 1 << 70])
 def test_min_ground_states_match_the_per_function_minimum(petersen, shift, block_cells, monkeypatch):
-    """Each row's base against the least of its `ground_states`, in one pass
-    and one row per pass, also for values past int64.  At lam = 0 most rows
-    have none, and any one of them is a `ConfigError`.  At lam = 10 every
-    base of a row's own window qualifies, and the least is that row's
+    """Each row's base against the least of its bases by brute force, in one
+    pass and one row per pass, also for values past int64.  At lam = 0 most
+    rows have none, and any one of them is a `ConfigError`.  At lam = 10
+    every base of a row's own window qualifies, and the least is that row's
     min - M, not the whole array's."""
     import liplab.lipschitz as lipschitz
 
     monkeypatch.setattr(lipschitz, "_WINDOW_CELLS", block_cells)
     rng = np.random.default_rng(8)
     for M in (1, 3):
-        fs = [_random_lipschitz(petersen, M, rng) for _ in range(30)]
+        fs = [reference_random_lipschitz(petersen, M, rng) for _ in range(30)]
         fs = [LipschitzFn(tuple(v + shift + 4 * i for v in f.values), M) for i, f in enumerate(fs)]
         vals = _value_array([v for f in fs for v in f.values], petersen.n)
         for lam in (0.0, 1.0, 10.0):
-            expected = [ground_states(petersen, f, lam) for f in fs]
+            expected = [ground_bases(petersen, f, lam) for f in fs]
             keep = [i for i, ks in enumerate(expected) if ks]
             got = min_ground_states(petersen, vals[keep], M, lam)
             assert got.dtype == vals.dtype
@@ -503,8 +511,7 @@ def test_site_interval_examples():
 
 def test_glauber_states_stay_valid(c4):
     spec = EnsembleSpec("one-point", M=1, v0=0)
-    seen = []
-    glauber_chain(c4, spec, seed=3, steps=500, on_step=lambda t, vals: seen.append(tuple(vals)))
+    seen = list(glauber_steps(c4, spec, 3, 500))
     assert len(seen) == 500
     for vals in seen[::37]:
         assert validate(c4, LipschitzFn(vals, 1))
@@ -535,8 +542,7 @@ def test_glauber_detailed_balance_exact(c4):
 def test_glauber_groundstate_respects_cap(k6):
     spec = EnsembleSpec("ground-state", M=1, k=0, lam=1.0)
     support = set(f.values for f in enumerate_groundstate(k6, 0, 1, 1.0))
-    seen = set()
-    glauber_chain(k6, spec, seed=11, steps=4000, on_step=lambda t, vals: seen.add(tuple(vals)))
+    seen = set(glauber_steps(k6, spec, 11, 4000))
     assert seen <= support
     assert len(seen) > 30
 
@@ -545,9 +551,7 @@ def test_glauber_groundstate_uniform(k6):
     # rejection against the flaw allowance keeps the uniform law stationary
     spec = EnsembleSpec("ground-state", M=1, k=0, lam=1.0)
     support = set(f.values for f in enumerate_groundstate(k6, 0, 1, 1.0))
-    hist = Counter()
-    glauber_chain(k6, spec, seed=42, steps=500_000,
-                  on_step=lambda t, vals: hist.update([tuple(vals)]))
+    hist = Counter(glauber_steps(k6, spec, 42, 500_000))
     total = sum(hist.values())
     assert set(hist) <= support
     tv = 0.5 * sum(abs(hist.get(s, 0) / total - 1 / 106) for s in support)
@@ -556,8 +560,7 @@ def test_glauber_groundstate_uniform(k6):
 
 def test_glauber_mixes_on_c4(c4):
     spec = EnsembleSpec("one-point", M=1, v0=0)
-    counts = Counter()
-    glauber_chain(c4, spec, seed=7, steps=200_000, on_step=lambda t, vals: counts.update([tuple(vals)]))
+    counts = Counter(glauber_steps(c4, spec, 7, 200_000))
     assert len(counts) == 19
     total = sum(counts.values())
     tv = 0.5 * sum(abs(c / total - 1 / 19) for c in counts.values())
@@ -565,16 +568,15 @@ def test_glauber_mixes_on_c4(c4):
 
 
 def _trajectory_sha256(g, spec, seed, steps):
-    """sha256 of every (step, state) the chain reports, and of its final state."""
+    """sha256 of every (step, state) of the chain, step t being the state
+    after t + 1 steps, and of its final state."""
     h = hashlib.sha256()
-    ticks = []
-
-    def on_step(t, vals):
-        ticks.append(t)
+    t = -1
+    for t, vals in enumerate(glauber_steps(g, spec, seed, steps)):
         h.update(f"{t}:{','.join(map(str, vals))}\n".encode())
-
-    f = glauber_chain(g, spec, seed=seed, steps=steps, on_step=on_step)
-    assert ticks == list(range(steps))
+    assert t == steps - 1
+    f = glauber_chain(g, spec, seed, steps)
+    assert f.values == vals
     return h.hexdigest(), hashlib.sha256(json.dumps(list(f.values)).encode()).hexdigest()
 
 
@@ -642,8 +644,9 @@ def test_glauber_chain_matches_reference_chain(builder, spec, seed, steps):
     import liplab.lipschitz as lipschitz
 
     g = builder()
-    seen, expected = [], []
-    got = lipschitz._glauber_run(g, spec, seed, [steps], on_step=lambda t, vals: seen.append(hash(tuple(vals))))
+    seen = [hash(vals) for vals in glauber_steps(g, spec, seed, steps)]
+    expected = []
+    got = lipschitz._glauber_run(g, spec, seed, [steps])
     want = reference_glauber(g, spec, seed, [steps], on_step=lambda t, vals: expected.append(hash(tuple(vals))))
     assert len(seen) == steps
     assert seen == expected
@@ -655,8 +658,7 @@ def test_glauber_ground_state_rejects_moves(k6):
     # the K6 golden trajectory above exercises rejections, not just accepted moves
     spec = EnsembleSpec("ground-state", M=1, k=0, lam=1.0)
     cap = flaw_cap(6, 5, 1.0)
-    states = []
-    glauber_chain(k6, spec, seed=8, steps=3000, on_step=lambda t, vals: states.append(tuple(vals)))
+    states = list(glauber_steps(k6, spec, 8, 3000))
     rejected = 0
     for prev, cur in zip(states, states[1:]):
         assert sum(1 for x in cur if not 0 <= x <= 1) <= cap
@@ -672,20 +674,16 @@ def test_glauber_moves_stay_in_reference_interval(seed):
     g = random_connected_graph(n, 100 + seed, p=0.3)
     v0 = int(rng.integers(0, n))
     for M in (0, 1, 2):
-        prev = [0] * n
+        prev = (0,) * n
         moved = 0
-
-        def on_step(t, vals):
-            nonlocal prev, moved
+        for t, vals in enumerate(glauber_steps(g, EnsembleSpec("one-point", M=M, v0=v0), seed, 3000)):
             changed = [v for v in range(n) if vals[v] != prev[v]]
             assert len(changed) <= 1, (g.name, M, t)
             for v in changed:
                 lo, hi = glauber_site_interval(prev, g.neighbors(v), M)
                 assert v != v0 and lo <= vals[v] <= hi, (g.name, M, t, v)
             moved += len(changed)
-            prev = list(vals)
-
-        glauber_chain(g, EnsembleSpec("one-point", M=M, v0=v0), seed=seed, steps=3000, on_step=on_step)
+            prev = vals
         assert (moved > 0) == (M > 0)
 
 
@@ -723,16 +721,23 @@ def test_glauber_table_is_judged_when_it_fills(builder, spec, seed, steps, kept,
         return builtins.min(*args)
 
     monkeypatch.setattr(lipschitz, "min", counting_min, raising=False)
-    totals = []
-    lipschitz._glauber_run(g, spec, seed, [steps], on_step=lambda t, vals: totals.append(computed))
-    hits = [t for t, (before, after) in enumerate(zip([0] + totals, totals)) if before == after]
-    # every miss before the fill makes an entry, so the table filled
-    assert computed >= room and hits
+
+    def misses(run):
+        """The interval computations of the first `run` steps: runs are prefix-stable."""
+        nonlocal computed
+        computed = 0
+        lipschitz._glauber_run(g, spec, seed, [run])
+        return computed
+
+    total = misses(steps)
+    # every miss before the fill makes an entry, so the table filled; some step hit
+    assert room <= total < steps
     if kept:
-        assert computed < steps // 10 and hits[-1] == steps - 1
+        # the last step still hits
+        assert total < steps // 10 and misses(steps - 1) == total
     else:
         # switched off at the fill, within 4 * room steps: every later step computes
-        assert hits[-1] < 4 * room and computed > steps - 3 * room
+        assert total - misses(4 * room) == steps - 4 * room and total > steps - 3 * room
 
 
 def test_glauber_ground_state_guards(k6):
@@ -761,10 +766,8 @@ def test_glauber_value_array_keeps_differences_exact(values, dtype):
 def test_glauber_lone_pinned_vertex_is_a_no_op():
     k1 = complete_graph(1)
     spec = EnsembleSpec("one-point", M=2, v0=0)
-    seen = []
-    f = glauber_chain(k1, spec, seed=0, steps=5, on_step=lambda t, vals: seen.append((t, tuple(vals))))
-    assert f == LipschitzFn((0,), 2)
-    assert seen == [(t, (0,)) for t in range(5)]
+    assert glauber_chain(k1, spec, seed=0, steps=5) == LipschitzFn((0,), 2)
+    assert list(glauber_steps(k1, spec, 0, 5)) == [(0,)] * 5
     samples, _ = glauber_samples(k1, spec, seed=3, burn_in=10, thinning=4, samples=3)
     assert samples.tolist() == [[0]] * 3
 

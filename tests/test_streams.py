@@ -1,8 +1,8 @@
-"""Glauber samples are the states of one chain on one random stream: the
-states of the reference chain at the marks `burn_in + i * thinning`, and
-the states that `glauber_chain` passes to `on_step` at those step counts.
-The stream does not depend on how its draws are split into calls, so the
-first samples of a run are those of every longer run."""
+"""Glauber samples are the states of one chain on one random stream: sample
+i, for i = 1..samples, is the state of the reference chain at the mark
+`burn_in + i * thinning`, and the final state of the `glauber_chain` run of
+that many steps.  The stream does not depend on how its draws are split
+into calls, so the first samples of a run are those of every longer run."""
 
 import hashlib
 
@@ -19,16 +19,9 @@ def sample_marks(burn_in, thinning, samples):
 
 
 def chain_states(g, spec, seed, marks):
-    """The states after each step count in `marks` (all >= 1) of the
-    `glauber_chain` run of `seed` over `marks[-1]` steps, read from `on_step`."""
-    wanted, seen = set(marks), {}
-
-    def on_step(t, vals):
-        if t + 1 in wanted:
-            seen[t + 1] = list(vals)
-
-    glauber_chain(g, spec, seed, marks[-1], on_step=on_step)
-    return [seen[mark] for mark in marks]
+    """The final state of the `glauber_chain` run of `seed` over each step
+    count in `marks`."""
+    return [list(glauber_chain(g, spec, seed, mark).values) for mark in marks]
 
 
 def assert_replays(g, spec, seed, burn_in, thinning, samples):

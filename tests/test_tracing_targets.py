@@ -1,9 +1,11 @@
 """The benchmark's tracer (`bench/tracing.py`) wraps liplab entry points by
-module and name.  These tests read that file without importing it as a
-module, so a renamed entry point fails here rather than in a traced bench
-run."""
+module and name, and the bench scripts import liplab names.  These tests
+read those files without importing them as modules, so a renamed entry
+point fails here rather than in a bench run."""
 
+import ast
 import importlib
+import importlib.util
 import json
 from pathlib import Path
 
@@ -12,7 +14,8 @@ from liplab.containers import enumerate_linked_sets
 from liplab.graphs import cycle_graph, petersen_graph
 from liplab.lipschitz import count_onepoint
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+TRACING = BENCH / "tracing.py"
 
 
 def _tracing() -> dict:
@@ -31,6 +34,21 @@ def test_every_traced_target_resolves():
             assert meth in vars(getattr(owner, cls_name)), f"liplab.{module}.{attr}"
         else:
             assert callable(getattr(owner, attr, None)), f"liplab.{module}.{attr}"
+
+
+def test_every_bench_import_resolves():
+    """Each `from liplab... import name` in a bench script, at any depth of
+    the file, names an attribute or submodule of that liplab module."""
+    imported = []
+    for script in sorted(BENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(script.read_text(), str(script))):
+            if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] == "liplab":
+                imported += [(script.name, node.module, alias.name) for alias in node.names]
+    assert ("reference.py", "liplab.lipschitz", "fn_range") in imported
+    for script, module, name in imported:
+        owner = importlib.import_module(module)
+        submodule = hasattr(owner, "__path__") and importlib.util.find_spec(f"{module}.{name}") is not None
+        assert hasattr(owner, name) or submodule, f"{script}: {module}.{name}"
 
 
 def test_traced_cli_count_reaches_the_count_counters(capsys):
