@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .expanders import ExpanderProfile
-from .graphs import DEFAULT_NODE_BUDGET, Graph, iter_rooted_connected_sets, mask_vertices
+from .graphs import DEFAULT_NODE_BUDGET, Graph, iter_rooted_connected_sets, mask_rows, mask_vertices
 
 _TOL = 1e-9
 COVER_RETRY_CAP = 64  # sampling attempts per cover
@@ -74,10 +74,7 @@ def enumerate_linked_sets(
 def _columns(masks: Sequence[int], n: int) -> np.ndarray:
     """The masks as the columns of an `(n, len(masks))` boolean array: row u
     holds vertex u's membership in every set."""
-    width = (n + 7) // 8
-    packed = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), dtype=np.uint8)
-    bits = np.unpackbits(packed.reshape(len(masks), width), axis=1, count=n, bitorder="little")
-    return np.ascontiguousarray(bits.T, dtype=bool)
+    return np.ascontiguousarray(mask_rows(masks, n).T)
 
 
 def _masks(cols: np.ndarray) -> list[int]:

@@ -12,7 +12,9 @@ or conditional, is a sum of cell terms -p(x,y) log2(p(x,y)/p(y)).  A pmf
 keeps a stack of one row, with its marginals and entropies cached; the
 property suite stacks a whole list of pmfs and checks them in one pass per
 coordinate block, and `shearer_rows` checks the cover inequality on a whole
-list the same way (`shearer_check` is its one-row form).
+list the same way (`shearer_check` is its one-row form).  Random pmfs are
+drawn straight into such a stack by `random_pmf_tables`, without a
+`JointPmf` per pmf.
 """
 
 from __future__ import annotations
@@ -95,14 +97,31 @@ class JointPmf:
             outcomes[(a, b, a ^ b)] = 0.25
         return cls(((0, 1), (0, 1), (0, 1)), outcomes)
 
-    @classmethod
-    def random(cls, supports, seed: int) -> "JointPmf":
-        """Flat-Dirichlet probabilities over the full product support."""
-        supports = tuple(tuple(s) for s in supports)
-        cells = list(itertools.product(*supports))
-        rng = np.random.default_rng(seed)
-        weights = rng.dirichlet([1.0] * len(cells))
-        return cls(supports, {cell: float(w) for cell, w in zip(cells, weights)})
+
+def random_pmf_tables(shape, seeds) -> tuple[np.ndarray, list[np.random.Generator]]:
+    """Random pmfs over product supports of sizes `shape`, one per seed, as
+    the rows of one read-only (B, *shape) float64 table array, with the
+    generator that drew each row.
+
+    Row i holds flat-Dirichlet probabilities over the cells in row-major
+    order, drawn by `default_rng(seeds[i])`.  That generator comes back
+    standing right after the draw, so `check_entropy_properties` draws the
+    pmf's random maps next from the same stream, and the seed alone replays
+    both.  Each row passes the checks of `JointPmf`: no negative cell, and
+    cells summing to 1 within tolerance.  Raises ValueError past
+    MAX_TABLE_CELLS."""
+    shape, rngs = tuple(shape), [np.random.default_rng(s) for s in seeds]
+    _check_cells(len(rngs), shape)
+    cells = math.prod(shape)
+    alpha = np.ones(cells)
+    tables = np.array([rng.dirichlet(alpha) for rng in rngs]).reshape(len(rngs), cells)
+    if (tables < 0.0).any():
+        raise ValueError("negative probability in a random pmf")
+    if (np.abs(tables.sum(axis=1) - 1.0) > _NORM_TOL * max(1, cells)).any():
+        raise ValueError("the probabilities of a random pmf do not sum to 1")
+    tables = tables.reshape(len(rngs), *shape)
+    tables.flags.writeable = False
+    return tables, rngs
 
 
 def _sorted_coords(p: JointPmf, coords, what: str) -> tuple:
@@ -161,21 +180,29 @@ class _Stack:
         return h
 
 
+def _check_cells(count: int, shape: tuple) -> None:
+    """Raise ValueError when `count` tables of `shape` pass MAX_TABLE_CELLS."""
+    cells = count * math.prod(shape)
+    if cells > MAX_TABLE_CELLS:
+        raise ValueError(
+            f"{count} pmfs of shape {shape} stack to {cells} table cells, "
+            f"over MAX_TABLE_CELLS = {MAX_TABLE_CELLS}"
+        )
+
+
 def _stack_of(pmfs) -> _Stack:
-    """One stack of the tables of a nonempty iterable of pmfs with equal
-    support sizes, keeping only their tables; raises ValueError past
-    MAX_TABLE_CELLS."""
+    """One stack of a (B, *shape) table array, or of the tables of a
+    nonempty iterable of pmfs with equal support sizes, keeping only their
+    tables; raises ValueError past MAX_TABLE_CELLS."""
+    if isinstance(pmfs, np.ndarray):
+        _check_cells(len(pmfs), pmfs.shape[1:])
+        return _Stack(pmfs)
     tables = [p.table for p in pmfs]
     shape = tables[0].shape
     if any(t.shape != shape for t in tables):
         sizes = sorted({t.shape for t in tables})
         raise ValueError(f"pmfs checked together need equal support sizes, got {sizes}")
-    cells = len(tables) * math.prod(shape)
-    if cells > MAX_TABLE_CELLS:
-        raise ValueError(
-            f"{len(tables)} pmfs of shape {shape} stack to {cells} table cells, "
-            f"over MAX_TABLE_CELLS = {MAX_TABLE_CELLS}"
-        )
+    _check_cells(len(tables), shape)
     return _Stack(np.stack(tables))
 
 
@@ -195,17 +222,17 @@ _PROPERTIES = ("image", "cond_reduces", "chain", "subadd", "coarsen", "function"
 
 
 def _indicator(codes: np.ndarray, width: int) -> np.ndarray:
-    """Indicator rows of integer codes, shape `codes.shape + (width,)`."""
-    out = np.zeros(codes.shape + (width,))
-    np.put_along_axis(out, codes[..., None], 1.0, axis=-1)
-    return out
+    """Indicator rows of integer codes, shape `codes.shape + (width,)`: one
+    gather of the identity's rows."""
+    return np.eye(width)[codes]
 
 
 def _random_tables(seeds: list, tables: list[tuple]) -> list[np.ndarray]:
     """Random lookup tables for each row of a stack, drawn from the row's
-    `default_rng(seed)`: per (codomain, count, cells) entry of `tables`, in
-    order, `count` tables of shape (B, count, cells), with one code in
-    [0, codomain) per cell, drawn in cell order.
+    `default_rng(seed)`, or from the row's generator where it stands when
+    the seed is a `Generator`: per (codomain, count, cells) entry of
+    `tables`, in order, `count` tables of shape (B, count, cells), with one
+    code in [0, codomain) per cell, drawn in cell order.
 
     A row draws all its tables in one `integers` call with an array of
     upper bounds.  Bounded int64 draws take the same values from the stream
@@ -218,14 +245,16 @@ def _random_tables(seeds: list, tables: list[tuple]) -> list[np.ndarray]:
     return [part.reshape(len(seeds), count, cells) for part, (_, count, cells) in zip(parts, tables)]
 
 
-def _row_reports(pmfs: list[JointPmf], seeds: list) -> list[dict]:
-    """The report of each pmf, checked together; see `check_entropy_properties`."""
-    n = pmfs[0].n_coords
-    if n > 4:
-        raise ValueError("property sweep is exhaustive over subsets; use <= 4 coordinates")
+def _verdicts(pmfs, seeds: list) -> tuple[list[tuple[str, dict]], np.ndarray]:
+    """Every check of `check_entropy_properties` on every pmf, checked
+    together: the (property, witness) of each check, the same for every pmf,
+    and a (B, checks) boolean array of verdicts."""
     if len(seeds) != len(pmfs):
         raise ValueError(f"need one seed per pmf, got {len(seeds)} seeds for {len(pmfs)} pmfs")
     stack = _stack_of(pmfs)
+    n = len(stack.shape)
+    if n > 4:
+        raise ValueError("property sweep is exhaustive over subsets; use <= 4 coordinates")
     H, tol = stack.entropy, ENTROPY_TOL
     batch = len(pmfs)
     nonempty = [tuple(c) for r in range(1, n + 1) for c in itertools.combinations(range(n), r)]
@@ -287,21 +316,13 @@ def _row_reports(pmfs: list[JointPmf], seeds: list) -> list[dict]:
             continue
         record("triangle", H(xs, zs) <= H(xs, ys) + H(ys, zs) + tol, {"X": xs, "Y": ys, "Z": zs})
 
-    checked = dict.fromkeys(_PROPERTIES, 0)
-    for prop, _ in checks:
-        checked[prop] += 1
-    reports = []
-    for row in np.stack(verdicts, axis=1):
-        failures = [] if row.all() else [
-            {"property": prop, "witness": dict(witness)} for (prop, witness), ok in zip(checks, row) if not ok
-        ]
-        reports.append({"checked": dict(checked), "failures": failures, "ok": not failures})
-    return reports
+    return checks, np.stack(verdicts, axis=1)
 
 
-def check_entropy_properties(pmfs: list[JointPmf], seeds: list) -> dict:
-    """Verify the standard entropy toolbox on a list of pmfs with equal
-    support sizes, checked together, one seed per pmf.
+def check_entropy_properties(pmfs, seeds: list) -> dict:
+    """Verify the standard entropy toolbox on pmfs with equal support sizes,
+    checked together: a list of pmfs, or their tables as one (B, *shape)
+    array (see `random_pmf_tables`), with one seed or generator per pmf.
 
     Properties, over all applicable coordinate subsets: (1) image bound,
     (2) conditioning reduces entropy, (3) chain rule, (4) subadditivity given
@@ -309,8 +330,8 @@ def check_entropy_properties(pmfs: list[JointPmf], seeds: list) -> dict:
     (determined maps), (6) functions of the target add nothing, (7) triangle
     inequality.  Deterministic maps for (5)/(6) are coordinate projections,
     constants, and `TRIALS` random tables drawn from the pmf's
-    `default_rng(seed)`; each is a lookup array over the cells of the block
-    it maps.
+    `default_rng(seed)`, or from its generator where it stands; each is a
+    lookup array over the cells of the block it maps.
 
     The tables are stacked into one (B, *shape) array, so each marginal and
     conditional entropy is one axis sum over all pmfs, and all coarsenings
@@ -323,20 +344,21 @@ def check_entropy_properties(pmfs: list[JointPmf], seeds: list) -> dict:
     to and including it, and its failures carry its index as "pmf".
     Raises ValueError when the stack would exceed MAX_TABLE_CELLS.
     """
-    pmfs = list(pmfs)
     if isinstance(seeds, int):
         raise ValueError("a list of pmfs needs a list of seeds, one per pmf")
-    if not pmfs:
-        return {"checked": dict.fromkeys(_PROPERTIES, 0), "failures": [], "ok": True, "pmfs": 0}
-    reports = _row_reports(pmfs, list(seeds))
-    counted = next((k + 1 for k, report in enumerate(reports) if not report["ok"]), len(reports))
-    last = reports[counted - 1]
-    return {
-        "checked": {prop: count * counted for prop, count in last["checked"].items()},
-        "failures": [dict(failure, pmf=counted - 1) for failure in last["failures"]],
-        "ok": last["ok"],
-        "pmfs": counted,
-    }
+    if not isinstance(pmfs, np.ndarray):
+        pmfs = list(pmfs)
+    checked = dict.fromkeys(_PROPERTIES, 0)
+    if not len(pmfs):
+        return {"checked": checked, "failures": [], "ok": True, "pmfs": 0}
+    checks, verdicts = _verdicts(pmfs, list(seeds))
+    passed = verdicts.all(axis=1)
+    counted = len(passed) if passed.all() else int(passed.argmin()) + 1
+    for prop, _ in checks:
+        checked[prop] += counted
+    failures = [{"property": prop, "witness": dict(witness), "pmf": counted - 1}
+                for (prop, witness), ok in zip(checks, verdicts[counted - 1]) if not ok]
+    return {"checked": checked, "failures": failures, "ok": not failures, "pmfs": counted}
 
 
 # ---------------------------------------------------------------------------
@@ -404,8 +426,9 @@ def _shearer_sides(stack: _Stack, cw: CoverWeights) -> tuple[np.ndarray, np.ndar
 
 def shearer_rows(pmfs, cw: CoverWeights) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """`shearer_check` on every pmf of a nonempty iterable with equal support
-    sizes, in one pass over their stacked tables: the left sides, the right
-    sides and the verdicts, one entry per pmf."""
+    sizes, or on every row of a (B, *shape) table array, in one pass over
+    the stacked tables: the left sides, the right sides and the verdicts,
+    one entry per pmf."""
     lhs, rhs, _ = _shearer_sides(_stack_of(pmfs), cw)
     return lhs, rhs, lhs <= rhs + ENTROPY_TOL
 

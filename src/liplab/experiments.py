@@ -34,11 +34,12 @@ from .expanders import (
     verify_expander_props,
 )
 from .flaws import (
-    boundary_ordering,
-    check_boundary_ordering,
+    boundary_orderings,
+    check_boundary_orderings,
     conditional_tail_profile,
     core_closure_escapes,
     decompose_rows,
+    ordering_verdict,
     tail_hypotheses,
     tail_rows,
     tail_verdict,
@@ -54,10 +55,9 @@ from .graphs import (
     generate,
     hypercube_graph,
     is_int,
-    is_k_linked,
     load_edge_list,
+    mask_rows,
     mask_vertices,
-    neighborhood,
     random_regular_graph,
 )
 from .lipschitz import (
@@ -805,23 +805,25 @@ def check_core_closure(sg: SuiteGraph, ctx: VerifyContext) -> list[dict]:
 
 
 def check_boundary_ordering_fuzz(sg: SuiteGraph, ctx: VerifyContext) -> list[dict]:
-    """Boundary-ordering fuzz over random 4-linked sets that do not close over g."""
+    """Boundary-ordering fuzz over random 4-linked sets that do not close
+    over g.  The sets are drawn one by one on the shared stream; the kept
+    ones are the rows of one batch, ordered and checked at once, and the
+    witness is the first failing case."""
     g, rng = sg.g, ctx.rng
-    checked, failed = 0, None
-    for _ in range(100 * ctx.fuzz_scale):
-        s = _random_linked_set(g, rng)
-        if (s | neighborhood(g, s)).bit_count() == g.n:
-            continue
-        order = boundary_ordering(g, s)
-        verdict = check_boundary_ordering(g, s, order)
-        checked += 1
-        if not verdict["ok"]:
-            failed = {"s": mask_vertices(s), "order": order, "verdict": verdict}
-            break
-    if checked == 0:
+    sets = mask_rows([_random_linked_set(g, rng) for _ in range(100 * ctx.fuzz_scale)], g.n)
+    sets = sets[~(sets | sets[:, g.neighbor_table].any(axis=2)).all(axis=1)]
+    if not len(sets):
         return [_row("boundary-ordering", sg.name, "skipped",
                      reason="every sampled set closes over the whole graph")]
-    return [_verdict("boundary-ordering", sg.name, failed is None, failed, cases=checked)]
+    orders = boundary_orderings(g, sets)
+    verdicts = check_boundary_orderings(g, sets, orders)
+    failed, cases = None, len(sets)
+    if not verdicts["ok"].all():
+        i = int(verdicts["ok"].argmin())
+        failed = {"s": np.flatnonzero(sets[i]).tolist(), "order": orders[i][orders[i] >= 0].tolist(),
+                  "verdict": ordering_verdict(verdicts, i)}
+        cases = i + 1
+    return [_verdict("boundary-ordering", sg.name, failed is None, failed, cases=cases)]
 
 
 def check_containers(sg: SuiteGraph, ctx: VerifyContext) -> list[dict]:
@@ -852,17 +854,17 @@ def check_entropy(ctx: VerifyContext) -> list[dict]:
     """Entropy properties on random and hand-built pmfs.  One call per support
     shape, each stopping at its first failing pmf; the hand-built pmfs are
     checked only if the random ones pass.  A failing random pmf is named by
-    the seed that `JointPmf.random` drew it from.  `pmfs` and `checks` count
-    the work done, under names apart from the `cases`/`instances` fuzz
-    counters."""
-    from .entropy import JointPmf, check_entropy_properties
+    the seed of the generator that drew its table and then its random maps,
+    so `random_pmf_tables` replays it from that seed alone.  `pmfs` and
+    `checks` count the work done, under names apart from the
+    `cases`/`instances` fuzz counters."""
+    from .entropy import JointPmf, check_entropy_properties, random_pmf_tables
 
     fail, n_pmfs, n_checks = None, 0, 0
-    seeds = list(range(150 * ctx.fuzz_scale))
-    pmf_seeds = [ctx.seed * 100_000 + s for s in seeds]
-    random_pmfs = [JointPmf.random([(0, 1), (0, 1, 2), (0, 1)], seed=seed) for seed in pmf_seeds]
+    pmf_seeds = range(ctx.seed * 100_000, ctx.seed * 100_000 + 150 * ctx.fuzz_scale)
+    tables, generators = random_pmf_tables((2, 3, 2), pmf_seeds)
     hand_built = [JointPmf.xor_triple(), JointPmf.independent_uniform_bits(3)]
-    for pmfs, map_seeds, name in ((random_pmfs, seeds, None),
+    for pmfs, map_seeds, name in ((tables, generators, None),
                                   (hand_built, [ctx.seed, ctx.seed], "hand-constructed")):
         report = check_entropy_properties(pmfs, map_seeds)
         n_pmfs += report["pmfs"]
@@ -878,12 +880,12 @@ def check_entropy(ctx: VerifyContext) -> list[dict]:
 def check_cover_inequality(ctx: VerifyContext) -> list[dict]:
     """Shearer's fractional-cover inequality on random pmfs, checked as one
     stack, then on the XOR triple.  A failing random pmf is named by the seed
-    that `JointPmf.random` drew it from."""
-    from .entropy import CoverWeights, JointPmf, shearer_check, shearer_rows
+    that `random_pmf_tables` drew it from."""
+    from .entropy import CoverWeights, JointPmf, random_pmf_tables, shearer_check, shearer_rows
 
     cw = CoverWeights((frozenset({0, 1}), frozenset({0, 2}), frozenset({1, 2})), (0.5, 0.5, 0.5), frozenset())
     seeds = range(ctx.seed * 100_000, ctx.seed * 100_000 + 150 * ctx.fuzz_scale)
-    lhs, rhs, ok = shearer_rows((JointPmf.random([(0, 1), (0, 1), (0, 1)], seed=seed) for seed in seeds), cw)
+    lhs, rhs, ok = shearer_rows(random_pmf_tables((2, 2, 2), seeds)[0], cw)
     fail, n_pmfs = None, len(seeds)
     if not ok.all():
         s = int(ok.argmin())
@@ -1010,15 +1012,14 @@ def run_verify_suite(graphs: list[Graph] | None = None, seed: int = 0,
 
 def _random_linked_set(g: Graph, rng: np.random.Generator) -> int:
     """A random vertex, grown up to twice by the first vertex, in a shuffled
-    order, that keeps the set 4-linked; as a mask."""
+    order, that keeps the set 4-linked; as a mask.  The set is 4-linked
+    already, so a vertex keeps it so iff it lies within distance 4 of it."""
+    power = g.power_masks(4)
     s = 1 << int(rng.integers(0, g.n))
     for _ in range(int(rng.integers(0, 3))):
         cands = [u for u in range(g.n) if not s >> u & 1]
         rng.shuffle(cands)
-        for u in cands:
-            if is_k_linked(g, s | 1 << u, 4):
-                s |= 1 << u
-                break
+        s |= next((1 << u for u in cands if power[u] & s), 0)
     return s
 
 

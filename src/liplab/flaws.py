@@ -8,7 +8,9 @@ arrays; `flaw_decomposition` is its one-row form, with vertex masks (see
 `graphs`), for the `flaws` command.  The core's closure always sits inside
 the cluster, which the fuzz suites re-check on every sampled function.
 Fluctuations below the window are those above it of the reflection
-f -> -f + k + M, so they need no code of their own.
+f -> -f + k + M, so they need no code of their own.  The boundary ordering
+of a 4-linked set and its check have one-row forms on masks and batch
+forms on the rows of a boolean array, which the fuzz suite uses.
 """
 
 from __future__ import annotations
@@ -247,6 +249,90 @@ def check_boundary_ordering(g: Graph, s: int, ordering: list[int]) -> dict:
         "predecessor_within_4": ok_pred,
         "ok": ok_first and ok_split and ok_pred,
     }
+
+
+def boundary_orderings(g: Graph, sets: np.ndarray) -> np.ndarray:
+    """`boundary_ordering` of every row of the `(rows, n)` boolean array
+    `sets`, as a `(rows, n)` index array: row r lists the closure of its set
+    in order, then -1 in every place left.
+
+    Each set starts from its smallest vertex within distance 2 of the
+    outside, which is the one-row form's start: the first breadth-first
+    layer out of the outside lies in the outer boundary, and in a connected
+    graph the second one meets S.  The G^4 layers of every row then grow
+    together, as in `decompose_rows`; every vertex is keyed by its layer,
+    the outer boundary after all layers and the outside last, and one
+    stable sort of the keys, which keeps id order within a key, gives every
+    ordering at once.  Raises ValueError on the rows that `boundary_ordering`
+    refuses: an empty set, one that is not 4-linked, or one whose closure
+    covers the graph."""
+    rows, n = sets.shape
+    table = g.neighbor_table
+    if not sets.any(axis=1).all():
+        raise ValueError("every set must be nonempty")
+    closure = _grow(table, sets, 1)
+    if closure.all(axis=1).any():
+        raise ValueError("a set's closure covers the whole graph; no valid start vertex")
+    start = np.zeros_like(sets)
+    start[np.arange(rows), (_grow(table, ~closure, 2) & sets).argmax(axis=1)] = True
+    key = np.where(closure, n, n + 1)
+    reached = layer = start
+    depth = 0
+    while layer.any():
+        key[layer] = depth
+        layer = _grow(table, layer, CORE_LINKAGE) & sets & ~reached
+        reached |= layer
+        depth += 1
+    if (sets & ~reached).any():
+        raise ValueError("every set must be 4-linked")
+    order = np.argsort(key, axis=1, kind="stable")
+    return np.where(np.take_along_axis(key, order, axis=1) <= n, order, -1)
+
+
+def check_boundary_orderings(g: Graph, sets: np.ndarray, orders: np.ndarray) -> dict[str, np.ndarray]:
+    """`check_boundary_ordering` of every row: row r of the `(rows, n)` index
+    array `orders` is checked as an ordering of the closure of row r of
+    `sets`, its places after the ordering holding -1.  One boolean array per
+    property, under the one-row check's keys, and "ok"; where
+    "covers_closure" is False the other three are False (see
+    `ordering_verdict`).
+
+    Every vertex gets its place in its row's ordering (n when it has none),
+    and `predecessor_within_4` compares each place with the earliest place
+    within distance 4, which four rounds of minima over the neighbour table
+    give for every vertex and row at once."""
+    rows, n = sets.shape
+    table = g.neighbor_table
+    closure = _grow(table, sets, 1)
+    placed = (orders >= 0) & (orders < n)
+    at = np.nonzero(placed)
+    place = np.full((rows, n), n, dtype=np.min_scalar_type(n))  # uint8 up to n = 255
+    place[at[0], orders[at]] = at[1]
+    covers = (((orders >= -1) & (orders < n)).all(axis=1)
+              & (placed[:, :-1] >= placed[:, 1:]).all(axis=1)  # no place filled after an empty one
+              & ((place < n) == closure).all(axis=1)
+              & (placed.sum(axis=1) == closure.sum(axis=1)))  # so no vertex is listed twice
+    first = np.zeros_like(sets)
+    first[np.arange(rows), np.where(placed[:, 0], orders[:, 0], 0)] = True
+    near = (_grow(table, first, 2) & ~closure).any(axis=1)
+    split = ~(sets & (place >= sets.sum(axis=1, keepdims=True))).any(axis=1)
+    earliest = place
+    for _ in range(CORE_LINKAGE):
+        earliest = np.minimum(earliest, earliest[:, table].min(axis=2))
+    pred = ~((place > 0) & (place < n) & (earliest == place)).any(axis=1)
+    verdicts = {"covers_closure": covers, "first_near_outside": covers & near,
+                "set_before_boundary": covers & split, "predecessor_within_4": covers & pred}
+    verdicts["ok"] = covers & near & split & pred
+    return verdicts
+
+
+def ordering_verdict(verdicts: dict[str, np.ndarray], row: int) -> dict:
+    """Row `row` of `check_boundary_orderings` as `check_boundary_ordering`
+    reports it: the three properties are None (not checked) where the
+    ordering does not cover the closure."""
+    covers = bool(verdicts["covers_closure"][row])
+    return {key: bool(v[row]) if covers or key in ("covers_closure", "ok") else None
+            for key, v in verdicts.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -225,6 +225,14 @@ def mask_vertices(m: int) -> list[int]:
     return out
 
 
+def mask_rows(masks: Sequence[int], n: int) -> np.ndarray:
+    """The masks as the rows of a `(len(masks), n)` boolean array: entry
+    (i, u) is vertex u's membership in set i."""
+    width = (n + 7) // 8
+    packed = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), dtype=np.uint8)
+    return np.unpackbits(packed.reshape(len(masks), width), axis=1, count=n, bitorder="little").view(bool)
+
+
 def _union(masks: Sequence[int], m: int) -> int:
     """The union of `masks[u]` over the vertices u of the mask m."""
     out = 0

@@ -1,3 +1,4 @@
+import itertools
 import math
 from array import array
 from collections import Counter
@@ -14,6 +15,8 @@ from liplab.containers import (
     enumerate_linked_sets,
     family_bound_exponent,
 )
+from liplab import entropy
+from liplab.entropy import JointPmf
 from liplab.errors import BudgetExceededError
 from liplab.graphs import (
     DEFAULT_NODE_BUDGET,
@@ -477,3 +480,26 @@ def reference_container_family(g, v, boundary_size, k, psi, profile, seed, budge
             "empirical_constant": math.log(len(pairs)) / exponent if pairs and exponent > 0 else None,
         },
     )
+
+
+def random_pmf(supports, seed):
+    """Flat-Dirichlet probabilities over the full product support from
+    `default_rng(seed)`, built cell by cell through `JointPmf`: the oracle
+    of `entropy.random_pmf_tables`."""
+    supports = tuple(tuple(s) for s in supports)
+    cells = list(itertools.product(*supports))
+    weights = np.random.default_rng(seed).dirichlet([1.0] * len(cells))
+    return JointPmf(supports, {cell: float(w) for cell, w in zip(cells, weights)})
+
+
+def row_reports(pmfs, seeds):
+    """The report that `check_entropy_properties` would give each pmf alone,
+    read off one check of them all together."""
+    checks, verdicts = entropy._verdicts(pmfs, list(seeds))
+    checked = dict.fromkeys(entropy._PROPERTIES, 0)
+    for prop, _ in checks:
+        checked[prop] += 1
+    return [{"checked": dict(checked),
+             "failures": [{"property": prop, "witness": dict(witness)}
+                          for (prop, witness), ok in zip(checks, row) if not ok],
+             "ok": bool(row.all())} for row in verdicts]

@@ -10,9 +10,11 @@ from liplab.entropy import (
     JointPmf,
     check_entropy_properties,
     entropy,
+    random_pmf_tables,
     shearer_check,
     shearer_rows,
 )
+from tests.conftest import random_pmf, row_reports
 
 TOL = 1e-10
 
@@ -77,7 +79,7 @@ def test_pmf_validation():
 # ---------------------------------------------------------------------------
 
 def test_conditional_on_self_is_zero():
-    p = JointPmf.random([(0, 1, 2), (0, 1)], seed=4)
+    p = random_pmf([(0, 1, 2), (0, 1)], seed=4)
     assert conditional(p, [0], [0]) == pytest.approx(0.0, abs=TOL)
 
 
@@ -95,7 +97,7 @@ def test_copy_coordinate():
 def test_conditional_chain_identity():
     # the cell-by-cell H(X|Y) of the stacked engine == H(X,Y) - H(Y) on random pmfs
     for seed in range(20):
-        p = JointPmf.random([(0, 1), (0, 1, 2), (0, 1)], seed=seed)
+        p = random_pmf([(0, 1), (0, 1, 2), (0, 1)], seed=seed)
         lhs = p._stack.entropy((0,), (1, 2))[0]
         rhs = entropy(p, [0, 1, 2]) - entropy(p, [1, 2])
         assert lhs == pytest.approx(rhs, abs=TOL)
@@ -121,7 +123,7 @@ def test_properties_on_independent_bits():
 
 def test_properties_random_fuzz():
     seeds = list(range(60))
-    pmfs = [JointPmf.random([(0, 1), (0, 1, 2), (0, 1)], seed=seed) for seed in seeds]
+    pmfs = [random_pmf([(0, 1), (0, 1, 2), (0, 1)], seed=seed) for seed in seeds]
     report = check_entropy_properties(pmfs, seeds)
     assert report["ok"], report["failures"][:2]
     assert report["pmfs"] == 60
@@ -144,7 +146,7 @@ def verify_pmfs(seed=0):
     """The pmfs of `liplab verify --fuzz-scale 1`, with their seeds, as the
     two batches (one per support shape) that it checks."""
     seeds = list(range(150))
-    random_pmfs = [JointPmf.random([(0, 1), (0, 1, 2), (0, 1)], seed=seed * 100_000 + s) for s in seeds]
+    random_pmfs = [random_pmf([(0, 1), (0, 1, 2), (0, 1)], seed=seed * 100_000 + s) for s in seeds]
     return [(random_pmfs, seeds), ([JointPmf.xor_triple(), JointPmf.independent_uniform_bits(3)], [seed, seed])]
 
 
@@ -163,7 +165,7 @@ def test_chain_check_is_not_vacuous(monkeypatch):
     # a fault in its kernel must show up as chain-rule failures
     kernel = entropy_module._conditional_terms
     monkeypatch.setattr(entropy_module, "_conditional_terms", lambda joint, given: kernel(joint, given) + 1e-6)
-    p = JointPmf.random([(0, 1), (0, 1, 2), (0, 1)], seed=3)
+    p = random_pmf([(0, 1), (0, 1, 2), (0, 1)], seed=3)
     report = check_entropy_properties([p], [0])
     assert not report["ok"]
     assert any(f["property"] == "chain" for f in report["failures"])
@@ -266,8 +268,8 @@ def mixed_batch():
 def test_batch_rows_match_single_checks_on_mixed_batch(monkeypatch, tol):
     monkeypatch.setattr(entropy_module, "ENTROPY_TOL", tol)
     pmfs, seeds = mixed_batch(), [5, 6, 7, 8]
-    rows = entropy_module._row_reports(pmfs, seeds)
-    alone = [entropy_module._row_reports([p], [s])[0] for p, s in zip(pmfs, seeds)]
+    rows = row_reports(pmfs, seeds)
+    alone = [row_reports([p], [s])[0] for p, s in zip(pmfs, seeds)]
     trials = entropy_module.TRIALS
     assert rows == alone == [reference_properties(p, trials, s, tol) for p, s in zip(pmfs, seeds)]
     if tol < 0:
@@ -277,29 +279,79 @@ def test_batch_rows_match_single_checks_on_mixed_batch(monkeypatch, tol):
 def test_batch_rows_match_single_checks_on_verify_pmfs(monkeypatch):
     monkeypatch.setattr(entropy_module, "ENTROPY_TOL", -1e-9)
     (pmfs, seeds), _ = verify_pmfs(seed=0)
-    rows = entropy_module._row_reports(pmfs, seeds)
-    alone = [entropy_module._row_reports([p], [s])[0] for p, s in zip(pmfs, seeds)]
+    rows = row_reports(pmfs, seeds)
+    alone = [row_reports([p], [s])[0] for p, s in zip(pmfs, seeds)]
     trials = entropy_module.TRIALS
     assert rows == alone == [reference_properties(p, trials, s, -1e-9) for p, s in zip(pmfs, seeds)]
     assert len({len(report["failures"]) for report in rows}) > 1
 
 
 def test_random_tables_equal_scalar_draws():
+    # from a seed, or from a pmf's generator right after its Dirichlet draw
     specs = [(2, 3, 4), (3, 1, 2), (5, 2, 8)]  # (codomain, count, cells)
     seeds = [0, 1, 2, 3]
-    tables = entropy_module._random_tables(seeds, specs)
-    for row, seed in enumerate(seeds):
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
-        for (codomain, count, cells), table in zip(specs, tables):
-            assert table.shape == (len(seeds), count, cells)
-            assert table[row].tolist() == [[rng.integers(0, codomain) for _ in range(cells)] for _ in range(count)]
+    _, generators = random_pmf_tables((2, 3, 2), seeds)
+    for row_seeds, drawn in ((seeds, False), (generators, True)):
+        tables = entropy_module._random_tables(row_seeds, specs)
+        for row, seed in enumerate(seeds):
+            rng = np.random.default_rng(np.random.SeedSequence(seed))
+            if drawn:
+                rng.dirichlet([1.0] * 12)
+            for (codomain, count, cells), table in zip(specs, tables):
+                assert table.shape == (len(seeds), count, cells)
+                assert table[row].tolist() == [[rng.integers(0, codomain) for _ in range(cells)]
+                                               for _ in range(count)]
 
 
 def test_row_reports_do_not_depend_on_the_random_maps():
-    pmfs = [JointPmf.random([(0, 1), (0, 1, 2), (0, 1)], seed=s) for s in range(20)]
-    rows = entropy_module._row_reports(pmfs, list(range(20)))
-    assert rows == entropy_module._row_reports(pmfs, list(range(100, 120)))
+    tables, generators = random_pmf_tables((2, 3, 2), range(20))
+    rows = row_reports(tables, generators)  # each pmf's maps from its own stream
+    assert rows == row_reports(tables, list(range(100, 120)))
     assert all(report["ok"] for report in rows)
+
+
+@pytest.mark.parametrize("supports", [[(0, 1), (0, 1, 2), (0, 1)], [(0, 1)] * 3, [(0, 1)] * 4],
+                         ids=["2x3x2", "2x2x2", "2x2x2x2"])
+def test_random_pmf_tables_equal_the_pmfs_built_cell_by_cell(supports):
+    seeds = list(range(300_000, 300_050)) + [2**64 - 1]
+    tables, generators = random_pmf_tables([len(s) for s in supports], seeds)
+    assert tables.shape == (len(seeds), *map(len, supports)) and tables.dtype == np.float64
+    assert not tables.flags.writeable
+    cells = math.prod(map(len, supports))
+    for table, rng, seed in zip(tables, generators, seeds):
+        assert table.tobytes() == random_pmf(supports, seed).table.tobytes()
+        # the generator stands right after the table's draw
+        fresh = np.random.default_rng(seed)
+        fresh.dirichlet([1.0] * cells)
+        assert rng.integers(0, 2**62, size=4).tolist() == fresh.integers(0, 2**62, size=4).tolist()
+
+
+@pytest.mark.parametrize("tol", [TOL, -1e-9])
+def test_stack_reports_equal_the_pmfs_checked_alone(monkeypatch, tol):
+    """A table stack against its pmfs built one at a time, each checked
+    alone with its own generator standing after the Dirichlet draw."""
+    monkeypatch.setattr(entropy_module, "ENTROPY_TOL", tol)
+    supports, seeds = [(0, 1), (0, 1, 2), (0, 1)], list(range(700, 730))
+
+    def replayed(seed):
+        rng = np.random.default_rng(seed)
+        rng.dirichlet([1.0] * 12)
+        return rng
+
+    rows = row_reports(*random_pmf_tables((2, 3, 2), seeds))
+    alone = [row_reports([random_pmf(supports, s)], [replayed(s)])[0] for s in seeds]
+    assert rows == alone
+    assert check_entropy_properties(*random_pmf_tables((2, 3, 2), seeds)) == check_entropy_properties(
+        [random_pmf(supports, s) for s in seeds], [replayed(s) for s in seeds])
+    if tol < 0:
+        assert len({len(report["failures"]) for report in rows}) > 1
+
+
+def test_random_pmf_tables_refuse_a_stack_past_the_cell_cap(monkeypatch):
+    monkeypatch.setattr(entropy_module, "MAX_TABLE_CELLS", 20)
+    assert random_pmf_tables((2, 2, 2), [0, 1])[0].shape == (2, 2, 2, 2)
+    with pytest.raises(ValueError, match="24 table cells, over MAX_TABLE_CELLS = 20"):
+        random_pmf_tables((2, 2, 2), [0, 1, 2])
 
 
 def test_list_report_stops_at_first_failing_pmf(monkeypatch):
@@ -389,10 +441,10 @@ def sparse_pmf(supports, seed):
 
 
 ORACLE_PMFS = {
-    "random-2x3x2": lambda: JointPmf.random([(0, 1), (0, 1, 2), (0, 1)], seed=7),
-    "random-2x2x2x2": lambda: JointPmf.random([(0, 1)] * 4, seed=8),
+    "random-2x3x2": lambda: random_pmf([(0, 1), (0, 1, 2), (0, 1)], seed=7),
+    "random-2x2x2x2": lambda: random_pmf([(0, 1)] * 4, seed=8),
     "xor-triple": JointPmf.xor_triple,
-    "strings-unsorted": lambda: JointPmf.random([("b", "a"), ("z", "x", "y"), (1, 0)], seed=9),
+    "strings-unsorted": lambda: random_pmf([("b", "a"), ("z", "x", "y"), (1, 0)], seed=9),
     "zero-cells": lambda: sparse_pmf([(0, 1), (2, 0, 1), ("u", "v")], seed=10),
     "zero-cells-4": lambda: sparse_pmf([(0, 1, 2), (0, 1), (0, 1), (1, 0)], seed=11),
 }
@@ -450,7 +502,7 @@ def test_cover_pairwise_half_weights_fuzz():
     cw = CoverWeights(sets, (0.5, 0.5, 0.5), frozenset())
     assert shearer_check(JointPmf.independent_uniform_bits(3), cw)["pass"]  # equality: 3 = 3 * 0.5 * 2
     for seed in range(100):
-        p = JointPmf.random([(0, 1), (0, 1), (0, 1)], seed=seed)
+        p = random_pmf([(0, 1), (0, 1), (0, 1)], seed=seed)
         assert shearer_check(p, cw)["pass"]
 
 
@@ -460,7 +512,7 @@ def test_cover_with_total_order():
     sets = (frozenset({0}), frozenset({1}), frozenset({2}))
     cw = CoverWeights(sets, (1.0, 1.0, 1.0), order)
     for seed in range(30):
-        p = JointPmf.random([(0, 1), (0, 1, 2), (0, 1)], seed=seed + 500)
+        p = random_pmf([(0, 1), (0, 1, 2), (0, 1)], seed=seed + 500)
         report = shearer_check(p, cw)
         assert report["pass"]
         assert report["rhs"] == pytest.approx(report["lhs"], abs=TOL)
@@ -487,7 +539,7 @@ def test_shearer_rows_match_the_one_row_check(sets, order):
     """The stacked sides against `shearer_check` pmf by pmf, and both against
     the sides summed from `entropy` alone."""
     cw = CoverWeights(sets, (0.5,) * 3 if len(sets[0]) == 2 else (1.0,) * 3, order)
-    pmfs = [JointPmf.random([(0, 1), (0, 1, 2), (0, 1)], seed=seed) for seed in range(60)]
+    pmfs = [random_pmf([(0, 1), (0, 1, 2), (0, 1)], seed=seed) for seed in range(60)]
     lhs, rhs, ok = shearer_rows(pmfs, cw)
     assert lhs.shape == rhs.shape == ok.shape == (60,)
     assert lhs == pytest.approx([entropy(p, range(3)) for p in pmfs], abs=1e-12)
@@ -503,6 +555,6 @@ def test_shearer_rows_match_the_one_row_check(sets, order):
 def test_shearer_rows_need_equal_supports_and_a_valid_cover():
     cw = CoverWeights((frozenset({0}), frozenset({1})), (1.0, 1.0), frozenset())
     with pytest.raises(ValueError, match="equal support sizes"):
-        shearer_rows([JointPmf.independent_uniform_bits(2), JointPmf.random([(0, 1), (0, 1, 2)], seed=0)], cw)
+        shearer_rows([JointPmf.independent_uniform_bits(2), random_pmf([(0, 1), (0, 1, 2)], seed=0)], cw)
     with pytest.raises(ValueError, match="cover weight"):
         shearer_rows([JointPmf.independent_uniform_bits(3)], cw)

@@ -57,7 +57,7 @@ from liplab.lipschitz import (
     member_batches,
     min_ground_states,
 )
-from tests.conftest import CountingGenerator, reference_glauber
+from tests.conftest import CountingGenerator, random_pmf, reference_glauber
 
 
 def base_config(**overrides):
@@ -817,10 +817,10 @@ def test_verify_cover_row_reports_the_first_failing_pmf(monkeypatch):
 
 def test_verify_entropy_row_stops_at_first_failing_pmf(monkeypatch):
     import liplab.entropy as entropy_module
-    from liplab.entropy import JointPmf, check_entropy_properties
+    from liplab.entropy import check_entropy_properties
 
     k = 7
-    pmfs = [JointPmf.random([(0, 1), (0, 1, 2), (0, 1)], seed=s) for s in range(k + 1)]
+    pmfs = [random_pmf([(0, 1), (0, 1, 2), (0, 1)], seed=s) for s in range(k + 1)]
     expected_checks = sum(check_entropy_properties(pmfs, list(range(k + 1)))["checked"].values())
     kernel = entropy_module._conditional_terms
 
@@ -851,7 +851,7 @@ def test_verify_entropy_witnesses_name_the_pmf_seed_at_a_nonzero_seed(monkeypatc
     """At --seed 3 the random pmfs are drawn from seeds 300,000 and up, and
     each row's witness seed rebuilds the pmf that failed."""
     import liplab.entropy as entropy_module
-    from liplab.entropy import JointPmf, entropy
+    from liplab.entropy import entropy
 
     sides, checker, kernel = (entropy_module._shearer_sides, entropy_module.check_entropy_properties,
                               entropy_module._conditional_terms)
@@ -879,11 +879,51 @@ def test_verify_entropy_witnesses_name_the_pmf_seed_at_a_nonzero_seed(monkeypatc
     assert cover["status"] == props["status"] == "fail"
     assert (cover["witness"]["seed"], props["witness"]["seed"]) == (300_037, 300_007)
     assert set(cover["witness"]) == {"seed", "lhs", "rhs"} and set(props["witness"]) == {"seed", "failures"}
-    rebuilt = JointPmf.random([(0, 1), (0, 1), (0, 1)], seed=cover["witness"]["seed"])
+    rebuilt = random_pmf([(0, 1), (0, 1), (0, 1)], seed=cover["witness"]["seed"])
     assert np.array_equal(rebuilt.table, stacks[0][37])
     assert entropy(rebuilt, range(3)) == pytest.approx(cover["witness"]["lhs"], abs=1e-12)
-    rebuilt = JointPmf.random([(0, 1), (0, 1, 2), (0, 1)], seed=props["witness"]["seed"])
-    assert np.array_equal(rebuilt.table, batches[0][7].table)
+    rebuilt = random_pmf([(0, 1), (0, 1, 2), (0, 1)], seed=props["witness"]["seed"])
+    assert np.array_equal(rebuilt.table, batches[0][7])
+
+
+def test_verify_entropy_witness_seed_replays_its_failure_alone(monkeypatch):
+    """At --seed 3 a coarsen check that fails on pmf 7's table with pmf 7's
+    random maps fails the row at witness seed 300,007.  From that seed
+    alone, `random_pmf_tables` draws the same table, the one-pmf check
+    draws the same maps, and it fails the same way."""
+    import liplab.entropy as entropy_module
+    from liplab.entropy import check_entropy_properties, random_pmf_tables
+
+    verdicts, draw = entropy_module._verdicts, entropy_module._random_tables
+    drawn, stacks = [], []
+    monkeypatch.setattr(entropy_module, "_random_tables",
+                        lambda seeds, specs: drawn.append(draw(seeds, specs)) or drawn[-1])
+    table, generators = random_pmf_tables((2, 3, 2), [300_007])
+    assert check_entropy_properties(table, generators)["ok"]
+    maps = drawn[-1]  # pmf 7's maps, drawn from its seed alone
+
+    def fault(pmfs, seeds):
+        checks, ok = verdicts(pmfs, seeds)
+        stacks.append(entropy_module._stack_of(pmfs).table)
+        if stacks[-1].shape[1:] != table.shape[1:]:  # the hand-built pmfs
+            return checks, ok
+        hit = (stacks[-1] == table).reshape(len(ok), -1).all(axis=1)
+        for got, want in zip(drawn[-1], maps):
+            hit &= (got == want).reshape(len(ok), -1).all(axis=1)
+        ok[hit, [prop for prop, _ in checks].index("coarsen")] = False
+        return checks, ok
+
+    monkeypatch.setattr(entropy_module, "_verdicts", fault)
+    (row,) = check_entropy(VerifyContext(seed=3))
+    assert row["status"] == "fail" and row["pmfs"] == 8
+    assert row["witness"]["seed"] == 300_007
+    assert row["witness"]["failures"] == [{"property": "coarsen", "witness": {"X": (0,), "Y": (1,)}}]
+    assert np.array_equal(stacks[0][7], table[0])
+    assert all(np.array_equal(got[7], want[0]) for got, want in zip(drawn[-1], maps))
+
+    alone = check_entropy_properties(*random_pmf_tables((2, 3, 2), [row["witness"]["seed"]]))
+    assert np.array_equal(stacks[-1], table)
+    assert alone["failures"] == [dict(failure, pmf=0) for failure in row["witness"]["failures"]]
 
 
 _BOOLEAN_OR_NULL_CASES = [

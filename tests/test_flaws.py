@@ -12,6 +12,7 @@ from scipy import stats
 from liplab.experiments import _random_linked_set, _random_lipschitz_rows
 from liplab.flaws import (
     boundary_ordering,
+    boundary_orderings,
     check_boundary_ordering,
     conditional_tail_profile,
     core_within_cluster_interior,
@@ -329,7 +330,12 @@ def test_check_boundary_ordering_fails_an_ordering_that_misses_the_closure(order
 def test_faulty_ordering_is_a_failed_check_not_a_crash(monkeypatch):
     import liplab.experiments as experiments
 
-    monkeypatch.setattr(experiments, "boundary_ordering", lambda g, s: boundary_ordering(g, s)[:-1])
+    def drop_last(g, sets):  # every ordering loses its last vertex
+        orders = boundary_orderings(g, sets)
+        orders[np.arange(len(orders)), (orders >= 0).sum(axis=1) - 1] = -1
+        return orders
+
+    monkeypatch.setattr(experiments, "boundary_orderings", drop_last)
     rows = [r for r in experiments.run_verify_suite(seed=0)["rows"]
             if r["check"] == "boundary-ordering" and r["status"] != "skipped"]  # K6 closes over every set
     assert rows and all(r["status"] == "fail" for r in rows)

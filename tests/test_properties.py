@@ -1,6 +1,7 @@
 """Property tests of the mask primitives, the boundary ordering and the
 adjacency spectrum against networkx on random connected graphs with at most
-12 vertices, of the linked-set enumeration against `brute_linked_sets` on
+12 vertices (and of the batched boundary orderings against the one-row
+forms on those and on C12), of the linked-set enumeration against `brute_linked_sets` on
 those with at most 9, of the frontier DP's layer arrays against
 `reference_sweep` on those with at most 9 (and on small regular graphs in
 ground-state mode), and of the one-point count and enumeration against
@@ -14,7 +15,16 @@ from hypothesis import strategies as st
 
 from liplab.containers import enumerate_linked_sets
 from liplab.expanders import adjacency_spectrum
-from liplab.flaws import boundary_ordering, check_boundary_ordering, core_closure_escapes, decompose_rows
+from liplab.experiments import _random_linked_set
+from liplab.flaws import (
+    boundary_ordering,
+    boundary_orderings,
+    check_boundary_ordering,
+    check_boundary_orderings,
+    core_closure_escapes,
+    decompose_rows,
+    ordering_verdict,
+)
 from liplab.graphs import (
     Graph,
     ball,
@@ -23,6 +33,7 @@ from liplab.graphs import (
     hypercube_graph,
     is_k_linked,
     linked_layers,
+    mask_rows,
     mask_vertices,
     neighborhood,
     random_regular_graph,
@@ -183,6 +194,70 @@ def test_boundary_ordering_passes_its_check_on_4_linked_sets(graphs, data):
         return  # the closure leaves no outside to start from
     order = boundary_ordering(g, vertex_mask(xs))
     assert check_boundary_ordering(g, vertex_mask(xs), order)["ok"]
+
+
+def search_linked_set(g, rng):
+    """`_random_linked_set` with `is_k_linked`'s search for each candidate in
+    place of the distance-4 mask test."""
+    s = 1 << int(rng.integers(0, g.n))
+    for _ in range(int(rng.integers(0, 3))):
+        cands = [u for u in range(g.n) if not s >> u & 1]
+        rng.shuffle(cands)
+        for u in cands:
+            if is_k_linked(g, s | 1 << u, 4):
+                s |= 1 << u
+                break
+    return s
+
+
+def ordering_mutants(g, s, order):
+    """An ordering of the closure of S with a first vertex more than 2 steps
+    from the outside (None when every closure vertex is within 2), one with
+    its first outer-boundary vertex moved in front of the last vertex of S,
+    and one without its last vertex."""
+    outside = ((1 << g.n) - 1) & ~(s | neighborhood(g, s))
+    far = [v for v in order if not (1 << v | g.power_masks(2)[v]) & outside]
+    k = s.bit_count()
+    return [[far[0]] + [v for v in order if v != far[0]] if far else None,
+            order[:k - 1] + [order[k], order[k - 1]] + order[k + 1:],
+            order[:-1]]
+
+
+def padded(orders, n):
+    return np.array([order + [-1] * (n - len(order)) for order in orders], dtype=np.intp).reshape(-1, n)
+
+
+@PROPERTY_SETTINGS
+@given(st.one_of(st.just((cycle_graph(12), nx.cycle_graph(12))), connected_graphs()), st.integers(0, 2**32 - 1))
+def test_boundary_orderings_match_the_one_row_forms(graphs, seed):
+    """The fuzz's sets against the search's, and the batch's orderings and
+    verdicts against `boundary_ordering` and `check_boundary_ordering`, on
+    every kept case and on three mutants of each ordering."""
+    g, _ = graphs
+    rng, search_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    masks = [_random_linked_set(g, rng) for _ in range(40)]
+    assert masks == [search_linked_set(g, search_rng) for _ in range(40)]
+    kept = [s for s in masks if (s | neighborhood(g, s)).bit_count() < g.n]
+    if not kept:
+        return
+    sets = mask_rows(kept, g.n)
+    orders = boundary_orderings(g, sets)
+    verdicts = check_boundary_orderings(g, sets, orders)
+    expected = [boundary_ordering(g, s) for s in kept]
+    assert orders.tolist() == padded(expected, g.n).tolist()
+    for i, (s, order) in enumerate(zip(kept, expected)):
+        assert ordering_verdict(verdicts, i) == check_boundary_ordering(g, s, order)
+    assert verdicts["ok"].all()
+
+    mutants = [(s, mutant, prop) for s, order in zip(kept, expected)
+               for mutant, prop in zip(ordering_mutants(g, s, order),
+                                       ("first_near_outside", "set_before_boundary", "covers_closure"))
+               if mutant is not None]
+    verdicts = check_boundary_orderings(g, mask_rows([s for s, _, _ in mutants], g.n),
+                                        padded([mutant for _, mutant, _ in mutants], g.n))
+    for i, (s, mutant, prop) in enumerate(mutants):
+        assert ordering_verdict(verdicts, i) == check_boundary_ordering(g, s, mutant)
+        assert not verdicts[prop][i] and not verdicts["ok"][i]
 
 
 @PROPERTY_SETTINGS
