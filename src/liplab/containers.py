@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .expanders import ExpanderProfile
-from .graphs import DEFAULT_NODE_BUDGET, Graph, iter_rooted_connected_sets, mask_rows, mask_vertices
+from .graphs import DEFAULT_NODE_BUDGET, Graph, iter_rooted_connected_sets, mask_rows, mask_vertices, row_masks
 
 _TOL = 1e-9
 COVER_RETRY_CAP = 64  # sampling attempts per cover
@@ -75,13 +75,6 @@ def _columns(masks: Sequence[int], n: int) -> np.ndarray:
     """The masks as the columns of an `(n, len(masks))` boolean array: row u
     holds vertex u's membership in every set."""
     return np.ascontiguousarray(mask_rows(masks, n).T)
-
-
-def _masks(cols: np.ndarray) -> list[int]:
-    """The columns of an `(n, sets)` boolean array as masks."""
-    width = (cols.shape[0] + 7) // 8
-    raw = np.packbits(cols.T, axis=1, bitorder="little").tobytes()
-    return [int.from_bytes(raw[i:i + width], "little") for i in range(0, len(raw), width)]
 
 
 def _adjacency(g: Graph) -> np.ndarray:
@@ -228,7 +221,7 @@ def build_mutual_cover(
     xc = _columns([x], g.n)
     cover, attempts, met, bound = _cover_columns(adj, xc, _neighborhoods(adj, xc), profile, [seed])
     return CoverResult(
-        members=_masks(cover)[0],
+        members=row_masks(cover.T)[0],
         size_bound=float(bound[0]),
         met_bound=bool(met[0]),
         attempts=int(attempts[0]),
@@ -341,7 +334,7 @@ def refine_to_approx_pair(
         raise ValueError("cover must sit inside N(X)")
     s, f, h_size, u_size = _refine_columns(adj, xc, q, yc, psi)
     gsize = int(q.sum())
-    s_mask, f_mask = _masks(np.hstack([s, f]))
+    s_mask, f_mask = row_masks(np.hstack([s, f]).T)
     stats = RefineStats(
         h_size=int(h_size[0]),
         u_size=int(u_size[0]),
@@ -412,7 +405,7 @@ def build_container_family(
     s, f, h_size, u_size = _refine_columns(adj, x, q, cover, psi)
     covers_all = bool(_validate_columns(adj, x, q, s, f, psi).all())
     # insertion-ordered set of (S, F): psi is the family's own
-    pairs = tuple(ApproxPair(s=sm, f=fm, psi=psi) for sm, fm in dict.fromkeys(zip(_masks(s), _masks(f))))
+    pairs = tuple(ApproxPair(s=sm, f=fm, psi=psi) for sm, fm in dict.fromkeys(zip(row_masks(s.T), row_masks(f.T))))
     exponent = family_bound_exponent(profile.d, profile.lam, k, psi, boundary_size)
     empirical_c = math.log(len(pairs)) / exponent if pairs and exponent > 0 else None
     return ContainerFamily(

@@ -9,8 +9,10 @@ arrays; `flaw_decomposition` is its one-row form, with vertex masks (see
 the cluster, which the fuzz suites re-check on every sampled function.
 Fluctuations below the window are those above it of the reflection
 f -> -f + k + M, so they need no code of their own.  The boundary ordering
-of a 4-linked set and its check have one-row forms on masks and batch
-forms on the rows of a boolean array, which the fuzz suite uses.
+of a 4-linked set and its check work on the rows of a boolean array, all
+rows at once; `boundary_ordering` and `check_boundary_ordering` are their
+one-row calls on a mask.  Every walk here is `graphs.layer_rows` and every
+closure `graphs.grow_rows`.
 """
 
 from __future__ import annotations
@@ -26,11 +28,10 @@ from .graphs import (
     DEFAULT_NODE_BUDGET,
     Graph,
     ball,
-    is_k_linked,
-    linked_layers,
-    mask_vertices,
-    neighborhood,
-    vertex_mask,
+    grow_rows,
+    layer_rows,
+    mask_rows,
+    row_masks,
 )
 from .lipschitz import (
     EnsembleSpec,
@@ -56,26 +57,6 @@ class FlawDecomposition:
     core_threshold: int
 
 
-def _grow(table: np.ndarray, rows: np.ndarray, steps: int) -> np.ndarray:
-    """Every row's set grown by `steps` closures through `table` (see
-    `Graph.neighbor_table`): the vertices within distance `steps` of it."""
-    for _ in range(steps):
-        rows = rows | rows[:, table].any(axis=2)
-    return rows
-
-
-def _linked_rows(table: np.ndarray, ys: np.ndarray, k: int, start: np.ndarray) -> np.ndarray:
-    """Per row, the k-linked component of the row's set in `ys` that holds
-    the row's `start` vertex (nothing when that vertex is not in the set),
-    grown breadth first: each layer is k gathers, and the walk stops when
-    no row has a new vertex."""
-    reached = layer = start & ys
-    while layer.any():
-        layer = _grow(table, layer, k) & ys & ~reached
-        reached |= layer
-    return reached
-
-
 def decompose_rows(g: Graph, vals: np.ndarray, M, anchors, bases) -> tuple[np.ndarray, np.ndarray]:
     """The cluster and the core of every row of the value array `vals`,
     each row with its own anchor, window base and M (a scalar serves every
@@ -83,20 +64,15 @@ def decompose_rows(g: Graph, vals: np.ndarray, M, anchors, bases) -> tuple[np.nd
 
     The thresholds are `base + M + 1` and `base + 2M + 2`; an object array
     of Python ints (values or bases past int64) goes through the same
-    comparisons.  Both components grow from the anchors together, layer by
-    layer, by gathers through the graph's neighbour table."""
+    comparisons.  Both components are the vertices that `layer_rows`
+    reaches from the anchors."""
     rows = len(vals)
     bases = np.asarray(bases)
     start = np.zeros((rows, g.n), dtype=bool)
     start[np.arange(rows), anchors] = True
-    table = g.neighbor_table
-    cluster = _linked_rows(table, vals >= (bases + M + 1)[:, None], CLUSTER_LINKAGE, start)
-    core = _linked_rows(table, vals >= (bases + 2 * M + 2)[:, None], CORE_LINKAGE, start)
+    cluster = layer_rows(g, vals >= (bases + M + 1)[:, None], CLUSTER_LINKAGE, start) < g.n
+    core = layer_rows(g, vals >= (bases + 2 * M + 2)[:, None], CORE_LINKAGE, start) < g.n
     return cluster, core
-
-
-def _row_mask(row: np.ndarray) -> int:
-    return vertex_mask(np.flatnonzero(row).tolist())
 
 
 def flaw_decomposition(g: Graph, f: LipschitzFn, anchor: int, base: int = 0) -> FlawDecomposition:
@@ -107,12 +83,13 @@ def flaw_decomposition(g: Graph, f: LipschitzFn, anchor: int, base: int = 0) -> 
     m = f.M
     # as Python ints, the values and the base compare exactly at any size
     cluster, core = decompose_rows(g, np.array([f.values], dtype=object), m, [anchor], np.array([base], dtype=object))
+    cluster_mask, core_mask = row_masks(np.vstack([cluster, core]))
     return FlawDecomposition(
         anchor=anchor,
         base=base,
         M=m,
-        cluster=_row_mask(cluster[0]),
-        core=_row_mask(core[0]),
+        cluster=cluster_mask,
+        core=core_mask,
         cluster_threshold=base + m + 1,
         core_threshold=base + 2 * m + 2,
     )
@@ -122,7 +99,7 @@ def core_closure_escapes(g: Graph, cluster: np.ndarray, core: np.ndarray) -> np.
     """Per row of two `(rows, n)` boolean arrays, whether the closure of the
     core (the core and its neighbours) leaves the cluster: one gather and
     one AND-NOT over all rows."""
-    return (_grow(g.neighbor_table, core, 1) & ~cluster).any(axis=1)
+    return (grow_rows(g, core, 1) & ~cluster).any(axis=1)
 
 
 def core_within_cluster_interior(dec: FlawDecomposition, g: Graph) -> bool:
@@ -135,8 +112,8 @@ def core_within_cluster_interior(dec: FlawDecomposition, g: Graph) -> bool:
     """
     if not dec.core:
         raise ValueError("core is empty")
-    bits = np.array([[dec.cluster >> v & 1, dec.core >> v & 1] for v in range(g.n)], dtype=bool).T
-    return not core_closure_escapes(g, bits[:1], bits[1:])[0]
+    rows = mask_rows([dec.cluster, dec.core], g.n)
+    return not core_closure_escapes(g, rows[:1], rows[1:])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -190,111 +167,53 @@ def verify_ground_state_lemma(
 # Boundary-visiting vertex ordering
 # ---------------------------------------------------------------------------
 
-def boundary_ordering(g: Graph, s: int) -> list[int]:
-    """Order the closure of a 4-linked set S (a mask) so that (i) the first
-    vertex is within distance 2 of the outside, (ii) S precedes its outer
-    boundary, and (iii) every later vertex has an earlier one within
-    distance 4.
-
-    Built by breadth-first layers of the 4th-power graph restricted to S,
-    each in id order, starting from a vertex of S nearest the complement of
-    the closure, then the outer boundary in id order.
-    """
-    if not s:
-        raise ValueError("S must be nonempty")
-    if not is_k_linked(g, s, CORE_LINKAGE):
-        raise ValueError("S must be 4-linked")
-    full = (1 << g.n) - 1
-    s_plus = s | neighborhood(g, s)
-    outside = full & ~s_plus
-    if not outside:
-        raise ValueError("closure of S covers the whole graph; no valid start vertex")
-
-    # the first breadth-first layer out of the outside that meets S
-    hits = next(layer & s for layer in linked_layers(g, full, 1, outside) if layer & s)
-    ordered = []
-    for layer in linked_layers(g, s, CORE_LINKAGE, hits & -hits):
-        ordered.extend(mask_vertices(layer))
-    ordered.extend(mask_vertices(s_plus & ~s))
-    return ordered
-
-
-def check_boundary_ordering(g: Graph, s: int, ordering: list[int]) -> dict:
-    """Machine-check the three ordering properties of `ordering` for the
-    mask S; used by the fuzz suites.  A list that is not an ordering of the
-    closure of S fails `covers_closure`, and the other three properties,
-    which read positions in such an ordering, are then None (not checked)."""
-    s_plus = s | neighborhood(g, s)
-    if not ordering or sorted(ordering) != mask_vertices(s_plus):
-        return {"covers_closure": False, "first_near_outside": None, "set_before_boundary": None,
-                "predecessor_within_4": None, "ok": False}
-    outside = ((1 << g.n) - 1) & ~s_plus
-    first = ordering[0]
-    ok_first = bool((1 << first | g.power_masks(2)[first]) & outside)
-    # S comes first iff no vertex of S follows its first |S| places
-    ok_split = not any(s >> v & 1 for v in ordering[s.bit_count():])
-
-    power = g.power_masks(CORE_LINKAGE)
-    earlier = 1 << first
-    ok_pred = True
-    for v in ordering[1:]:
-        if not power[v] & earlier:
-            ok_pred = False
-            break
-        earlier |= 1 << v
-    return {
-        "covers_closure": True,
-        "first_near_outside": ok_first,
-        "set_before_boundary": ok_split,
-        "predecessor_within_4": ok_pred,
-        "ok": ok_first and ok_split and ok_pred,
-    }
-
-
 def boundary_orderings(g: Graph, sets: np.ndarray) -> np.ndarray:
-    """`boundary_ordering` of every row of the `(rows, n)` boolean array
-    `sets`, as a `(rows, n)` index array: row r lists the closure of its set
-    in order, then -1 in every place left.
+    """Order the closure of each 4-linked set S, a row of the `(rows, n)`
+    boolean array `sets`, so that (i) the first vertex is within distance 2
+    of the outside, (ii) S precedes its outer boundary, and (iii) every later
+    vertex has an earlier one within distance 4.  Row r of the `(rows, n)`
+    index array returned lists the closure of its set in order, then -1 in
+    every place left.
 
-    Each set starts from its smallest vertex within distance 2 of the
-    outside, which is the one-row form's start: the first breadth-first
-    layer out of the outside lies in the outer boundary, and in a connected
-    graph the second one meets S.  The G^4 layers of every row then grow
-    together, as in `decompose_rows`; every vertex is keyed by its layer,
-    the outer boundary after all layers and the outside last, and one
-    stable sort of the keys, which keeps id order within a key, gives every
-    ordering at once.  Raises ValueError on the rows that `boundary_ordering`
-    refuses: an empty set, one that is not 4-linked, or one whose closure
-    covers the graph."""
+    The ordering is the breadth-first layers of G^4 restricted to S, each in
+    id order, from the smallest vertex of S within distance 2 of the
+    outside, then the outer boundary in id order.  The layers of every row
+    come from one `layer_rows` walk; every vertex is keyed by its layer, the
+    outer boundary after all layers and the outside last, and one stable
+    sort of the keys, which keeps id order within a key, gives every
+    ordering at once.  Raises ValueError when a set is empty, when its
+    closure covers the graph (no valid start vertex), or when it is not
+    4-linked."""
     rows, n = sets.shape
-    table = g.neighbor_table
     if not sets.any(axis=1).all():
         raise ValueError("every set must be nonempty")
-    closure = _grow(table, sets, 1)
+    closure = grow_rows(g, sets, 1)
     if closure.all(axis=1).any():
         raise ValueError("a set's closure covers the whole graph; no valid start vertex")
     start = np.zeros_like(sets)
-    start[np.arange(rows), (_grow(table, ~closure, 2) & sets).argmax(axis=1)] = True
-    key = np.where(closure, n, n + 1)
-    reached = layer = start
-    depth = 0
-    while layer.any():
-        key[layer] = depth
-        layer = _grow(table, layer, CORE_LINKAGE) & sets & ~reached
-        reached |= layer
-        depth += 1
-    if (sets & ~reached).any():
+    start[np.arange(rows), (grow_rows(g, ~closure, 2) & sets).argmax(axis=1)] = True
+    layers = layer_rows(g, sets, CORE_LINKAGE, start)
+    if (sets & (layers == n)).any():
         raise ValueError("every set must be 4-linked")
+    key = np.where(closure, layers, n + 1)  # the outer boundary is not reached: key n
     order = np.argsort(key, axis=1, kind="stable")
     return np.where(np.take_along_axis(key, order, axis=1) <= n, order, -1)
 
 
+def boundary_ordering(g: Graph, s: int) -> list[int]:
+    """The boundary ordering of the mask S as a list: one row of
+    `boundary_orderings`, with its ValueErrors."""
+    order = boundary_orderings(g, mask_rows([s], g.n))[0]
+    return order[order >= 0].tolist()
+
+
 def check_boundary_orderings(g: Graph, sets: np.ndarray, orders: np.ndarray) -> dict[str, np.ndarray]:
-    """`check_boundary_ordering` of every row: row r of the `(rows, n)` index
-    array `orders` is checked as an ordering of the closure of row r of
-    `sets`, its places after the ordering holding -1.  One boolean array per
-    property, under the one-row check's keys, and "ok"; where
-    "covers_closure" is False the other three are False (see
+    """Machine-check the three ordering properties of every row: row r of
+    the `(rows, n)` index array `orders` is checked as an ordering of the
+    closure of row r of `sets`, its places after the ordering holding -1.
+    One boolean array per property ("first_near_outside",
+    "set_before_boundary", "predecessor_within_4"), "covers_closure" and
+    "ok"; where "covers_closure" is False the other three are False (see
     `ordering_verdict`).
 
     Every vertex gets its place in its row's ordering (n when it has none),
@@ -303,7 +222,7 @@ def check_boundary_orderings(g: Graph, sets: np.ndarray, orders: np.ndarray) -> 
     give for every vertex and row at once."""
     rows, n = sets.shape
     table = g.neighbor_table
-    closure = _grow(table, sets, 1)
+    closure = grow_rows(g, sets, 1)
     placed = (orders >= 0) & (orders < n)
     at = np.nonzero(placed)
     place = np.full((rows, n), n, dtype=np.min_scalar_type(n))  # uint8 up to n = 255
@@ -314,7 +233,7 @@ def check_boundary_orderings(g: Graph, sets: np.ndarray, orders: np.ndarray) -> 
               & (placed.sum(axis=1) == closure.sum(axis=1)))  # so no vertex is listed twice
     first = np.zeros_like(sets)
     first[np.arange(rows), np.where(placed[:, 0], orders[:, 0], 0)] = True
-    near = (_grow(table, first, 2) & ~closure).any(axis=1)
+    near = (grow_rows(g, first, 2) & ~closure).any(axis=1)
     split = ~(sets & (place >= sets.sum(axis=1, keepdims=True))).any(axis=1)
     earliest = place
     for _ in range(CORE_LINKAGE):
@@ -327,12 +246,26 @@ def check_boundary_orderings(g: Graph, sets: np.ndarray, orders: np.ndarray) -> 
 
 
 def ordering_verdict(verdicts: dict[str, np.ndarray], row: int) -> dict:
-    """Row `row` of `check_boundary_orderings` as `check_boundary_ordering`
-    reports it: the three properties are None (not checked) where the
-    ordering does not cover the closure."""
+    """Row `row` of `check_boundary_orderings` as a dict of bools: the three
+    properties are None (not checked) where the ordering does not cover the
+    closure."""
     covers = bool(verdicts["covers_closure"][row])
     return {key: bool(v[row]) if covers or key in ("covers_closure", "ok") else None
             for key, v in verdicts.items()}
+
+
+def check_boundary_ordering(g: Graph, s: int, ordering: list[int]) -> dict:
+    """The three ordering properties of the list `ordering` for the mask S:
+    one row of `check_boundary_orderings`, reported by `ordering_verdict`.
+    A list that is not an ordering of the closure of S fails
+    `covers_closure`.  One that is empty, longer than n or holds an id
+    outside [0, n) fails it before the row is padded with -1, so that
+    [a, b, -1] cannot pass as [a, b]."""
+    n = g.n
+    fits = 0 < len(ordering) <= n and all(0 <= v < n for v in ordering)
+    row = list(ordering) + [-1] * (n - len(ordering)) if fits else [n] * n  # id n covers no closure
+    verdicts = check_boundary_orderings(g, mask_rows([s], n), np.array([row], dtype=np.intp))
+    return ordering_verdict(verdicts, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,16 @@
 """Immutable simple graphs, standard generators, and neighborhood primitives.
 
-Vertex ids are dense integers in [0, n).  Every vertex set below is a
-Python-int mask: bit u is set when u is in the set.  `vertex_mask` and
+Vertex ids are dense integers in [0, n).  A vertex set has two forms.  A
+Python-int mask sets bit u when u is in the set: `vertex_mask` and
 `mask_vertices` convert to and from id lists, and `Graph.neighbor_masks` and
 `Graph.power_masks` give the adjacency of G and of its powers in that form.
-`linked_layers` is the one breadth-first walk over vertex sets: balls,
-k-linked components and the distance shells of a set all read its layers.
+Many sets at once are the rows of a `(sets, n)` boolean array: `mask_rows`
+and `row_masks` convert to and from masks, and `Graph.neighbor_table` gives
+the adjacency as one gather.  Each form has one breadth-first walk.
+`linked_layers` walks masks: `ball` and the expander checks' distance shells
+read its layers.  `layer_rows` walks rows: the flaw decomposition and the
+boundary ordering read its layer numbers, and `grow_rows` gives the rows'
+closures.
 `bfs_order` walks single vertices; it fixes the frontier DP's vertex order.
 """
 
@@ -204,7 +209,7 @@ def bfs_order(g: Graph, start: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Vertex sets as masks
+# Vertex sets as masks and as boolean rows
 # ---------------------------------------------------------------------------
 
 def vertex_mask(xs: Iterable[int]) -> int:
@@ -233,6 +238,44 @@ def mask_rows(masks: Sequence[int], n: int) -> np.ndarray:
     return np.unpackbits(packed.reshape(len(masks), width), axis=1, count=n, bitorder="little").view(bool)
 
 
+def row_masks(rows: np.ndarray) -> list[int]:
+    """The rows of a `(sets, n)` boolean array as masks: the inverse of
+    `mask_rows`."""
+    width = (rows.shape[1] + 7) // 8
+    raw = np.packbits(rows, axis=1, bitorder="little").tobytes()
+    return [int.from_bytes(raw[i:i + width], "little") for i in range(0, len(raw), width)]
+
+
+def grow_rows(g: Graph, rows: np.ndarray, steps: int) -> np.ndarray:
+    """Every row's set of the `(sets, n)` boolean array `rows` grown by
+    `steps` closures through `Graph.neighbor_table`: the vertices within
+    distance `steps` of it."""
+    table = g.neighbor_table
+    for _ in range(steps):
+        rows = rows | rows[:, table].any(axis=2)
+    return rows
+
+
+def layer_rows(g: Graph, ys: np.ndarray, k: int, start: np.ndarray) -> np.ndarray:
+    """Per row of the `(sets, n)` boolean arrays `ys` and `start`, every
+    vertex's breadth-first layer in G^k restricted to the row's Y, out of
+    the row's start vertices in Y, as a `(sets, n)` index array: 0 on those
+    start vertices, t on the vertices first reached by the t-th layer, and
+    n, more than any layer, on the vertices not reached.  The rows' layers
+    grow together, each by k gathers, until no row has a new vertex.  From
+    one vertex the reached vertices are its k-linked component in Y, as in
+    `linked_layers`."""
+    layers = np.full(ys.shape, g.n, dtype=np.intp)
+    reached = layer = start & ys
+    depth = 0
+    while layer.any():
+        layers[layer] = depth
+        layer = grow_rows(g, layer, k) & ys & ~reached
+        reached |= layer
+        depth += 1
+    return layers
+
+
 def _union(masks: Sequence[int], m: int) -> int:
     """The union of `masks[u]` over the vertices u of the mask m."""
     out = 0
@@ -241,11 +284,6 @@ def _union(masks: Sequence[int], m: int) -> int:
         out |= masks[low.bit_length() - 1]
         m ^= low
     return out
-
-
-def neighborhood(g: Graph, x: int) -> int:
-    """N(X): the vertices adjacent to some vertex of the mask X (may meet X)."""
-    return _union(g.neighbor_masks, x)
 
 
 def ball(g: Graph, center: int, radius: int) -> int:
@@ -272,11 +310,6 @@ def linked_layers(g: Graph, ys: int, k: int, start: int) -> Iterator[int]:
         yield layer
         layer = _union(power, layer) & ys & ~reached
         reached |= layer
-
-
-def is_k_linked(g: Graph, xs: int, k: int) -> bool:
-    """True iff the mask X is connected in G^k (the empty set is)."""
-    return not xs or sum(linked_layers(g, xs, k, xs & -xs)) == xs
 
 
 # ---------------------------------------------------------------------------

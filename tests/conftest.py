@@ -27,7 +27,6 @@ from liplab.graphs import (
     hypercube_graph,
     linked_layers,
     mask_vertices,
-    neighborhood,
     petersen_graph,
     vertex_mask,
 )
@@ -339,6 +338,11 @@ def set_neighborhood(g, xs):
     return frozenset(u for v in xs for u in g.neighbors(v))
 
 
+def neighborhood_mask(g, x):
+    """N(X) of the mask X, as a mask, by `set_neighborhood`."""
+    return vertex_mask(set_neighborhood(g, mask_vertices(x)))
+
+
 def nx_power(g, k):
     """G^k by networkx, for the oracles' linkage checks."""
     return nx.power(to_networkx(g), k)
@@ -348,6 +352,40 @@ def is_linked_nx(power, xs):
     """Whether the vertex set X is connected in `power` (a networkx G^k): X is
     k-linked.  The empty set is."""
     return not xs or nx.is_connected(power.subgraph(xs))
+
+
+def reference_boundary_ordering(g, xs):
+    """The boundary ordering of the 4-linked vertex set X whose closure
+    leaves an outside, by networkx: the breadth-first layers of G^4
+    restricted to X, each in id order, from the smallest vertex of X within
+    distance 2 of the outside, then the outer boundary in id order."""
+    xs = set(xs)
+    closure = xs | set_neighborhood(g, xs)
+    near = nx.multi_source_dijkstra_path_length(to_networkx(g), set(range(g.n)) - closure, cutoff=2)
+    start = min(xs & set(near))
+    layer = nx.single_source_shortest_path_length(nx_power(g, 4).subgraph(xs), start)
+    assert set(layer) == xs, "X is not 4-linked"
+    return sorted(xs, key=lambda v: (layer[v], v)) + sorted(closure - xs)
+
+
+def reference_ordering_verdict(g, xs, order):
+    """The three ordering properties of the list `order` for the vertex set
+    X, by networkx distances, in `check_boundary_ordering`'s dict: the first
+    vertex is within distance 2 of the outside of the closure, X fills the
+    first |X| places, and every later vertex has an earlier one within
+    distance 4.  A list that is not an ordering of the closure fails
+    `covers_closure`, and the three properties are then None."""
+    xs = set(xs)
+    closure = xs | set_neighborhood(g, xs)
+    if not order or sorted(order) != sorted(closure):
+        return {"covers_closure": False, "first_near_outside": None, "set_before_boundary": None,
+                "predecessor_within_4": None, "ok": False}
+    dist = dict(nx.all_pairs_shortest_path_length(to_networkx(g)))
+    first = any(dist[order[0]][u] <= 2 for u in set(range(g.n)) - closure)
+    split = set(order[:len(xs)]) == xs
+    pred = all(any(dist[v][u] <= 4 for u in order[:i]) for i, v in enumerate(order) if i)
+    return {"covers_closure": True, "first_near_outside": first, "set_before_boundary": split,
+            "predecessor_within_4": pred, "ok": first and split and pred}
 
 
 def linked_component_containing(g, ys, k, v):
@@ -379,7 +417,7 @@ def reference_random_lipschitz(g, M, rng):
 def is_mutual_cover(g, x, y):
     """True iff the mask X is inside the closure of the mask Y and Y is inside
     the closure of X."""
-    return not (x & ~(y | neighborhood(g, y)) or y & ~(x | neighborhood(g, x)))
+    return not (x & ~(y | neighborhood_mask(g, y)) or y & ~(x | neighborhood_mask(g, x)))
 
 
 def is_approx_pair(g, pair, x):
@@ -389,7 +427,7 @@ def is_approx_pair(g, pair, x):
     outside F."""
     nbr = g.neighbor_masks
     s, f, limit = pair.s, pair.f, pair.psi + 1e-9
-    return (not (f & ~neighborhood(g, x) or x & ~s)
+    return (not (f & ~neighborhood_mask(g, x) or x & ~s)
             and all((nbr[u] & ~f).bit_count() <= limit for u in mask_vertices(s))
             and all((nbr[u] & s).bit_count() <= limit for u in range(g.n) if not f >> u & 1))
 
@@ -415,7 +453,7 @@ def reference_container_family(g, v, boundary_size, k, psi, profile, seed, budge
     covers_all = True
     for x, cover_seed in zip(xs, seeds):
         # the cover: sampled pool, then the smallest neighbour of each uncovered X-vertex
-        q = neighborhood(g, x)
+        q = neighborhood_mask(g, x)
         pool = [u for u in mask_vertices(q) if (nbr[u] & x).bit_count() < ell]
         bound = cover_size_bound(d, lam, q.bit_count())
         root = np.random.SeedSequence(cover_seed) if pool and 0.0 < p < 1.0 else None
@@ -427,7 +465,7 @@ def reference_container_family(g, v, boundary_size, k, psi, profile, seed, budge
             else:
                 keep = np.random.default_rng(root.spawn(1)[0]).random(len(pool)) < p
                 y = vertex_mask(u for u, take in zip(pool, keep) if take)
-            covered = y | neighborhood(g, y)
+            covered = y | neighborhood_mask(g, y)
             cover = y
             for u in mask_vertices(x):
                 if not covered >> u & 1:

@@ -26,10 +26,11 @@ from liplab.errors import BudgetExceededError
 from liplab.expanders import ExpanderProfile, asserted_profile, exhaustive_lambda, spectral_lambda
 from liplab.graphs import (
     cycle_graph,
-    is_k_linked,
+    mask_rows,
     mask_vertices,
     petersen_graph,
     random_regular_graph,
+    row_masks,
     vertex_mask,
 )
 from tests.conftest import (
@@ -125,9 +126,10 @@ def test_cover_fuzz_properties():
 
 def test_cover_linkage_transfer(petersen):
     prof = exhaustive_lambda(petersen)
+    power = nx_power(petersen, 4)
     for xs in enumerate_linked_sets(petersen, 0, 6, 2):
         res = build_mutual_cover(petersen, xs, prof, seed=5)
-        assert is_k_linked(petersen, res.members, 4)
+        assert is_linked_nx(power, mask_vertices(res.members))
 
 
 def test_cover_bound_evaluated(k6):
@@ -248,9 +250,9 @@ def test_family_cover_seeds_are_the_spawned_children(boundary_size, n_sets, monk
     children = [child.generate_state(1)[0].item() for child in np.random.SeedSequence(7).spawn(n_sets)]
     assert seeds == children
     xs = enumerate_linked_sets(g, 0, boundary_size, 1)
-    assert containers._masks(x) == xs
+    assert row_masks(x.T) == xs
     assert [(cover, int(tries), bool(hit)) for cover, tries, hit in
-            zip(containers._masks(covers), attempts, met)] == [
+            zip(row_masks(covers.T), attempts, met)] == [
         (res.members, res.attempts, res.met_bound)
         for res in (build_mutual_cover(g, x, prof, seed=child) for x, child in zip(xs, children))]
 
@@ -325,7 +327,7 @@ def test_family_matches_the_reference_across_byte_and_word_boundaries(g, v, boun
     assert fam == reference_container_family(g, v, boundary_size, 1, 1.0, prof, seed=3)
     assert fam.n_sets == n_sets
     xs = enumerate_linked_sets(g, v, boundary_size, 1)
-    assert containers._masks(containers._columns(xs, g.n)) == xs
+    assert row_masks(containers._columns(xs, g.n).T) == row_masks(mask_rows(xs, g.n)) == xs
 
 
 # ---------------------------------------------------------------------------

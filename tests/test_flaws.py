@@ -40,6 +40,8 @@ from tests.conftest import (
     nx_power,
     path_graph,
     reference_ground_state_lemma,
+    reference_boundary_ordering,
+    reference_ordering_verdict,
     reference_random_lipschitz,
     set_neighborhood,
 )
@@ -264,14 +266,17 @@ def test_ordering_singleton(petersen):
     order = boundary_ordering(petersen, vertex_mask({0}))
     assert order[0] == 0
     assert order[1:] == sorted(petersen.neighbors(0))
-    assert check_boundary_ordering(petersen, vertex_mask({0}), order)["ok"]
+    assert order == reference_boundary_ordering(petersen, {0})
+    report = check_boundary_ordering(petersen, vertex_mask({0}), order)
+    assert report["ok"] and report == reference_ordering_verdict(petersen, {0}, order)
 
 
 def test_ordering_pair(petersen):
     s = vertex_mask({0, 2})  # distance 2 on the outer cycle: 4-linked
     order = boundary_ordering(petersen, s)
+    assert order == reference_boundary_ordering(petersen, {0, 2})
     report = check_boundary_ordering(petersen, s, order)
-    assert report["ok"]
+    assert report["ok"] and report == reference_ordering_verdict(petersen, {0, 2}, order)
     assert sorted(order[:2]) == mask_vertices(s)
 
 
@@ -299,6 +304,7 @@ def test_ordering_fuzz():
             if not outside:
                 continue
             order = boundary_ordering(g, s)
+            assert order == reference_boundary_ordering(g, members)
             assert check_boundary_ordering(g, s, order)["ok"]
             # the start is the member of S nearest the outside, smallest id first
             dist = {v: nx_distances(g, v) for v in members}
@@ -309,13 +315,18 @@ def test_ordering_fuzz():
 
 def test_check_boundary_ordering_flags_each_violation():
     g = cycle_graph(30)
-    report = check_boundary_ordering(g, vertex_mask({0, 1, 2, 3, 4}), [3, 2, 1, 0, 4, 29, 5])  # 3 is 3 steps from the outside
+    cases = [({0, 1, 2, 3, 4}, [3, 2, 1, 0, 4, 29, 5]),  # 3 is 3 steps from the outside
+             ({0, 4, 8}, [0, 8, 4, 29, 1, 3, 5, 7, 9]),  # 8 is 8 steps from 0
+             ({0, 1, 2}, [0, 1, 29, 2, 3])]  # boundary vertex 29 before 2
+    reports = [check_boundary_ordering(g, vertex_mask(xs), order) for xs, order in cases]
+    assert reports == [reference_ordering_verdict(g, xs, order) for xs, order in cases]
+    report = reports[0]
     assert not report["first_near_outside"] and not report["ok"]
     assert report["covers_closure"] and report["set_before_boundary"] and report["predecessor_within_4"]
-    report = check_boundary_ordering(g, vertex_mask({0, 4, 8}), [0, 8, 4, 29, 1, 3, 5, 7, 9])  # 8 is 8 steps from 0
+    report = reports[1]
     assert not report["predecessor_within_4"] and not report["ok"]
     assert report["covers_closure"] and report["first_near_outside"] and report["set_before_boundary"]
-    report = check_boundary_ordering(g, vertex_mask({0, 1, 2}), [0, 1, 29, 2, 3])  # boundary vertex 29 before 2
+    report = reports[2]
     assert not report["set_before_boundary"] and not report["ok"]
     assert report["covers_closure"] and report["first_near_outside"] and report["predecessor_within_4"]
 
@@ -325,6 +336,21 @@ def test_check_boundary_ordering_fails_an_ordering_that_misses_the_closure(order
     # the closure of {2, 3} on C8 is {1, 2, 3, 4}
     report = check_boundary_ordering(cycle_graph(8), vertex_mask({2, 3}), order)
     assert report["covers_closure"] is False and report["ok"] is False
+    assert report == reference_ordering_verdict(cycle_graph(8), {2, 3}, order)
+
+
+@pytest.mark.parametrize("tail", ["past n", "id n", "id -1", "duplicate"])
+def test_check_boundary_ordering_fails_a_list_that_is_no_ordering_before_padding(tail):
+    """A valid ordering with one fault added fails `covers_closure`: padded
+    with -1 first, the -1 tail would pass as the valid ordering."""
+    g, s = cycle_graph(8), vertex_mask({2, 3})
+    order = boundary_ordering(g, s)
+    assert check_boundary_ordering(g, s, order)["ok"]
+    bad = {"past n": order + [-1] * (g.n + 1 - len(order)), "id n": order + [g.n], "id -1": order + [-1],
+           "duplicate": order + order[:1]}[tail]
+    assert check_boundary_ordering(g, s, bad) == {
+        "covers_closure": False, "first_near_outside": None, "set_before_boundary": None,
+        "predecessor_within_4": None, "ok": False} == reference_ordering_verdict(g, {2, 3}, bad)
 
 
 def test_faulty_ordering_is_a_failed_check_not_a_crash(monkeypatch):

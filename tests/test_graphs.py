@@ -14,13 +14,13 @@ from liplab.graphs import (
     complete_graph,
     cycle_graph,
     generate,
+    grow_rows,
     hypercube_graph,
-    is_k_linked,
     iter_rooted_connected_sets,
     linked_layers,
     load_edge_list,
+    mask_rows,
     mask_vertices,
-    neighborhood,
     random_regular_graph,
     save_edge_list,
     torus_graph,
@@ -34,6 +34,7 @@ from tests.conftest import (
     nx_distances,
     nx_power,
     path_graph,
+    set_neighborhood,
 )
 
 
@@ -204,20 +205,23 @@ def test_linked_layers_need_the_start_inside_y():
 
 
 def test_boundary_singleton(c5):
-    x = vertex_mask({0})
-    assert mask_vertices(neighborhood(c5, x)) == [1, 4]
-    assert mask_vertices(neighborhood(c5, x) & ~x) == [1, 4]  # outer boundary
-    assert mask_vertices(x | neighborhood(c5, x)) == [0, 1, 4]  # closure
+    x = mask_rows([vertex_mask({0})], c5.n)
+    closure = grow_rows(c5, x, 1)[0]
+    assert sorted(set_neighborhood(c5, {0})) == [1, 4]
+    assert np.flatnonzero(closure & ~x[0]).tolist() == [1, 4]  # outer boundary
+    assert np.flatnonzero(closure).tolist() == [0, 1, 4]  # closure
 
 
 def test_boundary_full_set(c5):
-    full = vertex_mask(range(5))
-    assert mask_vertices(neighborhood(c5, full) & ~full) == []  # outer boundary
+    full = np.ones((1, c5.n), dtype=bool)
+    assert np.flatnonzero(grow_rows(c5, full, 1)[0] & ~full[0]).tolist() == []  # outer boundary
 
 
 def test_boundary_bipartite_side():
     g = complete_bipartite_graph(3, 3)
-    assert mask_vertices(neighborhood(g, vertex_mask({0, 1, 2}))) == [3, 4, 5]
+    x = mask_rows([vertex_mask({0, 1, 2})], g.n)
+    assert sorted(set_neighborhood(g, {0, 1, 2})) == [3, 4, 5]
+    assert np.flatnonzero(grow_rows(g, x, 1)[0] & ~x[0]).tolist() == [3, 4, 5]  # outer boundary
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +344,7 @@ def test_mutual_cover_linkage_transfer():
     rng = np.random.default_rng(9)
     for seed in range(8):
         g = random_regular_graph(12, 3, seed=seed)
+        powers = {k: nx_power(g, k) for k in (1, 2, 3, 4)}
         for _ in range(20):
             size = int(rng.integers(1, 5))
             xs = set(int(v) for v in rng.choice(g.n, size=size, replace=False))
@@ -351,8 +356,8 @@ def test_mutual_cover_linkage_transfer():
             if not is_mutual_cover(g, vertex_mask(xs), vertex_mask(ys)):
                 continue
             for k in (1, 2):
-                if is_k_linked(g, vertex_mask(xs), k):
-                    assert is_k_linked(g, vertex_mask(ys), k + 2)
+                if is_linked_nx(powers[k], xs):
+                    assert is_linked_nx(powers[k + 2], ys)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Property tests of the mask primitives, the boundary ordering and the
 adjacency spectrum against networkx on random connected graphs with at most
-12 vertices (and of the batched boundary orderings against the one-row
-forms on those and on C12), of the linked-set enumeration against `brute_linked_sets` on
+12 vertices (and of the row walk and of the boundary orderings, batched and
+one-row, against networkx references on those and on C12), of the
+linked-set enumeration against `brute_linked_sets` on
 those with at most 9, of the frontier DP's layer arrays against
 `reference_sweep` on those with at most 9 (and on small regular graphs in
 ground-state mode), and of the one-point count and enumeration against
@@ -30,17 +31,27 @@ from liplab.graphs import (
     ball,
     complete_graph,
     cycle_graph,
+    grow_rows,
     hypercube_graph,
-    is_k_linked,
+    layer_rows,
     linked_layers,
     mask_rows,
     mask_vertices,
-    neighborhood,
     random_regular_graph,
     vertex_mask,
 )
 from liplab.lipschitz import EnsembleSpec, LipschitzFn, _value_array, count_onepoint, enumerate_onepoint, flaw_cap
-from tests.conftest import brute_members, is_mutual_cover, linked_component_containing, nx_power
+from tests.conftest import (
+    brute_members,
+    is_linked_nx,
+    is_mutual_cover,
+    linked_component_containing,
+    neighborhood_mask,
+    nx_power,
+    reference_boundary_ordering,
+    reference_ordering_verdict,
+    set_neighborhood,
+)
 from tests.test_containers import brute_linked_sets, vertex_sets
 from tests.test_lipschitz import assert_sweep_matches_reference
 
@@ -130,14 +141,35 @@ def test_enumerate_linked_sets_matches_brute_force(graphs, data):
 
 @PROPERTY_SETTINGS
 @given(connected_graphs(), st.integers(1, 4), st.data())
-def test_linked_component_and_is_k_linked_match_the_induced_power(graphs, k, data):
+def test_linked_component_and_linkage_match_the_induced_power(graphs, k, data):
     g, nxg = graphs
     ys = data.draw(st.sets(st.integers(0, g.n - 1), max_size=g.n))
     v = data.draw(st.integers(0, g.n - 1))
     induced = nx.power(nxg, k).subgraph(ys)
     expected = nx.node_connected_component(induced, v) if v in ys else set()
     assert set(mask_vertices(linked_component_containing(g, vertex_mask(ys), k, v))) == expected
-    assert is_k_linked(g, vertex_mask(ys), k) == (not ys or nx.is_connected(induced))
+    y = vertex_mask(ys)  # Y is k-linked iff the walk from one of its vertices reaches all of it
+    assert (not y or sum(linked_layers(g, y, k, y & -y)) == y) == (not ys or nx.is_connected(induced))
+
+
+@PROPERTY_SETTINGS
+@given(st.one_of(st.just((cycle_graph(12), nx.cycle_graph(12))), connected_graphs()), st.data())
+def test_layer_rows_match_the_distances_in_the_induced_power(graphs, data):
+    """Every row's layers against networkx's distances in G^k restricted to
+    the row's Y, for k = 1, 2 and 4, from one start vertex inside or outside
+    Y (outside, no vertex is reached); the rows are walked as one batch."""
+    g, nxg = graphs
+    n_rows = data.draw(st.integers(1, 5))
+    ys = [data.draw(st.sets(st.integers(0, g.n - 1), max_size=g.n)) for _ in range(n_rows)]
+    starts = data.draw(st.lists(st.integers(0, g.n - 1), min_size=n_rows, max_size=n_rows))
+    start = np.zeros((n_rows, g.n), dtype=bool)
+    start[np.arange(n_rows), starts] = True
+    for k in (1, 2, 4):
+        layers = layer_rows(g, mask_rows([vertex_mask(y) for y in ys], g.n), k, start)
+        power = nx.power(nxg, k)
+        for row, y, v in zip(layers.tolist(), ys, starts):
+            dist = nx.single_source_shortest_path_length(power.subgraph(y), v) if v in y else {}
+            assert row == [dist.get(u, g.n) for u in range(g.n)], k
 
 
 @PROPERTY_SETTINGS
@@ -167,9 +199,9 @@ def test_batched_flaw_decomposition_matches_the_mask_walk(graphs, shift, data):
             expected = nx.node_connected_component(powers[k].subgraph(above), anchor) if anchor in above else set()
             assert linked_component_containing(g, vertex_mask(above), k, anchor) == vertex_mask(expected)
             assert set(np.flatnonzero(rows[r]).tolist()) == expected, name
-            got[name] = vertex_mask(expected)
-        closure = got["core"] | neighborhood(g, got["core"])
-        assert escapes[r] == bool(closure & ~got["cluster"])
+            got[name] = expected
+        closure = got["core"] | set_neighborhood(g, got["core"])
+        assert escapes[r] == bool(closure - got["cluster"])
 
 
 @PROPERTY_SETTINGS
@@ -178,10 +210,13 @@ def test_boundary_operators_match_their_definitions(graphs, data):
     g, nxg = graphs
     xs = data.draw(st.sets(st.integers(0, g.n - 1), max_size=g.n))
     nbhd = {u for v in xs for u in nxg[v]}
-    x = vertex_mask(xs)
-    assert set(mask_vertices(neighborhood(g, x))) == nbhd
-    assert set(mask_vertices(x | neighborhood(g, x))) == nbhd | xs  # closure
-    assert set(mask_vertices(neighborhood(g, x) & ~x)) == nbhd - xs  # outer boundary
+    x = mask_rows([vertex_mask(xs)], g.n)
+    closure = grow_rows(g, x, 1)[0]
+    assert set_neighborhood(g, xs) == nbhd
+    assert set(np.flatnonzero(closure).tolist()) == nbhd | xs  # closure
+    assert set(np.flatnonzero(closure & ~x[0]).tolist()) == nbhd - xs  # outer boundary
+    within_2 = {u for v in xs for u, d in nx.single_source_shortest_path_length(nxg, v, cutoff=2).items()}
+    assert set(np.flatnonzero(grow_rows(g, x, 2)[0]).tolist()) == within_2
 
 
 @PROPERTY_SETTINGS
@@ -193,18 +228,19 @@ def test_boundary_ordering_passes_its_check_on_4_linked_sets(graphs, data):
     if len(xs | {u for v in xs for u in nxg[v]}) == g.n:
         return  # the closure leaves no outside to start from
     order = boundary_ordering(g, vertex_mask(xs))
+    assert order == reference_boundary_ordering(g, xs)
     assert check_boundary_ordering(g, vertex_mask(xs), order)["ok"]
 
 
-def search_linked_set(g, rng):
-    """`_random_linked_set` with `is_k_linked`'s search for each candidate in
-    place of the distance-4 mask test."""
+def search_linked_set(g, power, rng):
+    """`_random_linked_set` with a networkx linkage search in `power` (G^4)
+    for each candidate in place of the distance-4 mask test."""
     s = 1 << int(rng.integers(0, g.n))
     for _ in range(int(rng.integers(0, 3))):
         cands = [u for u in range(g.n) if not s >> u & 1]
         rng.shuffle(cands)
         for u in cands:
-            if is_k_linked(g, s | 1 << u, 4):
+            if is_linked_nx(power, mask_vertices(s | 1 << u)):
                 s |= 1 << u
                 break
     return s
@@ -215,7 +251,7 @@ def ordering_mutants(g, s, order):
     from the outside (None when every closure vertex is within 2), one with
     its first outer-boundary vertex moved in front of the last vertex of S,
     and one without its last vertex."""
-    outside = ((1 << g.n) - 1) & ~(s | neighborhood(g, s))
+    outside = ((1 << g.n) - 1) & ~(s | neighborhood_mask(g, s))
     far = [v for v in order if not (1 << v | g.power_masks(2)[v]) & outside]
     k = s.bit_count()
     return [[far[0]] + [v for v in order if v != far[0]] if far else None,
@@ -230,23 +266,27 @@ def padded(orders, n):
 @PROPERTY_SETTINGS
 @given(st.one_of(st.just((cycle_graph(12), nx.cycle_graph(12))), connected_graphs()), st.integers(0, 2**32 - 1))
 def test_boundary_orderings_match_the_one_row_forms(graphs, seed):
-    """The fuzz's sets against the search's, and the batch's orderings and
-    verdicts against `boundary_ordering` and `check_boundary_ordering`, on
-    every kept case and on three mutants of each ordering."""
+    """The fuzz's sets against the search's, and the orderings and verdicts
+    of the batch and of `boundary_ordering` and `check_boundary_ordering`
+    against the networkx references, on every kept case and on three
+    mutants of each ordering."""
     g, _ = graphs
     rng, search_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     masks = [_random_linked_set(g, rng) for _ in range(40)]
-    assert masks == [search_linked_set(g, search_rng) for _ in range(40)]
-    kept = [s for s in masks if (s | neighborhood(g, s)).bit_count() < g.n]
+    power = nx_power(g, 4)
+    assert masks == [search_linked_set(g, power, search_rng) for _ in range(40)]
+    kept = [s for s in masks if (s | neighborhood_mask(g, s)).bit_count() < g.n]
     if not kept:
         return
     sets = mask_rows(kept, g.n)
     orders = boundary_orderings(g, sets)
     verdicts = check_boundary_orderings(g, sets, orders)
-    expected = [boundary_ordering(g, s) for s in kept]
+    expected = [reference_boundary_ordering(g, mask_vertices(s)) for s in kept]
     assert orders.tolist() == padded(expected, g.n).tolist()
     for i, (s, order) in enumerate(zip(kept, expected)):
-        assert ordering_verdict(verdicts, i) == check_boundary_ordering(g, s, order)
+        assert boundary_ordering(g, s) == order
+        assert (ordering_verdict(verdicts, i) == check_boundary_ordering(g, s, order)
+                == reference_ordering_verdict(g, mask_vertices(s), order))
     assert verdicts["ok"].all()
 
     mutants = [(s, mutant, prop) for s, order in zip(kept, expected)
@@ -256,7 +296,8 @@ def test_boundary_orderings_match_the_one_row_forms(graphs, seed):
     verdicts = check_boundary_orderings(g, mask_rows([s for s, _, _ in mutants], g.n),
                                         padded([mutant for _, mutant, _ in mutants], g.n))
     for i, (s, mutant, prop) in enumerate(mutants):
-        assert ordering_verdict(verdicts, i) == check_boundary_ordering(g, s, mutant)
+        assert (ordering_verdict(verdicts, i) == check_boundary_ordering(g, s, mutant)
+                == reference_ordering_verdict(g, mask_vertices(s), mutant))
         assert not verdicts[prop][i] and not verdicts["ok"][i]
 
 
