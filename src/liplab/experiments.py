@@ -63,11 +63,11 @@ from .graphs import (
 )
 from .lipschitz import (
     EnsembleSpec,
+    _glauber_run,
     count_groundstate,
     count_onepoint,
     enumerate_onepoint,
     flaw_cap,
-    glauber_samples,
     glauber_site_interval,
     member_batches,
     min_ground_states,
@@ -354,17 +354,20 @@ def glauber_schedule(g: Graph, cfg: ExperimentConfig) -> dict:
 def draw_samples(ens: Ensemble, cfg: ExperimentConfig) -> tuple[np.ndarray, dict | None]:
     """The samples of the config's sampler, the rows of one `(samples, n)`
     value array, and for a Glauber run the `sampler` block of summary.json:
-    its schedule, the moves the flaw cap rejected and their share of the
-    chain steps (None for the exact sampler)."""
+    its schedule, the moves the flaw cap rejected, their share of the chain
+    steps and the interval table's verdict (None for the exact sampler).
+    The samples are those of `glauber_samples`: the chain's states at
+    `burn_in + i * thinning` for i = 1..samples."""
     g, spec = ens.g, ens.spec
     if cfg.sampler["kind"] == "exact":
         return sample_exact(g, spec, cfg.seed, cfg.samples, budget=cfg.budget), None
 
     schedule = glauber_schedule(g, cfg)
-    samples, rejected = glauber_samples(g, spec, cfg.seed, schedule["burn_in"], schedule["thinning"],
-                                        cfg.samples)
+    marks = [schedule["burn_in"] + i * schedule["thinning"] for i in range(cfg.samples + 1)]
+    states, rejected, table = _glauber_run(g, spec, cfg.seed, marks)
     steps = schedule["chain_steps"]
-    return samples, {**schedule, "rejected": rejected, "rejection_rate": rejected / steps if steps else 0.0}
+    return states[1:], {**schedule, "rejected": rejected, "rejection_rate": rejected / steps if steps else 0.0,
+                        "interval_table": table}
 
 
 # ---------------------------------------------------------------------------

@@ -168,8 +168,8 @@ class Graph:
     def adjacency_matrix(self) -> np.ndarray:
         if self._matrix is None:
             a = np.zeros((self.n, self.n), dtype=np.float64)
-            for v, nbrs in enumerate(self._adj):
-                a[v, list(nbrs)] = 1.0
+            lower, upper = self.edge_index
+            a[lower, upper] = a[upper, lower] = 1.0
             self._matrix = a
         return self._matrix
 

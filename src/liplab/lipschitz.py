@@ -25,6 +25,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -622,21 +623,27 @@ def glauber_samples(g: Graph, spec: EnsembleSpec, seed: int, burn_in: int, thinn
     the reference for the interval.  The table stores at most 8,192
     neighbour values (8,192 // max degree entries).  While it has room,
     every miss makes an entry, so only a full table can keep missing; it is
-    judged once, when it fills.  If it filled within 4 steps per entry,
-    more than a quarter of its lookups missed, and the chain switches it off
-    and frees it; otherwise it keeps serving.  It changes no draw: a fixed
-    seed always gives the same chain.
+    judged once, at the end of the block of at most 4,096 steps in which it
+    fills.  If that block ends within 4 steps per entry, more than a quarter
+    of its lookups missed, and the chain switches it off and frees it;
+    otherwise it keeps serving.  Block ends do not depend on the marks, so
+    neither does the verdict.  It changes no draw: a fixed seed always gives
+    the same chain.
     """
     marks = [burn_in + i * thinning for i in range(samples + 1)]
-    states, rejected = _glauber_run(g, spec, seed, marks)
+    states, rejected, _ = _glauber_run(g, spec, seed, marks)
     return states[1:], rejected
 
 
-def _glauber_run(g: Graph, spec: EnsembleSpec, seed: int, marks: list[int]) -> tuple[np.ndarray, int]:
+def _glauber_run(g: Graph, spec: EnsembleSpec, seed: int,
+                 marks: list[int]) -> tuple[np.ndarray, int, dict]:
     """One chain of `marks[-1]` steps on `default_rng(seed)`; the state after
     each step count in `marks` (ascending, a mark of 0 being the start
-    state), as the rows of one value array (see `_value_array`), and the
-    number of moves the flaw cap rejected.
+    state), as the rows of one value array (see `_value_array`), the number
+    of moves the flaw cap rejected, and the interval table's verdict:
+    `{"entries": ..., "switched_off_at": ...}`, the entries it held at the
+    end of the run or when it was switched off, and the block end at which
+    it was switched off (None while it serves).
 
     The run starts from the all-zero (one-point) or all-k (ground-state)
     state; the sites, the flaw count and the neighbour getters are set up
@@ -644,7 +651,12 @@ def _glauber_run(g: Graph, spec: EnsembleSpec, seed: int, marks: list[int]) -> t
     [0, n_sites * W) and splits its draws into sites and coins in numpy, so
     a step does integer arithmetic only; the bias of a coin is that of
     `glauber_samples`, 0 while W is lcm(1, ..., 2M+1) and at most width / W
-    past the cap.
+    past the cap.  The bookkeeping is per block of at most 4,096 steps
+    within a chunk: a block's sites and coins become one iterator of Python
+    ints, which the marks inside the block split into segments, the step
+    count is set at each segment's end, and the interval table is judged at
+    the block's end (see `glauber_samples`).  Block ends fall at multiples
+    of 4,096 within each chunk and at the end of the run, whatever the marks.
     """
     M = spec.M
     cap = _check_spec(g, spec)
@@ -661,16 +673,17 @@ def _glauber_run(g: Graph, spec: EnsembleSpec, seed: int, marks: list[int]) -> t
     run = marks[-1]
     if not n_sites:
         # a lone pinned vertex: every step leaves the state as it is
-        return _value_array(values * len(marks), g.n), 0
+        return _value_array(values * len(marks), g.n), 0, {"entries": 0, "switched_off_at": None}
 
     getters = g.neighbor_getters
     # the interval table: neighbour values -> (lo, width); None once switched off
     table: dict | None = {}
     room = _GLAUBER_MEMO_CELLS // max(max(g.degrees), 1)
+    switched_off_at = None
     rejected = 0
     states = []  # the state at each mark, end to end
     m = 0  # the marks recorded so far
-    t = 0
+    t = 0  # the steps done, set at each segment's end
     while m < len(marks) and marks[m] <= t:
         states += values
         m += 1
@@ -680,46 +693,50 @@ def _glauber_run(g: Graph, spec: EnsembleSpec, seed: int, marks: list[int]) -> t
         take = min(_GLAUBER_CHUNK, run - done)
         picks, coins = np.divmod(rng.integers(0, n_sites * W, size=take), W)
         verts = sites[picks]
-        start = 0
-        while start < take:
-            # a slice ends after _GLAUBER_SLICE steps or at the next mark
-            stop = min(start + _GLAUBER_SLICE, take, marks[m] - done)
-            # heat bath: c is uniform on [max nbr - M, min nbr + M]
-            for v, q in zip(verts[start:stop].tolist(), coins[start:stop].tolist()):
-                nv = getters[v](values)
-                if table is None:
-                    lo = max(nv) - M
-                    width = min(nv) + M - lo + 1
-                else:
-                    try:
-                        lo, width = table[nv]
-                    except KeyError:
+        for start in range(0, take, _GLAUBER_SLICE):
+            stop = start + _GLAUBER_SLICE
+            block = zip(verts[start:stop].tolist(), coins[start:stop].tolist())
+            end = done + min(stop, take)
+            while t < end:
+                # a segment ends at the next mark or at the block's end
+                seg = min(marks[m], end)
+                # heat bath: c is uniform on [max nbr - M, min nbr + M]
+                for v, q in islice(block, seg - t):
+                    nv = getters[v](values)
+                    if table is None:
                         lo = max(nv) - M
                         width = min(nv) + M - lo + 1
-                        if len(table) < room:
-                            table[nv] = lo, width
-                            # every miss so far made an entry, so a table that fills
-                            # within 4 * room steps missed over a quarter of its lookups
-                            if len(table) == room and t + 1 < 4 * room:
-                                table = None
-                c = lo + q * width // W
-                if ground and c != values[v]:
-                    old_in = w_lo <= values[v] <= w_hi
-                    if old_in != (w_lo <= c <= w_hi):
-                        if not old_in:
-                            flaws -= 1
-                        elif flaws < cap:
-                            flaws += 1
-                        else:
-                            c = values[v]  # rejected: one more flaw than allowed
-                            rejected += 1
-                values[v] = c
-                t += 1
-            start = stop
-            while m < len(marks) and marks[m] <= t:
-                states += values
-                m += 1
-    return _value_array(states, g.n), rejected
+                    else:
+                        try:
+                            lo, width = table[nv]
+                        except KeyError:
+                            lo = max(nv) - M
+                            width = min(nv) + M - lo + 1
+                            if len(table) < room:
+                                table[nv] = lo, width
+                    c = lo + q * width // W
+                    if ground and c != values[v]:
+                        old_in = w_lo <= values[v] <= w_hi
+                        if old_in != (w_lo <= c <= w_hi):
+                            if not old_in:
+                                flaws -= 1
+                            elif flaws < cap:
+                                flaws += 1
+                            else:
+                                c = values[v]  # rejected: one more flaw than allowed
+                                rejected += 1
+                    values[v] = c
+                t = seg
+                while m < len(marks) and marks[m] <= t:
+                    states += values
+                    m += 1
+            # every miss before the fill made an entry, so a table full by a block end
+            # within 4 * room steps missed over a quarter of its lookups until then
+            if table is not None and len(table) == room and end < 4 * room:
+                table = None
+                switched_off_at = end
+    entries = room if table is None else len(table)
+    return _value_array(states, g.n), rejected, {"entries": entries, "switched_off_at": switched_off_at}
 
 
 def _value_array(values: list[int], n: int) -> np.ndarray:

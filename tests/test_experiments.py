@@ -295,25 +295,39 @@ def test_glauber_summary_reports_schedule():
         samples=11,
     )))
     assert explicit.aggregates["sampler"] == {"burn_in": 300, "thinning": 7, "chain_steps": 300 + 11 * 7,
-                                              "rejected": 0, "rejection_rate": 0.0}
+                                              "rejected": 0, "rejection_rate": 0.0,
+                                              "interval_table": {"entries": 16, "switched_off_at": None}}
     # defaults: burn-in 100*n*M, thinning n
     defaulted = run_range_experiment(parse_config(base_config(
         graph={"family": "cycle", "n": 6}, M=2, sampler={"kind": "glauber"}, samples=5,
     )))
     assert defaulted.aggregates["sampler"] == {"burn_in": 1200, "thinning": 6, "chain_steps": 1230,
-                                               "rejected": 0, "rejection_rate": 0.0}
+                                               "rejected": 0, "rejection_rate": 0.0,
+                                               "interval_table": {"entries": 51, "switched_off_at": None}}
     # the rejection counts are checked against the reference chain below
     tail = run_tail_experiment(tail_config(sampler={"kind": "glauber", "burn_in": 200, "thinning": 5},
                                            samples=40))
     assert tail.aggregates["sampler"] == {"burn_in": 200, "thinning": 5, "chain_steps": 400, "rejected": 24,
-                                          "rejection_rate": 24 / 400}
+                                          "rejection_rate": 24 / 400,
+                                          "interval_table": {"entries": 49, "switched_off_at": None}}
     tail_default = run_tail_experiment(tail_config(sampler={"kind": "glauber"}, samples=3))
     assert tail_default.aggregates["sampler"] == {"burn_in": 600, "thinning": 6, "chain_steps": 618,
-                                                  "rejected": 31, "rejection_rate": 31 / 618}
+                                                  "rejected": 31, "rejection_rate": 31 / 618,
+                                                  "interval_table": {"entries": 54, "switched_off_at": None}}
+    # Q6 at M = 4 and seed 10 fills its 1,365-entry table at step 1,733; the table is
+    # switched off at the end of that 4,096-step block (see test_lipschitz)
+    q6 = run_range_experiment(parse_config(base_config(
+        graph={"family": "hypercube", "dim": 6}, M=4, sampler={"kind": "glauber", "burn_in": 5000, "thinning": 64},
+        samples=1, seed=10, probes=[0],
+    )))
+    assert q6.aggregates["sampler"] == {"burn_in": 5000, "thinning": 64, "chain_steps": 5064, "rejected": 0,
+                                        "rejection_rate": 0.0,
+                                        "interval_table": {"entries": 1365, "switched_off_at": 4096}}
     # a run of no steps rejects no share of them
     empty = tail_config(sampler={"kind": "glauber", "burn_in": 0, "thinning": 5}, samples=0)
-    assert draw_samples(resolve_ensemble(empty), empty)[1] == {"burn_in": 0, "thinning": 5, "chain_steps": 0,
-                                                               "rejected": 0, "rejection_rate": 0.0}
+    assert draw_samples(resolve_ensemble(empty), empty)[1] == {
+        "burn_in": 0, "thinning": 5, "chain_steps": 0, "rejected": 0, "rejection_rate": 0.0,
+        "interval_table": {"entries": 0, "switched_off_at": None}}
     # exact runs report no sampler block
     assert "sampler" not in run_range_experiment(parse_config(base_config())).aggregates
     assert "sampler" not in run_tail_experiment(tail_config()).aggregates
@@ -1065,7 +1079,9 @@ def test_config_rejects_bad_glauber_schedule(sampler):
 def test_config_accepts_schedule_edges():
     cfg = parse_config(base_config(sampler={"kind": "glauber", "burn_in": 0, "thinning": 1}, samples=3))
     assert run_range_experiment(cfg).aggregates["sampler"] == {"burn_in": 0, "thinning": 1, "chain_steps": 3,
-                                                               "rejected": 0, "rejection_rate": 0.0}
+                                                               "rejected": 0, "rejection_rate": 0.0,
+                                                               "interval_table": {"entries": 2,
+                                                                                  "switched_off_at": None}}
 
 
 def test_cli_bad_glauber_schedule_exits_2(tmp_path, capsys):

@@ -628,14 +628,15 @@ def test_glauber_golden_trajectories(builder, spec, seed, steps, digests):
     [
         (lambda: random_regular_graph(20, 3, seed=1), EnsembleSpec("one-point", M=2, v0=0), 9, 70_000),
         (lambda: complete_graph(6), EnsembleSpec("ground-state", M=1, k=0, lam=1.0), 8, 3000),
-        # the table fills at step 1,732 (8,192 values / degree 6 = 1,365 entries), within
-        # 4 * 1,365 steps, so over a quarter of its lookups missed and it is switched off
+        # the table fills at step 1,733 (8,192 values / degree 6 = 1,365 entries), and its
+        # block ends at step 4,096, within 4 * 1,365 steps, so over a quarter of its lookups
+        # missed and it is switched off
         (lambda: hypercube_graph(6), EnsembleSpec("one-point", M=4, v0=0), 10, 30_000),
-        # the table fills at step 28,135 (8,192 values / degree 7 = 1,170 entries), past
+        # the table fills at step 28,136 (8,192 values / degree 7 = 1,170 entries), past
         # 4 * 1,170 steps, so it serves on
         (lambda: hypercube_graph(7), EnsembleSpec("one-point", M=1, v0=0), 3, 40_000),
         # a cold start: 1,118 of the first 4,096 lookups miss, but the table fills at step
-        # 38,778 (2,730 entries) with 7% of its lookups missed, so it serves on
+        # 38,779 (2,730 entries) with 7% of its lookups missed, so it serves on
         (lambda: random_regular_graph(500, 3, seed=1), EnsembleSpec("one-point", M=5, v0=0), 0, 50_000),
     ],
     ids=["RR20-M2", "K6-ground", "Q6-M4-table-off", "Q7-M1-table-full", "RR500-M5-cold-start"],
@@ -698,21 +699,14 @@ def test_glauber_chain_does_not_call_site_interval(c4, monkeypatch):
     assert validate(c4, glauber_chain(c4, spec, seed=0, steps=1000))
 
 
-@pytest.mark.parametrize(
-    "builder,spec,seed,steps,kept",
-    [
-        (lambda: hypercube_graph(6), EnsembleSpec("one-point", M=4, v0=0), 10, 30_000, False),
-        (lambda: random_regular_graph(500, 3, seed=1), EnsembleSpec("one-point", M=5, v0=0), 0, 50_000, True),
-    ],
-    ids=["Q6-M4-switched-off", "RR500-M5-kept"],
-)
-def test_glauber_table_is_judged_when_it_fills(builder, spec, seed, steps, kept, monkeypatch):
+def _counting_misses(monkeypatch, g, spec, seed):
+    """A function of `run` giving the interval computations (the misses of the
+    table, or every step once it is switched off) of the first `run` steps
+    of the chain, and the run's table verdict; runs are prefix-stable."""
     import builtins
 
     import liplab.lipschitz as lipschitz
 
-    g = builder()
-    room = lipschitz._GLAUBER_MEMO_CELLS // max(g.degrees)
     computed = 0  # interval computations: min of the neighbour values
 
     def counting_min(*args):
@@ -723,21 +717,69 @@ def test_glauber_table_is_judged_when_it_fills(builder, spec, seed, steps, kept,
     monkeypatch.setattr(lipschitz, "min", counting_min, raising=False)
 
     def misses(run):
-        """The interval computations of the first `run` steps: runs are prefix-stable."""
         nonlocal computed
         computed = 0
-        lipschitz._glauber_run(g, spec, seed, [run])
-        return computed
+        table = lipschitz._glauber_run(g, spec, seed, [run])[2]
+        return computed, table
 
-    total = misses(steps)
-    # every miss before the fill makes an entry, so the table filled; some step hit
+    return misses
+
+
+@pytest.mark.parametrize(
+    "builder,spec,seed,steps,fill,kept",
+    [
+        (lambda: hypercube_graph(6), EnsembleSpec("one-point", M=4, v0=0), 10, 30_000, 1_733, False),
+        (lambda: random_regular_graph(500, 3, seed=1), EnsembleSpec("one-point", M=5, v0=0), 0, 50_000, 38_779,
+         True),
+    ],
+    ids=["Q6-M4-switched-off", "RR500-M5-kept"],
+)
+def test_glauber_table_is_judged_when_it_fills(builder, spec, seed, steps, fill, kept, monkeypatch):
+    # judged at the end of the 4,096-step block in which it fills: Q6 (1,365 entries)
+    # fills at step 1,733 and goes at step 4,096 < 4 * 1,365; RR500 (2,730 entries)
+    # fills at step 38,779, in the block ending at 40,960 >= 4 * 2,730, and serves on
+    import liplab.lipschitz as lipschitz
+
+    g = builder()
+    room = lipschitz._GLAUBER_MEMO_CELLS // max(g.degrees)
+    end = -(-fill // lipschitz._GLAUBER_SLICE) * lipschitz._GLAUBER_SLICE  # the block end after the fill
+    misses = _counting_misses(monkeypatch, g, spec, seed)
+    total, table = misses(steps)
+    # every miss before the fill makes an entry: the fill step is the room-th miss
+    assert misses(fill - 1)[0] == room - 1 and misses(fill)[0] == room
+    # the table filled; some step hit
     assert room <= total < steps
+    # the full table still serves until the end of its block: some step there hits
+    assert misses(end)[0] - room < end - fill
     if kept:
         # the last step still hits
-        assert total < steps // 10 and misses(steps - 1) == total
+        assert end >= 4 * room and table == {"entries": room, "switched_off_at": None}
+        assert total < steps // 10 and misses(steps - 1)[0] == total
     else:
-        # switched off at the fill, within 4 * room steps: every later step computes
-        assert total - misses(4 * room) == steps - 4 * room and total > steps - 3 * room
+        # switched off at the block end, within 4 * room steps: every later step computes
+        assert end < 4 * room and table == {"entries": room, "switched_off_at": end}
+        assert total - misses(end)[0] == steps - end and total > steps - 3 * room
+
+
+@pytest.mark.parametrize("block,kept", [(3_999, False), (4_000, True), (4_096, True)],
+                         ids=["block-ends-before-4-room", "block-ends-at-4-room", "block-ends-past-4-room"])
+def test_glauber_table_filled_early_is_kept_when_its_block_ends_late(block, kept, monkeypatch):
+    # 3,000 values on RR(500,3) are 1,000 entries; the table fills at step 3,504 < 4 * 1,000,
+    # and only its block's end decides: at 4,000 or later it serves on
+    import liplab.lipschitz as lipschitz
+
+    monkeypatch.setattr(lipschitz, "_GLAUBER_MEMO_CELLS", 3_000)
+    monkeypatch.setattr(lipschitz, "_GLAUBER_SLICE", block)
+    g = random_regular_graph(500, 3, seed=1)
+    misses = _counting_misses(monkeypatch, g, EnsembleSpec("one-point", M=5, v0=0), 0)
+    assert misses(3_503)[0] == 999 and misses(3_504)[0] == 1_000
+    total, table = misses(8_000)
+    assert table == {"entries": 1_000, "switched_off_at": None if kept else block}
+    before = misses(block)[0]
+    if kept:
+        assert total - before < (8_000 - block) // 2
+    else:
+        assert total - before == 8_000 - block
 
 
 def test_glauber_ground_state_guards(k6):

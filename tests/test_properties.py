@@ -1,5 +1,5 @@
-"""Property tests of the mask primitives, the boundary ordering and the
-adjacency spectrum against networkx on random connected graphs with at most
+"""Property tests of the mask primitives, the boundary ordering, the
+adjacency matrix and spectrum against networkx on random connected graphs with at most
 12 vertices (and of the row walk and of the boundary orderings, batched and
 one-row, against networkx references on those and on C12), of the
 linked-set enumeration against `brute_linked_sets` on
@@ -307,6 +307,15 @@ def test_adjacency_spectrum_matches_networkx(graphs):
     g, nxg = graphs
     expected = np.sort(nx.adjacency_spectrum(nxg).real)
     assert np.abs(adjacency_spectrum(g) - expected).max() <= 1e-9
+
+
+@PROPERTY_SETTINGS
+@given(connected_graphs())
+def test_adjacency_matrix_matches_networkx(graphs):
+    g, nxg = graphs
+    a = g.adjacency_matrix()
+    assert a.dtype == np.float64
+    assert np.array_equal(a, nx.to_numpy_array(nxg, nodelist=range(g.n), dtype=np.float64))
 
 
 @st.composite

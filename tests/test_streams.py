@@ -133,3 +133,41 @@ def test_glauber_cli_sample_replays_the_reference_chain(capsys):
     assert out == "\n".join(rows) + "\n"
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "e19510531684bbdc8a9efaf921036b0e8e0dc1f8b87c87b06d1c7ae860108262")  # the digest CI pins
+
+
+@pytest.mark.parametrize("cells", [1 << 13, 25], ids=["table-serves", "table-switched-off"])
+@pytest.mark.parametrize("mode", ["one-point", "ground-state"])
+def test_glauber_marks_at_every_step_give_the_states_of_sparse_marks(mode, cells, monkeypatch):
+    # 13-draw chunks in 5-step blocks: blocks end at steps 5, 10, 13, 18, 23, 26, ...
+    # and at the end of the run; marks split the blocks, but neither the states nor
+    # the table's verdict depend on them.  25 values on K6 are 5 entries, which fill
+    # long before 4 * 5 steps, so that table is switched off at a block end mid-run
+    import liplab.lipschitz as lipschitz
+
+    monkeypatch.setattr(lipschitz, "_GLAUBER_CHUNK", 13)
+    monkeypatch.setattr(lipschitz, "_GLAUBER_SLICE", 5)
+    monkeypatch.setattr(lipschitz, "_GLAUBER_MEMO_CELLS", cells)
+    g = complete_graph(6)
+    spec = EnsembleSpec("one-point", M=1, v0=0) if mode == "one-point" else EnsembleSpec(
+        "ground-state", M=1, k=0, lam=1.0)
+    run = 60
+    dense = list(range(run + 1))
+    states, rejected, table = lipschitz._glauber_run(g, spec, 3, dense)
+    want, want_rejected = reference_glauber(g, spec, 3, dense)
+    assert (states.tolist(), rejected) == ([list(f.values) for f in want], want_rejected)
+    assert (rejected > 0) == (mode == "ground-state")
+    if cells == 25:
+        assert table["entries"] == 5 and 0 < table["switched_off_at"] < run
+    else:
+        assert table["switched_off_at"] is None
+    # on, just before and just after block ends, a repeated mark, and the run's end
+    for sparse in ([0, 4, 5, 6, 9, 10, 11, 12, 13, 14, 25, 26, 26, 27, 52, 60], [13, 39, 60], [60]):
+        got = lipschitz._glauber_run(g, spec, 3, sparse)
+        assert got[0].tolist() == states[sparse].tolist()
+        assert got[1:] == (rejected, table)
+    # a mark of 0 alone: the start state, no step, no verdict
+    got = lipschitz._glauber_run(g, spec, 3, [0])
+    assert (got[0].tolist(), got[1:]) == ([states[0].tolist()], (0, {"entries": 0, "switched_off_at": None}))
+    # no burn-in and a thinning of 1: every step's state
+    samples, got_rejected = glauber_samples(g, spec, 3, 0, 1, run)
+    assert (samples.tolist(), got_rejected) == (states[1:].tolist(), rejected)
